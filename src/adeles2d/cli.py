@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import cech_h_vector, class_range, h_vector, rr_space
 from .measures import (
+    _cls_json,
     canonical_divisor,
     central_commutator,
     class_representative,
@@ -259,10 +260,6 @@ def _check(name: str, inputs: Dict, lhs, rhs, started=None,
     ok = (lhs == rhs) if passed is None else bool(passed)
     return {"name": name, "inputs": inputs, "lhs": lhs, "rhs": rhs,
             "pass": ok, "micros": micros}
-
-
-def _cls_json(cls):
-    return cls if isinstance(cls, int) else list(cls)
 
 
 def _emit(config: Dict, checks: List[Dict], json_path: Optional[str]) -> int:

@@ -205,10 +205,6 @@ class FieldElem:
             e >>= 1
         return result
 
-    def frobenius(self, times: int = 1) -> "FieldElem":
-        """Apply a -> a^p repeatedly."""
-        return self ** (self.desc.p ** (times % self.desc.d if self.desc.d else 1))
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldElem)
@@ -294,10 +290,6 @@ def ptrim(f: Poly) -> Poly:
 
 def pdeg(f: Poly) -> int:
     return len(f) - 1  # degree of zero polynomial is -1
-
-
-def pconst(desc: FieldDesc, a: FieldElem) -> Poly:
-    return [] if a.is_zero() else [a]
 
 
 def pX(desc: FieldDesc) -> Poly:
@@ -533,6 +525,8 @@ def poly_factor(f: Poly, desc: FieldDesc) -> Tuple[FieldElem, List[Tuple[Poly, i
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
+    if pdeg(f) == 1:
+        return f[-1], [(pmonic(f), 1)]
     unit = f[-1]
     work = pmonic(f)
     rng = random.Random(_FACTOR_SEED)

@@ -85,10 +85,6 @@ def mat_solve(rows: Matrix, rhs: List[FieldElem], desc: FieldDesc) -> Optional[L
     return x
 
 
-def span_dim(vectors: Matrix, desc: FieldDesc) -> int:
-    return mat_rank(vectors, desc)
-
-
 def span_contains(vectors: Matrix, v: List[FieldElem], desc: FieldDesc) -> bool:
     if not vectors:
         return all(c.is_zero() for c in v)

@@ -56,7 +56,8 @@ def divisor_zero(S: Surface) -> Divisor:
 def canonical_divisor(S: Surface) -> Divisor:
     """The divisor of the fixed 2-form, assembled from its polar curves."""
     div, checked = divisor_of_form(S, omega_polar_curves(S))
-    assert checked, "polar curves do not account for the canonical class"
+    if not checked:
+        raise RuntimeError("polar curves do not account for the canonical class")
     return div
 
 
@@ -243,7 +244,8 @@ def measure_mu_L(L: LatticeSymbol, i: LatticeSymbol, j: LatticeSymbol,
         di = rule(S, divisor_class(i.divisor)) - dl
         dj = rule(S, divisor_class(j.divisor)) - dl
         exponents.append(di - dj)
-    assert exponents[0] == exponents[1], "adapted measure depends on basepoint"
+    if exponents[0] != exponents[1]:
+        raise RuntimeError("adapted measure depends on basepoint")
     return MeasureTag(ambient, _FAMILY_FOR_RULE[(ambient, L.tag)], i, j,
                       QPower(exponents[0]))
 
@@ -471,8 +473,6 @@ class CentralExtElem:
     __slots__ = ("g", "phi")
 
     def __init__(self, g, phi: MeasureTag):
-        if phi.value.multiplier == 0:  # pragma: no cover - QPower forbids it
-            raise ValueError("lift measure must be nonzero")
         if phi.frm.tag != "A12" or phi.frm.divisor.components:
             raise ValueError("lift measure must start at the base lattice")
         self.g = g
@@ -601,7 +601,8 @@ def rr_assemble(Cdiv: Divisor, wdiv: Divisor, prec: int = 8) -> Report:
     hW = h_vector(S, clsW)
     lhs = hC.h0 - hC.h1 + hH.h0
     pairing = class_intersection(S, clsC, clsH)
-    assert pairing % 2 == 0, "intersection with the reflection must be even"
+    if pairing % 2:
+        raise RuntimeError("intersection with the reflection must be even")
     rhs = h0.h0 - h0.h1 + hW.h0 - pairing // 2
     eq1 = derive_eq1(S, clsC, S.class_zero())
     eq2 = derive_eq2(S, clsC)
@@ -746,7 +747,9 @@ def window_build(R: Divisor, S: Divisor, max_point_degree: int = 2,
         (S.components.get(D, 0) - R.components.get(D, 0)) * u_size
         * flags[fi].point.degree
         for fi, D in enumerate(curves))
-    assert expected == len(basis)
+    if expected != len(basis):
+        raise RuntimeError(f"window basis has {len(basis)} monomials,"
+                           f" expected {expected}")
     if rank != len(basis):
         raise ValueError(f"window gram has rank {rank} < {len(basis)}; the "
                          "residue pairing is degenerate on a reflected "

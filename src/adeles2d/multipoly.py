@@ -77,9 +77,6 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> FieldElem:
-        return self.terms.get((0,) * self.nvars, self.desc.zero())
-
     def total_degree(self) -> int:
         if not self.terms:
             return -1
@@ -213,27 +210,6 @@ class MPoly:
             acc = acc + term
         return acc
 
-    def subs_const(self, assignments: Dict[int, FieldElem]) -> "MPoly":
-        """Substitute constants for some variables (arity preserved)."""
-        out: Dict[Exponent, FieldElem] = {}
-        for e, c in self.terms.items():
-            coeff = c
-            ne = list(e)
-            for i, val in assignments.items():
-                if e[i]:
-                    coeff = coeff * val ** e[i]
-                    ne[i] = 0
-            if coeff.is_zero():
-                continue
-            key = tuple(ne)
-            cur = out.get(key)
-            s = coeff if cur is None else cur + coeff
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return MPoly(self.desc, self.nvars, out)
-
     def substitute(self, images: Sequence["MPoly"]) -> "MPoly":
         """Ring homomorphism sending variable i to images[i]."""
         if len(images) != self.nvars:
@@ -300,6 +276,10 @@ class MPoly:
         q: Dict[Exponent, FieldElem] = {}
         while not rem.is_zero():
             lr, cr = rem._leading()
+            if cr.is_zero():
+                # a stored zero coefficient would never leave the remainder
+                raise ArithmeticError(
+                    f"exact division stalled on a zero coefficient at {lr}")
             de = tuple(a - b for a, b in zip(lr, lg))
             if any(x < 0 for x in de):
                 return None

@@ -228,10 +228,12 @@ def _random_form_of_class(S: Surface, cls, rng: random.Random) -> Optional[MPoly
     from .cohomology import class_monomials
     monos = class_monomials(S, cls)
     terms = {}
+    p, d = S.base.p, S.base.d
     for e in monos:
         c = rng.randrange(S.base.q)
         if c:
-            terms[e] = S.base.from_int(c)
+            # the draw's base-p digits, so every element of F_q can occur
+            terms[e] = S.base.from_coeffs([c // p ** i % p for i in range(d)])
     if not terms:
         return None
     return MPoly(S.base, S.nvars, terms)

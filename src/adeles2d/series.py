@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldDesc, FieldElem
 
@@ -205,8 +205,6 @@ class LaurentSeries2:
         self._check_desc(other)
         t_prec = min(self.t_prec + other._tv(), other.t_prec + self._tv())
         u_prec = min(self.u_prec + other._uv(), other.u_prec + self._uv())
-        if math.isnan(t_prec):
-            t_prec = INF  # inf + (-inf) cannot occur; guard stays for safety
         out: Dict[Tuple[int, int], FieldElem] = {}
         for (ta, ua), ca in self.terms.items():
             for (tb, ub), cb in other.terms.items():
@@ -511,28 +509,7 @@ def _invert_column(col: Dict[int, FieldElem], u_prec, lu: int,
 
 
 # ---------------------------------------------------------------------------
-# operation wrappers and serialization
-
-
-def ls2_arith(a: LaurentSeries2, b: Optional[LaurentSeries2], op: str) -> LaurentSeries2:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv_of_a":
-        return a.inverse()
-    raise ValueError(f"unknown series operation {op!r}")
-
-
-def ls2_substitute(f: LaurentSeries2, u_image: LaurentSeries2,
-                   t_image: LaurentSeries2, t_cap=None, u_cap=None) -> LaurentSeries2:
-    return f.substitute(u_image, t_image, t_cap=t_cap, u_cap=u_cap)
-
-
-def ls2_derive(f: LaurentSeries2, var: str) -> LaurentSeries2:
-    return f.derive(var)
+# valuation, residue and serialization
 
 
 def ls2_valuation(f: LaurentSeries2) -> Tuple[int, int]:

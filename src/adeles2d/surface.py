@@ -21,10 +21,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from .fields import (
     FieldDesc,
     FieldElem,
+    Poly,
     embed,
     field_make,
     pdeg,
-    peval,
     pgcd,
     poly_factor,
     poly_roots,
@@ -442,25 +442,6 @@ def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
     return best, size
 
 
-def _proj_points(surface: Surface, field: FieldDesc) -> Iterable[Tuple[FieldElem, ...]]:
-    """All normalized points of the ambient space over `field`."""
-    one = field.one()
-    zero = field.zero()
-    elems = list(field.elems())
-    if surface.model == "P2":
-        for y in elems:
-            for z in elems:
-                yield (one, y, z)
-        for z in elems:
-            yield (zero, one, z)
-        yield (zero, zero, one)
-    else:
-        line = [(one, x) for x in elems] + [(zero, one)]
-        for a in line:
-            for b in line:
-                yield (a[0], a[1], b[0], b[1])
-
-
 def _coords_down(coords: Tuple[FieldElem, ...], sub: FieldDesc) -> Tuple[FieldElem, ...]:
     from .fields import coerce_down
     return tuple(coerce_down(c, sub) for c in coords)
@@ -471,24 +452,40 @@ def points_on_curve(D: Curve, max_degree: int) -> List[ClosedPoint]:
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     S = D.surface
-    base = S.base
-    q = base.q
-    out: List[ClosedPoint] = []
-    for m in range(1, max_degree + 1):
-        ext = field_make(base.p, base.d * m)
-        seen = set()
-        for coords in _proj_points(S, ext):
-            if not D.poly.evaluate(list(coords)).is_zero():
-                continue
-            rep, size = _orbit_representative(S, coords, q)
-            if size != m:
-                continue
-            key = tuple(c.coeffs for c in rep)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(ClosedPoint(S, ext, rep, m))
-    out.sort(key=ClosedPoint.sort_key)
+    fibre_values = [_orbit_starts(S.base, m) for m in range(1, max_degree + 1)]
+    found: List[ClosedPoint] = []
+    for chart in S.charts:
+        f = S.dehomogenize(D.poly, chart)
+        # solve for the second coordinate; an equation free of it holds on
+        # whole fibres of the first, so then fibre over the second instead
+        solve = 1 if f.degree_in(1) > 0 else 0
+        if f.degree_in(solve) < 1:
+            continue  # D misses this chart
+        for xs in fibre_values:
+            for x0 in xs:
+                _collect_fiber_points(S, chart, [f], solve, x0, found,
+                                      max_degree)
+    return sorted(found, key=ClosedPoint.sort_key)
+
+
+def _orbit_starts(base: FieldDesc, m: int) -> List[FieldElem]:
+    """One element of each Frobenius orbit of exact size m over base."""
+    ext = field_make(base.p, base.d * m)
+    if m == 1:
+        return list(ext.elems())
+    seen = set()
+    out = []
+    for x in ext.elems():
+        if x.coeffs in seen:
+            continue
+        orbit = [x.coeffs]
+        y = x ** base.q
+        while y != x:
+            orbit.append(y.coeffs)
+            y = y ** base.q
+        seen.update(orbit)
+        if len(orbit) == m:
+            out.append(x)
     return out
 
 
@@ -496,6 +493,8 @@ def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
     """Closed point through the given geometric point (exact degree computed)."""
     field = coords[0].desc
     norm = _normalize_proj(S, list(coords))
+    if field == S.base:
+        return ClosedPoint(S, field, norm, 1)
     rep, size = _orbit_representative(S, norm, S.base.q)
     exact = field_make(S.base.p, S.base.d * size)
     if exact != field:
@@ -512,15 +511,12 @@ def intersection_support(C: Curve, H: Curve) -> List[ClosedPoint]:
     if C == H:
         raise ValueError("curves share a component")
     S = C.surface
-    base = S.base
-    found: Dict[tuple, ClosedPoint] = {}
+    found: List[ClosedPoint] = []
     from .multipoly import resultant_elim
 
     for chart in S.charts:
         f = S.dehomogenize(C.poly, chart)
         g = S.dehomogenize(H.poly, chart)
-        if f.is_zero() or g.is_zero():
-            continue
         # eliminate the second chart variable; roots of the resultant give
         # candidate first coordinates
         res = resultant_elim(f, g, elim=1, keep=0)
@@ -528,70 +524,55 @@ def intersection_support(C: Curve, H: Curve) -> List[ClosedPoint]:
             # distinct irreducible curves stay coprime in every chart, so a
             # vanishing resultant signals a shared component after all
             raise ValueError("curves share a component")
-        _, factors = poly_factor(res, base)
-        for irr, _mult in factors:
-            e = pdeg(irr)
-            if e < 1:
-                continue
-            ext = field_make(base.p, base.d * e)
-            irr_up = [embed(c, ext) for c in irr]
-            for x0, _ in poly_roots(ptrim(list(irr_up)), ext):
-                _collect_fiber_points(S, chart, f, g, x0, ext, found)
-    pts = sorted(found.values(), key=ClosedPoint.sort_key)
-    return pts
+        # one root per factor: conjugate fibres hold conjugate points
+        for irr, _mult in poly_factor(res, S.base)[1]:
+            x0 = _one_root(irr, S.base)
+            _collect_fiber_points(S, chart, [f, g], 1, x0, found)
+    return sorted(found, key=ClosedPoint.sort_key)
 
 
-def _collect_fiber_points(S: Surface, chart: Chart, f: MPoly, g: MPoly,
-                          x0: FieldElem, ext: FieldDesc,
-                          found: Dict[tuple, ClosedPoint]) -> None:
-    """Solve for the second chart coordinate over ext at first coord x0."""
-    fy = _eval_first_var(f, x0, ext)
-    gy = _eval_first_var(g, x0, ext)
-    if not fy and not gy:
-        return
-    if not fy or not gy:
-        common = fy or gy
-        # the other curve vanishes identically on this fiber only if its
-        # dehomogenization was zero, excluded earlier; a zero evaluation
-        # here means every y works for that curve
-        h = common
-    else:
-        h = pgcd(fy, gy, ext)
+def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
+                          solve: int, x0: FieldElem,
+                          found: List[ClosedPoint],
+                          max_degree: Optional[int] = None) -> None:
+    """Append the closed points of the chart where every chart equation in
+    fs vanishes and the coordinate other than `solve` is x0, which must
+    generate its field over the base.  Each point is appended once: one x0
+    per Frobenius orbit, one root per factor, and points of an earlier chart
+    are left to it, as callers visit the charts in order.  Points of degree
+    above max_degree are skipped."""
+    k = x0.desc
+    h: Poly = []
+    for f in fs:
+        # f on the fibre, as a polynomial in coordinate `solve`
+        r = [k.zero()] * (f.degree_in(solve) + 1)
+        for e, c in f.terms.items():
+            r[e[solve]] = r[e[solve]] + embed(c, k) * x0 ** e[1 - solve]
+        h = pgcd(h, ptrim(r), k)
     if pdeg(h) < 1:
         return
-    _, factors = poly_factor(h, ext)
-    for irr, _m in factors:
-        e2 = pdeg(irr)
-        if e2 < 1:
+    m = k.d // S.base.d
+    earlier = S.charts[:S.charts.index(chart)]
+    for irr, _m in poly_factor(h, k)[1]:
+        if max_degree is not None and m * pdeg(irr) > max_degree:
             continue
-        ext2 = field_make(ext.p, ext.d * e2)
-        irr_up = ptrim([embed(c, ext2) for c in irr])
-        x0_up = embed(x0, ext2)
-        for y0, _ in poly_roots(irr_up, ext2):
-            coords = _chart_point_coords(S, chart, x0_up, y0, ext2)
-            pt = point_from_coords(S, coords)
-            found[(pt.degree, tuple(c.coeffs for c in pt.coords))] = pt
+        y0 = _one_root(irr, k)
+        coords = [y0.desc.zero()] * S.nvars
+        for v in chart.unit_vars:
+            coords[v] = y0.desc.one()
+        coords[chart.affine_vars[solve]] = y0
+        coords[chart.affine_vars[1 - solve]] = embed(x0, y0.desc)
+        if any(all(coords[v] for v in ch.unit_vars) for ch in earlier):
+            continue
+        found.append(point_from_coords(S, coords))
 
 
-def _eval_first_var(f: MPoly, x0: FieldElem, ext: FieldDesc):
-    """f(x0, y) as a univariate polynomial over ext."""
-    out = []
-    for c in f.to_univariate(1):
-        if c.is_zero():
-            out.append(ext.zero())
-        else:
-            out.append(peval([embed(a, ext) for a in c.as_poly_in(0)], x0))
-    return ptrim(out)
-
-
-def _chart_point_coords(S: Surface, chart: Chart, x0: FieldElem, y0: FieldElem,
-                        field: FieldDesc) -> List[FieldElem]:
-    coords = [field.zero()] * S.nvars
-    for v in chart.unit_vars:
-        coords[v] = field.one()
-    coords[chart.affine_vars[0]] = x0
-    coords[chart.affine_vars[1]] = y0
-    return coords
+def _one_root(irr: Poly, k: FieldDesc) -> FieldElem:
+    """A root of the monic irreducible irr over k, in its splitting field."""
+    if pdeg(irr) == 1:
+        return -irr[0]
+    ext = field_make(k.p, k.d * pdeg(irr))
+    return poly_roots([embed(c, ext) for c in irr], ext)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +596,6 @@ class Flag:
         self.t_param = t_param        # dehomogenized curve equation (2 vars)
         self.point_affine = point_affine
         self._cache: Dict = {}
-
-    @property
-    def u_param(self) -> MPoly:
-        """u as an affine expression: (chosen chart coordinate) - value."""
-        k = self.point.residue_field
-        coord = MPoly.var(k, 2, self.u_index)
-        return coord - MPoly.const(k, 2, self.u_value)
 
     def __repr__(self):
         return (f"Flag({self.point!r} on {self.curve!r}, chart {self.chart.name},"
@@ -747,20 +721,6 @@ def expand_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
     affine = _mp_embed(S.dehomogenize(P, fl.chart), k)
     coords = flag_coordinate_series(fl, window)
     out = mp_eval_series(affine, coords, k)
-    fl._cache[key] = out
-    return out
-
-
-def expand_power_at_flag(P: MPoly, n: int, fl: Flag, window: int) -> LaurentSeries2:
-    """Cached n-th power (n may be negative) of an expanded polynomial."""
-    key = ("polypow", _poly_key(P), n, window)
-    got = fl._cache.get(key)
-    if got is not None:
-        return got
-    if n >= 0:
-        out = expand_poly_at_flag(P, fl, window) ** n
-    else:
-        out = invert_poly_at_flag(P ** (-n), fl, window)
     fl._cache[key] = out
     return out
 
@@ -936,8 +896,8 @@ def form_order_on_curve(S: Surface, D: Curve, window: int = DEFAULT_PREC) -> int
     got = _FORM_ORDER_CACHE.get(D)
     if got is not None:
         return got
-    # one smooth point suffices; search low degrees first, since point
-    # enumeration over the degree-d extension grows like q^(2d)
+    # one smooth point suffices; search low degrees first, since the fibres
+    # to factor and the residue fields of the points grow like q^d
     for max_degree in (1, 2, 3):
         for pt in points_on_curve(D, max_degree):
             if pt.degree < max_degree:

@@ -10,7 +10,7 @@ sheared coordinate frame over a splitting field.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Dict, List, Sequence, Tuple
 
 from .fields import (
@@ -46,38 +46,30 @@ MAX_ESCALATIONS = 4
 
 
 class QPower:
-    """An exact power of q, with an optional rational multiplier."""
+    """An exact power of q."""
 
-    __slots__ = ("exponent", "multiplier")
+    __slots__ = ("exponent",)
 
-    def __init__(self, exponent: int, multiplier: Fraction = Fraction(1)):
-        if multiplier == 0:
-            raise ValueError("QPower multiplier must be nonzero")
+    def __init__(self, exponent: int):
         self.exponent = exponent
-        self.multiplier = Fraction(multiplier)
 
     def __mul__(self, other: "QPower") -> "QPower":
-        return QPower(self.exponent + other.exponent,
-                      self.multiplier * other.multiplier)
+        return QPower(self.exponent + other.exponent)
 
     def __truediv__(self, other: "QPower") -> "QPower":
-        return QPower(self.exponent - other.exponent,
-                      self.multiplier / other.multiplier)
+        return QPower(self.exponent - other.exponent)
 
     def __pow__(self, n: int) -> "QPower":
-        return QPower(self.exponent * n, self.multiplier ** n)
+        return QPower(self.exponent * n)
 
     def inverse(self) -> "QPower":
-        return QPower(-self.exponent, 1 / self.multiplier)
+        return QPower(-self.exponent)
 
     def __eq__(self, other):
-        return (isinstance(other, QPower)
-                and self.exponent == other.exponent
-                and self.multiplier == other.multiplier)
+        return isinstance(other, QPower) and self.exponent == other.exponent
 
     def __repr__(self):
-        head = "" if self.multiplier == 1 else f"{self.multiplier}*"
-        return f"{head}q^{self.exponent}"
+        return f"q^{self.exponent}"
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +313,6 @@ def intersection_oracle(C: Divisor, H: Divisor) -> int:
     return total
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _chart_degree(D: Curve) -> int:
     c = D.degree()
     return c if isinstance(c, int) else c[0] + c[1]
@@ -339,7 +325,7 @@ def _pairwise_intersection(D: Curve, E: Curve) -> int:
         return 0
     L = 1
     for pt in pts:
-        L = L * pt.degree // _gcd(L, pt.degree)
+        L = math.lcm(L, pt.degree)
     # The frame search needs shear constants beyond the bad ones: at most
     # one per pair of geometric points (sheared abscissas colliding) plus
     # the roots of the two leading forms.  Grow the working field until a

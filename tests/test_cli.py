@@ -183,3 +183,13 @@ def test_quadric_verify_runs_every_suite():
                  "rr", "windows"):
         assert f"suite {name}:" in out, name
     assert ", 0 failed" in out
+
+
+def test_reciprocity_suite_ends_over_extension_fields():
+    for surface in ("P2", "P1xP1"):
+        for q in ("4", "9"):
+            code, out, _err = run(["verify", "--surface", surface, "--q", q,
+                                   "--range", "-2:2", "--suites",
+                                   "reciprocity"])
+            assert code == 0, (surface, q, out)
+            assert ", 0 failed" in out, (surface, q, out)

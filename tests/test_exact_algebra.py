@@ -100,6 +100,18 @@ def test_mpoly_exact_division():
     assert (x * y + one).exact_div(x) is None
 
 
+def test_exact_division_refuses_a_stored_zero_coefficient():
+    f3 = field_make(3, 1)
+    g = MPoly.var(f3, 2, 0)
+    bad = MPoly(f3, 2, {(2, 0): f3.one(), (1, 1): f3.zero()})
+    try:
+        bad.exact_div(g)
+    except ArithmeticError:
+        pass
+    else:
+        raise AssertionError("exact division with a zero term did not stop")
+
+
 def test_mpoly_substitution_is_homomorphism():
     rng = random.Random(9)
     f5 = field_make(5, 1)

@@ -6,6 +6,7 @@ from adeles2d.fields import field_make
 from adeles2d.multipoly import MPoly
 from adeles2d.series import LaurentSeries2
 from adeles2d.surface import (
+    ClosedPoint,
     Curve,
     Divisor,
     RationalFunction,
@@ -183,6 +184,46 @@ def test_points_on_p1xp1_diagonal():
     D = curve_make(S, "X0Y1 - X1Y0")
     pts = points_on_curve(D, 1)
     assert len(pts) == 3  # diagonal is a P^1
+
+
+def _scan_points(D, max_degree):
+    """Reference finder: test every ambient point over F_{q^m}, m <= max."""
+    S = D.surface
+    found = set()
+    for m in range(1, max_degree + 1):
+        F = field_make(S.base.p, S.base.d * m)
+        one, zero, elems = F.one(), F.zero(), list(F.elems())
+        if S.model == "P2":
+            ambient = [(one, y, z) for y in elems for z in elems]
+            ambient += [(zero, one, z) for z in elems] + [(zero, zero, one)]
+        else:
+            line = [(one, x) for x in elems] + [(zero, one)]
+            ambient = [a + b for a in line for b in line]
+        for coords in ambient:
+            if D.poly.evaluate(list(coords)).is_zero():
+                pt = point_from_coords(S, coords)
+                if pt.degree == m:
+                    found.add(pt)
+    return sorted(found, key=ClosedPoint.sort_key)
+
+
+def test_fibre_point_finder_matches_ambient_scan():
+    texts = {"P2": ["X", "YZ-X^2", "Y^2Z-X^3-Z^3", "X^2Y+Y^2Z+Z^2X"],
+             "P1xP1": ["X0", "Y1", "X0Y0+X1Y1", "X0^2Y0+X1^2Y1"]}
+    for q in (2, 3, 4, 5):
+        for model, curves in texts.items():
+            S = surface_make(model, q)
+            # a "vertical" conic: geometrically two conjugate lines
+            extra = ["X^2+XZ+Z^2" if model == "P2" else "X0^2+X0X1+X1^2"]
+            for text in curves + (extra if q % 3 == 2 else []):
+                D = curve_make(S, text)
+                want = _scan_points(D, 2)
+                for max_degree in (1, 2):
+                    got = points_on_curve(D, max_degree)
+                    ref = [p for p in want if p.degree <= max_degree]
+                    assert got == ref, (model, q, text, max_degree)
+                    assert ([p.residue_field for p in got]
+                            == [p.residue_field for p in ref])
 
 
 # ---------------------------------------------------------------------------
