@@ -3,18 +3,24 @@
 Every extension is an absolute extension of the prime field: F_{p^d} is
 represented as F_p[x]/(m(x)) where m is the lexicographically least monic
 irreducible polynomial of degree d (coefficient tuples ordered constant term
-first).  Elements are immutable coefficient vectors.  Relative data for a
-tower F_{q^a}/F_q is recovered on demand: embeddings are canonical roots of
-the small modulus in the big field, and relative traces are sums of q-power
-Frobenius iterates coerced back down through that embedding.
+first).  An element is coded as one int n = sum c_i p^i of its coefficient
+vector (c_0, ..., c_{d-1}).  Prime fields compute mod p; extensions with at
+most TABLE_MAX elements multiply through log/antilog tables and add through
+Zech logarithms; larger extensions multiply coefficient vectors.  Relative
+data for a tower F_{q^a}/F_q is recovered on demand: embeddings are canonical
+roots of the small modulus in the big field, and relative traces are sums of
+q-power Frobenius iterates coerced back down through that embedding.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Iterator, List, Sequence, Tuple
 
 _FACTOR_SEED = 0x1D5EED  # fixed seed for the equal-degree splitting stage
+
+TABLE_MAX = 4096  # largest extension field given log/antilog tables
 
 
 def is_prime(n: int) -> bool:
@@ -28,11 +34,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> List[int]:
+    out = []
+    t = 2
+    while t * t <= n:
+        if n % t == 0:
+            out.append(t)
+            while n % t == 0:
+                n //= t
+        t += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 class FieldDesc:
-    """Descriptor of F_{p^d}: characteristic, degree and canonical modulus."""
+    """Descriptor of F_{p^d}: characteristic, degree and canonical modulus.
+
+    For an extension with q <= TABLE_MAX it holds, over a primitive element g:
+    `_exp[i] = g^i` for i < 2(q-1), so a sum of two logs needs no reduction;
+    `_log[n]`, the log of the element coded n != 0; and, for odd p, the Zech
+    table `_zech[k] = log(1 + g^k)` (-1 where 1 + g^k = 0) stored twice over,
+    so that any k in (-2(q-1), 2(q-1)) indexes it directly.
+    """
 
     __slots__ = (
-        "p", "d", "q", "modulus", "_red", "_zero", "_one", "_inv_cache",
+        "p", "d", "q", "modulus", "_zero", "_one", "_exp", "_log", "_zech",
+        "_half", "_slot", "_split", "_pack_lo", "_pack_hi", "_red",
         "_embed_cache",
     )
 
@@ -41,25 +69,117 @@ class FieldDesc:
         self.d = d
         self.q = p ** d
         self.modulus = modulus  # length d+1, monic, constant term first
-        # reduction table: x^(d+i) mod modulus for i in range(d-1)
-        red = []
-        cur = [(-modulus[j]) % p for j in range(d)]  # x^d
-        red.append(tuple(cur))
-        for _ in range(d - 2):
-            nxt = [0] * d
-            carry = cur[d - 1]
-            for j in range(d - 1, 0, -1):
-                nxt[j] = cur[j - 1]
-            if carry:
-                for j in range(d):
-                    nxt[j] = (nxt[j] + carry * red[0][j]) % p
-            red.append(tuple(nxt))
-            cur = nxt
-        self._red = red
-        self._zero = FieldElem(self, (0,) * d)
-        self._one = FieldElem(self, (1,) + (0,) * (d - 1))
-        self._inv_cache = {} if self.q <= 4096 else None
+        self._zero = FieldElem(self, 0)
+        self._one = FieldElem(self, 1)
+        self._half = (self.q - 1) // 2 if p > 2 else 0  # log of -1
+        self._exp = self._log = self._zech = None
+        if d > 1:
+            self._build_packing()
+            if self.q <= TABLE_MAX:
+                self._build_tables()
         self._embed_cache = {}
+
+    def _build_packing(self) -> None:
+        """Kronecker packing: coefficient i of a vector goes to bits
+        [i*slot, (i+1)*slot) of one int, so one int product convolves two
+        vectors.  A slot holds any sum the product and reduction make."""
+        p, d = self.p, self.d
+        slot = self._slot = (2 * d * p * p).bit_length()
+        h = (d + 1) // 2
+        self._split = p ** h
+
+        def packed(n: int) -> int:
+            return sum(c << (slot * i) for i, c in enumerate(self._digits(n)))
+
+        # packed codes by halves: pack(n) = lo[n % p^h] + hi[n // p^h]
+        self._pack_lo = [packed(n) for n in range(p ** h)]
+        self._pack_hi = [packed(n) << (slot * h) for n in range(p ** (d - h))]
+        # x^(d+i) mod modulus, packed, for i < d-1
+        xd = [(-c) % p for c in self.modulus[:d]]
+        cur = xd
+        rows = []
+        for _ in range(d - 1):
+            rows.append(sum(c << (slot * j) for j, c in enumerate(cur)))
+            top = cur[-1]
+            cur = [(c + top * r) % p for c, r in zip([0] + cur[:-1], xd)]
+        self._red = rows
+
+    def _build_tables(self) -> None:
+        q, p = self.q, self.p
+        m = q - 1
+        g = next(n for n in range(p, q) if self._is_primitive(n, m))
+        exp = array("i", [1]) * (2 * m)
+        log = array("i", [0]) * q
+        cur = 1
+        for i in range(m):
+            exp[i] = exp[i + m] = cur
+            log[cur] = i
+            cur = self._vec_mul(cur, g)
+        self._exp, self._log = exp, log
+        if p > 2:
+            # 1 + g^k adds one to the constant digit of g^k's code
+            zech = array("i", [-1]) * (2 * m)
+            for k in range(m):
+                n = exp[k]
+                n += 1 - p if n % p == p - 1 else 1
+                if n:
+                    zech[k] = zech[k + m] = log[n]
+            self._zech = zech
+
+    def _is_primitive(self, g: int, m: int) -> bool:
+        return all(self._vec_pow(g, m // r) != 1 for r in _prime_factors(m))
+
+    # -- coefficient-vector arithmetic on codes (extensions) ---------------
+
+    def _digits(self, n: int) -> List[int]:
+        p = self.p
+        out = []
+        for _ in range(self.d):
+            n, c = divmod(n, p)
+            out.append(c)
+        return out
+
+    def _pack(self, n: int) -> int:
+        split = self._split
+        return self._pack_lo[n % split] + self._pack_hi[n // split]
+
+    def _unpack(self, x: int) -> int:
+        """Code of a packed vector whose slots hold nonnegative sums."""
+        p, slot = self.p, self._slot
+        mask = (1 << slot) - 1
+        n = 0
+        for i in range(slot * (self.d - 1), -1, -slot):
+            n = n * p + ((x >> i) & mask) % p
+        return n
+
+    def _vec_mul(self, a: int, b: int) -> int:
+        prod = self._pack(a) * self._pack(b)
+        p, slot = self.p, self._slot
+        mask = (1 << slot) - 1
+        low = slot * self.d
+        out = prod & ((1 << low) - 1)
+        prod >>= low
+        for row in self._red:
+            c = (prod & mask) % p
+            if c:
+                out += c * row
+            prod >>= slot
+        return self._unpack(out)
+
+    def _vec_pow(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self._vec_mul(result, a)
+            a = self._vec_mul(a, a)
+            e >>= 1
+        return result
+
+    def _vec_add(self, a: int, b: int, scale: int) -> int:
+        """Code of a + scale*b; scale p-1 subtracts."""
+        return self._unpack(self._pack(a) + scale * self._pack(b))
+
+    # -- elements ------------------------------------------------------------
 
     def zero(self) -> "FieldElem":
         return self._zero
@@ -71,31 +191,27 @@ class FieldDesc:
         """The class of x, a multiplicative generator of the extension basis."""
         if self.d == 1:
             return self._one
-        return FieldElem(self, (0, 1) + (0,) * (self.d - 2))
+        return FieldElem(self, self.p)
 
     def from_int(self, n: int) -> "FieldElem":
-        return FieldElem(self, (n % self.p,) + (0,) * (self.d - 1))
+        return FieldElem(self, n % self.p)
 
     def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElem":
-        c = [x % self.p for x in coeffs]
-        if len(c) > self.d:
+        if len(coeffs) > self.d:
             raise ValueError("coefficient vector longer than field degree")
-        c += [0] * (self.d - len(c))
-        return FieldElem(self, tuple(c))
+        p = self.p
+        n = 0
+        for c in reversed(coeffs):
+            n = n * p + c % p
+        return FieldElem(self, n)
 
     def elems(self) -> Iterator["FieldElem"]:
-        """All q elements in lexicographic coefficient order."""
-        p, d = self.p, self.d
+        """All q elements in order of code: the constant digit varies fastest."""
         for n in range(self.q):
-            coeffs = []
-            m = n
-            for _ in range(d):
-                coeffs.append(m % p)
-                m //= p
-            yield FieldElem(self, tuple(coeffs))
+            yield FieldElem(self, n)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldDesc)
             and self.p == other.p
             and self.d == other.d
@@ -112,83 +228,108 @@ class FieldDesc:
 
 
 class FieldElem:
-    """An element of F_{p^d} as an immutable coefficient vector over F_p."""
+    """An element of F_{p^d}, coded as the int n = sum c_i p^i of its
+    coefficient vector over F_p.
 
-    __slots__ = ("desc", "coeffs")
+    Operands of one operation must share a field; the containers (series,
+    polynomials) check that, the element operations do not.
+    """
 
-    def __init__(self, desc: FieldDesc, coeffs: Tuple[int, ...]):
+    __slots__ = ("desc", "n")
+
+    def __init__(self, desc: FieldDesc, n: int):
         self.desc = desc
-        self.coeffs = coeffs
+        self.n = n
+
+    @property
+    def coeffs(self) -> Tuple[int, ...]:
+        """Coefficient vector over F_p, constant term first."""
+        return tuple(self.desc._digits(self.n))
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.n
 
     def is_one(self) -> bool:
-        return self.coeffs == self.desc._one.coeffs
+        return self.n == 1
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.n != 0
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        p = self.desc.p
-        a, b = self.coeffs, other.coeffs
-        return FieldElem(self.desc, tuple((x + y) % p for x, y in zip(a, b)))
+        a, b = self.n, other.n
+        if not b:
+            return self
+        if not a:
+            return other
+        desc = self.desc
+        if desc.p == 2:
+            return FieldElem(desc, a ^ b)
+        zech = desc._zech
+        if zech is not None:
+            log = desc._log
+            i = log[a]
+            z = zech[log[b] - i]
+            return desc._zero if z < 0 else FieldElem(desc, desc._exp[i + z])
+        if desc.d == 1:
+            s = a + b
+            return FieldElem(desc, s - desc.p if s >= desc.p else s)
+        return FieldElem(desc, desc._vec_add(a, b, 1))
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
-        p = self.desc.p
-        a, b = self.coeffs, other.coeffs
-        return FieldElem(self.desc, tuple((x - y) % p for x, y in zip(a, b)))
+        a, b = self.n, other.n
+        if not b:
+            return self
+        desc = self.desc
+        if desc.p == 2:
+            return FieldElem(desc, a ^ b)
+        zech = desc._zech
+        if zech is not None:
+            log = desc._log
+            j = log[b] + desc._half  # log of -b
+            if not a:
+                return FieldElem(desc, desc._exp[j])
+            i = log[a]
+            z = zech[j - i]
+            return desc._zero if z < 0 else FieldElem(desc, desc._exp[i + z])
+        if desc.d == 1:
+            return FieldElem(desc, (a - b) % desc.p)
+        return FieldElem(desc, desc._vec_add(a, b, desc.p - 1))
 
     def __neg__(self) -> "FieldElem":
-        p = self.desc.p
-        return FieldElem(self.desc, tuple((-x) % p for x in self.coeffs))
+        a = self.n
+        desc = self.desc
+        if not a or desc.p == 2:
+            return self
+        if desc.d == 1:
+            return FieldElem(desc, desc.p - a)
+        log = desc._log
+        if log is not None:
+            return FieldElem(desc, desc._exp[log[a] + desc._half])
+        return FieldElem(desc, desc._vec_add(0, a, desc.p - 1))
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
+        a, b = self.n, other.n
         desc = self.desc
-        p, d = desc.p, desc.d
-        if d == 1:
-            return FieldElem(desc, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        a, b = self.coeffs, other.coeffs
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = [prod[i] % p for i in range(d)]
-        red = desc._red
-        for i in range(d, 2 * d - 1):
-            c = prod[i] % p
-            if c:
-                row = red[i - d]
-                for j in range(d):
-                    if row[j]:
-                        out[j] = (out[j] + c * row[j]) % p
-        return FieldElem(desc, tuple(out))
+        if not a or not b:
+            return desc._zero
+        log = desc._log
+        if log is not None:
+            return FieldElem(desc, desc._exp[log[a] + log[b]])
+        if desc.d == 1:
+            return FieldElem(desc, a * b % desc.p)
+        return FieldElem(desc, desc._vec_mul(a, b))
 
     def inverse(self) -> "FieldElem":
+        a = self.n
         desc = self.desc
-        if not any(self.coeffs):
+        if not a:
             raise ZeroDivisionError("inverse of zero field element")
+        log = desc._log
+        if log is not None:
+            return FieldElem(desc, desc._exp[desc.q - 1 - log[a]])
         if desc.d == 1:
-            return FieldElem(desc, (pow(self.coeffs[0], -1, desc.p),))
-        cache = desc._inv_cache
-        if cache is not None:
-            hit = cache.get(self.coeffs)
-            if hit is not None:
-                return FieldElem(desc, hit)
-        # Fermat: a^(q-2)
-        result = desc._one
-        base = self
-        e = desc.q - 2
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        if cache is not None:
-            cache[self.coeffs] = result.coeffs
-        return result
+            return FieldElem(desc, pow(a, -1, desc.p))
+        return FieldElem(desc, desc._vec_pow(a, desc.q - 2))  # Fermat
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
@@ -196,31 +337,33 @@ class FieldElem:
     def __pow__(self, e: int) -> "FieldElem":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.desc._one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        a = self.n
+        desc = self.desc
+        if not a:
+            return desc._zero if e else desc._one
+        log = desc._log
+        if log is not None:
+            return FieldElem(desc, desc._exp[log[a] * e % (desc.q - 1)])
+        if desc.d == 1:
+            return FieldElem(desc, pow(a, e, desc.p))
+        return FieldElem(desc, desc._vec_pow(a, e))
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElem)
-            and self.coeffs == other.coeffs
+            and self.n == other.n
             and self.desc == other.desc
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.n)
 
     def sort_key(self) -> Tuple[int, ...]:
         return self.coeffs
 
     def __repr__(self):
         if self.desc.d == 1:
-            return str(self.coeffs[0])
+            return str(self.n)
         return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
@@ -296,7 +439,18 @@ def pX(desc: FieldDesc) -> Poly:
     return [desc.zero(), desc.one()]
 
 
+def _check_fields(f: Poly, g: Poly, desc: FieldDesc) -> None:
+    """Raise ValueError unless f and g have their coefficients in desc.
+
+    One coefficient of each stands for the rest: a polynomial is built over
+    one field."""
+    for h in (f, g):
+        if h and h[-1].desc is not desc and h[-1].desc != desc:
+            raise ValueError(f"polynomial over {h[-1].desc} used over {desc}")
+
+
 def padd(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
+    _check_fields(f, g, desc)
     n = max(len(f), len(g))
     z = desc.zero()
     out = [(f[i] if i < len(f) else z) + (g[i] if i < len(g) else z) for i in range(n)]
@@ -304,6 +458,7 @@ def padd(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
 
 
 def psub(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
+    _check_fields(f, g, desc)
     n = max(len(f), len(g))
     z = desc.zero()
     out = [(f[i] if i < len(f) else z) - (g[i] if i < len(g) else z) for i in range(n)]
@@ -311,6 +466,7 @@ def psub(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
 
 
 def pmul(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
+    _check_fields(f, g, desc)
     if not f or not g:
         return []
     z = desc.zero()
@@ -343,6 +499,7 @@ def pmonic(f: Poly) -> Poly:
 def pdivmod(f: Poly, g: Poly, desc: FieldDesc) -> Tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    _check_fields(f, g, desc)
     f = f[:]
     q = [desc.zero()] * max(0, len(f) - len(g) + 1)
     inv_lead = g[-1].inverse()
@@ -401,18 +558,7 @@ def _is_irreducible(f: Poly, desc: FieldDesc) -> bool:
         return True
     q = desc.q
     x = pX(desc)
-    primes = []
-    m = n
-    t = 2
-    while t * t <= m:
-        if m % t == 0:
-            primes.append(t)
-            while m % t == 0:
-                m //= t
-        t += 1
-    if m > 1:
-        primes.append(m)
-    for t in primes:
+    for t in _prime_factors(n):
         h = ppow_mod(x, q ** (n // t), f, desc)
         g = pgcd(psub(h, x, desc), f, desc)
         if pdeg(g) != 0:
@@ -610,7 +756,8 @@ def coerce_down(a: FieldElem, sub: FieldDesc) -> FieldElem:
     p = sup.p
     # solve sum_i x_i * cols[i] = a.coeffs over F_p by elimination
     nrows, ncols = sup.d, sub.d
-    mat = [[cols[j][i] for j in range(ncols)] + [a.coeffs[i]] for i in range(nrows)]
+    rhs = a.coeffs
+    mat = [[cols[j][i] for j in range(ncols)] + [rhs[i]] for i in range(nrows)]
     piv_cols = []
     r = 0
     for c in range(ncols):
@@ -650,9 +797,9 @@ def ff_trace(a: FieldElem) -> FieldElem:
         acc = acc + cur
     prime = field_make(desc.p, 1)
     # the trace is Frobenius-fixed, so its vector is supported in degree 0
-    if any(acc.coeffs[1:]):  # pragma: no cover - algebra guarantees constant
+    if acc.n >= desc.p:  # pragma: no cover - algebra guarantees constant
         raise RuntimeError("trace did not land in the prime field")
-    return prime.from_int(acc.coeffs[0])
+    return prime.from_int(acc.n)
 
 
 def rel_trace(a: FieldElem, sub: FieldDesc) -> FieldElem:

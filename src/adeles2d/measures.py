@@ -13,7 +13,7 @@ two independent routes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cohomology import h_vector, rr_space
 from .linalg import mat_rank
@@ -21,6 +21,7 @@ from .residues import AdeleFragment, adelic_pairing, omega_polar_curves
 from .series import LaurentSeries2, PrecisionError
 from .surface import (
     ClassVector,
+    ClosedPoint,
     Curve,
     Divisor,
     Flag,
@@ -659,9 +660,20 @@ class Window:
                 f"{len(self.flags)} flags)")
 
 
+def _window_points(D: Curve, max_point_degree: int) -> Iterator[ClosedPoint]:
+    """The points of D in sorted order, listing the points of degree >= 2
+    only once the rational ones are used up (points sort by degree first).
+    A degree bound below 1 is refused by points_on_curve, as before."""
+    yield from points_on_curve(D, min(1, max_point_degree))
+    if max_point_degree > 1:
+        for pt in points_on_curve(D, max_point_degree):
+            if pt.degree > 1:
+                yield pt
+
+
 def _window_flag(D: Curve, avoid: Sequence[Curve],
                  max_point_degree: int) -> Flag:
-    for pt in points_on_curve(D, max_point_degree):
+    for pt in _window_points(D, max_point_degree):
         coords = list(pt.coords)
         if any(E.poly.evaluate(coords).is_zero() for E in avoid):
             continue

@@ -27,14 +27,23 @@ Exponent = Tuple[int, ...]
 
 
 class MPoly:
-    """Immutable-by-convention sparse polynomial in nvars variables."""
+    """Immutable-by-convention sparse polynomial in nvars variables.
+
+    The constructor drops zero coefficients, so `terms` holds only the
+    monomials that are there.  Binary operations raise ValueError on
+    polynomials over different fields."""
 
     __slots__ = ("desc", "nvars", "terms")
 
     def __init__(self, desc: FieldDesc, nvars: int, terms: Dict[Exponent, FieldElem]):
         self.desc = desc
         self.nvars = nvars
-        self.terms = terms
+        self.terms = {e: c for e, c in terms.items() if c.n}
+
+    def _check_field(self, other: "MPoly") -> None:
+        if other.desc is not self.desc and other.desc != self.desc:
+            raise ValueError(
+                f"polynomials over {self.desc} and {other.desc} do not mix")
 
     # -- constructors -------------------------------------------------------
 
@@ -44,8 +53,6 @@ class MPoly:
 
     @staticmethod
     def const(desc: FieldDesc, nvars: int, a: FieldElem) -> "MPoly":
-        if a.is_zero():
-            return MPoly(desc, nvars, {})
         return MPoly(desc, nvars, {(0,) * nvars: a})
 
     @staticmethod
@@ -62,11 +69,7 @@ class MPoly:
             if len(e) != nvars:
                 raise ValueError("exponent arity mismatch")
             cur = terms.get(e)
-            c = c if cur is None else cur + c
-            if c.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = c
+            terms[e] = c if cur is None else cur + c
         return MPoly(desc, nvars, terms)
 
     # -- basic queries -------------------------------------------------------
@@ -109,7 +112,7 @@ class MPoly:
         )
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted((e, c.coeffs) for e, c in self.terms.items()))))
+        return hash((self.nvars, tuple(sorted((e, c.n) for e, c in self.terms.items()))))
 
     def __repr__(self):
         if not self.terms:
@@ -130,14 +133,11 @@ class MPoly:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "MPoly") -> "MPoly":
+        self._check_field(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             cur = terms.get(e)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            terms[e] = c if cur is None else cur + c
         return MPoly(self.desc, self.nvars, terms)
 
     def __neg__(self) -> "MPoly":
@@ -147,22 +147,17 @@ class MPoly:
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
+        self._check_field(other)
         out: Dict[Exponent, FieldElem] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
                 c = ca * cb
                 cur = out.get(e)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = c if cur is None else cur + c
         return MPoly(self.desc, self.nvars, out)
 
     def scale(self, a: FieldElem) -> "MPoly":
-        if a.is_zero():
-            return MPoly(self.desc, self.nvars, {})
         return MPoly(self.desc, self.nvars, {e: c * a for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "MPoly":
@@ -182,12 +177,9 @@ class MPoly:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            coeff = c * self.desc.from_int(e[i])
-            if coeff.is_zero():
-                continue
             ne = list(e)
             ne[i] -= 1
-            out[tuple(ne)] = coeff
+            out[tuple(ne)] = c * self.desc.from_int(e[i])
         return MPoly(self.desc, self.nvars, out)
 
     # -- evaluation and substitution ------------------------------------------
@@ -266,6 +258,7 @@ class MPoly:
 
     def exact_div(self, g: "MPoly") -> Optional["MPoly"]:
         """Quotient self/g if g divides exactly, else None."""
+        self._check_field(g)
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
@@ -276,10 +269,6 @@ class MPoly:
         q: Dict[Exponent, FieldElem] = {}
         while not rem.is_zero():
             lr, cr = rem._leading()
-            if cr.is_zero():
-                # a stored zero coefficient would never leave the remainder
-                raise ArithmeticError(
-                    f"exact division stalled on a zero coefficient at {lr}")
             de = tuple(a - b for a, b in zip(lr, lg))
             if any(x < 0 for x in de):
                 return None

@@ -393,11 +393,11 @@ class ClosedPoint:
             isinstance(other, ClosedPoint)
             and self.surface == other.surface
             and self.degree == other.degree
-            and tuple(c.coeffs for c in self.coords) == tuple(c.coeffs for c in other.coords)
+            and tuple(c.n for c in self.coords) == tuple(c.n for c in other.coords)
         )
 
     def __hash__(self):
-        return hash((self.degree, tuple(c.coeffs for c in self.coords)))
+        return hash((self.degree, tuple(c.n for c in self.coords)))
 
     def __repr__(self):
         if self.surface.model == "P2":
@@ -476,12 +476,12 @@ def _orbit_starts(base: FieldDesc, m: int) -> List[FieldElem]:
     seen = set()
     out = []
     for x in ext.elems():
-        if x.coeffs in seen:
+        if x.n in seen:
             continue
-        orbit = [x.coeffs]
+        orbit = [x.n]
         y = x ** base.q
         while y != x:
-            orbit.append(y.coeffs)
+            orbit.append(y.n)
             y = y ** base.q
         seen.update(orbit)
         if len(orbit) == m:
@@ -783,7 +783,7 @@ def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag,
 
 
 def _poly_key(P: MPoly):
-    return tuple(sorted((e, c.coeffs) for e, c in P.terms.items()))
+    return tuple(sorted((e, c.n) for e, c in P.terms.items()))
 
 
 def expand_at_flag(f: RationalFunction, fl: Flag,

@@ -2,7 +2,16 @@
 
 import random
 
-from adeles2d.fields import field_make, pdeg, peval, pmul, ptrim
+from adeles2d.fields import (
+    field_make,
+    padd,
+    pdeg,
+    pdivmod,
+    peval,
+    pmul,
+    psub,
+    ptrim,
+)
 from adeles2d.linalg import (
     mat_nullspace,
     mat_rank,
@@ -13,6 +22,7 @@ from adeles2d.linalg import (
     spans_equal,
 )
 from adeles2d.multipoly import MPoly, det_bareiss, resultant_elim
+from adeles2d.series import LaurentSeries2
 
 
 def rand_mpoly(desc, nvars, rng, max_deg=2, nterms=4):
@@ -100,16 +110,47 @@ def test_mpoly_exact_division():
     assert (x * y + one).exact_div(x) is None
 
 
-def test_exact_division_refuses_a_stored_zero_coefficient():
+def test_mpoly_constructor_drops_zero_coefficients():
     f3 = field_make(3, 1)
+    empty = MPoly(f3, 2, {(1, 0): f3.zero()})
+    assert empty.terms == {}
+    assert empty.total_degree() == -1
+    assert empty.is_zero()
     g = MPoly.var(f3, 2, 0)
-    bad = MPoly(f3, 2, {(2, 0): f3.one(), (1, 1): f3.zero()})
+    f = MPoly(f3, 2, {(2, 0): f3.one(), (1, 1): f3.zero()})
+    assert f.terms == {(2, 0): f3.one()}
+    assert f.exact_div(g) == g
+
+
+def _raises_value_error(fn):
     try:
-        bad.exact_div(g)
-    except ArithmeticError:
-        pass
-    else:
-        raise AssertionError("exact division with a zero term did not stop")
+        fn()
+    except ValueError:
+        return True
+    return False
+
+
+def test_mixed_fields_raise_in_containers():
+    f3, f5 = field_make(3, 1), field_make(5, 1)
+    a, b = f3.from_int(2), f5.from_int(4)
+    # series
+    sa = LaurentSeries2.monomial(f3, a, 0, 0)
+    sb = LaurentSeries2.monomial(f5, b, 0, 0)
+    assert _raises_value_error(lambda: sa + sb)
+    assert _raises_value_error(lambda: sa * sb)
+    # sparse polynomials
+    ma, mb = MPoly.const(f3, 2, a), MPoly.var(f5, 2, 0)
+    for op in (lambda: ma + mb, lambda: ma - mb, lambda: ma * mb,
+               lambda: ma.exact_div(mb)):
+        assert _raises_value_error(op)
+    # univariate helpers, whichever operand or descriptor is foreign
+    pa, pb = [f3.one(), a], [b, f5.one()]
+    for fn in (padd, psub, pmul, pdivmod):
+        assert _raises_value_error(lambda: fn(pa, pb, f3))
+        assert _raises_value_error(lambda: fn(pb, pa, f3))
+        assert _raises_value_error(lambda: fn(pa, pa, f5))
+    # one field throughout still works
+    assert padd(pa, pa, f3) == [f3.from_int(2), f3.one()]
 
 
 def test_mpoly_substitution_is_homomorphism():

@@ -216,3 +216,104 @@ def test_relative_trace_tower():
     for a in top.elems():
         via_mid = ff_trace(rel_trace(a, mid))
         assert ff_trace(a) == via_mid, a.coeffs
+
+
+# ---------------------------------------------------------------------------
+# the element kernel against schoolbook arithmetic on coefficient tuples
+
+
+def ref_add(a, b, p):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def ref_neg(a, p):
+    return tuple((-x) % p for x in a)
+
+
+def ref_mul(a, b, modulus, p):
+    """Schoolbook product, then long division by the monic modulus."""
+    d = len(a)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k] % p
+        for j in range(d + 1):
+            prod[k - d + j] -= c * modulus[j]
+    return tuple(c % p for c in prod[:d])
+
+
+def ref_pow(a, e, modulus, p):
+    result = (1,) + (0,) * (len(a) - 1)
+    for _ in range(e):
+        result = ref_mul(result, a, modulus, p)
+    return result
+
+
+def check_elements(desc, pairs, exponents):
+    p, m = desc.p, desc.modulus
+    one = desc.one().coeffs
+    for a, b in pairs:
+        x, y = a.coeffs, b.coeffs
+        assert (a + b).coeffs == ref_add(x, y, p), (desc, x, y)
+        assert (a - b).coeffs == ref_add(x, ref_neg(y, p), p), (desc, x, y)
+        assert (-a).coeffs == ref_neg(x, p), (desc, x)
+        assert (a * b).coeffs == ref_mul(x, y, m, p), (desc, x, y)
+        if a:
+            assert ref_mul(x, a.inverse().coeffs, m, p) == one, (desc, x)
+        for e in exponents:
+            assert (a ** e).coeffs == ref_pow(x, e, m, p), (desc, x, e)
+        if a:
+            assert a ** -2 == (a * a).inverse(), (desc, x)
+
+
+def test_kernel_matches_schoolbook_on_small_fields():
+    """Every pair of elements of every field with at most 81 elements."""
+    for q in range(2, 82):
+        p = next(r for r in range(2, q + 1) if q % r == 0)
+        d = 1
+        while p ** d < q:
+            d += 1
+        if p ** d != q:
+            continue
+        desc = field_make(p, d)
+        elems = list(desc.elems())
+        pairs = [(a, b) for a in elems for b in elems]
+        check_elements(desc, pairs, ())
+        check_elements(desc, [(a, a) for a in elems], (0, 1, 2, q - 1, q))
+
+
+def test_kernel_matches_schoolbook_on_large_fields():
+    """Random pairs in fields with log tables (2^12, 3^7) and without."""
+    rng = random.Random(1990)
+    for p, d in [(2, 12), (3, 7), (5, 6), (7, 6)]:
+        desc = field_make(p, d)
+        rand = lambda: desc.from_coeffs([rng.randrange(p) for _ in range(d)])
+        pairs = [(rand(), rand()) for _ in range(2000)]
+        pairs[0] = (desc.zero(), pairs[0][1])
+        pairs[1] = (pairs[1][0], desc.zero())
+        check_elements(desc, pairs, (rng.randrange(8),))
+        for a, _ in pairs[2:50]:
+            assert a ** (desc.q - 1) == desc.one()
+
+
+def test_elements_keep_their_coefficient_tuples():
+    f9 = field_make(3, 2)
+    # elems() runs through the codes: the constant digit varies fastest
+    assert [a.coeffs for a in f9.elems()][:5] == [
+        (0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+    a = f9.from_coeffs([2, 1])
+    assert a.coeffs == (2, 1) and a.sort_key() == (2, 1)
+    assert repr(a) == "[2,1]" and repr(f9.from_int(5)) == "[2,0]"
+    assert f9.gen().coeffs == (0, 1)
+    f7 = field_make(7, 1)
+    assert f7.from_int(10).coeffs == (3,) and repr(f7.from_int(10)) == "3"
+    f64 = field_make(2, 6)
+    for a in f64.elems():
+        assert f64.from_coeffs(a.coeffs) == a
+    keys = [a.sort_key() for a in f64.elems()]
+    assert sorted(keys) == sorted(set(keys)) and len(keys) == 64
+    # coefficient tuples order lexicographically, constant term first
+    assert sorted(f9.elems(), key=lambda a: a.sort_key())[:3] == [
+        f9.zero(), f9.gen(), f9.from_coeffs([0, 2])]

@@ -3,6 +3,7 @@ extension, finite windows, and the assembled Riemann-Roch identity."""
 
 import json
 
+from adeles2d import measures
 from adeles2d.cohomology import cech_h_vector, class_range, h_vector, rr_space
 from adeles2d.measures import (
     CentralExtElem,
@@ -37,6 +38,8 @@ from adeles2d.surface import (
     Divisor,
     curve_make,
     divisor_class,
+    flag_make,
+    points_on_curve,
     surface_make,
 )
 from adeles2d.symbols import QPower, idele_j
@@ -439,6 +442,50 @@ def test_self_dual_window_on_the_quadric():
     assert window_annihilator_check(w, half)
     assert window_annihilator_check(w, divisor_zero(Q))
     assert window_annihilator_check(w, canonical_divisor(Q))
+
+
+def _exhaustive_window_flag(D, avoid, max_point_degree):
+    """The first admissible flag over every point of D up to the degree."""
+    for pt in points_on_curve(D, max_point_degree):
+        if any(E.poly.evaluate(list(pt.coords)).is_zero() for E in avoid):
+            continue
+        try:
+            return flag_make(pt, D)
+        except ValueError:
+            continue
+    return None
+
+
+def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
+    chosen = []
+    window_flag = measures._window_flag
+
+    def recording(D, avoid, max_point_degree):
+        fl = window_flag(D, avoid, max_point_degree)
+        chosen.append((D, avoid, max_point_degree, fl))
+        return fl
+
+    monkeypatch.setattr(measures, "_window_flag", recording)
+    for q in (2, 3, 4, 5):
+        # the windows of `verify --suites windows` on each surface
+        S = surface_make("P2", q)
+        X = curve_make(S, "X")
+        L = Divisor(S, {curve_make(S, n): 1 for n in "XYZ"})
+        window_build(divisor_zero(S), Divisor(S, {X: 1}), u_size=1)
+        window_build(-L, L, u_size=2)
+        Q = surface_make("P1xP1", q)
+        window_build(canonical_divisor(Q), divisor_zero(Q), u_size=1)
+    assert len(chosen) == 4 * (1 + 3 + 2)
+    # over F_2 the rational points of X all lie on Y, Z or Y + Z
+    S = surface_make("P2", 2)
+    X = curve_make(S, "X")
+    avoid = [curve_make(S, n) for n in ("Y", "Z", "Y+Z")]
+    fl = window_flag(X, avoid, 2)
+    assert fl.point.degree == 2
+    chosen.append((X, avoid, 2, fl))
+    for D, avoid, max_point_degree, fl in chosen:
+        ref = _exhaustive_window_flag(D, avoid, max_point_degree)
+        assert (fl.point, fl.curve) == (ref.point, ref.curve), (D, avoid, fl)
 
 
 def test_window_rejects_bad_inputs():
