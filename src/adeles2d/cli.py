@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import cech_h_vector, class_range, h_vector, rr_space
 from .measures import (
+    Check,
     _cls_json,
     canonical_divisor,
     central_commutator,
@@ -43,12 +44,11 @@ from .surface import (
     divisor_class,
     expand_at_flag,
     flag_make,
-    ord_on_curve,
     parse_poly,
     point_from_coords,
     surface_make,
 )
-from .symbols import intersection_number, intersection_oracle
+from .symbols import intersection_number, intersection_oracle, symbol_at_flag
 
 SUITES = ("reciprocity", "bezout", "serre", "chi", "commutator", "rr",
           "windows")
@@ -107,8 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--allow-large-q", action="store_true",
                        help="lift the soft limit on q")
         p.add_argument("--timings", action="store_true",
-                       help="record per-check microseconds (breaks "
-                            "byte-identical reports)")
+                       help="record in each check's micros the time since "
+                            "the previous check or the command start "
+                            "(breaks byte-identical reports)")
         if with_seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -211,9 +212,13 @@ def _parse_function(S, text: str) -> RationalFunction:
     try:
         num = parse_poly(S, num_s.strip())
         den = parse_poly(S, den_s.strip()) if den_s else parse_poly(S, "1")
-        return RationalFunction(S, num, den)
+        f = RationalFunction(S, num, den)
     except (ValueError, KeyError) as err:
         raise ConfigError(f"bad function {text!r}: {err}") from err
+    if f.is_zero():
+        raise ConfigError(f"bad function {text!r}: the zero function has "
+                          "no expansion or symbol")
+    return f
 
 
 def _parse_point(S, text: str):
@@ -252,37 +257,31 @@ def _parse_den(S, text: str) -> List[Tuple[object, int]]:
 # report assembly
 
 
-def _check(name: str, inputs: Dict, lhs, rhs, started=None,
-           passed=None) -> Dict:
-    micros = 0
-    if started is not None:
-        micros = int((time.perf_counter() - started) * 1_000_000)
-    ok = (lhs == rhs) if passed is None else bool(passed)
-    return {"name": name, "inputs": inputs, "lhs": lhs, "rhs": rhs,
-            "pass": ok, "micros": micros}
-
-
-def _emit(config: Dict, checks: List[Dict], json_path: Optional[str]) -> int:
-    passed = sum(1 for c in checks if c["pass"])
+def _emit(config: Dict, checks: List[Check], args) -> int:
+    """Print the summary and write the report; with --timings each check's
+    micros is the time since the previous check or the command start."""
+    records = []
+    last = args.started
+    for c in checks:
+        micros = int((c.stamp - last) * 1_000_000) if args.timings else 0
+        last = c.stamp
+        records.append(c.as_dict(micros))
+    passed = sum(1 for c in checks if c.passed)
     failed = len(checks) - passed
-    doc = {"config": config, "checks": checks,
+    doc = {"config": config, "checks": records,
            "summary": {"passed": passed, "failed": failed}}
-    if json_path:
+    if args.json:
         try:
-            with open(json_path, "w", encoding="utf-8") as fh:
+            with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(json.dumps(doc, indent=2) + "\n")
         except OSError as err:
             raise ConfigError(f"cannot write report: {err}") from err
     if failed:
-        first = next(c for c in checks if not c["pass"])
-        print(f"FAIL {first['name']} {json.dumps(first['inputs'])}: "
-              f"{first['lhs']!r} != {first['rhs']!r}")
+        first = next(c for c in checks if not c.passed)
+        print(f"FAIL {first.name} {json.dumps(first.inputs)}: "
+              f"{first.lhs!r} != {first.rhs!r}")
     print(f"summary: {passed} passed, {failed} failed")
     return 1 if failed else 0
-
-
-def _clock(args) -> Optional[float]:
-    return time.perf_counter() if args.timings else None
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,6 @@ def _cmd_expand(args) -> int:
     S = _make_surface(args)
     fl = _parse_flag(S, args)
     f = _parse_function(S, args.function)
-    t0 = _clock(args)
     series = expand_at_flag(f, fl, args.precision)
     print(repr(series))
     config = {"command": "expand", "surface": S.model, "q": args.q,
@@ -301,7 +299,7 @@ def _cmd_expand(args) -> int:
     inputs = {"curve": args.curve, "point": args.point,
               "function": args.function}
     out = repr(series)
-    return _emit(config, [_check("expand", inputs, out, out, t0)], args.json)
+    return _emit(config, [Check("expand", inputs, out, out)], args)
 
 
 def _cmd_residue(args) -> int:
@@ -312,7 +310,6 @@ def _cmd_residue(args) -> int:
         w = form_make(S, num, _parse_den(S, args.den))
     except (ValueError, KeyError) as err:
         raise ConfigError(f"bad form: {err}") from err
-    t0 = _clock(args)
     res = local_residue(w, fl, args.precision)
     print(repr(res))
     config = {"command": "residue", "surface": S.model, "q": args.q,
@@ -320,7 +317,7 @@ def _cmd_residue(args) -> int:
     inputs = {"curve": args.curve, "point": args.point, "num": args.num,
               "den": args.den}
     out = repr(res)
-    return _emit(config, [_check("residue", inputs, out, out, t0)], args.json)
+    return _emit(config, [Check("residue", inputs, out, out)], args)
 
 
 def _cmd_symbol(args) -> int:
@@ -328,32 +325,13 @@ def _cmd_symbol(args) -> int:
     fl = _parse_flag(S, args)
     f = _parse_function(S, args.f)
     g = _parse_function(S, args.g)
-    a = ord_on_curve(f, fl.curve)
-    b = ord_on_curve(g, fl.curve)
-    num = (f.num ** b if b >= 0 else f.den ** -b) * \
-        (g.den ** a if a >= 0 else g.num ** -a)
-    den = (f.den ** b if b >= 0 else f.num ** -b) * \
-        (g.num ** a if a >= 0 else g.den ** -a)
-    h = RationalFunction(S, num, den)
-    t0 = _clock(args)
-    last = None
-    value = None
-    for attempt in range(5):
-        try:
-            value = expand_at_flag(h, fl, args.precision << attempt)\
-                .column(0).valuation()
-            break
-        except PrecisionError as err:
-            last = err
-    if value is None:
-        raise PrecisionError(f"symbol undetermined: {last}")
+    value = symbol_at_flag(f, g, fl, args.precision)
     print(value)
     config = {"command": "symbol", "surface": S.model, "q": args.q,
               "precision": args.precision}
     inputs = {"curve": args.curve, "point": args.point, "f": args.f,
               "g": args.g}
-    return _emit(config, [_check("symbol", inputs, value, value, t0)],
-                 args.json)
+    return _emit(config, [Check("symbol", inputs, value, value)], args)
 
 
 def _cmd_intersect(args) -> int:
@@ -364,7 +342,6 @@ def _cmd_intersect(args) -> int:
     A, B = (_parse_curve(S, t) for t in texts)
     C = Divisor(S, {A: 1})
     H = Divisor(S, {B: 1})
-    t0 = _clock(args)
     try:
         got = intersection_number(C, H, args.precision)
         want = intersection_oracle(C, H)
@@ -373,8 +350,8 @@ def _cmd_intersect(args) -> int:
     print(got)
     config = {"command": "intersect", "surface": S.model, "q": args.q,
               "precision": args.precision}
-    checks = [_check("intersect", {"curves": args.curves}, got, want, t0)]
-    return _emit(config, checks, args.json)
+    checks = [Check("intersect", {"curves": args.curves}, got, want)]
+    return _emit(config, checks, args)
 
 
 def _cmd_cohomology(args) -> int:
@@ -382,37 +359,34 @@ def _cmd_cohomology(args) -> int:
     classes, range_json = _parse_range(args.range, S)
     checks = []
     for c in classes:
-        t0 = _clock(args)
         closed = h_vector(S, c)
         indep = cech_h_vector(S, c)
         print(f"class {c}: h0={closed.h0} h1={closed.h1} h2={closed.h2} "
               f"chi={closed.chi}")
-        checks.append(_check(
+        checks.append(Check(
             "h-vector", {"class": _cls_json(c)},
             [closed.h0, closed.h1, closed.h2],
-            [indep.h0, indep.h1, indep.h2], t0))
+            [indep.h0, indep.h1, indep.h2]))
     config = {"command": "cohomology", "surface": S.model, "q": args.q,
               "range": range_json, "precision": args.precision}
-    return _emit(config, checks, args.json)
+    return _emit(config, checks, args)
 
 
 # ---------------------------------------------------------------------------
 # verification suites
 
 
-def _suite_reciprocity(S, classes, args) -> List[Dict]:
+def _suite_reciprocity(S, classes, args) -> List[Check]:
     checks = []
     for idx, w in enumerate(reciprocity_corpus(S, 9, args.seed)):
-        t0 = _clock(args)
         around = check_reciprocity_around_points(w, args.precision)
-        checks.append(_check(
+        checks.append(Check(
             "reciprocity-around-points", {"form": idx},
-            sum(1 for _x, s in around if s.is_zero()), len(around), t0))
-        t0 = _clock(args)
+            sum(1 for _x, s in around if s.is_zero()), len(around)))
         along = check_reciprocity_along_curves(w, args.precision)
-        checks.append(_check(
+        checks.append(Check(
             "reciprocity-along-curves", {"form": idx},
-            sum(1 for _d, s in along if s.is_zero()), len(along), t0))
+            sum(1 for _d, s in along if s.is_zero()), len(along)))
     return checks
 
 
@@ -423,71 +397,64 @@ def _bezout_names(S) -> List[str]:
     return ["X1", "X0", "Y1", "X0Y1-X1Y0", "X0Y0-X1Y1"]
 
 
-def _suite_bezout(S, classes, args) -> List[Dict]:
+def _suite_bezout(S, classes, args) -> List[Check]:
     names = _bezout_names(S)
     curves = [curve_make(S, t) for t in names]
     checks = []
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
-            t0 = _clock(args)
             C = Divisor(S, {curves[i]: 1})
             H = Divisor(S, {curves[j]: 1})
             got = intersection_number(C, H, args.precision)
             want = intersection_oracle(C, H)
-            checks.append(_check("bezout", {"C": names[i], "H": names[j]},
-                                 got, want, t0))
+            checks.append(Check("bezout", {"C": names[i], "H": names[j]},
+                                got, want))
     return checks
 
 
-def _suite_serre(S, classes, args) -> List[Dict]:
+def _suite_serre(S, classes, args) -> List[Check]:
     checks = []
     for cC in classes:
         for cH in classes:
-            t0 = _clock(args)
             lhs, rhs, _ok = derive_eq1(S, cC, cH)
-            checks.append(_check(
+            checks.append(Check(
                 "serre-difference", {"C": _cls_json(cC), "H": _cls_json(cH)},
-                lhs, rhs, t0))
+                lhs, rhs))
     for c in classes:
         if (c < 0) if S.model == "P2" else (c[0] < 0 or c[1] < 0):
             continue
-        t0 = _clock(args)
         dim = len(rr_space(class_representative(S, c)))
-        checks.append(_check("sections-dimension", {"C": _cls_json(c)},
-                             dim, h_vector(S, c).h0, t0))
+        checks.append(Check("sections-dimension", {"C": _cls_json(c)},
+                            dim, h_vector(S, c).h0))
     return checks
 
 
-def _suite_chi(S, classes, args) -> List[Dict]:
+def _suite_chi(S, classes, args) -> List[Check]:
     checks = []
     for c in classes:
-        t0 = _clock(args)
         lhs, rhs, ok = derive_eq2(S, c)
-        checks.append(_check("chi-symmetry", {"S": _cls_json(c)}, lhs, rhs,
-                             t0, passed=ok and lhs == rhs))
+        checks.append(Check("chi-symmetry", {"S": _cls_json(c)}, lhs, rhs,
+                            passed=ok and lhs == rhs))
     return checks
 
 
-def _suite_commutator(S, classes, args) -> List[Dict]:
+def _suite_commutator(S, classes, args) -> List[Check]:
     wdiv = canonical_divisor(S)
     checks = []
     for c in classes:
-        t0 = _clock(args)
         meas, symb, _ok = central_commutator(
             class_representative(S, c), wdiv, args.precision)
-        checks.append(_check("commutator", {"C": _cls_json(c)},
-                             meas.exponent, symb.exponent, t0))
+        checks.append(Check("commutator", {"C": _cls_json(c)},
+                            meas.exponent, symb.exponent))
     return checks
 
 
-def _suite_rr(S, classes, args) -> List[Dict]:
+def _suite_rr(S, classes, args) -> List[Check]:
     wdiv = canonical_divisor(S)
     checks = []
     for c in classes:
-        t0 = _clock(args)
-        r = rr_assemble(class_representative(S, c), wdiv, args.precision)
-        checks.append(_check("riemann-roch", r.inputs, r.lhs, r.rhs, t0,
-                             passed=r.passed))
+        checks.append(rr_assemble(class_representative(S, c), wdiv,
+                                  args.precision))
     return checks
 
 
@@ -497,49 +464,44 @@ def _line_family(S) -> List[Tuple[str, ...]]:
     return [("X1", "Y1"), range(-2, 3)]
 
 
-def _suite_windows(S, classes, args) -> List[Dict]:
+def _suite_windows(S, classes, args) -> List[Check]:
     checks = []
     names, mults = _line_family(S)
     lines = [curve_make(S, n) for n in names]
 
     if S.model == "P2":
-        t0 = _clock(args)
         w1 = window_build(divisor_zero(S), Divisor(S, {lines[0]: 1}),
                           u_size=1, prec=args.precision)
-        checks.append(_check("window-rank", {"window": "0..X", "u": 1},
-                             w1.rank, w1.dimension, t0))
+        checks.append(Check("window-rank", {"window": "0..X", "u": 1},
+                            w1.rank, w1.dimension))
         L = Divisor(S, {D: 1 for D in lines})
-        t0 = _clock(args)
         w = window_build(-L, L, u_size=2, prec=args.precision)
-        checks.append(_check("window-rank", {"window": "-L..L", "u": 2},
-                             w.rank, w.dimension, t0))
+        checks.append(Check("window-rank", {"window": "-L..L", "u": 2},
+                            w.rank, w.dimension))
         reps = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1)
                 for c in (-1, 0, 1)]
     else:
         wdiv = canonical_divisor(S)
-        t0 = _clock(args)
         w = window_build(wdiv, divisor_zero(S), u_size=1,
                          prec=args.precision)
-        checks.append(_check("window-rank", {"window": "omega..0", "u": 1},
-                             w.rank, w.dimension, t0))
+        checks.append(Check("window-rank", {"window": "omega..0", "u": 1},
+                            w.rank, w.dimension))
         reps = [(a, b) for a in (-2, -1, 0) for b in (-2, -1, 0)]
 
     wcurves = [fl.curve for fl in w.flags]
     for rep in reps:
-        t0 = _clock(args)
         C = Divisor(S, dict(zip(wcurves, rep)))
         ok = window_annihilator_check(w, C)
-        checks.append(_check("window-annihilator", {"C": list(rep)},
-                             ok, True, t0))
+        checks.append(Check("window-annihilator", {"C": list(rep)},
+                            ok, True))
 
     dims: Dict[Tuple[int, ...], int] = {}
     for rep in _tuples(len(lines), mults):
-        t0 = _clock(args)
         D = Divisor(S, dict(zip(lines, rep)))
         dims[rep] = len(rr_space(D))
-        checks.append(_check(
+        checks.append(Check(
             "sections-dimension", {"D": list(rep)},
-            dims[rep], h_vector(S, divisor_class(D)).h0, t0))
+            dims[rep], h_vector(S, divisor_class(D)).h0))
     for rep in dims:
         for k in range(len(lines)):
             low = list(rep)
@@ -547,13 +509,12 @@ def _suite_windows(S, classes, args) -> List[Dict]:
             key = tuple(low)
             if key not in dims:
                 continue
-            t0 = _clock(args)
             cC = divisor_class(Divisor(S, dict(zip(lines, rep))))
             cH = divisor_class(Divisor(S, dict(zip(lines, key))))
-            checks.append(_check(
+            checks.append(Check(
                 "sections-quotient", {"C": list(rep), "H": list(key)},
                 dims[rep] - dims[key],
-                h_vector(S, cC).h0 - h_vector(S, cH).h0, t0))
+                h_vector(S, cC).h0 - h_vector(S, cH).h0))
     return checks
 
 
@@ -583,24 +544,24 @@ def _cmd_verify(args) -> int:
     if bad:
         raise ConfigError(f"unknown suites {bad}; choose from {SUITES}")
     suites = [s for s in SUITES if s in wanted]
-    checks: List[Dict] = []
+    checks: List[Check] = []
     for name in suites:
         got = _SUITE_FNS[name](S, classes, args)
-        ok = sum(1 for c in got if c["pass"])
+        ok = sum(1 for c in got if c.passed)
         print(f"suite {name}: {ok}/{len(got)} checks passed")
         checks.extend(got)
     if args.inject_failure and checks:
         first = checks[0]
-        first["inputs"] = dict(first["inputs"], injected=True)
-        first["rhs"] = (first["rhs"] + 1 if isinstance(first["rhs"], int)
-                        else f"mutated({first['rhs']})")
-        first["pass"] = first["lhs"] == first["rhs"]
+        first.inputs = dict(first.inputs, injected=True)
+        first.rhs = (first.rhs + 1 if isinstance(first.rhs, int)
+                     else f"mutated({first.rhs})")
+        first.passed = first.lhs == first.rhs
     config = {"command": "verify", "surface": S.model, "q": args.q,
               "range": range_json, "seed": args.seed,
               "precision": args.precision, "suites": suites,
               "timings": bool(args.timings),
               "inject_failure": bool(args.inject_failure)}
-    return _emit(config, checks, args.json)
+    return _emit(config, checks, args)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +582,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     parser = _build_parser()
     args = parser.parse_args(_join_values(list(argv)))
+    args.started = time.perf_counter()
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as err:

@@ -20,6 +20,7 @@ from .surface import (
     Divisor,
     RationalFunction,
     Surface,
+    class_monomials,
 )
 
 
@@ -101,21 +102,6 @@ def cech_h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
 
 def chi(S: Surface, c: ClassVector) -> int:
     return h_vector(S, c).chi
-
-
-def class_monomials(S: Surface, cls: ClassVector) -> List[tuple]:
-    """Exponent tuples of all monomials of the given (bi)degree."""
-    if S.model == "P2":
-        n = cls
-        if n < 0:
-            return []
-        return [(i, j, n - i - j) for i in range(n, -1, -1)
-                for j in range(n - i, -1, -1)]
-    a, b = cls
-    if a < 0 or b < 0:
-        return []
-    return [(i, a - i, k, b - k) for i in range(a, -1, -1)
-            for k in range(b, -1, -1)]
 
 
 def _poly_vector(f: MPoly, monos: List[tuple], desc):

@@ -13,12 +13,13 @@ two independent routes.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cohomology import h_vector, rr_space
 from .linalg import mat_rank
 from .residues import AdeleFragment, adelic_pairing, omega_polar_curves
-from .series import LaurentSeries2, PrecisionError
+from .series import LaurentSeries2, escalate
 from .surface import (
     ClassVector,
     ClosedPoint,
@@ -559,31 +560,35 @@ def central_commutator(C: Divisor, wdiv: Divisor,
 # Riemann-Roch assembly
 
 
-class Report:
-    """Outcome of one verification: both route values and sub-derivations."""
+class Check:
+    """One verification: the values of both routes, the verdict (by default
+    whether they agree), any sub-derivations, and when it was built."""
 
-    __slots__ = ("name", "inputs", "lhs", "rhs", "passed", "subchecks")
+    __slots__ = ("name", "inputs", "lhs", "rhs", "passed", "subchecks",
+                 "stamp")
 
-    def __init__(self, name: str, inputs: Dict, lhs: int, rhs: int,
-                 passed: bool, subchecks: Dict):
+    def __init__(self, name: str, inputs: Dict, lhs, rhs,
+                 passed: Optional[bool] = None,
+                 subchecks: Sequence["Check"] = ()):
         self.name = name
         self.inputs = inputs
         self.lhs = lhs
         self.rhs = rhs
-        self.passed = passed
-        self.subchecks = subchecks
+        self.passed = lhs == rhs if passed is None else bool(passed)
+        self.subchecks = tuple(subchecks)
+        self.stamp = time.perf_counter()
 
-    def as_dict(self) -> Dict:
+    def as_dict(self, micros: int = 0) -> Dict:
+        """The report record; sub-derivations stay out of it."""
         return {"name": self.name, "inputs": self.inputs, "lhs": self.lhs,
-                "rhs": self.rhs, "pass": self.passed,
-                "subchecks": self.subchecks}
+                "rhs": self.rhs, "pass": self.passed, "micros": micros}
 
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"
-        return f"Report({self.name}: {self.lhs} vs {self.rhs}, {state})"
+        return f"Check({self.name}: {self.lhs} vs {self.rhs}, {state})"
 
 
-def rr_assemble(Cdiv: Divisor, wdiv: Divisor, prec: int = 8) -> Report:
+def rr_assemble(Cdiv: Divisor, wdiv: Divisor, prec: int = 8) -> Check:
     """The Riemann-Roch identity for O(C) with every ingredient derived.
 
     LHS: h0(C) - h1(C) + h0(w - C).  RHS: h0(0) - h1(0) + h0(w) minus half
@@ -610,15 +615,14 @@ def rr_assemble(Cdiv: Divisor, wdiv: Divisor, prec: int = 8) -> Report:
     meas, symb, comm_equal = central_commutator(Cdiv, wdiv, prec)
     passed = (lhs == rhs and eq1[2] and eq2[2] and comm_equal
               and symb.exponent == -pairing)
-    subchecks = {
-        "sections-difference": {"lhs": eq1[0], "rhs": eq1[1],
-                                "pass": eq1[2]},
-        "chi-symmetry": {"lhs": eq2[0], "rhs": eq2[1], "pass": eq2[2]},
-        "commutator": {"lhs": meas.exponent, "rhs": symb.exponent,
-                       "pass": comm_equal},
-    }
     inputs = {"C": _cls_json(clsC), "omega": _cls_json(clsW)}
-    return Report("riemann-roch", inputs, lhs, rhs, passed, subchecks)
+    subchecks = (
+        Check("sections-difference", inputs, eq1[0], eq1[1], eq1[2]),
+        Check("chi-symmetry", inputs, eq2[0], eq2[1], eq2[2]),
+        Check("commutator", inputs, meas.exponent, symb.exponent,
+              comm_equal),
+    )
+    return Check("riemann-roch", inputs, lhs, rhs, passed, subchecks)
 
 
 # ---------------------------------------------------------------------------
@@ -723,16 +727,9 @@ def window_build(R: Divisor, S: Divisor, max_point_degree: int = 2,
         fl = _window_flag(D, avoid, max_point_degree)
         flags.append(fl)
         j_t = form_order_on_curve(surf, D)
-        w = prec
-        for _ in range(5):
-            jac = canonical_local_form(fl, w)
-            if any(t == j_t for (t, _u) in jac.terms):
-                break
-            w *= 2
-        else:
-            raise PrecisionError(
-                f"leading column of the form stayed hidden at {fl!r}")
-        j_u = jac.column(j_t).valuation()
+        j_u = escalate(
+            lambda w: canonical_local_form(fl, w).column(j_t).valuation(),
+            prec, f"leading column of the form at {fl!r}")
         jorders.append((j_t, j_u))
         r_D = R.components.get(D, 0)
         s_D = S.components.get(D, 0)

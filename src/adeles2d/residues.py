@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import FieldElem, rel_trace
 from .multipoly import MPoly
-from .series import LaurentSeries2, PrecisionError, res2
+from .series import LaurentSeries2, escalate, res2
 from .surface import (
     ClosedPoint,
     Curve,
@@ -24,6 +24,7 @@ from .surface import (
     RationalFunction,
     Surface,
     canonical_local_form,
+    class_monomials,
     curve_make,
     expand_at_flag,
     flag_make,
@@ -34,7 +35,6 @@ from .surface import (
 )
 
 DEFAULT_RESIDUE_PREC = 8
-MAX_ESCALATIONS = 4
 
 
 class GlobalForm:
@@ -108,18 +108,10 @@ def local_residue(w: GlobalForm, fl: Flag,
                   prec: int = DEFAULT_RESIDUE_PREC) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
     where J du^dt is the fixed form in flag coordinates."""
-    last = None
-    for attempt in range(MAX_ESCALATIONS + 1):
-        window = prec << attempt
-        try:
-            e = expand_at_flag(w.coefficient, fl, window)
-            jac = canonical_local_form(fl, window)
-            return res2(e * jac)
-        except PrecisionError as err:
-            last = err
-    raise PrecisionError(
-        f"residue undetermined at window {prec << MAX_ESCALATIONS}; "
-        f"raise prec (last: {last})")
+    return escalate(
+        lambda window: res2(expand_at_flag(w.coefficient, fl, window)
+                            * canonical_local_form(fl, window)),
+        prec, f"residue at flag {fl!r}")
 
 
 def residue_sum_around_point(w: GlobalForm, x: ClosedPoint,
@@ -148,7 +140,7 @@ def residue_points_on_curve(w: GlobalForm, D: Curve) -> List[ClosedPoint]:
         if C == D:
             continue
         for pt in intersection_support(D, C):
-            found[(pt.degree, tuple(c.coeffs for c in pt.coords))] = pt
+            found[pt.sort_key()] = pt
     return sorted(found.values(), key=ClosedPoint.sort_key)
 
 
@@ -205,18 +197,11 @@ def adelic_pairing(a: AdeleFragment, b: AdeleFragment,
         raise ValueError("cannot pair two empty fragments")
     total = base.zero()
     for fl in flags:
-        last = None
-        for attempt in range(MAX_ESCALATIONS + 1):
-            window = prec << attempt
-            try:
-                jac = canonical_local_form(fl, window)
-                r = res2(a.entries[fl] * b.entries[fl] * jac)
-                total = total + rel_trace(r, base)
-                break
-            except PrecisionError as err:
-                last = err
-        else:
-            raise PrecisionError(f"pairing undetermined at flag {fl!r}: {last}")
+        r = escalate(
+            lambda window: res2(a.entries[fl] * b.entries[fl]
+                                * canonical_local_form(fl, window)),
+            prec, f"pairing at flag {fl!r}")
+        total = total + rel_trace(r, base)
     return total
 
 
@@ -225,7 +210,6 @@ def adelic_pairing(a: AdeleFragment, b: AdeleFragment,
 
 
 def _random_form_of_class(S: Surface, cls, rng: random.Random) -> Optional[MPoly]:
-    from .cohomology import class_monomials
     monos = class_monomials(S, cls)
     terms = {}
     p, d = S.base.p, S.base.d
@@ -287,7 +271,7 @@ def check_reciprocity_around_points(w: GlobalForm,
         for H in polar[i + 1:]:
             for pt in intersection_support(C, H):
                 if pt.degree <= max_point_degree:
-                    pts[(pt.degree, tuple(c.coeffs for c in pt.coords))] = pt
+                    pts[pt.sort_key()] = pt
     results = []
     for key in sorted(pts):
         x = pts[key]

@@ -24,16 +24,32 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .fields import FieldDesc, FieldElem
 
 INF = math.inf
 DEFAULT_PREC = 16
+MAX_ESCALATIONS = 4
+
+_T = TypeVar("_T")
 
 
 class PrecisionError(ArithmeticError):
     """A computation needed coefficients outside the tracked window."""
+
+
+def escalate(compute: Callable[[int], _T], prec: int, what: str) -> _T:
+    """compute(window) at windows prec, 2*prec, ..., prec << MAX_ESCALATIONS;
+    the first result that needs no wider window wins."""
+    last = None
+    for k in range(MAX_ESCALATIONS + 1):
+        try:
+            return compute(prec << k)
+        except PrecisionError as err:
+            last = err
+    raise PrecisionError(f"{what} undetermined at window "
+                         f"{prec << MAX_ESCALATIONS}; raise prec (last: {last})")
 
 
 def _as_prec(x) -> float:
@@ -50,43 +66,10 @@ class LaurentSeries1:
         self.prec = _as_prec(prec)
         self.terms = {e: c for e, c in terms.items() if not c.is_zero() and e < self.prec}
 
-    def is_exact(self) -> bool:
-        return self.prec == INF
-
-    def is_zero_window(self) -> bool:
-        return not self.terms
-
     def valuation(self) -> int:
         if not self.terms:
             raise PrecisionError("series is indistinguishable from 0 in u at this precision")
         return min(self.terms)
-
-    def leading(self) -> FieldElem:
-        return self.terms[self.valuation()]
-
-    def coeff(self, e: int) -> FieldElem:
-        if e >= self.prec:
-            raise PrecisionError(f"u-exponent {e} outside tracked window")
-        return self.terms.get(e, self.desc.zero())
-
-    def __mul__(self, other: "LaurentSeries1") -> "LaurentSeries1":
-        va = min(self.terms) if self.terms else self.prec
-        vb = min(other.terms) if other.terms else other.prec
-        prec = min(self.prec + vb, other.prec + va)
-        out: Dict[int, FieldElem] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                if e >= prec:
-                    continue
-                c = ca * cb
-                cur = out.get(e)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentSeries1(self.desc, out, prec)
 
     def __eq__(self, other):
         return (
@@ -530,19 +513,13 @@ def res2(w) -> FieldElem:
     return body.terms.get((-1, -1), body.desc.zero())
 
 
-def _coeff_to_text(c: FieldElem) -> str:
-    if c.desc.d == 1:
-        return str(c.coeffs[0])
-    return "[" + ",".join(str(v) for v in c.coeffs) + "]"
-
-
 def ls2_to_text(f: LaurentSeries2) -> str:
     """Sparse text form `t^B*u^A: C`, terms sorted by (t, u) exponent."""
     if not f.terms:
         return "0"
     bits = []
     for (t, u) in sorted(f.terms):
-        bits.append(f"t^{t}*u^{u}: {_coeff_to_text(f.terms[(t, u)])}")
+        bits.append(f"t^{t}*u^{u}: {f.terms[(t, u)]!r}")
     return "; ".join(bits)
 
 

@@ -31,7 +31,7 @@ from .fields import (
     ptrim,
 )
 from .multipoly import MPoly
-from .series import DEFAULT_PREC, LaurentSeries2, PrecisionError
+from .series import DEFAULT_PREC, LaurentSeries2, PrecisionError, escalate
 
 ClassVector = Union[int, Tuple[int, int]]
 
@@ -212,15 +212,9 @@ def poly_text(S: Surface, f: MPoly) -> str:
             f"{S.var_names[i]}" + (f"^{k}" if k > 1 else "")
             for i, k in enumerate(e) if k
         )
-        cs = "" if (c.is_one() and mono) else _coeff_text(c)
+        cs = "" if (c.is_one() and mono) else repr(c)
         bits.append((cs + mono) or "1")
     return " + ".join(bits)
-
-
-def _coeff_text(c: FieldElem) -> str:
-    if c.desc.d == 1:
-        return str(c.coeffs[0])
-    return "[" + ",".join(str(v) for v in c.coeffs) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +294,27 @@ def _normalize_scalar(f: MPoly) -> MPoly:
     return f if c.is_one() else f.scale(c.inverse())
 
 
+def class_monomials(S: Surface, cls: ClassVector) -> List[tuple]:
+    """Exponent tuples of all monomials of the given (bi)degree, in
+    descending lex order."""
+    if S.model == "P2":
+        n = cls
+        if n < 0:
+            return []
+        return [(i, j, n - i - j) for i in range(n, -1, -1)
+                for j in range(n - i, -1, -1)]
+    a, b = cls
+    if a < 0 or b < 0:
+        return []
+    return [(i, a - i, k, b - k) for i in range(a, -1, -1)
+            for k in range(b, -1, -1)]
+
+
 def _candidate_polys(S: Surface, cls: ClassVector) -> Iterable[MPoly]:
     """All nonzero (bi)homogeneous polynomials of the given class, normalized
     so their first (lex-greatest) nonzero coefficient is 1."""
     desc = S.base
-    if S.model == "P2":
-        d = cls
-        monos = [(i, j, d - i - j) for i in range(d, -1, -1)
-                 for j in range(d - i, -1, -1)]
-    else:
-        a, b = cls
-        monos = [(i, a - i, j, b - j) for i in range(a, -1, -1)
-                 for j in range(b, -1, -1)]
-    monos.sort(reverse=True)
+    monos = class_monomials(S, cls)
     n = len(monos)
     elems = list(desc.elems())
     q = desc.q
@@ -906,16 +908,11 @@ def form_order_on_curve(S: Surface, D: Curve, window: int = DEFAULT_PREC) -> int
                 fl = flag_make(pt, D)
             except ValueError:
                 continue
-            w = window
-            for _ in range(4):
-                jac = canonical_local_form(fl, w)
-                if not jac.is_zero_window():
-                    order = jac.t_valuation()
-                    _FORM_ORDER_CACHE[D] = order
-                    return order
-                w *= 2
-            raise PrecisionError(
-                "form order did not stabilize; raise precision")
+            order = escalate(
+                lambda w: canonical_local_form(fl, w).t_valuation(),
+                window, f"order of the form along {D!r}")
+            _FORM_ORDER_CACHE[D] = order
+            return order
     raise RuntimeError("no smooth point found on the curve")  # pragma: no cover
 
 

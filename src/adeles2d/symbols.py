@@ -23,7 +23,7 @@ from .fields import (
     ptrim,
 )
 from .multipoly import MPoly, resultant_elim
-from .series import LaurentSeries1, LaurentSeries2, PrecisionError
+from .series import LaurentSeries1, LaurentSeries2, escalate
 from .surface import (
     ClassVector,
     ClosedPoint,
@@ -42,7 +42,6 @@ from .surface import (
 )
 
 DEFAULT_SYMBOL_PREC = 8
-MAX_ESCALATIONS = 4
 
 
 class QPower:
@@ -76,18 +75,17 @@ class QPower:
 # tame symbol and the integer bisymbol
 
 
-def tame_t(f: LaurentSeries2, g: LaurentSeries2,
-           signed: bool = True) -> LaurentSeries1:
+def tame_t(f: LaurentSeries2, g: LaurentSeries2) -> LaurentSeries1:
     """(-1)^(v(f)v(g)) f^v(g) g^-v(f) reduced mod t, in k(x)((u)).
 
-    `signed=False` drops the sign factor; the subsequent u-valuation cannot
-    see it, so the integer symbol is the same either way.
+    The u-valuation cannot see the sign factor, so the integer symbol does
+    not depend on it.
     """
     a = f.t_valuation()
     b = g.t_valuation()
     h = (f ** b) * (g ** (-a))
     col = h.column(0)
-    if signed and (a * b) % 2:
+    if (a * b) % 2:
         col = LaurentSeries1(col.desc, {e: -c for e, c in col.terms.items()},
                              col.prec)
     return col
@@ -207,31 +205,30 @@ def _power_pair(f: RationalFunction, n: int) -> Tuple[MPoly, MPoly]:
     return f.den ** (-n), f.num ** (-n)
 
 
-def _flag_symbol(g1: IdeleRule, g2: IdeleRule, fl: Flag, prec: int) -> int:
-    """The integer symbol of the two idele components at one flag.
+def symbol_at_flag(f: RationalFunction, g: RationalFunction, fl: Flag,
+                   prec: int = DEFAULT_SYMBOL_PREC) -> int:
+    """The integer symbol of two rational functions at one flag.
 
-    The t-valuations are the curve multiplicities of the components, so
-    they are computed exactly by polynomial division; only the combination
+    The t-valuations are the curve multiplicities of f and g, so they are
+    computed exactly by polynomial division; only the combination
     f^v(g) g^-v(f), a unit along the curve, is ever expanded.  Its
     restriction to the curve is read off at column 0 and the symbol is that
     restriction's valuation at the point, with the window escalated until
     the valuation is visible.
     """
-    f1 = g1.local(fl)
-    f2 = g2.local(fl)
-    a = ord_on_curve(f1, fl.curve)
-    b = ord_on_curve(f2, fl.curve)
-    num1, den1 = _power_pair(f1, b)
-    num2, den2 = _power_pair(f2, -a)
+    a = ord_on_curve(f, fl.curve)
+    b = ord_on_curve(g, fl.curve)
+    num1, den1 = _power_pair(f, b)
+    num2, den2 = _power_pair(g, -a)
     h = RationalFunction(fl.curve.surface, num1 * num2, den1 * den2)
-    last = None
-    for attempt in range(MAX_ESCALATIONS + 1):
-        window = prec << attempt
-        try:
-            return expand_at_flag(h, fl, window).column(0).valuation()
-        except PrecisionError as err:
-            last = err
-    raise PrecisionError(f"symbol undetermined at flag {fl!r}: {last}")
+    return escalate(
+        lambda window: expand_at_flag(h, fl, window).column(0).valuation(),
+        prec, f"symbol at flag {fl!r}")
+
+
+def _flag_symbol(g1: IdeleRule, g2: IdeleRule, fl: Flag, prec: int) -> int:
+    """The integer symbol of the two idele components at one flag."""
+    return symbol_at_flag(g1.local(fl), g2.local(fl), fl, prec)
 
 
 def commutator_pairing(g1: IdeleRule, g2: IdeleRule, flags: Sequence[Flag],

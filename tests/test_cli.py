@@ -109,6 +109,12 @@ def test_invalid_configurations_exit_two():
          "--function", "X^2/Y"],
         ["symbol", "--q", "3", "--curve", "W", "--point", "0:1:0",
          "--f", "X/Y", "--g", "X/Z"],
+        ["expand", "--q", "3", "--curve", "Z", "--point", "0:1:0",
+         "--function", "0"],
+        ["symbol", "--q", "3", "--curve", "Y", "--point", "0:0:1",
+         "--f", "0", "--g", "Y/Z"],
+        ["symbol", "--q", "3", "--curve", "Y", "--point", "0:0:1",
+         "--f", "X/Z", "--g", "0/Z"],
     ]
     for argv in bad:
         code, _out, err = run(argv)

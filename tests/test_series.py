@@ -9,6 +9,7 @@ from adeles2d.series import (
     LaurentSeries2,
     LocalForm2,
     PrecisionError,
+    escalate,
     ls2_from_text,
     ls2_to_text,
     ls2_valuation,
@@ -265,3 +266,33 @@ def test_mismatched_fields_raise():
         pass
     else:
         raise AssertionError("mixed coefficient fields did not raise")
+
+
+def test_escalate_doubles_the_window_then_names_the_computation():
+    seen = []
+
+    def never(window):
+        seen.append(window)
+        raise PrecisionError(f"hidden at {window}")
+
+    try:
+        escalate(never, 3, "probe value")
+    except PrecisionError as err:
+        message = str(err)
+    else:
+        raise AssertionError("escalate returned without a result")
+    assert seen == [3, 6, 12, 24, 48], seen
+    assert "probe value" in message and "48" in message, message
+
+
+def test_escalate_returns_the_first_determined_result():
+    seen = []
+
+    def at_four_times(window):
+        seen.append(window)
+        if window < 20:
+            raise PrecisionError("not yet")
+        return ("value", window)
+
+    assert escalate(at_four_times, 5, "probe value") == ("value", 20)
+    assert seen == [5, 10, 20], seen
