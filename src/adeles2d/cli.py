@@ -467,7 +467,7 @@ def _line_family(S) -> List[Tuple[str, ...]]:
 def _suite_windows(S, classes, args) -> List[Check]:
     checks = []
     names, mults = _line_family(S)
-    lines = [curve_make(S, n) for n in names]
+    lines = [S.lines[n] for n in names]
 
     if S.model == "P2":
         w1 = window_build(divisor_zero(S), Divisor(S, {lines[0]: 1}),
@@ -584,6 +584,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(_join_values(list(argv)))
     args.started = time.perf_counter()
     try:
+        if args.precision < 1:
+            raise ConfigError(f"--precision must be at least 1, got "
+                              f"{args.precision}")
         return _COMMANDS[args.command](args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

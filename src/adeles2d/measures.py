@@ -28,7 +28,7 @@ from .surface import (
     Flag,
     Surface,
     canonical_local_form,
-    curve_make,
+    coordinate_lines,
     divisor_class,
     divisor_of_form,
     flag_make,
@@ -66,9 +66,9 @@ def canonical_divisor(S: Surface) -> Divisor:
 def class_representative(S: Surface, cls: ClassVector) -> Divisor:
     """A standard divisor of the given class on coordinate curves."""
     if S.model == "P2":
-        return Divisor(S, {curve_make(S, "X"): cls})
+        return Divisor(S, {S.lines["X"]: cls})
     a, b = cls
-    return Divisor(S, {curve_make(S, "X1"): a, curve_make(S, "Y1"): b})
+    return Divisor(S, {S.lines["X1"]: a, S.lines["Y1"]: b})
 
 
 def _divisor_le(a: Divisor, b: Divisor) -> bool:
@@ -238,7 +238,7 @@ def measure_mu_L(L: LatticeSymbol, i: LatticeSymbol, j: LatticeSymbol,
     l1 = aux if aux is not None else _divisor_min(i.divisor, j.divisor)
     if not (_divisor_le(l1, i.divisor) and _divisor_le(l1, j.divisor)):
         raise ValueError("auxiliary basepoint must lie below both references")
-    first = curve_make(S, "X" if S.model == "P2" else "X1")
+    first = S.lines["X" if S.model == "P2" else "X1"]
     l2 = l1 + Divisor(S, {first: -1})
     exponents = []
     for l in (l1, l2):
@@ -512,23 +512,7 @@ def central_ext_commutator(a: CentralExtElem, b: CentralExtElem) -> QPower:
 def _disjoint_representative(S: Surface, cls: ClassVector,
                              avoid: set) -> Divisor:
     """A divisor of the given class on coordinate curves outside `avoid`."""
-    if S.model == "P2":
-        for name in ("Z", "Y", "X"):
-            D = curve_make(S, name)
-            if D not in avoid:
-                return Divisor(S, {D: cls})
-        raise ValueError("no coordinate representative in general position")
-    comps: Dict[Curve, int] = {}
-    for names, mult in ((("X1", "X0"), cls[0]), (("Y1", "Y0"), cls[1])):
-        for name in names:
-            D = curve_make(S, name)
-            if D not in avoid:
-                comps[D] = mult
-                break
-        else:
-            raise ValueError("no coordinate representative in general "
-                             "position")
-    return Divisor(S, comps)
+    return Divisor(S, dict(coordinate_lines(S, cls, lambda L: L not in avoid)))
 
 
 def central_commutator(C: Divisor, wdiv: Divisor,

@@ -25,7 +25,6 @@ from .surface import (
     Surface,
     canonical_local_form,
     class_monomials,
-    curve_make,
     expand_at_flag,
     flag_make,
     form_order_on_curve,
@@ -67,10 +66,9 @@ class GlobalForm:
 
 
 def omega_polar_curves(S: Surface) -> List[Curve]:
-    """The components of the fixed form's polar divisor."""
-    if S.model == "P2":
-        return [curve_make(S, "Z")]
-    return [curve_make(S, "X1"), curve_make(S, "Y1")]
+    """The components of the fixed form's polar divisor: the lines that the
+    first chart sets to 1."""
+    return [S.lines[S.var_names[v]] for v in S.charts[0].unit_vars]
 
 
 def form_make(S: Surface, num, den_curves: Sequence[Tuple[Curve, int]]) -> GlobalForm:
@@ -227,10 +225,7 @@ def reciprocity_corpus(S: Surface, count: int, seed: int,
                        max_degree: int = 3) -> List[GlobalForm]:
     """Deterministic list of forms with poles on coordinate curves."""
     rng = random.Random(seed)
-    if S.model == "P2":
-        lines = [curve_make(S, t) for t in ("X", "Y", "Z")]
-    else:
-        lines = [curve_make(S, t) for t in ("X0", "X1", "Y0", "Y1")]
+    lines = list(S.lines.values())
     out: List[GlobalForm] = []
     guard = 0
     while len(out) < count and guard < 50 * count:

@@ -42,6 +42,8 @@ class PrecisionError(ArithmeticError):
 def escalate(compute: Callable[[int], _T], prec: int, what: str) -> _T:
     """compute(window) at windows prec, 2*prec, ..., prec << MAX_ESCALATIONS;
     the first result that needs no wider window wins."""
+    if prec < 1:
+        raise ValueError(f"{what}: window must be at least 1, got {prec}")
     last = None
     for k in range(MAX_ESCALATIONS + 1):
         try:

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .fields import (
     FieldDesc,
     FieldElem,
     Poly,
+    coerce_down,
     embed,
     field_make,
     pdeg,
@@ -30,7 +31,7 @@ from .fields import (
     poly_roots,
     ptrim,
 )
-from .multipoly import MPoly
+from .multipoly import MPoly, resultant_elim
 from .series import DEFAULT_PREC, LaurentSeries2, PrecisionError, escalate
 
 ClassVector = Union[int, Tuple[int, int]]
@@ -41,23 +42,38 @@ ClassVector = Union[int, Tuple[int, int]]
 
 
 class Chart:
-    """An affine chart: one (or one per factor) coordinate set to 1."""
+    """An affine chart: one (or one per factor) coordinate set to 1.
 
-    __slots__ = ("name", "unit_vars", "affine_vars")
+    Its coordinates are the ratios affine_vars[i] / units[i] of homogeneous
+    variables; unit_vars lists the distinct denominators."""
 
-    def __init__(self, name: str, unit_vars: Tuple[int, ...], affine_vars: Tuple[int, int]):
+    __slots__ = ("name", "affine_vars", "units", "unit_vars")
+
+    def __init__(self, name: str, affine_vars: Tuple[int, int],
+                 units: Tuple[int, int]):
         self.name = name
-        self.unit_vars = unit_vars      # homogeneous variables set to 1
         self.affine_vars = affine_vars  # homogeneous variables kept, in order
+        self.units = units              # the denominator of each one
+        self.unit_vars = tuple(dict.fromkeys(units))  # variables set to 1
+
+    def contains(self, coords: Sequence[FieldElem]) -> bool:
+        """Whether the projective point lies in this chart."""
+        return all(coords[v] for v in self.unit_vars)
+
+    def affine(self, coords: Sequence[FieldElem]) -> Tuple[FieldElem, FieldElem]:
+        """The chart coordinates of a projective point of the chart."""
+        return tuple(coords[a] / coords[u]
+                     for a, u in zip(self.affine_vars, self.units))
 
     def __repr__(self):
         return f"Chart({self.name})"
 
 
 class Surface:
-    """P2 or P1xP1 over a finite base field."""
+    """P2 or P1xP1 over a finite base field, with its charts and its
+    coordinate lines (name -> Curve, in variable order)."""
 
-    __slots__ = ("model", "base", "nvars", "var_names", "charts")
+    __slots__ = ("model", "base", "nvars", "var_names", "charts", "lines")
 
     def __init__(self, model: str, base: FieldDesc):
         if model not in ("P2", "P1xP1"):
@@ -68,19 +84,22 @@ class Surface:
             self.nvars = 3
             self.var_names = ("X", "Y", "Z")
             self.charts = [
-                Chart("Z", (2,), (0, 1)),
-                Chart("Y", (1,), (0, 2)),
-                Chart("X", (0,), (1, 2)),
+                Chart("Z", (0, 1), (2, 2)),
+                Chart("Y", (0, 2), (1, 1)),
+                Chart("X", (1, 2), (0, 0)),
             ]
         else:
             self.nvars = 4
             self.var_names = ("X0", "X1", "Y0", "Y1")
             self.charts = [
-                Chart("X1Y1", (1, 3), (0, 2)),
-                Chart("X1Y0", (1, 2), (0, 3)),
-                Chart("X0Y1", (0, 3), (1, 2)),
-                Chart("X0Y0", (0, 2), (1, 3)),
+                Chart("X1Y1", (0, 2), (1, 3)),
+                Chart("X1Y0", (0, 3), (1, 2)),
+                Chart("X0Y1", (1, 2), (0, 3)),
+                Chart("X0Y0", (1, 3), (0, 2)),
             ]
+        # a coordinate line is irreducible and normalized as it stands
+        self.lines = {n: Curve(self, self.var(i))
+                      for i, n in enumerate(self.var_names)}
 
     def __eq__(self, other):
         return (
@@ -371,6 +390,27 @@ def curve_make(S: Surface, poly: Union[MPoly, str], name: Optional[str] = None) 
     return Curve(S, f, name)
 
 
+def coordinate_lines(S: Surface, cls: ClassVector,
+                     ok: Callable[[Curve], bool]) -> List[Tuple[Curve, int]]:
+    """For each homogeneous group of nonzero degree in cls, the first
+    coordinate line of that group passing ok, with the degree.  Lines are
+    tried in the order Z, Y, X on P2, and X1, X0 then Y1, Y0 on P1xP1."""
+    if S.model == "P2":
+        groups = [(("Z", "Y", "X"), cls)]
+    else:
+        groups = [(("X1", "X0"), cls[0]), (("Y1", "Y0"), cls[1])]
+    out = []
+    for names, n in groups:
+        if n == 0:
+            continue
+        line = next((S.lines[v] for v in names if ok(S.lines[v])), None)
+        if line is None:
+            raise ValueError(f"no coordinate line of {'/'.join(names)} "
+                             "qualifies")
+        out.append((line, n))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # closed points
 
@@ -444,11 +484,6 @@ def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
     return best, size
 
 
-def _coords_down(coords: Tuple[FieldElem, ...], sub: FieldDesc) -> Tuple[FieldElem, ...]:
-    from .fields import coerce_down
-    return tuple(coerce_down(c, sub) for c in coords)
-
-
 def points_on_curve(D: Curve, max_degree: int) -> List[ClosedPoint]:
     """Closed points of degree <= max_degree, one per orbit, sorted."""
     if max_degree < 1:
@@ -500,7 +535,7 @@ def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
     rep, size = _orbit_representative(S, norm, S.base.q)
     exact = field_make(S.base.p, S.base.d * size)
     if exact != field:
-        rep = _coords_down(rep, exact)
+        rep = tuple(coerce_down(c, exact) for c in rep)
     return ClosedPoint(S, exact, rep, size)
 
 
@@ -514,8 +549,6 @@ def intersection_support(C: Curve, H: Curve) -> List[ClosedPoint]:
         raise ValueError("curves share a component")
     S = C.surface
     found: List[ClosedPoint] = []
-    from .multipoly import resultant_elim
-
     for chart in S.charts:
         f = S.dehomogenize(C.poly, chart)
         g = S.dehomogenize(H.poly, chart)
@@ -564,7 +597,7 @@ def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
             coords[v] = y0.desc.one()
         coords[chart.affine_vars[solve]] = y0
         coords[chart.affine_vars[1 - solve]] = embed(x0, y0.desc)
-        if any(all(coords[v] for v in ch.unit_vars) for ch in earlier):
+        if any(ch.contains(coords) for ch in earlier):
             continue
         found.append(point_from_coords(S, coords))
 
@@ -609,19 +642,9 @@ def flag_make(x: ClosedPoint, D: Curve) -> Flag:
     chart coordinate whose differential stays independent of dt at x."""
     S = D.surface
     k = x.residue_field
-    chart = None
-    for ch in S.charts:
-        if all(not x.coords[v].is_zero() for v in ch.unit_vars):
-            chart = ch
-            break
-    if chart is None:  # pragma: no cover - charts cover the surface
-        raise RuntimeError("no chart contains the point")
-    # affine coordinates of x in this chart
-    aff = []
-    for v in chart.affine_vars:
-        unit = chart.unit_vars[0] if S.model == "P2" else (
-            chart.unit_vars[0] if v in (0, 1) else chart.unit_vars[1])
-        aff.append(x.coords[v] / x.coords[unit])
+    # the charts cover the surface
+    chart = next(ch for ch in S.charts if ch.contains(x.coords))
+    aff = chart.affine(x.coords)
     t_param_base = S.dehomogenize(D.poly, chart)
     if t_param_base.is_zero():
         raise ValueError("curve does not meet this chart")
@@ -637,7 +660,7 @@ def flag_make(x: ClosedPoint, D: Curve) -> Flag:
         u_index = 1
     else:
         raise ValueError(f"curve is singular at {x!r} (no admissible flag)")
-    return Flag(x, D, chart, u_index, aff[u_index], t_param, (aff[0], aff[1]))
+    return Flag(x, D, chart, u_index, aff[u_index], t_param, aff)
 
 
 def _mp_embed(f: MPoly, ext: FieldDesc) -> MPoly:
@@ -668,54 +691,41 @@ def mp_eval_series(f: MPoly, args: Sequence[LaurentSeries2],
     return acc
 
 
-def _solve_second_coord(fl: Flag, window: int) -> LaurentSeries2:
-    """The non-u chart coordinate as a series B(u, t) with B(0,0) = its value
-    at the point, solving t_param(coords) = t by Hensel iteration."""
-    k = fl.point.residue_field
-    other = 1 - fl.u_index
-    b0 = fl.point_affine[other]
-    u_series = LaurentSeries2.monomial(k, k.one(), 0, 1) + \
-        LaurentSeries2.const(k, fl.u_value)
-    t_series = LaurentSeries2.monomial(k, k.one(), 1, 0)
-
-    def coords_for(Bk: LaurentSeries2) -> List[LaurentSeries2]:
-        if fl.u_index == 0:
-            return [u_series, Bk]
-        return [Bk, u_series]
-
-    dT = fl.t_param.derivative(other)
-    B = LaurentSeries2.const(k, b0)
-    for _ in range(window.bit_length() + 2):
-        cur = [c.truncate(window, window) for c in coords_for(B)]
-        resid = mp_eval_series(fl.t_param, cur, k) - t_series
-        resid = resid.truncate(window, window)
-        if resid.is_zero_window():
-            return B.truncate(window, window)
-        deriv = mp_eval_series(dT, cur, k).truncate(window, window)
-        B = (B - resid * deriv.inverse()).truncate(window, window)
-    raise RuntimeError("coordinate solution did not converge")  # pragma: no cover
-
-
 def flag_coordinate_series(fl: Flag, window: int) -> List[LaurentSeries2]:
-    """Expansions of the two chart coordinates at the flag, cached."""
+    """Expansions of the two chart coordinates at the flag, cached: u itself,
+    and the other as a series B(u, t) with B(0,0) = its value at the point,
+    solving t_param(coords) = t by Hensel iteration."""
     key = ("coords", window)
     got = fl._cache.get(key)
     if got is not None:
         return got
     k = fl.point.residue_field
+    other = 1 - fl.u_index
     u_series = LaurentSeries2.monomial(k, k.one(), 0, 1) + \
         LaurentSeries2.const(k, fl.u_value)
-    B = _solve_second_coord(fl, window)
-    out = [u_series, B] if fl.u_index == 0 else [B, u_series]
-    fl._cache[key] = out
-    return out
+    t_series = LaurentSeries2.monomial(k, k.one(), 1, 0)
+    coords = [u_series, u_series]
+    coords[other] = LaurentSeries2.const(k, fl.point_affine[other])
+    dT = fl.t_param.derivative(other)
+    for _ in range(window.bit_length() + 2):
+        cur = [c.truncate(window, window) for c in coords]
+        resid = mp_eval_series(fl.t_param, cur, k) - t_series
+        resid = resid.truncate(window, window)
+        if resid.is_zero_window():
+            coords[other] = coords[other].truncate(window, window)
+            fl._cache[key] = coords
+            return coords
+        deriv = mp_eval_series(dT, cur, k).truncate(window, window)
+        coords[other] = (coords[other]
+                         - resid * deriv.inverse()).truncate(window, window)
+    raise RuntimeError("coordinate solution did not converge")  # pragma: no cover
 
 
 def expand_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
     """Expansion of a (bi)homogeneous polynomial, dehomogenized in the flag's
     chart, as a series in (u, t); cached per (polynomial, window)."""
     S = fl.curve.surface
-    key = ("poly", _poly_key(P), window)
+    key = ("poly", P, window)
     got = fl._cache.get(key)
     if got is not None:
         return got
@@ -739,13 +749,13 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
     (2*lead for the leading-column inverse, plus a dip per Neumann step)
     lands exactly where the requested window begins.
     """
-    key = ("polyinv", _poly_key(P), window)
+    key = ("polyinv", P, window)
     got = fl._cache.get(key)
     if got is not None:
         return got
     vt = _poly_ord(P, fl.curve)
     e = expand_poly_at_flag(P, fl, window)
-    u_wide = window
+    u_wide = max(window, 1)  # doubles up to the bound below
     while not any(t == vt for (t, _u) in e.terms):
         u_wide *= 2
         if u_wide > 64 * window + 4096:
@@ -784,15 +794,13 @@ def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag,
     return top * inv
 
 
-def _poly_key(P: MPoly):
-    return tuple(sorted((e, c.n) for e, c in P.terms.items()))
-
-
 def expand_at_flag(f: RationalFunction, fl: Flag,
                    prec: int = DEFAULT_PREC) -> LaurentSeries2:
     """The image of a rational function in the local field at the flag."""
     if f.is_zero():
         raise ValueError("cannot expand the zero function")
+    if prec < 1:
+        raise ValueError(f"expansion window must be at least 1, got {prec}")
     return _ratio_at_flag(f.num, f.den, fl, prec)
 
 
@@ -878,12 +886,8 @@ def canonical_local_form(fl: Flag, window: int) -> LaurentSeries2:
     S = fl.curve.surface
     std = S.charts[0]
     # the standard-chart coordinates as ratios of homogeneous variables
-    if S.model == "P2":
-        pairs = [(S.var(0), S.var(2)), (S.var(1), S.var(2))]
-    else:
-        pairs = [(S.var(0), S.var(1)), (S.var(2), S.var(3))]
-    series = [_ratio_at_flag(num, den, fl, window) for num, den in pairs]
-    x_s, y_s = series
+    x_s, y_s = [_ratio_at_flag(S.var(a), S.var(u), fl, window)
+                for a, u in zip(std.affine_vars, std.units)]
     jac = (x_s.derive("u") * y_s.derive("t")
            - x_s.derive("t") * y_s.derive("u"))
     fl._cache[key] = jac

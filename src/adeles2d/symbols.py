@@ -33,7 +33,7 @@ from .surface import (
     RationalFunction,
     Surface,
     _mp_embed,
-    curve_make,
+    coordinate_lines,
     divisor_class,
     expand_at_flag,
     flag_make,
@@ -100,37 +100,18 @@ def bisymbol(f: LaurentSeries2, g: LaurentSeries2) -> int:
 # idele choosers
 
 
-def _coordinate_curve_pool(S: Surface) -> List[Curve]:
-    if S.model == "P2":
-        return [curve_make(S, t) for t in ("Z", "Y", "X")]
-    return [curve_make(S, t) for t in ("X1", "X0", "Y1", "Y0")]
-
-
-def _line_power(cands: Sequence[Curve], D: Curve, avoid: ClosedPoint,
-                n: int) -> MPoly:
-    """n-th power of the first candidate line distinct from D and (when a
-    point is given) not vanishing there.  A projective point always leaves
-    at least one coordinate line available."""
-    for L in cands:
-        if L == D:
-            continue
-        if avoid is not None and L.poly.evaluate(list(avoid.coords)).is_zero():
-            continue
-        return L.poly ** n
-    raise RuntimeError("no coordinate line avoids the point")
-
-
 def _denominator_for(S: Surface, D: Curve, avoid: ClosedPoint) -> MPoly:
-    """A form of D's class with no D factor, nonvanishing at `avoid`."""
-    pool = _coordinate_curve_pool(S)
-    if S.model == "P2":
-        return _line_power(pool, D, avoid, D.degree())
-    a, b = D.degree()
+    """A form of D's class with no D factor, nonvanishing at `avoid` (when
+    a point is given): powers of coordinate lines.  A projective point
+    always leaves at least one coordinate line of each group available."""
+    def ok(L: Curve) -> bool:
+        return L != D and (
+            avoid is None
+            or not L.poly.evaluate(list(avoid.coords)).is_zero())
+
     out = MPoly.const(S.base, S.nvars, S.base.one())
-    if a:
-        out = out * _line_power(pool[:2], D, avoid, a)
-    if b:
-        out = out * _line_power(pool[2:], D, avoid, b)
+    for L, n in coordinate_lines(S, D.degree(), ok):
+        out = out * L.poly ** n
     return out
 
 
@@ -345,13 +326,8 @@ def _geometric_points_in_chart(
     for pt in pts:
         member = [embed(c, F) for c in pt.coords]
         for _ in range(pt.degree):
-            if all(not member[v].is_zero() for v in chart.unit_vars):
-                aff = []
-                for v in chart.affine_vars:
-                    unit = next(w for w in chart.unit_vars
-                                if S.model == "P2" or w // 2 == v // 2)
-                    aff.append(member[v] / member[unit])
-                out.append((aff[0], aff[1]))
+            if chart.contains(member):
+                out.append(chart.affine(member))
             member = [c ** q for c in member]
     return out
 
@@ -382,8 +358,7 @@ def _lead_is_constant(f: MPoly, elim: int) -> bool:
 def _local_multiplicity(S: Surface, D: Curve, E: Curve, pt: ClosedPoint,
                         all_pts: Sequence[ClosedPoint], F: FieldDesc) -> int:
     """i_pt(D, E), read off a resultant in a separating sheared frame."""
-    chart = next(ch for ch in S.charts
-                 if all(not pt.coords[v].is_zero() for v in ch.unit_vars))
+    chart = next(ch for ch in S.charts if ch.contains(pt.coords))
     f = _mp_embed(S.dehomogenize(D.poly, chart), F)
     g = _mp_embed(S.dehomogenize(E.poly, chart), F)
     geo = _geometric_points_in_chart(S, chart, all_pts, F)

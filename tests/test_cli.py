@@ -115,6 +115,11 @@ def test_invalid_configurations_exit_two():
          "--f", "0", "--g", "Y/Z"],
         ["symbol", "--q", "3", "--curve", "Y", "--point", "0:0:1",
          "--f", "X/Z", "--g", "0/Z"],
+        ["symbol", "--q", "3", "--curve", "Y", "--point", "0:0:1",
+         "--f", "Y/Z", "--g", "Y/Z", "--precision", "0"],
+        ["residue", "--q", "3", "--curve", "Y", "--point", "0:0:1",
+         "--num", "Z", "--den", "Y:1", "--precision", "-1"],
+        ["verify", "--suites", "bezout", "--precision", "0"],
     ]
     for argv in bad:
         code, _out, err = run(argv)

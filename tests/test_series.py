@@ -285,6 +285,19 @@ def test_escalate_doubles_the_window_then_names_the_computation():
     assert "probe value" in message and "48" in message, message
 
 
+def test_escalate_rejects_windows_below_one():
+    def never_called(window):
+        raise AssertionError(f"computed at window {window}")
+
+    for prec in (0, -1):
+        try:
+            escalate(never_called, prec, "probe value")
+        except ValueError as err:
+            assert "probe value" in str(err)
+        else:
+            raise AssertionError(f"window {prec} accepted")
+
+
 def test_escalate_returns_the_first_determined_result():
     seen = []
 

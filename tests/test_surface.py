@@ -1,15 +1,17 @@
 """Geometry layer: curves, closed points, flags, local expansions."""
 
+import itertools
 import random
 
 from adeles2d.fields import field_make
 from adeles2d.multipoly import MPoly
-from adeles2d.series import LaurentSeries2
+from adeles2d.series import LaurentSeries2, PrecisionError
 from adeles2d.surface import (
     ClosedPoint,
     Curve,
     Divisor,
     RationalFunction,
+    coordinate_lines,
     curve_make,
     divisor_class,
     divisor_of_form,
@@ -21,6 +23,7 @@ from adeles2d.surface import (
     flag_coordinate_series,
     flag_make,
     intersection_support,
+    invert_poly_at_flag,
     ord_on_curve,
     parse_poly,
     point_from_coords,
@@ -529,6 +532,146 @@ def test_form_orders_respect_base_field():
         LZ = curve_make(S, "Z")
         div, checked = divisor_of_form(S, [LZ])
         assert checked, q
+
+
+# ---------------------------------------------------------------------------
+# fixed geometry: coordinate lines, chart coordinates, the line chooser
+
+# (name, unit variables, affine variables) of each chart, and the rule that
+# divides an affine variable by the unit variable of its own factor
+CHART_TABLES = {
+    "P2": [("Z", (2,), (0, 1)), ("Y", (1,), (0, 2)), ("X", (0,), (1, 2))],
+    "P1xP1": [("X1Y1", (1, 3), (0, 2)), ("X1Y0", (1, 2), (0, 3)),
+              ("X0Y1", (0, 3), (1, 2)), ("X0Y0", (0, 2), (1, 3))],
+}
+
+
+def _table_affine(model, units, affine, coords):
+    out = []
+    for v in affine:
+        unit = units[0] if model == "P2" or v in (0, 1) else units[1]
+        out.append(coords[v] / coords[unit])
+    return tuple(out)
+
+
+def _rational_points(S):
+    """Every coordinate tuple over the base field naming a point."""
+    groups = [(0, 3)] if S.model == "P2" else [(0, 2), (2, 4)]
+    for coords in itertools.product(list(S.base.elems()), repeat=S.nvars):
+        if all(any(not c.is_zero() for c in coords[lo:hi])
+               for lo, hi in groups):
+            yield coords
+
+
+def _pool_choice(S, cls, ok):
+    """The line choice by a pool Z, Y, X (P2) or X1, X0 | Y1, Y0 (P1xP1),
+    with the lines built from their names."""
+    if S.model == "P2":
+        parts = [(("Z", "Y", "X"), cls)]
+    else:
+        parts = [(("X1", "X0"), cls[0]), (("Y1", "Y0"), cls[1])]
+    out = []
+    for names, n in parts:
+        if n:
+            cands = [curve_make(S, name) for name in names]
+            out.append((next(L for L in cands if ok(L)), n))
+    return out
+
+
+def test_coordinate_lines_equal_the_parsed_lines():
+    for q in (2, 3, 4):
+        for S in (p2(q), quadric(q)):
+            assert tuple(S.lines) == S.var_names
+            for name in S.var_names:
+                parsed = curve_make(S, name)
+                assert S.lines[name] == parsed
+                assert S.lines[name]._key == parsed._key
+                assert repr(S.lines[name]) == repr(parsed) == f"Curve({name})"
+
+
+def test_chart_coordinates_match_the_chart_tables():
+    for q in (2, 3):
+        for S in (p2(q), quadric(q)):
+            table = CHART_TABLES[S.model]
+            assert [(ch.name, ch.unit_vars, ch.affine_vars)
+                    for ch in S.charts] == table
+            for coords in _rational_points(S):
+                for ch, (_name, units, affine) in zip(S.charts, table):
+                    inside = all(not coords[v].is_zero() for v in units)
+                    assert ch.contains(coords) == inside, (ch, coords)
+                    if inside:
+                        assert ch.affine(coords) == _table_affine(
+                            S.model, units, affine, coords), (ch, coords)
+
+
+def test_coordinate_line_chooser_golden():
+    S = p2(3)
+    assert coordinate_lines(S, 2, lambda L: L != S.lines["Z"]) == \
+        [(S.lines["Y"], 2)]
+    assert coordinate_lines(S, 0, lambda L: True) == []
+    T = quadric(3)
+    assert coordinate_lines(T, (1, 2), lambda L: L != T.lines["X1"]) == \
+        [(T.lines["X0"], 1), (T.lines["Y1"], 2)]
+    assert coordinate_lines(T, (0, -3), lambda L: True) == \
+        [(T.lines["Y1"], -3)]
+    try:
+        coordinate_lines(T, (1, 0), lambda L: L.name == "never")
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("an empty group was not reported")
+
+
+def test_coordinate_line_chooser_matches_the_pool_order():
+    for S, classes in ((p2(2), (1, 3, -2)),
+                       (quadric(2), ((1, 0), (0, 2), (2, -1)))):
+        names = S.var_names
+        for r in range(len(names) + 1):
+            for avoided in itertools.combinations(names, r):
+                avoid = {S.lines[n] for n in avoided}
+                for cls in classes:
+                    try:
+                        want = _pool_choice(S, cls, lambda L: L not in avoid)
+                    except StopIteration:
+                        want = ValueError
+                    try:
+                        got = coordinate_lines(S, cls,
+                                               lambda L: L not in avoid)
+                    except ValueError:
+                        got = ValueError
+                    assert got == want, (S, avoided, cls)
+        for coords in _rational_points(S):
+            # a line through the point, avoided together with the point
+            for D in S.lines.values():
+                if not D.poly.evaluate(list(coords)).is_zero():
+                    continue
+
+                def ok(L):
+                    return L != D and not L.poly.evaluate(
+                        list(coords)).is_zero()
+                cls = D.degree()
+                assert coordinate_lines(S, cls, ok) == \
+                    _pool_choice(S, cls, ok), (S, coords, D)
+
+
+def test_windows_below_one_are_rejected_or_bounded():
+    S = p2(3)
+    fl = flag_make(point_from_coords(S, [S.base.from_int(i) for i in (0, 0, 1)]),
+                   S.lines["Y"])
+    for window in (0, -1):
+        try:
+            expand_at_flag(ratfn(S, "Y", "Z"), fl, window)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(f"window {window} accepted")
+    # below the leading column the u-widening gives up instead of looping
+    try:
+        invert_poly_at_flag(parse_poly(S, "Y"), fl, 0)
+    except PrecisionError:
+        pass
+    else:
+        raise AssertionError("inverse read off an empty window")
 
 
 # ---------------------------------------------------------------------------
