@@ -10,10 +10,11 @@ order; runs are deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import cech_h_vector, class_range, h_vector, rr_space
 from .measures import (
@@ -38,6 +39,7 @@ from .residues import (
 )
 from .series import PrecisionError
 from .surface import (
+    SURFACES,
     Divisor,
     RationalFunction,
     curve_make,
@@ -57,6 +59,27 @@ SOFT_Q_LIMIT = 9
 # smooth plane cubic fixtures per characteristic
 CUBIC_BY_P = {2: "X^3+Y^2Z+YZ^2", 3: "Y^2Z-X^3+XZ^2"}
 CUBIC_DEFAULT = "Y^2Z-X^3-XZ^2"
+
+
+class Fixtures(NamedTuple):
+    """The curves the verify suites use on one surface: the bezout suite's
+    ("cubic" is the smooth cubic of the characteristic), the lines of the
+    windows suite's sections checks, and the multiplicities of its window
+    annihilator checks."""
+
+    bezout: Tuple[str, ...]
+    lines: Tuple[str, ...]
+    reps: Tuple[Tuple[int, ...], ...]
+
+
+FIXTURES = {
+    "P2": Fixtures(("X", "Y", "X+Y+Z", "YZ-X^2", "XY-Z^2", "cubic"),
+                   ("X", "Y", "Z"),
+                   tuple(itertools.product((-1, 0, 1), repeat=3))),
+    "P1xP1": Fixtures(("X1", "X0", "Y1", "X0Y1-X1Y0", "X0Y0-X1Y1"),
+                      ("X1", "Y1"),
+                      tuple(itertools.product((-2, -1, 0), repeat=2))),
+}
 
 
 class ConfigError(ValueError):
@@ -96,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, with_seed=False):
-        p.add_argument("--surface", choices=("P2", "P1xP1"), default="P2")
+        p.add_argument("--surface", choices=tuple(SURFACES), default="P2")
         p.add_argument("--q", type=int, default=3,
                        help="base field size (prime power, soft limit "
                             f"{SOFT_Q_LIMIT})")
@@ -189,11 +212,11 @@ def _parse_range(text: str, S) -> Tuple[list, object]:
     if len(parts) == 1:
         lo, hi = interval(parts[0])
         return class_range(S, lo, hi), [lo, hi]
-    if len(parts) == 2 and S.model == "P1xP1":
-        (a0, a1), (b0, b1) = interval(parts[0]), interval(parts[1])
-        classes = [(a, b) for a in range(a0, a1 + 1)
-                   for b in range(b0, b1 + 1)]
-        return classes, [[a0, a1], [b0, b1]]
+    if len(parts) == len(S.groups):
+        bounds = [interval(part) for part in parts]
+        classes = list(itertools.product(
+            *(range(lo, hi + 1) for lo, hi in bounds)))
+        return classes, [list(b) for b in bounds]
     raise ConfigError(f"bad range {text!r} for surface {S.model}")
 
 
@@ -257,6 +280,13 @@ def _parse_den(S, text: str) -> List[Tuple[object, int]]:
 # report assembly
 
 
+def _config(args, **more) -> Dict:
+    """A report's config: the command, surface and q, then `more`, then the
+    starting precision."""
+    return {"command": args.command, "surface": args.surface, "q": args.q,
+            **more, "precision": args.precision}
+
+
 def _emit(config: Dict, checks: List[Check], args) -> int:
     """Print the summary and write the report; with --timings each check's
     micros is the time since the previous check or the command start."""
@@ -294,12 +324,10 @@ def _cmd_expand(args) -> int:
     f = _parse_function(S, args.function)
     series = expand_at_flag(f, fl, args.precision)
     print(repr(series))
-    config = {"command": "expand", "surface": S.model, "q": args.q,
-              "precision": args.precision}
     inputs = {"curve": args.curve, "point": args.point,
               "function": args.function}
     out = repr(series)
-    return _emit(config, [Check("expand", inputs, out, out)], args)
+    return _emit(_config(args), [Check("expand", inputs, out, out)], args)
 
 
 def _cmd_residue(args) -> int:
@@ -312,12 +340,10 @@ def _cmd_residue(args) -> int:
         raise ConfigError(f"bad form: {err}") from err
     res = local_residue(w, fl, args.precision)
     print(repr(res))
-    config = {"command": "residue", "surface": S.model, "q": args.q,
-              "precision": args.precision}
     inputs = {"curve": args.curve, "point": args.point, "num": args.num,
               "den": args.den}
     out = repr(res)
-    return _emit(config, [Check("residue", inputs, out, out)], args)
+    return _emit(_config(args), [Check("residue", inputs, out, out)], args)
 
 
 def _cmd_symbol(args) -> int:
@@ -327,11 +353,9 @@ def _cmd_symbol(args) -> int:
     g = _parse_function(S, args.g)
     value = symbol_at_flag(f, g, fl, args.precision)
     print(value)
-    config = {"command": "symbol", "surface": S.model, "q": args.q,
-              "precision": args.precision}
     inputs = {"curve": args.curve, "point": args.point, "f": args.f,
               "g": args.g}
-    return _emit(config, [Check("symbol", inputs, value, value)], args)
+    return _emit(_config(args), [Check("symbol", inputs, value, value)], args)
 
 
 def _cmd_intersect(args) -> int:
@@ -348,10 +372,8 @@ def _cmd_intersect(args) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     print(got)
-    config = {"command": "intersect", "surface": S.model, "q": args.q,
-              "precision": args.precision}
     checks = [Check("intersect", {"curves": args.curves}, got, want)]
-    return _emit(config, checks, args)
+    return _emit(_config(args), checks, args)
 
 
 def _cmd_cohomology(args) -> int:
@@ -361,15 +383,13 @@ def _cmd_cohomology(args) -> int:
     for c in classes:
         closed = h_vector(S, c)
         indep = cech_h_vector(S, c)
-        print(f"class {c}: h0={closed.h0} h1={closed.h1} h2={closed.h2} "
-              f"chi={closed.chi}")
+        print(f"class {_cls_json(c)}: h0={closed.h0} h1={closed.h1} "
+              f"h2={closed.h2} chi={closed.chi}")
         checks.append(Check(
             "h-vector", {"class": _cls_json(c)},
             [closed.h0, closed.h1, closed.h2],
             [indep.h0, indep.h1, indep.h2]))
-    config = {"command": "cohomology", "surface": S.model, "q": args.q,
-              "range": range_json, "precision": args.precision}
-    return _emit(config, checks, args)
+    return _emit(_config(args, range=range_json), checks, args)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +410,9 @@ def _suite_reciprocity(S, classes, args) -> List[Check]:
     return checks
 
 
-def _bezout_names(S) -> List[str]:
-    if S.model == "P2":
-        cubic = CUBIC_BY_P.get(S.base.p, CUBIC_DEFAULT)
-        return ["X", "Y", "X+Y+Z", "YZ-X^2", "XY-Z^2", cubic]
-    return ["X1", "X0", "Y1", "X0Y1-X1Y0", "X0Y0-X1Y1"]
-
-
 def _suite_bezout(S, classes, args) -> List[Check]:
-    names = _bezout_names(S)
+    cubic = CUBIC_BY_P.get(S.base.p, CUBIC_DEFAULT)
+    names = [cubic if n == "cubic" else n for n in FIXTURES[S.model].bezout]
     curves = [curve_make(S, t) for t in names]
     checks = []
     for i in range(len(curves)):
@@ -421,7 +435,7 @@ def _suite_serre(S, classes, args) -> List[Check]:
                 "serre-difference", {"C": _cls_json(cC), "H": _cls_json(cH)},
                 lhs, rhs))
     for c in classes:
-        if (c < 0) if S.model == "P2" else (c[0] < 0 or c[1] < 0):
+        if min(c) < 0:
             continue
         dim = len(rr_space(class_representative(S, c)))
         checks.append(Check("sections-dimension", {"C": _cls_json(c)},
@@ -458,16 +472,10 @@ def _suite_rr(S, classes, args) -> List[Check]:
     return checks
 
 
-def _line_family(S) -> List[Tuple[str, ...]]:
-    if S.model == "P2":
-        return [("X", "Y", "Z"), range(-2, 3)]
-    return [("X1", "Y1"), range(-2, 3)]
-
-
 def _suite_windows(S, classes, args) -> List[Check]:
     checks = []
-    names, mults = _line_family(S)
-    lines = [S.lines[n] for n in names]
+    fix = FIXTURES[S.model]
+    lines = [S.lines[n] for n in fix.lines]
 
     if S.model == "P2":
         w1 = window_build(divisor_zero(S), Divisor(S, {lines[0]: 1}),
@@ -478,30 +486,28 @@ def _suite_windows(S, classes, args) -> List[Check]:
         w = window_build(-L, L, u_size=2, prec=args.precision)
         checks.append(Check("window-rank", {"window": "-L..L", "u": 2},
                             w.rank, w.dimension))
-        reps = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1)
-                for c in (-1, 0, 1)]
     else:
         wdiv = canonical_divisor(S)
         w = window_build(wdiv, divisor_zero(S), u_size=1,
                          prec=args.precision)
         checks.append(Check("window-rank", {"window": "omega..0", "u": 1},
                             w.rank, w.dimension))
-        reps = [(a, b) for a in (-2, -1, 0) for b in (-2, -1, 0)]
 
     wcurves = [fl.curve for fl in w.flags]
-    for rep in reps:
+    for rep in fix.reps:
         C = Divisor(S, dict(zip(wcurves, rep)))
         ok = window_annihilator_check(w, C)
         checks.append(Check("window-annihilator", {"C": list(rep)},
                             ok, True))
 
     dims: Dict[Tuple[int, ...], int] = {}
-    for rep in _tuples(len(lines), mults):
+    h0s: Dict[Tuple[int, ...], int] = {}
+    for rep in itertools.product(range(-2, 3), repeat=len(lines)):
         D = Divisor(S, dict(zip(lines, rep)))
         dims[rep] = len(rr_space(D))
-        checks.append(Check(
-            "sections-dimension", {"D": list(rep)},
-            dims[rep], h_vector(S, divisor_class(D)).h0))
+        h0s[rep] = h_vector(S, divisor_class(D)).h0
+        checks.append(Check("sections-dimension", {"D": list(rep)},
+                            dims[rep], h0s[rep]))
     for rep in dims:
         for k in range(len(lines)):
             low = list(rep)
@@ -509,20 +515,10 @@ def _suite_windows(S, classes, args) -> List[Check]:
             key = tuple(low)
             if key not in dims:
                 continue
-            cC = divisor_class(Divisor(S, dict(zip(lines, rep))))
-            cH = divisor_class(Divisor(S, dict(zip(lines, key))))
             checks.append(Check(
                 "sections-quotient", {"C": list(rep), "H": list(key)},
-                dims[rep] - dims[key],
-                h_vector(S, cC).h0 - h_vector(S, cH).h0))
+                dims[rep] - dims[key], h0s[rep] - h0s[key]))
     return checks
-
-
-def _tuples(n: int, rng) -> List[Tuple[int, ...]]:
-    out = [()]
-    for _ in range(n):
-        out = [t + (m,) for t in out for m in rng]
-    return out
 
 
 _SUITE_FNS = {
@@ -556,11 +552,9 @@ def _cmd_verify(args) -> int:
         first.rhs = (first.rhs + 1 if isinstance(first.rhs, int)
                      else f"mutated({first.rhs})")
         first.passed = first.lhs == first.rhs
-    config = {"command": "verify", "surface": S.model, "q": args.q,
-              "range": range_json, "seed": args.seed,
-              "precision": args.precision, "suites": suites,
-              "timings": bool(args.timings),
-              "inject_failure": bool(args.inject_failure)}
+    config = dict(_config(args, range=range_json, seed=args.seed),
+                  suites=suites, timings=bool(args.timings),
+                  inject_failure=bool(args.inject_failure))
     return _emit(config, checks, args)
 
 

@@ -1,15 +1,17 @@
 """Sheaf cohomology of line bundles on the model surfaces, exactly.
 
 Dimensions come from two independent routes that are cross-checked in the
-test suite: closed binomial formulas (with Kuenneth products on the quadric)
-and literal Cech monomial enumeration over the standard charts, where only
-the all-nonnegative and all-negative exponent patterns contribute.  On top
-of the dimension oracles sit brute-force Riemann-Roch spaces computed by
-exact linear algebra over the base field.
+test suite: closed binomial formulas for each projective factor, combined
+by the Kuenneth formula, and literal Cech monomial enumeration over all the
+variables, where only the all-nonnegative and all-negative exponent
+patterns of each group contribute.  On top of the dimension oracles sit
+brute-force Riemann-Roch spaces computed by exact linear algebra over the
+base field.
 """
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 from typing import List
 
@@ -21,6 +23,7 @@ from .surface import (
     RationalFunction,
     Surface,
     class_monomials,
+    divisor_class,
 )
 
 
@@ -51,53 +54,57 @@ class CohomologyVector:
         return f"(h0={self.h0}, h1={self.h1}, h2={self.h2}, chi={self.chi})"
 
 
-def _line_h0(a: int) -> int:
-    return a + 1 if a >= 0 else 0
-
-
-def _line_h1(a: int) -> int:
-    return -a - 1 if a <= -2 else 0
+def _projective_h(n: int, a: int) -> List[int]:
+    """(h^0, ..., h^n) of O(a) on P^n (Hartshorne III, Thm 5.1)."""
+    out = [0] * (n + 1)
+    if a >= 0:
+        out[0] = comb(n + a, n)
+    if a <= -n - 1:
+        out[n] = comb(-a - 1, n)
+    return out
 
 
 def h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
-    """Closed-form cohomology of O(c)."""
-    if S.model == "P2":
-        n = c
-        h0 = comb(n + 2, 2) if n >= 0 else 0
-        h2 = comb(-n - 1, 2) if n <= -3 else 0
-        return CohomologyVector(h0, 0, h2)
-    a, b = c
-    h0 = _line_h0(a) * _line_h0(b)
-    h1 = _line_h0(a) * _line_h1(b) + _line_h1(a) * _line_h0(b)
-    h2 = _line_h1(a) * _line_h1(b)
-    return CohomologyVector(h0, h1, h2)
+    """Closed-form cohomology of O(c): the Kuenneth product over the
+    projective factors, one per group of variables."""
+    h = [1]
+    for g, a in zip(S.groups, c):
+        f = _projective_h(len(g) - 1, a)
+        prod = [0] * (len(h) + len(f) - 1)
+        for i, x in enumerate(h):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        h = prod
+    return CohomologyVector(*h)
 
 
 def cech_h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
     """The same dimensions by literal monomial counting in the Cech complex.
 
-    A Laurent monomial of total (bi)degree c survives to cohomology exactly
-    when its exponent signs are uniform within each homogeneous group: all
-    nonnegative (degree 0) or all negative (top degree per group).
+    A Laurent monomial of class c survives to cohomology exactly when its
+    exponent signs are uniform within each homogeneous group: all
+    nonnegative (degree 0) or all negative (degree size - 1 for the group).
+    Every exponent of such a monomial lies between min(0, d + size - 1) and
+    max(d, -1), for d the degree of its group; each tuple in that box is
+    tested.
     """
-    if S.model == "P2":
-        n = c
-        h0 = 0
-        for a in range(0, n + 1):
-            for b in range(0, n - a + 1):
-                h0 += 1  # third exponent n-a-b is forced and nonnegative
-        h2 = 0
-        for a in range(n + 2, 0):
-            for b in range(n + 2, 0):
-                if n - a - b <= -1:
-                    h2 += 1
-        return CohomologyVector(h0, 0, h2)
-    a, b = c
-    xpos = sum(1 for i in range(0, a + 1))
-    xneg = sum(1 for i in range(a + 1, 0))
-    ypos = sum(1 for j in range(0, b + 1))
-    yneg = sum(1 for j in range(b + 1, 0))
-    return CohomologyVector(xpos * ypos, xpos * yneg + xneg * ypos, xneg * yneg)
+    # one range per variable, in order: the groups are consecutive blocks
+    box = [range(min(0, d + len(g) - 1), max(d, -1) + 1)
+           for g, d in zip(S.groups, c) for _v in g]
+    h = [0, 0, 0]
+    for e in itertools.product(*box):
+        degree = 0
+        for g, d in zip(S.groups, c):
+            part = [e[v] for v in g]
+            if sum(part) != d:
+                break
+            if all(x < 0 for x in part):
+                degree += len(g) - 1
+            elif any(x < 0 for x in part):
+                break
+        else:
+            h[degree] += 1
+    return CohomologyVector(*h)
 
 
 def chi(S: Surface, c: ClassVector) -> int:
@@ -125,10 +132,9 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
     pos = [(C, m) for C, m in D.items() if m > 0]
     neg = [(C, -m) for C, m in D.items() if m < 0]
     Q = MPoly.const(desc, S.nvars, desc.one())
-    clsQ = S.class_zero()
     for C, m in pos:
         Q = Q * C.poly ** m
-        clsQ = S.class_add(clsQ, S.class_scale(m, C.degree()))
+    clsQ = divisor_class(Divisor(S, dict(pos)))
     monos = class_monomials(S, clsQ)
     space = [[desc.one() if i == j else desc.zero() for i in range(len(monos))]
              for j in range(len(monos))]
@@ -148,25 +154,6 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
     return [RationalFunction(S, _vector_poly(S, v, monos), Q) for v in space]
 
 
-def serre_residual_check(S: Surface, Cclass: ClassVector, Hclass: ClassVector,
-                         wclass: ClassVector) -> bool:
-    """h0(C) - h0(H) against h2(w-C) - h2(w-H)."""
-    lhs = h_vector(S, Cclass).h0 - h_vector(S, Hclass).h0
-    dualC = S.class_add(wclass, S.class_scale(-1, Cclass))
-    dualH = S.class_add(wclass, S.class_scale(-1, Hclass))
-    rhs = h_vector(S, dualC).h2 - h_vector(S, dualH).h2
-    return lhs == rhs
-
-
-def chi_symmetry_check(S: Surface, Sclass: ClassVector,
-                       wclass: ClassVector) -> bool:
-    """chi(S) against chi(w - S)."""
-    dual = S.class_add(wclass, S.class_scale(-1, Sclass))
-    return chi(S, Sclass) == chi(S, dual)
-
-
 def class_range(S: Surface, lo: int, hi: int) -> List[ClassVector]:
-    """All classes in [lo, hi] (P2) or [lo, hi]^2 (P1xP1), sorted."""
-    if S.model == "P2":
-        return list(range(lo, hi + 1))
-    return [(a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1)]
+    """All classes with every degree in [lo, hi], sorted."""
+    return list(itertools.product(range(lo, hi + 1), repeat=len(S.groups)))

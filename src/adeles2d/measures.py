@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .cohomology import h_vector, rr_space
+from .cohomology import h_vector
 from .linalg import mat_rank
 from .residues import AdeleFragment, adelic_pairing, omega_polar_curves
 from .series import LaurentSeries2, escalate
@@ -64,11 +64,9 @@ def canonical_divisor(S: Surface) -> Divisor:
 
 
 def class_representative(S: Surface, cls: ClassVector) -> Divisor:
-    """A standard divisor of the given class on coordinate curves."""
-    if S.model == "P2":
-        return Divisor(S, {S.lines["X"]: cls})
-    a, b = cls
-    return Divisor(S, {S.lines["X1"]: a, S.lines["Y1"]: b})
+    """A standard divisor of the given class: each degree on the class line
+    of its group."""
+    return Divisor(S, dict(zip(S.class_lines, cls)))
 
 
 def _divisor_le(a: Divisor, b: Divisor) -> bool:
@@ -85,7 +83,9 @@ def _divisor_min(a: Divisor, b: Divisor) -> Divisor:
 
 
 def _cls_json(cls: ClassVector):
-    return cls if isinstance(cls, int) else list(cls)
+    """A class for reports: a bare int for one group, else the tuple (a JSON
+    list, and `(a, b)` in text)."""
+    return cls[0] if len(cls) == 1 else cls
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +197,12 @@ def nu_measure(R: Divisor, S: Divisor) -> MeasureTag:
 
 
 # dimension rules for lattice-adapted measures: for each supported pair of
-# an adapted subgroup and an ambient chain, the growth function whose
-# increments are the relative dimensions of the intersections
+# an ambient chain and an adapted subgroup, the measure family and the growth
+# function whose increments are the relative dimensions of the intersections
 _DIM_RULES = {
-    ("A01", "A0"): lambda S, c: h_vector(S, c).h0,
-    ("A", "A02"): lambda S, c: h_vector(S, c).chi,
-    ("A/A01", "A02"): lambda S, c: h_vector(S, c).h2,
-}
-
-_FAMILY_FOR_RULE = {
-    ("A01", "A0"): "A0-adapted",
-    ("A", "A02"): "mu",
-    ("A/A01", "A02"): "A02-adapted",
+    ("A01", "A0"): ("A0-adapted", lambda S, c: h_vector(S, c).h0),
+    ("A", "A02"): ("mu", lambda S, c: h_vector(S, c).chi),
+    ("A/A01", "A02"): ("A02-adapted", lambda S, c: h_vector(S, c).h2),
 }
 
 
@@ -230,16 +224,15 @@ def measure_mu_L(L: LatticeSymbol, i: LatticeSymbol, j: LatticeSymbol,
     if (i.tag == "A1") != (ambient == "A01"):
         raise ValueError(f"ambient {ambient!r} does not contain {i.tag} "
                          "reference lattices")
-    rule = _DIM_RULES.get((ambient, L.tag))
-    if rule is None:
+    if (ambient, L.tag) not in _DIM_RULES:
         raise ValueError(f"unsupported lattice pair: no {L.tag}-adapted "
                          f"measure in the {ambient} chain")
+    family, rule = _DIM_RULES[(ambient, L.tag)]
     S = i.surface
     l1 = aux if aux is not None else _divisor_min(i.divisor, j.divisor)
     if not (_divisor_le(l1, i.divisor) and _divisor_le(l1, j.divisor)):
         raise ValueError("auxiliary basepoint must lie below both references")
-    first = S.lines["X" if S.model == "P2" else "X1"]
-    l2 = l1 + Divisor(S, {first: -1})
+    l2 = l1 + Divisor(S, {S.class_lines[0]: -1})
     exponents = []
     for l in (l1, l2):
         dl = rule(S, divisor_class(l))
@@ -248,8 +241,7 @@ def measure_mu_L(L: LatticeSymbol, i: LatticeSymbol, j: LatticeSymbol,
         exponents.append(di - dj)
     if exponents[0] != exponents[1]:
         raise RuntimeError("adapted measure depends on basepoint")
-    return MeasureTag(ambient, _FAMILY_FOR_RULE[(ambient, L.tag)], i, j,
-                      QPower(exponents[0]))
+    return MeasureTag(ambient, family, i, j, QPower(exponents[0]))
 
 
 def mu_measure(R: Divisor, S: Divisor) -> MeasureTag:
@@ -422,14 +414,13 @@ def fourier_char(e: CharElem, wdiv: Divisor) -> CharElem:
 # the two dimension identities
 
 
-def derive_eq1(S: Surface, Cclass: ClassVector, Hclass: ClassVector,
-               wclass: Optional[ClassVector] = None) -> Tuple[int, int, bool]:
+def derive_eq1(S: Surface, Cclass: ClassVector,
+               Hclass: ClassVector) -> Tuple[int, int, bool]:
     """Sections-difference identity: pair the global-function indicator
     against the graded-lattice distribution, then pair the transforms; the
     two exponents agree exactly when h0 differences equal the dual h2
     differences."""
-    wdiv = (canonical_divisor(S) if wclass is None
-            else class_representative(S, wclass))
+    wdiv = canonical_divisor(S)
     C = class_representative(S, Cclass)
     H = class_representative(S, Hclass)
     dL = char_function_A0(S, H)
@@ -439,28 +430,20 @@ def derive_eq1(S: Surface, Cclass: ClassVector, Hclass: ClassVector,
     return lhs.exponent, rhs.exponent, lhs == rhs
 
 
-def derive_eq2(S: Surface, Sclass: ClassVector,
-               wclass: Optional[ClassVector] = None) -> Tuple[int, int, bool]:
+def derive_eq2(S: Surface, Sclass: ClassVector) -> Tuple[int, int, bool]:
     """Euler-characteristic symmetry: pair the full-chain indicator against
     the chain distribution based at the reflected position, then pair the
     transforms; agreement forces chi(S) = chi of the reflection."""
-    surf = S
-    wdiv = (canonical_divisor(surf) if wclass is None
-            else class_representative(surf, wclass))
-    Sdiv = class_representative(surf, Sclass)
+    wdiv = canonical_divisor(S)
+    Sdiv = class_representative(S, Sclass)
     Rdiv = _reflect(wdiv, Sdiv)
-    dL = char_function_A02(surf, Rdiv)
+    dL = char_function_A02(S, Rdiv)
     dA = char_distribution_A12(Sdiv, nu_measure(Rdiv, Sdiv))
     lhs = char_pairing(dL, dA)
     rhs = char_pairing(fourier_char(dL, wdiv), fourier_char(dA, wdiv))
-    chiS = h_vector(surf, divisor_class(Sdiv)).chi
-    chiDual = h_vector(surf, divisor_class(Rdiv)).chi
+    chiS = h_vector(S, divisor_class(Sdiv)).chi
+    chiDual = h_vector(S, divisor_class(Rdiv)).chi
     return chiS, chiDual, lhs == rhs
-
-
-def sections_dimension_check(D: Divisor) -> bool:
-    """Exact section-space dimension against the closed-form h0."""
-    return len(rr_space(D)) == h_vector(D.surface, divisor_class(D)).h0
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +514,7 @@ def central_commutator(C: Divisor, wdiv: Divisor,
     a = CentralExtElem(idele_j(C, "at_points"), nu_measure(z, C))
     b = CentralExtElem(idele_j(H, "along_curves"), mu_measure(z, H))
     measure_route = central_ext_commutator(a, b)
-    clsH = surf.class_add(divisor_class(wdiv),
-                          surf.class_scale(-1, divisor_class(C)))
-    Hrep = _disjoint_representative(surf, clsH, set(C.components))
+    Hrep = _disjoint_representative(surf, divisor_class(H), set(C.components))
     symbol_route = commutator_pairing(idele_j(C, "at_points"),
                                       idele_j(Hrep, "along_curves"),
                                       intersection_flags(C, Hrep), prec)
@@ -777,12 +758,9 @@ def window_dual_columns(w: Window, C: Divisor) -> List[int]:
     return out
 
 
-def window_annihilator_check(w: Window, C: Divisor,
-                             wdiv: Optional[Divisor] = None) -> bool:
+def window_annihilator_check(w: Window, C: Divisor) -> bool:
     """Whether the gram-annihilator of the C-lattice image equals the image
     of the reflected lattice, by exact rank computations."""
-    if wdiv is not None and wdiv != w.omega:
-        raise ValueError("window was built with a different form divisor")
     rows = window_lattice_rows(w, C)
     cols = set(window_dual_columns(w, C))
     for i in rows:

@@ -90,11 +90,6 @@ class MPoly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def degree_in_pair(self, i: int, j: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] + e[j] for e in self.terms)
-
     def effective_vars(self) -> List[int]:
         used = [False] * self.nvars
         for e in self.terms:

@@ -20,11 +20,13 @@ from .series import LaurentSeries2, escalate, res2
 from .surface import (
     ClosedPoint,
     Curve,
+    Divisor,
     Flag,
     RationalFunction,
     Surface,
     canonical_local_form,
     class_monomials,
+    divisor_class,
     expand_at_flag,
     flag_make,
     form_order_on_curve,
@@ -239,9 +241,7 @@ def reciprocity_corpus(S: Surface, count: int, seed: int,
         if total == 0:
             continue
         den_curves = [(C, m) for C, m in zip(lines, mults) if m > 0]
-        cls = S.class_zero()
-        for C, m in den_curves:
-            cls = S.class_add(cls, S.class_scale(m, C.degree()))
+        cls = divisor_class(Divisor(S, dict(den_curves)))
         num = _random_form_of_class(S, cls, rng)
         if num is None:
             continue

@@ -1,11 +1,14 @@
 """The ambient surfaces: curves, points, flags and local expansions.
 
-Two models are supported, the projective plane (homogeneous coordinates
-X, Y, Z) and the product of two projective lines (X0, X1, Y0, Y1, separately
-homogeneous in each pair).  A flag is a closed point on an irreducible curve
-that is smooth there; attached to it is a deterministic choice of local
-coordinates (u, t), with t a local equation of the curve, and the expansion
-machinery realizing rational functions as elements of k(x)((u))((t)).
+Both models are products of projective spaces, each given by its groups of
+homogeneous variables: the projective plane (one group X, Y, Z) and the
+product of two projective lines (groups X0, X1 and Y0, Y1).  A divisor class
+is a tuple with one degree per group, and the charts, the class arithmetic,
+the canonical class and the monomials of a class all follow from the groups.
+A flag is a closed point on an irreducible curve that is smooth there;
+attached to it is a deterministic choice of local coordinates (u, t), with t
+a local equation of the curve, and the expansion machinery realizing
+rational functions as elements of k(x)((u))((t)).
 
 Closed points are Galois orbits, stored as the lexicographically least
 normalized representative over their exact residue field; all enumeration
@@ -14,7 +17,7 @@ orders are deterministic so golden values are stable.
 
 from __future__ import annotations
 
-import json
+import itertools
 import re
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -34,7 +37,14 @@ from .fields import (
 from .multipoly import MPoly, resultant_elim
 from .series import DEFAULT_PREC, LaurentSeries2, PrecisionError, escalate
 
-ClassVector = Union[int, Tuple[int, int]]
+ClassVector = Tuple[int, ...]
+
+# Per model: the groups of homogeneous variables, and the coordinate line of
+# each group that carries the standard representative of a class.
+SURFACES = {
+    "P2": ((("X", "Y", "Z"),), ("X",)),
+    "P1xP1": ((("X0", "X1"), ("Y0", "Y1")), ("X1", "Y1")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +52,7 @@ ClassVector = Union[int, Tuple[int, int]]
 
 
 class Chart:
-    """An affine chart: one (or one per factor) coordinate set to 1.
+    """An affine chart: one coordinate per group set to 1.
 
     Its coordinates are the ratios affine_vars[i] / units[i] of homogeneous
     variables; unit_vars lists the distinct denominators."""
@@ -70,43 +80,41 @@ class Chart:
 
 
 class Surface:
-    """P2 or P1xP1 over a finite base field, with its charts and its
-    coordinate lines (name -> Curve, in variable order)."""
+    """P2 or P1xP1 over a finite base field: its variable groups (the range
+    of variable indices of each), its charts, its coordinate lines (name ->
+    Curve, in variable order) and the line of each group for class
+    representatives."""
 
-    __slots__ = ("model", "base", "nvars", "var_names", "charts", "lines")
+    __slots__ = ("model", "base", "groups", "nvars", "var_names", "charts",
+                 "lines", "class_lines")
 
     def __init__(self, model: str, base: FieldDesc):
-        if model not in ("P2", "P1xP1"):
+        if model not in SURFACES:
             raise ValueError(f"unknown surface model {model!r}")
         self.model = model
         self.base = base
-        if model == "P2":
-            self.nvars = 3
-            self.var_names = ("X", "Y", "Z")
-            self.charts = [
-                Chart("Z", (0, 1), (2, 2)),
-                Chart("Y", (0, 2), (1, 1)),
-                Chart("X", (1, 2), (0, 0)),
-            ]
-        else:
-            self.nvars = 4
-            self.var_names = ("X0", "X1", "Y0", "Y1")
-            self.charts = [
-                Chart("X1Y1", (0, 2), (1, 3)),
-                Chart("X1Y0", (0, 3), (1, 2)),
-                Chart("X0Y1", (1, 2), (0, 3)),
-                Chart("X0Y0", (1, 3), (0, 2)),
-            ]
+        names, class_lines = SURFACES[model]
+        self.var_names = tuple(itertools.chain(*names))
+        self.nvars = len(self.var_names)
+        starts = itertools.accumulate(map(len, names), initial=0)
+        self.groups = tuple(range(s, s + len(g)) for s, g in zip(starts, names))
+        # one chart per choice of a unit variable in each group, the last
+        # variable first; the other variables are the chart's coordinates
+        self.charts = []
+        for units in itertools.product(*(g[::-1] for g in self.groups)):
+            unit_of = {v: u for g, u in zip(self.groups, units) for v in g}
+            affine = tuple(v for v in range(self.nvars) if v not in units)
+            self.charts.append(Chart(
+                "".join(self.var_names[u] for u in units), affine,
+                tuple(unit_of[v] for v in affine)))
         # a coordinate line is irreducible and normalized as it stands
         self.lines = {n: Curve(self, self.var(i))
                       for i, n in enumerate(self.var_names)}
+        self.class_lines = tuple(self.lines[n] for n in class_lines)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Surface)
-            and self.model == other.model
-            and self.base == other.base
-        )
+        return (isinstance(other, Surface)
+                and (self.model, self.base) == (other.model, other.base))
 
     def __hash__(self):
         return hash((self.model, self.base))
@@ -122,21 +130,18 @@ class Surface:
     def var(self, i: int) -> MPoly:
         return MPoly.var(self.base, self.nvars, i)
 
+    def exponent_class(self, e: Sequence[int]) -> ClassVector:
+        """The degree in each group of a monomial's exponent tuple."""
+        return tuple([sum(e[g.start:g.stop]) for g in self.groups])
+
     def poly_class(self, f: MPoly) -> ClassVector:
-        """Total degree (P2) or bidegree (P1xP1) of a (bi)homogeneous poly."""
-        if self.model == "P2":
-            return f.total_degree()
-        return (f.degree_in_pair(0, 1), f.degree_in_pair(2, 3))
+        """The degree in each group of a homogeneous polynomial (-1 in every
+        group for the zero polynomial)."""
+        return tuple(max((sum(e[g.start:g.stop]) for e in f.terms), default=-1)
+                     for g in self.groups)
 
     def is_homogeneous(self, f: MPoly) -> bool:
-        if f.is_zero():
-            return True
-        if self.model == "P2":
-            degs = {sum(e) for e in f.terms}
-            return len(degs) == 1
-        d1 = {e[0] + e[1] for e in f.terms}
-        d2 = {e[2] + e[3] for e in f.terms}
-        return len(d1) == 1 and len(d2) == 1
+        return len({self.exponent_class(e) for e in f.terms}) <= 1
 
     def dehomogenize(self, f: MPoly, chart: Chart) -> MPoly:
         """Restrict to the chart: unit variables -> 1, affine variables kept
@@ -148,20 +153,17 @@ class Surface:
         return out
 
     def class_add(self, a: ClassVector, b: ClassVector) -> ClassVector:
-        if self.model == "P2":
-            return a + b
-        return (a[0] + b[0], a[1] + b[1])
+        return tuple(x + y for x, y in zip(a, b))
 
     def class_scale(self, n: int, a: ClassVector) -> ClassVector:
-        if self.model == "P2":
-            return n * a
-        return (n * a[0], n * a[1])
+        return tuple(n * x for x in a)
 
     def class_zero(self) -> ClassVector:
-        return 0 if self.model == "P2" else (0, 0)
+        return (0,) * len(self.groups)
 
     def canonical_class(self) -> ClassVector:
-        return -3 if self.model == "P2" else (-2, -2)
+        """-(n+1) in the group of each factor P^n."""
+        return tuple(-len(g) for g in self.groups)
 
 
 def surface_make(model: str, q: int) -> Surface:
@@ -241,16 +243,18 @@ def poly_text(S: Surface, f: MPoly) -> str:
 
 
 class RationalFunction:
-    """A ratio of two (bi)homogeneous polynomials of equal class."""
+    """A ratio of two homogeneous polynomials of equal class."""
 
     __slots__ = ("surface", "num", "den")
 
     def __init__(self, surface: Surface, num: MPoly, den: MPoly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if not (surface.is_homogeneous(num) and surface.is_homogeneous(den)):
+        num_cls = {surface.exponent_class(e) for e in num.terms}
+        den_cls = {surface.exponent_class(e) for e in den.terms}
+        if len(num_cls) > 1 or len(den_cls) > 1:
             raise ValueError("numerator and denominator must be homogeneous")
-        if not num.is_zero() and surface.poly_class(num) != surface.poly_class(den):
+        if num_cls - den_cls:
             raise ValueError("numerator and denominator classes differ")
         self.surface = surface
         self.num = num
@@ -282,9 +286,9 @@ class RationalFunction:
 
 
 class Curve:
-    """An irreducible (bi)homogeneous curve with canonical normalization."""
+    """An irreducible homogeneous curve with canonical normalization."""
 
-    __slots__ = ("surface", "poly", "name", "_key")
+    __slots__ = ("surface", "poly", "name", "_key", "_cls")
 
     def __init__(self, surface: Surface, poly: MPoly, name: Optional[str] = None):
         self.surface = surface
@@ -292,9 +296,10 @@ class Curve:
         self.name = name
         self._key = (surface.model, surface.base.q,
                      tuple(sorted((e, c.coeffs) for e, c in poly.terms.items())))
+        self._cls = surface.poly_class(poly)
 
     def degree(self) -> ClassVector:
-        return self.surface.poly_class(self.poly)
+        return self._cls
 
     def __eq__(self, other):
         return isinstance(other, Curve) and self._key == other._key
@@ -313,24 +318,24 @@ def _normalize_scalar(f: MPoly) -> MPoly:
     return f if c.is_one() else f.scale(c.inverse())
 
 
-def class_monomials(S: Surface, cls: ClassVector) -> List[tuple]:
-    """Exponent tuples of all monomials of the given (bi)degree, in
+def _group_monomials(size: int, d: int) -> List[tuple]:
+    """Exponent tuples of the monomials of degree d in `size` variables, in
     descending lex order."""
-    if S.model == "P2":
-        n = cls
-        if n < 0:
-            return []
-        return [(i, j, n - i - j) for i in range(n, -1, -1)
-                for j in range(n - i, -1, -1)]
-    a, b = cls
-    if a < 0 or b < 0:
-        return []
-    return [(i, a - i, k, b - k) for i in range(a, -1, -1)
-            for k in range(b, -1, -1)]
+    if size == 1:
+        return [(d,)] if d >= 0 else []
+    return [(i,) + rest for i in range(d, -1, -1)
+            for rest in _group_monomials(size - 1, d - i)]
+
+
+def class_monomials(S: Surface, cls: ClassVector) -> List[tuple]:
+    """Exponent tuples of all monomials of the given class, in descending
+    lex order."""
+    parts = [_group_monomials(len(g), d) for g, d in zip(S.groups, cls)]
+    return [sum(p, ()) for p in itertools.product(*parts)]
 
 
 def _candidate_polys(S: Surface, cls: ClassVector) -> Iterable[MPoly]:
-    """All nonzero (bi)homogeneous polynomials of the given class, normalized
+    """All nonzero homogeneous polynomials of the given class, normalized
     so their first (lex-greatest) nonzero coefficient is 1."""
     desc = S.base
     monos = class_monomials(S, cls)
@@ -353,17 +358,8 @@ def _candidate_polys(S: Surface, cls: ClassVector) -> Iterable[MPoly]:
 
 def _class_halves(S: Surface, cls: ClassVector) -> List[ClassVector]:
     """Proper divisor classes to test, up to half the total degree."""
-    if S.model == "P2":
-        return [d for d in range(1, cls // 2 + 1)]
-    a, b = cls
-    out = []
-    for c in range(a + 1):
-        for d in range(b + 1):
-            if (c, d) == (0, 0) or (c, d) == (a, b):
-                continue
-            if 2 * (c + d) <= a + b:
-                out.append((c, d))
-    return out
+    return [c for c in itertools.product(*(range(d + 1) for d in cls))
+            if 0 < 2 * sum(c) <= sum(cls) and c != cls]
 
 
 def curve_make(S: Surface, poly: Union[MPoly, str], name: Optional[str] = None) -> Curve:
@@ -376,10 +372,9 @@ def curve_make(S: Surface, poly: Union[MPoly, str], name: Optional[str] = None) 
         raise ValueError("curve polynomial must be homogeneous")
     f = _normalize_scalar(poly)
     cls = S.poly_class(f)
-    total = cls if S.model == "P2" else cls[0] + cls[1]
-    if total <= 0:
+    if sum(cls) <= 0:
         raise ValueError("a curve must have positive degree")
-    if total > 1:
+    if sum(cls) > 1:
         for sub in _class_halves(S, cls):
             for g in _candidate_polys(S, sub):
                 h = f.exact_div(g)
@@ -394,15 +389,13 @@ def coordinate_lines(S: Surface, cls: ClassVector,
                      ok: Callable[[Curve], bool]) -> List[Tuple[Curve, int]]:
     """For each homogeneous group of nonzero degree in cls, the first
     coordinate line of that group passing ok, with the degree.  Lines are
-    tried in the order Z, Y, X on P2, and X1, X0 then Y1, Y0 on P1xP1."""
-    if S.model == "P2":
-        groups = [(("Z", "Y", "X"), cls)]
-    else:
-        groups = [(("X1", "X0"), cls[0]), (("Y1", "Y0"), cls[1])]
+    tried from the last variable of the group back: Z, Y, X on P2, and X1,
+    X0 then Y1, Y0 on P1xP1."""
     out = []
-    for names, n in groups:
+    for g, n in zip(S.groups, cls):
         if n == 0:
             continue
+        names = [S.var_names[v] for v in g[::-1]]
         line = next((S.lines[v] for v in names if ok(S.lines[v])), None)
         if line is None:
             raise ValueError(f"no coordinate line of {'/'.join(names)} "
@@ -442,24 +435,19 @@ class ClosedPoint:
         return hash((self.degree, tuple(c.n for c in self.coords)))
 
     def __repr__(self):
-        if self.surface.model == "P2":
-            inner = ":".join(repr(c) for c in self.coords)
-            return f"({inner})"
-        a = ":".join(repr(c) for c in self.coords[:2])
-        b = ":".join(repr(c) for c in self.coords[2:])
-        return f"({a})x({b})"
+        return "x".join("(" + ":".join(repr(self.coords[i]) for i in g) + ")"
+                        for g in self.surface.groups)
 
 
 def _normalize_proj(surface: Surface, coords: List[FieldElem]) -> Tuple[FieldElem, ...]:
     """Scale so the first nonzero coordinate of each factor is 1."""
-    groups = [(0, 3)] if surface.model == "P2" else [(0, 2), (2, 4)]
     out = list(coords)
-    for lo, hi in groups:
-        lead = next((i for i in range(lo, hi) if not out[i].is_zero()), None)
+    for g in surface.groups:
+        lead = next((i for i in g if not out[i].is_zero()), None)
         if lead is None:
             raise ValueError("projective coordinates cannot be all zero")
         inv = out[lead].inverse()
-        for i in range(lo, hi):
+        for i in g:
             out[i] = out[i] * inv
     return tuple(out)
 
@@ -613,6 +601,11 @@ def _one_root(irr: Poly, k: FieldDesc) -> FieldElem:
 # ---------------------------------------------------------------------------
 # flags and local expansion
 
+# invert_poly_at_flag widens the u-window of a box at most to
+# MAX_U_WIDENING * window + U_WIDENING_SLACK
+MAX_U_WIDENING = 16
+U_WIDENING_SLACK = 64
+
 
 class Flag:
     """A point on a curve with a deterministic local coordinate pair."""
@@ -691,11 +684,15 @@ def mp_eval_series(f: MPoly, args: Sequence[LaurentSeries2],
     return acc
 
 
-def flag_coordinate_series(fl: Flag, window: int) -> List[LaurentSeries2]:
-    """Expansions of the two chart coordinates at the flag, cached: u itself,
-    and the other as a series B(u, t) with B(0,0) = its value at the point,
-    solving t_param(coords) = t by Hensel iteration."""
-    key = ("coords", window)
+def flag_coordinate_series(fl: Flag, window: int,
+                           u_window: Optional[int] = None) -> List[LaurentSeries2]:
+    """Expansions of the two chart coordinates at the flag on the box of
+    t-window `window` and u-window `u_window` (default: the same), cached:
+    u itself, and the other as a series B(u, t) with B(0,0) = its value at
+    the point, solving t_param(coords) = t by Hensel iteration."""
+    if u_window is None:
+        u_window = window
+    key = ("coords", window, u_window)
     got = fl._cache.get(key)
     if got is not None:
         return got
@@ -707,31 +704,36 @@ def flag_coordinate_series(fl: Flag, window: int) -> List[LaurentSeries2]:
     coords = [u_series, u_series]
     coords[other] = LaurentSeries2.const(k, fl.point_affine[other])
     dT = fl.t_param.derivative(other)
-    for _ in range(window.bit_length() + 2):
-        cur = [c.truncate(window, window) for c in coords]
+    # each Newton step doubles the solved total degree in (u, t)
+    for _ in range((window + u_window).bit_length() + 2):
+        cur = [c.truncate(window, u_window) for c in coords]
         resid = mp_eval_series(fl.t_param, cur, k) - t_series
-        resid = resid.truncate(window, window)
+        resid = resid.truncate(window, u_window)
         if resid.is_zero_window():
-            coords[other] = coords[other].truncate(window, window)
+            coords[other] = coords[other].truncate(window, u_window)
             fl._cache[key] = coords
             return coords
-        deriv = mp_eval_series(dT, cur, k).truncate(window, window)
+        deriv = mp_eval_series(dT, cur, k).truncate(window, u_window)
         coords[other] = (coords[other]
-                         - resid * deriv.inverse()).truncate(window, window)
+                         - resid * deriv.inverse()).truncate(window, u_window)
     raise RuntimeError("coordinate solution did not converge")  # pragma: no cover
 
 
-def expand_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
-    """Expansion of a (bi)homogeneous polynomial, dehomogenized in the flag's
-    chart, as a series in (u, t); cached per (polynomial, window)."""
+def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
+                        u_window: Optional[int] = None) -> LaurentSeries2:
+    """Expansion of a homogeneous polynomial, dehomogenized in the flag's
+    chart, as a series in (u, t) on the box of the coordinate series;
+    cached per (polynomial, box)."""
     S = fl.curve.surface
-    key = ("poly", P, window)
+    if u_window is None:
+        u_window = window
+    key = ("poly", P, window, u_window)
     got = fl._cache.get(key)
     if got is not None:
         return got
     k = fl.point.residue_field
     affine = _mp_embed(S.dehomogenize(P, fl.chart), k)
-    coords = flag_coordinate_series(fl, window)
+    coords = flag_coordinate_series(fl, window, u_window)
     out = mp_eval_series(affine, coords, k)
     fl._cache[key] = out
     return out
@@ -747,21 +749,31 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
     leading term.  Once the leading column is visible, the polynomial is
     re-expanded on a u-wider box sized so the erosion the division causes
     (2*lead for the leading-column inverse, plus a dip per Neumann step)
-    lands exactly where the requested window begins.
+    lands exactly where the requested window begins.  Only the u-window
+    widens; a box wider than MAX_U_WIDENING * window + U_WIDENING_SLACK
+    raises PrecisionError.
     """
     key = ("polyinv", P, window)
     got = fl._cache.get(key)
     if got is not None:
         return got
+
+    def wider(u_window: int) -> LaurentSeries2:
+        cap = MAX_U_WIDENING * window + U_WIDENING_SLACK
+        if u_window > cap:
+            raise PrecisionError(
+                f"inverting {poly_text(fl.curve.surface, P)} at {fl!r} on "
+                f"window {window} needs a u-window of {u_window}, over the "
+                f"cap {cap}")
+        return expand_poly_at_flag(P, fl, window, u_window).truncate(
+            t_to=window)
+
     vt = _poly_ord(P, fl.curve)
     e = expand_poly_at_flag(P, fl, window)
-    u_wide = max(window, 1)  # doubles up to the bound below
+    u_wide = max(window, 1)  # doubles up to the cap
     while not any(t == vt for (t, _u) in e.terms):
         u_wide *= 2
-        if u_wide > 64 * window + 4096:
-            raise PrecisionError(
-                "leading coefficient sits too deep in u to reach")
-        e = expand_poly_at_flag(P, fl, u_wide).truncate(t_to=window)
+        e = wider(u_wide)
     lead_u = min(u for (t, u) in e.terms if t == vt)
     size = max(1, window - vt)
     min_step = None
@@ -773,8 +785,7 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
         max_dip = max(max_dip, lead_u - u)
     if lead_u > 0 or max_dip > 0:
         steps = 1 - (-size // (min_step or 1))
-        wide = window + 2 * lead_u + steps * max_dip
-        e = expand_poly_at_flag(P, fl, wide).truncate(t_to=window)
+        e = wider(window + 2 * lead_u + steps * max_dip)
     out = e.inverse(t_window=window, u_window=window)
     fl._cache[key] = out
     return out
@@ -790,7 +801,7 @@ def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag,
         dip = min(u for (_t, u) in inv.terms)
         if dip < 0:
             need = window - dip
-    top = expand_poly_at_flag(num, fl, need).truncate(t_to=window)
+    top = expand_poly_at_flag(num, fl, window, need).truncate(t_to=window)
     return top * inv
 
 
@@ -861,11 +872,11 @@ class Divisor:
 
 
 def divisor_class(D: Divisor) -> ClassVector:
-    S = D.surface
-    acc = S.class_zero()
+    acc = [0] * len(D.surface.groups)
     for c, m in D.components.items():
-        acc = S.class_add(acc, S.class_scale(m, c.degree()))
-    return acc
+        for i, d in enumerate(c.degree()):
+            acc[i] += m * d
+    return tuple(acc)
 
 
 def divisor_of_function(f: RationalFunction, candidates: Iterable[Curve]) -> Divisor:
@@ -923,56 +934,5 @@ def form_order_on_curve(S: Surface, D: Curve, window: int = DEFAULT_PREC) -> int
 def divisor_of_form(S: Surface, candidates: Iterable[Curve]) -> Tuple[Divisor, bool]:
     """Orders of the fixed 2-form along the candidates; checked means the
     candidate list accounts for the full canonical class."""
-    comps = {}
-    for D in candidates:
-        comps[D] = form_order_on_curve(S, D)
-    div = Divisor(S, comps)
-    checked = divisor_class(div) == S.canonical_class()
-    return div, checked
-
-
-# ---------------------------------------------------------------------------
-# fixture serialization
-
-
-def _mp_to_json(f: MPoly) -> list:
-    return [[list(e), list(c.coeffs)] for e, c in sorted(f.terms.items())]
-
-
-def _mp_from_json(S: Surface, data: list) -> MPoly:
-    terms = {}
-    for e, c in data:
-        terms[tuple(e)] = S.base.from_coeffs(c)
-    return MPoly(S.base, S.nvars, terms)
-
-
-def fixture_dump(S: Surface, curves: Dict[str, Curve],
-                 divisors: Dict[str, Divisor],
-                 functions: Dict[str, RationalFunction]) -> str:
-    doc = {
-        "surface": S.model,
-        "q": S.base.q,
-        "curves": {n: _mp_to_json(c.poly) for n, c in sorted(curves.items())},
-        "divisors": {
-            n: {cn: m for cn, m in sorted(
-                (next(k for k, v in curves.items() if v == c), m)
-                for c, m in d.components.items())}
-            for n, d in sorted(divisors.items())
-        },
-        "functions": {n: {"num": _mp_to_json(f.num), "den": _mp_to_json(f.den)}
-                      for n, f in sorted(functions.items())},
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def fixture_load(text: str):
-    doc = json.loads(text)
-    S = surface_make(doc["surface"], doc["q"])
-    curves = {n: curve_make(S, _mp_from_json(S, d), name=n)
-              for n, d in doc["curves"].items()}
-    divisors = {n: Divisor(S, {curves[cn]: m for cn, m in d.items()})
-                for n, d in doc["divisors"].items()}
-    functions = {n: RationalFunction(S, _mp_from_json(S, d["num"]),
-                                     _mp_from_json(S, d["den"]))
-                 for n, d in doc["functions"].items()}
-    return S, curves, divisors, functions
+    div = Divisor(S, {D: form_order_on_curve(S, D) for D in candidates})
+    return div, divisor_class(div) == S.canonical_class()

@@ -10,6 +10,7 @@ sheared coordinate frame over a splitting field.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -263,10 +264,13 @@ def intersection_number(C: Divisor, H: Divisor,
 
 
 def class_intersection(S: Surface, a: ClassVector, b: ClassVector) -> int:
-    """The intersection form on divisor classes."""
-    if S.model == "P2":
-        return a * b
-    return a[0] * b[1] + a[1] * b[0]
+    """The intersection form on divisor classes: the coefficient of the top
+    monomial prod h_i^n_i of (sum a_i h_i)(sum b_j h_j) in the product of
+    the rings Z[h_i]/(h_i^(n_i + 1)), one for each factor P^n_i."""
+    top = [len(g) - 1 for g in S.groups]
+    pairs = itertools.product(range(len(top)), repeat=2)
+    return sum(a[i] * b[j] for i, j in pairs
+               if [(m == i) + (m == j) for m in range(len(top))] == top)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +295,6 @@ def intersection_oracle(C: Divisor, H: Divisor) -> int:
     return total
 
 
-def _chart_degree(D: Curve) -> int:
-    c = D.degree()
-    return c if isinstance(c, int) else c[0] + c[1]
-
-
 def _pairwise_intersection(D: Curve, E: Curve) -> int:
     S = D.surface
     pts = intersection_support(D, E)
@@ -309,7 +308,7 @@ def _pairwise_intersection(D: Curve, E: Curve) -> int:
     # the roots of the two leading forms.  Grow the working field until a
     # good constant must exist.
     npts = sum(pt.degree for pt in pts)
-    bad = npts * (npts - 1) // 2 + _chart_degree(D) + _chart_degree(E)
+    bad = npts * (npts - 1) // 2 + sum(D.degree()) + sum(E.degree())
     while S.base.q ** L <= bad + 1:
         L *= 2
     F = field_make(S.base.p, S.base.d * L)

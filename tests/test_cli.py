@@ -6,6 +6,8 @@ import json
 import os
 import tempfile
 
+import pytest
+
 from adeles2d.cli import main
 
 
@@ -204,3 +206,36 @@ def test_reciprocity_suite_ends_over_extension_fields():
                                    "reciprocity"])
             assert code == 0, (surface, q, out)
             assert ", 0 failed" in out, (surface, q, out)
+
+
+# Reports that print class text or a deep flag expansion, recorded before
+# classes became tuples and before the expansion box became rectangular:
+# name -> command line; tests/golden/<name>.out holds the standard output and
+# tests/golden/<name>.json the --json report.
+GOLDEN_REPORTS = {
+    "cohomology_p2": ["cohomology", "--surface", "P2", "--q", "2",
+                      "--range", "-4:4"],
+    "cohomology_p1xp1": ["cohomology", "--surface", "P1xP1", "--q", "2",
+                         "--range", "-1:1,-2:0"],
+    "intersect_p2": ["intersect", "--surface", "P2", "--q", "3",
+                     "--curves", "line:Y,conic:YZ-X^2"],
+    "intersect_p1xp1": ["intersect", "--surface", "P1xP1", "--q", "3",
+                        "--curves", "X0Y1-X1Y0,X0Y0-X1Y1"],
+    "flex4": ["expand", "--q", "7", "--curve", "X^3+XZ^2+6Y^2Z",
+              "--point", "0:1:0", "--function", "X^3/Z^3",
+              "--precision", "4"],
+}
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_reports_match_their_golden_bytes(name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        code, out, _err = run(GOLDEN_REPORTS[name] + ["--json", path])
+        report = open(path, "rb").read()
+    assert code == 0
+    with open(os.path.join(GOLDEN_DIR, name + ".out"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    with open(os.path.join(GOLDEN_DIR, name + ".json"), "rb") as fh:
+        assert report == fh.read()

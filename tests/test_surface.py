@@ -3,6 +3,9 @@
 import itertools
 import random
 
+import pytest
+
+from adeles2d.cohomology import class_range
 from adeles2d.fields import field_make
 from adeles2d.multipoly import MPoly
 from adeles2d.series import LaurentSeries2, PrecisionError
@@ -11,6 +14,8 @@ from adeles2d.surface import (
     Curve,
     Divisor,
     RationalFunction,
+    _class_halves,
+    class_monomials,
     coordinate_lines,
     curve_make,
     divisor_class,
@@ -18,8 +23,6 @@ from adeles2d.surface import (
     divisor_of_function,
     expand_at_flag,
     expand_poly_at_flag,
-    fixture_dump,
-    fixture_load,
     flag_coordinate_series,
     flag_make,
     intersection_support,
@@ -31,6 +34,7 @@ from adeles2d.surface import (
     poly_text,
     surface_make,
 )
+from adeles2d.symbols import class_intersection
 
 
 def p2(q):
@@ -90,7 +94,7 @@ def test_curve_make_accepts_irreducibles():
         assert isinstance(C, Curve)
     # a smooth plane cubic
     E = curve_make(p2(5), "Y^2Z - X^3 - XZ^2")
-    assert E.degree() == 3
+    assert E.degree() == (3,)
     D = curve_make(quadric(2), "X0Y1 - X1Y0")
     assert D.degree() == (1, 1)
 
@@ -489,7 +493,7 @@ def test_divisor_of_function():
     f = ratfn(S, "Y", "Z")
     d = divisor_of_function(f, [LY, LZ])
     assert d.components == {LY: 1, LZ: -1}
-    assert divisor_class(d) == 0
+    assert divisor_class(d) == (0,)
 
 
 def test_divisor_arithmetic():
@@ -498,8 +502,8 @@ def test_divisor_arithmetic():
     C = curve_make(S, "YZ-X^2")
     d = Divisor(S, {LY: 2}) + Divisor(S, {C: 1, LY: -2})
     assert d.components == {C: 1}
-    assert divisor_class(d) == 2
-    assert divisor_class(Divisor(S, {LY: 1, C: 1})) == 3
+    assert divisor_class(d) == (2,)
+    assert divisor_class(Divisor(S, {LY: 1, C: 1})) == (3,)
 
 
 def test_form_divisor_on_p2():
@@ -509,7 +513,7 @@ def test_form_divisor_on_p2():
     div, checked = divisor_of_form(S, [LZ])
     assert div.components == {LZ: -3}
     assert checked
-    assert divisor_class(div) == -3
+    assert divisor_class(div) == (-3,)
     # order 0 along a line through the affine chart
     div2, checked2 = divisor_of_form(S, [LY])
     assert div2.components == {}
@@ -567,7 +571,7 @@ def _pool_choice(S, cls, ok):
     """The line choice by a pool Z, Y, X (P2) or X1, X0 | Y1, Y0 (P1xP1),
     with the lines built from their names."""
     if S.model == "P2":
-        parts = [(("Z", "Y", "X"), cls)]
+        parts = [(("Z", "Y", "X"), cls[0])]
     else:
         parts = [(("X1", "X0"), cls[0]), (("Y1", "Y0"), cls[1])]
     out = []
@@ -606,9 +610,9 @@ def test_chart_coordinates_match_the_chart_tables():
 
 def test_coordinate_line_chooser_golden():
     S = p2(3)
-    assert coordinate_lines(S, 2, lambda L: L != S.lines["Z"]) == \
+    assert coordinate_lines(S, (2,), lambda L: L != S.lines["Z"]) == \
         [(S.lines["Y"], 2)]
-    assert coordinate_lines(S, 0, lambda L: True) == []
+    assert coordinate_lines(S, (0,), lambda L: True) == []
     T = quadric(3)
     assert coordinate_lines(T, (1, 2), lambda L: L != T.lines["X1"]) == \
         [(T.lines["X0"], 1), (T.lines["Y1"], 2)]
@@ -623,7 +627,7 @@ def test_coordinate_line_chooser_golden():
 
 
 def test_coordinate_line_chooser_matches_the_pool_order():
-    for S, classes in ((p2(2), (1, 3, -2)),
+    for S, classes in ((p2(2), ((1,), (3,), (-2,))),
                        (quadric(2), ((1, 0), (0, 2), (2, -1)))):
         names = S.var_names
         for r in range(len(names) + 1):
@@ -674,26 +678,133 @@ def test_windows_below_one_are_rejected_or_bounded():
         raise AssertionError("inverse read off an empty window")
 
 
-# ---------------------------------------------------------------------------
-# fixtures
-
-
-def test_fixture_round_trip():
-    S = p2(3)
-    curves = {"line": curve_make(S, "Y"), "conic": curve_make(S, "YZ-X^2")}
-    divisors = {"d": Divisor(S, {curves["line"]: 2, curves["conic"]: -1})}
-    functions = {"f": ratfn(S, "YZ-X^2", "Z^2")}
-    text = fixture_dump(S, curves, divisors, functions)
-    S2, c2, d2, f2 = fixture_load(text)
-    assert S2 == S
-    assert c2["line"] == curves["line"] and c2["conic"] == curves["conic"]
-    assert d2["d"].components == {c2["line"]: 2, c2["conic"]: -1}
-    assert f2["f"] == functions["f"]
-    assert fixture_dump(S2, c2, d2, f2) == text
-
-
 def test_poly_text_round_trip():
     S = p2(5)
     for text in ("YZ-X^2", "Y^2Z - X^3 - XZ^2", "3X^2Y + Z^3"):
         f = parse_poly(S, text)
         assert parse_poly(S, poly_text(S, f)) == f
+
+
+# ---------------------------------------------------------------------------
+# the geometry derived from the variable groups, against the tables that
+# were written out per surface before (classes there were an int on P2)
+
+
+def _p2_halves(cls):
+    return [(d,) for d in range(1, cls[0] // 2 + 1)]
+
+
+def _quadric_halves(cls):
+    a, b = cls
+    return [(c, d) for c in range(a + 1) for d in range(b + 1)
+            if (c, d) not in ((0, 0), (a, b)) and 2 * (c + d) <= a + b]
+
+
+def _p2_monomials(cls):
+    n = cls[0]
+    return [(i, j, n - i - j) for i in range(n, -1, -1)
+            for j in range(n - i, -1, -1)]
+
+
+def _quadric_monomials(cls):
+    a, b = cls
+    if a < 0 or b < 0:
+        return []
+    return [(i, a - i, k, b - k) for i in range(a, -1, -1)
+            for k in range(b, -1, -1)]
+
+
+SURFACE_TABLES = {
+    "P2": {
+        "var_names": ("X", "Y", "Z"),
+        "charts": [("Z", (0, 1), (2, 2)), ("Y", (0, 2), (1, 1)),
+                   ("X", (1, 2), (0, 0))],
+        "canonical": (-3,),
+        "pairing": lambda a, b: a[0] * b[0],
+        "box": lambda lo, hi: [(n,) for n in range(lo, hi + 1)],
+        "monomials": _p2_monomials,
+        "halves": _p2_halves,
+        "top": 4,
+        "line_order": [("Z", "Y", "X")],
+        "curve": "YZ-X^2",
+        "points": ["(0:0:1)", "(0:1:0)", "(1:1:1)", "([1,0]:[0,1]:[1,1])"],
+    },
+    "P1xP1": {
+        "var_names": ("X0", "X1", "Y0", "Y1"),
+        "charts": [("X1Y1", (0, 2), (1, 3)), ("X1Y0", (0, 3), (1, 2)),
+                   ("X0Y1", (1, 2), (0, 3)), ("X0Y0", (1, 3), (0, 2))],
+        "canonical": (-2, -2),
+        "pairing": lambda a, b: a[0] * b[1] + a[1] * b[0],
+        "box": lambda lo, hi: [(a, b) for a in range(lo, hi + 1)
+                               for b in range(lo, hi + 1)],
+        "monomials": _quadric_monomials,
+        "halves": _quadric_halves,
+        "top": 3,
+        "line_order": [("X1", "X0"), ("Y1", "Y0")],
+        "curve": "X0Y1-X1Y0",
+        "points": ["(0:1)x(0:1)", "(1:0)x(1:0)", "(1:1)x(1:1)",
+                   "([1,0]:[0,1])x([1,0]:[0,1])"],
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(SURFACE_TABLES))
+def test_derived_geometry_matches_the_surface_tables(model):
+    table = SURFACE_TABLES[model]
+    S = surface_make(model, 2)
+    assert S.var_names == table["var_names"]
+    assert S.nvars == len(table["var_names"])
+    assert [(ch.name, ch.affine_vars, ch.units)
+            for ch in S.charts] == table["charts"]
+    assert S.canonical_class() == table["canonical"]
+    box = class_range(S, -3, 3)
+    assert box == table["box"](-3, 3)
+    for a in box:
+        for b in box:
+            assert class_intersection(S, a, b) == table["pairing"](a, b)
+    for cls in table["box"](-1, table["top"]):
+        assert class_monomials(S, cls) == table["monomials"](cls), cls
+        if min(cls) >= 0:
+            assert _class_halves(S, cls) == table["halves"](cls), cls
+    for group, names in enumerate(table["line_order"]):
+        cls = tuple(int(i == group) for i in range(len(S.groups)))
+        for k, name in enumerate(names):
+            banned = {S.lines[n] for n in names[:k]}
+            assert coordinate_lines(S, cls, lambda L: L not in banned) == \
+                [(S.lines[name], 1)]
+    pts = points_on_curve(curve_make(S, table["curve"]), 2)
+    assert [repr(pt) for pt in pts] == table["points"]
+
+
+# ---------------------------------------------------------------------------
+# a denominator that vanishes deep in u: Z meets the cubic at the flex
+# (0:1:0) with multiplicity 3
+
+
+def _flex_flag():
+    S = p2(7)
+    D = curve_make(S, "X^3+XZ^2+6Y^2Z")
+    pt = point_from_coords(S, [S.base.from_int(i) for i in (0, 1, 0)])
+    return S, flag_make(pt, D)
+
+
+def test_flex_expansion_at_precision_eight_extends_precision_four():
+    S, fl = _flex_flag()
+    f = ratfn(S, "X^3", "Z^3")
+    e4 = expand_at_flag(f, fl, 4)
+    e8 = expand_at_flag(f, fl, 8)
+    assert (e4.t_prec, e8.t_prec) == (4, 8)
+    assert e8.agree(e4)
+    assert e8.truncate(4, e4.u_prec).terms == e4.terms
+
+
+def test_flex_expansion_past_the_cap_names_the_inversion():
+    S, fl = _flex_flag()
+    try:
+        expand_at_flag(ratfn(S, "X^30", "Z^30"), fl, 1)
+    except PrecisionError as err:
+        msg = str(err)
+    else:
+        raise AssertionError("a u-window over the cap was expanded")
+    assert "Z^30" in msg and repr(fl) in msg and "window 1" in msg, msg
+    assert "over the cap 80" in msg, msg

@@ -329,7 +329,7 @@ def test_intersection_bilinear_in_each_divisor():
 
 def test_class_intersection_values():
     P2 = surface_make("P2", 5)
-    assert class_intersection(P2, 2, 3) == 6
+    assert class_intersection(P2, (2,), (3,)) == 6
     Q = surface_make("P1xP1", 5)
     assert class_intersection(Q, (1, 0), (0, 1)) == 1
     assert class_intersection(Q, (1, 0), (1, 0)) == 0
