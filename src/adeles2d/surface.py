@@ -82,11 +82,12 @@ class Chart:
 class Surface:
     """P2 or P1xP1 over a finite base field: its variable groups (the range
     of variable indices of each), its charts, its coordinate lines (name ->
-    Curve, in variable order) and the line of each group for class
-    representatives."""
+    Curve, in variable order), the line of each group for class
+    representatives, and the flags made on it so far ((point, curve) ->
+    Flag, see flag_make)."""
 
     __slots__ = ("model", "base", "groups", "nvars", "var_names", "charts",
-                 "lines", "class_lines")
+                 "lines", "class_lines", "flags")
 
     def __init__(self, model: str, base: FieldDesc):
         if model not in SURFACES:
@@ -111,6 +112,7 @@ class Surface:
         self.lines = {n: Curve(self, self.var(i))
                       for i, n in enumerate(self.var_names)}
         self.class_lines = tuple(self.lines[n] for n in class_lines)
+        self.flags: Dict[Tuple[ClosedPoint, Curve], Flag] = {}
 
     def __eq__(self, other):
         return (isinstance(other, Surface)
@@ -632,8 +634,17 @@ class Flag:
 
 def flag_make(x: ClosedPoint, D: Curve) -> Flag:
     """Local coordinates at x on D: t = local equation of D, u = the first
-    chart coordinate whose differential stays independent of dt at x."""
+    chart coordinate whose differential stays independent of dt at x.
+
+    One surface makes one Flag per (x, D): a later call with an equal point
+    and curve returns the same object, so the expansions cached on it are
+    computed once however many sums visit the flag.  The registry lives in
+    D.surface.flags until its owner clears it.  Only flags that exist are
+    registered: at a singular point of D every call raises."""
     S = D.surface
+    got = S.flags.get((x, D))
+    if got is not None:
+        return got
     k = x.residue_field
     # the charts cover the surface
     chart = next(ch for ch in S.charts if ch.contains(x.coords))
@@ -653,7 +664,9 @@ def flag_make(x: ClosedPoint, D: Curve) -> Flag:
         u_index = 1
     else:
         raise ValueError(f"curve is singular at {x!r} (no admissible flag)")
-    return Flag(x, D, chart, u_index, aff[u_index], t_param, aff)
+    fl = Flag(x, D, chart, u_index, aff[u_index], t_param, aff)
+    S.flags[(x, D)] = fl
+    return fl
 
 
 def _mp_embed(f: MPoly, ext: FieldDesc) -> MPoly:

@@ -17,10 +17,11 @@ from typing import Dict, List, Sequence, Tuple
 from .fields import (
     FieldDesc,
     FieldElem,
+    Poly,
     embed,
     field_make,
     pdeg,
-    poly_roots,
+    pdivmod,
     ptrim,
 )
 from .multipoly import MPoly, resultant_elim
@@ -232,35 +233,59 @@ def commutator_pairing(g1: IdeleRule, g2: IdeleRule, flags: Sequence[Flag],
     return QPower(exponent)
 
 
-def intersection_flags(C: Divisor, H: Divisor) -> List[Flag]:
-    """Flags (x, D) with D in supp(H) and x in supp(C) cap D, sorted."""
-    flags: List[Flag] = []
+def _meeting_points(C: Divisor, H: Divisor) -> List[ClosedPoint]:
+    """The points where a component of C meets a component of H, sorted."""
+    pts: Dict[tuple, ClosedPoint] = {}
     for D, _m in H.items():
-        pts: Dict[tuple, ClosedPoint] = {}
         for E, _n in C.items():
-            if E == D:
-                continue
-            for pt in intersection_support(E, D):
-                pts[pt.sort_key()] = pt
-        for key in sorted(pts):
-            flags.append(flag_make(pts[key], D))
-    return flags
+            if E != D:
+                for pt in intersection_support(E, D):
+                    pts[pt.sort_key()] = pt
+    return [pts[key] for key in sorted(pts)]
+
+
+def _flags_through(x: ClosedPoint, H: Divisor) -> List[Flag]:
+    """The flags at x on the components of H through x."""
+    return [flag_make(x, D) for D, _m in H.items()
+            if D.poly.evaluate(list(x.coords)).is_zero()]
+
+
+def intersection_flags(C: Divisor, H: Divisor) -> List[Flag]:
+    """Flags (x, D) with D in supp(H) and x in supp(C) cap D, sorted by
+    point, then by curve."""
+    return [fl for x in _meeting_points(C, H) for fl in _flags_through(x, H)]
 
 
 def intersection_number(C: Divisor, H: Divisor,
                         prec: int = DEFAULT_SYMBOL_PREC) -> int:
     """(C, H) by the symbol route: minus the pairing exponent of the
-    standard ideles over the intersection flags."""
+    standard ideles over the intersection flags.
+
+    The flags at a point lie on the components of H through it.  Where one
+    of them is singular, the point's term is computed with C and H swapped
+    (the local intersection number is symmetric); a point where both
+    divisors have a singular component raises ValueError."""
     shared = [D for D in C.components if D in H.components]
     if shared:
         raise ValueError(
             "divisors share a component; replace one by a linearly "
             "equivalent divisor in general position, or use "
             "class_intersection")
-    g1 = idele_j(C, "at_points")
-    g2 = idele_j(H, "along_curves")
-    flags = intersection_flags(C, H)
-    return -commutator_pairing(g1, g2, flags, prec).exponent
+    exponent = 0
+    for x in _meeting_points(C, H):
+        for A, B in ((C, H), (H, C)):
+            try:
+                flags = _flags_through(x, B)
+            except ValueError:
+                continue
+            exponent += commutator_pairing(
+                idele_j(A, "at_points"), idele_j(B, "along_curves"), flags,
+                prec).exponent
+            break
+        else:
+            raise ValueError(f"both divisors have a component singular at "
+                             f"{x!r}: no flag there gives the intersection")
+    return -exponent
 
 
 def class_intersection(S: Surface, a: ClassVector, b: ClassVector) -> int:
@@ -374,8 +399,19 @@ def _local_multiplicity(S: Surface, D: Curve, E: Curve, pt: ClosedPoint,
             res = ptrim(list(resultant_elim(fc, gc, elim=elim, keep=keep)))
             if pdeg(res) < 1:
                 continue
-            mult = dict(poly_roots(res, F)).get(x0)
-            if mult is None:
+            mult = _root_order(res, x0, F)
+            if mult == 0:
                 raise RuntimeError("resultant lost an intersection point")
             return mult
     raise RuntimeError("no separating frame over the working field")
+
+
+def _root_order(f: Poly, x0: FieldElem, F: FieldDesc) -> int:
+    """The order of x0 as a root of the nonzero polynomial f (0 when f(x0)
+    is nonzero), by repeated division by X - x0."""
+    linear = [-x0, F.one()]
+    for order in range(len(f)):
+        f, rem = pdivmod(f, linear, F)
+        if rem:
+            return order
+    raise ValueError("the zero polynomial has no root order")

@@ -146,6 +146,18 @@ def test_adelic_pairing_golden():
     assert adelic_pairing(b, a) == adelic_pairing(a, b)
 
 
+def test_adelic_pairing_meets_flags_made_separately():
+    # fragments are keyed by flag; two flag_make calls at one (point, curve)
+    # give the same flag, so the common flag is not missed
+    S = p2(5)
+    fl_a = flag_make(origin(S), curve_make(S, "Y"))
+    fl_b = flag_make(origin(S), curve_make(S, "Y"))
+    k = fl_a.point.residue_field
+    a = AdeleFragment({fl_a: LaurentSeries2.monomial(k, k.one(), -1, 0)})
+    b = AdeleFragment({fl_b: LaurentSeries2.monomial(k, k.one(), 0, -1)})
+    assert adelic_pairing(a, b) == S.base.one()
+
+
 def test_adelic_pairing_disjoint_supports():
     S = p2(3)
     L = coordinate_lines(S)

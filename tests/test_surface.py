@@ -368,6 +368,35 @@ def test_flag_rejects_point_off_curve():
         raise AssertionError("point off the curve accepted")
 
 
+def test_flag_make_returns_one_flag_per_point_and_curve():
+    S = p2(5)
+    zero, one = S.base.zero(), S.base.one()
+    origin = point_from_coords(S, (zero, zero, one))
+    fl = flag_make(origin, curve_make(S, "Y"))
+    expand_at_flag(ratfn(S, "X", "Z"), fl, 4)
+    # an equal point and a separately parsed (here rescaled) equal curve
+    again = flag_make(point_from_coords(S, (zero, zero, one)),
+                      curve_make(S, "2Y"))
+    assert again is fl and again._cache
+    assert flag_make(origin, curve_make(S, "X")) is not fl
+    # another surface, even an equal one, makes its own flags
+    T = p2(5)
+    fresh = flag_make(point_from_coords(T, (zero, zero, one)),
+                      curve_make(T, "Y"))
+    assert fresh is not fl and not fresh._cache
+
+
+def test_singular_flag_raises_on_every_call():
+    S = p2(5)
+    N = curve_make(S, "Y^2Z - X^3 - X^2Z")
+    origin = point_from_coords(
+        S, (S.base.zero(), S.base.zero(), S.base.one()))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="singular"):
+            flag_make(origin, N)
+    assert not S.flags
+
+
 def test_coordinate_series_solves_curve_equation():
     S = p2(5)
     C = curve_make(S, "YZ-X^2")

@@ -2,7 +2,9 @@
 
 import random
 
-from adeles2d.fields import field_make
+import pytest
+
+from adeles2d.fields import field_make, pmul, poly_roots, ptrim
 from adeles2d.series import INF, LaurentSeries2
 from adeles2d.surface import (
     Divisor,
@@ -24,6 +26,7 @@ from adeles2d.symbols import (
     intersection_number,
     intersection_oracle,
     tame_t,
+    _root_order,
 )
 
 
@@ -336,6 +339,35 @@ def test_class_intersection_values():
     assert class_intersection(Q, (2, 1), (1, 3)) == 7
 
 
+# pairs of plane curves where the second is singular at a point they share
+SINGULAR_SECOND_CURVES = [
+    (4, "X^2+XY+Z^2", "X^2Y+XZ^2+Z^3"),
+    (5, "4XY+2XZ+Y^2+4YZ+4Z^2",
+     "2X^3+X^2Y+X^2Z+2XY^2+4XZ^2+4Y^2Z+YZ^2+2Z^3"),
+]
+
+
+@pytest.mark.parametrize("q, first, second", SINGULAR_SECOND_CURVES)
+def test_intersection_number_takes_a_singular_second_curve(q, first, second):
+    S = surface_make("P2", q)
+    C = Divisor(S, {curve_make(S, first): 1})
+    H = Divisor(S, {curve_make(S, second): 1})
+    with pytest.raises(ValueError, match="singular"):
+        intersection_flags(C, H)
+    want = intersection_oracle(C, H)
+    assert want == 6
+    assert intersection_number(C, H) == want
+    assert intersection_number(H, C) == want
+
+
+def test_intersection_number_names_a_point_singular_on_both_sides():
+    S = surface_make("P2", 5)
+    C = Divisor(S, {curve_make(S, "Y^2Z - X^3 - X^2Z"): 1})
+    H = Divisor(S, {curve_make(S, "Y^2Z - X^3 - 2X^2Z"): 1})
+    with pytest.raises(ValueError, match=r"singular at \(0:0:1\)"):
+        intersection_number(C, H)
+
+
 def test_intersection_number_rejects_shared_components():
     S = surface_make("P2", 5)
     X = curve_make(S, "X")
@@ -368,3 +400,25 @@ def test_qpower_arithmetic():
     assert QPower(2) / QPower(3) == QPower(-1)
     assert QPower(2) ** 3 == QPower(6)
     assert QPower(4).inverse() == QPower(-4)
+
+
+
+# ---------------------------------------------------------------------------
+# root orders for the classical route
+
+
+@pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (7, 2)])
+def test_root_order_matches_the_factored_multiplicity(p, d):
+    F = field_make(p, d)
+    rng = random.Random(p * 100 + d)
+    elems = list(F.elems())
+    for _ in range(50):
+        root = rng.choice(elems)
+        f = [F.one()]
+        for _ in range(rng.randrange(5)):
+            f = pmul(f, [-root, F.one()], F)
+        cofactor = ptrim([rng.choice(elems) for _ in range(rng.randrange(4))]
+                         + [rng.choice(elems[1:])])
+        f = pmul(f, cofactor, F)
+        want = dict(poly_roots(f, F)).get(root, 0) if len(f) > 1 else 0
+        assert _root_order(f, root, F) == want, (f, root)
