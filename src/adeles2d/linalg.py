@@ -8,7 +8,7 @@ across runs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .fields import FieldDesc, FieldElem
 
@@ -67,41 +67,6 @@ def mat_nullspace(rows: Matrix, ncols: int, desc: FieldDesc) -> List[List[FieldE
             v[pc] = -rref[r][free]
         basis.append(v)
     return basis
-
-
-def mat_solve(rows: Matrix, rhs: List[FieldElem], desc: FieldDesc) -> Optional[List[FieldElem]]:
-    """One solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    rref, pivots = mat_rref(aug, desc)
-    # a pivot in the appended column means b is outside the column span
-    if ncols in pivots:
-        return None
-    x = [desc.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][ncols]
-    return x
-
-
-def span_contains(vectors: Matrix, v: List[FieldElem], desc: FieldDesc) -> bool:
-    if not vectors:
-        return all(c.is_zero() for c in v)
-    return mat_rank(vectors, desc) == mat_rank(vectors + [v], desc)
-
-
-def spans_equal(a: Matrix, b: Matrix, desc: FieldDesc) -> bool:
-    ra = mat_rank(a, desc)
-    rb = mat_rank(b, desc)
-    return ra == rb and mat_rank(a + b, desc) == ra
-
-
-def span_intersection_dim(a: Matrix, b: Matrix, desc: FieldDesc) -> int:
-    """dim(U cap V) = dim U + dim V - dim(U + V)."""
-    ra = mat_rank(a, desc)
-    rb = mat_rank(b, desc)
-    return ra + rb - mat_rank(a + b, desc)
 
 
 def span_intersection(a: Matrix, b: Matrix, ncols: int, desc: FieldDesc) -> Matrix:

@@ -781,7 +781,7 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
         return expand_poly_at_flag(P, fl, window, u_window).truncate(
             t_to=window)
 
-    vt = _poly_ord(P, fl.curve)
+    vt = poly_order_at_flag(P, fl)
     e = expand_poly_at_flag(P, fl, window)
     u_wide = max(window, 1)  # doubles up to the cap
     while not any(t == vt for (t, _u) in e.terms):
@@ -802,6 +802,34 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
     out = e.inverse(t_window=window, u_window=window)
     fl._cache[key] = out
     return out
+
+
+def poly_order_at_flag(P: MPoly, fl: Flag) -> int:
+    """Multiplicity of the flag's curve in P, by exact division; cached."""
+    key = ("ord", P)
+    got = fl._cache.get(key)
+    if got is None:
+        got = fl._cache[key] = _poly_ord(P, fl.curve)
+    return got
+
+
+def poly_valuation_at_flag(P: MPoly, fl: Flag, prec: int) -> Tuple[int, int]:
+    """The rank-2 valuation (vt, w) of P's expansion at the flag: vt is the
+    multiplicity of the flag's curve in P, and w the u-valuation of the t^vt
+    column.  That column is read on a box of t-window vt + 1 whose u-window
+    escalates from prec until the column shows.  The pair does not depend
+    on the box once it is visible, so it is cached per polynomial."""
+    key = ("val", P)
+    got = fl._cache.get(key)
+    if got is not None:
+        return got
+    vt = poly_order_at_flag(P, fl)
+    w = escalate(
+        lambda u_window: expand_poly_at_flag(P, fl, vt + 1, u_window)
+        .column(vt).valuation(),
+        prec, f"u-valuation of {poly_text(fl.curve.surface, P)} at {fl!r}")
+    got = fl._cache[key] = (vt, w)
+    return got
 
 
 def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag,
@@ -830,12 +858,12 @@ def expand_at_flag(f: RationalFunction, fl: Flag,
 
 def ord_on_curve(f: RationalFunction, D: Curve) -> int:
     """Multiplicity of D in div(f), by exact polynomial division."""
-    if f.is_zero():
-        raise ValueError("ord of the zero function")
     return _poly_ord(f.num, D) - _poly_ord(f.den, D)
 
 
 def _poly_ord(P: MPoly, D: Curve) -> int:
+    if P.is_zero():
+        raise ValueError("the zero polynomial has no order along a curve")
     n = 0
     cur = P
     while True:

@@ -25,7 +25,7 @@ from .fields import (
     ptrim,
 )
 from .multipoly import MPoly, resultant_elim
-from .series import LaurentSeries1, LaurentSeries2, escalate
+from .series import LaurentSeries1, LaurentSeries2, ls2_valuation
 from .surface import (
     ClassVector,
     ClosedPoint,
@@ -37,10 +37,10 @@ from .surface import (
     _mp_embed,
     coordinate_lines,
     divisor_class,
-    expand_at_flag,
     flag_make,
     intersection_support,
-    ord_on_curve,
+    poly_order_at_flag,
+    poly_valuation_at_flag,
 )
 
 DEFAULT_SYMBOL_PREC = 8
@@ -94,8 +94,14 @@ def tame_t(f: LaurentSeries2, g: LaurentSeries2) -> LaurentSeries1:
 
 
 def bisymbol(f: LaurentSeries2, g: LaurentSeries2) -> int:
-    """The integer symbol at a flag: u-valuation of the tame symbol in t."""
-    return tame_t(f, g).valuation()
+    """The integer symbol at a flag: the u-valuation of tame_t(f, g).
+
+    The rank-2 valuation (v_t, w) is a homomorphism, so that valuation is
+    the determinant v_t(g) w(f) - v_t(f) w(g); no power is formed.
+    """
+    a, wf = ls2_valuation(f)
+    b, wg = ls2_valuation(g)
+    return b * wf - a * wg
 
 
 # ---------------------------------------------------------------------------
@@ -181,32 +187,26 @@ def idele_j(E: Divisor, kind: str) -> IdeleRule:
 # commutator pairing and the symbol-route intersection number
 
 
-def _power_pair(f: RationalFunction, n: int) -> Tuple[MPoly, MPoly]:
-    """Numerator and denominator of f**n (n may be negative)."""
-    if n >= 0:
-        return f.num ** n, f.den ** n
-    return f.den ** (-n), f.num ** (-n)
-
-
 def symbol_at_flag(f: RationalFunction, g: RationalFunction, fl: Flag,
                    prec: int = DEFAULT_SYMBOL_PREC) -> int:
     """The integer symbol of two rational functions at one flag.
 
-    The t-valuations are the curve multiplicities of f and g, so they are
-    computed exactly by polynomial division; only the combination
-    f^v(g) g^-v(f), a unit along the curve, is ever expanded.  Its
-    restriction to the curve is read off at column 0 and the symbol is that
-    restriction's valuation at the point, with the window escalated until
-    the valuation is visible.
+    With a = v_t(f) and b = v_t(g), the symbol is the u-valuation of the t^0
+    column of f^b g^-a.  The rank-2 valuation (v_t, w) at the flag, where w
+    is the u-valuation of the leading t-column, is a homomorphism, so that
+    valuation is the determinant b w(f) - a w(g), and w of a quotient is
+    w(num) - w(den).  Each w is read from one polynomial on a box of
+    t-window v_t + 1, its u-window escalated from prec
+    (surface.poly_valuation_at_flag); a polynomial whose coefficient is 0 is
+    never expanded.
     """
-    a = ord_on_curve(f, fl.curve)
-    b = ord_on_curve(g, fl.curve)
-    num1, den1 = _power_pair(f, b)
-    num2, den2 = _power_pair(g, -a)
-    h = RationalFunction(fl.curve.surface, num1 * num2, den1 * den2)
-    return escalate(
-        lambda window: expand_at_flag(h, fl, window).column(0).valuation(),
-        prec, f"symbol at flag {fl!r}")
+    if prec < 1:
+        raise ValueError(f"symbol window must be at least 1, got {prec}")
+    a = poly_order_at_flag(f.num, fl) - poly_order_at_flag(f.den, fl)
+    b = poly_order_at_flag(g.num, fl) - poly_order_at_flag(g.den, fl)
+    return sum(n * poly_valuation_at_flag(P, fl, prec)[1]
+               for n, P in ((b, f.num), (-b, f.den), (-a, g.num), (a, g.den))
+               if n)
 
 
 def _flag_symbol(g1: IdeleRule, g2: IdeleRule, fl: Flag, prec: int) -> int:

@@ -12,15 +12,7 @@ from adeles2d.fields import (
     psub,
     ptrim,
 )
-from adeles2d.linalg import (
-    mat_nullspace,
-    mat_rank,
-    mat_rref,
-    mat_solve,
-    span_contains,
-    span_intersection_dim,
-    spans_equal,
-)
+from adeles2d.linalg import mat_nullspace, mat_rank, mat_rref, span_intersection
 from adeles2d.multipoly import MPoly, det_bareiss, resultant_elim
 from adeles2d.series import LaurentSeries2
 
@@ -59,14 +51,37 @@ def test_rref_pivots_and_solve():
     rows = [[e(1), e(1)], [e(1), e(2)]]
     _, pivots = mat_rref(rows, f3)
     assert pivots == [0, 1]
-    x = mat_solve(rows, [e(0), e(1)], f3)
-    assert x is not None
-    # check A x = b
-    assert (rows[0][0] * x[0] + rows[0][1] * x[1]) == e(0)
-    assert (rows[1][0] * x[0] + rows[1][1] * x[1]) == e(1)
-    # inconsistent system
-    bad = mat_solve([[e(1), e(1)], [e(2), e(2)]], [e(0), e(1)], f3)
-    assert bad is None
+    # the reduced augmented matrix [A | b] carries the solution in its last
+    # column
+    rhs = [e(0), e(1)]
+    rref, pivots = mat_rref([row + [b] for row, b in zip(rows, rhs)], f3)
+    assert pivots == [0, 1]
+    x = [rref[0][2], rref[1][2]]
+    for row, b in zip(rows, rhs):
+        assert row[0] * x[0] + row[1] * x[1] == b
+    # an inconsistent system has a pivot in the appended column
+    _, pivots = mat_rref([[e(1), e(1), e(0)], [e(2), e(2), e(1)]], f3)
+    assert pivots == [0, 2]
+
+
+# rank-based span predicates, the oracle for span_intersection
+
+
+def span_contains(vectors, v, desc):
+    if not vectors:
+        return all(c.is_zero() for c in v)
+    return mat_rank(vectors, desc) == mat_rank(vectors + [v], desc)
+
+
+def spans_equal(a, b, desc):
+    ra = mat_rank(a, desc)
+    rb = mat_rank(b, desc)
+    return ra == rb and mat_rank(a + b, desc) == ra
+
+
+def span_intersection_dim(a, b, desc):
+    """dim(U cap V) = dim U + dim V - dim(U + V)."""
+    return mat_rank(a, desc) + mat_rank(b, desc) - mat_rank(a + b, desc)
 
 
 def test_span_predicates():
@@ -80,6 +95,18 @@ def test_span_predicates():
     w = [[e(1), e(0), e(0)]]
     assert span_intersection_dim(u, w, f2) == 0
     assert span_intersection_dim(u, u, f2) == 2
+    assert span_intersection(u, w, 3, f2) == []
+    assert spans_equal(span_intersection(u, v, 3, f2), u, f2)
+    rng = random.Random(73)
+    for q in (2, 3, 5):
+        F = field_make(q, 1)
+        for _ in range(30):
+            a, b = ([[F.from_int(rng.randrange(q)) for _ in range(5)]
+                     for _ in range(rng.randrange(1, 5))] for _ in range(2))
+            got = span_intersection(a, b, 5, F)
+            assert mat_rank(got, F) == len(got) == span_intersection_dim(a, b, F)
+            assert all(span_contains(a, r, F) and span_contains(b, r, F)
+                       for r in got)
 
 
 def test_mpoly_ring_identities():

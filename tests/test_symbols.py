@@ -1,18 +1,23 @@
 """Tame symbols, ideles, and the two intersection-number routes."""
 
+import itertools
 import random
 
 import pytest
 
 from adeles2d.fields import field_make, pmul, poly_roots, ptrim
-from adeles2d.series import INF, LaurentSeries2
+from adeles2d import surface
+from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
+from adeles2d.series import INF, LaurentSeries2, escalate
 from adeles2d.surface import (
     Divisor,
     RationalFunction,
     curve_make,
     divisor_class,
+    expand_at_flag,
     flag_make,
     intersection_support,
+    ord_on_curve,
     point_from_coords,
     surface_make,
 )
@@ -25,6 +30,7 @@ from adeles2d.symbols import (
     intersection_flags,
     intersection_number,
     intersection_oracle,
+    symbol_at_flag,
     tame_t,
     _root_order,
 )
@@ -97,6 +103,17 @@ def test_bisymbol_antisymmetric_and_bimultiplicative():
         assert bisymbol(f, g) == -bisymbol(g, f), (trial, f, g)
         assert bisymbol(f * g, h) == bisymbol(f, h) + bisymbol(g, h), \
             (trial, f, g, h)
+
+
+def test_bisymbol_is_the_valuation_of_the_tame_symbol():
+    rng = random.Random(74)
+    f3 = field_make(3, 1)
+    f5 = field_make(5, 1)
+    for trial in range(120):
+        desc = f3 if trial % 2 else f5
+        f = rand_invertible(desc, rng)
+        g = rand_invertible(desc, rng)
+        assert bisymbol(f, g) == tame_t(f, g).valuation(), (trial, f, g)
 
 
 def test_bisymbol_ignores_the_sign_convention():
@@ -237,6 +254,81 @@ def test_commutator_pairing_flags_incompleteness_via_probes():
         assert "probe" in str(err)
     else:
         raise AssertionError("missing contribution went undetected")
+
+
+# ---------------------------------------------------------------------------
+# the symbol at a flag of two rational functions
+
+
+def power_product_symbol(f, g, fl, prec=8):
+    """The symbol read the long way: expand h = f^b g^-a at the flag, with
+    a = v_t(f) and b = v_t(g), and take the u-valuation of its t^0 column."""
+    a = ord_on_curve(f, fl.curve)
+    b = ord_on_curve(g, fl.curve)
+    h = RationalFunction(fl.curve.surface, f.num ** 0, f.num ** 0)
+    for base, n in ((f, b), (g, -a)):
+        if n < 0:
+            base, n = base.inverse(), -n
+        for _ in range(n):
+            h = h * base
+    return escalate(
+        lambda window: expand_at_flag(h, fl, window).column(0).valuation(),
+        prec, "power-product symbol")
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_symbol_at_flag_matches_the_power_product(model, q):
+    S = surface_make(model, q)
+    cubic = CUBIC_BY_P.get(q, CUBIC_DEFAULT)
+    names = [cubic if n == "cubic" else n for n in FIXTURES[model].bezout]
+    curves = [curve_make(S, t) for t in names]
+    seen = 0
+    for C, H in itertools.combinations(curves, 2):
+        C, H = Divisor(S, {C: 1}), Divisor(S, {H: 1})
+        for fl in intersection_flags(C, H):
+            f = idele_j(C, "at_points").local(fl)
+            g = idele_j(H, "along_curves").local(fl)
+            # (f g, g^2) has both t-valuations nonzero
+            for x, y in ((f, g), (f * g, g * g)):
+                want = power_product_symbol(x, y, fl)
+                assert symbol_at_flag(x, y, fl) == want, (names, fl, x, y)
+                assert symbol_at_flag(y, x, fl) == -want, (names, fl, x, y)
+                seen += 1
+    assert seen >= 20
+
+
+def test_symbol_of_two_units_checks_the_window():
+    S = surface_make("P2", 3)
+    fl = flag_make(point_from_coords(
+        S, (S.base.zero(), S.base.zero(), S.base.one())), curve_make(S, "Y"))
+    f = RationalFunction(S, S.var(0), S.var(2))
+    assert symbol_at_flag(f, f, fl) == 0
+    with pytest.raises(ValueError, match="at least 1"):
+        symbol_at_flag(f, f, fl, 0)
+    zero = RationalFunction(S, S.zero_poly(), S.var(2))
+    with pytest.raises(ValueError, match="zero polynomial"):
+        symbol_at_flag(zero, f, fl)
+
+
+def test_symbol_at_flag_reuses_the_flag_cache(monkeypatch):
+    S = surface_make("P2", 5)
+    conic = Divisor(S, {curve_make(S, "YZ-X^2"): 1})
+    tangent = Divisor(S, {curve_make(S, "Y"): 1})
+    fl, = intersection_flags(conic, tangent)
+    f = idele_j(conic, "at_points").local(fl)
+    g = idele_j(tangent, "along_curves").local(fl)
+    assert symbol_at_flag(f, g, fl) == 2
+    before = dict(fl._cache)
+
+    def recomputed(*args):
+        raise AssertionError(f"recomputed {args!r}")
+
+    monkeypatch.setattr(surface, "expand_poly_at_flag", recomputed)
+    monkeypatch.setattr(surface, "_poly_ord", recomputed)
+    assert symbol_at_flag(f, g, fl) == 2
+    assert symbol_at_flag(g, f, fl) == -2
+    assert fl._cache.keys() == before.keys()
 
 
 # ---------------------------------------------------------------------------
