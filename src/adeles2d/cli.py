@@ -546,9 +546,11 @@ def _cmd_verify(args) -> int:
         ok = sum(1 for c in got if c.passed)
         print(f"suite {name}: {ok}/{len(got)} checks passed")
         checks.extend(got)
-    # the surface and its curves reference each other, so the flags and
-    # their expansion caches would otherwise wait for a full collection
+    # the surface and its curves reference each other, so the flags, their
+    # expansion caches and the memo would otherwise wait for a full
+    # collection; no cache outlives the run
     S.flags.clear()
+    S.memo.clear()
     if args.inject_failure and checks:
         first = checks[0]
         first.inputs = dict(first.inputs, injected=True)

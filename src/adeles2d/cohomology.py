@@ -66,7 +66,16 @@ def _projective_h(n: int, a: int) -> List[int]:
 
 def h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
     """Closed-form cohomology of O(c): the Kuenneth product over the
-    projective factors, one per group of variables."""
+    projective factors, one per group of variables; computed once per
+    class and kept in S.memo."""
+    key = ("h", tuple(c))
+    got = S.memo.get(key)
+    if got is None:
+        got = S.memo[key] = _kuenneth_h(S, c)
+    return got
+
+
+def _kuenneth_h(S: Surface, c: ClassVector) -> CohomologyVector:
     h = [1]
     for g, a in zip(S.groups, c):
         f = _projective_h(len(g) - 1, a)

@@ -535,13 +535,6 @@ def ppow_mod(f: Poly, e: int, m: Poly, desc: FieldDesc) -> Poly:
     return result
 
 
-def peval(f: Poly, x: FieldElem) -> FieldElem:
-    acc = x.desc.zero()
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def pderiv(f: Poly, desc: FieldDesc) -> Poly:
     out = []
     for i in range(1, len(f)):
@@ -785,21 +778,6 @@ def coerce_down(a: FieldElem, sub: FieldDesc) -> FieldElem:
         if mat[rr][ncols] % p:
             raise ValueError("element does not lie in the requested subfield")
     return sub.from_coeffs(sol)
-
-
-def ff_trace(a: FieldElem) -> FieldElem:
-    """Absolute trace to the prime field: sum of a^(p^i), i < d."""
-    desc = a.desc
-    acc = a
-    cur = a
-    for _ in range(desc.d - 1):
-        cur = cur ** desc.p
-        acc = acc + cur
-    prime = field_make(desc.p, 1)
-    # the trace is Frobenius-fixed, so its vector is supported in degree 0
-    if acc.n >= desc.p:  # pragma: no cover - algebra guarantees constant
-        raise RuntimeError("trace did not land in the prime field")
-    return prime.from_int(acc.n)
 
 
 def rel_trace(a: FieldElem, sub: FieldDesc) -> FieldElem:

@@ -56,10 +56,15 @@ def divisor_zero(S: Surface) -> Divisor:
 
 
 def canonical_divisor(S: Surface) -> Divisor:
-    """The divisor of the fixed 2-form, assembled from its polar curves."""
+    """The divisor of the fixed 2-form, assembled from its polar curves;
+    computed once per surface and kept in S.memo."""
+    got = S.memo.get(("canonical",))
+    if got is not None:
+        return got
     div, checked = divisor_of_form(S, omega_polar_curves(S))
     if not checked:
         raise RuntimeError("polar curves do not account for the canonical class")
+    S.memo[("canonical",)] = div
     return div
 
 
@@ -233,12 +238,12 @@ def measure_mu_L(L: LatticeSymbol, i: LatticeSymbol, j: LatticeSymbol,
     if not (_divisor_le(l1, i.divisor) and _divisor_le(l1, j.divisor)):
         raise ValueError("auxiliary basepoint must lie below both references")
     l2 = l1 + Divisor(S, {S.class_lines[0]: -1})
+    ri = rule(S, divisor_class(i.divisor))
+    rj = rule(S, divisor_class(j.divisor))
     exponents = []
     for l in (l1, l2):
         dl = rule(S, divisor_class(l))
-        di = rule(S, divisor_class(i.divisor)) - dl
-        dj = rule(S, divisor_class(j.divisor)) - dl
-        exponents.append(di - dj)
+        exponents.append((ri - dl) - (rj - dl))
     if exponents[0] != exponents[1]:
         raise RuntimeError("adapted measure depends on basepoint")
     return MeasureTag(ambient, family, i, j, QPower(exponents[0]))
@@ -694,7 +699,7 @@ def window_build(R: Divisor, S: Divisor, max_point_degree: int = 2,
         j_t = form_order_on_curve(surf, D)
         j_u = escalate(
             lambda w: canonical_local_form(fl, w).column(j_t).valuation(),
-            prec, f"leading column of the form at {fl!r}")
+            prec, lambda: f"leading column of the form at {fl!r}")
         jorders.append((j_t, j_u))
         r_D = R.components.get(D, 0)
         s_D = S.components.get(D, 0)

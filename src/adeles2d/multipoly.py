@@ -61,24 +61,10 @@ class MPoly:
         e[i] = 1
         return MPoly(desc, nvars, {tuple(e): desc.one()})
 
-    @staticmethod
-    def from_terms(desc: FieldDesc, nvars: int,
-                   items: Sequence[Tuple[Exponent, FieldElem]]) -> "MPoly":
-        terms: Dict[Exponent, FieldElem] = {}
-        for e, c in items:
-            if len(e) != nvars:
-                raise ValueError("exponent arity mismatch")
-            cur = terms.get(e)
-            terms[e] = c if cur is None else cur + c
-        return MPoly(desc, nvars, terms)
-
     # -- basic queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
 
     def total_degree(self) -> int:
         if not self.terms:

@@ -111,25 +111,7 @@ def local_residue(w: GlobalForm, fl: Flag,
     return escalate(
         lambda window: res2(expand_at_flag(w.coefficient, fl, window)
                             * canonical_local_form(fl, window)),
-        prec, f"residue at flag {fl!r}")
-
-
-def residue_sum_around_point(w: GlobalForm, x: ClosedPoint,
-                             curves: Sequence[Curve],
-                             prec: int = DEFAULT_RESIDUE_PREC) -> FieldElem:
-    """Sum of residues over the given curves through x; zero when the list
-    exhausts the polar components there."""
-    listed = list(curves)
-    for C in polar_components_at(w, x):
-        if C not in listed:
-            raise ValueError(
-                f"polar component {C!r} passes through {x!r} but is not "
-                f"in the curve list")
-    total = x.residue_field.zero()
-    for C in listed:
-        fl = flag_make(x, C)
-        total = total + local_residue(w, fl, prec)
-    return total
+        prec, lambda: f"residue at flag {fl!r}")
 
 
 def residue_points_on_curve(w: GlobalForm, D: Curve) -> List[ClosedPoint]:
@@ -200,7 +182,7 @@ def adelic_pairing(a: AdeleFragment, b: AdeleFragment,
         r = escalate(
             lambda window: res2(a.entries[fl] * b.entries[fl]
                                 * canonical_local_form(fl, window)),
-            prec, f"pairing at flag {fl!r}")
+            prec, lambda: f"pairing at flag {fl!r}")
         total = total + rel_trace(r, base)
     return total
 

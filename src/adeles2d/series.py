@@ -23,7 +23,6 @@ the parameter images (see `LaurentSeries2.substitute`).
 from __future__ import annotations
 
 import math
-import re
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .fields import FieldDesc, FieldElem
@@ -39,18 +38,20 @@ class PrecisionError(ArithmeticError):
     """A computation needed coefficients outside the tracked window."""
 
 
-def escalate(compute: Callable[[int], _T], prec: int, what: str) -> _T:
+def escalate(compute: Callable[[int], _T], prec: int,
+             what: Callable[[], str]) -> _T:
     """compute(window) at windows prec, 2*prec, ..., prec << MAX_ESCALATIONS;
-    the first result that needs no wider window wins."""
+    the first result that needs no wider window wins.  what() names the
+    computation in the error text; it is called only on failure."""
     if prec < 1:
-        raise ValueError(f"{what}: window must be at least 1, got {prec}")
+        raise ValueError(f"{what()}: window must be at least 1, got {prec}")
     last = None
     for k in range(MAX_ESCALATIONS + 1):
         try:
             return compute(prec << k)
         except PrecisionError as err:
             last = err
-    raise PrecisionError(f"{what} undetermined at window "
+    raise PrecisionError(f"{what()} undetermined at window "
                          f"{prec << MAX_ESCALATIONS}; raise prec (last: {last})")
 
 
@@ -523,29 +524,3 @@ def ls2_to_text(f: LaurentSeries2) -> str:
     for (t, u) in sorted(f.terms):
         bits.append(f"t^{t}*u^{u}: {f.terms[(t, u)]!r}")
     return "; ".join(bits)
-
-
-_TERM_RE = re.compile(r"t\^(-?\d+)\*u\^(-?\d+):\s*(\[[-\d,]+\]|-?\d+)")
-
-
-def ls2_from_text(text: str, desc: FieldDesc, t_prec=INF, u_prec=INF) -> LaurentSeries2:
-    terms: Dict[Tuple[int, int], FieldElem] = {}
-    text = text.strip()
-    if text == "0":
-        return LaurentSeries2(desc, {}, t_prec, u_prec)
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        m = _TERM_RE.fullmatch(part)
-        if not m:
-            raise ValueError(f"unparseable series term {part!r}")
-        t, u = int(m.group(1)), int(m.group(2))
-        raw = m.group(3)
-        if raw.startswith("["):
-            coeffs = [int(v) for v in raw[1:-1].split(",")]
-            c = desc.from_coeffs(coeffs)
-        else:
-            c = desc.from_int(int(raw))
-        terms[(t, u)] = c
-    return LaurentSeries2(desc, terms, t_prec, u_prec)

@@ -83,11 +83,16 @@ class Surface:
     """P2 or P1xP1 over a finite base field: its variable groups (the range
     of variable indices of each), its charts, its coordinate lines (name ->
     Curve, in variable order), the line of each group for class
-    representatives, and the flags made on it so far ((point, curve) ->
-    Flag, see flag_make)."""
+    representatives, the flags made on it so far ((point, curve) -> Flag,
+    see flag_make), and a memo of values that depend only on the surface
+    and their arguments, under tuple keys led by the kind of value:
+    ("support", C, H) for intersection_support, ("h", c) for
+    cohomology.h_vector and ("canonical",) for measures.canonical_divisor.
+    Both live until their owner clears them; an equal but new Surface
+    starts empty."""
 
     __slots__ = ("model", "base", "groups", "nvars", "var_names", "charts",
-                 "lines", "class_lines", "flags")
+                 "lines", "class_lines", "flags", "memo")
 
     def __init__(self, model: str, base: FieldDesc):
         if model not in SURFACES:
@@ -113,6 +118,7 @@ class Surface:
                       for i, n in enumerate(self.var_names)}
         self.class_lines = tuple(self.lines[n] for n in class_lines)
         self.flags: Dict[Tuple[ClosedPoint, Curve], Flag] = {}
+        self.memo: Dict[tuple, object] = {}
 
     def __eq__(self, other):
         return (isinstance(other, Surface)
@@ -290,7 +296,7 @@ class RationalFunction:
 class Curve:
     """An irreducible homogeneous curve with canonical normalization."""
 
-    __slots__ = ("surface", "poly", "name", "_key", "_cls")
+    __slots__ = ("surface", "poly", "name", "_key", "_hash", "_cls")
 
     def __init__(self, surface: Surface, poly: MPoly, name: Optional[str] = None):
         self.surface = surface
@@ -298,16 +304,20 @@ class Curve:
         self.name = name
         self._key = (surface.model, surface.base.q,
                      tuple(sorted((e, c.coeffs) for e, c in poly.terms.items())))
+        # the key is a nested tuple: hash it once, not on every lookup
+        self._hash = hash(self._key)
         self._cls = surface.poly_class(poly)
 
     def degree(self) -> ClassVector:
         return self._cls
 
     def __eq__(self, other):
-        return isinstance(other, Curve) and self._key == other._key
+        return self is other or (isinstance(other, Curve)
+                                 and self._hash == other._hash
+                                 and self._key == other._key)
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self):
         label = self.name or poly_text(self.surface, self.poly)
@@ -534,9 +544,24 @@ def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
 
 
 def intersection_support(C: Curve, H: Curve) -> List[ClosedPoint]:
-    """The closed points lying on both curves, via chartwise resultants."""
+    """The closed points lying on both curves, sorted, via chartwise
+    resultants.
+
+    Computed once per ordered pair on a surface and kept in C.surface.memo
+    as a tuple; each call returns a new list.  Both intersection routes
+    (the commutator pairing in symbols and the resultant oracle) start
+    from this support, and each computes its own local multiplicities."""
     if C == H:
         raise ValueError("curves share a component")
+    key = ("support", C, H)
+    memo = C.surface.memo
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = tuple(_support(C, H))
+    return list(got)
+
+
+def _support(C: Curve, H: Curve) -> List[ClosedPoint]:
     S = C.surface
     found: List[ClosedPoint] = []
     for chart in S.charts:
@@ -827,7 +852,8 @@ def poly_valuation_at_flag(P: MPoly, fl: Flag, prec: int) -> Tuple[int, int]:
     w = escalate(
         lambda u_window: expand_poly_at_flag(P, fl, vt + 1, u_window)
         .column(vt).valuation(),
-        prec, f"u-valuation of {poly_text(fl.curve.surface, P)} at {fl!r}")
+        prec, lambda: f"u-valuation of {poly_text(fl.curve.surface, P)} "
+                      f"at {fl!r}")
     got = fl._cache[key] = (vt, w)
     return got
 
@@ -879,13 +905,21 @@ def _poly_ord(P: MPoly, D: Curve) -> int:
 
 
 class Divisor:
-    """A finite formal sum of irreducible curves with integer multiplicities."""
+    """A finite formal sum of irreducible curves with integer multiplicities.
 
-    __slots__ = ("surface", "components")
+    The components never change after construction, so the class is
+    counted once, here."""
+
+    __slots__ = ("surface", "components", "_cls")
 
     def __init__(self, surface: Surface, components: Dict[Curve, int]):
         self.surface = surface
         self.components = {c: m for c, m in components.items() if m != 0}
+        acc = [0] * len(surface.groups)
+        for c, m in self.components.items():
+            for i, d in enumerate(c._cls):
+                acc[i] += m * d
+        self._cls = tuple(acc)
 
     def __add__(self, other: "Divisor") -> "Divisor":
         out = dict(self.components)
@@ -913,16 +947,7 @@ class Divisor:
 
 
 def divisor_class(D: Divisor) -> ClassVector:
-    acc = [0] * len(D.surface.groups)
-    for c, m in D.components.items():
-        for i, d in enumerate(c.degree()):
-            acc[i] += m * d
-    return tuple(acc)
-
-
-def divisor_of_function(f: RationalFunction, candidates: Iterable[Curve]) -> Divisor:
-    """div(f) restricted to the candidate components."""
-    return Divisor(f.surface, {D: ord_on_curve(f, D) for D in candidates})
+    return D._cls
 
 
 # the fixed global 2-form: d(x) ^ d(y) in the first chart's coordinates
@@ -966,7 +991,7 @@ def form_order_on_curve(S: Surface, D: Curve, window: int = DEFAULT_PREC) -> int
                 continue
             order = escalate(
                 lambda w: canonical_local_form(fl, w).t_valuation(),
-                window, f"order of the form along {D!r}")
+                window, lambda: f"order of the form along {D!r}")
             _FORM_ORDER_CACHE[D] = order
             return order
     raise RuntimeError("no smooth point found on the curve")  # pragma: no cover

@@ -8,6 +8,7 @@ import tempfile
 
 import pytest
 
+from adeles2d import cli
 from adeles2d.cli import main
 
 
@@ -45,6 +46,31 @@ def test_verify_rr_suite_over_the_full_plane_range():
                            "--range", "-6:6", "--suites", "rr"])
     assert code == 0, out
     assert "suite rr: 13/13 checks passed" in out
+
+
+def test_no_cache_outlives_a_verify_run(monkeypatch):
+    made, filled = [], []
+    rr_suite = cli._SUITE_FNS["rr"]
+
+    def make_surface(args):
+        made.append(cli.surface_make(args.surface, args.q))
+        return made[-1]
+
+    def run_rr(S, classes, args):
+        got = rr_suite(S, classes, args)
+        filled.extend({key[0] for key in S.memo})
+        filled.extend(["flags"] * bool(S.flags))
+        return got
+
+    monkeypatch.setattr(cli, "_make_surface", make_surface)
+    monkeypatch.setitem(cli._SUITE_FNS, "rr", run_rr)
+    code, out, _err = run(["verify", "--surface", "P2", "--q", "3",
+                           "--range", "0:1", "--suites", "rr"])
+    assert code == 0, out
+    # the suite filled the memo and made flags, and the run emptied both
+    assert set(filled) == {"support", "h", "canonical", "flags"}, filled
+    S, = made
+    assert S.memo == {} and S.flags == {}
 
 
 def test_report_schema_is_stable_and_runs_are_byte_identical():

@@ -7,7 +7,6 @@ from adeles2d.fields import (
     padd,
     pdeg,
     pdivmod,
-    peval,
     pmul,
     psub,
     ptrim,
@@ -17,13 +16,21 @@ from adeles2d.multipoly import MPoly, det_bareiss, resultant_elim
 from adeles2d.series import LaurentSeries2
 
 
+def peval(f, x):
+    """f(x) by Horner's rule, for a coefficient list f."""
+    acc = x.desc.zero()
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
 def rand_mpoly(desc, nvars, rng, max_deg=2, nterms=4):
-    items = []
+    terms = {}
     for _ in range(nterms):
         e = tuple(rng.randrange(max_deg + 1) for _ in range(nvars))
         c = desc.from_coeffs([rng.randrange(desc.p) for _ in range(desc.d)])
-        items.append((e, c))
-    return MPoly.from_terms(desc, nvars, items)
+        terms[e] = terms[e] + c if e in terms else c
+    return MPoly(desc, nvars, terms)
 
 
 def test_rank_and_nullspace():

@@ -9,10 +9,8 @@ import random
 from adeles2d.fields import (
     coerce_down,
     embed,
-    ff_trace,
     field_make,
     pdeg,
-    peval,
     pmul,
     poly_factor,
     poly_roots,
@@ -24,6 +22,19 @@ from adeles2d.fields import (
 
 def mkpoly(desc, *ints):
     return ptrim([desc.from_int(c) for c in ints])
+
+
+def peval(f, x):
+    """f(x) by Horner's rule, for a coefficient list f."""
+    acc = x.desc.zero()
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def ff_trace(a):
+    """The absolute trace, to the prime field."""
+    return rel_trace(a, field_make(a.desc.p, 1))
 
 
 def test_field_make_basic():

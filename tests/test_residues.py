@@ -8,12 +8,13 @@ from adeles2d.residues import (
     form_make,
     local_residue,
     polar_components,
+    polar_components_at,
     reciprocity_corpus,
     residue_sum_along_curve,
-    residue_sum_around_point,
 )
 from adeles2d.series import LaurentSeries2
 from adeles2d.surface import (
+    Flag,
     curve_make,
     flag_make,
     point_from_coords,
@@ -23,6 +24,19 @@ from adeles2d.surface import (
 
 def p2(q):
     return surface_make("P2", q)
+
+
+def residue_sum_around_point(w, x, curves):
+    """Sum of residues over the given curves through x; zero when the list
+    exhausts the polar components there."""
+    for C in polar_components_at(w, x):
+        if C not in curves:
+            raise ValueError(f"polar component {C!r} passes through {x!r} "
+                             f"but is not in the curve list")
+    total = x.residue_field.zero()
+    for C in curves:
+        total = total + local_residue(w, flag_make(x, C))
+    return total
 
 
 def origin(S):
@@ -38,6 +52,18 @@ def test_local_residue_golden_pole():
     L = coordinate_lines(S)
     w = form_make(S, "Z^2", [(L["X"], 1), (L["Y"], 1)])
     fl = flag_make(origin(S), L["Y"])
+    assert local_residue(w, fl) == S.base.one()
+
+
+def test_a_succeeding_residue_never_formats_its_flag(monkeypatch):
+    def unformattable(self):
+        raise AssertionError("flag formatted on the success path")
+
+    S = p2(5)
+    L = coordinate_lines(S)
+    w = form_make(S, "Z^2", [(L["X"], 1), (L["Y"], 1)])
+    fl = flag_make(origin(S), L["Y"])
+    monkeypatch.setattr(Flag, "__repr__", unformattable)
     assert local_residue(w, fl) == S.base.one()
 
 

@@ -1,6 +1,7 @@
 """Two-variable truncated Laurent series: golden examples and ring properties."""
 
 import random
+import re
 
 from adeles2d.fields import field_make
 from adeles2d.series import (
@@ -10,11 +11,32 @@ from adeles2d.series import (
     LocalForm2,
     PrecisionError,
     escalate,
-    ls2_from_text,
     ls2_to_text,
     ls2_valuation,
     res2,
 )
+
+
+_TERM_RE = re.compile(r"t\^(-?\d+)\*u\^(-?\d+):\s*(\[[-\d,]+\]|-?\d+)")
+
+
+def ls2_from_text(text, desc, t_prec=INF, u_prec=INF):
+    """Parse the text form of ls2_to_text back into a series."""
+    terms = {}
+    text = text.strip()
+    if text == "0":
+        return LaurentSeries2(desc, {}, t_prec, u_prec)
+    for part in text.split(";"):
+        m = _TERM_RE.fullmatch(part.strip())
+        if not m:
+            raise ValueError(f"unparseable series term {part!r}")
+        raw = m.group(3)
+        if raw.startswith("["):
+            c = desc.from_coeffs([int(v) for v in raw[1:-1].split(",")])
+        else:
+            c = desc.from_int(int(raw))
+        terms[(int(m.group(1)), int(m.group(2)))] = c
+    return LaurentSeries2(desc, terms, t_prec, u_prec)
 
 
 def mk(desc, terms, t_prec=INF, u_prec=INF):
@@ -276,7 +298,7 @@ def test_escalate_doubles_the_window_then_names_the_computation():
         raise PrecisionError(f"hidden at {window}")
 
     try:
-        escalate(never, 3, "probe value")
+        escalate(never, 3, lambda: "probe value")
     except PrecisionError as err:
         message = str(err)
     else:
@@ -291,7 +313,7 @@ def test_escalate_rejects_windows_below_one():
 
     for prec in (0, -1):
         try:
-            escalate(never_called, prec, "probe value")
+            escalate(never_called, prec, lambda: "probe value")
         except ValueError as err:
             assert "probe value" in str(err)
         else:
@@ -307,5 +329,8 @@ def test_escalate_returns_the_first_determined_result():
             raise PrecisionError("not yet")
         return ("value", window)
 
-    assert escalate(at_four_times, 5, "probe value") == ("value", 20)
+    def unread():
+        raise AssertionError("error text built on success")
+
+    assert escalate(at_four_times, 5, unread) == ("value", 20)
     assert seen == [5, 10, 20], seen

@@ -20,7 +20,6 @@ from adeles2d.surface import (
     curve_make,
     divisor_class,
     divisor_of_form,
-    divisor_of_function,
     expand_at_flag,
     expand_poly_at_flag,
     flag_coordinate_series,
@@ -315,6 +314,73 @@ def test_diagonal_meets_fiber_once():
 
 
 # ---------------------------------------------------------------------------
+# values computed once: curve hashes, divisor classes, the surface memo
+
+
+def test_separately_made_curves_of_one_text_hash_equal():
+    for S, texts in ((p2(5), ("YZ-X^2", "X+Y+Z", "Y^2Z-X^3-XZ^2")),
+                     (quadric(3), ("X0Y1-X1Y0", "X1", "X0Y0-X1Y1"))):
+        for text in texts:
+            a, b = curve_make(S, text), curve_make(S, text)
+            assert a is not b and a == b and hash(a) == hash(b), text
+            assert {a: 1}[b] == 1
+
+
+def _recount(D):
+    acc = [0] * len(D.surface.groups)
+    for c, m in D.components.items():
+        for i, d in enumerate(c.degree()):
+            acc[i] += m * d
+    return tuple(acc)
+
+
+@pytest.mark.parametrize("model, texts", [
+    ("P2", ("X", "Y", "Z", "X+Y+Z", "YZ-X^2", "XY-Z^2")),
+    ("P1xP1", ("X0", "X1", "Y0", "Y1", "X0Y1-X1Y0", "X0Y0-X1Y1")),
+])
+def test_divisor_class_of_derived_divisors_matches_a_recount(model, texts):
+    S = surface_make(model, 3)
+    curves = [curve_make(S, t) for t in texts]
+    rng = random.Random(17)
+    for _ in range(40):
+        D, E = (Divisor(S, {C: rng.randrange(-3, 4)
+                            for C in rng.sample(curves, rng.randrange(4))})
+                for _side in range(2))
+        n = rng.randrange(-3, 4)
+        for made in (D, E, D + E, -D, D.scale(n)):
+            assert divisor_class(made) == _recount(made), (made, n)
+
+
+def _no_resultants(*_args, **_kwargs):
+    raise AssertionError("resultant computed")
+
+
+def test_intersection_support_is_computed_once_per_pair(monkeypatch):
+    S = p2(5)
+    C, H = curve_make(S, "YZ-X^2"), curve_make(S, "XY-Z^2")
+    first = intersection_support(C, H)
+    want = list(first)
+    assert want
+    monkeypatch.setattr("adeles2d.surface.resultant_elim", _no_resultants)
+    again = intersection_support(curve_make(S, "YZ-X^2"), H)
+    assert again == want and again is not first
+    # the list a call returns is the caller's own
+    again.clear()
+    first.append(first[0])
+    assert intersection_support(C, H) == want
+
+
+def test_an_equal_new_surface_recomputes_the_support(monkeypatch):
+    S = p2(5)
+    intersection_support(curve_make(S, "X"), curve_make(S, "YZ-X^2"))
+    T = p2(5)
+    assert T == S and T.memo == {}
+    monkeypatch.setattr("adeles2d.surface.resultant_elim", _no_resultants)
+    with pytest.raises(AssertionError, match="resultant computed"):
+        intersection_support(curve_make(T, "X"), curve_make(T, "YZ-X^2"))
+
+
+# ---------------------------------------------------------------------------
 # flags
 
 
@@ -520,7 +586,7 @@ def test_divisor_of_function():
     LY = curve_make(S, "Y")
     LZ = curve_make(S, "Z")
     f = ratfn(S, "Y", "Z")
-    d = divisor_of_function(f, [LY, LZ])
+    d = Divisor(S, {D: ord_on_curve(f, D) for D in (LY, LZ)})
     assert d.components == {LY: 1, LZ: -1}
     assert divisor_class(d) == (0,)
 

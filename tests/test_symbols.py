@@ -273,7 +273,7 @@ def power_product_symbol(f, g, fl, prec=8):
             h = h * base
     return escalate(
         lambda window: expand_at_flag(h, fl, window).column(0).valuation(),
-        prec, "power-product symbol")
+        prec, lambda: "power-product symbol")
 
 
 @pytest.mark.parametrize("model", ["P2", "P1xP1"])
