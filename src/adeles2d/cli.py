@@ -249,7 +249,7 @@ def _parse_point(S, text: str):
     try:
         coords = [S.base.from_int(int(w)) for w in words]
         return point_from_coords(S, coords)
-    except (ValueError, IndexError) as err:
+    except ValueError as err:
         raise ConfigError(f"bad point {text!r}: {err}") from err
 
 

@@ -116,10 +116,6 @@ def cech_h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
     return CohomologyVector(*h)
 
 
-def chi(S: Surface, c: ClassVector) -> int:
-    return h_vector(S, c).chi
-
-
 def _poly_vector(f: MPoly, monos: List[tuple], desc):
     return [f.terms.get(e, desc.zero()) for e in monos]
 

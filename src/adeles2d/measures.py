@@ -14,7 +14,7 @@ two independent routes.
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cohomology import h_vector
 from .linalg import mat_rank
@@ -22,8 +22,6 @@ from .residues import AdeleFragment, adelic_pairing, omega_polar_curves
 from .series import LaurentSeries2, escalate
 from .surface import (
     ClassVector,
-    ClosedPoint,
-    Curve,
     Divisor,
     Flag,
     Surface,
@@ -31,9 +29,8 @@ from .surface import (
     coordinate_lines,
     divisor_class,
     divisor_of_form,
-    flag_make,
     form_order_on_curve,
-    points_on_curve,
+    smooth_flag,
 )
 from .symbols import (
     IdeleRule,
@@ -45,6 +42,7 @@ from .symbols import (
 )
 
 DEFAULT_WINDOW_PREC = 8
+WINDOW_POINT_DEGREE = 2
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +78,6 @@ def _divisor_le(a: Divisor, b: Divisor) -> bool:
                for D in curves)
 
 
-def _divisor_min(a: Divisor, b: Divisor) -> Divisor:
-    curves = set(a.components) | set(b.components)
-    return Divisor(a.surface, {
-        D: min(a.components.get(D, 0), b.components.get(D, 0))
-        for D in curves})
-
-
 def _cls_json(cls: ClassVector):
     """A class for reports: a bare int for one group, else the tuple (a JSON
     list, and `(a, b)` in text)."""
@@ -119,11 +110,6 @@ class LatticeSymbol:
         self.tag = tag
         self.divisor = divisor
         self.surface = surface
-
-    def cls(self) -> ClassVector:
-        if self.divisor is None:
-            raise ValueError(f"lattice {self.tag} carries no divisor")
-        return divisor_class(self.divisor)
 
     def __eq__(self, other):
         return (isinstance(other, LatticeSymbol)
@@ -212,14 +198,12 @@ _DIM_RULES = {
 
 
 def measure_mu_L(L: LatticeSymbol, i: LatticeSymbol, j: LatticeSymbol,
-                 ambient: Optional[str] = None,
-                 aux: Optional[Divisor] = None) -> MeasureTag:
+                 ambient: Optional[str] = None) -> MeasureTag:
     """The L-adapted measure between reference lattices i and j.
 
     Normalized to give mass 1 to L-cosets; its value against the canonical
-    normalization is q^(d(i) - d(j)) where d measures the intersections of
-    L with the chain.  The defining auxiliary basepoint below both
-    references cancels; this is asserted by computing with two choices.
+    normalization is q^(d(i) - d(j)), where d is the growth function of the
+    intersections of L with the chain (h0, chi or h2 of the class).
     """
     if i.tag != j.tag or i.tag not in ("A1", "A12"):
         raise ValueError("unsupported lattice pair: references must be a "
@@ -234,19 +218,9 @@ def measure_mu_L(L: LatticeSymbol, i: LatticeSymbol, j: LatticeSymbol,
                          f"measure in the {ambient} chain")
     family, rule = _DIM_RULES[(ambient, L.tag)]
     S = i.surface
-    l1 = aux if aux is not None else _divisor_min(i.divisor, j.divisor)
-    if not (_divisor_le(l1, i.divisor) and _divisor_le(l1, j.divisor)):
-        raise ValueError("auxiliary basepoint must lie below both references")
-    l2 = l1 + Divisor(S, {S.class_lines[0]: -1})
-    ri = rule(S, divisor_class(i.divisor))
-    rj = rule(S, divisor_class(j.divisor))
-    exponents = []
-    for l in (l1, l2):
-        dl = rule(S, divisor_class(l))
-        exponents.append((ri - dl) - (rj - dl))
-    if exponents[0] != exponents[1]:
-        raise RuntimeError("adapted measure depends on basepoint")
-    return MeasureTag(ambient, family, i, j, QPower(exponents[0]))
+    value = (rule(S, divisor_class(i.divisor))
+             - rule(S, divisor_class(j.divisor)))
+    return MeasureTag(ambient, family, i, j, QPower(value))
 
 
 def mu_measure(R: Divisor, S: Divisor) -> MeasureTag:
@@ -634,40 +608,16 @@ class Window:
                 f"{len(self.flags)} flags)")
 
 
-def _window_points(D: Curve, max_point_degree: int) -> Iterator[ClosedPoint]:
-    """The points of D in sorted order, listing the points of degree >= 2
-    only once the rational ones are used up (points sort by degree first).
-    A degree bound below 1 is refused by points_on_curve, as before."""
-    yield from points_on_curve(D, min(1, max_point_degree))
-    if max_point_degree > 1:
-        for pt in points_on_curve(D, max_point_degree):
-            if pt.degree > 1:
-                yield pt
-
-
-def _window_flag(D: Curve, avoid: Sequence[Curve],
-                 max_point_degree: int) -> Flag:
-    for pt in _window_points(D, max_point_degree):
-        coords = list(pt.coords)
-        if any(E.poly.evaluate(coords).is_zero() for E in avoid):
-            continue
-        try:
-            return flag_make(pt, D)
-        except ValueError:
-            continue
-    raise ValueError(f"no admissible flag on {D!r} up to point degree "
-                     f"{max_point_degree}")
-
-
 def _basis_fragment(fl: Flag, b: int, a: int, li: int) -> AdeleFragment:
     kx = fl.point.residue_field
     coeff = kx.gen() ** li if li else kx.one()
     return AdeleFragment({fl: LaurentSeries2.monomial(kx, coeff, b, a)})
 
 
-def window_build(R: Divisor, S: Divisor, max_point_degree: int = 2,
-                 u_size: int = 2, prec: int = DEFAULT_WINDOW_PREC) -> Window:
-    """Build the window between R and S with one flag per curve.
+def window_build(R: Divisor, S: Divisor, u_size: int = 2,
+                 prec: int = DEFAULT_WINDOW_PREC) -> Window:
+    """Build the window between R and S with one flag per curve, at a
+    point of degree at most WINDOW_POINT_DEGREE off the other curves.
 
     The dual basis reflects every exponent through the local orders of the
     fixed form, so the gram pairing is square; rank deficiency means the
@@ -694,7 +644,7 @@ def window_build(R: Divisor, S: Divisor, max_point_degree: int = 2,
     dual_basis: List[Tuple[int, int, int, int]] = []
     for fi, D in enumerate(curves):
         avoid = [E for E in set(curves) | set(wdiv.components) if E != D]
-        fl = _window_flag(D, avoid, max_point_degree)
+        fl = smooth_flag(D, WINDOW_POINT_DEGREE, avoid)
         flags.append(fl)
         j_t = form_order_on_curve(surf, D)
         j_u = escalate(

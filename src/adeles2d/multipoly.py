@@ -66,11 +66,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, i: int) -> int:
         if not self.terms:
             return -1

@@ -36,6 +36,8 @@ from .surface import (
 )
 
 DEFAULT_RESIDUE_PREC = 8
+# the around-a-point sums visit crossings of at most this degree
+AROUND_POINT_DEGREE = 2
 
 
 class GlobalForm:
@@ -234,9 +236,9 @@ def reciprocity_corpus(S: Surface, count: int, seed: int,
 
 
 def check_reciprocity_around_points(w: GlobalForm,
-                                    prec: int = DEFAULT_RESIDUE_PREC,
-                                    max_point_degree: int = 2) -> List[Tuple[ClosedPoint, FieldElem]]:
-    """Evaluate the around-a-point sum at every crossing of polar components.
+                                    prec: int = DEFAULT_RESIDUE_PREC) -> List[Tuple[ClosedPoint, FieldElem]]:
+    """Evaluate the around-a-point sum at every crossing of polar components
+    of degree at most AROUND_POINT_DEGREE.
 
     Returns (point, sum) pairs; all sums must be zero.  Points where any
     polar component is singular are skipped (out of scope).
@@ -247,7 +249,7 @@ def check_reciprocity_around_points(w: GlobalForm,
     for i, C in enumerate(polar):
         for H in polar[i + 1:]:
             for pt in intersection_support(C, H):
-                if pt.degree <= max_point_degree:
+                if pt.degree <= AROUND_POINT_DEGREE:
                     pts[pt.sort_key()] = pt
     results = []
     for key in sorted(pts):

@@ -15,9 +15,7 @@ genuinely the leading column of the underlying series.
 
 Precision bookkeeping is deliberately conservative.  Multiplication uses the
 box rule new_prec = min(prec_a + val_b, prec_b + val_a) in each variable
-(valuations taken over tracked terms), addition intersects boxes, and
-substitution additionally caps the u-window using u-drop slopes measured on
-the parameter images (see `LaurentSeries2.substitute`).
+(valuations taken over tracked terms), and addition intersects boxes.
 """
 
 from __future__ import annotations
@@ -155,11 +153,6 @@ class LaurentSeries2:
             self.u_prec,
         )
 
-    def coeff(self, t_exp: int, u_exp: int) -> FieldElem:
-        if t_exp >= self.t_prec or u_exp >= self.u_prec:
-            raise PrecisionError(f"coefficient ({t_exp},{u_exp}) outside tracked window")
-        return self.terms.get((t_exp, u_exp), self.desc.zero())
-
     # -- ring operations -----------------------------------------------------
 
     def _check_desc(self, other: "LaurentSeries2"):
@@ -205,20 +198,6 @@ class LaurentSeries2:
                 else:
                     out[k] = s
         return LaurentSeries2(self.desc, out, t_prec, u_prec)
-
-    def scale(self, a: FieldElem) -> "LaurentSeries2":
-        if a.is_zero():
-            return LaurentSeries2(self.desc, {}, self.t_prec, self.u_prec)
-        return LaurentSeries2(self.desc, {k: c * a for k, c in self.terms.items()},
-                              self.t_prec, self.u_prec)
-
-    def shift(self, dt: int, du: int) -> "LaurentSeries2":
-        """Multiply by the exact monomial t^dt u^du."""
-        return LaurentSeries2(
-            self.desc,
-            {(t + dt, u + du): c for (t, u), c in self.terms.items()},
-            self.t_prec + dt, self.u_prec + du,
-        )
 
     def truncate(self, t_to=None, u_to=None) -> "LaurentSeries2":
         t_prec = self.t_prec if t_to is None else min(self.t_prec, _as_prec(t_to))
@@ -302,134 +281,7 @@ class LaurentSeries2:
             return LaurentSeries2(self.desc, out, self.t_prec - 1, self.u_prec)
         return LaurentSeries2(self.desc, out, self.t_prec, self.u_prec - 1)
 
-    # -- substitution ----------------------------------------------------------
-
-    def substitute(self, u_image: "LaurentSeries2", t_image: "LaurentSeries2",
-                   t_cap=None, u_cap=None) -> "LaurentSeries2":
-        """Composite series f(u_image, t_image).
-
-        Preconditions: t_image has t-valuation >= 1; u_image has t-valuation 0
-        with its t^0 column of u-valuation >= 1 (local parameters map to local
-        parameters).  The u-window of the result is capped by tail bounds
-        computed from u-drop slopes measured on the tracked image terms, so
-        image windows must already exhibit every slope of the underlying
-        series (automatic for exact images and for monomial-times-unit
-        images, the forms used internally).
-
-        `t_cap`/`u_cap` bound the requested window.  A tight `t_cap` is how a
-        caller that only needs low t-columns keeps the uniform u-window from
-        eroding: intermediate products (inverted images in particular) are
-        then truncated early, and the tail bound is evaluated only up to the
-        capped column.
-        """
-        U, T = u_image, t_image
-        self._check_desc(U)
-        self._check_desc(T)
-        if T.is_zero_window() or T.t_valuation() < 1:
-            raise ValueError("t_image must have t-valuation >= 1")
-        if U.is_zero_window() or U._tv() != 0:
-            raise ValueError("u_image must have t-valuation 0")
-        u_lead = {u for (t, u) in U.terms if t == 0}
-        if not u_lead or min(u_lead) < 1:
-            raise ValueError("u_image must have u-valuation >= 1 at t^0")
-        if not self.terms:
-            return LaurentSeries2(self.desc, {}, self.t_prec, self.u_prec)
-
-        vT = T.t_valuation()
-        cuT = min(u for (t, u) in T.terms if t == vT)
-        vaU = min(u_lead)
-        sigma = 0.0
-        for (t, u) in U.terms:
-            if t >= 1:
-                sigma = max(sigma, (vaU - u) / t)
-        for (t, u) in T.terms:
-            if t > vT:
-                sigma = max(sigma, (cuT - u) / (t - vT))
-
-        # provable caps against this series' own unknown tails
-        vt_f = self.t_valuation()
-        if self.t_prec == INF:
-            tcap = INF
-        else:
-            tcap = min(self.t_prec, self.t_prec * vT)
-        if t_cap is not None:
-            tcap = min(tcap, _as_prec(t_cap))
-        if self.u_prec == INF:
-            ucap = INF
-        else:
-            if tcap == INF and sigma > 0:
-                # slope contamination grows without bound in t; pick a finite
-                # t-window so a uniform u-window exists at all
-                tcap = vt_f * vT + DEFAULT_PREC
-            bmax = (self.t_prec - 1) if self.t_prec != INF else max(t for (t, _) in self.terms)
-            m = min(b * (cuT + sigma * vT) for b in (vt_f, bmax))
-            worst_col = (tcap - 1) if tcap != INF else 0
-            ucap = math.floor(self.u_prec * vaU + m - sigma * worst_col)
-        if u_cap is not None:
-            ucap = min(ucap, _as_prec(u_cap))
-
-        # evaluate column by column (Horner over t, cached powers in u)
-        cols: Dict[int, Dict[int, FieldElem]] = {}
-        for (t, u), c in self.terms.items():
-            cols.setdefault(t, {})[u] = c
-        # working t-truncation: generous enough that the final T^vt_f shift
-        # (downward when vt_f < 0) still lands every needed column
-        work_cap = INF if tcap == INF else int(tcap) + max(0, -vt_f) * vT
-
-        def npow(base: "LaurentSeries2", n: int) -> LaurentSeries2:
-            """base ** n, truncating the inverse before powering so the
-            triangular tail of the inverse cannot erode the u-window."""
-            if n >= 0:
-                return base ** n
-            inv = base.inverse()
-            if work_cap != INF:
-                inv = inv.truncate(t_to=work_cap)
-            return inv ** (-n)
-
-        u_pows: Dict[int, LaurentSeries2] = {}
-
-        def upow(n: int) -> LaurentSeries2:
-            got = u_pows.get(n)
-            if got is None:
-                got = npow(U, n)
-                u_pows[n] = got
-            return got
-
-        def eval_column(col: Dict[int, FieldElem]) -> LaurentSeries2:
-            vu = min(col)
-            acc = LaurentSeries2.zero(self.desc)
-            for a, c in sorted(col.items()):
-                acc = acc + upow(a - vu).scale(c)
-            return acc * upow(vu) if vu != 0 else acc
-
-        exps = sorted(cols)
-        acc = LaurentSeries2.zero(self.desc)
-        prev: Optional[int] = None
-        for b in reversed(exps):
-            if prev is not None:
-                acc = acc * (T ** (prev - b))
-                if work_cap != INF:
-                    acc = acc.truncate(t_to=work_cap)
-            acc = acc + eval_column(cols[b])
-            prev = b
-        if vt_f != 0:
-            acc = acc * npow(T, vt_f)
-        return acc.truncate(t_to=tcap, u_to=ucap)
-
     # -- comparison and display ------------------------------------------------
-
-    def agree(self, other: "LaurentSeries2") -> bool:
-        """Equality of all coefficients inside the common window."""
-        self._check_desc(other)
-        t_prec = min(self.t_prec, other.t_prec)
-        u_prec = min(self.u_prec, other.u_prec)
-        for k, c in self.terms.items():
-            if k[0] < t_prec and k[1] < u_prec and other.terms.get(k) != c:
-                return False
-        for k, c in other.terms.items():
-            if k[0] < t_prec and k[1] < u_prec and self.terms.get(k) != c:
-                return False
-        return True
 
     def __eq__(self, other):
         return (
@@ -448,18 +300,6 @@ class LaurentSeries2:
         if self.u_prec != INF:
             wins.append(f"O(u^{int(self.u_prec)})")
         return body + (" + " + " + ".join(wins) if wins else "")
-
-
-class LocalForm2:
-    """A local 2-form f du^dt at a flag: the series f in fixed coordinates."""
-
-    __slots__ = ("body",)
-
-    def __init__(self, body: LaurentSeries2):
-        self.body = body
-
-    def __repr__(self):
-        return f"({self.body!r}) du^dt"
 
 
 def _invert_column(col: Dict[int, FieldElem], u_prec, lu: int,
@@ -505,15 +345,12 @@ def ls2_valuation(f: LaurentSeries2) -> Tuple[int, int]:
     return vt, vu
 
 
-def res2(w) -> FieldElem:
-    """The two-dimensional residue: the u^-1 t^-1 coefficient of the form.
-
-    Accepts a LocalForm2 or a bare coefficient series (for f du^dt).
-    """
-    body = w.body if isinstance(w, LocalForm2) else w
-    if body.t_prec <= -1 or body.u_prec <= -1:
+def res2(f: LaurentSeries2) -> FieldElem:
+    """The two-dimensional residue of the form f du^dt: the u^-1 t^-1
+    coefficient of f."""
+    if f.t_prec <= -1 or f.u_prec <= -1:
         raise PrecisionError("residue slot (-1,-1) lies outside the tracked window")
-    return body.terms.get((-1, -1), body.desc.zero())
+    return f.terms.get((-1, -1), f.desc.zero())
 
 
 def ls2_to_text(f: LaurentSeries2) -> str:

@@ -528,6 +528,8 @@ def _orbit_starts(base: FieldDesc, m: int) -> List[FieldElem]:
 
 def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
     """Closed point through the given geometric point (exact degree computed)."""
+    if len(coords) != S.nvars:
+        raise ValueError(f"expected {S.nvars} coordinates, got {len(coords)}")
     field = coords[0].desc
     norm = _normalize_proj(S, list(coords))
     if field == S.base:
@@ -971,30 +973,40 @@ def canonical_local_form(fl: Flag, window: int) -> LaurentSeries2:
     return jac
 
 
+def smooth_flag(D: Curve, max_degree: int,
+                avoid: Sequence[Curve] = ()) -> Flag:
+    """The first flag on D at a point of degree at most max_degree that lies
+    on no curve of `avoid`; singular points of D are skipped.  Points are
+    tried one exact degree at a time, lowest first, since the fibres to
+    factor and the residue fields of the points grow like q^d."""
+    for degree in range(1, max_degree + 1):
+        for pt in points_on_curve(D, degree):
+            if pt.degree < degree:
+                continue
+            coords = list(pt.coords)
+            if any(E.poly.evaluate(coords).is_zero() for E in avoid):
+                continue
+            try:
+                return flag_make(pt, D)
+            except ValueError:
+                continue
+    raise ValueError(f"no admissible flag on {D!r} up to point degree "
+                     f"{max_degree}")
+
+
 _FORM_ORDER_CACHE: Dict[Curve, int] = {}
 
 
 def form_order_on_curve(S: Surface, D: Curve, window: int = DEFAULT_PREC) -> int:
-    """ord_D of the fixed 2-form, via its local expression at one flag."""
+    """ord_D of the fixed 2-form, via its local expression at one smooth
+    flag of degree at most 3."""
     got = _FORM_ORDER_CACHE.get(D)
-    if got is not None:
-        return got
-    # one smooth point suffices; search low degrees first, since the fibres
-    # to factor and the residue fields of the points grow like q^d
-    for max_degree in (1, 2, 3):
-        for pt in points_on_curve(D, max_degree):
-            if pt.degree < max_degree:
-                continue
-            try:
-                fl = flag_make(pt, D)
-            except ValueError:
-                continue
-            order = escalate(
-                lambda w: canonical_local_form(fl, w).t_valuation(),
-                window, lambda: f"order of the form along {D!r}")
-            _FORM_ORDER_CACHE[D] = order
-            return order
-    raise RuntimeError("no smooth point found on the curve")  # pragma: no cover
+    if got is None:
+        fl = smooth_flag(D, 3)
+        got = _FORM_ORDER_CACHE[D] = escalate(
+            lambda w: canonical_local_form(fl, w).t_valuation(),
+            window, lambda: f"order of the form along {D!r}")
+    return got
 
 
 def divisor_of_form(S: Surface, candidates: Iterable[Curve]) -> Tuple[Divisor, bool]:

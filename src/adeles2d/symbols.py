@@ -209,27 +209,14 @@ def symbol_at_flag(f: RationalFunction, g: RationalFunction, fl: Flag,
                if n)
 
 
-def _flag_symbol(g1: IdeleRule, g2: IdeleRule, fl: Flag, prec: int) -> int:
-    """The integer symbol of the two idele components at one flag."""
-    return symbol_at_flag(g1.local(fl), g2.local(fl), fl, prec)
-
-
 def commutator_pairing(g1: IdeleRule, g2: IdeleRule, flags: Sequence[Flag],
-                       prec: int = DEFAULT_SYMBOL_PREC,
-                       probe: Sequence[Flag] = ()) -> QPower:
-    """Product over flags of q^(-deg(x) * symbol).
-
-    Extra `probe` flags assert completeness of the main list: a nonzero
-    symbol at any of them means contributions were missed.
-    """
-    for fl in probe:
-        if _flag_symbol(g1, g2, fl, prec) != 0:
-            raise ValueError(
-                f"nonzero symbol at probe flag {fl!r}: the flag list misses "
-                f"contributions")
+                       prec: int = DEFAULT_SYMBOL_PREC) -> QPower:
+    """Product over flags of q^(-deg(x) * symbol), the symbol of the two
+    idele components at each flag."""
     exponent = 0
     for fl in flags:
-        exponent -= fl.point.degree * _flag_symbol(g1, g2, fl, prec)
+        exponent -= fl.point.degree * symbol_at_flag(
+            g1.local(fl), g2.local(fl), fl, prec)
     return QPower(exponent)
 
 

@@ -148,11 +148,18 @@ def test_invalid_configurations_exit_two():
         ["residue", "--q", "3", "--curve", "Y", "--point", "0:0:1",
          "--num", "Z", "--den", "Y:1", "--precision", "-1"],
         ["verify", "--suites", "bezout", "--precision", "0"],
+        ["expand", "--q", "3", "--curve", "Z", "--point", "0:1:0:2",
+         "--function", "X^2/YZ"],
+        ["expand", "--surface", "P1xP1", "--q", "3", "--curve", "X1",
+         "--point", "1:0:1:0:1", "--function", "Y0/Y1"],
+        ["expand", "--q", "3", "--curve", "Z", "--point", "0:1",
+         "--function", "X^2/YZ"],
     ]
     for argv in bad:
         code, _out, err = run(argv)
         assert code == 2, (argv, err)
         assert err.startswith("error:"), (argv, err)
+    assert "expected 3 coordinates, got 2" in err, err
 
 
 def test_soft_q_limit_is_overridable():

@@ -2,7 +2,6 @@
 
 from adeles2d.cohomology import (
     cech_h_vector,
-    chi,
     class_range,
     h_vector,
     rr_space,
@@ -13,7 +12,6 @@ from adeles2d.surface import (
     curve_make,
     divisor_class,
     ord_on_curve,
-    parse_poly,
     surface_make,
 )
 
@@ -63,11 +61,11 @@ def test_cech_count_agrees_with_closed_form():
 def test_chi_is_the_riemann_roch_polynomial():
     S = p2()
     for n in range(-9, 10):
-        assert chi(S, (n,)) == (n + 1) * (n + 2) // 2, n
+        assert h_vector(S, (n,)).chi == (n + 1) * (n + 2) // 2, n
     T = quadric()
     for a in range(-5, 6):
         for b in range(-5, 6):
-            assert chi(T, (a, b)) == (a + 1) * (b + 1), (a, b)
+            assert h_vector(T, (a, b)).chi == (a + 1) * (b + 1), (a, b)
 
 
 def test_rr_space_of_twice_a_line():
@@ -194,14 +192,16 @@ def test_serre_residual_full_range():
 
 def test_chi_symmetry_golden():
     S = p2()
-    assert chi(S, (0,)) == 1 and chi(S, (-3,)) == 1
-    assert chi(S, (-1,)) == 0 and chi(S, (-2,)) == 0
+    assert h_vector(S, (0,)).chi == 1 and h_vector(S, (-3,)).chi == 1
+    assert h_vector(S, (-1,)).chi == 0 and h_vector(S, (-2,)).chi == 0
     T = quadric()
-    assert chi(T, (-1, -1)) == chi(T, _dual(T, (-2, -2), (-1, -1)))  # self-dual
+    # (-1, -1) is self-dual
+    assert (h_vector(T, (-1, -1)).chi
+            == h_vector(T, _dual(T, (-2, -2), (-1, -1))).chi)
 
 
 def test_chi_symmetry_full_range():
     # chi(C) = chi(w - C)
     for S, w, lo, hi in ((p2(), (-3,), -8, 8), (quadric(), (-2, -2), -4, 4)):
         for c in class_range(S, lo, hi):
-            assert chi(S, c) == chi(S, _dual(S, w, c)), c
+            assert h_vector(S, c).chi == h_vector(S, _dual(S, w, c)).chi, c

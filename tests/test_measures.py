@@ -3,20 +3,19 @@ extension, finite windows, and the assembled Riemann-Roch identity."""
 
 import json
 
-from adeles2d import measures
+from adeles2d import measures, surface
 from adeles2d.cohomology import cech_h_vector, class_range, h_vector, rr_space
 from adeles2d.measures import (
     CentralExtElem,
     LatticeSymbol,
+    WINDOW_POINT_DEGREE,
     canonical_divisor,
     central_commutator,
     central_ext_commutator,
     char_distribution_A1,
     char_distribution_A12,
-    char_distribution_A12_mod_A1,
     char_function_A0,
     char_function_A02,
-    char_function_A02_mod_A0,
     char_pairing,
     class_representative,
     delta_measure,
@@ -38,7 +37,9 @@ from adeles2d.surface import (
     curve_make,
     divisor_class,
     flag_make,
+    form_order_on_curve,
     points_on_curve,
+    smooth_flag,
     surface_make,
 )
 from adeles2d.symbols import QPower, idele_j
@@ -91,14 +92,19 @@ def test_measure_tags_reject_mismatched_endpoints():
 def test_global_function_adapted_measure_counts_sections():
     for S in (plane(2), plane(3), quadric(2)):
         L = LatticeSymbol("A0", surface=S)
-        for ci in class_range(S, 0, 2):
-            for cj in class_range(S, 0, 2):
-                i = LatticeSymbol("A1", class_representative(S, ci))
-                j = LatticeSymbol("A1", class_representative(S, cj))
-                m = measure_mu_L(L, i, j)
-                hi = len(rr_space(class_representative(S, ci)))
-                hj = len(rr_space(class_representative(S, cj)))
-                assert m.value == QPower(hi - hj), (ci, cj, m)
+        refs = [class_representative(S, c) for c in class_range(S, 0, 2)]
+        if S.model == "P2":
+            # references that are not class representatives
+            X = curve_make(S, "X")
+            refs += [Divisor(S, {X: 2}),
+                     Divisor(S, {X: -1, curve_make(S, "Y"): 1})]
+        for Di in refs:
+            for Dj in refs:
+                m = measure_mu_L(L, LatticeSymbol("A1", Di),
+                                 LatticeSymbol("A1", Dj))
+                hi = len(rr_space(Di))
+                hj = len(rr_space(Dj))
+                assert m.value == QPower(hi - hj), (Di, Dj, m)
 
 
 def test_full_and_compact_chain_adapted_measures():
@@ -116,18 +122,6 @@ def test_full_and_compact_chain_adapted_measures():
                                        ambient="A/A01")
                 want2 = cech_h_vector(S, ci).h2 - cech_h_vector(S, cj).h2
                 assert compact.value == QPower(want2), (ci, cj, compact)
-
-
-def test_adapted_measure_ignores_the_auxiliary_basepoint():
-    S = plane()
-    X = curve_make(S, "X")
-    Y = curve_make(S, "Y")
-    i = LatticeSymbol("A1", Divisor(S, {X: 2}))
-    j = LatticeSymbol("A1", Divisor(S, {X: -1, Y: 1}))
-    L = LatticeSymbol("A0", surface=S)
-    default = measure_mu_L(L, i, j)
-    for aux in (Divisor(S, {X: -3, Y: -2}), Divisor(S, {X: -1}).scale(5)):
-        assert measure_mu_L(L, i, j, aux=aux) == default, aux
 
 
 def test_unsupported_lattice_pairs_are_rejected():
@@ -444,9 +438,9 @@ def test_self_dual_window_on_the_quadric():
     assert window_annihilator_check(w, canonical_divisor(Q))
 
 
-def _exhaustive_window_flag(D, avoid, max_point_degree):
+def _exhaustive_flag(D, max_degree, avoid=()):
     """The first admissible flag over every point of D up to the degree."""
-    for pt in points_on_curve(D, max_point_degree):
+    for pt in points_on_curve(D, max_degree):
         if any(E.poly.evaluate(list(pt.coords)).is_zero() for E in avoid):
             continue
         try:
@@ -458,16 +452,18 @@ def _exhaustive_window_flag(D, avoid, max_point_degree):
 
 def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
     chosen = []
-    window_flag = measures._window_flag
 
-    def recording(D, avoid, max_point_degree):
-        fl = window_flag(D, avoid, max_point_degree)
-        chosen.append((D, avoid, max_point_degree, fl))
+    def recording(D, max_degree, avoid=()):
+        fl = smooth_flag(D, max_degree, avoid)
+        chosen.append((D, max_degree, avoid, fl))
         return fl
 
-    monkeypatch.setattr(measures, "_window_flag", recording)
+    monkeypatch.setattr(measures, "smooth_flag", recording)
+    monkeypatch.setattr(surface, "smooth_flag", recording)
+    monkeypatch.setattr(surface, "_FORM_ORDER_CACHE", {})
     for q in (2, 3, 4, 5):
-        # the windows of `verify --suites windows` on each surface
+        # the windows of `verify --suites windows` on each surface, and the
+        # form orders along their curves
         S = surface_make("P2", q)
         X = curve_make(S, "X")
         L = Divisor(S, {curve_make(S, n): 1 for n in "XYZ"})
@@ -475,16 +471,23 @@ def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
         window_build(-L, L, u_size=2)
         Q = surface_make("P1xP1", q)
         window_build(canonical_divisor(Q), divisor_zero(Q), u_size=1)
-    assert len(chosen) == 4 * (1 + 3 + 2)
+    windows = [c for c in chosen if c[1] == WINDOW_POINT_DEGREE]
+    assert len(windows) == 4 * (1 + 3 + 2)
+    assert len(chosen) > len(windows)
     # over F_2 the rational points of X all lie on Y, Z or Y + Z
     S = surface_make("P2", 2)
     X = curve_make(S, "X")
     avoid = [curve_make(S, n) for n in ("Y", "Z", "Y+Z")]
-    fl = window_flag(X, avoid, 2)
+    fl = smooth_flag(X, 2, avoid)
     assert fl.point.degree == 2
-    chosen.append((X, avoid, 2, fl))
-    for D, avoid, max_point_degree, fl in chosen:
-        ref = _exhaustive_window_flag(D, avoid, max_point_degree)
+    chosen.append((X, 2, avoid, fl))
+    # the only rational point of this pair of conjugate lines is their
+    # crossing, so the form order is read at a point of degree 2
+    D = curve_make(S, "X^2+XY+Y^2")
+    assert form_order_on_curve(S, D) == 0
+    assert chosen[-1][0] == D and chosen[-1][3].point.degree == 2
+    for D, max_degree, avoid, fl in chosen:
+        ref = _exhaustive_flag(D, max_degree, avoid)
         assert (fl.point, fl.curve) == (ref.point, ref.curve), (D, avoid, fl)
 
 

@@ -8,7 +8,6 @@ from adeles2d.series import (
     DEFAULT_PREC,
     INF,
     LaurentSeries2,
-    LocalForm2,
     PrecisionError,
     escalate,
     ls2_to_text,
@@ -42,6 +41,28 @@ def ls2_from_text(text, desc, t_prec=INF, u_prec=INF):
 def mk(desc, terms, t_prec=INF, u_prec=INF):
     return LaurentSeries2(desc, {k: desc.from_int(v) for k, v in terms.items()},
                           t_prec, u_prec)
+
+
+def agree(a, b):
+    """Equal coefficients inside the common window of a and b."""
+    t_prec = min(a.t_prec, b.t_prec)
+    u_prec = min(a.u_prec, b.u_prec)
+    return a.truncate(t_prec, u_prec).terms == b.truncate(t_prec, u_prec).terms
+
+
+def compose(f, U, T, t_cap):
+    """f(U, T) below t^t_cap, by ring operations alone.  Negative powers
+    invert the image and truncate the inverse below t^(t_cap + 4) before
+    raising it, so its triangular tail does not erode the u-window."""
+    def power(base, n):
+        if n >= 0:
+            return base ** n
+        return base.inverse().truncate(t_to=t_cap + 4) ** -n
+
+    acc = LaurentSeries2.zero(f.desc)
+    for (b, a), c in f.terms.items():
+        acc = acc + power(U, a) * power(T, b) * LaurentSeries2.const(f.desc, c)
+    return acc.truncate(t_to=t_cap)
 
 
 def rand_series(desc, rng, span=3, nterms=5, t_prec=INF, u_prec=INF):
@@ -93,8 +114,8 @@ def test_inverse_multiplies_back_to_one():
             inv = a.inverse()
             prod = a * inv
             one = LaurentSeries2.one(desc)
-            assert prod.agree(one), (q, a, inv, prod)
-            assert prod.coeff(0, 0).is_one(), (q, a, inv, prod)
+            assert agree(prod, one), (q, a, inv, prod)
+            assert prod.terms[(0, 0)].is_one(), (q, a, inv, prod)
 
 
 def test_inverse_of_zero_window_raises():
@@ -112,38 +133,6 @@ def test_inverse_of_zero_window_raises():
         pass
     else:
         raise AssertionError("inverting exact zero did not raise")
-
-
-def test_substitute_inverts_parameter():
-    f5 = field_make(5, 1)
-    f = mk(f5, {(-1, 0): 1})  # t^-1
-    t_image = mk(f5, {(1, 0): 1, (1, 1): 1})  # t(1+u)
-    u_image = mk(f5, {(0, 1): 1})
-    out = f.substitute(u_image, t_image)
-    assert out.coeff(-1, 0).coeffs[0] == 1
-    assert out.coeff(-1, 1) == -f5.one()
-    assert out.coeff(-1, 2) == f5.one()
-
-
-def test_substitute_identity_is_identity():
-    f3 = field_make(3, 1)
-    rng = random.Random(5)
-    u_id = mk(f3, {(0, 1): 1})
-    t_id = mk(f3, {(1, 0): 1})
-    for _ in range(10):
-        f = rand_series(f3, rng, t_prec=6, u_prec=6)
-        if f.is_zero_window():
-            continue
-        out = f.substitute(u_id, t_id)
-        assert out.terms == f.terms
-        assert out.t_prec == f.t_prec and out.u_prec == f.u_prec
-
-
-def test_substitute_linear_shift():
-    f2 = field_make(2, 1)
-    f = mk(f2, {(0, 1): 1})  # u
-    out = f.substitute(mk(f2, {(0, 1): 1, (1, 0): 1}), mk(f2, {(1, 0): 1}))
-    assert out.terms == mk(f2, {(0, 1): 1, (1, 0): 1}).terms
 
 
 def test_derive_golden():
@@ -180,21 +169,18 @@ def test_valuation_examples():
 
 def test_res2_golden():
     f3 = field_make(3, 1)
-    w = LocalForm2(mk(f3, {(-1, -1): 1}))
-    assert res2(w) == f3.one()
+    assert res2(mk(f3, {(-1, -1): 1})) == f3.one()
     for (b, a) in [(-1, 0), (0, -1), (2, 3), (-2, -2)]:
-        assert res2(LocalForm2(mk(f3, {(b, a): 1}))).is_zero()
+        assert res2(mk(f3, {(b, a): 1})).is_zero()
     # (1+u)^-1 u^-1 t^-1
     geom = mk(f3, {(0, 0): 1, (0, 1): 1}).inverse()
-    form = LocalForm2(geom.shift(-1, -1))
-    assert res2(form) == f3.one()
+    assert res2(geom * mk(f3, {(-1, -1): 1})) == f3.one()
 
 
 def test_res2_window_exclusion_raises():
     f3 = field_make(3, 1)
-    w = LocalForm2(LaurentSeries2.zero(f3, t_prec=-1, u_prec=4))
     try:
-        res2(w)
+        res2(LaurentSeries2.zero(f3, t_prec=-1, u_prec=4))
     except PrecisionError:
         pass
     else:
@@ -213,8 +199,8 @@ def test_ring_axioms_random():
             assert (a + b) + c == a + (b + c)
             assert a + b == b + a
             assert a * b == b * a
-            assert ((a * b) * c).agree(a * (b * c))
-            assert (a * (b + c)).agree(a * b + a * c)
+            assert agree((a * b) * c, a * (b * c))
+            assert agree(a * (b + c), a * b + a * c)
 
 
 def test_res2_kills_derivatives():
@@ -222,8 +208,8 @@ def test_res2_kills_derivatives():
     f5 = field_make(5, 1)
     for _ in range(40):
         g = rand_series(f5, rng)
-        assert res2(LocalForm2(g.derive("u"))).is_zero()
-        assert res2(LocalForm2(g.derive("t"))).is_zero()
+        assert res2(g.derive("u")).is_zero()
+        assert res2(g.derive("t")).is_zero()
 
 
 def test_res2_invariant_under_coordinate_change():
@@ -247,8 +233,8 @@ def test_res2_invariant_under_coordinate_change():
             jac = (u_img.derive("u") * t_img.derive("t")
                    - u_img.derive("t") * t_img.derive("u"))
             # a tight t-cap keeps the u-window healthy around the residue slot
-            pushed = f.substitute(u_img, t_img, t_cap=2) * jac
-            assert res2(LocalForm2(pushed)) == res2(LocalForm2(f)), (q, f)
+            pushed = compose(f, u_img, t_img, t_cap=2) * jac
+            assert res2(pushed) == res2(f), (q, f)
 
 
 def test_precision_monotonicity():
@@ -259,11 +245,11 @@ def test_precision_monotonicity():
         b = rand_series(f3, rng)
         small = (a.truncate(4, 4) * b.truncate(4, 4))
         large = (a.truncate(9, 9) * b.truncate(9, 9))
-        assert small.agree(large)
+        assert agree(small, large)
         if not a.is_zero_window():
             inv_small = a.truncate(5, 5).inverse()
             inv_large = a.truncate(10, 10).inverse()
-            assert inv_small.agree(inv_large)
+            assert agree(inv_small, inv_large)
 
 
 def test_text_round_trip():

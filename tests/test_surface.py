@@ -8,7 +8,7 @@ import pytest
 from adeles2d.cohomology import class_range
 from adeles2d.fields import field_make
 from adeles2d.multipoly import MPoly
-from adeles2d.series import LaurentSeries2, PrecisionError
+from adeles2d.series import PrecisionError
 from adeles2d.surface import (
     ClosedPoint,
     Curve,
@@ -46,6 +46,20 @@ def quadric(q):
 
 def ratfn(S, num_text, den_text):
     return RationalFunction(S, parse_poly(S, num_text), parse_poly(S, den_text))
+
+
+def coeff(f, t, u):
+    """The t^t u^u coefficient of the series f, read inside its window."""
+    if t >= f.t_prec or u >= f.u_prec:
+        raise PrecisionError(f"({t},{u}) lies outside the window of {f!r}")
+    return f.terms.get((t, u), f.desc.zero())
+
+
+def agree(a, b):
+    """Equal coefficients inside the common window of a and b."""
+    t_prec = min(a.t_prec, b.t_prec)
+    u_prec = min(a.u_prec, b.u_prec)
+    return a.truncate(t_prec, u_prec).terms == b.truncate(t_prec, u_prec).terms
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +485,10 @@ def test_coordinate_series_solves_curve_equation():
     coords = flag_coordinate_series(fl, 8)
     # the normalized equation is x^2 - y, so t = x^2 - y and y = u^2 - t
     B = coords[1]
-    assert B.coeff(1, 0) == -S.base.one()
-    assert B.coeff(0, 2).is_one()
-    assert all(c.is_zero() for c in
-               [B.coeff(0, 0), B.coeff(0, 1), B.coeff(1, 1), B.coeff(2, 0)])
+    assert coeff(B, 1, 0) == -S.base.one()
+    assert coeff(B, 0, 2).is_one()
+    assert all(coeff(B, t, u).is_zero()
+               for t, u in [(0, 0), (0, 1), (1, 1), (2, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +502,7 @@ def test_expand_coordinate_ratio():
     fl = flag_make(pt, L)
     f = ratfn(S, "X", "Y")
     e = expand_at_flag(f, fl, prec=8)
-    assert e.coeff(-1, 1).is_one()
+    assert coeff(e, -1, 1).is_one()
     assert e.t_valuation() == -1
 
 
@@ -500,7 +514,7 @@ def test_expand_geometric_series():
     f = ratfn(S, "Z", "Z-X")  # 1/(1-x) in the chart at the origin
     e = expand_at_flag(f, fl, prec=8)
     for k in range(8):
-        assert e.coeff(0, k).is_one(), k
+        assert coeff(e, 0, k).is_one(), k
 
 
 def test_expand_parabola_equation():
@@ -510,9 +524,9 @@ def test_expand_parabola_equation():
     fl = flag_make(pt, L)
     f = ratfn(S, "YZ - X^2", "Z^2")
     e = expand_at_flag(f, fl, prec=8)
-    assert e.coeff(1, 0).is_one()
-    assert e.coeff(0, 2) == -S.base.one()
-    assert e.coeff(0, 0).is_zero() and e.coeff(0, 1).is_zero()
+    assert coeff(e, 1, 0).is_one()
+    assert coeff(e, 0, 2) == -S.base.one()
+    assert coeff(e, 0, 0).is_zero() and coeff(e, 0, 1).is_zero()
 
 
 def test_expansion_is_multiplicative():
@@ -537,9 +551,9 @@ def test_expansion_is_multiplicative():
         eP = expand_poly_at_flag(P, fl, 8)
         eQ = expand_poly_at_flag(Q, fl, 8)
         ePQ = expand_poly_at_flag(P * Q, fl, 8)
-        assert ePQ.agree(eP * eQ)
+        assert agree(ePQ, eP * eQ)
         ePplusQ = expand_poly_at_flag(P + Q, fl, 8)
-        assert ePplusQ.agree(eP + eQ)
+        assert agree(ePplusQ, eP + eQ)
 
 
 def test_expand_at_degree_two_point():
@@ -552,7 +566,7 @@ def test_expand_at_degree_two_point():
     assert not e.is_zero_window()
     # the value at the point is the ratio of the point's coordinates
     x0, y0, _ = deg2.coords
-    assert e.coeff(0, 0) == x0 / y0
+    assert coeff(e, 0, 0) == x0 / y0
 
 
 def test_expansion_valuation_matches_ord():
@@ -889,7 +903,7 @@ def test_flex_expansion_at_precision_eight_extends_precision_four():
     e4 = expand_at_flag(f, fl, 4)
     e8 = expand_at_flag(f, fl, 8)
     assert (e4.t_prec, e8.t_prec) == (4, 8)
-    assert e8.agree(e4)
+    assert agree(e8, e4)
     assert e8.truncate(4, e4.u_prec).terms == e4.terms
 
 
