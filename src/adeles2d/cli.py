@@ -10,6 +10,7 @@ order; runs are deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -110,7 +111,9 @@ def _join_values(argv: Sequence[str]) -> List[str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     top = argparse.ArgumentParser(
         prog="adeles2d",
         description="Exact verification of residue reciprocity, symbol "
@@ -427,13 +430,7 @@ def _suite_bezout(S, classes, args) -> List[Check]:
 
 
 def _suite_serre(S, classes, args) -> List[Check]:
-    checks = []
-    for cC in classes:
-        for cH in classes:
-            lhs, rhs, _ok = derive_eq1(S, cC, cH)
-            checks.append(Check(
-                "serre-difference", {"C": _cls_json(cC), "H": _cls_json(cH)},
-                lhs, rhs))
+    checks = [derive_eq1(S, cC, cH) for cC in classes for cH in classes]
     for c in classes:
         if min(c) < 0:
             continue
@@ -444,23 +441,13 @@ def _suite_serre(S, classes, args) -> List[Check]:
 
 
 def _suite_chi(S, classes, args) -> List[Check]:
-    checks = []
-    for c in classes:
-        lhs, rhs, ok = derive_eq2(S, c)
-        checks.append(Check("chi-symmetry", {"S": _cls_json(c)}, lhs, rhs,
-                            passed=ok and lhs == rhs))
-    return checks
+    return [derive_eq2(S, c) for c in classes]
 
 
 def _suite_commutator(S, classes, args) -> List[Check]:
     wdiv = canonical_divisor(S)
-    checks = []
-    for c in classes:
-        meas, symb, _ok = central_commutator(
-            class_representative(S, c), wdiv, args.precision)
-        checks.append(Check("commutator", {"C": _cls_json(c)},
-                            meas.exponent, symb.exponent))
-    return checks
+    return [central_commutator(class_representative(S, c), wdiv,
+                               args.precision) for c in classes]
 
 
 def _suite_rr(S, classes, args) -> List[Check]:
@@ -579,8 +566,7 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_join_values(list(argv)))
+    args = _parser().parse_args(_join_values(list(argv)))
     args.started = time.perf_counter()
     try:
         if args.precision < 1:

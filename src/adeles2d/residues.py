@@ -91,7 +91,7 @@ def form_make(S: Surface, num, den_curves: Sequence[Tuple[Curve, int]]) -> Globa
 
 def form_total_order(w: GlobalForm, C: Curve) -> int:
     """ord_C(coefficient) + ord_C(omega)."""
-    return ord_on_curve(w.coefficient, C) + form_order_on_curve(w.surface, C)
+    return ord_on_curve(w.coefficient, C) + form_order_on_curve(C)
 
 
 def polar_components(w: GlobalForm) -> List[Curve]:

@@ -997,20 +997,20 @@ def smooth_flag(D: Curve, max_degree: int,
 _FORM_ORDER_CACHE: Dict[Curve, int] = {}
 
 
-def form_order_on_curve(S: Surface, D: Curve, window: int = DEFAULT_PREC) -> int:
+def form_order_on_curve(D: Curve) -> int:
     """ord_D of the fixed 2-form, via its local expression at one smooth
-    flag of degree at most 3."""
+    flag of degree at most 3, escalating from DEFAULT_PREC."""
     got = _FORM_ORDER_CACHE.get(D)
     if got is None:
         fl = smooth_flag(D, 3)
         got = _FORM_ORDER_CACHE[D] = escalate(
             lambda w: canonical_local_form(fl, w).t_valuation(),
-            window, lambda: f"order of the form along {D!r}")
+            DEFAULT_PREC, lambda: f"order of the form along {D!r}")
     return got
 
 
 def divisor_of_form(S: Surface, candidates: Iterable[Curve]) -> Tuple[Divisor, bool]:
     """Orders of the fixed 2-form along the candidates; checked means the
     candidate list accounts for the full canonical class."""
-    div = Divisor(S, {D: form_order_on_curve(S, D) for D in candidates})
+    div = Divisor(S, {D: form_order_on_curve(D) for D in candidates})
     return div, divisor_class(div) == S.canonical_class()

@@ -8,7 +8,7 @@ import tempfile
 
 import pytest
 
-from adeles2d import cli
+from adeles2d import cli, measures
 from adeles2d.cli import main
 
 
@@ -221,6 +221,25 @@ def test_timings_flag_fills_microseconds():
         assert any(c["micros"] > 0 for c in doc["checks"])
 
 
+def test_a_degenerate_window_fails_its_rank_check(monkeypatch):
+    # a residue pairing that is identically zero leaves the gram matrix at
+    # rank 0: the run reports the window-rank checks as failed
+    monkeypatch.setattr(
+        measures, "adelic_pairing",
+        lambda a, b, prec: next(iter(a.entries)).curve.surface.base.zero())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "windows.json")
+        code, out, _err = run(["verify", "--q", "3", "--range", "0:0",
+                               "--suites", "windows", "--json", path])
+        doc = json.load(open(path))
+    assert code == 1, out
+    assert "FAIL window-rank" in out, out
+    ranks = [c for c in doc["checks"] if c["name"] == "window-rank"]
+    assert len(ranks) == 2
+    for c in ranks:
+        assert c["pass"] is False and c["lhs"] == 0 < c["rhs"], c
+
+
 def test_quadric_verify_runs_every_suite():
     code, out, _err = run(["verify", "--surface", "P1xP1", "--q", "2",
                            "--range", "-1:1", "--seed", "5"])
@@ -242,8 +261,9 @@ def test_reciprocity_suite_ends_over_extension_fields():
 
 
 # Reports that print class text or a deep flag expansion, recorded before
-# classes became tuples and before the expansion box became rectangular:
-# name -> command line; tests/golden/<name>.out holds the standard output and
+# classes became tuples and before the expansion box became rectangular, and
+# the measure suites' reports, recorded before their identities returned
+# check records: name -> command line; tests/golden/<name>.out holds the standard output and
 # tests/golden/<name>.json the --json report.
 GOLDEN_REPORTS = {
     "cohomology_p2": ["cohomology", "--surface", "P2", "--q", "2",
@@ -257,6 +277,12 @@ GOLDEN_REPORTS = {
     "flex4": ["expand", "--q", "7", "--curve", "X^3+XZ^2+6Y^2Z",
               "--point", "0:1:0", "--function", "X^3/Z^3",
               "--precision", "4"],
+    "verify_measures_p2": ["verify", "--surface", "P2", "--q", "3",
+                           "--range", "-1:1",
+                           "--suites", "serre,chi,commutator,rr"],
+    "verify_measures_p1xp1": ["verify", "--surface", "P1xP1", "--q", "2",
+                              "--range", "-1:0",
+                              "--suites", "serre,chi,commutator,rr"],
 }
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

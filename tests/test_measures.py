@@ -12,13 +12,11 @@ from adeles2d.measures import (
     canonical_divisor,
     central_commutator,
     central_ext_commutator,
-    char_distribution_A1,
-    char_distribution_A12,
-    char_function_A0,
-    char_function_A02,
+    char_distribution,
+    char_function,
     char_pairing,
     class_representative,
-    delta_measure,
+    counting_measure,
     derive_eq1,
     derive_eq2,
     divisor_zero,
@@ -26,8 +24,6 @@ from adeles2d.measures import (
     idele_transport,
     measure_mu_L,
     mu_measure,
-    nu_measure,
-    one_measure,
     rr_assemble,
     window_annihilator_check,
     window_build,
@@ -60,27 +56,27 @@ def quadric(q=2):
 def test_measure_tags_compose_associatively_with_identity():
     S = plane()
     D = [class_representative(S, (n,)) for n in range(4)]
-    t01 = delta_measure(D[0], D[1])
-    t12 = delta_measure(D[1], D[2])
-    t23 = delta_measure(D[2], D[3])
+    t01 = counting_measure("A01", D[0], D[1])
+    t12 = counting_measure("A01", D[1], D[2])
+    t23 = counting_measure("A01", D[2], D[3])
     assert (t01 * t12) * t23 == t01 * (t12 * t23)
-    ident = delta_measure(D[1], D[1])
+    ident = counting_measure("A01", D[1], D[1])
     assert ident.value == QPower(0)
     assert t01 * ident == t01
-    assert t01 * t01.inverse() == delta_measure(D[0], D[0])
+    assert t01 * t01.inverse() == counting_measure("A01", D[0], D[0])
 
 
 def test_measure_tags_reject_mismatched_endpoints():
     S = plane()
-    a = delta_measure(divisor_zero(S), class_representative(S, (1,)))
-    b = delta_measure(divisor_zero(S), class_representative(S, (2,)))
+    a = counting_measure("A01", divisor_zero(S), class_representative(S, (1,)))
+    b = counting_measure("A01", divisor_zero(S), class_representative(S, (2,)))
     try:
         a * b
     except ValueError:
         pass
     else:
         raise AssertionError("composed tags with mismatched endpoints")
-    c = one_measure(divisor_zero(S), class_representative(S, (1,)))
+    c = counting_measure("A/A01", divisor_zero(S), class_representative(S, (1,)))
     try:
         a * c
     except ValueError:
@@ -162,8 +158,8 @@ def test_char_pairing_counts_sections_between_levels():
                 for b in class_range(S, 0, 2)]:
             H = class_representative(S, cH)
             C = class_representative(S, cC)
-            got = char_pairing(char_function_A0(S, H),
-                               char_distribution_A1(C, delta_measure(H, C)))
+            got = char_pairing(char_function(S, "A01", H), char_distribution(
+                C, counting_measure("A01", H, C)))
             want = len(rr_space(C)) - len(rr_space(H))
             assert got == QPower(want), (cH, cC, got)
 
@@ -174,9 +170,9 @@ def test_char_pairing_on_the_full_chain_compares_euler_characteristics():
             for cS in class_range(S, -1, 1):
                 R = class_representative(S, cR)
                 Sd = class_representative(S, cS)
-                got = char_pairing(char_function_A02(S, R),
-                                   char_distribution_A12(
-                                       Sd, nu_measure(R, Sd)))
+                got = char_pairing(char_function(S, "A", R),
+                                   char_distribution(
+                                       Sd, counting_measure("A", R, Sd)))
                 want = cech_h_vector(S, cS).chi - cech_h_vector(S, cR).chi
                 assert got == QPower(want), (cR, cS, got)
 
@@ -185,9 +181,9 @@ def test_char_pairing_rejects_incompatible_elements():
     S = plane()
     z = divisor_zero(S)
     C = class_representative(S, (1,))
-    dist = char_distribution_A1(C, delta_measure(z, C))
+    dist = char_distribution(C, counting_measure("A01", z, C))
     try:
-        char_pairing(char_function_A0(S, C), dist)
+        char_pairing(char_function(S, "A01", C), dist)
     except ValueError as err:
         assert "incompatible reference lattices" in str(err), err
     else:
@@ -199,12 +195,27 @@ def test_char_pairing_rejects_incompatible_elements():
     else:
         raise AssertionError("paired two distribution-like elements")
     try:
-        char_pairing(char_function_A0(S, z),
-                     char_distribution_A12(C, nu_measure(z, C)))
+        char_pairing(char_function(S, "A01", z),
+                     char_distribution(C, counting_measure("A", z, C)))
     except ValueError:
         pass
     else:
         raise AssertionError("paired elements of different ambient chains")
+    try:
+        char_pairing(char_function(S, "A01", z),
+                     char_distribution(C, counting_measure("A/A01", z, C)))
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("paired a compact-chain distribution against a "
+                             "discrete-chain indicator")
+    try:
+        char_distribution(C, counting_measure("A01", C, z))
+    except ValueError as err:
+        assert "measure must end at the element's lattice" in str(err), err
+    else:
+        raise AssertionError("built a distribution whose measure ends "
+                             "elsewhere")
 
 
 def test_fourier_is_an_involution_on_every_supported_shape():
@@ -214,10 +225,10 @@ def test_fourier_is_an_involution_on_every_supported_shape():
         C = class_representative(
             S, (1,) if S.model == "P2" else (1, 0))
         shapes = [
-            char_function_A0(S, z),
-            char_function_A02(S, C),
-            char_distribution_A1(C, delta_measure(z, C)),
-            char_distribution_A12(C, nu_measure(z, C)),
+            char_function(S, "A01", z),
+            char_function(S, "A", C),
+            char_distribution(C, counting_measure("A01", z, C)),
+            char_distribution(C, counting_measure("A", z, C)),
         ]
         shapes += [fourier_char(e, w) for e in shapes]
         for e in shapes:
@@ -225,17 +236,21 @@ def test_fourier_is_an_involution_on_every_supported_shape():
 
 
 def test_fourier_preserves_the_characteristic_pairing():
+    # A0 against A1, A02 mod A0 against A12 mod A1, and A02 against A12
     for S in (plane(2), quadric(3)):
         w = canonical_divisor(S)
-        for cH in class_range(S, -1, 1):
-            for cC in class_range(S, -1, 1):
-                H = class_representative(S, cH)
-                C = class_representative(S, cC)
-                dL = char_function_A0(S, H)
-                dA = char_distribution_A1(C, delta_measure(H, C))
-                lhs = char_pairing(dL, dA)
-                rhs = char_pairing(fourier_char(dL, w), fourier_char(dA, w))
-                assert lhs == rhs, (cH, cC, lhs, rhs)
+        for ambient in ("A01", "A/A01", "A"):
+            for cH in class_range(S, -1, 1):
+                for cC in class_range(S, -1, 1):
+                    H = class_representative(S, cH)
+                    C = class_representative(S, cC)
+                    dL = char_function(S, ambient, H)
+                    dA = char_distribution(
+                        C, counting_measure(ambient, H, C))
+                    lhs = char_pairing(dL, dA)
+                    rhs = char_pairing(fourier_char(dL, w),
+                                       fourier_char(dA, w))
+                    assert lhs == rhs, (ambient, cH, cC, lhs, rhs)
 
 
 def test_fourier_rejects_unsupported_shapes():
@@ -243,9 +258,9 @@ def test_fourier_rejects_unsupported_shapes():
     z = divisor_zero(S)
     C = class_representative(S, (1,))
     w = canonical_divisor(S)
-    mixed = nu_measure(z, C) * mu_measure(C, C)
+    mixed = counting_measure("A", z, C) * mu_measure(C, C)
     try:
-        fourier_char(char_distribution_A12(C, mixed), w)
+        fourier_char(char_distribution(C, mixed), w)
     except ValueError as err:
         assert "unsupported characteristic shape" in str(err), err
     else:
@@ -256,37 +271,47 @@ def test_fourier_rejects_unsupported_shapes():
 # the two derived identities
 
 
+def verdict(check):
+    return check.lhs, check.rhs, check.passed
+
+
 def test_sections_difference_identity_on_the_plane():
     S = plane()
-    assert derive_eq1(S, (1,), (0,)) == (2, 2, True)
-    assert derive_eq1(S, (2,), (2,)) == (0, 0, True)
+    got = derive_eq1(S, (1,), (0,))
+    assert verdict(got) == (2, 2, True)
+    assert (got.name, got.inputs) == ("serre-difference", {"C": 1, "H": 0})
+    assert verdict(derive_eq1(S, (2,), (2,))) == (0, 0, True)
     for cC in range(-2, 3):
         for cH in range(-2, 3):
-            lhs, rhs, ok = derive_eq1(S, (cC,), (cH,))
-            assert ok and lhs == rhs, (cC, cH, lhs, rhs)
+            got = derive_eq1(S, (cC,), (cH,))
+            assert got.passed and got.lhs == got.rhs, (cC, cH, got)
 
 
 def test_sections_difference_identity_on_the_quadric():
     S = quadric()
-    assert derive_eq1(S, (1, 0), (0, 0)) == (1, 1, True)
+    got = derive_eq1(S, (1, 0), (0, 0))
+    assert verdict(got) == (1, 1, True)
+    assert got.inputs == {"C": (1, 0), "H": (0, 0)}
     for cC in class_range(S, -1, 1):
         for cH in class_range(S, -1, 1):
-            lhs, rhs, ok = derive_eq1(S, cC, cH)
-            assert ok and lhs == rhs, (cC, cH)
+            got = derive_eq1(S, cC, cH)
+            assert got.passed and got.lhs == got.rhs, (cC, cH)
 
 
 def test_euler_characteristic_symmetry():
     S = plane()
-    assert derive_eq2(S, (1,)) == (3, 3, True)
-    assert derive_eq2(S, (0,)) == (1, 1, True)
+    got = derive_eq2(S, (1,))
+    assert verdict(got) == (3, 3, True)
+    assert (got.name, got.inputs) == ("chi-symmetry", {"S": 1})
+    assert verdict(derive_eq2(S, (0,))) == (1, 1, True)
     for c in range(-3, 4):
-        lhs, rhs, ok = derive_eq2(S, (c,))
-        assert ok and lhs == rhs, (c, lhs, rhs)
+        got = derive_eq2(S, (c,))
+        assert got.passed and got.lhs == got.rhs, (c, got)
     Q = quadric()
-    assert derive_eq2(Q, (1, 1)) == (4, 4, True)
+    assert verdict(derive_eq2(Q, (1, 1))) == (4, 4, True)
     for c in class_range(Q, -2, 2):
-        lhs, rhs, ok = derive_eq2(Q, c)
-        assert ok and lhs == rhs, (c, lhs, rhs)
+        got = derive_eq2(Q, c)
+        assert got.passed and got.lhs == got.rhs, (c, got)
 
 
 def test_section_space_dimensions_match_the_closed_form():
@@ -305,7 +330,7 @@ def test_central_extension_products_transport_measures():
     z = divisor_zero(S)
     C = class_representative(S, (1,))
     H = class_representative(S, (-4,))
-    a = CentralExtElem(idele_j(C, "at_points"), nu_measure(z, C))
+    a = CentralExtElem(idele_j(C, "at_points"), counting_measure("A", z, C))
     b = CentralExtElem(idele_j(H, "along_curves"), mu_measure(z, H))
     ab = a * b
 
@@ -325,10 +350,11 @@ def test_idele_transport_only_moves_its_own_family():
     S = plane()
     z = divisor_zero(S)
     C = class_representative(S, (1,))
-    moved = idele_transport(idele_j(C, "along_curves"), nu_measure(z, C))
+    moved = idele_transport(idele_j(C, "along_curves"),
+                            counting_measure("A", z, C))
     assert moved.frm == LatticeSymbol("A12", C)
     assert moved.to == LatticeSymbol("A12", C + C)
-    for kind, tag in (("at_points", nu_measure(z, C)),
+    for kind, tag in (("at_points", counting_measure("A", z, C)),
                       ("along_curves", mu_measure(z, C))):
         try:
             idele_transport(idele_j(C, kind), tag)
@@ -341,23 +367,25 @@ def test_idele_transport_only_moves_its_own_family():
 def test_central_commutator_agrees_with_the_symbol_route():
     S = plane()
     w = canonical_divisor(S)
-    meas, symb, ok = central_commutator(class_representative(S, (1,)), w)
-    assert ok and meas == QPower(4) == symb, (meas, symb)
-    meas, symb, ok = central_commutator(divisor_zero(S), w)
-    assert ok and meas == QPower(0) == symb, (meas, symb)
+    got = central_commutator(class_representative(S, (1,)), w)
+    assert verdict(got) == (4, 4, True), got
+    assert (got.name, got.inputs) == ("commutator", {"C": 1})
+    got = central_commutator(divisor_zero(S), w)
+    assert verdict(got) == (0, 0, True), got
     Q = quadric()
     wq = canonical_divisor(Q)
-    meas, symb, ok = central_commutator(class_representative(Q, (1, 0)), wq)
-    assert ok and meas == QPower(2) == symb, (meas, symb)
+    got = central_commutator(class_representative(Q, (1, 0)), wq)
+    assert verdict(got) == (2, 2, True), got
+    assert got.inputs == {"C": (1, 0)}
 
 
 def test_central_commutator_across_a_class_range():
     S = plane(3)
     w = canonical_divisor(S)
     for c in range(-2, 3):
-        meas, symb, ok = central_commutator(class_representative(S, (c,)), w)
-        assert ok, (c, meas, symb)
-        assert meas.exponent == -c * (-3 - c), (c, meas)
+        got = central_commutator(class_representative(S, (c,)), w)
+        assert got.passed, (c, got)
+        assert got.lhs == -c * (-3 - c), (c, got)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +413,7 @@ def test_riemann_roch_report_serializes_to_json():
     assert doc["pass"] is True
     assert doc["lhs"] == doc["rhs"] == 6
     assert {sub.name for sub in r.subchecks} == {
-        "sections-difference", "chi-symmetry", "commutator"}
+        "serre-difference", "chi-symmetry", "commutator"}
 
 
 def test_canonical_divisor_matches_the_canonical_class():
@@ -484,7 +512,7 @@ def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
     # the only rational point of this pair of conjugate lines is their
     # crossing, so the form order is read at a point of degree 2
     D = curve_make(S, "X^2+XY+Y^2")
-    assert form_order_on_curve(S, D) == 0
+    assert form_order_on_curve(D) == 0
     assert chosen[-1][0] == D and chosen[-1][3].point.degree == 2
     for D, max_degree, avoid, fl in chosen:
         ref = _exhaustive_flag(D, max_degree, avoid)
