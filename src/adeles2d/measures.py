@@ -38,7 +38,6 @@ from .symbols import (
     QPower,
     class_intersection,
     commutator_pairing,
-    idele_j,
     intersection_flags,
 )
 
@@ -499,12 +498,12 @@ def central_commutator(C: Divisor, wdiv: Divisor, prec: int = 8) -> Check:
     surf = C.surface
     H = _reflect(wdiv, C)
     z = divisor_zero(surf)
-    a = CentralExtElem(idele_j(C, "at_points"), counting_measure("A", z, C))
-    b = CentralExtElem(idele_j(H, "along_curves"), mu_measure(z, H))
+    a = CentralExtElem(IdeleRule("at_points", C), counting_measure("A", z, C))
+    b = CentralExtElem(IdeleRule("along_curves", H), mu_measure(z, H))
     measure_route = central_ext_commutator(a, b)
     Hrep = _disjoint_representative(surf, divisor_class(H), set(C.components))
-    symbol_route = commutator_pairing(idele_j(C, "at_points"),
-                                      idele_j(Hrep, "along_curves"),
+    symbol_route = commutator_pairing(IdeleRule("at_points", C),
+                                      IdeleRule("along_curves", Hrep),
                                       intersection_flags(C, Hrep), prec)
     return Check("commutator", {"C": _cls_json(divisor_class(C))},
                  measure_route.exponent, symbol_route.exponent)

@@ -11,6 +11,7 @@ windows before giving up, so callers normally never see precision errors.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +31,7 @@ from .surface import (
     expand_at_flag,
     flag_make,
     form_order_on_curve,
-    intersection_support,
+    meeting_points,
     ord_on_curve,
     parse_poly,
 )
@@ -98,14 +99,6 @@ def polar_components(w: GlobalForm) -> List[Curve]:
     return [C for C in w.components if form_total_order(w, C) < 0]
 
 
-def polar_components_at(w: GlobalForm, x: ClosedPoint) -> List[Curve]:
-    out = []
-    for C in polar_components(w):
-        if C.poly.evaluate(list(x.coords)).is_zero():
-            out.append(C)
-    return out
-
-
 def local_residue(w: GlobalForm, fl: Flag,
                   prec: int = DEFAULT_RESIDUE_PREC) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
@@ -119,13 +112,7 @@ def local_residue(w: GlobalForm, fl: Flag,
 def residue_points_on_curve(w: GlobalForm, D: Curve) -> List[ClosedPoint]:
     """Candidate points of D where the residue can be nonzero: its
     intersections with the other declared components."""
-    found: Dict[tuple, ClosedPoint] = {}
-    for C in w.components:
-        if C == D:
-            continue
-        for pt in intersection_support(D, C):
-            found[pt.sort_key()] = pt
-    return sorted(found.values(), key=ClosedPoint.sort_key)
+    return meeting_points((D, C) for C in w.components if C != D)
 
 
 def residue_sum_along_curve(w: GlobalForm, D: Curve,
@@ -243,18 +230,13 @@ def check_reciprocity_around_points(w: GlobalForm,
     Returns (point, sum) pairs; all sums must be zero.  Points where any
     polar component is singular are skipped (out of scope).
     """
-    S = w.surface
     polar = polar_components(w)
-    pts: Dict[tuple, ClosedPoint] = {}
-    for i, C in enumerate(polar):
-        for H in polar[i + 1:]:
-            for pt in intersection_support(C, H):
-                if pt.degree <= AROUND_POINT_DEGREE:
-                    pts[pt.sort_key()] = pt
     results = []
-    for key in sorted(pts):
-        x = pts[key]
-        through = polar_components_at(w, x)
+    for x in meeting_points(itertools.combinations(polar, 2)):
+        if x.degree > AROUND_POINT_DEGREE:
+            continue
+        coords = list(x.coords)
+        through = [C for C in polar if C.poly.evaluate(coords).is_zero()]
         try:
             flags = [flag_make(x, C) for C in through]
         except ValueError:

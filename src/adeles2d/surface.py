@@ -271,14 +271,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.surface, self.num * other.num, self.den * other.den)
-
-    def inverse(self) -> "RationalFunction":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of the zero function")
-        return RationalFunction(self.surface, self.den, self.num)
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunction) or self.surface != other.surface:
             return False
@@ -561,6 +553,15 @@ def intersection_support(C: Curve, H: Curve) -> List[ClosedPoint]:
     if got is None:
         got = memo[key] = tuple(_support(C, H))
     return list(got)
+
+
+def meeting_points(pairs: Iterable[Tuple[Curve, Curve]]) -> List[ClosedPoint]:
+    """The closed points where the two curves of some pair meet, sorted."""
+    pts: Dict[tuple, ClosedPoint] = {}
+    for C, H in pairs:
+        for pt in intersection_support(C, H):
+            pts[pt.sort_key()] = pt
+    return [pts[key] for key in sorted(pts)]
 
 
 def _support(C: Curve, H: Curve) -> List[ClosedPoint]:

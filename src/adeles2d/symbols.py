@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .fields import (
     FieldDesc,
@@ -32,13 +32,13 @@ from .surface import (
     Curve,
     Divisor,
     Flag,
-    RationalFunction,
     Surface,
     _mp_embed,
     coordinate_lines,
     divisor_class,
     flag_make,
     intersection_support,
+    meeting_points,
     poly_order_at_flag,
     poly_valuation_at_flag,
 )
@@ -108,33 +108,22 @@ def bisymbol(f: LaurentSeries2, g: LaurentSeries2) -> int:
 # idele choosers
 
 
-def _denominator_for(S: Surface, D: Curve, avoid: ClosedPoint) -> MPoly:
-    """A form of D's class with no D factor, nonvanishing at `avoid` (when
-    a point is given): powers of coordinate lines.  A projective point
-    always leaves at least one coordinate line of each group available."""
+# A function as factors (P, e), standing for the product of the P^e.
+Factors = List[Tuple[MPoly, int]]
+
+
+def _germ(D: Curve, m: int,
+          avoid: Optional[Sequence[FieldElem]]) -> Factors:
+    """D^m over the m-th power of a form of D's class made of coordinate
+    lines other than D, none vanishing at the coordinates `avoid` when
+    given.  A projective point always leaves at least one coordinate line
+    of each group available."""
     def ok(L: Curve) -> bool:
         return L != D and (
-            avoid is None
-            or not L.poly.evaluate(list(avoid.coords)).is_zero())
+            avoid is None or not L.poly.evaluate(avoid).is_zero())
 
-    out = MPoly.const(S.base, S.nvars, S.base.one())
-    for L, n in coordinate_lines(S, D.degree(), ok):
-        out = out * L.poly ** n
-    return out
-
-
-def _const_function(S: Surface) -> RationalFunction:
-    one = MPoly.const(S.base, S.nvars, S.base.one())
-    return RationalFunction(S, one, one)
-
-
-def _rf_power(f: RationalFunction, m: int) -> RationalFunction:
-    if m < 0:
-        f, m = f.inverse(), -m
-    out = _const_function(f.surface)
-    for _ in range(m):
-        out = out * f
-    return out
+    return [(D.poly, m)] + [(L.poly, -m * n) for L, n in
+                            coordinate_lines(D.surface, D.degree(), ok)]
 
 
 class IdeleRule:
@@ -154,59 +143,39 @@ class IdeleRule:
         self.kind = kind
         self.divisor = divisor
 
-    def at_curve(self, D: Curve) -> RationalFunction:
-        S = self.divisor.surface
-        m = self.divisor.components.get(D, 0)
-        if m == 0:
-            return _const_function(S)
-        den = _denominator_for(S, D, avoid=None)
-        return _rf_power(RationalFunction(S, D.poly, den), m)
-
-    def at_point(self, x: ClosedPoint) -> RationalFunction:
-        S = self.divisor.surface
-        out = _const_function(S)
-        for D, m in self.divisor.items():
-            if not D.poly.evaluate(list(x.coords)).is_zero():
-                continue
-            den = _denominator_for(S, D, avoid=x)
-            out = out * _rf_power(RationalFunction(S, D.poly, den), m)
-        return out
-
-    def local(self, fl: Flag) -> RationalFunction:
+    def local(self, fl: Flag) -> Factors:
+        """The component at the flag, as factors."""
         if self.kind == "along_curves":
-            return self.at_curve(fl.curve)
-        return self.at_point(fl.point)
-
-
-def idele_j(E: Divisor, kind: str) -> IdeleRule:
-    """The standard multiplicative chooser for the divisor E."""
-    return IdeleRule(kind, E)
+            m = self.divisor.components.get(fl.curve, 0)
+            return _germ(fl.curve, m, None) if m else []
+        x = list(fl.point.coords)
+        return [fac for D, m in self.divisor.items()
+                if D.poly.evaluate(x).is_zero() for fac in _germ(D, m, x)]
 
 
 # ---------------------------------------------------------------------------
 # commutator pairing and the symbol-route intersection number
 
 
-def symbol_at_flag(f: RationalFunction, g: RationalFunction, fl: Flag,
+def symbol_at_flag(f: Factors, g: Factors, fl: Flag,
                    prec: int = DEFAULT_SYMBOL_PREC) -> int:
-    """The integer symbol of two rational functions at one flag.
+    """The integer symbol at one flag of two functions given as factors.
 
     With a = v_t(f) and b = v_t(g), the symbol is the u-valuation of the t^0
     column of f^b g^-a.  The rank-2 valuation (v_t, w) at the flag, where w
     is the u-valuation of the leading t-column, is a homomorphism, so that
-    valuation is the determinant b w(f) - a w(g), and w of a quotient is
-    w(num) - w(den).  Each w is read from one polynomial on a box of
-    t-window v_t + 1, its u-window escalated from prec
-    (surface.poly_valuation_at_flag); a polynomial whose coefficient is 0 is
-    never expanded.
+    valuation is the determinant b w(f) - a w(g), and both f and g
+    contribute the sum of e (v_t, w)(P) over their factors (P, e).  Each w
+    is read from one polynomial on a box of t-window v_t + 1, its u-window
+    escalated from prec (surface.poly_valuation_at_flag); a factor whose
+    coefficient is 0 is never expanded.
     """
     if prec < 1:
         raise ValueError(f"symbol window must be at least 1, got {prec}")
-    a = poly_order_at_flag(f.num, fl) - poly_order_at_flag(f.den, fl)
-    b = poly_order_at_flag(g.num, fl) - poly_order_at_flag(g.den, fl)
-    return sum(n * poly_valuation_at_flag(P, fl, prec)[1]
-               for n, P in ((b, f.num), (-b, f.den), (-a, g.num), (a, g.den))
-               if n)
+    a = sum(e * poly_order_at_flag(P, fl) for P, e in f)
+    b = sum(e * poly_order_at_flag(P, fl) for P, e in g)
+    return sum(n * e * poly_valuation_at_flag(P, fl, prec)[1]
+               for n, h in ((b, f), (-a, g)) if n for P, e in h if e)
 
 
 def commutator_pairing(g1: IdeleRule, g2: IdeleRule, flags: Sequence[Flag],
@@ -222,13 +191,8 @@ def commutator_pairing(g1: IdeleRule, g2: IdeleRule, flags: Sequence[Flag],
 
 def _meeting_points(C: Divisor, H: Divisor) -> List[ClosedPoint]:
     """The points where a component of C meets a component of H, sorted."""
-    pts: Dict[tuple, ClosedPoint] = {}
-    for D, _m in H.items():
-        for E, _n in C.items():
-            if E != D:
-                for pt in intersection_support(E, D):
-                    pts[pt.sort_key()] = pt
-    return [pts[key] for key in sorted(pts)]
+    return meeting_points((E, D) for D, _m in H.items()
+                          for E, _n in C.items() if E != D)
 
 
 def _flags_through(x: ClosedPoint, H: Divisor) -> List[Flag]:
@@ -266,8 +230,8 @@ def intersection_number(C: Divisor, H: Divisor,
             except ValueError:
                 continue
             exponent += commutator_pairing(
-                idele_j(A, "at_points"), idele_j(B, "along_curves"), flags,
-                prec).exponent
+                IdeleRule("at_points", A), IdeleRule("along_curves", B),
+                flags, prec).exponent
             break
         else:
             raise ValueError(f"both divisors have a component singular at "

@@ -32,9 +32,9 @@ from adeles2d.residues import (
 )
 from adeles2d.surface import Divisor, curve_make, divisor_class, surface_make
 from adeles2d.symbols import (
+    IdeleRule,
     class_intersection,
     commutator_pairing,
-    idele_j,
     intersection_flags,
     intersection_number,
     intersection_oracle,
@@ -83,7 +83,7 @@ def test_criterion_2_bezout_via_symbols():
                 want = intersection_oracle(C, H)
                 assert got == want, (q, names[i], names[j], got, want)
                 pairing = commutator_pairing(
-                    idele_j(C, "at_points"), idele_j(H, "along_curves"),
+                    IdeleRule("at_points", C), IdeleRule("along_curves", H),
                     intersection_flags(C, H))
                 assert pairing.exponent == -want, (q, names[i], names[j])
     _finish(2, "Bezout via symbols", started, 30.0)

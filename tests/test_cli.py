@@ -8,7 +8,7 @@ import tempfile
 
 import pytest
 
-from adeles2d import cli, measures
+from adeles2d import cli, measures, surface
 from adeles2d.cli import main
 
 
@@ -32,6 +32,18 @@ def test_intersect_higher_degree_pair():
                            "--curves", "YZ-X^2,XY-Z^2"])
     assert code == 0
     assert out.splitlines()[0] == "4", out
+
+
+def test_bezout_fails_by_verdict_when_the_support_loses_points(monkeypatch):
+    # both routes start from the shared support, so only the class form
+    # sees the points it lost
+    real = surface._support
+    monkeypatch.setattr(surface, "_support", lambda C, H: real(C, H)[:1])
+    code, out, _err = run(["verify", "--surface", "P2", "--q", "5",
+                           "--suites", "bezout", "--range", "0:0"])
+    assert code == 1, out
+    assert "FAIL bezout" in out, out
+    assert "suite bezout: 15/15" not in out, out
 
 
 def test_verify_chi_suite_on_a_prime_power_field():
@@ -283,6 +295,13 @@ GOLDEN_REPORTS = {
     "verify_measures_p1xp1": ["verify", "--surface", "P1xP1", "--q", "2",
                               "--range", "-1:0",
                               "--suites", "serre,chi,commutator,rr"],
+    # both t-valuations are nonzero; g's denominator carries the curve
+    "symbol_p2": ["symbol", "--surface", "P2", "--q", "5",
+                  "--curve", "YZ-X^2", "--point", "0:0:1",
+                  "--f", "XYZ-X^3/Z^3", "--g", "Y^3/YZ^2-X^2Z"],
+    "symbol_p1xp1": ["symbol", "--surface", "P1xP1", "--q", "3",
+                     "--curve", "X0", "--point", "0:1:0:1",
+                     "--f", "X0^2Y0/X1^2Y1", "--g", "X0Y0^3/X1Y1^3"],
 }
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

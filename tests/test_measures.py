@@ -38,7 +38,7 @@ from adeles2d.surface import (
     smooth_flag,
     surface_make,
 )
-from adeles2d.symbols import QPower, idele_j
+from adeles2d.symbols import IdeleRule, QPower
 
 
 def plane(q=3):
@@ -330,8 +330,8 @@ def test_central_extension_products_transport_measures():
     z = divisor_zero(S)
     C = class_representative(S, (1,))
     H = class_representative(S, (-4,))
-    a = CentralExtElem(idele_j(C, "at_points"), counting_measure("A", z, C))
-    b = CentralExtElem(idele_j(H, "along_curves"), mu_measure(z, H))
+    a = CentralExtElem(IdeleRule("at_points", C), counting_measure("A", z, C))
+    b = CentralExtElem(IdeleRule("along_curves", H), mu_measure(z, H))
     ab = a * b
 
     def chi_of(D):
@@ -350,14 +350,14 @@ def test_idele_transport_only_moves_its_own_family():
     S = plane()
     z = divisor_zero(S)
     C = class_representative(S, (1,))
-    moved = idele_transport(idele_j(C, "along_curves"),
+    moved = idele_transport(IdeleRule("along_curves", C),
                             counting_measure("A", z, C))
     assert moved.frm == LatticeSymbol("A12", C)
     assert moved.to == LatticeSymbol("A12", C + C)
     for kind, tag in (("at_points", counting_measure("A", z, C)),
                       ("along_curves", mu_measure(z, C))):
         try:
-            idele_transport(idele_j(C, kind), tag)
+            idele_transport(IdeleRule(kind, C), tag)
         except ValueError:
             pass
         else:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from adeles2d.fields import field_make, pmul, poly_roots, ptrim
+from adeles2d.multipoly import MPoly
 from adeles2d import surface
 from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
 from adeles2d.series import INF, LaurentSeries2, escalate
@@ -22,11 +23,11 @@ from adeles2d.surface import (
     surface_make,
 )
 from adeles2d.symbols import (
+    IdeleRule,
     QPower,
     bisymbol,
     class_intersection,
     commutator_pairing,
-    idele_j,
     intersection_flags,
     intersection_number,
     intersection_oracle,
@@ -132,33 +133,53 @@ def test_bisymbol_ignores_the_sign_convention():
 # idele choosers
 
 
+def as_function(S, factors):
+    """The factors (P, e) multiplied out into one numerator and one
+    denominator polynomial."""
+    num = den = S.var(0) ** 0
+    for P, e in factors:
+        if e > 0:
+            num = num * P ** e
+        else:
+            den = den * P ** -e
+    return RationalFunction(S, num, den)
+
+
+def origin_flag(S, curve):
+    return flag_make(point_from_coords(
+        S, (S.base.zero(), S.base.zero(), S.base.one())), curve)
+
+
 def test_idele_chooser_along_a_line():
     S = surface_make("P2", 5)
     Y = curve_make(S, "Y")
     Z = curve_make(S, "Z")
-    rule = idele_j(Divisor(S, {Y: 1}), "along_curves")
-    chosen = rule.at_curve(Y)
-    assert chosen == RationalFunction(S, Y.poly, Z.poly)
+    rule = IdeleRule("along_curves", Divisor(S, {Y: 1}))
+    chosen = rule.local(origin_flag(S, Y))
+    assert chosen == [(Y.poly, 1), (Z.poly, -1)]
+    assert as_function(S, chosen) == RationalFunction(S, Y.poly, Z.poly)
 
 
 def test_idele_chooser_of_zero_divisor_is_one():
     S = surface_make("P2", 5)
     Y = curve_make(S, "Y")
-    rule = idele_j(Divisor(S, {}), "along_curves")
-    chosen = rule.at_curve(Y)
+    rule = IdeleRule("along_curves", Divisor(S, {}))
+    chosen = rule.local(origin_flag(S, Y))
     one = RationalFunction(S, S.var(2) ** 0, S.var(2) ** 0)
-    assert chosen == one
+    assert chosen == []
+    assert as_function(S, chosen) == one
 
 
 def test_idele_chooser_is_multiplicative():
     S = surface_make("P2", 5)
     Y = curve_make(S, "Y")
     X = curve_make(S, "X")
-    single = idele_j(Divisor(S, {Y: 1}), "along_curves").at_curve(Y)
-    double = idele_j(Divisor(S, {Y: 2}), "along_curves").at_curve(Y)
-    assert double == single * single
-    combined = idele_j(Divisor(S, {Y: 1, X: 1}), "along_curves")
-    assert combined.at_curve(Y) == single
+    fl = origin_flag(S, Y)
+    single = IdeleRule("along_curves", Divisor(S, {Y: 1})).local(fl)
+    double = IdeleRule("along_curves", Divisor(S, {Y: 2})).local(fl)
+    assert as_function(S, double) == as_function(S, single + single)
+    combined = IdeleRule("along_curves", Divisor(S, {Y: 1, X: 1}))
+    assert combined.local(fl) == single
 
 
 def test_idele_point_chooser_collects_components_through_the_point():
@@ -166,14 +187,13 @@ def test_idele_point_chooser_collects_components_through_the_point():
     X = curve_make(S, "X")
     Y = curve_make(S, "Y")
     Z = curve_make(S, "Z")
-    origin = point_from_coords(
-        S, (S.base.zero(), S.base.zero(), S.base.one()))
-    rule = idele_j(Divisor(S, {X: 1, Y: 1}), "at_points")
-    chosen = rule.at_point(origin)
+    rule = IdeleRule("at_points", Divisor(S, {X: 1, Y: 1}))
+    chosen = rule.local(origin_flag(S, Y))
     expected = RationalFunction(S, X.poly * Y.poly, Z.poly * Z.poly)
-    assert chosen == expected
-    away = point_from_coords(S, (S.base.one(), S.base.one(), S.base.one()))
-    assert rule.at_point(away) == RationalFunction(S, Z.poly ** 0, Z.poly ** 0)
+    assert as_function(S, chosen) == expected
+    away = flag_make(point_from_coords(
+        S, (S.base.one(), S.base.one(), S.base.zero())), Z)
+    assert rule.local(away) == []
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +204,8 @@ def test_commutator_pairing_of_two_lines():
     S = surface_make("P2", 5)
     X = Divisor(S, {curve_make(S, "X"): 1})
     Y = Divisor(S, {curve_make(S, "Y"): 1})
-    g1 = idele_j(X, "at_points")
-    g2 = idele_j(Y, "along_curves")
+    g1 = IdeleRule("at_points", X)
+    g2 = IdeleRule("along_curves", Y)
     flags = intersection_flags(X, Y)
     assert len(flags) == 1
     assert commutator_pairing(g1, g2, flags) == QPower(-1)
@@ -196,8 +216,8 @@ def test_commutator_pairing_with_zero_divisor():
     X = Divisor(S, {curve_make(S, "X"): 1})
     Y = Divisor(S, {curve_make(S, "Y"): 1})
     flags = intersection_flags(X, Y)
-    g1 = idele_j(X, "at_points")
-    g2 = idele_j(Divisor(S, {}), "along_curves")
+    g1 = IdeleRule("at_points", X)
+    g2 = IdeleRule("along_curves", Divisor(S, {}))
     assert commutator_pairing(g1, g2, flags) == QPower(0)
 
 
@@ -206,12 +226,12 @@ def test_commutator_pairing_conic_against_lines():
     conic = Divisor(S, {curve_make(S, "YZ-X^2"): 1})
     transversal = Divisor(S, {curve_make(S, "X"): 1})
     tangent = Divisor(S, {curve_make(S, "Y"): 1})
-    g1 = idele_j(conic, "at_points")
+    g1 = IdeleRule("at_points", conic)
     crossing = commutator_pairing(
-        g1, idele_j(transversal, "along_curves"),
+        g1, IdeleRule("along_curves", transversal),
         intersection_flags(conic, transversal))
     touching = commutator_pairing(
-        g1, idele_j(tangent, "along_curves"),
+        g1, IdeleRule("along_curves", tangent),
         intersection_flags(conic, tangent))
     assert len(intersection_flags(conic, transversal)) == 2
     assert len(intersection_flags(conic, tangent)) == 1
@@ -224,8 +244,29 @@ def test_commutator_pairing_of_a_rule_with_itself():
     X = Divisor(S, {curve_make(S, "X"): 1})
     Y = Divisor(S, {curve_make(S, "Y"): 1})
     flags = intersection_flags(X, Y)
-    g = idele_j(X, "at_points")
+    g = IdeleRule("at_points", X)
     assert commutator_pairing(g, g, flags) == QPower(0)
+
+
+def test_the_commutator_pairing_forms_no_polynomial_power(monkeypatch):
+    S = surface_make("P2", 5)
+    names = [CUBIC_BY_P.get(5, CUBIC_DEFAULT) if n == "cubic" else n
+             for n in FIXTURES["P2"].bezout]
+    pairs = []
+    for C, H in itertools.combinations([curve_make(S, t) for t in names], 2):
+        C, H = Divisor(S, {C: 1}), Divisor(S, {H: 1})
+        pairs.append((C, H, intersection_oracle(C, H)))
+
+    def no_power(self, n):
+        raise AssertionError("a polynomial power was formed")
+
+    monkeypatch.setattr(MPoly, "__pow__", no_power)
+    for C, H, want in pairs:
+        got = commutator_pairing(IdeleRule("at_points", C),
+                                 IdeleRule("along_curves", H),
+                                 intersection_flags(C, H))
+        assert got == QPower(-want), (C, H)
+    assert len(pairs) == 15
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +274,15 @@ def test_commutator_pairing_of_a_rule_with_itself():
 
 
 def power_product_symbol(f, g, fl, prec=8):
-    """The symbol read the long way: expand h = f^b g^-a at the flag, with
-    a = v_t(f) and b = v_t(g), and take the u-valuation of its t^0 column."""
-    a = ord_on_curve(f, fl.curve)
-    b = ord_on_curve(g, fl.curve)
-    h = RationalFunction(fl.curve.surface, f.num ** 0, f.num ** 0)
-    for base, n in ((f, b), (g, -a)):
-        if n < 0:
-            base, n = base.inverse(), -n
-        for _ in range(n):
-            h = h * base
+    """The symbol read the long way: multiply the factors of h = f^b g^-a
+    out into one numerator and one denominator, with a = v_t(f) and
+    b = v_t(g) read off the same products, expand h at the flag, and take
+    the u-valuation of its t^0 column."""
+    S = fl.curve.surface
+    a = ord_on_curve(as_function(S, f), fl.curve)
+    b = ord_on_curve(as_function(S, g), fl.curve)
+    h = as_function(S, [(P, b * e) for P, e in f]
+                    + [(P, -a * e) for P, e in g])
     return escalate(
         lambda window: expand_at_flag(h, fl, window).column(0).valuation(),
         prec, lambda: "power-product symbol")
@@ -259,10 +299,10 @@ def test_symbol_at_flag_matches_the_power_product(model, q):
     for C, H in itertools.combinations(curves, 2):
         C, H = Divisor(S, {C: 1}), Divisor(S, {H: 1})
         for fl in intersection_flags(C, H):
-            f = idele_j(C, "at_points").local(fl)
-            g = idele_j(H, "along_curves").local(fl)
+            f = IdeleRule("at_points", C).local(fl)
+            g = IdeleRule("along_curves", H).local(fl)
             # (f g, g^2) has both t-valuations nonzero
-            for x, y in ((f, g), (f * g, g * g)):
+            for x, y in ((f, g), (f + g, g + g)):
                 want = power_product_symbol(x, y, fl)
                 assert symbol_at_flag(x, y, fl) == want, (names, fl, x, y)
                 assert symbol_at_flag(y, x, fl) == -want, (names, fl, x, y)
@@ -274,11 +314,11 @@ def test_symbol_of_two_units_checks_the_window():
     S = surface_make("P2", 3)
     fl = flag_make(point_from_coords(
         S, (S.base.zero(), S.base.zero(), S.base.one())), curve_make(S, "Y"))
-    f = RationalFunction(S, S.var(0), S.var(2))
+    f = [(S.var(0), 1), (S.var(2), -1)]
     assert symbol_at_flag(f, f, fl) == 0
     with pytest.raises(ValueError, match="at least 1"):
         symbol_at_flag(f, f, fl, 0)
-    zero = RationalFunction(S, S.zero_poly(), S.var(2))
+    zero = [(S.zero_poly(), 1), (S.var(2), -1)]
     with pytest.raises(ValueError, match="zero polynomial"):
         symbol_at_flag(zero, f, fl)
 
@@ -288,8 +328,8 @@ def test_symbol_at_flag_reuses_the_flag_cache(monkeypatch):
     conic = Divisor(S, {curve_make(S, "YZ-X^2"): 1})
     tangent = Divisor(S, {curve_make(S, "Y"): 1})
     fl, = intersection_flags(conic, tangent)
-    f = idele_j(conic, "at_points").local(fl)
-    g = idele_j(tangent, "along_curves").local(fl)
+    f = IdeleRule("at_points", conic).local(fl)
+    g = IdeleRule("along_curves", tangent).local(fl)
     assert symbol_at_flag(f, g, fl) == 2
     before = dict(fl._cache)
 
