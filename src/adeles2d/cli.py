@@ -316,8 +316,10 @@ def _emit(config: Dict, checks: List[Check], args) -> int:
             raise ConfigError(f"cannot write report: {err}") from err
     if failed:
         first = next(c for c in checks if not c.passed)
+        sign = "!=" if first.lhs != first.rhs else "=="
+        why = f"; {first.witness}" if first.witness else ""
         print(f"FAIL {first.name} {json.dumps(first.inputs)}: "
-              f"{first.lhs!r} != {first.rhs!r}")
+              f"{first.lhs!r} {sign} {first.rhs!r}{why}")
     print(f"summary: {passed} passed, {failed} failed")
     return 1 if failed else 0
 
@@ -434,7 +436,8 @@ def _suite_bezout(S, classes, args) -> List[Check]:
             # support, so a support that loses points fools both alike
             third = class_intersection(S, divisor_class(C), divisor_class(H))
             checks.append(Check("bezout", {"C": names[i], "H": names[j]},
-                                got, want, got == want == third))
+                                got, want, got == want == third,
+                                witness=f"class form {third}"))
     return checks
 
 

@@ -116,15 +116,6 @@ def cech_h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
     return CohomologyVector(*h)
 
 
-def _poly_vector(f: MPoly, monos: List[tuple], desc):
-    return [f.terms.get(e, desc.zero()) for e in monos]
-
-
-def _vector_poly(S: Surface, vec, monos: List[tuple]) -> MPoly:
-    terms = {e: c for e, c in zip(monos, vec) if not c.is_zero()}
-    return MPoly(S.base, S.nvars, terms)
-
-
 def rr_space(D: Divisor) -> List[RationalFunction]:
     """Basis of the space of rational functions f with div(f) + D >= 0.
 
@@ -136,12 +127,12 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
     desc = S.base
     pos = [(C, m) for C, m in D.items() if m > 0]
     neg = [(C, -m) for C, m in D.items() if m < 0]
-    Q = MPoly.const(desc, S.nvars, desc.one())
+    Q = MPoly.const(desc, S.nvars, 1)
     for C, m in pos:
         Q = Q * C.poly ** m
     clsQ = divisor_class(Divisor(S, dict(pos)))
     monos = class_monomials(S, clsQ)
-    space = [[desc.one() if i == j else desc.zero() for i in range(len(monos))]
+    space = [[int(i == j) for i in range(len(monos))]
              for j in range(len(monos))]
     for C, k in neg:
         clsA = S.class_add(clsQ, S.class_scale(-k, C.degree()))
@@ -151,12 +142,14 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
         Ck = C.poly ** k
         rows = []
         for e in amonos:
-            A = MPoly(desc, S.nvars, {e: desc.one()})
-            rows.append(_poly_vector(A * Ck, monos, desc))
+            terms = (MPoly._make(desc, S.nvars, {e: 1}) * Ck).terms
+            rows.append([terms.get(m, 0) for m in monos])
         space = span_intersection(space, rows, len(monos), desc)
         if not space:
             return []
-    return [RationalFunction(S, _vector_poly(S, v, monos), Q) for v in space]
+    # coefficient vectors of codes back to polynomials
+    return [RationalFunction(S, MPoly(desc, S.nvars, dict(zip(monos, v))), Q)
+            for v in space]
 
 
 def class_range(S: Surface, lo: int, hi: int) -> List[ClassVector]:

@@ -4,16 +4,19 @@ Every extension is an absolute extension of the prime field: F_{p^d} is
 represented as F_p[x]/(m(x)) where m is the lexicographically least monic
 irreducible polynomial of degree d (coefficient tuples ordered constant term
 first).  An element is coded as one int n = sum c_i p^i of its coefficient
-vector (c_0, ..., c_{d-1}).  Prime fields compute mod p; extensions with at
-most TABLE_MAX elements multiply through log/antilog tables and add through
-Zech logarithms; larger extensions multiply coefficient vectors.  Relative
-data for a tower F_{q^a}/F_q is recovered on demand: embeddings are canonical
-roots of the small modulus in the big field, and relative traces are sums of
-q-power Frobenius iterates coerced back down through that embedding.
+vector (c_0, ..., c_{d-1}); code 0 is zero and code 1 is one.  Polynomials,
+series and matrices hold codes, and the field descriptor computes on them;
+FieldElem wraps a code with its field where elements leave the package.
+Relative data for a tower F_{q^a}/F_q is recovered on demand: embeddings
+are canonical roots of the small modulus in the big field, and relative
+traces are sums of q-power Frobenius iterates coerced back down through
+that embedding.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from array import array
 from typing import Iterator, List, Sequence, Tuple
@@ -24,14 +27,7 @@ TABLE_MAX = 4096  # largest extension field given log/antilog tables
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return n >= 2 and all(n % i for i in range(2, math.isqrt(n) + 1))
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -49,7 +45,10 @@ def _prime_factors(n: int) -> List[int]:
 
 
 class FieldDesc:
-    """Descriptor of F_{p^d}: characteristic, degree and canonical modulus.
+    """Descriptor of F_{p^d}: characteristic, degree, canonical modulus, and
+    `add`, `sub`, `neg`, `mul`, `inv`, `pow` on element codes and `axpy`
+    (y + f*x on lists of codes), all but `inv` and `pow` picked once per
+    kernel: mod p, tables (q <= TABLE_MAX) or packed.
 
     For an extension with q <= TABLE_MAX it holds, over a primitive element g:
     `_exp[i] = g^i` for i < 2(q-1), so a sum of two logs needs no reduction;
@@ -61,7 +60,7 @@ class FieldDesc:
     __slots__ = (
         "p", "d", "q", "modulus", "_zero", "_one", "_exp", "_log", "_zech",
         "_half", "_slot", "_split", "_pack_lo", "_pack_hi", "_red",
-        "_embed_cache",
+        "_embed_cache", "add", "sub", "neg", "mul", "axpy",
     )
 
     def __init__(self, p: int, d: int, modulus: Tuple[int, ...]):
@@ -77,6 +76,7 @@ class FieldDesc:
             self._build_packing()
             if self.q <= TABLE_MAX:
                 self._build_tables()
+        self._bind_kernels()
         self._embed_cache = {}
 
     def _build_packing(self) -> None:
@@ -89,7 +89,7 @@ class FieldDesc:
         self._split = p ** h
 
         def packed(n: int) -> int:
-            return sum(c << (slot * i) for i, c in enumerate(self._digits(n)))
+            return sum(c << (slot * i) for i, c in enumerate(self.digits(n)))
 
         # packed codes by halves: pack(n) = lo[n % p^h] + hi[n // p^h]
         self._pack_lo = [packed(n) for n in range(p ** h)]
@@ -129,15 +129,73 @@ class FieldDesc:
     def _is_primitive(self, g: int, m: int) -> bool:
         return all(self._vec_pow(g, m // r) != 1 for r in _prime_factors(m))
 
+    def _bind_kernels(self) -> None:
+        p, exp, log, zech, half = (self.p, self._exp, self._log, self._zech,
+                                   self._half)
+        if self.d == 1:
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
+            self.axpy = lambda f, x, y: [(b + f * a) % p for a, b in zip(x, y)]
+            return
+        if log is None:
+            vec_add = self._vec_add
+            self.add = lambda a, b: vec_add(a, b, 1)
+            self.sub = lambda a, b: vec_add(a, b, p - 1)
+            self.neg = lambda a: vec_add(0, a, p - 1)
+            self.mul = self._vec_mul
+        else:
+            def add(a: int, b: int) -> int:
+                if not (a and b):
+                    return a or b
+                i = log[a]
+                z = zech[log[b] - i]
+                return exp[i + z] if z >= 0 else 0
+
+            def sub(a: int, b: int) -> int:
+                return add(a, exp[log[b] + half]) if b else a  # a + (-b)
+
+            self.add, self.sub = add, sub
+            self.neg = lambda a: exp[log[a] + half] if a else 0
+            self.mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+        if p == 2:
+            self.add = self.sub = operator.xor
+        fadd, fmul = self.add, self.mul
+        self.axpy = lambda f, x, y: [fadd(b, fmul(f, a)) if a else b
+                                     for a, b in zip(x, y)]
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        if self._log is not None:
+            return self._exp[self.q - 1 - self._log[a]]
+        if self.d == 1:
+            return pow(a, -1, self.p)
+        return self._vec_pow(a, self.q - 2)  # Fermat
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            a, e = self.inv(a), -e
+        if not a:
+            return 0 if e else 1
+        if self._log is not None:
+            return self._exp[self._log[a] * e % (self.q - 1)]
+        if self.d == 1:
+            return pow(a, e, self.p)
+        return self._vec_pow(a, e)
+
     # -- coefficient-vector arithmetic on codes (extensions) ---------------
 
-    def _digits(self, n: int) -> List[int]:
+    def digits(self, n: int) -> Tuple[int, ...]:
+        """Coefficient vector of the element coded n over F_p, constant term
+        first; it is the element's sort key."""
         p = self.p
         out = []
         for _ in range(self.d):
             n, c = divmod(n, p)
             out.append(c)
-        return out
+        return tuple(out)
 
     def _pack(self, n: int) -> int:
         split = self._split
@@ -210,6 +268,24 @@ class FieldDesc:
         for n in range(self.q):
             yield FieldElem(self, n)
 
+    def code(self, c) -> int:
+        """The code of a coefficient handed to a public constructor: an
+        element of this field, or an int code below q."""
+        if isinstance(c, FieldElem):
+            if c.desc is not self and c.desc != self:
+                raise ValueError(f"element of {c.desc} used over {self}")
+            return c.n
+        if not 0 <= c < self.q:
+            raise ValueError(f"{c!r} is not the code of an element of {self}")
+        return c
+
+    def text(self, n: int) -> str:
+        """Report text of the element coded n: the residue, or the
+        coefficient vector in brackets."""
+        if self.d == 1:
+            return str(n)
+        return "[" + ",".join(map(str, self.digits(n))) + "]"
+
     def __eq__(self, other):
         return self is other or (
             isinstance(other, FieldDesc)
@@ -228,8 +304,9 @@ class FieldDesc:
 
 
 class FieldElem:
-    """An element of F_{p^d}, coded as the int n = sum c_i p^i of its
-    coefficient vector over F_p.
+    """An element of F_{p^d} where one leaves the package (parsing, points,
+    report text, return values): the code n = sum c_i p^i of its coefficient
+    vector over F_p with its field, whose operations on codes it calls.
 
     Operands of one operation must share a field; the containers (series,
     polynomials) check that, the element operations do not.
@@ -244,7 +321,7 @@ class FieldElem:
     @property
     def coeffs(self) -> Tuple[int, ...]:
         """Coefficient vector over F_p, constant term first."""
-        return tuple(self.desc._digits(self.n))
+        return self.desc.digits(self.n)
 
     def is_zero(self) -> bool:
         return not self.n
@@ -256,97 +333,25 @@ class FieldElem:
         return self.n != 0
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
-        a, b = self.n, other.n
-        if not b:
-            return self
-        if not a:
-            return other
-        desc = self.desc
-        if desc.p == 2:
-            return FieldElem(desc, a ^ b)
-        zech = desc._zech
-        if zech is not None:
-            log = desc._log
-            i = log[a]
-            z = zech[log[b] - i]
-            return desc._zero if z < 0 else FieldElem(desc, desc._exp[i + z])
-        if desc.d == 1:
-            s = a + b
-            return FieldElem(desc, s - desc.p if s >= desc.p else s)
-        return FieldElem(desc, desc._vec_add(a, b, 1))
+        return FieldElem(self.desc, self.desc.add(self.n, other.n))
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
-        a, b = self.n, other.n
-        if not b:
-            return self
-        desc = self.desc
-        if desc.p == 2:
-            return FieldElem(desc, a ^ b)
-        zech = desc._zech
-        if zech is not None:
-            log = desc._log
-            j = log[b] + desc._half  # log of -b
-            if not a:
-                return FieldElem(desc, desc._exp[j])
-            i = log[a]
-            z = zech[j - i]
-            return desc._zero if z < 0 else FieldElem(desc, desc._exp[i + z])
-        if desc.d == 1:
-            return FieldElem(desc, (a - b) % desc.p)
-        return FieldElem(desc, desc._vec_add(a, b, desc.p - 1))
+        return FieldElem(self.desc, self.desc.sub(self.n, other.n))
 
     def __neg__(self) -> "FieldElem":
-        a = self.n
-        desc = self.desc
-        if not a or desc.p == 2:
-            return self
-        if desc.d == 1:
-            return FieldElem(desc, desc.p - a)
-        log = desc._log
-        if log is not None:
-            return FieldElem(desc, desc._exp[log[a] + desc._half])
-        return FieldElem(desc, desc._vec_add(0, a, desc.p - 1))
+        return FieldElem(self.desc, self.desc.neg(self.n))
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
-        a, b = self.n, other.n
-        desc = self.desc
-        if not a or not b:
-            return desc._zero
-        log = desc._log
-        if log is not None:
-            return FieldElem(desc, desc._exp[log[a] + log[b]])
-        if desc.d == 1:
-            return FieldElem(desc, a * b % desc.p)
-        return FieldElem(desc, desc._vec_mul(a, b))
+        return FieldElem(self.desc, self.desc.mul(self.n, other.n))
 
     def inverse(self) -> "FieldElem":
-        a = self.n
-        desc = self.desc
-        if not a:
-            raise ZeroDivisionError("inverse of zero field element")
-        log = desc._log
-        if log is not None:
-            return FieldElem(desc, desc._exp[desc.q - 1 - log[a]])
-        if desc.d == 1:
-            return FieldElem(desc, pow(a, -1, desc.p))
-        return FieldElem(desc, desc._vec_pow(a, desc.q - 2))  # Fermat
+        return FieldElem(self.desc, self.desc.inv(self.n))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "FieldElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        a = self.n
-        desc = self.desc
-        if not a:
-            return desc._zero if e else desc._one
-        log = desc._log
-        if log is not None:
-            return FieldElem(desc, desc._exp[log[a] * e % (desc.q - 1)])
-        if desc.d == 1:
-            return FieldElem(desc, pow(a, e, desc.p))
-        return FieldElem(desc, desc._vec_pow(a, e))
+        return FieldElem(self.desc, self.desc.pow(self.n, e))
 
     def __eq__(self, other):
         return (
@@ -362,22 +367,13 @@ class FieldElem:
         return self.coeffs
 
     def __repr__(self):
-        if self.desc.d == 1:
-            return str(self.n)
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+        return self.desc.text(self.n)
 
 
 # ---------------------------------------------------------------------------
 # canonical moduli and field construction
 
 _FIELD_CACHE: dict = {}
-
-
-def _poly_int_irreducible(p: int, coeffs: Tuple[int, ...]) -> bool:
-    """Irreducibility of a monic polynomial over F_p (integer coefficients)."""
-    base = field_make(p, 1)
-    f = [base.from_int(c) for c in coeffs]
-    return _is_irreducible(f, base)
 
 
 def field_make(p: int, d: int) -> FieldDesc:
@@ -390,43 +386,27 @@ def field_make(p: int, d: int) -> FieldDesc:
         raise ValueError(f"characteristic {p} is not prime")
     if d < 1:
         raise ValueError(f"extension degree {d} must be >= 1")
-    key = (p, d)
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if d == 1:
-        desc = FieldDesc(p, 1, (0, 1))
-        _FIELD_CACHE[key] = desc
-        return desc
-    # search lexicographically; constant term 0 gives a factor of x, skip it
-    found = None
-    for n in range(p ** d):
-        coeffs = []
-        m = n
-        for _ in range(d):
-            coeffs.append(m % p)
-            m //= p
-        if coeffs[0] == 0:
-            continue
-        cand = tuple(coeffs) + (1,)
-        if _poly_int_irreducible(p, cand):
-            found = cand
-            break
-    if found is None:  # pragma: no cover - cannot happen
-        raise RuntimeError("no irreducible polynomial found")
-    desc = FieldDesc(p, d, found)
-    _FIELD_CACHE[key] = desc
+    desc = _FIELD_CACHE.get((p, d))
+    if desc is None:
+        # candidates in order of their code, whose digits are the
+        # coefficients below the leading 1; a constant term 0 gives a factor
+        # of x, and the prime-field codes are the coefficients themselves
+        cands = (tuple(n // p ** i % p for i in range(d)) + (1,)
+                 for n in range(p ** d))
+        modulus = (0, 1) if d == 1 else next(
+            c for c in cands if c[0] and _is_irreducible(list(c), field_make(p, 1)))
+        desc = _FIELD_CACHE[(p, d)] = FieldDesc(p, d, modulus)
     return desc
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over a FieldDesc: lists of FieldElem, constant first
+# univariate polynomials over a FieldDesc: lists of codes, constant first
 
-Poly = List[FieldElem]
+Poly = List[int]
 
 
 def ptrim(f: Poly) -> Poly:
-    while f and f[-1].is_zero():
+    while f and not f[-1]:
         f.pop()
     return f
 
@@ -435,80 +415,63 @@ def pdeg(f: Poly) -> int:
     return len(f) - 1  # degree of zero polynomial is -1
 
 
-def pX(desc: FieldDesc) -> Poly:
-    return [desc.zero(), desc.one()]
-
-
-def _check_fields(f: Poly, g: Poly, desc: FieldDesc) -> None:
-    """Raise ValueError unless f and g have their coefficients in desc.
-
-    One coefficient of each stands for the rest: a polynomial is built over
-    one field."""
-    for h in (f, g):
-        if h and h[-1].desc is not desc and h[-1].desc != desc:
-            raise ValueError(f"polynomial over {h[-1].desc} used over {desc}")
-
-
 def padd(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
-    _check_fields(f, g, desc)
-    n = max(len(f), len(g))
-    z = desc.zero()
-    out = [(f[i] if i < len(f) else z) + (g[i] if i < len(g) else z) for i in range(n)]
+    if len(f) < len(g):
+        f, g = g, f
+    add = desc.add
+    out = f[:]
+    for i, c in enumerate(g):
+        out[i] = add(out[i], c)
     return ptrim(out)
 
 
 def psub(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
-    _check_fields(f, g, desc)
-    n = max(len(f), len(g))
-    z = desc.zero()
-    out = [(f[i] if i < len(f) else z) - (g[i] if i < len(g) else z) for i in range(n)]
+    sub = desc.sub
+    out = f + [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] = sub(out[i], c)
     return ptrim(out)
 
 
 def pmul(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
-    _check_fields(f, g, desc)
     if not f or not g:
         return []
-    z = desc.zero()
-    out = [z] * (len(f) + len(g) - 1)
+    add, mul = desc.add, desc.mul
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(g):
-            if not b.is_zero():
-                out[i + j] = out[i + j] + a * b
+        if a:
+            for j, b in enumerate(g, i):
+                if b:
+                    out[j] = add(out[j], mul(a, b))
     return ptrim(out)
 
 
-def pscale(f: Poly, a: FieldElem) -> Poly:
-    if a.is_zero():
+def pscale(f: Poly, a: int, desc: FieldDesc) -> Poly:
+    if not a:
         return []
-    return ptrim([c * a for c in f])
+    return ptrim([desc.mul(c, a) for c in f])
 
 
-def pmonic(f: Poly) -> Poly:
-    if not f:
-        return []
-    lead = f[-1]
-    if lead.is_one():
+def pmonic(f: Poly, desc: FieldDesc) -> Poly:
+    if not f or f[-1] == 1:
         return f[:]
-    inv = lead.inverse()
-    return [c * inv for c in f]
+    return pscale(f, desc.inv(f[-1]), desc)
 
 
 def pdivmod(f: Poly, g: Poly, desc: FieldDesc) -> Tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    _check_fields(f, g, desc)
+    mul, sub = desc.mul, desc.sub
     f = f[:]
-    q = [desc.zero()] * max(0, len(f) - len(g) + 1)
-    inv_lead = g[-1].inverse()
+    q = [0] * max(0, len(f) - len(g) + 1)
+    inv_lead = desc.inv(g[-1])
     while len(f) >= len(g) and f:
-        c = f[-1] * inv_lead
+        c = mul(f[-1], inv_lead)
         k = len(f) - len(g)
         q[k] = c
-        for i in range(len(g)):
-            f[k + i] = f[k + i] - c * g[i]
+        for i, b in enumerate(g, k):
+            if b:
+                f[i] = sub(f[i], mul(c, b))
         ptrim(f)
     return ptrim(q), f
 
@@ -521,11 +484,11 @@ def pgcd(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
     a, b = f[:], g[:]
     while b:
         a, b = b, pmod(a, b, desc)
-    return pmonic(a)
+    return pmonic(a, desc)
 
 
 def ppow_mod(f: Poly, e: int, m: Poly, desc: FieldDesc) -> Poly:
-    result = [desc.one()]
+    result = [1]
     base = pmod(f, m, desc)
     while e:
         if e & 1:
@@ -536,10 +499,8 @@ def ppow_mod(f: Poly, e: int, m: Poly, desc: FieldDesc) -> Poly:
 
 
 def pderiv(f: Poly, desc: FieldDesc) -> Poly:
-    out = []
-    for i in range(1, len(f)):
-        out.append(f[i] * desc.from_int(i))
-    return ptrim(out)
+    mul, p = desc.mul, desc.p
+    return ptrim([mul(f[i], i % p) for i in range(1, len(f))])
 
 
 def _is_irreducible(f: Poly, desc: FieldDesc) -> bool:
@@ -550,7 +511,7 @@ def _is_irreducible(f: Poly, desc: FieldDesc) -> bool:
     if n == 1:
         return True
     q = desc.q
-    x = pX(desc)
+    x = [0, 1]
     for t in _prime_factors(n):
         h = ppow_mod(x, q ** (n // t), f, desc)
         g = pgcd(psub(h, x, desc), f, desc)
@@ -558,11 +519,6 @@ def _is_irreducible(f: Poly, desc: FieldDesc) -> bool:
             return False
     h = ppow_mod(x, q ** n, f, desc)
     return not psub(h, x, desc)
-
-
-def _pth_root(a: FieldElem) -> FieldElem:
-    """p-th root in F_{p^d}: a^(p^(d-1))."""
-    return a ** (a.desc.p ** (a.desc.d - 1))
 
 
 def _squarefree_decompose(f: Poly, desc: FieldDesc) -> List[Tuple[Poly, int]]:
@@ -577,12 +533,10 @@ def _squarefree_decompose(f: Poly, desc: FieldDesc) -> List[Tuple[Poly, int]]:
             return
         df = pderiv(f, desc)
         if not df:
-            # f = h(x^p): take p-th root of coefficients
+            # f = h(x^p): take p-th roots, a^(p^(d-1)), of the coefficients
             p = desc.p
-            h = [
-                _pth_root(f[i])
-                for i in range(0, len(f), p)
-            ]
+            root = p ** (desc.d - 1)
+            h = [desc.pow(f[i], root) for i in range(0, len(f), p)]
             rec(ptrim(h), mult * p)
             return
         c = pgcd(f, df, desc)
@@ -593,14 +547,14 @@ def _squarefree_decompose(f: Poly, desc: FieldDesc) -> List[Tuple[Poly, int]]:
             y = pgcd(w, c, desc)
             z = pdivmod(w, y, desc)[0]
             if pdeg(z) > 0:
-                out.append((pmonic(z), mult * i))
+                out.append((pmonic(z, desc), mult * i))
             w = y
             c = pdivmod(c, y, desc)[0]
             i += 1
         if pdeg(c) > 0:
             rec(c, mult)
 
-    rec(pmonic(f), 1)
+    rec(pmonic(f, desc), 1)
     return out
 
 
@@ -608,7 +562,7 @@ def _distinct_degree(f: Poly, desc: FieldDesc) -> List[Tuple[Poly, int]]:
     """Split squarefree monic f into products of irreducibles of equal degree."""
     out = []
     q = desc.q
-    x = pX(desc)
+    x = [0, 1]
     h = x[:]
     rem = f[:]
     deg = 1
@@ -629,12 +583,12 @@ def _equal_degree_split(f: Poly, deg: int, desc: FieldDesc, rng: random.Random) 
     """Cantor-Zassenhaus splitting of f into monic irreducibles of degree deg."""
     n = pdeg(f)
     if n == deg:
-        return [pmonic(f)]
-    q = desc.q
+        return [pmonic(f, desc)]
+    q, p = desc.q, desc.p
     while True:
-        r = [desc.from_coeffs([rng.randrange(desc.p) for _ in range(desc.d)])
-             for _ in range(n)]
-        r = ptrim(r)
+        # each code drawn digit by digit, constant digit first
+        r = ptrim([sum(rng.randrange(p) * p ** i for i in range(desc.d))
+                   for _ in range(n)])
         if pdeg(r) < 1:
             continue
         if desc.p == 2:
@@ -649,69 +603,66 @@ def _equal_degree_split(f: Poly, deg: int, desc: FieldDesc, rng: random.Random) 
         else:
             e = (q ** deg - 1) // 2
             h = ppow_mod(r, e, f, desc)
-            g = pgcd(psub(h, [desc.one()], desc), f, desc)
+            g = pgcd(psub(h, [1], desc), f, desc)
         if 0 < pdeg(g) < n:
             left = _equal_degree_split(g, deg, desc, rng)
             right = _equal_degree_split(pdivmod(f, g, desc)[0], deg, desc, rng)
             return left + right
 
 
-def poly_factor(f: Poly, desc: FieldDesc) -> Tuple[FieldElem, List[Tuple[Poly, int]]]:
+def poly_factor(f: Poly, desc: FieldDesc) -> Tuple[int, List[Tuple[Poly, int]]]:
     """Factor f over F_q into (unit, [(monic irreducible, multiplicity), ...]).
 
     Deterministic: the equal-degree stage draws from a fixed-seed generator,
-    and factors are sorted by (degree, coefficient tuple).
+    and factors are sorted by (degree, coefficient sort keys).
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     if pdeg(f) == 1:
-        return f[-1], [(pmonic(f), 1)]
+        return f[-1], [(pmonic(f, desc), 1)]
     unit = f[-1]
-    work = pmonic(f)
+    work = pmonic(f, desc)
     rng = random.Random(_FACTOR_SEED)
     factors: List[Tuple[Poly, int]] = []
     # strip powers of x first so squarefree bookkeeping stays simple
     shift = 0
-    while len(work) > 1 and work[0].is_zero():
+    while len(work) > 1 and not work[0]:
         work = work[1:]
         shift += 1
     if shift:
-        factors.append((pX(desc), shift))
+        factors.append(([0, 1], shift))
     if pdeg(work) >= 1:
         for g, mult in _squarefree_decompose(work, desc):
             for h, deg in _distinct_degree(g, desc):
                 for irr in _equal_degree_split(h, deg, desc, rng):
                     factors.append((irr, mult))
-    factors.sort(key=lambda fm: (pdeg(fm[0]), [c.sort_key() for c in fm[0]]))
+    factors.sort(key=lambda fm: (pdeg(fm[0]), [desc.digits(c) for c in fm[0]]))
     return unit, factors
 
 
-def poly_roots(f: Poly, desc: FieldDesc) -> List[Tuple[FieldElem, int]]:
+def poly_roots(f: Poly, desc: FieldDesc) -> List[Tuple[int, int]]:
     """Roots of f in the coefficient field, with multiplicities, sorted."""
     _, factors = poly_factor(f, desc)
-    out = []
-    for g, m in factors:
-        if pdeg(g) == 1:
-            out.append((-g[0], m))
-    out.sort(key=lambda rm: rm[0].sort_key())
+    out = [(desc.neg(g[0]), m) for g, m in factors if pdeg(g) == 1]
+    out.sort(key=lambda rm: desc.digits(rm[0]))
     return out
 
 
 # ---------------------------------------------------------------------------
 # embeddings and relative traces
 
-def subfield_embedding(sub: FieldDesc, sup: FieldDesc) -> FieldElem:
-    """Image of sub's generator in sup: the least root of sub's modulus."""
+def subfield_embedding(sub: FieldDesc, sup: FieldDesc) -> int:
+    """Code in sup of sub's generator: the least root of sub's modulus."""
     if sub.p != sup.p or sup.d % sub.d != 0:
         raise ValueError(f"{sub} does not embed into {sup}")
     cached = sup._embed_cache.get((sub.p, sub.d))
     if cached is not None:
         return cached
     if sub.d == 1:
-        root = sup.one()
+        root = 1
     else:
-        mod_in_sup = [sup.from_int(c) for c in sub.modulus]
-        roots = poly_roots(ptrim(mod_in_sup), sup)
+        # the modulus has prime-field coefficients, whose codes are their values
+        roots = poly_roots(list(sub.modulus), sup)
         if not roots:  # pragma: no cover
             raise RuntimeError("modulus has no root in the extension")
         root = roots[0][0]
@@ -719,15 +670,20 @@ def subfield_embedding(sub: FieldDesc, sup: FieldDesc) -> FieldElem:
     return root
 
 
+def _embed_code(sub: FieldDesc, n: int, sup: FieldDesc) -> int:
+    """The code in sup of the element coded n of its subfield sub."""
+    if sub is sup or sub == sup:
+        return n
+    root = subfield_embedding(sub, sup)
+    acc = 0
+    for c in reversed(sub.digits(n)):
+        acc = sup.add(sup.mul(acc, root), c)
+    return acc
+
+
 def embed(a: FieldElem, sup: FieldDesc) -> FieldElem:
     """Map an element of a subfield into sup along the canonical embedding."""
-    if a.desc == sup:
-        return a
-    root = subfield_embedding(a.desc, sup)
-    acc = sup.zero()
-    for c in reversed(a.coeffs):
-        acc = acc * root + sup.from_int(c)
-    return acc
+    return FieldElem(sup, _embed_code(a.desc, a.n, sup))
 
 
 def coerce_down(a: FieldElem, sub: FieldDesc) -> FieldElem:
@@ -739,44 +695,23 @@ def coerce_down(a: FieldElem, sub: FieldDesc) -> FieldElem:
     sup = a.desc
     if sub == sup:
         return a
+    from .linalg import mat_rref  # linalg builds on this module
+
     root = subfield_embedding(sub, sup)
-    # columns: coefficient vectors of root^i, i < sub.d
+    # columns: coefficient vectors of root^i, i < sub.d, then a's
     cols = []
-    cur = sup.one()
+    cur = 1
     for _ in range(sub.d):
-        cols.append(cur.coeffs)
-        cur = cur * root
-    p = sup.p
-    # solve sum_i x_i * cols[i] = a.coeffs over F_p by elimination
-    nrows, ncols = sup.d, sub.d
-    rhs = a.coeffs
-    mat = [[cols[j][i] for j in range(ncols)] + [rhs[i]] for i in range(nrows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if mat[rr][c] % p:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for rr in range(nrows):
-            if rr != r and mat[rr][c] % p:
-                factor = mat[rr][c]
-                mat[rr] = [(mat[rr][k] - factor * mat[r][k]) % p for k in range(ncols + 1)]
-        piv_cols.append(c)
-        r += 1
-    sol = [0] * ncols
-    for idx, c in enumerate(piv_cols):
-        sol[c] = mat[idx][ncols]
-    # consistency: rows without pivots must have zero rhs
-    for rr in range(r, nrows):
-        if mat[rr][ncols] % p:
-            raise ValueError("element does not lie in the requested subfield")
+        cols.append(sup.digits(cur))
+        cur = sup.mul(cur, root)
+    cols.append(a.coeffs)
+    # solve sum_i x_i * cols[i] = a.coeffs over F_p, whose codes are digits
+    rref, pivots = mat_rref([list(row) for row in zip(*cols)], field_make(sup.p, 1))
+    if sub.d in pivots:  # a pivot in a's column: no solution
+        raise ValueError("element does not lie in the requested subfield")
+    sol = [0] * sub.d
+    for r, c in enumerate(pivots):
+        sol[c] = rref[r][sub.d]
     return sub.from_coeffs(sol)
 
 
@@ -787,10 +722,8 @@ def rel_trace(a: FieldElem, sub: FieldDesc) -> FieldElem:
         return a
     if desc.p != sub.p or desc.d % sub.d != 0:
         raise ValueError(f"no trace from {desc} to {sub}")
-    m = desc.d // sub.d
-    acc = a
-    cur = a
-    for _ in range(m - 1):
-        cur = cur ** sub.q
-        acc = acc + cur
-    return coerce_down(acc, sub)
+    acc = cur = a.n
+    for _ in range(desc.d // sub.d - 1):
+        cur = desc.pow(cur, sub.q)
+        acc = desc.add(acc, cur)
+    return coerce_down(FieldElem(desc, acc), sub)

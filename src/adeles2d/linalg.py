@@ -1,6 +1,6 @@
 """Dense exact linear algebra over finite fields.
 
-Matrices are lists of rows of FieldElem over a shared FieldDesc.  All
+Matrices are lists of rows of element codes over a shared FieldDesc.  All
 routines use deterministic Gauss-Jordan elimination (first nonzero pivot in
 column order), so reduced forms, ranks and nullspace bases are reproducible
 across runs.
@@ -10,33 +10,31 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .fields import FieldDesc, FieldElem
+from .fields import FieldDesc
 
-Matrix = List[List[FieldElem]]
+Matrix = List[List[int]]
 
 
 def mat_rref(rows: Matrix, desc: FieldDesc) -> Tuple[Matrix, List[int]]:
     """Reduced row-echelon form and pivot column indices (input unchanged)."""
+    mul, neg = desc.mul, desc.neg
     mat = [row[:] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not mat[i][c].is_zero():
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [v * inv for v in mat[r]]
+        inv = desc.inv(mat[r][c])
+        top = mat[r] = [mul(v, inv) for v in mat[r]]
+        # the pivot row is zero left of c: only columns from c on change
         for i in range(nrows):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if f and i != r:
+                mat[i][c:] = desc.axpy(neg(f), top[c:], mat[i][c:])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -50,21 +48,20 @@ def mat_rank(rows: Matrix, desc: FieldDesc) -> int:
     return len(mat_rref(rows, desc)[1])
 
 
-def mat_nullspace(rows: Matrix, ncols: int, desc: FieldDesc) -> List[List[FieldElem]]:
+def mat_nullspace(rows: Matrix, ncols: int, desc: FieldDesc) -> Matrix:
     """Basis of the right kernel {v : A v = 0}, one vector per free column."""
     if not rows:
-        return [[desc.one() if i == j else desc.zero() for i in range(ncols)]
-                for j in range(ncols)]
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     rref, pivots = mat_rref(rows, desc)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [desc.zero()] * ncols
-        v[free] = desc.one()
+        v = [0] * ncols
+        v[free] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][free]
+            v[pc] = desc.neg(rref[r][free])
         basis.append(v)
     return basis
 
@@ -78,16 +75,15 @@ def span_intersection(a: Matrix, b: Matrix, ncols: int, desc: FieldDesc) -> Matr
     if not a or not b:
         return []
     m, k = len(a), len(b)
-    stacked = [[a[i][c] for i in range(m)] + [-b[j][c] for j in range(k)]
+    stacked = [[a[i][c] for i in range(m)] + [desc.neg(b[j][c]) for j in range(k)]
                for c in range(ncols)]
     coeffs = mat_nullspace(stacked, m + k, desc)
     vecs = []
     for x in coeffs:
-        w = [desc.zero()] * ncols
+        w = [0] * ncols
         for i in range(m):
-            if not x[i].is_zero():
-                for c in range(ncols):
-                    w[c] = w[c] + x[i] * a[i][c]
+            if x[i]:
+                w = desc.axpy(x[i], a[i], w)
         vecs.append(w)
     if not vecs:
         return []

@@ -372,20 +372,23 @@ def fourier_char(e: CharElem, wdiv: Divisor) -> CharElem:
 
 class Check:
     """One verification: the values of both routes, the verdict (by default
-    whether they agree), any sub-derivations, and when it was built."""
+    whether they agree), any sub-derivations, and when it was built.  A
+    verdict that also weighs other values names them in `witness`, for the
+    summary line of a failure."""
 
     __slots__ = ("name", "inputs", "lhs", "rhs", "passed", "subchecks",
-                 "stamp")
+                 "witness", "stamp")
 
     def __init__(self, name: str, inputs: Dict, lhs, rhs,
                  passed: Optional[bool] = None,
-                 subchecks: Sequence["Check"] = ()):
+                 subchecks: Sequence["Check"] = (), witness: str = ""):
         self.name = name
         self.inputs = inputs
         self.lhs = lhs
         self.rhs = rhs
         self.passed = lhs == rhs if passed is None else bool(passed)
         self.subchecks = tuple(subchecks)
+        self.witness = witness
         self.stamp = time.perf_counter()
 
     def as_dict(self, micros: int = 0) -> Dict:
@@ -431,7 +434,8 @@ def derive_eq2(S: Surface, Sclass: ClassVector) -> Check:
     chiS = h_vector(S, divisor_class(Sdiv)).chi
     chiDual = h_vector(S, divisor_class(Rdiv)).chi
     return Check("chi-symmetry", {"S": _cls_json(Sclass)}, chiS, chiDual,
-                 passed=lhs == rhs and chiS == chiDual)
+                 lhs == rhs and chiS == chiDual,
+                 witness=f"pairing {lhs!r} vs transformed {rhs!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +545,9 @@ def rr_assemble(Cdiv: Divisor, wdiv: Divisor, prec: int = 8) -> Check:
     passed = (lhs == rhs and all(c.passed for c in subchecks)
               and comm.rhs == -pairing)
     inputs = {"C": _cls_json(clsC), "omega": _cls_json(clsW)}
-    return Check("riemann-roch", inputs, lhs, rhs, passed, subchecks)
+    return Check("riemann-roch", inputs, lhs, rhs, passed, subchecks, ", ".join(
+        [f"commutator {comm.rhs} vs class pairing {-pairing}"]
+        + [f"{c.name} failed" for c in subchecks if not c.passed]))
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +648,9 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2,
         row = []
         for j, (fj, _bj, _aj, _lj) in enumerate(dual_basis):
             if fi != fj:
-                row.append(surf.base.zero())
+                row.append(0)
             else:
-                row.append(adelic_pairing(frags[i], dual_frags[j], prec))
+                row.append(adelic_pairing(frags[i], dual_frags[j], prec).n)
         gram.append(row)
     rank = mat_rank(gram, surf.base)
     return Window(surf, R, S, wdiv, flags, u_window, basis, dual_basis,
@@ -681,7 +687,7 @@ def window_annihilator_check(w: Window, C: Divisor) -> bool:
     cols = set(window_dual_columns(w, C))
     for i in rows:
         for j in cols:
-            if not w.gram[i][j].is_zero():
+            if w.gram[i][j]:
                 return False
     sub = [w.gram[i] for i in rows]
     rank = mat_rank(sub, w.surface.base) if sub else 0

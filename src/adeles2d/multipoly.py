@@ -1,26 +1,26 @@
 """Sparse multivariate polynomials over finite fields.
 
-A polynomial is a dict from exponent tuples to nonzero coefficients, with a
-fixed variable count.  Variables are anonymous here (x0, x1, ...); geometric
-naming lives with the caller.  Includes exact division under lex order,
-Sylvester resultants with fraction-free (Bareiss) determinant evaluation, and
-substitution homomorphisms used for chart changes.
+A polynomial is a dict from exponent tuples to nonzero coefficient codes,
+with a fixed variable count.  Variables are anonymous here (x0, x1, ...);
+geometric naming lives with the caller.  Includes exact division under lex
+order, Sylvester resultants with fraction-free (Bareiss) determinant
+evaluation, and substitution homomorphisms used for chart changes.
 """
 
 from __future__ import annotations
 
+from operator import add as _add, mul as _mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import (
     FieldDesc,
     FieldElem,
     Poly,
-    embed,
+    _embed_code,
     pdivmod,
     pmul,
     pscale,
     psub,
-    ptrim,
 )
 
 Exponent = Tuple[int, ...]
@@ -29,16 +29,25 @@ Exponent = Tuple[int, ...]
 class MPoly:
     """Immutable-by-convention sparse polynomial in nvars variables.
 
-    The constructor drops zero coefficients, so `terms` holds only the
-    monomials that are there.  Binary operations raise ValueError on
-    polynomials over different fields."""
+    The constructor takes FieldElem coefficients or int codes and keeps the
+    nonzero codes, so `terms` holds only the monomials that are there.
+    Binary operations raise ValueError on polynomials over different
+    fields."""
 
     __slots__ = ("desc", "nvars", "terms")
 
-    def __init__(self, desc: FieldDesc, nvars: int, terms: Dict[Exponent, FieldElem]):
+    def __init__(self, desc: FieldDesc, nvars: int, terms: Dict[Exponent, object]):
         self.desc = desc
         self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c.n}
+        self.terms = {e: n for e, c in terms.items() if (n := desc.code(c))}
+
+    @staticmethod
+    def _make(desc: FieldDesc, nvars: int, terms: Dict[Exponent, int]) -> "MPoly":
+        """Trusted constructor: terms maps to nonzero codes and is owned by
+        the new polynomial alone."""
+        f = object.__new__(MPoly)
+        f.desc, f.nvars, f.terms = desc, nvars, terms
+        return f
 
     def _check_field(self, other: "MPoly") -> None:
         if other.desc is not self.desc and other.desc != self.desc:
@@ -49,17 +58,17 @@ class MPoly:
 
     @staticmethod
     def zero(desc: FieldDesc, nvars: int) -> "MPoly":
-        return MPoly(desc, nvars, {})
+        return MPoly._make(desc, nvars, {})
 
     @staticmethod
-    def const(desc: FieldDesc, nvars: int, a: FieldElem) -> "MPoly":
+    def const(desc: FieldDesc, nvars: int, a) -> "MPoly":
         return MPoly(desc, nvars, {(0,) * nvars: a})
 
     @staticmethod
     def var(desc: FieldDesc, nvars: int, i: int) -> "MPoly":
         e = [0] * nvars
         e[i] = 1
-        return MPoly(desc, nvars, {tuple(e): desc.one()})
+        return MPoly._make(desc, nvars, {tuple(e): 1})
 
     # -- basic queries -------------------------------------------------------
 
@@ -71,14 +80,6 @@ class MPoly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def effective_vars(self) -> List[int]:
-        used = [False] * self.nvars
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used[i] = True
-        return [i for i, u in enumerate(used) if u]
-
     def __eq__(self, other):
         return (
             isinstance(other, MPoly)
@@ -88,113 +89,131 @@ class MPoly:
         )
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted((e, c.n) for e, c in self.terms.items()))))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
         for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+            c = self.desc.text(self.terms[e])
             mono = "*".join(f"x{i}^{k}" if k > 1 else f"x{i}"
                             for i, k in enumerate(e) if k)
-            if not mono:
-                bits.append(repr(c))
-            elif c.is_one():
-                bits.append(mono)
-            else:
-                bits.append(f"{c!r}*{mono}")
+            bits.append(f"{c}*{mono}" if mono and self.terms[e] != 1
+                        else mono or c)
         return " + ".join(bits)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check_field(other)
+        add = self.desc.add
         terms = dict(self.terms)
         for e, c in other.terms.items():
             cur = terms.get(e)
-            terms[e] = c if cur is None else cur + c
-        return MPoly(self.desc, self.nvars, terms)
+            if cur is None:
+                terms[e] = c
+            elif cur := add(cur, c):
+                terms[e] = cur
+            else:
+                del terms[e]
+        return MPoly._make(self.desc, self.nvars, terms)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.desc, self.nvars, {e: -c for e, c in self.terms.items()})
+        neg = self.desc.neg
+        return MPoly._make(self.desc, self.nvars,
+                           {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check_field(other)
-        out: Dict[Exponent, FieldElem] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
+        add, mul = self.desc.add, self.desc.mul
+        a, b = self.terms.items(), list(other.terms.items())
+        kron = len(a) * len(b) >= 16
+        if kron:
+            # Kronecker: exponents as ints sum e_i B^i, B above every total
+            # degree of the product, so that monomials multiply by adding
+            base = 1 + max(map(sum, self.terms)) + max(map(sum, other.terms))
+            weights = [base ** i for i in range(self.nvars)]
+            a, b = ([(sum(map(_mul, e, weights)), c) for e, c in f]
+                    for f in (a, b))
+        out: Dict[object, int] = {}
+        for ea, ca in a:
+            for eb, cb in b:
+                e = ea + eb if kron else tuple(map(_add, ea, eb))
                 cur = out.get(e)
-                out[e] = c if cur is None else cur + c
-        return MPoly(self.desc, self.nvars, out)
+                out[e] = mul(ca, cb) if cur is None else add(cur, mul(ca, cb))
+        if kron:
+            out = {tuple(e // w % base for w in weights): c
+                   for e, c in out.items() if c}
+        elif len(out) < len(a) * len(b):  # terms met, so some may cancel
+            out = {e: c for e, c in out.items() if c}
+        return MPoly._make(self.desc, self.nvars, out)
 
-    def scale(self, a: FieldElem) -> "MPoly":
-        return MPoly(self.desc, self.nvars, {e: c * a for e, c in self.terms.items()})
+    def scale(self, a) -> "MPoly":
+        a = self.desc.code(a)
+        mul = self.desc.mul
+        return MPoly._make(self.desc, self.nvars, {
+            e: mul(c, a) for e, c in self.terms.items()} if a else {})
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly.const(self.desc, self.nvars, self.desc.one())
+        result = MPoly._make(self.desc, self.nvars, {(0,) * self.nvars: 1})
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the last bit
+                base = base * base
         return result
 
     def derivative(self, i: int) -> "MPoly":
-        out: Dict[Exponent, FieldElem] = {}
+        mul, p = self.desc.mul, self.desc.p
+        out: Dict[Exponent, int] = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * self.desc.from_int(e[i])
-        return MPoly(self.desc, self.nvars, out)
+            if e[i] % p:
+                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = mul(c, e[i] % p)
+        return MPoly._make(self.desc, self.nvars, out)
 
     # -- evaluation and substitution ------------------------------------------
 
     def evaluate(self, point: Sequence[FieldElem]) -> FieldElem:
         """Full evaluation; the point may live in an extension field."""
         target = point[0].desc if point else self.desc
-        acc = target.zero()
-        pow_cache: List[Dict[int, FieldElem]] = [dict() for _ in range(self.nvars)]
+        add, mul, pw = target.add, target.mul, target.pow
+        xs = [x.n for x in point]
+        acc = 0
+        pow_cache: Dict[Tuple[int, int], int] = {}
         for e, c in self.terms.items():
-            term = embed(c, target)
+            term = _embed_code(self.desc, c, target)
             for i, k in enumerate(e):
-                if not k:
-                    continue
-                got = pow_cache[i].get(k)
-                if got is None:
-                    got = point[i] ** k
-                    pow_cache[i][k] = got
-                term = term * got
-            acc = acc + term
-        return acc
+                if k:
+                    got = pow_cache.get((i, k))
+                    if got is None:
+                        got = pow_cache[(i, k)] = pw(xs[i], k)
+                    term = mul(term, got)
+            acc = add(acc, term)
+        return FieldElem(target, acc)
 
     def substitute(self, images: Sequence["MPoly"]) -> "MPoly":
         """Ring homomorphism sending variable i to images[i]."""
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         target_nvars = images[0].nvars if images else self.nvars
-        pow_cache: List[Dict[int, MPoly]] = [dict() for _ in range(self.nvars)]
+        pow_cache: Dict[Tuple[int, int], MPoly] = {}
         acc = MPoly.zero(self.desc, target_nvars)
         for e, c in self.terms.items():
-            term = MPoly.const(self.desc, target_nvars, c)
+            term = MPoly._make(self.desc, target_nvars, {(0,) * target_nvars: c})
             for i, k in enumerate(e):
-                if not k:
-                    continue
-                got = pow_cache[i].get(k)
-                if got is None:
-                    got = images[i] ** k
-                    pow_cache[i][k] = got
-                term = term * got
+                if k:
+                    got = pow_cache.get((i, k))
+                    if got is None:
+                        got = pow_cache[(i, k)] = images[i] ** k
+                    term = term * got
             acc = acc + term
         return acc
 
@@ -203,55 +222,46 @@ class MPoly:
     def to_univariate(self, i: int) -> List["MPoly"]:
         """Coefficients in variable i (constant term first), as polynomials
         in the remaining variables (arity preserved, exponent of i zeroed)."""
-        deg = self.degree_in(i)
-        if deg < 0:
-            return []
-        coeffs = [MPoly.zero(self.desc, self.nvars) for _ in range(deg + 1)]
+        parts: List[Dict[Exponent, int]] = [{} for _ in range(self.degree_in(i) + 1)]
         for e, c in self.terms.items():
-            ne = list(e)
-            k = ne[i]
-            ne[i] = 0
-            coeffs[k] = coeffs[k] + MPoly(self.desc, self.nvars, {tuple(ne): c})
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        return coeffs
+            parts[e[i]][e[:i] + (0,) + e[i + 1:]] = c
+        return [MPoly._make(self.desc, self.nvars, t) for t in parts]
 
     def as_poly_in(self, i: int) -> Poly:
         """View a polynomial whose only effective variable is i as univariate."""
-        eff = self.effective_vars()
-        if any(v != i for v in eff):
+        if any(x for e in self.terms for v, x in enumerate(e) if v != i):
             raise ValueError(f"polynomial involves variables other than x{i}")
-        out = [self.desc.zero()] * (self.degree_in(i) + 1 if self.terms else 0)
+        out = [0] * (self.degree_in(i) + 1)
         for e, c in self.terms.items():
             out[e[i]] = c
-        return ptrim(out)
+        return out
 
     # -- exact division -------------------------------------------------------
-
-    def _leading(self) -> Tuple[Exponent, FieldElem]:
-        e = max(self.terms)  # lex, leftmost variable most significant
-        return e, self.terms[e]
 
     def exact_div(self, g: "MPoly") -> Optional["MPoly"]:
         """Quotient self/g if g divides exactly, else None."""
         self._check_field(g)
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return MPoly.zero(self.desc, self.nvars)
-        lg, cg = g._leading()
-        cg_inv = cg.inverse()
-        rem = self
-        q: Dict[Exponent, FieldElem] = {}
-        while not rem.is_zero():
-            lr, cr = rem._leading()
+        mul, sub = self.desc.mul, self.desc.sub
+        lg = max(g.terms)  # lex, leftmost variable most significant
+        cg_inv = self.desc.inv(g.terms[lg])
+        rem = dict(self.terms)
+        q: Dict[Exponent, int] = {}
+        while rem:
+            lr = max(rem)
             de = tuple(a - b for a, b in zip(lr, lg))
             if any(x < 0 for x in de):
                 return None
-            coeff = cr * cg_inv
-            q[de] = coeff
-            rem = rem - MPoly(self.desc, self.nvars, {de: coeff}) * g
-        return MPoly(self.desc, self.nvars, q)
+            coeff = q[de] = mul(rem[lr], cg_inv)
+            for eg, cg in g.terms.items():
+                e = tuple(map(_add, de, eg))
+                s = sub(rem.get(e, 0), mul(coeff, cg))
+                if s:
+                    rem[e] = s
+                else:
+                    del rem[e]
+        return MPoly._make(self.desc, self.nvars, q)
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +272,10 @@ def det_bareiss(rows: List[List[Poly]], desc: FieldDesc) -> Poly:
     """Determinant of a matrix of univariate polynomials, fraction-free."""
     n = len(rows)
     if n == 0:
-        return [desc.one()]
+        return [1]
     m = [row[:] for row in rows]
     sign = 1
-    prev: Poly = [desc.one()]
+    prev: Poly = [1]
     for k in range(n - 1):
         piv = None
         for i in range(k, n):
@@ -288,7 +298,7 @@ def det_bareiss(rows: List[List[Poly]], desc: FieldDesc) -> Poly:
         prev = m[k][k]
     det = m[n - 1][n - 1]
     if sign < 0:
-        det = pscale(det, -desc.one())
+        det = pscale(det, desc.neg(1), desc)
     return det
 
 
@@ -299,6 +309,7 @@ def resultant_elim(f: MPoly, g: MPoly, elim: int, keep: int) -> Poly:
     is univariate in `keep`.  Degenerate degree-zero cases follow the usual
     conventions (Res(a, g) = a^deg(g)).
     """
+    f._check_field(g)
     desc = f.desc
     fu = [c.as_poly_in(keep) for c in f.to_univariate(elim)]
     gu = [c.as_poly_in(keep) for c in g.to_univariate(elim)]
@@ -307,14 +318,14 @@ def resultant_elim(f: MPoly, g: MPoly, elim: int, keep: int) -> Poly:
     if dm < 0 or dn < 0:
         return []
     if dm == 0 and dn == 0:
-        return [desc.one()]
+        return [1]
     if dm == 0:
-        out = [desc.one()]
+        out = [1]
         for _ in range(dn):
             out = pmul(out, fu[0], desc)
         return out
     if dn == 0:
-        out = [desc.one()]
+        out = [1]
         for _ in range(dm):
             out = pmul(out, gu[0], desc)
         return out

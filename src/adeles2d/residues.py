@@ -80,7 +80,7 @@ def form_make(S: Surface, num, den_curves: Sequence[Tuple[Curve, int]]) -> Globa
     """Build num / prod(C^m) * omega with the component list filled in."""
     if isinstance(num, str):
         num = parse_poly(S, num)
-    den = MPoly.const(S.base, S.nvars, S.base.one())
+    den = MPoly.const(S.base, S.nvars, 1)
     for C, m in den_curves:
         if m < 0:
             raise ValueError("denominator multiplicities must be nonnegative")
@@ -182,16 +182,10 @@ def adelic_pairing(a: AdeleFragment, b: AdeleFragment,
 
 def _random_form_of_class(S: Surface, cls, rng: random.Random) -> Optional[MPoly]:
     monos = class_monomials(S, cls)
-    terms = {}
-    p, d = S.base.p, S.base.d
-    for e in monos:
-        c = rng.randrange(S.base.q)
-        if c:
-            # the draw's base-p digits, so every element of F_q can occur
-            terms[e] = S.base.from_coeffs([c // p ** i % p for i in range(d)])
-    if not terms:
-        return None
-    return MPoly(S.base, S.nvars, terms)
+    # each draw is a code, so every element of F_q can occur
+    terms = {e: rng.randrange(S.base.q) for e in monos}
+    f = MPoly(S.base, S.nvars, terms)
+    return None if f.is_zero() else f
 
 
 def reciprocity_corpus(S: Surface, count: int, seed: int,

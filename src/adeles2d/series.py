@@ -2,12 +2,13 @@
 
 This is the computational model of the two-dimensional local field
 k(x)((u))((t)): a sparse dict of (t-exponent, u-exponent) -> coefficient
-together with a precision box.  `t_prec` is the first unknown t-exponent and
-`u_prec` the first unknown u-exponent, uniform across t-columns; both may be
-`inf`, meaning the series is exact in that variable.  Inside the box, absent
-keys are exactly zero; outside it, nothing is claimed.  "Exact zero" (no
-terms, both precisions infinite) and "zero at this precision" are therefore
-different states, and only the former participates in equality assertions.
+code together with a precision box.  `t_prec` is the first unknown
+t-exponent and `u_prec` the first unknown u-exponent, uniform across
+t-columns; both may be `inf`, meaning the series is exact in that variable.
+Inside the box, absent keys are exactly zero; outside it, nothing is
+claimed.  "Exact zero" (no terms, both precisions infinite) and "zero at
+this precision" are therefore different states, and only the former
+participates in equality assertions.
 
 Valuations are reported with respect to the tracked window: expansion and
 inversion routines arrange their output so that the leading tracked column is
@@ -21,6 +22,8 @@ box rule new_prec = min(prec_a + val_b, prec_b + val_a) in each variable
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .fields import FieldDesc, FieldElem
@@ -62,10 +65,11 @@ class LaurentSeries1:
 
     __slots__ = ("desc", "terms", "prec")
 
-    def __init__(self, desc: FieldDesc, terms: Dict[int, FieldElem], prec=INF):
+    def __init__(self, desc: FieldDesc, terms: Dict[int, object], prec=INF):
         self.desc = desc
         self.prec = _as_prec(prec)
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero() and e < self.prec}
+        self.terms = {e: n for e, c in terms.items()
+                      if (n := desc.code(c)) and e < self.prec}
 
     def valuation(self) -> int:
         if not self.terms:
@@ -81,42 +85,52 @@ class LaurentSeries1:
         )
 
     def __repr__(self):
-        body = ", ".join(f"u^{e}: {self.terms[e]!r}" for e in sorted(self.terms)) or "0"
+        body = ", ".join(f"u^{e}: {self.desc.text(self.terms[e])}"
+                         for e in sorted(self.terms)) or "0"
         tail = "" if self.prec == INF else f" + O(u^{int(self.prec)})"
         return body + tail
 
 
 class LaurentSeries2:
-    """A two-variable truncated Laurent series in u and t (t outermost)."""
+    """A two-variable truncated Laurent series in u and t (t outermost); the
+    constructor keeps the nonzero codes, given as codes or FieldElem, inside
+    the window."""
 
     __slots__ = ("desc", "terms", "t_prec", "u_prec")
 
-    def __init__(self, desc: FieldDesc, terms: Dict[Tuple[int, int], FieldElem],
+    def __init__(self, desc: FieldDesc, terms: Dict[Tuple[int, int], object],
                  t_prec=INF, u_prec=INF):
         self.desc = desc
-        self.t_prec = _as_prec(t_prec)
-        self.u_prec = _as_prec(u_prec)
-        self.terms = {
-            k: c for k, c in terms.items()
-            if not c.is_zero() and k[0] < self.t_prec and k[1] < self.u_prec
-        }
+        self.t_prec = t_prec = _as_prec(t_prec)
+        self.u_prec = u_prec = _as_prec(u_prec)
+        self.terms = {k: n for k, c in terms.items()
+                      if (n := desc.code(c)) and k[0] < t_prec and k[1] < u_prec}
+
+    @staticmethod
+    def _make(desc: FieldDesc, terms: Dict[Tuple[int, int], int],
+              t_prec, u_prec) -> "LaurentSeries2":
+        """Trusted constructor: terms maps keys inside the window (int or INF
+        precisions) to nonzero codes, and nothing else holds it."""
+        f = object.__new__(LaurentSeries2)
+        f.desc, f.terms, f.t_prec, f.u_prec = desc, terms, t_prec, u_prec
+        return f
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, desc: FieldDesc, t_prec=INF, u_prec=INF) -> "LaurentSeries2":
-        return cls(desc, {}, t_prec, u_prec)
+        return cls._make(desc, {}, _as_prec(t_prec), _as_prec(u_prec))
 
     @classmethod
-    def const(cls, desc: FieldDesc, a: FieldElem, t_prec=INF, u_prec=INF) -> "LaurentSeries2":
+    def const(cls, desc: FieldDesc, a, t_prec=INF, u_prec=INF) -> "LaurentSeries2":
         return cls(desc, {(0, 0): a}, t_prec, u_prec)
 
     @classmethod
     def one(cls, desc: FieldDesc) -> "LaurentSeries2":
-        return cls.const(desc, desc.one())
+        return cls._make(desc, {(0, 0): 1}, INF, INF)
 
     @classmethod
-    def monomial(cls, desc: FieldDesc, a: FieldElem, t_exp: int, u_exp: int,
+    def monomial(cls, desc: FieldDesc, a, t_exp: int, u_exp: int,
                  t_prec=INF, u_prec=INF) -> "LaurentSeries2":
         return cls(desc, {(t_exp, u_exp): a}, t_prec, u_prec)
 
@@ -131,12 +145,15 @@ class LaurentSeries2:
     def is_exact_zero(self) -> bool:
         return not self.terms and self.is_exact()
 
-    def _tv(self) -> float:
-        """Least tracked t-exponent, or t_prec when the window is all zero."""
-        return min(k[0] for k in self.terms) if self.terms else self.t_prec
-
-    def _uv(self) -> float:
-        return min(k[1] for k in self.terms) if self.terms else self.u_prec
+    def _low(self) -> Tuple[float, float]:
+        """Least tracked t- and u-exponents, or the window's ends when the
+        window is all zero."""
+        if len(self.terms) == 1:
+            return next(iter(self.terms))
+        if not self.terms:
+            return self.t_prec, self.u_prec
+        ts, us = zip(*self.terms)
+        return min(ts), min(us)
 
     def t_valuation(self) -> int:
         if not self.terms:
@@ -156,53 +173,72 @@ class LaurentSeries2:
     # -- ring operations -----------------------------------------------------
 
     def _check_desc(self, other: "LaurentSeries2"):
-        if self.desc != other.desc:
+        if other.desc is not self.desc and other.desc != self.desc:
             raise ValueError("mismatched coefficient fields")
 
     def __add__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         self._check_desc(other)
+        add = self.desc.add
         out = dict(self.terms)
         for k, c in other.terms.items():
             cur = out.get(k)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(k, None)
+            if cur is None:
+                out[k] = c
+            elif cur := add(cur, c):
+                out[k] = cur
             else:
-                out[k] = s
-        return LaurentSeries2(self.desc, out,
-                              min(self.t_prec, other.t_prec),
-                              min(self.u_prec, other.u_prec))
+                del out[k]
+        t_prec, u_prec = self.t_prec, self.u_prec
+        if (t_prec, u_prec) != (other.t_prec, other.u_prec):
+            t_prec, u_prec = min(t_prec, other.t_prec), min(u_prec, other.u_prec)
+            out = {k: c for k, c in out.items()
+                   if k[0] < t_prec and k[1] < u_prec}
+        return LaurentSeries2._make(self.desc, out, t_prec, u_prec)
 
     def __neg__(self) -> "LaurentSeries2":
-        return LaurentSeries2(self.desc, {k: -c for k, c in self.terms.items()},
-                              self.t_prec, self.u_prec)
+        neg = self.desc.neg
+        return LaurentSeries2._make(
+            self.desc, {k: neg(c) for k, c in self.terms.items()},
+            self.t_prec, self.u_prec)
 
     def __sub__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         return self + (-other)
 
     def __mul__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         self._check_desc(other)
-        t_prec = min(self.t_prec + other._tv(), other.t_prec + self._tv())
-        u_prec = min(self.u_prec + other._uv(), other.u_prec + self._uv())
-        out: Dict[Tuple[int, int], FieldElem] = {}
+        # the box rule; on exact windows it gives INF whatever the valuations
+        t_prec = u_prec = INF
+        if not self.t_prec == self.u_prec == other.t_prec == other.u_prec == INF:
+            (at, au), (bt, bu) = self._low(), other._low()
+            t_prec = min(self.t_prec + bt, other.t_prec + at)
+            u_prec = min(self.u_prec + bu, other.u_prec + au)
+        if self.desc.d == 1 and len(self.terms) * len(other.terms) >= 64:
+            out = _kronecker(self.terms, other.terms, t_prec, u_prec, self.desc.p)
+            if out is not None:
+                return LaurentSeries2._make(self.desc, out, t_prec, u_prec)
+        add, mul = self.desc.add, self.desc.mul
+        out = {}
+        pairs = 0
         for (ta, ua), ca in self.terms.items():
             for (tb, ub), cb in other.terms.items():
-                k = (ta + tb, ua + ub)
-                if k[0] >= t_prec or k[1] >= u_prec:
-                    continue
-                c = ca * cb
-                cur = out.get(k)
-                s = c if cur is None else cur + c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return LaurentSeries2(self.desc, out, t_prec, u_prec)
+                t, u = ta + tb, ua + ub
+                if t < t_prec and u < u_prec:
+                    pairs += 1
+                    cur = out.get((t, u))
+                    out[t, u] = (mul(ca, cb) if cur is None
+                                 else add(cur, mul(ca, cb)))
+        if len(out) < pairs:  # terms met, so some may have cancelled
+            out = {k: c for k, c in out.items() if c}
+        return LaurentSeries2._make(self.desc, out, t_prec, u_prec)
 
     def truncate(self, t_to=None, u_to=None) -> "LaurentSeries2":
         t_prec = self.t_prec if t_to is None else min(self.t_prec, _as_prec(t_to))
         u_prec = self.u_prec if u_to is None else min(self.u_prec, _as_prec(u_to))
-        return LaurentSeries2(self.desc, self.terms, t_prec, u_prec)
+        if (t_prec, u_prec) == (self.t_prec, self.u_prec):
+            return self
+        return LaurentSeries2._make(self.desc, {
+            k: c for k, c in self.terms.items()
+            if k[0] < t_prec and k[1] < u_prec}, t_prec, u_prec)
 
     def inverse(self, t_window: Optional[int] = None,
                 u_window: Optional[int] = None) -> "LaurentSeries2":
@@ -231,8 +267,8 @@ class LaurentSeries2:
         drop = max(0, vu_lead - min(higher)) if higher else 0
         lu_eff = lu if self.u_prec != INF else lu + size * drop
         icol, icol_prec = _invert_column(lead, self.u_prec, lu_eff, self.desc)
-        y0 = LaurentSeries2(self.desc, {(-vt, u): c for u, c in icol.items()},
-                            INF, icol_prec)
+        y0 = LaurentSeries2._make(
+            self.desc, {(-vt, u): c for u, c in icol.items()}, INF, icol_prec)
         if not higher and self.t_prec == INF:
             return y0
         # normalize: self * y0 = 1 + r with r of positive t-valuation
@@ -255,13 +291,13 @@ class LaurentSeries2:
     def __pow__(self, n: int) -> "LaurentSeries2":
         if n < 0:
             return self.inverse() ** (-n)
-        result = LaurentSeries2.one(self.desc)
-        base = self
+        result, base = LaurentSeries2.one(self.desc), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the last bit
+                base = base * base
         return result
 
     def derive(self, var: str) -> "LaurentSeries2":
@@ -269,17 +305,14 @@ class LaurentSeries2:
         if var not in ("u", "t"):
             raise ValueError("var must be 'u' or 't'")
         idx = 0 if var == "t" else 1
-        out: Dict[Tuple[int, int], FieldElem] = {}
+        mul, p = self.desc.mul, self.desc.p
+        out: Dict[Tuple[int, int], int] = {}
         for (t, u), c in self.terms.items():
-            e = (t, u)[idx]
-            nc = c * self.desc.from_int(e)
-            if nc.is_zero():
-                continue
-            nk = (t - 1, u) if idx == 0 else (t, u - 1)
-            out[nk] = nc
-        if idx == 0:
-            return LaurentSeries2(self.desc, out, self.t_prec - 1, self.u_prec)
-        return LaurentSeries2(self.desc, out, self.t_prec, self.u_prec - 1)
+            e = (t, u)[idx] % p
+            if e:
+                out[(t - 1, u) if idx == 0 else (t, u - 1)] = mul(c, e)
+        return LaurentSeries2._make(self.desc, out, self.t_prec - (idx == 0),
+                                    self.u_prec - idx)
 
     # -- comparison and display ------------------------------------------------
 
@@ -302,14 +335,14 @@ class LaurentSeries2:
         return body + (" + " + " + ".join(wins) if wins else "")
 
 
-def _invert_column(col: Dict[int, FieldElem], u_prec, lu: int,
-                   desc: FieldDesc) -> Tuple[Dict[int, FieldElem], float]:
-    """Invert a one-variable Laurent column; returns (terms, result u_prec)."""
+def _invert_column(col: Dict[int, int], u_prec, lu: int,
+                   desc: FieldDesc) -> Tuple[Dict[int, int], float]:
+    """Invert a one-variable Laurent column of codes; returns (terms, result
+    u_prec), the terms nonzero and inside that window."""
     if not col:
         raise PrecisionError("cannot invert: leading t-column is indistinguishable from 0 in u")
     vu = min(col)
-    c0 = col[vu]
-    c0i = c0.inverse()
+    c0i = desc.inv(col[vu])
     if len(col) == 1:
         prec = INF if u_prec == INF else u_prec - 2 * vu
         return {-vu: c0i}, prec
@@ -317,21 +350,50 @@ def _invert_column(col: Dict[int, FieldElem], u_prec, lu: int,
     if size <= 0:
         raise PrecisionError("cannot invert: empty provable window in u")
     # normalized tail s_j = col[vu+j] / c0; e_k = -sum_{j>=1} s_j e_{k-j}
-    s = {j - vu: c for j, c in col.items() if j != vu}
-    e: List[FieldElem] = [desc.one()]
+    add, mul = desc.add, desc.mul
+    s = {j - vu: mul(c, c0i) for j, c in col.items() if j != vu}
+    e: List[int] = [1]
     for k in range(1, size):
-        acc = desc.zero()
-        for j, cj in s.items():
-            if 0 <= k - j < len(e):
-                acc = acc + cj * c0i * e[k - j]
-        e.append(-acc)
-    out = {}
-    for k, ek in enumerate(e):
-        v = ek * c0i
-        if not v.is_zero():
-            out[k - vu] = v
+        acc = 0
+        for j, sj in s.items():
+            if j <= k:
+                acc = add(acc, mul(sj, e[k - j]))
+        e.append(desc.neg(acc))
+    out = {k - vu: mul(ek, c0i) for k, ek in enumerate(e) if ek}
     prec = (-vu + size) if u_prec == INF else u_prec - 2 * vu
     return out, prec
+
+
+def _kronecker(a: Dict[Tuple[int, int], int], b: Dict[Tuple[int, int], int],
+               t_prec, u_prec, p: int) -> Optional[Dict[Tuple[int, int], int]]:
+    """The window of a product over F_p by Kronecker substitution (Harvey,
+    arXiv:0712.4046), or None for terms too spread out: a factor is one int,
+    the code of term (t, u) in machine word (t - t0) * width + (u - u0), so
+    one int product sums all products of terms; an array reads them back."""
+    (ta, ua), (tb, ub) = zip(*a), zip(*b)
+    t0, u0 = min(ta) + min(tb), min(ua) + min(ub)
+    width = max(ua) + max(ub) + 1 - u0
+    bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    kind = next((k for k in "BHIQ" if array(k).itemsize * 8 >= bits), None)
+    if kind is None or (max(ta) + max(tb) + 1 - t0) * width > 4 * len(a) * len(b):
+        return None
+    slot = array(kind).itemsize * 8
+
+    def pack(f, t1, u1):
+        return sum(c << slot * ((t - t1) * width + u - u1) for (t, u), c in f.items())
+
+    z = pack(a, min(ta), min(ua)) * pack(b, min(tb), min(ub))
+    words = array(kind, z.to_bytes(-(-z.bit_length() // slot) * slot // 8,
+                                   sys.byteorder))
+    if t_prec != INF:
+        words = words[:max(0, t_prec - t0) * width]
+    out = {}
+    for i, c in enumerate(words):
+        if c % p:
+            t, u = divmod(i, width)
+            if u + u0 < u_prec:
+                out[t + t0, u + u0] = c % p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +412,7 @@ def res2(f: LaurentSeries2) -> FieldElem:
     coefficient of f."""
     if f.t_prec <= -1 or f.u_prec <= -1:
         raise PrecisionError("residue slot (-1,-1) lies outside the tracked window")
-    return f.terms.get((-1, -1), f.desc.zero())
+    return FieldElem(f.desc, f.terms.get((-1, -1), 0))
 
 
 def ls2_to_text(f: LaurentSeries2) -> str:
@@ -359,5 +421,5 @@ def ls2_to_text(f: LaurentSeries2) -> str:
         return "0"
     bits = []
     for (t, u) in sorted(f.terms):
-        bits.append(f"t^{t}*u^{u}: {f.terms[(t, u)]!r}")
+        bits.append(f"t^{t}*u^{u}: {f.desc.text(f.terms[(t, u)])}")
     return "; ".join(bits)

@@ -25,6 +25,7 @@ from .fields import (
     FieldDesc,
     FieldElem,
     Poly,
+    _embed_code,
     coerce_down,
     embed,
     field_make,
@@ -35,7 +36,7 @@ from .fields import (
     ptrim,
 )
 from .multipoly import MPoly, resultant_elim
-from .series import DEFAULT_PREC, LaurentSeries2, PrecisionError, escalate
+from .series import DEFAULT_PREC, INF, LaurentSeries2, PrecisionError, escalate
 
 ClassVector = Tuple[int, ...]
 
@@ -154,11 +155,13 @@ class Surface:
     def dehomogenize(self, f: MPoly, chart: Chart) -> MPoly:
         """Restrict to the chart: unit variables -> 1, affine variables kept
         (as a 2-variable polynomial in the chart's coordinate order)."""
-        out = MPoly.zero(f.desc, 2)
+        add = f.desc.add
         a0, a1 = chart.affine_vars
+        out: Dict[Tuple[int, int], int] = {}
         for e, c in f.terms.items():
-            out = out + MPoly(f.desc, 2, {(e[a0], e[a1]): c})
-        return out
+            k = (e[a0], e[a1])
+            out[k] = add(out[k], c) if k in out else c
+        return MPoly._make(f.desc, 2, {k: c for k, c in out.items() if c})
 
     def class_add(self, a: ClassVector, b: ClassVector) -> ClassVector:
         return tuple(x + y for x, y in zip(a, b))
@@ -224,7 +227,7 @@ def parse_poly(S: Surface, text: str) -> MPoly:
             exps[names[name]] += int(power) if power else 1
         if not coeff_s and not vars_s:
             raise ValueError(f"empty monomial near {text[pos:pos+12]!r}")
-        acc = acc + MPoly(S.base, S.nvars, {tuple(exps): S.base.from_int(coeff)})
+        acc = acc + MPoly(S.base, S.nvars, {tuple(exps): coeff % S.base.p})
         pos = m.end()
     if not S.is_homogeneous(acc):
         raise ValueError(f"{text!r} is not homogeneous for {S.model}")
@@ -241,7 +244,7 @@ def poly_text(S: Surface, f: MPoly) -> str:
             f"{S.var_names[i]}" + (f"^{k}" if k > 1 else "")
             for i, k in enumerate(e) if k
         )
-        cs = "" if (c.is_one() and mono) else repr(c)
+        cs = "" if (c == 1 and mono) else f.desc.text(c)
         bits.append((cs + mono) or "1")
     return " + ".join(bits)
 
@@ -294,8 +297,9 @@ class Curve:
         self.surface = surface
         self.poly = poly
         self.name = name
+        digits = poly.desc.digits
         self._key = (surface.model, surface.base.q,
-                     tuple(sorted((e, c.coeffs) for e, c in poly.terms.items())))
+                     tuple(sorted((e, digits(c)) for e, c in poly.terms.items())))
         # the key is a nested tuple: hash it once, not on every lookup
         self._hash = hash(self._key)
         self._cls = surface.poly_class(poly)
@@ -317,9 +321,8 @@ class Curve:
 
 
 def _normalize_scalar(f: MPoly) -> MPoly:
-    lead = max(f.terms)
-    c = f.terms[lead]
-    return f if c.is_one() else f.scale(c.inverse())
+    c = f.terms[max(f.terms)]
+    return f if c == 1 else f.scale(f.desc.inv(c))
 
 
 def _group_monomials(size: int, d: int) -> List[tuple]:
@@ -344,20 +347,19 @@ def _candidate_polys(S: Surface, cls: ClassVector) -> Iterable[MPoly]:
     desc = S.base
     monos = class_monomials(S, cls)
     n = len(monos)
-    elems = list(desc.elems())
     q = desc.q
-    # first nonzero coefficient (in lex-monomial order) pinned to 1
+    # first nonzero coefficient (in lex-monomial order) pinned to 1; the
+    # others run through all codes, the first fastest
     for lead in range(n):
         total = q ** (n - lead - 1)
         for code in range(total):
-            terms = {monos[lead]: desc.one()}
+            terms = {monos[lead]: 1}
             m = code
             for k in range(lead + 1, n):
-                c = elems[m % q]
-                m //= q
-                if not c.is_zero():
+                m, c = divmod(m, q)
+                if c:
                     terms[monos[k]] = c
-            yield MPoly(desc, S.nvars, terms)
+            yield MPoly._make(desc, S.nvars, terms)
 
 
 def _class_halves(S: Surface, cls: ClassVector) -> List[ClassVector]:
@@ -456,10 +458,6 @@ def _normalize_proj(surface: Surface, coords: List[FieldElem]) -> Tuple[FieldEle
     return tuple(out)
 
 
-def _frobenius_point(surface: Surface, coords: Tuple[FieldElem, ...], q: int):
-    return _normalize_proj(surface, [c ** q for c in coords])
-
-
 def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
                           q: int) -> Tuple[Tuple[FieldElem, ...], int]:
     """(lex-least orbit member, exact degree) under x -> x^q."""
@@ -467,7 +465,7 @@ def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
     cur = coords
     size = 1
     while True:
-        cur = _frobenius_point(surface, list(cur), q)
+        cur = _normalize_proj(surface, [c ** q for c in cur])
         if cur == coords:
             break
         if tuple(c.sort_key() for c in cur) < tuple(c.sort_key() for c in best):
@@ -598,9 +596,10 @@ def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
     h: Poly = []
     for f in fs:
         # f on the fibre, as a polynomial in coordinate `solve`
-        r = [k.zero()] * (f.degree_in(solve) + 1)
+        r = [0] * (f.degree_in(solve) + 1)
         for e, c in f.terms.items():
-            r[e[solve]] = r[e[solve]] + embed(c, k) * x0 ** e[1 - solve]
+            r[e[solve]] = k.add(r[e[solve]], k.mul(
+                _embed_code(f.desc, c, k), k.pow(x0.n, e[1 - solve])))
         h = pgcd(h, ptrim(r), k)
     if pdeg(h) < 1:
         return
@@ -623,9 +622,10 @@ def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
 def _one_root(irr: Poly, k: FieldDesc) -> FieldElem:
     """A root of the monic irreducible irr over k, in its splitting field."""
     if pdeg(irr) == 1:
-        return -irr[0]
+        return FieldElem(k, k.neg(irr[0]))
     ext = field_make(k.p, k.d * pdeg(irr))
-    return poly_roots([embed(c, ext) for c in irr], ext)[0][0]
+    return FieldElem(ext, poly_roots([_embed_code(k, c, ext) for c in irr],
+                                     ext)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +700,8 @@ def flag_make(x: ClosedPoint, D: Curve) -> Flag:
 def _mp_embed(f: MPoly, ext: FieldDesc) -> MPoly:
     if f.desc == ext:
         return f
-    return MPoly(ext, f.nvars, {e: embed(c, ext) for e, c in f.terms.items()})
+    return MPoly._make(ext, f.nvars, {e: _embed_code(f.desc, c, ext)
+                                      for e, c in f.terms.items()})
 
 
 def mp_eval_series(f: MPoly, args: Sequence[LaurentSeries2],
@@ -717,7 +718,7 @@ def mp_eval_series(f: MPoly, args: Sequence[LaurentSeries2],
 
     acc = LaurentSeries2.zero(desc)
     for e, c in f.terms.items():
-        term = LaurentSeries2.const(desc, c)
+        term = LaurentSeries2._make(desc, {(0, 0): c}, INF, INF)
         for i, k in enumerate(e):
             if k:
                 term = term * pw(i, k)

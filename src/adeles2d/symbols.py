@@ -88,8 +88,8 @@ def tame_t(f: LaurentSeries2, g: LaurentSeries2) -> LaurentSeries1:
     h = (f ** b) * (g ** (-a))
     col = h.column(0)
     if (a * b) % 2:
-        col = LaurentSeries1(col.desc, {e: -c for e, c in col.terms.items()},
-                             col.prec)
+        col = LaurentSeries1(col.desc, {e: col.desc.neg(c)
+                                        for e, c in col.terms.items()}, col.prec)
     return col
 
 
@@ -350,17 +350,17 @@ def _local_multiplicity(S: Surface, D: Curve, E: Curve, pt: ClosedPoint,
             res = ptrim(list(resultant_elim(fc, gc, elim=elim, keep=keep)))
             if pdeg(res) < 1:
                 continue
-            mult = _root_order(res, x0, F)
+            mult = _root_order(res, x0.n, F)
             if mult == 0:
                 raise RuntimeError("resultant lost an intersection point")
             return mult
     raise RuntimeError("no separating frame over the working field")
 
 
-def _root_order(f: Poly, x0: FieldElem, F: FieldDesc) -> int:
-    """The order of x0 as a root of the nonzero polynomial f (0 when f(x0)
-    is nonzero), by repeated division by X - x0."""
-    linear = [-x0, F.one()]
+def _root_order(f: Poly, x0: int, F: FieldDesc) -> int:
+    """The order of the element coded x0 as a root of the nonzero polynomial
+    f (0 when f(x0) is nonzero), by repeated division by X - x0."""
+    linear = [F.neg(x0), 1]
     for order in range(len(f)):
         f, rem = pdivmod(f, linear, F)
         if rem:

@@ -46,6 +46,32 @@ def test_bezout_fails_by_verdict_when_the_support_loses_points(monkeypatch):
     assert "suite bezout: 15/15" not in out, out
 
 
+def test_a_failure_by_verdict_names_the_value_that_disagreed(monkeypatch):
+    # both routes lose the same points and agree; the FAIL line must show
+    # the class form that refused them
+    real = surface._support
+    monkeypatch.setattr(surface, "_support", lambda C, H: real(C, H)[:1])
+    code, out, _err = run(["verify", "--surface", "P2", "--q", "5",
+                           "--suites", "bezout", "--range", "0:0"])
+    assert code == 1, out
+    assert ('FAIL bezout {"C": "X", "H": "YZ-X^2"}: 1 == 1; class form 2'
+            in out.splitlines()), out
+    # the chi-symmetry verdict also weighs the pairing and its transform
+    real_pairing = measures.char_pairing
+    calls = []
+
+    def skewed(dL, dA):
+        calls.append(dL)
+        return real_pairing(dL, dA) * measures.QPower(len(calls) % 2)
+
+    monkeypatch.setattr(measures, "char_pairing", skewed)
+    code, out, _err = run(["verify", "--surface", "P2", "--q", "5",
+                           "--suites", "chi", "--range", "0:0"])
+    assert code == 1, out
+    assert ('FAIL chi-symmetry {"S": 0}: 1 == 1; pairing q^1 vs transformed '
+            'q^0' in out.splitlines()), out
+
+
 def test_verify_chi_suite_on_a_prime_power_field():
     code, out, _err = run(["verify", "--q", "4", "--range", "0:0",
                            "--suites", "chi"])

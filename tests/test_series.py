@@ -115,7 +115,7 @@ def test_inverse_multiplies_back_to_one():
             prod = a * inv
             one = LaurentSeries2.one(desc)
             assert agree(prod, one), (q, a, inv, prod)
-            assert prod.terms[(0, 0)].is_one(), (q, a, inv, prod)
+            assert prod.terms[(0, 0)] == 1, (q, a, inv, prod)
 
 
 def test_inverse_of_zero_window_raises():
@@ -320,3 +320,56 @@ def test_escalate_returns_the_first_determined_result():
 
     assert escalate(at_four_times, 5, unread) == ("value", 20)
     assert seen == [5, 10, 20], seen
+
+
+def stored_outside_or_zero(f):
+    """Keys of f at or beyond its window, and keys that store code 0."""
+    return [(k, c) for k, c in f.terms.items()
+            if k[0] >= f.t_prec or k[1] >= f.u_prec or c == 0]
+
+
+def test_results_store_no_key_outside_their_window_and_no_zero():
+    # results are built without a second filter, so each operation must
+    # apply its own window and drop what cancels
+    rng = random.Random(404)
+    for desc in (field_make(5, 1), field_make(3, 2), field_make(2, 1)):
+        for _ in range(60):
+            a, b = (rand_series(desc, rng, nterms=6,
+                                t_prec=rng.choice([INF, -1, 0, 1, 2, 3]),
+                                u_prec=rng.choice([INF, -1, 0, 1, 2, 3]))
+                    for _ in range(2))
+            for f in (a * b, a + b, a - b, -a, a.truncate(1, 0),
+                      a.truncate(u_to=-1), a.derive("t"), a.derive("u")):
+                assert stored_outside_or_zero(f) == [], (a, b, f)
+            assert (a + (-a)).terms == {} and (a - a).terms == {}
+    # a product whose cross terms cancel: (1 + t)^2 = 1 + t^2 in char 2
+    g = mk(field_make(2, 1), {(0, 0): 1, (1, 0): 1})
+    assert (g * g).terms == {(0, 0): 1, (2, 0): 1}
+
+
+def test_dense_products_match_the_schoolbook_product():
+    # dense products over a prime field go by Kronecker substitution; the
+    # reference multiplies term by term and applies the box rule
+    rng = random.Random(64)
+    for p in (2, 5, 13):
+        desc = field_make(p, 1)
+        for _ in range(12):
+            a, b = (rand_series(desc, rng, span=6, nterms=rng.randrange(8, 60),
+                                t_prec=rng.choice([INF, 2, 5]),
+                                u_prec=rng.choice([INF, 1, 7]))
+                    for _ in range(2))
+            if not (a.terms and b.terms):
+                continue
+            t_prec = min(a.t_prec + min(t for t, _ in b.terms),
+                         b.t_prec + min(t for t, _ in a.terms))
+            u_prec = min(a.u_prec + min(u for _, u in b.terms),
+                         b.u_prec + min(u for _, u in a.terms))
+            want = {}
+            for (ta, ua), ca in a.terms.items():
+                for (tb, ub), cb in b.terms.items():
+                    k = (ta + tb, ua + ub)
+                    want[k] = desc.add(want.get(k, 0), desc.mul(ca, cb))
+            prod = a * b
+            assert (prod.t_prec, prod.u_prec) == (t_prec, u_prec)
+            assert prod.terms == {k: c for k, c in want.items()
+                                  if c and k[0] < t_prec and k[1] < u_prec}

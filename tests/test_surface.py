@@ -6,7 +6,7 @@ import random
 import pytest
 
 from adeles2d.cohomology import class_range
-from adeles2d.fields import field_make
+from adeles2d.fields import FieldElem, field_make
 from adeles2d.multipoly import MPoly
 from adeles2d.series import PrecisionError
 from adeles2d.surface import (
@@ -52,7 +52,7 @@ def coeff(f, t, u):
     """The t^t u^u coefficient of the series f, read inside its window."""
     if t >= f.t_prec or u >= f.u_prec:
         raise PrecisionError(f"({t},{u}) lies outside the window of {f!r}")
-    return f.terms.get((t, u), f.desc.zero())
+    return FieldElem(f.desc, f.terms.get((t, u), 0))
 
 
 def agree(a, b):

@@ -66,14 +66,14 @@ def test_tame_symbol_parameter_against_unit_coordinate():
     t = mk(f5, {(1, 0): 1})
     u = mk(f5, {(0, 1): 1})
     out = tame_t(t, u)
-    assert dict(out.terms) == {-1: f5.one()}, out
+    assert dict(out.terms) == {-1: f5.one().n}, out
 
 
 def test_tame_symbol_of_parameter_with_itself():
     f3 = field_make(3, 1)
     t = mk(f3, {(1, 0): 1})
     out = tame_t(t, t)
-    assert dict(out.terms) == {0: f3.from_int(-1)}, out
+    assert dict(out.terms) == {0: f3.from_int(-1).n}, out
 
 
 def test_tame_symbol_of_two_units():
@@ -81,7 +81,7 @@ def test_tame_symbol_of_two_units():
     f = mk(f5, {(0, 0): 1, (1, 0): 2, (0, 1): 3})
     g = mk(f5, {(0, 0): 4, (1, 1): 1})
     out = tame_t(f, g)
-    assert dict(out.terms) == {0: f5.one()}, out
+    assert dict(out.terms) == {0: f5.one().n}, out
 
 
 def test_bisymbol_goldens():
@@ -515,12 +515,12 @@ def test_qpower_arithmetic():
 def test_root_order_matches_the_factored_multiplicity(p, d):
     F = field_make(p, d)
     rng = random.Random(p * 100 + d)
-    elems = list(F.elems())
+    elems = list(range(F.q))  # the codes of the elements
     for _ in range(50):
         root = rng.choice(elems)
-        f = [F.one()]
+        f = [1]
         for _ in range(rng.randrange(5)):
-            f = pmul(f, [-root, F.one()], F)
+            f = pmul(f, [F.neg(root), 1], F)
         cofactor = ptrim([rng.choice(elems) for _ in range(rng.randrange(4))]
                          + [rng.choice(elems[1:])])
         f = pmul(f, cofactor, F)

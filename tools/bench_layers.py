@@ -1,0 +1,266 @@
+"""Per-layer timings of the adeles2d package, written to BENCH_<label>.json.
+
+    python3 tools/bench_layers.py --label int-codes
+    python3 tools/bench_layers.py --label parent --src /other/checkout/src
+    python3 tools/bench_layers.py --label ci --repeat 1 --out /tmp/b.json
+
+Every case builds its inputs through text parsing (`parse_poly`,
+`curve_make` and the cli parsers) and public calls, so one script times any
+checkout of the package, whatever its coefficients are made of.  A case's
+figure is the best of --repeat rounds (7 by default), each timing every
+case once, in seconds; the element and 1 x 1 cases time a batch and report
+one operation.  The file also records the line count of each source
+module.  Standard library only; single-threaded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib
+import io
+import json
+import os
+import platform
+import random
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Callable, Dict, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = ("fields", "series", "multipoly", "linalg", "surface", "symbols",
+           "cli")
+# (p, d) of the element-arithmetic fields: a prime field, two table fields
+# and one field above the table limit
+FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
+BATCH = 400
+FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
+CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
+
+# a case: (setup, timed call taking what setup returned, operations per call)
+Case = Tuple[Callable[[], object], Callable[[object], object], int]
+
+
+def load(src: Path) -> dict:
+    sys.path.insert(0, str(src))
+    m = {name: importlib.import_module(f"adeles2d.{name}") for name in MODULES}
+    for mod in m.values():
+        if not Path(mod.__file__).resolve().is_relative_to(src.resolve()):
+            raise RuntimeError(f"{mod.__name__} imported from {mod.__file__}")
+    return m
+
+
+def surface(m: dict, model: str, q: int):
+    return m["surface"].surface_make(model, q)
+
+
+def native(m: dict, S, k: int):
+    """What the package stores for the integer k in S's base field: read
+    off a parsed polynomial, or, for zero, off the identity basis that
+    mat_nullspace returns for an empty system."""
+    if k % S.base.p == 0:
+        return m["linalg"].mat_nullspace([], 2, S.base)[0][1]
+    return next(iter(m["surface"].parse_poly(S, f"{k}X").terms.values()))
+
+
+def dense_sextic(m: dict, S, rng: random.Random):
+    """All 28 monomials of degree 6 in X, Y, Z with nonzero coefficients."""
+    p = S.base.p
+    text = "+".join(f"{rng.randrange(1, p)}X^{i}Y^{j}Z^{6 - i - j}"
+                    for i in range(7) for j in range(7 - i))
+    return m["surface"].parse_poly(S, text)
+
+
+def flag(m: dict, spec) -> tuple:
+    """A fresh surface, flag and function from command-line texts."""
+    curve, point, function, q, _prec = spec
+    S = surface(m, "P2", q)
+    cli = m["cli"]
+    C, pt = cli._parse_curve(S, curve), cli._parse_point(S, point)
+    return m["surface"].flag_make(pt, C), cli._parse_function(S, function)
+
+
+def batch(op: Callable[[object, object], object], pairs) -> Callable:
+    def run(_arg):
+        for a, b in pairs:
+            op(a, b)
+    return run
+
+
+def field_cases(m: dict) -> Dict[str, Case]:
+    out: Dict[str, Case] = {}
+    for name, (p, d) in FIELDS.items():
+        F = m["fields"].field_make(p, d)
+        rng = random.Random(p * 10 + d)
+        elems = [F.from_coeffs([rng.randrange(p) for _ in range(d)])
+                 for _ in range(BATCH)]
+        elems = [a for a in elems if a] or [F.one()]
+        pairs = list(zip(elems, elems[1:] + elems[:1]))
+        out[f"fields.mul.{name}"] = (lambda: None, batch(
+            lambda a, b: a * b, pairs), len(pairs))
+        out[f"fields.add.{name}"] = (lambda: None, batch(
+            lambda a, b: a + b, pairs), len(pairs))
+        out[f"fields.inverse.{name}"] = (lambda: None, batch(
+            lambda a, _b: a.inverse(), pairs), len(pairs))
+    return out
+
+
+def series_cases(m: dict) -> Dict[str, Case]:
+    LS2 = m["series"].LaurentSeries2
+    out: Dict[str, Case] = {}
+    F = m["fields"].field_make(5, 1)
+    a = LS2.monomial(F, F.from_int(2), 1, 2)
+    b = LS2.monomial(F, F.from_int(3), 0, 1, 8, 8)
+    out["series.mul.1x1"] = (lambda: None, batch(
+        lambda x, y: x * y, [(a, b)] * BATCH), BATCH)
+    for name, (p, d) in (("F5", (5, 1)), ("F729", (3, 6))):
+        F = m["fields"].field_make(p, d)
+        rng = random.Random(12)
+
+        def box(F=F, rng=rng):
+            terms = {(t, u): F.from_coeffs([rng.randrange(p)
+                                            for _ in range(d)])
+                     for t in range(12) for u in range(12)}
+            terms[(0, 0)] = F.one()  # a unit, so the box inverts
+            return LS2(F, terms, 12, 12)
+
+        x, y = box(), box()
+        out[f"series.mul.12x12.{name}"] = (lambda: None,
+                                           lambda _a, x=x, y=y: x * y, 1)
+        out[f"series.inverse.12x12.{name}"] = (lambda: None,
+                                               lambda _a, x=x: x.inverse(), 1)
+    return out
+
+
+def poly_cases(m: dict) -> Dict[str, Case]:
+    out: Dict[str, Case] = {}
+    S = surface(m, "P2", 5)
+    parse = m["surface"].parse_poly
+    x, y = parse(S, "2X"), parse(S, "3Y")
+    out["multipoly.mul.1x1"] = (lambda: None, batch(
+        lambda f, g: f * g, [(x, y)] * BATCH), BATCH)
+    for q in (5, 49):
+        Sq = surface(m, "P2", q)
+        rng = random.Random(q)
+        f, g = dense_sextic(m, Sq, rng), dense_sextic(m, Sq, rng)
+        out[f"multipoly.mul.sextics.F{q}"] = (lambda: None,
+                                              lambda _a, f=f, g=g: f * g, 1)
+    rng = random.Random(5)
+    f, g = dense_sextic(m, S, rng), dense_sextic(m, S, rng)
+    fg = f * g
+    out["multipoly.exact_div.sextics.F5"] = (lambda: None,
+                                             lambda _a: fg.exact_div(g), 1)
+    chart = S.charts[0]
+    cf = S.dehomogenize(parse(S, "X^4+2X^2YZ+Y^3Z+3Z^4+XY^3"), chart)
+    cg = S.dehomogenize(parse(S, "Y^3+4X^2Z+XYZ+2Z^3+X^3"), chart)
+    out["multipoly.resultant_elim.F5"] = (lambda: None, lambda _a: m[
+        "multipoly"].resultant_elim(cf, cg, elim=1, keep=0), 1)
+    rng = random.Random(1521)
+    rows = [[native(m, S, rng.randrange(5)) for _ in range(21)]
+            for _ in range(15)]
+    out["linalg.mat_rref.15x21.F5"] = (lambda: None, lambda _a: m[
+        "linalg"].mat_rref(rows, S.base), 1)
+    return out
+
+
+def geometry_cases(m: dict) -> Dict[str, Case]:
+    out: Dict[str, Case] = {}
+    sf = m["surface"]
+    for name, spec in (("flex4", FLEX4), ("conic8", CONIC8)):
+        out[f"surface.expand_at_flag.{name}"] = (
+            lambda spec=spec: flag(m, spec),
+            lambda fl_f, prec=spec[4]: sf.expand_at_flag(fl_f[1], fl_f[0], prec),
+            1)
+    S5 = surface(m, "P2", 5)
+    cubic = sf.curve_make(S5, "Y^2Z-X^3-XZ^2")
+    out["surface.points_on_curve.cubic.F5.deg2"] = (
+        lambda: None, lambda _a: sf.points_on_curve(cubic, 2), 1)
+
+    def symbol_inputs():
+        fl, f = flag(m, ("YZ-X^2", "0:0:1", "X/Z", 5, 8))
+        g = m["cli"]._parse_function(fl.curve.surface, "Y/Z")
+        return [(f.num, 1), (f.den, -1)], [(g.num, 1), (g.den, -1)], fl
+
+    out["symbols.symbol_at_flag.conic"] = (
+        symbol_inputs, lambda fgl: m["symbols"].symbol_at_flag(*fgl, 8), 1)
+    out["cli.parser_build"] = (lambda: None,
+                               lambda _a: m["cli"]._parser.__wrapped__(), 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            m["cli"].main(["verify", "--surface", "P1xP1", "--q", "9",
+                           "--suites", "serre", "--json", path])
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    out["cli.report_encoding.serre.P1xP1.q9"] = (
+        lambda: None, lambda _a: json.dumps(doc, indent=2), 1)
+    return out
+
+
+CASES = (field_cases, series_cases, poly_cases, geometry_cases)
+# every timing a run writes, one or more per layer
+KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
+             for op in ("mul", "add", "inverse")) + (
+    "series.mul.1x1", "series.mul.12x12.F5", "series.inverse.12x12.F5",
+    "series.mul.12x12.F729", "series.inverse.12x12.F729",
+    "multipoly.mul.1x1", "multipoly.mul.sextics.F5",
+    "multipoly.mul.sextics.F49", "multipoly.exact_div.sextics.F5",
+    "multipoly.resultant_elim.F5", "linalg.mat_rref.15x21.F5",
+    "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
+    "surface.points_on_curve.cubic.F5.deg2", "symbols.symbol_at_flag.conic",
+    "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9")
+
+
+def time_once(case) -> float:
+    setup, fn, per = case
+    arg = setup()
+    t0 = time.perf_counter()
+    fn(arg)
+    return (time.perf_counter() - t0) / per
+
+
+def line_counts(src: Path) -> Dict[str, int]:
+    counts = {}
+    for path in sorted((src / "adeles2d").glob("*.py")):
+        with open(path, encoding="utf-8") as fh:
+            counts[path.name] = sum(1 for _ in fh)
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src directory of the checkout to time")
+    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--out", type=Path, default=None,
+                        help="default: BENCH_<label>.json in the repo root")
+    args = parser.parse_args(argv)
+    m = load(args.src)
+    cases = {key: case for make in CASES for key, case in make(m).items()}
+    # one round times every case once, so that a slow spell of a shared
+    # host spoils one sample of each case, not every sample of a few
+    timings = {key: float("inf") for key in cases}
+    for _ in range(args.repeat):
+        for key, case in cases.items():
+            timings[key] = min(timings[key], time_once(case))
+    for key, best in timings.items():
+        print(f"{key:45s} {best * 1e6:12.2f} us")
+    if tuple(timings) != KEYS:
+        raise RuntimeError(f"cases and KEYS differ: {sorted(set(timings) ^ set(KEYS))}")
+    doc = {"label": args.label, "unit": "s", "best_of": args.repeat,
+           "python": platform.python_version(), "machine": platform.machine(),
+           "cpus": os.cpu_count(), "timings": timings,
+           "lines": line_counts(args.src)}
+    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
