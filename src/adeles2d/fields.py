@@ -15,7 +15,6 @@ that embedding.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 from array import array
@@ -27,7 +26,14 @@ TABLE_MAX = 4096  # largest extension field given log/antilog tables
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % i for i in range(2, math.isqrt(n) + 1))
+    if n < 2:
+        return False
+    i = 2
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 1
+    return True
 
 
 def _prime_factors(n: int) -> List[int]:
@@ -386,16 +392,34 @@ def field_make(p: int, d: int) -> FieldDesc:
         raise ValueError(f"characteristic {p} is not prime")
     if d < 1:
         raise ValueError(f"extension degree {d} must be >= 1")
-    desc = _FIELD_CACHE.get((p, d))
-    if desc is None:
-        # candidates in order of their code, whose digits are the
-        # coefficients below the leading 1; a constant term 0 gives a factor
-        # of x, and the prime-field codes are the coefficients themselves
-        cands = (tuple(n // p ** i % p for i in range(d)) + (1,)
-                 for n in range(p ** d))
-        modulus = (0, 1) if d == 1 else next(
-            c for c in cands if c[0] and _is_irreducible(list(c), field_make(p, 1)))
-        desc = _FIELD_CACHE[(p, d)] = FieldDesc(p, d, modulus)
+    key = (p, d)
+    cached = _FIELD_CACHE.get(key)
+    if cached is not None:
+        return cached
+    if d == 1:
+        desc = FieldDesc(p, 1, (0, 1))
+        _FIELD_CACHE[key] = desc
+        return desc
+    # search lexicographically; constant term 0 gives a factor of x, skip it
+    base = field_make(p, 1)
+    found = None
+    for n in range(p ** d):
+        coeffs = []
+        m = n
+        for _ in range(d):
+            coeffs.append(m % p)
+            m //= p
+        if coeffs[0] == 0:
+            continue
+        cand = tuple(coeffs) + (1,)
+        # over F_p the codes are the coefficients themselves
+        if _is_irreducible(list(cand), base):
+            found = cand
+            break
+    if found is None:  # pragma: no cover - cannot happen
+        raise RuntimeError("no irreducible polynomial found")
+    desc = FieldDesc(p, d, found)
+    _FIELD_CACHE[key] = desc
     return desc
 
 

@@ -9,7 +9,7 @@ evaluation, and substitution homomorphisms used for chart changes.
 
 from __future__ import annotations
 
-from operator import add as _add, mul as _mul
+from operator import add as _add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import (
@@ -130,25 +130,13 @@ class MPoly:
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check_field(other)
         add, mul = self.desc.add, self.desc.mul
-        a, b = self.terms.items(), list(other.terms.items())
-        kron = len(a) * len(b) >= 16
-        if kron:
-            # Kronecker: exponents as ints sum e_i B^i, B above every total
-            # degree of the product, so that monomials multiply by adding
-            base = 1 + max(map(sum, self.terms)) + max(map(sum, other.terms))
-            weights = [base ** i for i in range(self.nvars)]
-            a, b = ([(sum(map(_mul, e, weights)), c) for e, c in f]
-                    for f in (a, b))
-        out: Dict[object, int] = {}
-        for ea, ca in a:
-            for eb, cb in b:
-                e = ea + eb if kron else tuple(map(_add, ea, eb))
+        out: Dict[Exponent, int] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(map(_add, ea, eb))
                 cur = out.get(e)
                 out[e] = mul(ca, cb) if cur is None else add(cur, mul(ca, cb))
-        if kron:
-            out = {tuple(e // w % base for w in weights): c
-                   for e, c in out.items() if c}
-        elif len(out) < len(a) * len(b):  # terms met, so some may cancel
+        if len(out) < len(self.terms) * len(other.terms):  # terms met
             out = {e: c for e, c in out.items() if c}
         return MPoly._make(self.desc, self.nvars, out)
 

@@ -22,8 +22,6 @@ box rule new_prec = min(prec_a + val_b, prec_b + val_a) in each variable
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .fields import FieldDesc, FieldElem
@@ -212,10 +210,6 @@ class LaurentSeries2:
             (at, au), (bt, bu) = self._low(), other._low()
             t_prec = min(self.t_prec + bt, other.t_prec + at)
             u_prec = min(self.u_prec + bu, other.u_prec + au)
-        if self.desc.d == 1 and len(self.terms) * len(other.terms) >= 64:
-            out = _kronecker(self.terms, other.terms, t_prec, u_prec, self.desc.p)
-            if out is not None:
-                return LaurentSeries2._make(self.desc, out, t_prec, u_prec)
         add, mul = self.desc.add, self.desc.mul
         out = {}
         pairs = 0
@@ -362,38 +356,6 @@ def _invert_column(col: Dict[int, int], u_prec, lu: int,
     out = {k - vu: mul(ek, c0i) for k, ek in enumerate(e) if ek}
     prec = (-vu + size) if u_prec == INF else u_prec - 2 * vu
     return out, prec
-
-
-def _kronecker(a: Dict[Tuple[int, int], int], b: Dict[Tuple[int, int], int],
-               t_prec, u_prec, p: int) -> Optional[Dict[Tuple[int, int], int]]:
-    """The window of a product over F_p by Kronecker substitution (Harvey,
-    arXiv:0712.4046), or None for terms too spread out: a factor is one int,
-    the code of term (t, u) in machine word (t - t0) * width + (u - u0), so
-    one int product sums all products of terms; an array reads them back."""
-    (ta, ua), (tb, ub) = zip(*a), zip(*b)
-    t0, u0 = min(ta) + min(tb), min(ua) + min(ub)
-    width = max(ua) + max(ub) + 1 - u0
-    bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
-    kind = next((k for k in "BHIQ" if array(k).itemsize * 8 >= bits), None)
-    if kind is None or (max(ta) + max(tb) + 1 - t0) * width > 4 * len(a) * len(b):
-        return None
-    slot = array(kind).itemsize * 8
-
-    def pack(f, t1, u1):
-        return sum(c << slot * ((t - t1) * width + u - u1) for (t, u), c in f.items())
-
-    z = pack(a, min(ta), min(ua)) * pack(b, min(tb), min(ub))
-    words = array(kind, z.to_bytes(-(-z.bit_length() // slot) * slot // 8,
-                                   sys.byteorder))
-    if t_prec != INF:
-        words = words[:max(0, t_prec - t0) * width]
-    out = {}
-    for i, c in enumerate(words):
-        if c % p:
-            t, u = divmod(i, width)
-            if u + u0 < u_prec:
-                out[t + t0, u + u0] = c % p
-    return out
 
 
 # ---------------------------------------------------------------------------

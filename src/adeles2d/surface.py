@@ -458,6 +458,10 @@ def _normalize_proj(surface: Surface, coords: List[FieldElem]) -> Tuple[FieldEle
     return tuple(out)
 
 
+def _frobenius_point(surface: Surface, coords: Tuple[FieldElem, ...], q: int):
+    return _normalize_proj(surface, [c ** q for c in coords])
+
+
 def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
                           q: int) -> Tuple[Tuple[FieldElem, ...], int]:
     """(lex-least orbit member, exact degree) under x -> x^q."""
@@ -465,7 +469,7 @@ def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
     cur = coords
     size = 1
     while True:
-        cur = _normalize_proj(surface, [c ** q for c in cur])
+        cur = _frobenius_point(surface, list(cur), q)
         if cur == coords:
             break
         if tuple(c.sort_key() for c in cur) < tuple(c.sort_key() for c in best):

@@ -294,18 +294,3 @@ def test_kernels_build_no_field_elements(monkeypatch):
 
     monkeypatch.setattr(FieldElem, "__init__", refused)
     assert [work(F) for F in fields] == want
-
-
-def test_dense_mpoly_products_match_the_schoolbook_product():
-    # products of 16 term pairs or more add exponents as ints
-    rng = random.Random(16)
-    for desc in (field_make(5, 1), field_make(2, 3)):
-        for nvars, nterms in ((2, 6), (3, 12), (4, 9)):
-            f = rand_mpoly(desc, nvars, rng, max_deg=4, nterms=nterms)
-            g = rand_mpoly(desc, nvars, rng, max_deg=3, nterms=nterms)
-            want = {}
-            for ea, ca in f.terms.items():
-                for eb, cb in g.terms.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    want[e] = desc.add(want.get(e, 0), desc.mul(ca, cb))
-            assert (f * g).terms == {e: c for e, c in want.items() if c}

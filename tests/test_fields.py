@@ -7,6 +7,7 @@ root enumeration over all field elements) independent of the library code.
 import random
 
 from adeles2d.fields import (
+    FieldElem,
     coerce_down,
     embed,
     field_make,
@@ -17,7 +18,9 @@ from adeles2d.fields import (
     pscale,
     ptrim,
     rel_trace,
+    subfield_embedding,
 )
+from adeles2d.surface import _one_root
 
 
 def mkpoly(desc, *ints):
@@ -218,6 +221,23 @@ def test_embedding_is_ring_homomorphism():
         assert embed(a + b, sup) == embed(a, sup) + embed(b, sup)
         assert embed(a * b, sup) == embed(a, sup) * embed(b, sup)
         assert coerce_down(embed(a, sup), sub) == a
+
+
+def test_code_lists_move_up_a_tower_through_the_embedding():
+    # code lists carry no field, so a polynomial over F_{p^2} is embedded
+    # code by code before it is solved in F_{p^4}
+    for p in (2, 3):
+        sub, sup = field_make(p, 2), field_make(p, 4)
+        g = subfield_embedding(sub, sup)
+        assert peval(list(sub.modulus), g, sup) == 0
+        for c in range(1, sub.q):
+            irr = [c, 0, 1]  # x^2 + c
+            if poly_roots(irr, sub):
+                continue
+            root = _one_root(irr, sub)
+            assert root.desc == sup
+            assert peval([embed(FieldElem(sub, n), sup).n for n in irr],
+                         root.n, sup) == 0
 
 
 def test_relative_trace_tower():

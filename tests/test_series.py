@@ -345,31 +345,3 @@ def test_results_store_no_key_outside_their_window_and_no_zero():
     # a product whose cross terms cancel: (1 + t)^2 = 1 + t^2 in char 2
     g = mk(field_make(2, 1), {(0, 0): 1, (1, 0): 1})
     assert (g * g).terms == {(0, 0): 1, (2, 0): 1}
-
-
-def test_dense_products_match_the_schoolbook_product():
-    # dense products over a prime field go by Kronecker substitution; the
-    # reference multiplies term by term and applies the box rule
-    rng = random.Random(64)
-    for p in (2, 5, 13):
-        desc = field_make(p, 1)
-        for _ in range(12):
-            a, b = (rand_series(desc, rng, span=6, nterms=rng.randrange(8, 60),
-                                t_prec=rng.choice([INF, 2, 5]),
-                                u_prec=rng.choice([INF, 1, 7]))
-                    for _ in range(2))
-            if not (a.terms and b.terms):
-                continue
-            t_prec = min(a.t_prec + min(t for t, _ in b.terms),
-                         b.t_prec + min(t for t, _ in a.terms))
-            u_prec = min(a.u_prec + min(u for _, u in b.terms),
-                         b.u_prec + min(u for _, u in a.terms))
-            want = {}
-            for (ta, ua), ca in a.terms.items():
-                for (tb, ub), cb in b.terms.items():
-                    k = (ta + tb, ua + ub)
-                    want[k] = desc.add(want.get(k, 0), desc.mul(ca, cb))
-            prod = a * b
-            assert (prod.t_prec, prod.u_prec) == (t_prec, u_prec)
-            assert prod.terms == {k: c for k, c in want.items()
-                                  if c and k[0] < t_prec and k[1] < u_prec}
