@@ -91,14 +91,14 @@ def _cls_json(cls: ClassVector):
 class LatticeSymbol:
     """A named subgroup of the adelic chain, with a divisor where graded."""
 
-    TAGS = ("A0", "A01", "A02", "A1", "A2", "A12")
+    TAGS = ("A0", "A01", "A02", "A1", "A12")
     __slots__ = ("tag", "divisor", "surface")
 
     def __init__(self, tag: str, divisor: Optional[Divisor] = None,
                  surface: Optional[Surface] = None):
         if tag not in self.TAGS:
             raise ValueError(f"unknown lattice tag {tag!r}")
-        if tag in ("A1", "A2", "A12"):
+        if tag in ("A1", "A12"):
             if divisor is None:
                 raise ValueError(f"lattice {tag} requires a divisor")
             surface = divisor.surface
@@ -232,10 +232,16 @@ def measure_mu_L(L: LatticeSymbol, i: LatticeSymbol, j: LatticeSymbol,
     if L.tag != chain.lattice:
         raise ValueError(f"unsupported lattice pair: no {L.tag}-adapted "
                          f"measure in the {ambient} chain")
+    return MeasureTag(ambient, chain.adapted, i, j,
+                      _adapted_value(chain, i.divisor, j.divisor))
+
+
+def _adapted_value(chain: _Chain, i: Divisor, j: Divisor) -> QPower:
+    """The chain's adapted measure between the positions i and j against its
+    canonical normalization: q^(g(i) - g(j)) for the growth entry g."""
     S = i.surface
-    value = (getattr(h_vector(S, divisor_class(i.divisor)), chain.growth)
-             - getattr(h_vector(S, divisor_class(j.divisor)), chain.growth))
-    return MeasureTag(ambient, chain.adapted, i, j, QPower(value))
+    return QPower(getattr(h_vector(S, divisor_class(i)), chain.growth)
+                  - getattr(h_vector(S, divisor_class(j)), chain.growth))
 
 
 def mu_measure(R: Divisor, S: Divisor) -> MeasureTag:
@@ -250,86 +256,80 @@ def mu_measure(R: Divisor, S: Divisor) -> MeasureTag:
 
 
 class CharElem:
-    """A characteristic element of a lattice inside an ambient chain.
+    """A characteristic element in an ambient chain, at a reference position.
 
-    Function-like elements carry no measure; distribution-like elements
-    carry exactly one measure tag, whose source fixes the reference
-    lattice.  `modulo` marks lattices presented as quotients (the image of
-    `lattice` modulo a smaller one) inside quotient ambients.
+    Without a measure it is function-like: the indicator of the chain's
+    global lattice.  With one it is distribution-like: the distribution of
+    the graded lattice where the measure ends, the measure running from the
+    reference.  The lattices and their moduli are the chain's row of
+    `_CHAINS`, so the element holds only what builds it, and its shape is
+    checked here.
     """
 
-    __slots__ = ("lattice", "modulo", "measure", "side", "ambient",
-                 "reference")
+    __slots__ = ("ambient", "reference", "measure")
 
-    def __init__(self, lattice: LatticeSymbol, side: str, ambient: str,
-                 reference: LatticeSymbol,
-                 measure: Optional[MeasureTag] = None,
-                 modulo: Optional[LatticeSymbol] = None):
-        if side not in ("function", "distribution"):
-            raise ValueError(f"unknown side {side!r}")
-        if side == "function" and measure is not None:
-            raise ValueError("function-like elements carry no measure")
-        if side == "distribution" and measure is None:
-            raise ValueError("distribution-like elements require a measure")
-        self.lattice = lattice
-        self.modulo = modulo
-        self.measure = measure
-        self.side = side
+    def __init__(self, ambient: str, reference: Divisor,
+                 measure: Optional[MeasureTag] = None):
+        graded = _chain(ambient).graded
+        if measure is not None:
+            if measure.ambient != ambient:
+                raise ValueError(f"measure of the {measure.ambient} chain "
+                                 f"for an element of the {ambient} chain")
+            if (measure.frm.tag != graded or measure.to.tag != graded
+                    or measure.frm.divisor != reference):
+                raise ValueError(f"measure must run between {graded} "
+                                 "lattices from the element's reference")
         self.ambient = ambient
         self.reference = reference
+        self.measure = measure
 
     def __eq__(self, other):
         return (isinstance(other, CharElem)
-                and self.lattice == other.lattice
-                and self.modulo == other.modulo
-                and self.measure == other.measure
-                and self.side == other.side
                 and self.ambient == other.ambient
-                and self.reference == other.reference)
+                and self.reference == other.reference
+                and self.measure == other.measure)
 
     def __repr__(self):
-        mod = f"/{self.modulo!r}" if self.modulo is not None else ""
-        return (f"CharElem({self.lattice!r}{mod}, {self.side} in "
-                f"{self.ambient} at {self.reference!r})")
-
-
-def _optional(tag: Optional[str], **where) -> Optional[LatticeSymbol]:
-    return LatticeSymbol(tag, **where) if tag else None
+        chain = _CHAINS[self.ambient]
+        if self.measure is None:
+            lattice, mod, by = chain.lattice, chain.lattice_mod, ""
+        else:
+            lattice, mod = self.measure.to, chain.graded_mod
+            by = f", {self.measure.family} {self.measure.value!r}"
+        mod = f" mod {mod}" if mod else ""
+        return (f"CharElem({lattice}{mod} in {self.ambient} at "
+                f"{self.reference!r}{by})")
 
 
 def char_function(S: Surface, ambient: str, reference: Divisor) -> CharElem:
     """The indicator of the chain's global lattice, at the reference."""
-    chain = _chain(ambient)
-    return CharElem(LatticeSymbol(chain.lattice, surface=S), "function",
-                    ambient, LatticeSymbol(chain.graded, reference),
-                    modulo=_optional(chain.lattice_mod, surface=S))
+    if not isinstance(reference, Divisor) or reference.surface != S:
+        raise ValueError(f"the reference must be a divisor on {S!r}")
+    return CharElem(ambient, reference)
 
 
 def char_distribution(D: Divisor, measure: MeasureTag) -> CharElem:
     """The distribution of the graded lattice at D, in the chain of the
     measure, which must end there."""
     chain = _chain(measure.ambient)
-    lattice = LatticeSymbol(chain.graded, D)
-    if measure.to != lattice:
+    if measure.to.tag != chain.graded or measure.to.divisor != D:
         raise ValueError("measure must end at the element's lattice in the "
                          f"{measure.ambient} chain")
-    return CharElem(lattice, "distribution", measure.ambient, measure.frm,
-                    measure=measure,
-                    modulo=_optional(chain.graded_mod, divisor=D))
+    return CharElem(measure.ambient, measure.frm.divisor, measure)
 
 
 def char_pairing(dL: CharElem, dA: CharElem) -> QPower:
     """Pairing of a function-like with a distribution-like element: the
-    distribution's measure divided by the L-adapted measure between the
-    common reference and the distribution's lattice."""
-    if dL.side != "function" or dA.side != "distribution":
+    distribution's measure divided by the adapted measure between the
+    common reference and the distribution's position."""
+    if dL.measure is not None or dA.measure is None:
         raise ValueError("pairing takes a function-like and a "
                          "distribution-like element, in that order")
     if dL.ambient != dA.ambient or dL.reference != dA.reference:
         raise ValueError("incompatible reference lattices")
-    muL = measure_mu_L(dL.lattice, dA.reference, dA.lattice,
-                       ambient=dL.ambient)
-    return dA.measure.value / muL.value
+    m = dA.measure
+    return m.value / _adapted_value(_CHAINS[dA.ambient], dA.reference,
+                                    m.to.divisor)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def char_pairing(dL: CharElem, dA: CharElem) -> QPower:
 
 
 def _reflect(wdiv: Divisor, D: Divisor) -> Divisor:
-    return wdiv + D.scale(-1)
+    return wdiv - D
 
 
 def fourier_char(e: CharElem, wdiv: Divisor) -> CharElem:
@@ -347,23 +347,30 @@ def fourier_char(e: CharElem, wdiv: Divisor) -> CharElem:
     the residue-pairing annihilator; positions reflect through the form's
     divisor, and a counting measure keeps its value along the canonical
     identification of the measure lines.  An involution on every element
-    that `char_function` and `char_distribution` build.
+    whose measure, if any, is the chain's counting family.
     """
-    chain = _chain(e.ambient)
-    if e.side == "function":
-        ref = e.reference.divisor
-        if e != char_function(wdiv.surface, e.ambient, ref):
-            raise ValueError("unsupported characteristic shape")
-        return char_function(wdiv.surface, chain.dual, _reflect(wdiv, ref))
+    chain = _CHAINS[e.ambient]
     m = e.measure
-    if (m.family != chain.counting
-            or e != char_distribution(e.lattice.divisor, m)):
+    if m is None:
+        return CharElem(chain.dual, _reflect(wdiv, e.reference))
+    if m.family != chain.counting:
         raise ValueError(f"unsupported characteristic shape: measure family "
                          f"{m.family!r} has no transform")
-    out = counting_measure(chain.dual, _reflect(wdiv, m.frm.divisor),
-                           _reflect(wdiv, m.to.divisor))
-    out.value = m.value
-    return char_distribution(_reflect(wdiv, e.lattice.divisor), out)
+    dual = _CHAINS[chain.dual]
+    frm = LatticeSymbol(dual.graded, _reflect(wdiv, m.frm.divisor))
+    to = LatticeSymbol(dual.graded, _reflect(wdiv, m.to.divisor))
+    return CharElem(chain.dual, frm.divisor,
+                    MeasureTag(chain.dual, dual.counting, frm, to, m.value))
+
+
+def _pairing_and_transform(ambient: str, H: Divisor, C: Divisor,
+                           wdiv: Divisor) -> Tuple[QPower, QPower]:
+    """Pair the chain's indicator at H with the counting distribution from
+    H to C, and pair the transforms of the two."""
+    dL = char_function(C.surface, ambient, H)
+    dA = char_distribution(C, counting_measure(ambient, H, C))
+    return (char_pairing(dL, dA),
+            char_pairing(fourier_char(dL, wdiv), fourier_char(dA, wdiv)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +414,9 @@ def derive_eq1(S: Surface, Cclass: ClassVector,
     against the graded-lattice distribution, then pair the transforms; the
     two exponents agree exactly when h0 differences equal the dual h2
     differences."""
-    wdiv = canonical_divisor(S)
-    C = class_representative(S, Cclass)
-    H = class_representative(S, Hclass)
-    dL = char_function(S, "A01", H)
-    dA = char_distribution(C, counting_measure("A01", H, C))
-    lhs = char_pairing(dL, dA)
-    rhs = char_pairing(fourier_char(dL, wdiv), fourier_char(dA, wdiv))
+    lhs, rhs = _pairing_and_transform(
+        "A01", class_representative(S, Hclass),
+        class_representative(S, Cclass), canonical_divisor(S))
     return Check("serre-difference",
                  {"C": _cls_json(Cclass), "H": _cls_json(Hclass)},
                  lhs.exponent, rhs.exponent)
@@ -427,10 +430,7 @@ def derive_eq2(S: Surface, Sclass: ClassVector) -> Check:
     wdiv = canonical_divisor(S)
     Sdiv = class_representative(S, Sclass)
     Rdiv = _reflect(wdiv, Sdiv)
-    dL = char_function(S, "A", Rdiv)
-    dA = char_distribution(Sdiv, counting_measure("A", Rdiv, Sdiv))
-    lhs = char_pairing(dL, dA)
-    rhs = char_pairing(fourier_char(dL, wdiv), fourier_char(dA, wdiv))
+    lhs, rhs = _pairing_and_transform("A", Rdiv, Sdiv, wdiv)
     chiS = h_vector(S, divisor_class(Sdiv)).chi
     chiDual = h_vector(S, divisor_class(Rdiv)).chi
     return Check("chi-symmetry", {"S": _cls_json(Sclass)}, chiS, chiDual,
@@ -554,7 +554,7 @@ def rr_assemble(Cdiv: Divisor, wdiv: Divisor, prec: int = 8) -> Check:
 # finite self-dual windows
 
 
-class Window:
+class Window(NamedTuple):
     """A finite shadow of the chain quotient between two divisor levels.
 
     Monomial basis per flag: t-exponents running through the window's
@@ -563,22 +563,16 @@ class Window:
     its reflection through the form's divisor; it must have full rank.
     """
 
-    __slots__ = ("surface", "R", "S", "omega", "flags", "u_window", "basis",
-                 "dual_basis", "gram", "rank", "jorders")
-
-    def __init__(self, surface, R, S, omega, flags, u_window, basis,
-                 dual_basis, gram, rank, jorders):
-        self.surface = surface
-        self.R = R
-        self.S = S
-        self.omega = omega
-        self.flags = flags
-        self.u_window = u_window
-        self.basis = basis
-        self.dual_basis = dual_basis
-        self.gram = gram
-        self.rank = rank
-        self.jorders = jorders
+    surface: Surface
+    R: Divisor
+    S: Divisor
+    omega: Divisor
+    flags: List[Flag]
+    basis: List[Tuple[int, int, int, int]]
+    dual_basis: List[Tuple[int, int, int, int]]
+    gram: List[List[int]]
+    rank: int
+    jorders: List[Tuple[int, int]]
 
     @property
     def dimension(self) -> int:
@@ -653,8 +647,8 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2,
                 row.append(adelic_pairing(frags[i], dual_frags[j], prec).n)
         gram.append(row)
     rank = mat_rank(gram, surf.base)
-    return Window(surf, R, S, wdiv, flags, u_window, basis, dual_basis,
-                  gram, rank, jorders)
+    return Window(surf, R, S, wdiv, flags, basis, dual_basis, gram, rank,
+                  jorders)
 
 
 def window_lattice_rows(w: Window, C: Divisor) -> List[int]:

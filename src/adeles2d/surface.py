@@ -938,8 +938,13 @@ class Divisor:
     def __neg__(self) -> "Divisor":
         return Divisor(self.surface, {c: -m for c, m in self.components.items()})
 
-    def scale(self, n: int) -> "Divisor":
-        return Divisor(self.surface, {c: n * m for c, m in self.components.items()})
+    def __sub__(self, other: "Divisor") -> "Divisor":
+        if other.surface != self.surface:
+            raise ValueError("divisors live on different surfaces")
+        out = dict(self.components)
+        for c, m in other.components.items():
+            out[c] = out.get(c, 0) - m
+        return Divisor(self.surface, out)
 
     def items(self) -> List[Tuple[Curve, int]]:
         return sorted(self.components.items(), key=lambda cm: cm[0]._key)

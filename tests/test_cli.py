@@ -72,6 +72,34 @@ def test_a_failure_by_verdict_names_the_value_that_disagreed(monkeypatch):
             'q^0' in out.splitlines()), out
 
 
+def _reflect_as_identity(monkeypatch):
+    monkeypatch.setattr(measures, "_reflect", lambda wdiv, D: D)
+
+
+def _adapted_value_inverted(monkeypatch):
+    real = measures._adapted_value
+    monkeypatch.setattr(measures, "_adapted_value",
+                        lambda chain, i, j: real(chain, i, j).inverse())
+
+
+# both routes of serre and chi pair through the adapted value, so an
+# inverted one turns both sides and duality keeps them equal; the
+# commutator's measure route meets it alone
+@pytest.mark.parametrize("mutate, suites, failing", [
+    (_reflect_as_identity, "serre,chi", "serre-difference"),
+    (_adapted_value_inverted, "serre,chi,commutator", "commutator"),
+])
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+def test_measure_mutants_fail_by_verdict(monkeypatch, mutate, suites,
+                                         failing, model):
+    mutate(monkeypatch)
+    code, out, err = run(["verify", "--surface", model, "--q", "3",
+                          "--range", "-1:1", "--suites", suites])
+    assert code == 1, out
+    assert err == "", err
+    assert f"FAIL {failing} " in out, out
+
+
 def test_verify_chi_suite_on_a_prime_power_field():
     code, out, _err = run(["verify", "--q", "4", "--range", "0:0",
                            "--suites", "chi"])

@@ -7,7 +7,9 @@ from adeles2d import measures, surface
 from adeles2d.cohomology import cech_h_vector, class_range, h_vector, rr_space
 from adeles2d.measures import (
     CentralExtElem,
+    CharElem,
     LatticeSymbol,
+    MeasureTag,
     WINDOW_POINT_DEGREE,
     canonical_divisor,
     central_commutator,
@@ -218,6 +220,43 @@ def test_char_pairing_rejects_incompatible_elements():
                              "elsewhere")
 
 
+def test_char_elements_check_their_measure_where_built():
+    S = plane()
+    z = divisor_zero(S)
+    C = class_representative(S, (1,))
+    cases = [
+        (lambda: CharElem("A01", z, counting_measure("A", z, C)),
+         "measure of the A chain for an element of the A01 chain"),
+        (lambda: CharElem("A01", C, counting_measure("A01", z, C)),
+         "measure must run between A1 lattices from the element's "
+         "reference"),
+        (lambda: CharElem("A01", z, counting_measure("A01", z, C).inverse()),
+         "measure must run between A1 lattices"),
+        (lambda: CharElem("A01", z, MeasureTag(
+            "A01", "delta", LatticeSymbol("A1", z), LatticeSymbol("A12", C),
+            QPower(0))), "measure must run between A1 lattices"),
+        (lambda: CharElem("A02", z), "unknown ambient chain 'A02'"),
+        (lambda: char_function(S, "A01", None),
+         "the reference must be a divisor on P2/GF(3)"),
+        (lambda: char_function(S, "A01", divisor_zero(quadric(3))),
+         "the reference must be a divisor on P2/GF(3)"),
+    ]
+    # hand-built measures that end at the lattice but do not start at a
+    # graded lattice of their chain
+    for start in (LatticeSymbol("A0", surface=S), LatticeSymbol("A12", z)):
+        tag = MeasureTag("A01", "delta", start, LatticeSymbol("A1", C),
+                         QPower(0))
+        cases.append((lambda tag=tag: char_distribution(C, tag),
+                      "measure must run between A1 lattices"))
+    for make, text in cases:
+        try:
+            make()
+        except ValueError as err:
+            assert text in str(err), err
+        else:
+            raise AssertionError(f"built an element that should fail: {text}")
+
+
 def test_fourier_is_an_involution_on_every_supported_shape():
     for S in (plane(3), quadric(2)):
         w = canonical_divisor(S)
@@ -265,6 +304,12 @@ def test_fourier_rejects_unsupported_shapes():
         assert "unsupported characteristic shape" in str(err), err
     else:
         raise AssertionError("transformed a mixed-family distribution")
+    try:
+        fourier_char(char_function(S, "A01", z), canonical_divisor(quadric(3)))
+    except ValueError as err:
+        assert "different surfaces" in str(err), err
+    else:
+        raise AssertionError("reflected through the form of another surface")
 
 
 # ---------------------------------------------------------------------------

@@ -360,9 +360,8 @@ def test_divisor_class_of_derived_divisors_matches_a_recount(model, texts):
         D, E = (Divisor(S, {C: rng.randrange(-3, 4)
                             for C in rng.sample(curves, rng.randrange(4))})
                 for _side in range(2))
-        n = rng.randrange(-3, 4)
-        for made in (D, E, D + E, -D, D.scale(n)):
-            assert divisor_class(made) == _recount(made), (made, n)
+        for made in (D, E, D + E, -D, D - E):
+            assert divisor_class(made) == _recount(made), made
 
 
 def _no_resultants(*_args, **_kwargs):

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("fields", "series", "multipoly", "linalg", "surface", "symbols",
-           "cli")
+           "measures", "cli")
 # (p, d) of the element-arithmetic fields: a prime field, two table fields
 # and one field above the table limit
 FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
@@ -199,7 +199,27 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
     return out
 
 
-CASES = (field_cases, series_cases, poly_cases, geometry_cases)
+def measure_cases(m: dict) -> Dict[str, Case]:
+    # the class pairs of `verify --suites serre --range -2:2` on P1xP1,
+    # timed with the h-vectors and the canonical divisor already in S.memo
+    derive = m["measures"].derive_eq1
+    classes = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    pairs = [(C, H) for C in classes for H in classes]
+
+    def run(S):
+        for C, H in pairs:
+            derive(S, C, H)
+
+    def warmed():
+        S = surface(m, "P1xP1", 3)
+        run(S)
+        return S
+
+    return {"measures.derive_eq1.P1xP1.q3": (warmed, run, len(pairs))}
+
+
+CASES = (field_cases, series_cases, poly_cases, geometry_cases,
+         measure_cases)
 # every timing a run writes, one or more per layer
 KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
              for op in ("mul", "add", "inverse")) + (
@@ -210,7 +230,8 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "multipoly.resultant_elim.F5", "linalg.mat_rref.15x21.F5",
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
     "surface.points_on_curve.cubic.F5.deg2", "symbols.symbol_at_flag.conic",
-    "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9")
+    "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9",
+    "measures.derive_eq1.P1xP1.q3")
 
 
 def time_once(case) -> float:
