@@ -295,6 +295,37 @@ def _config(args, **more) -> Dict:
             **more, "precision": args.precision}
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _report_text(obj, newline: str = "\n") -> str:
+    """The text the stdlib json encoder writes for obj at an indent of two
+    spaces, written in one pass: each container is joined once, strings go
+    through json's own escaper and tuples are lists.  Anything but str keys, str, int, bool, None, lists,
+    tuples and dicts raises TypeError; reports hold no floats."""
+    kind = type(obj)
+    if kind is str:
+        return _escape(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = newline + "  "
+    if kind is dict:
+        # the escaper raises TypeError on a key that is not a str
+        items = [f"{_escape(k)}: {_report_text(v, inner)}"
+                 for k, v in obj.items()]
+        opening, closing = "{", "}"
+    elif kind is list or kind is tuple:
+        items = [_report_text(v, inner) for v in obj]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"a report cannot hold {kind.__name__}")
+    if not items:
+        return opening + closing
+    return f"{opening}{inner}{(',' + inner).join(items)}{newline}{closing}"
+
+
 def _emit(config: Dict, checks: List[Check], args) -> int:
     """Print the summary and write the report; with --timings each check's
     micros is the time since the previous check or the command start."""
@@ -311,7 +342,7 @@ def _emit(config: Dict, checks: List[Check], args) -> int:
     if args.json:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, indent=2) + "\n")
+                fh.write(_report_text(doc) + "\n")
         except OSError as err:
             raise ConfigError(f"cannot write report: {err}") from err
     if failed:

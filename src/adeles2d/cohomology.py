@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 from math import comb
+from operator import add as _add
 from typing import List
 
-from .linalg import span_intersection
+from .linalg import mat_rref, span_intersection
 from .multipoly import MPoly
 from .surface import (
     ClassVector,
@@ -120,8 +121,10 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
     """Basis of the space of rational functions f with div(f) + D >= 0.
 
     Functions are written N/Q with Q the positive part of D; the conditions
-    from the negative part are divisibility constraints on N, intersected by
-    exact linear algebra on coefficient vectors.
+    from the negative part are divisibility constraints on N.  Each
+    component C^k spans the multiples A*C^k, one row per monomial of A, and
+    the basis is the rref of the first span, intersected with each later
+    one by exact linear algebra on coefficient vectors.
     """
     S = D.surface
     desc = S.base
@@ -132,24 +135,36 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
         Q = Q * C.poly ** m
     clsQ = divisor_class(Divisor(S, dict(pos)))
     monos = class_monomials(S, clsQ)
-    space = [[int(i == j) for i in range(len(monos))]
-             for j in range(len(monos))]
+    column = {e: i for i, e in enumerate(monos)}
+    space = None
     for C, k in neg:
         clsA = S.class_add(clsQ, S.class_scale(-k, C.degree()))
         amonos = class_monomials(S, clsA)
         if not amonos:
             return []
-        Ck = C.poly ** k
+        # the row of the monomial a is C^k shifted by a: a*m for each term m
+        ck = (C.poly ** k).terms.items()
         rows = []
-        for e in amonos:
-            terms = (MPoly._make(desc, S.nvars, {e: 1}) * Ck).terms
-            rows.append([terms.get(m, 0) for m in monos])
-        space = span_intersection(space, rows, len(monos), desc)
-        if not space:
-            return []
-    # coefficient vectors of codes back to polynomials
-    return [RationalFunction(S, MPoly(desc, S.nvars, dict(zip(monos, v))), Q)
-            for v in space]
+        for a in amonos:
+            row = [0] * len(monos)
+            for m, c in ck:
+                row[column[tuple(map(_add, a, m))]] = c
+            rows.append(row)
+        if space is None:
+            # the rref basis of a span is unique: the whole space meets the
+            # first span in its rref rows
+            rref, pivots = mat_rref(rows, desc)
+            space = rref[: len(pivots)]
+        else:
+            space = span_intersection(space, rows, len(monos), desc)
+            if not space:
+                return []
+    if space is None:
+        space = [[int(i == j) for i in range(len(monos))]
+                 for j in range(len(monos))]
+    # coefficient vectors of reduced codes back to polynomials
+    return [RationalFunction(S, MPoly._make(desc, S.nvars, {
+        e: c for e, c in zip(monos, v) if c}), Q) for v in space]
 
 
 def class_range(S: Surface, lo: int, hi: int) -> List[ClassVector]:

@@ -930,6 +930,8 @@ class Divisor:
         self._cls = tuple(acc)
 
     def __add__(self, other: "Divisor") -> "Divisor":
+        if other.surface != self.surface:
+            raise ValueError("divisors live on different surfaces")
         out = dict(self.components)
         for c, m in other.components.items():
             out[c] = out.get(c, 0) + m

@@ -371,3 +371,37 @@ def test_reports_match_their_golden_bytes(name):
         assert out == fh.read()
     with open(os.path.join(GOLDEN_DIR, name + ".json"), "rb") as fh:
         assert report == fh.read()
+
+
+# the report writer against the stdlib encoder it stands in for
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(GOLDEN_DIR) if n.endswith(".json")))
+def test_report_writer_equals_json_dumps_on_the_goldens(name):
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert cli._report_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_report_writer_equals_json_dumps_on_a_hostile_document():
+    doc = {
+        "text": "ünïcödé ∂ 𝔽   ",
+        "quotes": "\"'\\\"/\\",
+        "control": "".join(map(chr, range(32))) + "\x7f",
+        "\n\t\"key\\": "",
+        "empty": [{}, [], (), ""],
+        "nested": {"a": [[[]], {"b": {"c": [1, [2, (3, {})]]}}]},
+        "tuple": (1, ("x", None), [True, False]),
+        "scalars": [True, False, None, 0, -1, -(10 ** 40), 10 ** 60],
+    }
+    assert cli._report_text(doc) == json.dumps(doc, indent=2)
+    for top in ([], {}, (), "", 7, -7, True, None, [[]], [{}]):
+        assert cli._report_text(top) == json.dumps(top, indent=2), top
+
+
+@pytest.mark.parametrize("bad", [
+    {"value": 0.5}, [1, {2, 3}], {1: "int key"}, {("a",): 1}, {None: 1},
+])
+def test_report_writer_refuses_what_a_report_cannot_hold(bad):
+    with pytest.raises(TypeError):
+        cli._report_text(bad)

@@ -1,14 +1,22 @@
 """Dimension oracles, Riemann-Roch spaces, and the two residual identities."""
 
+import itertools
+
+import pytest
+
+from adeles2d.cli import FIXTURES
 from adeles2d.cohomology import (
     cech_h_vector,
     class_range,
     h_vector,
     rr_space,
 )
+from adeles2d.linalg import mat_rref
+from adeles2d.multipoly import MPoly
 from adeles2d.surface import (
     Divisor,
     RationalFunction,
+    class_monomials,
     curve_make,
     divisor_class,
     ord_on_curve,
@@ -146,6 +154,35 @@ def test_rr_space_members_satisfy_divisor_bound():
     for f in basis:
         assert ord_on_curve(f, conic) >= -1
         assert ord_on_curve(f, LY) >= 1
+
+
+@pytest.mark.parametrize("model, q", [("P2", 3), ("P1xP1", 4)])
+def test_rr_space_on_the_windows_box_is_an_rref_basis_of_multiples(model, q):
+    # every divisor that `verify --suites windows` asks for: multiplicities
+    # -2..2 on each of the suite's lines
+    S = surface_make(model, q)
+    lines = [S.lines[n] for n in FIXTURES[model].lines]
+    for rep in itertools.product(range(-2, 3), repeat=len(lines)):
+        D = Divisor(S, dict(zip(lines, rep)))
+        pos = {C: m for C, m in D.items() if m > 0}
+        Q = MPoly.const(S.base, S.nvars, 1)
+        for C, m in pos.items():
+            Q = Q * C.poly ** m
+        monos = class_monomials(S, divisor_class(Divisor(S, pos)))
+        basis = rr_space(D)
+        assert len(basis) == h_vector(S, divisor_class(D)).h0, rep
+        vecs = []
+        for f in basis:
+            assert f.den == Q, rep
+            assert all(f.num.terms.values()), rep
+            assert set(f.num.terms) <= set(monos), rep
+            for C, m in D.items():
+                if m < 0:
+                    assert f.num.exact_div(C.poly ** -m) is not None, (rep, C)
+            vecs.append([f.num.terms.get(e, 0) for e in monos])
+        if vecs:
+            rref, pivots = mat_rref(vecs, S.base)
+            assert (rref, len(pivots)) == (vecs, len(vecs)), rep
 
 
 def test_chi_ignores_principal_shifts():

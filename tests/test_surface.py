@@ -614,6 +614,20 @@ def test_divisor_arithmetic():
     assert divisor_class(Divisor(S, {LY: 1, C: 1})) == (3,)
 
 
+@pytest.mark.parametrize("first, second", [
+    (("P1xP1", 3, "X0"), ("P2", 3, "X")),
+    (("P2", 3, "X"), ("P1xP1", 3, "X0")),
+    (("P2", 3, "X"), ("P2", 5, "Y")),
+])
+def test_divisor_sums_refuse_other_surfaces(first, second):
+    D, E = (Divisor(S, {curve_make(S, text): 1})
+            for S, text in ((surface_make(model, q), text)
+                            for model, q, text in (first, second)))
+    for op in (lambda: D + E, lambda: D - E):
+        with pytest.raises(ValueError, match="different surfaces"):
+            op()
+
+
 def test_form_divisor_on_p2():
     S = p2(2)
     LZ = curve_make(S, "Z")

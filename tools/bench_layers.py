@@ -8,17 +8,20 @@ Every case builds its inputs through text parsing (`parse_poly`,
 `curve_make` and the cli parsers) and public calls, so one script times any
 checkout of the package, whatever its coefficients are made of.  A case's
 figure is the best of --repeat rounds (7 by default), each timing every
-case once, in seconds; the element and 1 x 1 cases time a batch and report
-one operation.  The file also records the line count of each source
-module.  Standard library only; single-threaded.
+case once, in seconds; the element, 1 x 1, Riemann-Roch space and
+derive_eq1 cases time a batch and report one operation.  The file also
+records the line count of each source module.  Standard library only;
+single-threaded.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -31,7 +34,7 @@ from typing import Callable, Dict, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("fields", "series", "multipoly", "linalg", "surface", "symbols",
-           "measures", "cli")
+           "cohomology", "measures", "cli")
 # (p, d) of the element-arithmetic fields: a prime field, two table fields
 # and one field above the table limit
 FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
@@ -194,9 +197,30 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
                            "--suites", "serre", "--json", path])
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+    # the writer `_emit` uses; a checkout from before it used json.dumps
+    write = getattr(m["cli"], "_report_text", None)
+    if write is None:
+        write = functools.partial(json.dumps, indent=2)
     out["cli.report_encoding.serre.P1xP1.q9"] = (
-        lambda: None, lambda _a: json.dumps(doc, indent=2), 1)
+        lambda: None, lambda _a: write(doc), 1)
     return out
+
+
+def cohomology_cases(m: dict) -> Dict[str, Case]:
+    # the 125 divisors of `verify --suites windows` on P2: multiplicities
+    # -2..2 on X, Y and Z; one figure per divisor
+    sf = m["surface"]
+    S = surface(m, "P2", 9)
+    lines = [sf.curve_make(S, name) for name in ("X", "Y", "Z")]
+    box = [sf.Divisor(S, dict(zip(lines, rep)))
+           for rep in itertools.product(range(-2, 3), repeat=3)]
+
+    def run(_arg):
+        for D in box:
+            m["cohomology"].rr_space(D)
+
+    return {"cohomology.rr_space.windows.P2.q9": (lambda: None, run,
+                                                  len(box))}
 
 
 def measure_cases(m: dict) -> Dict[str, Case]:
@@ -219,7 +243,7 @@ def measure_cases(m: dict) -> Dict[str, Case]:
 
 
 CASES = (field_cases, series_cases, poly_cases, geometry_cases,
-         measure_cases)
+         cohomology_cases, measure_cases)
 # every timing a run writes, one or more per layer
 KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
              for op in ("mul", "add", "inverse")) + (
@@ -231,7 +255,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
     "surface.points_on_curve.cubic.F5.deg2", "symbols.symbol_at_flag.conic",
     "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9",
-    "measures.derive_eq1.P1xP1.q3")
+    "cohomology.rr_space.windows.P2.q9", "measures.derive_eq1.P1xP1.q3")
 
 
 def time_once(case) -> float:
