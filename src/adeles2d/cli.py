@@ -301,8 +301,10 @@ _escape = json.encoder.encode_basestring_ascii
 def _report_text(obj, newline: str = "\n") -> str:
     """The text the stdlib json encoder writes for obj at an indent of two
     spaces, written in one pass: each container is joined once, strings go
-    through json's own escaper and tuples are lists.  Anything but str keys, str, int, bool, None, lists,
-    tuples and dicts raises TypeError; reports hold no floats."""
+    through json's own escaper and tuples are lists.  Anything but str
+    keys, str, int, bool, None, lists, tuples and dicts raises TypeError;
+    reports hold no floats.  `newline` is a newline followed by the
+    current indentation; only the recursion passes it."""
     kind = type(obj)
     if kind is str:
         return _escape(obj)

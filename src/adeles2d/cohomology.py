@@ -16,7 +16,7 @@ from math import comb
 from operator import add as _add
 from typing import List
 
-from .linalg import mat_rref, span_intersection
+from .linalg import mat_rref
 from .multipoly import MPoly
 from .surface import (
     ClassVector,
@@ -121,50 +121,40 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
     """Basis of the space of rational functions f with div(f) + D >= 0.
 
     Functions are written N/Q with Q the positive part of D; the conditions
-    from the negative part are divisibility constraints on N.  Each
-    component C^k spans the multiples A*C^k, one row per monomial of A, and
-    the basis is the rref of the first span, intersected with each later
-    one by exact linear algebra on coefficient vectors.
+    from the negative part say that each component C^k divides N.  The
+    components are distinct irreducible curves, so that holds exactly when
+    their product P divides N: the numerators are the multiples A*P of the
+    class of N, one row per monomial of A, and the basis is their rref.
     """
     S = D.surface
     desc = S.base
     pos = [(C, m) for C, m in D.items() if m > 0]
-    neg = [(C, -m) for C, m in D.items() if m < 0]
     Q = MPoly.const(desc, S.nvars, 1)
-    for C, m in pos:
-        Q = Q * C.poly ** m
-    clsQ = divisor_class(Divisor(S, dict(pos)))
-    monos = class_monomials(S, clsQ)
-    column = {e: i for i, e in enumerate(monos)}
-    space = None
-    for C, k in neg:
-        clsA = S.class_add(clsQ, S.class_scale(-k, C.degree()))
-        amonos = class_monomials(S, clsA)
-        if not amonos:
-            return []
-        # the row of the monomial a is C^k shifted by a: a*m for each term m
-        ck = (C.poly ** k).terms.items()
-        rows = []
-        for a in amonos:
-            row = [0] * len(monos)
-            for m, c in ck:
-                row[column[tuple(map(_add, a, m))]] = c
-            rows.append(row)
-        if space is None:
-            # the rref basis of a span is unique: the whole space meets the
-            # first span in its rref rows
-            rref, pivots = mat_rref(rows, desc)
-            space = rref[: len(pivots)]
+    P = Q
+    for C, m in D.items():
+        if m > 0:
+            Q = Q * C.poly ** m
         else:
-            space = span_intersection(space, rows, len(monos), desc)
-            if not space:
-                return []
-    if space is None:
-        space = [[int(i == j) for i in range(len(monos))]
-                 for j in range(len(monos))]
-    # coefficient vectors of reduced codes back to polynomials
+            P = P * C.poly ** -m
+    monos = class_monomials(S, divisor_class(Divisor(S, dict(pos))))
+    amonos = class_monomials(S, divisor_class(D))
+    if not amonos:
+        return []
+    column = {e: i for i, e in enumerate(monos)}
+    # the row of the monomial a is P shifted by a: a*m for each term m
+    terms = P.terms.items()
+    rows = []
+    for a in amonos:
+        row = [0] * len(monos)
+        for m, c in terms:
+            row[column[tuple(map(_add, a, m))]] = c
+        rows.append(row)
+    # distinct shifts of P are independent, so the rref has no zero row; the
+    # rref basis of a span is unique.  Coefficient vectors of reduced codes
+    # back to polynomials:
     return [RationalFunction(S, MPoly._make(desc, S.nvars, {
-        e: c for e, c in zip(monos, v) if c}), Q) for v in space]
+        e: c for e, c in zip(monos, v) if c}), Q)
+        for v in mat_rref(rows, desc)[0]]
 
 
 def class_range(S: Surface, lo: int, hi: int) -> List[ClassVector]:

@@ -65,27 +65,3 @@ def mat_nullspace(rows: Matrix, ncols: int, desc: FieldDesc) -> Matrix:
         basis.append(v)
     return basis
 
-
-def span_intersection(a: Matrix, b: Matrix, ncols: int, desc: FieldDesc) -> Matrix:
-    """Canonical (rref) basis of the intersection of two row spans.
-
-    A vector lies in both spans iff it is sum(x_i a_i) = sum(y_j b_j); the
-    coefficient pairs (x, -y) form the kernel of the column-stacked matrix.
-    """
-    if not a or not b:
-        return []
-    m, k = len(a), len(b)
-    stacked = [[a[i][c] for i in range(m)] + [desc.neg(b[j][c]) for j in range(k)]
-               for c in range(ncols)]
-    coeffs = mat_nullspace(stacked, m + k, desc)
-    vecs = []
-    for x in coeffs:
-        w = [0] * ncols
-        for i in range(m):
-            if x[i]:
-                w = desc.axpy(x[i], a[i], w)
-        vecs.append(w)
-    if not vecs:
-        return []
-    rref, pivots = mat_rref(vecs, desc)
-    return rref[: len(pivots)]
