@@ -11,15 +11,17 @@ base field.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
-from operator import add as _add
-from typing import List
+from operator import add as _add, mul as _mul
+from typing import List, Tuple
 
 from .linalg import mat_rref
 from .multipoly import MPoly
 from .surface import (
     ClassVector,
+    Curve,
     Divisor,
     RationalFunction,
     Surface,
@@ -129,13 +131,8 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
     S = D.surface
     desc = S.base
     pos = [(C, m) for C, m in D.items() if m > 0]
-    Q = MPoly.const(desc, S.nvars, 1)
-    P = Q
-    for C, m in D.items():
-        if m > 0:
-            Q = Q * C.poly ** m
-        else:
-            P = P * C.poly ** -m
+    Q = _product(S, pos)
+    P = _product(S, [(C, -m) for C, m in D.items() if m < 0])
     monos = class_monomials(S, divisor_class(Divisor(S, dict(pos))))
     amonos = class_monomials(S, divisor_class(D))
     if not amonos:
@@ -155,6 +152,13 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
     return [RationalFunction(S, MPoly._make(desc, S.nvars, {
         e: c for e, c in zip(monos, v) if c}), Q)
         for v in mat_rref(rows, desc)[0]]
+
+
+def _product(S: Surface, factors: List[Tuple[Curve, int]]) -> MPoly:
+    """The product of the C.poly ** m, from the first factor on."""
+    if not factors:
+        return MPoly.const(S.base, S.nvars, 1)
+    return functools.reduce(_mul, (C.poly ** m for C, m in factors))
 
 
 def class_range(S: Surface, lo: int, hi: int) -> List[ClassVector]:

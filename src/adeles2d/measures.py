@@ -19,17 +19,17 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import h_vector
 from .linalg import mat_rank
-from .residues import AdeleFragment, adelic_pairing, omega_polar_curves
+from .residues import AdeleFragment, adelic_pairing
 from .series import LaurentSeries2, escalate
 from .surface import (
     ClassVector,
     Divisor,
     Flag,
     Surface,
+    canonical_divisor,
     canonical_local_form,
     coordinate_lines,
     divisor_class,
-    divisor_of_form,
     form_order_on_curve,
     smooth_flag,
 )
@@ -51,19 +51,6 @@ WINDOW_POINT_DEGREE = 2
 
 def divisor_zero(S: Surface) -> Divisor:
     return Divisor(S, {})
-
-
-def canonical_divisor(S: Surface) -> Divisor:
-    """The divisor of the fixed 2-form, assembled from its polar curves;
-    computed once per surface and kept in S.memo."""
-    got = S.memo.get(("canonical",))
-    if got is not None:
-        return got
-    div, checked = divisor_of_form(S, omega_polar_curves(S))
-    if not checked:
-        raise RuntimeError("polar curves do not account for the canonical class")
-    S.memo[("canonical",)] = div
-    return div
 
 
 def class_representative(S: Surface, cls: ClassVector) -> Divisor:

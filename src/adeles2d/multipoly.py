@@ -149,15 +149,18 @@ class MPoly:
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MPoly._make(self.desc, self.nvars, {(0,) * self.nvars: 1})
+        if n == 0:
+            return MPoly._make(self.desc, self.nvars, {(0,) * self.nvars: 1})
+        # square-and-multiply from the lowest set bit: no product by 1
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:  # no square past the last bit
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def derivative(self, i: int) -> "MPoly":
         mul, p = self.desc.mul, self.desc.p

@@ -25,6 +25,7 @@ from .surface import (
     Flag,
     RationalFunction,
     Surface,
+    canonical_divisor,
     canonical_local_form,
     class_monomials,
     divisor_class,
@@ -34,6 +35,7 @@ from .surface import (
     meeting_points,
     ord_on_curve,
     parse_poly,
+    poly_order_at_flag,
 )
 
 DEFAULT_RESIDUE_PREC = 8
@@ -70,12 +72,6 @@ class GlobalForm:
         return f"GlobalForm({self.coefficient!r} * omega)"
 
 
-def omega_polar_curves(S: Surface) -> List[Curve]:
-    """The components of the fixed form's polar divisor: the lines that the
-    first chart sets to 1."""
-    return [S.lines[S.var_names[v]] for v in S.charts[0].unit_vars]
-
-
 def form_make(S: Surface, num, den_curves: Sequence[Tuple[Curve, int]]) -> GlobalForm:
     """Build num / prod(C^m) * omega with the component list filled in."""
     if isinstance(num, str):
@@ -86,7 +82,8 @@ def form_make(S: Surface, num, den_curves: Sequence[Tuple[Curve, int]]) -> Globa
             raise ValueError("denominator multiplicities must be nonnegative")
         den = den * C.poly ** m
     coeff = RationalFunction(S, num, den)
-    comps = [C for C, m in den_curves if m > 0] + omega_polar_curves(S)
+    comps = ([C for C, m in den_curves if m > 0]
+             + list(canonical_divisor(S).components))
     return GlobalForm(coeff, comps)
 
 
@@ -102,10 +99,19 @@ def polar_components(w: GlobalForm) -> List[Curve]:
 def local_residue(w: GlobalForm, fl: Flag,
                   prec: int = DEFAULT_RESIDUE_PREC) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
-    where J du^dt is the fixed form in flag coordinates."""
+    where J du^dt is the fixed form in flag coordinates.  Only the columns
+    that can meet at t^-1 are multiplied: the coefficient's below t^-j and
+    J's below t^-v, for the exact orders v of the coefficient and j of the
+    form along the curve; when v + j >= 0 there are none."""
+    f = w.coefficient
+    v = poly_order_at_flag(f.num, fl) - poly_order_at_flag(f.den, fl)
+    j = form_order_on_curve(fl.curve)
+    if v + j >= 0:
+        return fl.point.residue_field.zero()
     return escalate(
-        lambda window: res2(expand_at_flag(w.coefficient, fl, window)
-                            * canonical_local_form(fl, window)),
+        lambda window: res2(
+            expand_at_flag(f, fl, window).truncate(t_to=-j)
+            * canonical_local_form(fl, window).truncate(t_to=-v)),
         prec, lambda: f"residue at flag {fl!r}")
 
 

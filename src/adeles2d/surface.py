@@ -88,7 +88,7 @@ class Surface:
     see flag_make), and a memo of values that depend only on the surface
     and their arguments, under tuple keys led by the kind of value:
     ("support", C, H) for intersection_support, ("h", c) for
-    cohomology.h_vector and ("canonical",) for measures.canonical_divisor.
+    cohomology.h_vector and ("canonical",) for canonical_divisor.
     Both live until their owner clears them; an equal but new Surface
     starts empty."""
 
@@ -1007,23 +1007,20 @@ def smooth_flag(D: Curve, max_degree: int,
                      f"{max_degree}")
 
 
-_FORM_ORDER_CACHE: Dict[Curve, int] = {}
-
-
-def form_order_on_curve(D: Curve) -> int:
-    """ord_D of the fixed 2-form, via its local expression at one smooth
-    flag of degree at most 3, escalating from DEFAULT_PREC."""
-    got = _FORM_ORDER_CACHE.get(D)
+def canonical_divisor(S: Surface) -> Divisor:
+    """The divisor of the fixed 2-form, in closed form: the form is regular
+    and nowhere zero on the first chart, so the unit line of each group
+    carries that group's entry of the canonical class (Hartshorne, II.8.20.1),
+    -3*Z on P2 and -2*X1 - 2*Y1 on P1xP1.  Built once, kept in S.memo."""
+    got = S.memo.get(("canonical",))
     if got is None:
-        fl = smooth_flag(D, 3)
-        got = _FORM_ORDER_CACHE[D] = escalate(
-            lambda w: canonical_local_form(fl, w).t_valuation(),
-            DEFAULT_PREC, lambda: f"order of the form along {D!r}")
+        # the first chart's unit variables, one per group in group order
+        got = S.memo[("canonical",)] = Divisor(S, {
+            S.lines[S.var_names[v]]: k
+            for v, k in zip(S.charts[0].unit_vars, S.canonical_class())})
     return got
 
 
-def divisor_of_form(S: Surface, candidates: Iterable[Curve]) -> Tuple[Divisor, bool]:
-    """Orders of the fixed 2-form along the candidates; checked means the
-    candidate list accounts for the full canonical class."""
-    div = Divisor(S, {D: form_order_on_curve(D) for D in candidates})
-    return div, divisor_class(div) == S.canonical_class()
+def form_order_on_curve(D: Curve) -> int:
+    """ord_D of the fixed 2-form: its multiplicity in canonical_divisor."""
+    return canonical_divisor(D.surface).components.get(D, 0)

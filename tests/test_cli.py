@@ -258,6 +258,17 @@ def test_residue_command_runs_on_a_polar_flag():
     assert out.splitlines(), "no residue printed"
 
 
+def test_residue_command_at_a_crossing_off_the_coordinate_lines():
+    # the conic meets Z at (1:1:0); the residues of Y^2/conic * omega on
+    # the two curves there are 1 and 2, which sum to 0 in F_3
+    for curve, value in (("Z", "1"), ("X^2+XZ+2Y^2", "2")):
+        code, out, _err = run(["residue", "--surface", "P2", "--q", "3",
+                               "--curve", curve, "--point", "1:1:0",
+                               "--num", "Y^2", "--den", "X^2+XZ+2Y^2"])
+        assert code == 0, out
+        assert out.splitlines()[0] == value, out
+
+
 def test_cohomology_tabulates_and_cross_checks():
     code, out, _err = run(["cohomology", "--surface", "P2", "--q", "2",
                            "--range", "-4:4"])

@@ -123,6 +123,17 @@ def test_mpoly_ring_identities():
     assert (x * y).degree_in(0) == 1
 
 
+def test_mpoly_powers_equal_repeated_products():
+    rng = random.Random(17)
+    for desc in (field_make(3, 1), field_make(2, 2)):
+        for _ in range(5):
+            f = rand_mpoly(desc, 3, rng)
+            acc = MPoly.const(desc, 3, desc.one())
+            for n in range(6):
+                assert f ** n == acc, (f, n)
+                acc = acc * f
+
+
 def test_mpoly_exact_division():
     rng = random.Random(55)
     f3 = field_make(3, 1)

@@ -3,7 +3,7 @@ extension, finite windows, and the assembled Riemann-Roch identity."""
 
 import json
 
-from adeles2d import measures, surface
+from adeles2d import measures
 from adeles2d.cohomology import cech_h_vector, class_range, h_vector, rr_space
 from adeles2d.measures import (
     CentralExtElem,
@@ -35,7 +35,6 @@ from adeles2d.surface import (
     curve_make,
     divisor_class,
     flag_make,
-    form_order_on_curve,
     points_on_curve,
     smooth_flag,
     surface_make,
@@ -532,11 +531,8 @@ def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
         return fl
 
     monkeypatch.setattr(measures, "smooth_flag", recording)
-    monkeypatch.setattr(surface, "smooth_flag", recording)
-    monkeypatch.setattr(surface, "_FORM_ORDER_CACHE", {})
     for q in (2, 3, 4, 5):
-        # the windows of `verify --suites windows` on each surface, and the
-        # form orders along their curves
+        # the windows of `verify --suites windows` on each surface
         S = surface_make("P2", q)
         X = curve_make(S, "X")
         L = Divisor(S, {curve_make(S, n): 1 for n in "XYZ"})
@@ -544,9 +540,8 @@ def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
         window_build(-L, L, u_size=2)
         Q = surface_make("P1xP1", q)
         window_build(canonical_divisor(Q), divisor_zero(Q), u_size=1)
-    windows = [c for c in chosen if c[1] == WINDOW_POINT_DEGREE]
-    assert len(windows) == 4 * (1 + 3 + 2)
-    assert len(chosen) > len(windows)
+    assert len(chosen) == 4 * (1 + 3 + 2)
+    assert all(c[1] == WINDOW_POINT_DEGREE for c in chosen)
     # over F_2 the rational points of X all lie on Y, Z or Y + Z
     S = surface_make("P2", 2)
     X = curve_make(S, "X")
@@ -554,11 +549,6 @@ def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
     fl = smooth_flag(X, 2, avoid)
     assert fl.point.degree == 2
     chosen.append((X, 2, avoid, fl))
-    # the only rational point of this pair of conjugate lines is their
-    # crossing, so the form order is read at a point of degree 2
-    D = curve_make(S, "X^2+XY+Y^2")
-    assert form_order_on_curve(D) == 0
-    assert chosen[-1][0] == D and chosen[-1][3].point.degree == 2
     for D, max_degree, avoid, fl in chosen:
         ref = _exhaustive_flag(D, max_degree, avoid)
         assert (fl.point, fl.curve) == (ref.point, ref.curve), (D, avoid, fl)

@@ -16,6 +16,7 @@ from adeles2d.surface import (
     Flag,
     curve_make,
     flag_make,
+    form_order_on_curve,
     point_from_coords,
     surface_make,
 )
@@ -131,6 +132,32 @@ def test_along_curve_with_trace_weighted_point():
     pair = curve_make(S, "X^2 - 2Z^2")
     w = form_make(S, "X^3", [(L["Y"], 1), (pair, 1)])
     assert residue_sum_along_curve(w, L["Y"]).is_zero()
+
+
+def test_both_laws_close_at_a_crossing_off_the_coordinate_lines():
+    # the conic's local equation at (1:1:0) on Z is 2u + t plus higher
+    # terms, so the coefficient's t^n column dips to u^(-n-1); only the
+    # columns that reach t^-1 may be multiplied
+    S = p2(3)
+    conic = curve_make(S, "X^2+XZ+2Y^2")
+    w = form_make(S, "Y^2", [(conic, 1)])
+    assert polar_components(w) == [conic, curve_make(S, "Z")]
+    around = check_reciprocity_around_points(w)
+    assert [repr(x) for x, _total in around] == ["(1:1:0)", "(1:2:0)"]
+    assert all(total.is_zero() for _x, total in around), around
+    along = check_reciprocity_along_curves(w)
+    assert len(along) == 2
+    assert all(total.is_zero() for _D, total in along), along
+
+
+def test_a_double_pole_on_a_conic_makes_it_polar():
+    # ω has order 0 along this conic, so a double pole of the coefficient
+    # there is a double pole of the form
+    S = surface_make("P1xP1", 2)
+    conic = curve_make(S, "X0Y1^2+X1Y0^2+X1Y0Y1+X1Y1^2")
+    assert form_order_on_curve(conic) == 0
+    w = form_make(S, "X0^2Y0^4", [(conic, 2)])
+    assert conic in polar_components(w)
 
 
 def test_reciprocity_corpus_p2():

@@ -15,15 +15,17 @@ from adeles2d.surface import (
     Divisor,
     RationalFunction,
     _class_halves,
+    canonical_divisor,
+    canonical_local_form,
     class_monomials,
     coordinate_lines,
     curve_make,
     divisor_class,
-    divisor_of_form,
     expand_at_flag,
     expand_poly_at_flag,
     flag_coordinate_series,
     flag_make,
+    form_order_on_curve,
     intersection_support,
     invert_poly_at_flag,
     ord_on_curve,
@@ -31,6 +33,7 @@ from adeles2d.surface import (
     point_from_coords,
     points_on_curve,
     poly_text,
+    smooth_flag,
     surface_make,
 )
 from adeles2d.symbols import class_intersection
@@ -628,36 +631,38 @@ def test_divisor_sums_refuse_other_surfaces(first, second):
             op()
 
 
-def test_form_divisor_on_p2():
+def test_canonical_divisor_is_the_closed_form():
     S = p2(2)
     LZ = curve_make(S, "Z")
-    LY = curve_make(S, "Y")
-    div, checked = divisor_of_form(S, [LZ])
-    assert div.components == {LZ: -3}
-    assert checked
-    assert divisor_class(div) == (-3,)
-    # order 0 along a line through the affine chart
-    div2, checked2 = divisor_of_form(S, [LY])
-    assert div2.components == {}
-    assert not checked2
+    assert canonical_divisor(S).components == {LZ: -3}
+    Q = quadric(2)
+    X1, Y1 = curve_make(Q, "X1"), curve_make(Q, "Y1")
+    assert canonical_divisor(Q).components == {X1: -2, Y1: -2}
+    for T in (S, Q):
+        assert divisor_class(canonical_divisor(T)) == T.canonical_class()
+        assert canonical_divisor(T) is canonical_divisor(T)
+    # order 0 along a line through the first chart
+    assert form_order_on_curve(curve_make(S, "Y")) == 0
 
 
-def test_form_divisor_on_p1xp1():
+def test_closed_form_orders_match_the_local_form_on_coordinate_lines():
+    # the series route, kept only as the reference: the t-valuation of the
+    # form's local expression at a flag on each line
+    for model, q in itertools.product(("P2", "P1xP1"), (2, 3, 4, 5)):
+        S = surface_make(model, q)
+        for D in S.lines.values():
+            fl = smooth_flag(D, 1)
+            assert (form_order_on_curve(D)
+                    == canonical_local_form(fl, 16).t_valuation()), (S, D)
+
+
+def test_form_order_on_a_conic_whose_flag_hides_the_leading_column():
+    # at this conic's flag a square window of 16 tracks no term of the
+    # form's columns t^0 .. t^7, so the order cannot be read off series
+    # terms; ω has no zero or pole off the lines X1 and Y1
     S = quadric(2)
-    F1 = curve_make(S, "X1")
-    F2 = curve_make(S, "Y1")
-    div, checked = divisor_of_form(S, [F1, F2])
-    assert div.components == {F1: -2, F2: -2}
-    assert checked
-    assert divisor_class(div) == (-2, -2)
-
-
-def test_form_orders_respect_base_field():
-    for q in (2, 3, 5):
-        S = p2(q)
-        LZ = curve_make(S, "Z")
-        div, checked = divisor_of_form(S, [LZ])
-        assert checked, q
+    D = curve_make(S, "X0Y1^2+X1Y0^2+X1Y0Y1+X1Y1^2")
+    assert form_order_on_curve(D) == 0
 
 
 # ---------------------------------------------------------------------------
