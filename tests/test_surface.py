@@ -631,18 +631,25 @@ def test_divisor_sums_refuse_other_surfaces(first, second):
             op()
 
 
-def test_canonical_divisor_is_the_closed_form():
+def test_form_divisor_on_p2():
     S = p2(2)
     LZ = curve_make(S, "Z")
-    assert canonical_divisor(S).components == {LZ: -3}
-    Q = quadric(2)
-    X1, Y1 = curve_make(Q, "X1"), curve_make(Q, "Y1")
-    assert canonical_divisor(Q).components == {X1: -2, Y1: -2}
-    for T in (S, Q):
-        assert divisor_class(canonical_divisor(T)) == T.canonical_class()
-        assert canonical_divisor(T) is canonical_divisor(T)
+    div = canonical_divisor(S)
+    assert div.components == {LZ: -3}
+    assert divisor_class(div) == (-3,) == S.canonical_class()
+    assert canonical_divisor(S) is div
     # order 0 along a line through the first chart
     assert form_order_on_curve(curve_make(S, "Y")) == 0
+
+
+def test_form_divisor_on_p1xp1():
+    S = quadric(2)
+    F1 = curve_make(S, "X1")
+    F2 = curve_make(S, "Y1")
+    div = canonical_divisor(S)
+    assert div.components == {F1: -2, F2: -2}
+    assert divisor_class(div) == (-2, -2) == S.canonical_class()
+    assert canonical_divisor(S) is div
 
 
 def test_closed_form_orders_match_the_local_form_on_coordinate_lines():
