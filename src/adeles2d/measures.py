@@ -55,8 +55,12 @@ def divisor_zero(S: Surface) -> Divisor:
 
 def class_representative(S: Surface, cls: ClassVector) -> Divisor:
     """A standard divisor of the given class: each degree on the class line
-    of its group."""
-    return Divisor(S, dict(zip(S.class_lines, cls)))
+    of its group.  Built once per class, kept in S.memo."""
+    key = ("representative", tuple(cls))
+    got = S.memo.get(key)
+    if got is None:
+        got = S.memo[key] = Divisor(S, dict(zip(S.class_lines, cls)))
+    return got
 
 
 def _divisor_le(a: Divisor, b: Divisor) -> bool:
@@ -324,7 +328,13 @@ def char_pairing(dL: CharElem, dA: CharElem) -> QPower:
 
 
 def _reflect(wdiv: Divisor, D: Divisor) -> Divisor:
-    return wdiv - D
+    """wdiv - D, built once per pair and kept in S.memo."""
+    key = ("reflect", wdiv, D)
+    memo = D.surface.memo
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = wdiv - D
+    return got
 
 
 def fourier_char(e: CharElem, wdiv: Divisor) -> CharElem:

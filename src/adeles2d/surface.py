@@ -88,7 +88,8 @@ class Surface:
     see flag_make), and a memo of values that depend only on the surface
     and their arguments, under tuple keys led by the kind of value:
     ("support", C, H) for intersection_support, ("h", c) for
-    cohomology.h_vector and ("canonical",) for canonical_divisor.
+    cohomology.h_vector, ("canonical",) for canonical_divisor, and
+    ("representative", c) and ("reflect", wdiv, D) for measures.
     Both live until their owner clears them; an equal but new Surface
     starts empty."""
 
@@ -540,8 +541,8 @@ def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
 
 
 def intersection_support(C: Curve, H: Curve) -> List[ClosedPoint]:
-    """The closed points lying on both curves, sorted, via chartwise
-    resultants.
+    """The closed points lying on both curves, sorted: the roots of one
+    resultant in the first chart, then one fibre in each later chart.
 
     Computed once per ordered pair on a surface and kept in C.surface.memo
     as a tuple; each call returns a new list.  Both intersection routes
@@ -568,21 +569,26 @@ def meeting_points(pairs: Iterable[Tuple[Curve, Curve]]) -> List[ClosedPoint]:
 
 def _support(C: Curve, H: Curve) -> List[ClosedPoint]:
     S = C.surface
+    first = S.charts[0]
     found: List[ClosedPoint] = []
     for chart in S.charts:
-        f = S.dehomogenize(C.poly, chart)
-        g = S.dehomogenize(H.poly, chart)
-        # eliminate the second chart variable; roots of the resultant give
-        # candidate first coordinates
-        res = resultant_elim(f, g, elim=1, keep=0)
-        if not res:
-            # distinct irreducible curves stay coprime in every chart, so a
-            # vanishing resultant signals a shared component after all
-            raise ValueError("curves share a component")
-        # one root per factor: conjugate fibres hold conjugate points
-        for irr, _mult in poly_factor(res, S.base)[1]:
-            x0 = _one_root(irr, S.base)
-            _collect_fiber_points(S, chart, [f, g], 1, x0, found)
+        f, g = (S.dehomogenize(D.poly, chart) for D in (C, H))
+        if chart is first:
+            # the roots of the resultant in the second chart variable are
+            # the first coordinates; one root per factor, as conjugate
+            # fibres hold conjugate points
+            res = resultant_elim(f, g, elim=1, keep=0)
+            if not res:  # distinct irreducible curves stay coprime
+                raise ValueError("curves share a component")
+            fibres = [(1, _one_root(irr, S.base))
+                      for irr, _mult in poly_factor(res, S.base)[1]]
+        else:
+            # a point here that no earlier chart holds has a unit variable
+            # of the first chart equal to 0: one fibre, that coordinate 0
+            solve = 1 if chart.affine_vars[0] in first.unit_vars else 0
+            fibres = [(solve, S.base.zero())]
+        for solve, x0 in fibres:
+            _collect_fiber_points(S, chart, [f, g], solve, x0, found)
     return sorted(found, key=ClosedPoint.sort_key)
 
 
@@ -916,7 +922,7 @@ class Divisor:
     """A finite formal sum of irreducible curves with integer multiplicities.
 
     The components never change after construction, so the class is
-    counted once, here."""
+    counted once, here, and serves as the hash."""
 
     __slots__ = ("surface", "components", "_cls")
 
@@ -952,8 +958,12 @@ class Divisor:
         return sorted(self.components.items(), key=lambda cm: cm[0]._key)
 
     def __eq__(self, other):
-        return (isinstance(other, Divisor) and self.surface == other.surface
-                and self.components == other.components)
+        return self is other or (
+            isinstance(other, Divisor) and self.surface == other.surface
+            and self.components == other.components)
+
+    def __hash__(self):
+        return hash(self._cls)
 
     def __repr__(self):
         if not self.components:

@@ -20,7 +20,6 @@ from .fields import (
     Poly,
     embed,
     field_make,
-    pdeg,
     pdivmod,
     ptrim,
 )
@@ -288,72 +287,61 @@ def _pairwise_intersection(D: Curve, E: Curve) -> int:
     while S.base.q ** L <= bad + 1:
         L *= 2
     F = field_make(S.base.p, S.base.d * L)
-    return sum(pt.degree * _local_multiplicity(S, D, E, pt, pts, F)
-               for pt in pts)
-
-
-def _geometric_points_in_chart(
-        S: Surface, chart, pts: Sequence[ClosedPoint],
-        F: FieldDesc) -> List[Tuple[FieldElem, FieldElem]]:
-    """Affine chart coordinates over F of every conjugate of every point."""
-    out = []
-    q = S.base.q
+    # each point's multiplicity is read in the first chart that holds it
+    groups = {}
     for pt in pts:
-        member = [embed(c, F) for c in pt.coords]
-        for _ in range(pt.degree):
-            if chart.contains(member):
-                out.append(chart.affine(member))
-            member = [c ** q for c in member]
-    return out
+        chart = next(ch for ch in S.charts if ch.contains(pt.coords))
+        groups.setdefault(chart, []).append(pt)
+    return sum(pt.degree * m for chart, group in groups.items()
+               for pt, m in zip(group, _chart_multiplicities(
+                   S, D, E, chart, group, pts, F)))
 
 
-def _shear(f: MPoly, keep: int, elim: int, c: FieldElem) -> MPoly:
-    """Substitute (keep variable) -> keep + c * elim, fixing elim."""
-    F = f.desc
-    images = [MPoly.var(F, 2, 0), MPoly.var(F, 2, 1)]
-    images[keep] = images[keep] + MPoly.var(F, 2, elim).scale(c)
-    return f.substitute(images)
+def _shear(f: MPoly, c: FieldElem) -> MPoly:
+    """Substitute x -> x + c*y, fixing y."""
+    x, y = MPoly.var(f.desc, 2, 0), MPoly.var(f.desc, 2, 1)
+    return f.substitute([x + y.scale(c), y])
 
 
-def _sheared_value(pair: Tuple[FieldElem, FieldElem], keep: int,
-                   c: FieldElem) -> FieldElem:
-    # the shear moves a zero at (a, b) to kept coordinate a - c*b
-    a, b = pair
-    return a - c * b if keep == 0 else b - c * a
+def _lead_is_constant(f: MPoly) -> bool:
+    """True when the top coefficient in y is a nonzero constant, so no zero
+    escapes to infinity in that direction and resultant root orders match
+    the local multiplicities below them."""
+    d = f.degree_in(1)
+    return all(e[0] == 0 for e in f.terms if e[1] == d)
 
 
-def _lead_is_constant(f: MPoly, elim: int) -> bool:
-    """True when the top coefficient in the eliminated variable is a nonzero
-    constant, so no zero escapes to infinity in that direction and resultant
-    root orders match the local multiplicities below them."""
-    d = f.degree_in(elim)
-    return all(e[1 - elim] == 0 for e in f.terms if e[elim] == d)
-
-
-def _local_multiplicity(S: Surface, D: Curve, E: Curve, pt: ClosedPoint,
-                        all_pts: Sequence[ClosedPoint], F: FieldDesc) -> int:
-    """i_pt(D, E), read off a resultant in a separating sheared frame."""
-    chart = next(ch for ch in S.charts if ch.contains(pt.coords))
-    f = _mp_embed(S.dehomogenize(D.poly, chart), F)
-    g = _mp_embed(S.dehomogenize(E.poly, chart), F)
-    geo = _geometric_points_in_chart(S, chart, all_pts, F)
-    target = _geometric_points_in_chart(S, chart, [pt], F)[0]
-    for keep, elim in ((0, 1), (1, 0)):
-        for c in F.elems():
-            fc = _shear(f, keep, elim, c)
-            gc = _shear(g, keep, elim, c)
-            if not (_lead_is_constant(fc, elim) and _lead_is_constant(gc, elim)):
-                continue
-            x0 = _sheared_value(target, keep, c)
-            if sum(1 for p in geo if _sheared_value(p, keep, c) == x0) != 1:
-                continue
-            res = ptrim(list(resultant_elim(fc, gc, elim=elim, keep=keep)))
-            if pdeg(res) < 1:
-                continue
-            mult = _root_order(res, x0.n, F)
-            if mult == 0:
-                raise RuntimeError("resultant lost an intersection point")
-            return mult
+def _chart_multiplicities(S: Surface, D: Curve, E: Curve, chart,
+                          group: List[ClosedPoint], pts: List[ClosedPoint],
+                          F: FieldDesc) -> List[int]:
+    """i_pt(D, E) for each pt of group, all read off one resultant in y
+    after a shear x -> x + c*y that separates the conjugates over F of
+    every point of pts in the chart: a zero at (a, b) moves to x = a - c*b.
+    The field bound of _pairwise_intersection leaves some c good."""
+    q = S.base.q
+    conjugates = {}
+    for pt in pts:
+        if chart.contains(pt.coords):
+            a, b = chart.affine([embed(v, F) for v in pt.coords])
+            conjugates[pt] = [(a ** q ** k, b ** q ** k)
+                              for k in range(pt.degree)]
+    geo = [ab for got in conjugates.values() for ab in got]
+    f, g = (_mp_embed(S.dehomogenize(C.poly, chart), F) for C in (D, E))
+    for c in F.elems():
+        if len({(a - c * b).n for a, b in geo}) < len(geo):
+            continue
+        fc = _shear(f, c)
+        if not _lead_is_constant(fc):
+            continue
+        gc = _shear(g, c)
+        if not _lead_is_constant(gc):
+            continue
+        res = ptrim(list(resultant_elim(fc, gc, elim=1, keep=0)))
+        mults = [_root_order(res, (a - c * b).n, F)
+                 for a, b in (conjugates[pt][0] for pt in group)]
+        if 0 in mults:
+            raise RuntimeError("resultant lost an intersection point")
+        return mults
     raise RuntimeError("no separating frame over the working field")
 
 

@@ -134,7 +134,8 @@ def test_no_cache_outlives_a_verify_run(monkeypatch):
                            "--range", "0:1", "--suites", "rr"])
     assert code == 0, out
     # the suite filled the memo and made flags, and the run emptied both
-    assert set(filled) == {"support", "h", "canonical", "flags"}, filled
+    assert set(filled) == {"support", "h", "canonical", "representative",
+                           "reflect", "flags"}, filled
     S, = made
     assert S.memo == {} and S.flags == {}
 

@@ -342,6 +342,22 @@ def test_sections_difference_identity_on_the_quadric():
             assert got.passed and got.lhs == got.rhs, (cC, cH)
 
 
+def test_representatives_and_reflections_are_built_once_per_surface():
+    S = quadric()
+    w = canonical_divisor(S)
+    D = class_representative(S, (1, 2))
+    assert class_representative(S, [1, 2]) is D
+    R = measures._reflect(w, D)
+    assert R == w - D and measures._reflect(w, D) is R
+    # an equal divisor built anew finds the same entry
+    same = Divisor(S, dict(D.components))
+    assert same is not D and same == D and hash(same) == hash(D)
+    assert measures._reflect(w, same) is R
+    T = quadric()
+    assert class_representative(T, (1, 2)) == D
+    assert class_representative(T, (1, 2)) is not D
+
+
 def test_euler_characteristic_symmetry():
     S = plane()
     got = derive_eq2(S, (1,))

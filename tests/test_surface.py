@@ -1,13 +1,16 @@
 """Geometry layer: curves, closed points, flags, local expansions."""
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from adeles2d.cohomology import class_range
-from adeles2d.fields import FieldElem, field_make
-from adeles2d.multipoly import MPoly
+from adeles2d import surface as surface_mod
+from adeles2d.fields import FieldElem, field_make, poly_factor
+from adeles2d.multipoly import MPoly, resultant_elim
 from adeles2d.series import PrecisionError
 from adeles2d.surface import (
     ClosedPoint,
@@ -15,6 +18,8 @@ from adeles2d.surface import (
     Divisor,
     RationalFunction,
     _class_halves,
+    _collect_fiber_points,
+    _one_root,
     canonical_divisor,
     canonical_local_form,
     class_monomials,
@@ -36,7 +41,7 @@ from adeles2d.surface import (
     smooth_flag,
     surface_make,
 )
-from adeles2d.symbols import class_intersection
+from adeles2d.symbols import class_intersection, intersection_oracle
 
 
 def p2(q):
@@ -328,6 +333,109 @@ def test_diagonal_meets_fiber_once():
     F = curve_make(S, "X1")
     pts = intersection_support(D, F)
     assert len(pts) == 1
+
+
+def _chartwise_support(C, H):
+    """The support as found before the fibre rule: one resultant in every
+    chart, each factored, for a reference."""
+    S = C.surface
+    found = []
+    for chart in S.charts:
+        f, g = (S.dehomogenize(D.poly, chart) for D in (C, H))
+        for irr, _m in poly_factor(resultant_elim(f, g, elim=1, keep=0),
+                                   S.base)[1]:
+            _collect_fiber_points(S, chart, [f, g], 1, _one_root(irr, S.base),
+                                  found)
+    return sorted(found, key=ClosedPoint.sort_key)
+
+
+def _first_chart(pt):
+    return next(ch.name for ch in pt.surface.charts
+                if ch.contains(pt.coords))
+
+
+def _check_support(C, H):
+    """The support equals the reference in both orders, lies on both
+    curves, and carries the whole class-form intersection number."""
+    S = C.surface
+    pts = intersection_support(C, H)
+    assert pts == _chartwise_support(C, H), (C, H)
+    assert intersection_support(H, C) == _chartwise_support(H, C) == pts
+    for pt in pts:
+        for D in (C, H):
+            assert D.poly.evaluate(list(pt.coords)).is_zero(), (D, pt)
+    assert (intersection_oracle(Divisor(S, {C: 1}), Divisor(S, {H: 1}))
+            == class_intersection(S, C.degree(), H.degree())), (C, H)
+    return pts
+
+
+@pytest.mark.parametrize("model, q, line, texts, charts", [
+    # Z is the unit line of P2's first chart, where every point lies at
+    # infinity; X1 and Y1 are those of P1xP1
+    ("P2", 5, "Z", ("XY-Z^2", "YZ-X^2", "X^3+Y^3+XYZ", "Y^2Z-X^3-XZ^2"),
+     (["Y", "X"], ["Y"], ["Y", "Y"], ["Y"])),
+    ("P2", 2, "Z", ("X^2+XY+Y^2+XZ", "X^3+X^2Y+Y^3+Z^3"), (["Y"], ["Y"])),
+    ("P1xP1", 3, "X1", ("X0Y0+X1Y1", "X0Y1-X1Y0", "X0^2Y1+X1^2Y0+X0X1Y0"),
+     (["X0Y1"], ["X0Y0"], ["X0Y0"])),
+    ("P1xP1", 3, "Y1", ("X0Y0+X1Y1", "X0Y1^2+X1Y0^2+X0Y0Y1"),
+     (["X1Y0"], ["X0Y0"])),
+])
+def test_a_unit_line_of_the_first_chart_meets_conics_and_cubics(
+        model, q, line, texts, charts):
+    S = surface_make(model, q)
+    L = curve_make(S, line)
+    for text, want in zip(texts, charts):
+        pts = _check_support(L, curve_make(S, text))
+        assert [_first_chart(pt) for pt in pts] == want, text
+
+
+@pytest.mark.parametrize("model, C, H, at", [
+    # two conics through (0:1:0), both tangent to Z there: one point of
+    # multiplicity 4
+    ("P2", "YZ-X^2", "YZ-X^2+Z^2", ["Y"]),
+    # v = u^2 and v = u^2 + uv near X1 = Y1 = 0, in the last chart only,
+    # plus a transverse point (0:1)x(0:1)
+    ("P1xP1", "Y1X0^2-X1^2Y0", "Y1X0^2-X1^2Y0-X1X0Y1", ["X1Y1", "X0Y0"]),
+])
+def test_curves_tangent_at_a_point_at_infinity(model, C, H, at):
+    S = surface_make(model, 3 if model == "P1xP1" else 5)
+    pts = _check_support(curve_make(S, C), curve_make(S, H))
+    assert [_first_chart(pt) for pt in pts] == at
+    assert [pt.degree for pt in pts] == [1] * len(at)
+
+
+@pytest.mark.parametrize("C, H, at", [
+    # X0^2 + X1^2 has no root over F_3: the curves meet in one point of
+    # degree 2 on the fibre Y1 = 0, and by symmetry on X1 = 0
+    ("X0^2+X1^2", "X0^2Y0+X1^2Y0+X0X1Y1", "X1Y0"),
+    ("Y0^2+Y1^2", "Y0^2X0+Y1^2X0+Y0Y1X1", "X0Y1"),
+])
+def test_points_of_degree_two_on_a_later_chart_of_p1xp1(C, H, at):
+    S = quadric(3)
+    pts = _check_support(curve_make(S, C), curve_make(S, H))
+    assert [(pt.degree, _first_chart(pt)) for pt in pts] == [(2, at)]
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded read-only for its seeded query pairs."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_support_matches_the_chartwise_reference_on_the_query_pairs():
+    inputs = _bench_workloads().query_inputs({"surface": surface_mod}, 0)
+    assert len(inputs) == 256
+    surfaces = {}
+    for model, q, a, b in inputs:
+        S = surfaces.setdefault((model, q), surface_make(model, q))
+        C, H = curve_make(S, a), curve_make(S, b)
+        got, want = intersection_support(C, H), _chartwise_support(C, H)
+        assert got == want, (model, q, a, b)
+        assert ([p.residue_field for p in got]
+                == [p.residue_field for p in want])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from adeles2d.fields import field_make, pmul, poly_roots, ptrim
 from adeles2d.multipoly import MPoly
-from adeles2d import surface
+from adeles2d import surface, symbols
 from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
 from adeles2d.series import INF, LaurentSeries2, escalate
 from adeles2d.surface import (
@@ -497,6 +497,29 @@ def test_oracle_falls_back_to_classes_on_shared_components():
     F1 = curve_make(Q, "X1")
     assert intersection_oracle(
         Divisor(Q, {F1: 1}), Divisor(Q, {F1: 1})) == 0
+
+
+def test_oracle_reads_each_chart_off_one_resultant(monkeypatch):
+    # over F_5 the conic and the cubic meet in (0:0:1) and a point of
+    # degree 3 in the first chart, and in (0:1:0), of multiplicity 2
+    S = surface_make("P2", 5)
+    C, H = curve_make(S, "YZ-X^2"), curve_make(S, "Y^2Z-X^3-XZ^2")
+    pts = intersection_support(C, H)
+    groups = [[pt for pt in pts if next(
+        ch for ch in S.charts if ch.contains(pt.coords)) is chart]
+        for chart in S.charts]
+    assert [[pt.degree for pt in g] for g in groups] == [[1, 3], [1], []]
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    real = symbols.resultant_elim
+    monkeypatch.setattr(symbols, "resultant_elim", counted)
+    got = intersection_oracle(Divisor(S, {C: 1}), Divisor(S, {H: 1}))
+    assert got == class_intersection(S, C.degree(), H.degree()) == 6
+    assert len(made) <= 2
 
 
 def test_qpower_arithmetic():

@@ -41,6 +41,8 @@ FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
 BATCH = 400
 FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
 CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
+# over F_5 these meet in two points of the first chart and one at infinity
+CONIC_CUBIC = ("YZ-X^2", "Y^2Z-X^3-XZ^2")
 
 # a case: (setup, timed call taking what setup returned, operations per call)
 Case = Tuple[Callable[[], object], Callable[[object], object], int]
@@ -181,6 +183,20 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
     out["surface.points_on_curve.cubic.F5.deg2"] = (
         lambda: None, lambda _a: sf.points_on_curve(cubic, 2), 1)
 
+    def conic_cubic():
+        """The pair on a fresh P2 over F_5, so no support is in its memo."""
+        S = surface(m, "P2", 5)
+        return [sf.curve_make(S, text) for text in CONIC_CUBIC]
+
+    def oracle_inputs():
+        """The pair as divisors, with only their support in the memo."""
+        C, H = conic_cubic()
+        sf.intersection_support(C, H)
+        return sf.Divisor(C.surface, {C: 1}), sf.Divisor(C.surface, {H: 1})
+
+    out["surface.intersection_support.cubic.P2.F5"] = (
+        conic_cubic, lambda ch: sf.intersection_support(*ch), 1)
+
     def symbol_inputs():
         fl, f = flag(m, ("YZ-X^2", "0:0:1", "X/Z", 5, 8))
         g = m["cli"]._parse_function(fl.curve.surface, "Y/Z")
@@ -188,6 +204,8 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
 
     out["symbols.symbol_at_flag.conic"] = (
         symbol_inputs, lambda fgl: m["symbols"].symbol_at_flag(*fgl, 8), 1)
+    out["symbols.intersection_oracle.cubic.P2.F5"] = (
+        oracle_inputs, lambda ch: m["symbols"].intersection_oracle(*ch), 1)
     out["cli.parser_build"] = (lambda: None,
                                lambda _a: m["cli"]._parser.__wrapped__(), 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -225,7 +243,9 @@ def cohomology_cases(m: dict) -> Dict[str, Case]:
 
 def measure_cases(m: dict) -> Dict[str, Case]:
     # the class pairs of `verify --suites serre --range -2:2` on P1xP1,
-    # timed with the h-vectors and the canonical divisor already in S.memo
+    # timed with whatever a first pass leaves in S.memo: the h-vectors and
+    # the canonical divisor, and in a checkout that keeps them there, the
+    # class representatives and their reflections
     derive = m["measures"].derive_eq1
     classes = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
     pairs = [(C, H) for C in classes for H in classes]
@@ -253,7 +273,9 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "multipoly.mul.sextics.F49", "multipoly.exact_div.sextics.F5",
     "multipoly.resultant_elim.F5", "linalg.mat_rref.15x21.F5",
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
-    "surface.points_on_curve.cubic.F5.deg2", "symbols.symbol_at_flag.conic",
+    "surface.points_on_curve.cubic.F5.deg2",
+    "surface.intersection_support.cubic.P2.F5",
+    "symbols.symbol_at_flag.conic", "symbols.intersection_oracle.cubic.P2.F5",
     "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9",
     "cohomology.rr_space.windows.P2.q9", "measures.derive_eq1.P1xP1.q3")
 
