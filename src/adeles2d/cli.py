@@ -38,7 +38,7 @@ from .residues import (
     local_residue,
     reciprocity_corpus,
 )
-from .series import PrecisionError
+from .series import START_PREC, PrecisionError
 from .surface import (
     SURFACES,
     Divisor,
@@ -131,7 +131,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=3,
                        help="base field size (prime power, soft limit "
                             f"{SOFT_Q_LIMIT})")
-        p.add_argument("--precision", type=int, default=8,
+        p.add_argument("--precision", type=int, default=START_PREC,
                        help="starting series window (escalated as needed)")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write the JSON report here")

@@ -2,8 +2,7 @@
 
 Matrices are lists of rows of element codes over a shared FieldDesc.  All
 routines use deterministic Gauss-Jordan elimination (first nonzero pivot in
-column order), so reduced forms, ranks and nullspace bases are reproducible
-across runs.
+column order), so reduced forms and ranks are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -46,22 +45,4 @@ def mat_rank(rows: Matrix, desc: FieldDesc) -> int:
     if not rows:
         return 0
     return len(mat_rref(rows, desc)[1])
-
-
-def mat_nullspace(rows: Matrix, ncols: int, desc: FieldDesc) -> Matrix:
-    """Basis of the right kernel {v : A v = 0}, one vector per free column."""
-    if not rows:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    rref, pivots = mat_rref(rows, desc)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = desc.neg(rref[r][free])
-        basis.append(v)
-    return basis
 

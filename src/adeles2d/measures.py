@@ -20,7 +20,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .cohomology import h_vector
 from .linalg import mat_rank
 from .residues import AdeleFragment, adelic_pairing
-from .series import LaurentSeries2, escalate
+from .series import START_PREC, LaurentSeries2, escalate
 from .surface import (
     ClassVector,
     Divisor,
@@ -41,7 +41,6 @@ from .symbols import (
     intersection_flags,
 )
 
-DEFAULT_WINDOW_PREC = 8
 WINDOW_POINT_DEGREE = 2
 
 
@@ -487,7 +486,8 @@ def _disjoint_representative(S: Surface, cls: ClassVector,
     return Divisor(S, dict(coordinate_lines(S, cls, lambda L: L not in avoid)))
 
 
-def central_commutator(C: Divisor, wdiv: Divisor, prec: int = 8) -> Check:
+def central_commutator(C: Divisor, wdiv: Divisor,
+                       prec: int = START_PREC) -> Check:
     """The commutator of the standard lifts two ways, as q-exponents.
 
     Measure route: lift the point-style idele of C with the canonical
@@ -514,7 +514,8 @@ def central_commutator(C: Divisor, wdiv: Divisor, prec: int = 8) -> Check:
 # Riemann-Roch assembly
 
 
-def rr_assemble(Cdiv: Divisor, wdiv: Divisor, prec: int = 8) -> Check:
+def rr_assemble(Cdiv: Divisor, wdiv: Divisor,
+                prec: int = START_PREC) -> Check:
     """The Riemann-Roch identity for O(C) with every ingredient derived.
 
     LHS: h0(C) - h1(C) + h0(w - C).  RHS: h0(0) - h1(0) + h0(w) minus half
@@ -587,7 +588,7 @@ def _basis_fragment(fl: Flag, b: int, a: int, li: int) -> AdeleFragment:
 
 
 def window_build(R: Divisor, S: Divisor, u_size: int = 2,
-                 prec: int = DEFAULT_WINDOW_PREC) -> Window:
+                 prec: int = START_PREC) -> Window:
     """Build the window between R and S with one flag per curve, at a
     point of degree at most WINDOW_POINT_DEGREE off the other curves.
 

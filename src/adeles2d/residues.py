@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import FieldElem, rel_trace
 from .multipoly import MPoly
-from .series import LaurentSeries2, escalate, res2
+from .series import START_PREC, LaurentSeries2, escalate, res2
 from .surface import (
     ClosedPoint,
     Curve,
@@ -38,7 +38,6 @@ from .surface import (
     poly_order_at_flag,
 )
 
-DEFAULT_RESIDUE_PREC = 8
 # the around-a-point sums visit crossings of at most this degree
 AROUND_POINT_DEGREE = 2
 
@@ -97,7 +96,7 @@ def polar_components(w: GlobalForm) -> List[Curve]:
 
 
 def local_residue(w: GlobalForm, fl: Flag,
-                  prec: int = DEFAULT_RESIDUE_PREC) -> FieldElem:
+                  prec: int = START_PREC) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
     where J du^dt is the fixed form in flag coordinates.  Only the columns
     that can meet at t^-1 are multiplied: the coefficient's below t^-j and
@@ -115,18 +114,13 @@ def local_residue(w: GlobalForm, fl: Flag,
         prec, lambda: f"residue at flag {fl!r}")
 
 
-def residue_points_on_curve(w: GlobalForm, D: Curve) -> List[ClosedPoint]:
-    """Candidate points of D where the residue can be nonzero: its
-    intersections with the other declared components."""
-    return meeting_points((D, C) for C in w.components if C != D)
-
-
 def residue_sum_along_curve(w: GlobalForm, D: Curve,
-                            prec: int = DEFAULT_RESIDUE_PREC) -> FieldElem:
+                            prec: int = START_PREC) -> FieldElem:
     """Trace-weighted residue sum over the points of D; identically zero."""
     S = w.surface
     total = S.base.zero()
-    for pt in residue_points_on_curve(w, D):
+    # the residue can be nonzero only where D meets another component
+    for pt in meeting_points((D, C) for C in w.components if C != D):
         fl = flag_make(pt, D)
         r = local_residue(w, fl, prec)
         total = total + rel_trace(r, S.base)
@@ -158,7 +152,7 @@ def _flag_sort_key(fl: Flag):
 
 
 def adelic_pairing(a: AdeleFragment, b: AdeleFragment,
-                   prec: int = DEFAULT_RESIDUE_PREC) -> FieldElem:
+                   prec: int = START_PREC) -> FieldElem:
     """Sum over common flags of tr res(a*b*omega); symmetric and bilinear."""
     flags = [fl for fl in a.entries if fl in b.entries]
     flags.sort(key=_flag_sort_key)
@@ -223,7 +217,7 @@ def reciprocity_corpus(S: Surface, count: int, seed: int,
 
 
 def check_reciprocity_around_points(w: GlobalForm,
-                                    prec: int = DEFAULT_RESIDUE_PREC) -> List[Tuple[ClosedPoint, FieldElem]]:
+                                    prec: int = START_PREC) -> List[Tuple[ClosedPoint, FieldElem]]:
     """Evaluate the around-a-point sum at every crossing of polar components
     of degree at most AROUND_POINT_DEGREE.
 
@@ -249,7 +243,7 @@ def check_reciprocity_around_points(w: GlobalForm,
 
 
 def check_reciprocity_along_curves(w: GlobalForm,
-                                   prec: int = DEFAULT_RESIDUE_PREC) -> List[Tuple[Curve, FieldElem]]:
+                                   prec: int = START_PREC) -> List[Tuple[Curve, FieldElem]]:
     """Evaluate the along-a-curve sum for every polar component."""
     results = []
     for D in polar_components(w):

@@ -28,6 +28,8 @@ from .fields import FieldDesc, FieldElem
 
 INF = math.inf
 DEFAULT_PREC = 16
+# the window escalate starts from where the caller names none
+START_PREC = 8
 MAX_ESCALATIONS = 4
 
 _T = TypeVar("_T")

@@ -459,10 +459,6 @@ def _normalize_proj(surface: Surface, coords: List[FieldElem]) -> Tuple[FieldEle
     return tuple(out)
 
 
-def _frobenius_point(surface: Surface, coords: Tuple[FieldElem, ...], q: int):
-    return _normalize_proj(surface, [c ** q for c in coords])
-
-
 def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
                           q: int) -> Tuple[Tuple[FieldElem, ...], int]:
     """(lex-least orbit member, exact degree) under x -> x^q."""
@@ -470,7 +466,7 @@ def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
     cur = coords
     size = 1
     while True:
-        cur = _frobenius_point(surface, list(cur), q)
+        cur = _normalize_proj(surface, [c ** q for c in cur])
         if cur == coords:
             break
         if tuple(c.sort_key() for c in cur) < tuple(c.sort_key() for c in best):
@@ -484,20 +480,15 @@ def points_on_curve(D: Curve, max_degree: int) -> List[ClosedPoint]:
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     S = D.surface
-    fibre_values = [_orbit_starts(S.base, m) for m in range(1, max_degree + 1)]
-    found: List[ClosedPoint] = []
-    for chart in S.charts:
-        f = S.dehomogenize(D.poly, chart)
-        # solve for the second coordinate; an equation free of it holds on
-        # whole fibres of the first, so then fibre over the second instead
-        solve = 1 if f.degree_in(1) > 0 else 0
-        if f.degree_in(solve) < 1:
-            continue  # D misses this chart
-        for xs in fibre_values:
-            for x0 in xs:
-                _collect_fiber_points(S, chart, [f], solve, x0, found,
-                                      max_degree)
-    return sorted(found, key=ClosedPoint.sort_key)
+    values = [x0 for m in range(1, max_degree + 1)
+              for x0 in _orbit_starts(S.base, m)]
+    f = S.dehomogenize(D.poly, S.charts[0])
+    # solve for the second coordinate; an equation free of it holds on
+    # whole fibres of the first, so then fibre over the second instead;
+    # an equation free of both misses the chart
+    solve = 1 if f.degree_in(1) > 0 else 0
+    first = [(solve, x0) for x0 in values] if f.degree_in(solve) else []
+    return _chart_walk(S, [D], first, values, max_degree)
 
 
 def _orbit_starts(base: FieldDesc, m: int) -> List[FieldElem]:
@@ -569,26 +560,41 @@ def meeting_points(pairs: Iterable[Tuple[Curve, Curve]]) -> List[ClosedPoint]:
 
 def _support(C: Curve, H: Curve) -> List[ClosedPoint]:
     S = C.surface
-    first = S.charts[0]
+    f, g = (S.dehomogenize(D.poly, S.charts[0]) for D in (C, H))
+    # the roots of the resultant in the second chart variable are the first
+    # coordinates; one root per factor, as conjugate fibres hold conjugate
+    # points
+    res = resultant_elim(f, g, elim=1, keep=0)
+    if not res:  # distinct irreducible curves stay coprime
+        raise ValueError("curves share a component")
+    return _chart_walk(S, [C, H], [(1, _one_root(irr, S.base))
+                                   for irr, _m in poly_factor(res, S.base)[1]])
+
+
+def _chart_walk(S: Surface, curves: Sequence[Curve],
+                first: List[Tuple[int, FieldElem]],
+                values: Optional[List[FieldElem]] = None,
+                max_degree: Optional[int] = None) -> List[ClosedPoint]:
+    """The closed points on all of `curves`, sorted: the fibres (solve, x0)
+    `first` of the first chart, then in each later chart the one fibre
+    where a unit variable of the first chart is 0, since every point there
+    that no earlier chart holds lies on it (`_collect_fiber_points` drops
+    the others).  If all equations vanish on that whole fibre, the curve is
+    that unit line (Z on P2; X1 or Y1 on P1xP1), and the walk fibres across
+    it, over each x0 in `values`."""
     found: List[ClosedPoint] = []
     for chart in S.charts:
-        f, g = (S.dehomogenize(D.poly, chart) for D in (C, H))
-        if chart is first:
-            # the roots of the resultant in the second chart variable are
-            # the first coordinates; one root per factor, as conjugate
-            # fibres hold conjugate points
-            res = resultant_elim(f, g, elim=1, keep=0)
-            if not res:  # distinct irreducible curves stay coprime
-                raise ValueError("curves share a component")
-            fibres = [(1, _one_root(irr, S.base))
-                      for irr, _mult in poly_factor(res, S.base)[1]]
-        else:
-            # a point here that no earlier chart holds has a unit variable
-            # of the first chart equal to 0: one fibre, that coordinate 0
-            solve = 1 if chart.affine_vars[0] in first.unit_vars else 0
+        fs = [S.dehomogenize(D.poly, chart) for D in curves]
+        fibres = first
+        if chart is not S.charts[0]:
+            solve = 1 if chart.affine_vars[0] in S.charts[0].unit_vars else 0
             fibres = [(solve, S.base.zero())]
+            if all(e[1 - solve] for f in fs for e in f.terms):
+                if values is None:  # two distinct curves cannot both be it
+                    raise ValueError("curves share a component")
+                fibres = [(1 - solve, x0) for x0 in values]
         for solve, x0 in fibres:
-            _collect_fiber_points(S, chart, [f, g], solve, x0, found)
+            _collect_fiber_points(S, chart, fs, solve, x0, found, max_degree)
     return sorted(found, key=ClosedPoint.sort_key)
 
 

@@ -24,7 +24,8 @@ from .fields import (
     ptrim,
 )
 from .multipoly import MPoly, resultant_elim
-from .series import LaurentSeries1, LaurentSeries2, ls2_valuation
+from .series import (START_PREC, LaurentSeries1, LaurentSeries2,
+                     ls2_valuation)
 from .surface import (
     ClassVector,
     ClosedPoint,
@@ -41,8 +42,6 @@ from .surface import (
     poly_order_at_flag,
     poly_valuation_at_flag,
 )
-
-DEFAULT_SYMBOL_PREC = 8
 
 
 class QPower:
@@ -157,7 +156,7 @@ class IdeleRule:
 
 
 def symbol_at_flag(f: Factors, g: Factors, fl: Flag,
-                   prec: int = DEFAULT_SYMBOL_PREC) -> int:
+                   prec: int = START_PREC) -> int:
     """The integer symbol at one flag of two functions given as factors.
 
     With a = v_t(f) and b = v_t(g), the symbol is the u-valuation of the t^0
@@ -178,7 +177,7 @@ def symbol_at_flag(f: Factors, g: Factors, fl: Flag,
 
 
 def commutator_pairing(g1: IdeleRule, g2: IdeleRule, flags: Sequence[Flag],
-                       prec: int = DEFAULT_SYMBOL_PREC) -> QPower:
+                       prec: int = START_PREC) -> QPower:
     """Product over flags of q^(-deg(x) * symbol), the symbol of the two
     idele components at each flag."""
     exponent = 0
@@ -207,7 +206,7 @@ def intersection_flags(C: Divisor, H: Divisor) -> List[Flag]:
 
 
 def intersection_number(C: Divisor, H: Divisor,
-                        prec: int = DEFAULT_SYMBOL_PREC) -> int:
+                        prec: int = START_PREC) -> int:
     """(C, H) by the symbol route: minus the pairing exponent of the
     standard ideles over the intersection flags.
 

@@ -235,23 +235,47 @@ def _scan_points(D, max_degree):
     return sorted(found, key=ClosedPoint.sort_key)
 
 
+def _check_against_scan(S, text):
+    D = curve_make(S, text)
+    want = _scan_points(D, 2)
+    for max_degree in (1, 2):
+        got = points_on_curve(D, max_degree)
+        ref = [p for p in want if p.degree <= max_degree]
+        assert got == ref, (S, text, max_degree)
+        assert ([p.residue_field for p in got]
+                == [p.residue_field for p in ref])
+
+
 def test_fibre_point_finder_matches_ambient_scan():
-    texts = {"P2": ["X", "YZ-X^2", "Y^2Z-X^3-Z^3", "X^2Y+Y^2Z+Z^2X"],
-             "P1xP1": ["X0", "Y1", "X0Y0+X1Y1", "X0^2Y0+X1^2Y1"]}
+    # Z on P2 and X1, Y1 on P1xP1 are the unit lines of the first chart,
+    # which later charts fibre across instead of at 0
+    texts = {"P2": ["X", "Z", "YZ-X^2", "Y^2Z-X^3-Z^3", "X^2Y+Y^2Z+Z^2X"],
+             "P1xP1": ["X0", "X1", "Y1", "X0Y0+X1Y1", "X0^2Y0+X1^2Y1"]}
     for q in (2, 3, 4, 5):
         for model, curves in texts.items():
             S = surface_make(model, q)
             # a "vertical" conic: geometrically two conjugate lines
             extra = ["X^2+XZ+Z^2" if model == "P2" else "X0^2+X0X1+X1^2"]
             for text in curves + (extra if q % 3 == 2 else []):
-                D = curve_make(S, text)
-                want = _scan_points(D, 2)
-                for max_degree in (1, 2):
-                    got = points_on_curve(D, max_degree)
-                    ref = [p for p in want if p.degree <= max_degree]
-                    assert got == ref, (model, q, text, max_degree)
-                    assert ([p.residue_field for p in got]
-                            == [p.residue_field for p in ref])
+                _check_against_scan(S, text)
+    # the fibres across a unit line, over an extension field of F_9
+    for model, line in (("P2", "Z"), ("P1xP1", "X1")):
+        _check_against_scan(surface_make(model, 9), line)
+
+
+def test_points_on_curve_takes_one_fibre_in_each_later_chart(monkeypatch):
+    charts = []
+    collect = surface_mod._collect_fiber_points
+
+    def counting(S, chart, *args, **kwargs):
+        charts.append(chart.name)
+        return collect(S, chart, *args, **kwargs)
+
+    monkeypatch.setattr(surface_mod, "_collect_fiber_points", counting)
+    D = curve_make(p2(5), "Y^2Z-X^3-XZ^2")
+    assert points_on_curve(D, 2) == _scan_points(D, 2)
+    # the first chart fibres over 5 values and 10 orbits of degree 2
+    assert charts == ["Z"] * 15 + ["Y", "X"]
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,9 @@ def surface(m: dict, model: str, q: int):
 
 def native(m: dict, S, k: int):
     """What the package stores for the integer k in S's base field: read
-    off a parsed polynomial, or, for zero, off the identity basis that
-    mat_nullspace returns for an empty system."""
+    off a parsed polynomial, or, for zero, off the base field's zero."""
     if k % S.base.p == 0:
-        return m["linalg"].mat_nullspace([], 2, S.base)[0][1]
+        return S.base.from_int(k).n
     return next(iter(m["surface"].parse_poly(S, f"{k}X").terms.values()))
 
 
@@ -182,6 +181,10 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
     cubic = sf.curve_make(S5, "Y^2Z-X^3-XZ^2")
     out["surface.points_on_curve.cubic.F5.deg2"] = (
         lambda: None, lambda _a: sf.points_on_curve(cubic, 2), 1)
+    # Z is the unit line of the first chart: the later charts fibre across it
+    unit_line = sf.curve_make(surface(m, "P2", 9), "Z")
+    out["surface.points_on_curve.Z.P2.F9.deg2"] = (
+        lambda: None, lambda _a: sf.points_on_curve(unit_line, 2), 1)
 
     def conic_cubic():
         """The pair on a fresh P2 over F_5, so no support is in its memo."""
@@ -274,6 +277,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "multipoly.resultant_elim.F5", "linalg.mat_rref.15x21.F5",
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
     "surface.points_on_curve.cubic.F5.deg2",
+    "surface.points_on_curve.Z.P2.F9.deg2",
     "surface.intersection_support.cubic.P2.F5",
     "symbols.symbol_at_flag.conic", "symbols.intersection_oracle.cubic.P2.F5",
     "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9",
