@@ -20,17 +20,17 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .cohomology import h_vector
 from .linalg import mat_rank
 from .residues import AdeleFragment, adelic_pairing
-from .series import START_PREC, LaurentSeries2, escalate
+from .series import START_PREC, LaurentSeries2
 from .surface import (
     ClassVector,
     Divisor,
     Flag,
     Surface,
     canonical_divisor,
-    canonical_local_form,
     coordinate_lines,
     divisor_class,
-    form_order_on_curve,
+    form_polynomial,
+    poly_valuation_at_flag,
     smooth_flag,
 )
 from .symbols import (
@@ -619,11 +619,9 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2,
         avoid = [E for E in set(curves) | set(wdiv.components) if E != D]
         fl = smooth_flag(D, WINDOW_POINT_DEGREE, avoid)
         flags.append(fl)
-        j_t = form_order_on_curve(D)
-        j_u = escalate(
-            lambda w: canonical_local_form(fl, w).column(j_t).valuation(),
-            prec, lambda: f"leading column of the form at {fl!r}")
-        jorders.append((j_t, j_u))
+        # the form is du^dt / P: its rank-2 valuation is minus P's
+        p_t, p_u = poly_valuation_at_flag(form_polynomial(fl), fl, prec)
+        jorders.append((-p_t, -p_u))
         r_D = R.components.get(D, 0)
         s_D = S.components.get(D, 0)
         deg = fl.point.degree
@@ -631,7 +629,7 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2,
             for a in u_window:
                 for li in range(deg):
                     basis.append((fi, b, a, li))
-                    dual_basis.append((fi, -1 - j_t - b, -1 - j_u - a, li))
+                    dual_basis.append((fi, p_t - 1 - b, p_u - 1 - a, li))
     frags = [_basis_fragment(flags[fi], b, a, li) for fi, b, a, li in basis]
     dual_frags = [_basis_fragment(flags[fi], b, a, li)
                   for fi, b, a, li in dual_basis]

@@ -32,6 +32,8 @@ from .surface import (
     expand_at_flag,
     flag_make,
     form_order_on_curve,
+    form_polynomial,
+    invert_poly_at_flag,
     meeting_points,
     ord_on_curve,
     parse_poly,
@@ -98,20 +100,29 @@ def polar_components(w: GlobalForm) -> List[Curve]:
 def local_residue(w: GlobalForm, fl: Flag,
                   prec: int = START_PREC) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
-    where J du^dt is the fixed form in flag coordinates.  Only the columns
-    that can meet at t^-1 are multiplied: the coefficient's below t^-j and
-    J's below t^-v, for the exact orders v of the coefficient and j of the
+    where J du^dt = du^dt / form_polynomial(fl) is the fixed form in flag
+    coordinates.  Only the columns that can meet at t^-1 are multiplied:
+    the coefficient's below t^-j and J's below t^-v (from P's below
+    t^(-2j - v)), for the exact orders v of the coefficient and j of the
     form along the curve; when v + j >= 0 there are none."""
     f = w.coefficient
     v = poly_order_at_flag(f.num, fl) - poly_order_at_flag(f.den, fl)
     j = form_order_on_curve(fl.curve)
     if v + j >= 0:
         return fl.point.residue_field.zero()
+    P = form_polynomial(fl)
     return escalate(
         lambda window: res2(
             expand_at_flag(f, fl, window).truncate(t_to=-j)
-            * canonical_local_form(fl, window).truncate(t_to=-v)),
+            * invert_poly_at_flag(P, fl, window, t_window=-2 * j - v)),
         prec, lambda: f"residue at flag {fl!r}")
+
+
+def _meeting_flags(w: GlobalForm, D: Curve) -> List[Flag]:
+    """D's flags where it meets another component of w, where alone its
+    residue can be nonzero; ValueError if D is singular at one."""
+    return [flag_make(pt, D)
+            for pt in meeting_points((D, C) for C in w.components if C != D)]
 
 
 def residue_sum_along_curve(w: GlobalForm, D: Curve,
@@ -119,11 +130,8 @@ def residue_sum_along_curve(w: GlobalForm, D: Curve,
     """Trace-weighted residue sum over the points of D; identically zero."""
     S = w.surface
     total = S.base.zero()
-    # the residue can be nonzero only where D meets another component
-    for pt in meeting_points((D, C) for C in w.components if C != D):
-        fl = flag_make(pt, D)
-        r = local_residue(w, fl, prec)
-        total = total + rel_trace(r, S.base)
+    for fl in _meeting_flags(w, D):
+        total = total + rel_trace(local_residue(w, fl, prec), S.base)
     return total
 
 
@@ -147,27 +155,19 @@ class AdeleFragment:
         return f"AdeleFragment({len(self.entries)} flags)"
 
 
-def _flag_sort_key(fl: Flag):
-    return (fl.point.sort_key(), fl.curve._key)
-
-
 def adelic_pairing(a: AdeleFragment, b: AdeleFragment,
                    prec: int = START_PREC) -> FieldElem:
-    """Sum over common flags of tr res(a*b*omega); symmetric and bilinear."""
-    flags = [fl for fl in a.entries if fl in b.entries]
-    flags.sort(key=_flag_sort_key)
-    base = None
-    for fl in flags:
-        base = fl.curve.surface.base
-        break
-    if base is None:
-        # disjoint supports: the pairing is zero, but over which field?  All
-        # fragments in one computation share a surface; fall back to any flag.
-        for fl in list(a.entries) + list(b.entries):
-            return fl.curve.surface.base.zero()
+    """Sum over common flags of tr res(a*b*omega); symmetric and bilinear.
+    All fragments in one computation share a surface, whose base field
+    holds the sum (zero on disjoint supports)."""
+    every = list(a.entries) + list(b.entries)
+    if not every:
         raise ValueError("cannot pair two empty fragments")
+    base = every[0].curve.surface.base
     total = base.zero()
-    for fl in flags:
+    common = [fl for fl in a.entries if fl in b.entries]
+    for fl in sorted(common, key=lambda fl: (fl.point.sort_key(),
+                                             fl.curve._key)):
         r = escalate(
             lambda window: res2(a.entries[fl] * b.entries[fl]
                                 * canonical_local_form(fl, window)),
@@ -244,8 +244,14 @@ def check_reciprocity_around_points(w: GlobalForm,
 
 def check_reciprocity_along_curves(w: GlobalForm,
                                    prec: int = START_PREC) -> List[Tuple[Curve, FieldElem]]:
-    """Evaluate the along-a-curve sum for every polar component."""
+    """Evaluate the along-a-curve sum for every polar component; all sums
+    must be zero.  A component singular where it meets another component
+    is skipped (out of scope), as the around-point sums skip such points."""
     results = []
     for D in polar_components(w):
+        try:
+            _meeting_flags(w, D)
+        except ValueError:
+            continue
         results.append((D, residue_sum_along_curve(w, D, prec)))
     return results

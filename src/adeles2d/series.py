@@ -296,20 +296,6 @@ class LaurentSeries2:
                 base = base * base
         return result
 
-    def derive(self, var: str) -> "LaurentSeries2":
-        """Termwise formal derivative; the window shrinks by one in `var`."""
-        if var not in ("u", "t"):
-            raise ValueError("var must be 'u' or 't'")
-        idx = 0 if var == "t" else 1
-        mul, p = self.desc.mul, self.desc.p
-        out: Dict[Tuple[int, int], int] = {}
-        for (t, u), c in self.terms.items():
-            e = (t, u)[idx] % p
-            if e:
-                out[(t - 1, u) if idx == 0 else (t, u - 1)] = mul(c, e)
-        return LaurentSeries2._make(self.desc, out, self.t_prec - (idx == 0),
-                                    self.u_prec - idx)
-
     # -- comparison and display ------------------------------------------------
 
     def __eq__(self, other):

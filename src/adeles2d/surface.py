@@ -581,8 +581,10 @@ def _chart_walk(S: Surface, curves: Sequence[Curve],
     that no earlier chart holds lies on it (`_collect_fiber_points` drops
     the others).  If all equations vanish on that whole fibre, the curve is
     that unit line (Z on P2; X1 or Y1 on P1xP1), and the walk fibres across
-    it, over each x0 in `values`."""
+    it, over each x0 in `values`, then, in a later chart, at x0 = 0 only:
+    the points left there have the earlier across chart's unit 0."""
     found: List[ClosedPoint] = []
+    across = values
     for chart in S.charts:
         fs = [S.dehomogenize(D.poly, chart) for D in curves]
         fibres = first
@@ -592,7 +594,8 @@ def _chart_walk(S: Surface, curves: Sequence[Curve],
             if all(e[1 - solve] for f in fs for e in f.terms):
                 if values is None:  # two distinct curves cannot both be it
                     raise ValueError("curves share a component")
-                fibres = [(1 - solve, x0) for x0 in values]
+                fibres = [(1 - solve, x0) for x0 in across]
+                across = [S.base.zero()]
         for solve, x0 in fibres:
             _collect_fiber_points(S, chart, fs, solve, x0, found, max_degree)
     return sorted(found, key=ClosedPoint.sort_key)
@@ -797,8 +800,10 @@ def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
     return out
 
 
-def invert_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
-    """Inverse of P's expansion, good on the full requested window.
+def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
+                        t_window: Optional[int] = None) -> LaurentSeries2:
+    """Inverse of P's expansion on the box of `window`, from its columns
+    below t^t_window (default: the window).
 
     The t-valuation of the expansion is pinned down exactly (it is the
     multiplicity of the flag's curve in P), because a square window can hide
@@ -806,12 +811,13 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
     valuation off the tracked terms would then invert about the wrong
     leading term.  Once the leading column is visible, the polynomial is
     re-expanded on a u-wider box sized so the erosion the division causes
-    (2*lead for the leading-column inverse, plus a dip per Neumann step)
-    lands exactly where the requested window begins.  Only the u-window
-    widens; a box wider than MAX_U_WIDENING * window + U_WIDENING_SLACK
-    raises PrecisionError.
+    (2*lead for the leading-column inverse, plus a dip per Neumann step up
+    to t_window) lands exactly where the requested window begins.  Only the
+    u-window widens; a box wider than MAX_U_WIDENING * window +
+    U_WIDENING_SLACK raises PrecisionError.
     """
-    key = ("polyinv", P, window)
+    t_to = window if t_window is None else min(window, t_window)
+    key = ("polyinv", P, window, t_to)
     got = fl._cache.get(key)
     if got is not None:
         return got
@@ -824,27 +830,23 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int) -> LaurentSeries2:
                 f"window {window} needs a u-window of {u_window}, over the "
                 f"cap {cap}")
         return expand_poly_at_flag(P, fl, window, u_window).truncate(
-            t_to=window)
+            t_to=t_to)
 
     vt = poly_order_at_flag(P, fl)
-    e = expand_poly_at_flag(P, fl, window)
+    e = expand_poly_at_flag(P, fl, window).truncate(t_to=t_to)
     u_wide = max(window, 1)  # doubles up to the cap
     while not any(t == vt for (t, _u) in e.terms):
         u_wide *= 2
         e = wider(u_wide)
     lead_u = min(u for (t, u) in e.terms if t == vt)
-    size = max(1, window - vt)
-    min_step = None
-    max_dip = 0
-    for (t, u) in e.terms:
-        if t == vt:
-            continue
-        min_step = t - vt if min_step is None else min(min_step, t - vt)
-        max_dip = max(max_dip, lead_u - u)
+    size = max(1, t_to - vt)
+    rest = [(t - vt, lead_u - u) for (t, u) in e.terms if t != vt]
+    min_step = min((step for step, _dip in rest), default=1)
+    max_dip = max([0] + [dip for _step, dip in rest])
     if lead_u > 0 or max_dip > 0:
-        steps = 1 - (-size // (min_step or 1))
+        steps = 1 - (-size // min_step)
         e = wider(window + 2 * lead_u + steps * max_dip)
-    out = e.inverse(t_window=window, u_window=window)
+    out = e.inverse(u_window=window)
     fl._cache[key] = out
     return out
 
@@ -984,22 +986,29 @@ def divisor_class(D: Divisor) -> ClassVector:
 # the fixed global 2-form: d(x) ^ d(y) in the first chart's coordinates
 
 
+def form_polynomial(fl: Flag) -> MPoly:
+    """The P with the fixed form = du^dt / P at the flag, cached on it: the
+    form is the Euler form over the first chart's unit lines L_g^|g| (Z^3;
+    X1^2 Y1^2), +-da^db in the flag chart's (a, b) (Hartshorne, II.8.20.1),
+    and da^db = +-du^dt / (dD/dc) for c the chart variable other than u.
+    So P = +-dD/dc * prod L_g^|g|, negated when u_index plus the position
+    within its group of each unit variable of both charts is odd."""
+    got = fl._cache.get("P")
+    if got is None:
+        S = fl.curve.surface
+        got = fl.curve.poly.derivative(fl.chart.affine_vars[1 - fl.u_index])
+        # a chart's unit variables hold one per group, in group order
+        for v, g in zip(S.charts[0].unit_vars, S.groups):
+            got = got * S.var(v) ** len(g)
+        odd = fl.u_index + sum(v - g.start for ch in (fl.chart, S.charts[0])
+                               for v, g in zip(ch.unit_vars, S.groups))
+        got = fl._cache["P"] = -got if odd % 2 else got
+    return got
+
+
 def canonical_local_form(fl: Flag, window: int) -> LaurentSeries2:
-    """The coefficient J of the fixed 2-form in flag coordinates: the form is
-    d(chart0 coord0) ^ d(chart0 coord1) globally, and equals J du^dt here."""
-    key = ("omega", window)
-    got = fl._cache.get(key)
-    if got is not None:
-        return got
-    S = fl.curve.surface
-    std = S.charts[0]
-    # the standard-chart coordinates as ratios of homogeneous variables
-    x_s, y_s = [_ratio_at_flag(S.var(a), S.var(u), fl, window)
-                for a, u in zip(std.affine_vars, std.units)]
-    jac = (x_s.derive("u") * y_s.derive("t")
-           - x_s.derive("t") * y_s.derive("u"))
-    fl._cache[key] = jac
-    return jac
+    """J = 1 / form_polynomial(fl): the fixed form is J du^dt at the flag."""
+    return invert_poly_at_flag(form_polynomial(fl), fl, window)
 
 
 def smooth_flag(D: Curve, max_degree: int,

@@ -1,5 +1,9 @@
 """Local residues and both reciprocity laws, exactly."""
 
+import time
+
+import pytest
+
 from adeles2d.residues import (
     AdeleFragment,
     adelic_pairing,
@@ -244,3 +248,74 @@ def test_adelic_pairing_bilinear():
     bc = AdeleFragment({fl: b.entries[fl] + c.entries[fl]})
     assert adelic_pairing(summed, bc) == ab + ac
     assert adelic_pairing(b, a) == ab
+
+
+def _f4_conics():
+    """Two conics over F_4 = F_2(w); the first is singular at (1:w:1)."""
+    S = surface_make("P2", 4)
+    w = S.base.gen()
+    one = S.base.one()
+    X, Y, Z = (S.var(i) for i in range(3))
+    first = curve_make(S, X * X + (X * Y).scale(w) + (X * Z).scale(w + one)
+                       + Y * Y + (Y * Z).scale(w) + Z * Z)
+    second = curve_make(S, X * X + (X * Z).scale(w + one)
+                        + (Y * Y).scale(w + one) + (Y * Z).scale(w)
+                        + (Z * Z).scale(w + one))
+    return S, first, second
+
+
+def test_both_laws_skip_a_component_singular_where_it_meets_another():
+    S, first, second = _f4_conics()
+    w = S.base.gen()
+    singular = point_from_coords(S, (S.base.one(), w, S.base.one()))
+    with pytest.raises(ValueError, match="singular"):
+        flag_make(singular, first)
+    form = form_make(S, "X^4", [(first, 1), (second, 1)])
+    assert first in polar_components(form)
+    around = check_reciprocity_around_points(form)
+    assert singular not in [x for x, _total in around]
+    assert all(total.is_zero() for _x, total in around), around
+    along = check_reciprocity_along_curves(form)
+    assert [D for D, _total in along] == [second, curve_make(S, "Z")]
+    assert all(total.is_zero() for _D, total in along), along
+
+
+# forms with poles off the coordinate lines: (surface, q, numerator,
+# [(pole curve, multiplicity)])
+OFF_THE_LINES = [
+    # a double pole on a cubic, and on a conic through (1:0)x(1:0)
+    ("P2", 2, "X^6+Y^6+Z^6", [("X^2Z+Y^3+YZ^2+Z^3", 2)]),
+    ("P1xP1", 2, "X0^2Y0^4", [("X0Y1^2+X1Y0^2+X1Y0Y1+X1Y1^2", 2)]),
+    ("P2", 3, "X^2+2XY+YZ+Z^2", [("XY+2XZ+Y^2+YZ+2Z^2", 1)]),
+    ("P2", 3, "2X^2Y+X^2Z+2XZ^2+2Y^2Z+2Z^3",
+     [("X^2Y+2XYZ+2XZ^2+2Y^3+YZ^2", 1)]),
+    ("P2", 4, "X^3+Y^2Z", [("X^2Z+Y^3+YZ^2+Z^3", 1)]),
+    ("P2", 5, "3X^2+3XY+3XZ+2Y^2+4YZ+3Z^2", [("X^2+2XY+XZ+3Y^2+3YZ+3Z^2", 1)]),
+    ("P2", 7, "4X^2+XZ+Y^2+2YZ", [("X^2+5XY+5XZ+5Y^2+2YZ+4Z^2", 1)]),
+    ("P1xP1", 3, "X0Y0^2+X1Y1^2", [("X0Y0^2+X0Y1^2+X1Y0Y1", 1)]),
+    ("P1xP1", 4, "X0^2Y1+X1^2Y0", [("X0^2Y0+X1^2Y1+X0X1Y1", 1)]),
+    ("P1xP1", 5, "4X0^2Y0^4+2X0^2Y0^2Y1^2+4X0^2Y0Y1^3+4X0^2Y1^4+X0X1Y0^4"
+     "+3X0X1Y0^3Y1+3X0X1Y0^2Y1^2+X0X1Y0Y1^3+3X0X1Y1^4+3X1^2Y0^4"
+     "+X1^2Y0^2Y1^2+3X1^2Y0Y1^3+2X1^2Y1^4",
+     [("X0Y0^2+X0Y0Y1+2X0Y1^2+3X1Y0^2+3X1Y1^2", 2)]),
+    ("P1xP1", 7, "6X0^2Y0^2+5X0^2Y0Y1+X0^2Y1^2+4X0X1Y0^2+6X0X1Y0Y1"
+     "+4X0X1Y1^2+3X1^2Y0^2+5X1^2Y0Y1+2X1^2Y1^2", [("X0Y0+X1Y0+4X1Y1", 2)]),
+]
+
+
+def test_reciprocity_off_the_coordinate_lines():
+    forms = []
+    for model, q, num, poles in OFF_THE_LINES:
+        S = surface_make(model, q)
+        forms.append(form_make(S, num, [(curve_make(S, text), m)
+                                        for text, m in poles]))
+    S, first, second = _f4_conics()
+    forms.append(form_make(S, "X^4", [(first, 1), (second, 1)]))
+    for w in forms:
+        start = time.perf_counter()
+        around = check_reciprocity_around_points(w)
+        along = check_reciprocity_along_curves(w)
+        assert time.perf_counter() - start < 2.0, w
+        assert around and along, w
+        assert all(total.is_zero() for _x, total in around), (w, around)
+        assert all(total.is_zero() for _D, total in along), (w, along)

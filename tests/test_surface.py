@@ -20,6 +20,7 @@ from adeles2d.surface import (
     _class_halves,
     _collect_fiber_points,
     _one_root,
+    _ratio_at_flag,
     canonical_divisor,
     canonical_local_form,
     class_monomials,
@@ -42,6 +43,7 @@ from adeles2d.surface import (
     surface_make,
 )
 from adeles2d.symbols import class_intersection, intersection_oracle
+from test_series import derive
 
 
 def p2(q):
@@ -276,6 +278,16 @@ def test_points_on_curve_takes_one_fibre_in_each_later_chart(monkeypatch):
     assert points_on_curve(D, 2) == _scan_points(D, 2)
     # the first chart fibres over 5 values and 10 orbits of degree 2
     assert charts == ["Z"] * 15 + ["Y", "X"]
+    # a unit line of the first chart: the first chart that fibres it across
+    # takes the 9 values and 36 orbits of degree 2 over F_9, and a later one
+    # only the fibre at 0, since an earlier chart holds its other points
+    for model, line, walk in (("P2", "Z", ["Y"] * 45 + ["X"]),
+                              ("P1xP1", "X1", ["X1Y0"] + ["X0Y1"] * 45
+                               + ["X0Y0"])):
+        D = curve_make(surface_make(model, 9), line)
+        charts.clear()
+        assert points_on_curve(D, 2) == _scan_points(D, 2)
+        assert charts == walk, (model, line)
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +805,38 @@ def test_closed_form_orders_match_the_local_form_on_coordinate_lines():
             fl = smooth_flag(D, 1)
             assert (form_order_on_curve(D)
                     == canonical_local_form(fl, 16).t_valuation()), (S, D)
+
+
+def _jacobian_of_first_chart(fl, window):
+    """The fixed form's coefficient as the Jacobian d(x, y)/d(u, t) of the
+    first chart's coordinates x, y, each expanded as a ratio at the flag."""
+    S = fl.curve.surface
+    x, y = [_ratio_at_flag(S.var(a), S.var(u), fl, window)
+            for a, u in zip(S.charts[0].affine_vars, S.charts[0].units)]
+    return (derive(x, "u") * derive(y, "t")
+            - derive(x, "t") * derive(y, "u"))
+
+
+def test_form_polynomial_inverts_to_the_jacobian_of_the_first_chart():
+    curves = {"P2": ("YZ-X^2", "X^2Z+Y^3+YZ^2+Z^3"),
+              "P1xP1": ("X0Y0+X1Y1", "X0^2Y0+X1^2Y1+X0X1Y1")}
+    for model, texts in curves.items():
+        for q in (3, 4, 5, 7):
+            S = surface_make(model, q)
+            for text in texts:
+                D = curve_make(S, text)
+                pts = points_on_curve(D, 2)
+                # two rational points and one of degree 2
+                for pt in pts[:2] + [p for p in pts if p.degree == 2][:1]:
+                    fl = flag_make(pt, D)
+                    want = _jacobian_of_first_chart(fl, 4)
+                    got = canonical_local_form(fl, 4)
+                    t_to = min(got.t_prec, want.t_prec)
+                    u_to = min(got.u_prec, want.u_prec)
+                    # the box both hold is not empty
+                    assert got.truncate(t_to, u_to).terms, (S, D, pt)
+                    assert (got.truncate(t_to, u_to).terms
+                            == want.truncate(t_to, u_to).terms), (S, D, pt)
 
 
 def test_form_order_on_a_conic_whose_flag_hides_the_leading_column():

@@ -33,8 +33,8 @@ from pathlib import Path
 from typing import Callable, Dict, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = ("fields", "series", "multipoly", "linalg", "surface", "symbols",
-           "cohomology", "measures", "cli")
+MODULES = ("fields", "series", "multipoly", "linalg", "surface", "residues",
+           "symbols", "cohomology", "measures", "cli")
 # (p, d) of the element-arithmetic fields: a prime field, two table fields
 # and one field above the table limit
 FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
@@ -43,6 +43,8 @@ FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
 CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
 # over F_5 these meet in two points of the first chart and one at infinity
 CONIC_CUBIC = ("YZ-X^2", "Y^2Z-X^3-XZ^2")
+# over F_5 the cubic crosses Z at (1:4:0) and at a point of degree 2
+CUBIC_ON_Z = ("X^3+Y^3+Z^3+XYZ", "Z")
 
 # a case: (setup, timed call taking what setup returned, operations per call)
 Case = Tuple[Callable[[], object], Callable[[object], object], int]
@@ -209,6 +211,17 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
         symbol_inputs, lambda fgl: m["symbols"].symbol_at_flag(*fgl, 8), 1)
     out["symbols.intersection_oracle.cubic.P2.F5"] = (
         oracle_inputs, lambda ch: m["symbols"].intersection_oracle(*ch), 1)
+
+    def residue_inputs():
+        """X^2Y / cubic times the fixed form, and the cubic's flag at its
+        rational crossing with Z, on a fresh P2 over F_5."""
+        S = surface(m, "P2", 5)
+        C, Z = (sf.curve_make(S, text) for text in CUBIC_ON_Z)
+        w = m["residues"].form_make(S, "X^2Y", [(C, 1)])
+        return w, sf.flag_make(sf.intersection_support(C, Z)[0], C)
+
+    out["residues.local_residue.cubic_on_Z.P2.F5"] = (
+        residue_inputs, lambda wf: m["residues"].local_residue(*wf, 8), 1)
     out["cli.parser_build"] = (lambda: None,
                                lambda _a: m["cli"]._parser.__wrapped__(), 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -280,7 +293,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "surface.points_on_curve.Z.P2.F9.deg2",
     "surface.intersection_support.cubic.P2.F5",
     "symbols.symbol_at_flag.conic", "symbols.intersection_oracle.cubic.P2.F5",
-    "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9",
+    "residues.local_residue.cubic_on_Z.P2.F5", "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9",
     "cohomology.rr_space.windows.P2.q9", "measures.derive_eq1.P1xP1.q3")
 
 
