@@ -17,7 +17,7 @@ import sys
 import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .cohomology import cech_h_vector, class_range, h_vector, rr_space
+from .cohomology import cech_h_vector, class_range, h_vector, rr_dimension
 from .measures import (
     Check,
     _cls_json,
@@ -479,7 +479,7 @@ def _suite_serre(S, classes, args) -> List[Check]:
     for c in classes:
         if min(c) < 0:
             continue
-        dim = len(rr_space(class_representative(S, c)))
+        dim = rr_dimension(class_representative(S, c))
         checks.append(Check("sections-dimension", {"C": _cls_json(c)},
                             dim, h_vector(S, c).h0))
     return checks
@@ -536,7 +536,7 @@ def _suite_windows(S, classes, args) -> List[Check]:
     h0s: Dict[Tuple[int, ...], int] = {}
     for rep in itertools.product(range(-2, 3), repeat=len(lines)):
         D = Divisor(S, dict(zip(lines, rep)))
-        dims[rep] = len(rr_space(D))
+        dims[rep] = rr_dimension(D)
         h0s[rep] = h_vector(S, divisor_class(D)).h0
         checks.append(Check("sections-dimension", {"D": list(rep)},
                             dims[rep], h0s[rep]))

@@ -6,7 +6,9 @@ by the Kuenneth formula, and literal Cech monomial enumeration over all the
 variables, where only the all-nonnegative and all-negative exponent
 patterns of each group contribute.  On top of the dimension oracles sit
 brute-force Riemann-Roch spaces computed by exact linear algebra over the
-base field.
+base field: `rr_space` is the rref basis of the rows that span the
+numerators, and `rr_dimension` the rank of the same rows by forward
+elimination, which counts the sections without building them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import comb
 from operator import add as _add, mul as _mul
 from typing import List, Tuple
 
-from .linalg import mat_rref
+from .linalg import Matrix, mat_rank, mat_rref
 from .multipoly import MPoly
 from .surface import (
     ClassVector,
@@ -119,39 +121,54 @@ def cech_h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
     return CohomologyVector(*h)
 
 
-def rr_space(D: Divisor) -> List[RationalFunction]:
-    """Basis of the space of rational functions f with div(f) + D >= 0.
+def _section_rows(D: Divisor) -> Tuple[Matrix, List[tuple]]:
+    """The rows that span the numerators of L(D), and their columns.
 
     Functions are written N/Q with Q the positive part of D; the conditions
     from the negative part say that each component C^k divides N.  The
     components are distinct irreducible curves, so that holds exactly when
     their product P divides N: the numerators are the multiples A*P of the
-    class of N, one row per monomial of A, and the basis is their rref.
+    class of N, and there is one row per monomial a of A, the class of D.
+    The row of a is P shifted by a, in the monomials of the class of N (that
+    of D's positive part), which are returned as the columns.
     """
     S = D.surface
-    desc = S.base
-    pos = [(C, m) for C, m in D.items() if m > 0]
-    Q = _product(S, pos)
-    P = _product(S, [(C, -m) for C, m in D.items() if m < 0])
-    monos = class_monomials(S, divisor_class(Divisor(S, dict(pos))))
-    amonos = class_monomials(S, divisor_class(D))
-    if not amonos:
-        return []
+    items = D.items()
+    P = _product(S, [(C, -m) for C, m in items if m < 0])
+    monos = class_monomials(S, divisor_class(
+        Divisor(S, {C: m for C, m in items if m > 0})))
     column = {e: i for i, e in enumerate(monos)}
-    # the row of the monomial a is P shifted by a: a*m for each term m
     terms = P.terms.items()
     rows = []
-    for a in amonos:
+    for a in class_monomials(S, divisor_class(D)):
         row = [0] * len(monos)
         for m, c in terms:
             row[column[tuple(map(_add, a, m))]] = c
         rows.append(row)
+    return rows, monos
+
+
+def rr_space(D: Divisor) -> List[RationalFunction]:
+    """Basis of the space of rational functions f with div(f) + D >= 0: the
+    rref of the rows of `_section_rows`, as numerators over the positive
+    part Q of D."""
+    rows, monos = _section_rows(D)
+    if not rows:
+        return []
+    S = D.surface
+    Q = _product(S, [(C, m) for C, m in D.items() if m > 0])
     # distinct shifts of P are independent, so the rref has no zero row; the
     # rref basis of a span is unique.  Coefficient vectors of reduced codes
     # back to polynomials:
-    return [RationalFunction(S, MPoly._make(desc, S.nvars, {
+    return [RationalFunction(S, MPoly._make(S.base, S.nvars, {
         e: c for e, c in zip(monos, v) if c}), Q)
-        for v in mat_rref(rows, desc)[0]]
+        for v in mat_rref(rows, S.base)[0]]
+
+
+def rr_dimension(D: Divisor) -> int:
+    """dim L(D), the rank of the rows of `_section_rows`: the number of
+    vectors `rr_space` returns, without the basis or the denominator."""
+    return mat_rank(_section_rows(D)[0], D.surface.base)
 
 
 def _product(S: Surface, factors: List[Tuple[Curve, int]]) -> MPoly:

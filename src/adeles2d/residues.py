@@ -128,10 +128,15 @@ def _meeting_flags(w: GlobalForm, D: Curve) -> List[Flag]:
 def residue_sum_along_curve(w: GlobalForm, D: Curve,
                             prec: int = START_PREC) -> FieldElem:
     """Trace-weighted residue sum over the points of D; identically zero."""
-    S = w.surface
-    total = S.base.zero()
-    for fl in _meeting_flags(w, D):
-        total = total + rel_trace(local_residue(w, fl, prec), S.base)
+    return _trace_sum(w, _meeting_flags(w, D), prec)
+
+
+def _trace_sum(w: GlobalForm, flags: List[Flag], prec: int) -> FieldElem:
+    """The sum of the traces to the base field of w's residues at flags."""
+    base = w.surface.base
+    total = base.zero()
+    for fl in flags:
+        total = total + rel_trace(local_residue(w, fl, prec), base)
     return total
 
 
@@ -250,8 +255,8 @@ def check_reciprocity_along_curves(w: GlobalForm,
     results = []
     for D in polar_components(w):
         try:
-            _meeting_flags(w, D)
+            flags = _meeting_flags(w, D)
         except ValueError:
             continue
-        results.append((D, residue_sum_along_curve(w, D, prec)))
+        results.append((D, _trace_sum(w, flags, prec)))
     return results

@@ -88,8 +88,9 @@ class Surface:
     see flag_make), and a memo of values that depend only on the surface
     and their arguments, under tuple keys led by the kind of value:
     ("support", C, H) for intersection_support, ("h", c) for
-    cohomology.h_vector, ("canonical",) for canonical_divisor, and
-    ("representative", c) and ("reflect", wdiv, D) for measures.
+    cohomology.h_vector, ("monomials", c) for class_monomials,
+    ("canonical",) for canonical_divisor, and ("representative", c) and
+    ("reflect", wdiv, D) for measures.
     Both live until their owner clears them; an equal but new Surface
     starts empty."""
 
@@ -337,9 +338,14 @@ def _group_monomials(size: int, d: int) -> List[tuple]:
 
 def class_monomials(S: Surface, cls: ClassVector) -> List[tuple]:
     """Exponent tuples of all monomials of the given class, in descending
-    lex order."""
-    parts = [_group_monomials(len(g), d) for g, d in zip(S.groups, cls)]
-    return [sum(p, ()) for p in itertools.product(*parts)]
+    lex order; computed once per class and kept in S.memo, so callers share
+    the list and must not change it."""
+    key = ("monomials", tuple(cls))
+    got = S.memo.get(key)
+    if got is None:
+        parts = [_group_monomials(len(g), d) for g, d in zip(S.groups, cls)]
+        got = S.memo[key] = [sum(p, ()) for p in itertools.product(*parts)]
+    return got
 
 
 def _candidate_polys(S: Surface, cls: ClassVector) -> Iterable[MPoly]:

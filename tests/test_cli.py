@@ -8,7 +8,7 @@ import tempfile
 
 import pytest
 
-from adeles2d import cli, measures, surface
+from adeles2d import cli, cohomology, measures, surface
 from adeles2d.cli import main
 
 
@@ -316,6 +316,30 @@ def test_a_degenerate_window_fails_its_rank_check(monkeypatch):
     assert len(ranks) == 2
     for c in ranks:
         assert c["pass"] is False and c["lhs"] == 0 < c["rhs"], c
+
+
+def test_a_section_row_builder_that_drops_a_row_fails_by_verdict(monkeypatch):
+    # the windows suite counts sections by rank: with one spanning row
+    # fewer, every divisor with sections reports one too few
+    real = cohomology._section_rows
+
+    def dropped(D):
+        rows, monos = real(D)
+        return rows[:-1], monos
+
+    monkeypatch.setattr(cohomology, "_section_rows", dropped)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "windows.json")
+        code, out, _err = run(["verify", "--surface", "P2", "--q", "3",
+                               "--suites", "windows", "--json", path])
+        doc = json.load(open(path))
+    assert code == 1, out
+    assert "FAIL sections-dimension" in out, out
+    dims = [c for c in doc["checks"] if c["name"] == "sections-dimension"]
+    assert len(dims) == 125
+    failed = [c for c in dims if c["pass"] is False]
+    assert failed and all(c["lhs"] == c["rhs"] - 1 for c in failed), failed
+    assert all(c["rhs"] == 0 for c in dims if c["pass"]), dims
 
 
 def test_quadric_verify_runs_every_suite():

@@ -9,6 +9,7 @@ from adeles2d.cohomology import (
     cech_h_vector,
     class_range,
     h_vector,
+    rr_dimension,
     rr_space,
 )
 from adeles2d.linalg import mat_rref
@@ -183,6 +184,34 @@ def test_rr_space_on_the_windows_box_is_an_rref_basis_of_multiples(model, q):
         if vecs:
             rref, pivots = mat_rref(vecs, S.base)
             assert (rref, len(pivots)) == (vecs, len(vecs)), rep
+
+
+@pytest.mark.parametrize("q", [2, 4, 9])
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+def test_rr_dimension_counts_the_rr_space_on_the_windows_box(model, q):
+    # q = 2, 4 and 9 reach the xor, table and extension-field kernels
+    S = surface_make(model, q)
+    lines = [S.lines[n] for n in FIXTURES[model].lines]
+    for rep in itertools.product(range(-2, 3), repeat=len(lines)):
+        D = Divisor(S, dict(zip(lines, rep)))
+        dim = rr_dimension(D)
+        assert dim == len(rr_space(D)), rep
+        assert dim == h_vector(S, divisor_class(D)).h0, rep
+
+
+def test_rr_dimension_off_the_coordinate_lines():
+    # negative parts whose product has several terms, so the rows overlap
+    S = p2(5)
+    conic = curve_make(S, "YZ-X^2")
+    line = curve_make(S, "X+Y+Z")
+    LZ = curve_make(S, "Z")
+    for D in (Divisor(S, {LZ: 4, conic: -1}),
+              Divisor(S, {LZ: 5, conic: -1, line: -2}),
+              Divisor(S, {conic: 2, line: -1}),
+              Divisor(S, {LZ: 1, conic: -1})):
+        dim = rr_dimension(D)
+        assert dim == len(rr_space(D)), D
+        assert dim == h_vector(S, divisor_class(D)).h0, D
 
 
 def test_chi_ignores_principal_shifts():

@@ -68,6 +68,50 @@ def test_rref_pivots_and_solve():
     assert pivots == [0, 2]
 
 
+def _planted_matrix(desc, rng, nrows, ncols, rank):
+    """nrows rows of width ncols spanning at most `rank` dimensions: random
+    combinations of `rank` random rows, with a zero row and a repeated row
+    mixed in once there are enough rows."""
+    def code():
+        return desc.from_coeffs([rng.randrange(desc.p)
+                                 for _ in range(desc.d)]).n
+
+    base = [[code() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for b in base:
+            row = desc.axpy(code(), b, row)
+        rows.append(row)
+    if nrows >= 3:
+        rows[rng.randrange(nrows)] = [0] * ncols
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    return rows
+
+
+def test_rank_by_forward_elimination_counts_the_rref_pivots():
+    rng = random.Random(2024)
+    shapes = [(0, 0), (1, 1), (4, 1), (1, 6), (6, 1), (3, 9), (9, 3),
+              (12, 5), (5, 12), (15, 21), (21, 15), (8, 8)]
+    for q in (2, 5, 4, 9):
+        desc = field_make(*{2: (2, 1), 5: (5, 1), 4: (2, 2), 9: (3, 2)}[q])
+        for nrows, ncols in shapes:
+            for rank in range(min(nrows, ncols) + 1):
+                rows = _planted_matrix(desc, rng, nrows, ncols, rank)
+                before = [row[:] for row in rows]
+                got = mat_rank(rows, desc)
+                assert got == len(mat_rref(rows, desc)[1]), (q, rows)
+                assert got <= rank
+                assert rows == before  # the input is left unchanged
+        # rows of width zero, and all-zero matrices
+        assert mat_rank([[], []], desc) == 0
+        assert mat_rank([[0] * 4] * 3, desc) == 0
+        # a full-rank square matrix and the same matrix with a row repeated
+        eye = [[int(i == j) for j in range(5)] for i in range(5)]
+        assert mat_rank(eye, desc) == 5
+        assert mat_rank(eye + eye[2:3], desc) == 5
+
+
 # rank-based span predicates
 
 

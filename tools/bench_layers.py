@@ -9,9 +9,9 @@ Every case builds its inputs through text parsing (`parse_poly`,
 checkout of the package, whatever its coefficients are made of.  A case's
 figure is the best of --repeat rounds (7 by default), each timing every
 case once, in seconds; the element, 1 x 1, Riemann-Roch space and
-derive_eq1 cases time a batch and report one operation.  The file also
-records the line count of each source module.  Standard library only;
-single-threaded.
+dimension and derive_eq1 cases time a batch and report one operation.  The
+file also records the line count of each source module.  Standard library
+only; single-threaded.
 """
 
 from __future__ import annotations
@@ -168,6 +168,8 @@ def poly_cases(m: dict) -> Dict[str, Case]:
             for _ in range(15)]
     out["linalg.mat_rref.15x21.F5"] = (lambda: None, lambda _a: m[
         "linalg"].mat_rref(rows, S.base), 1)
+    out["linalg.mat_rank.15x21.F5"] = (lambda: None, lambda _a: m[
+        "linalg"].mat_rank(rows, S.base), 1)
     return out
 
 
@@ -242,19 +244,34 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
 
 def cohomology_cases(m: dict) -> Dict[str, Case]:
     # the 125 divisors of `verify --suites windows` on P2: multiplicities
-    # -2..2 on X, Y and Z; one figure per divisor
-    sf = m["surface"]
-    S = surface(m, "P2", 9)
-    lines = [sf.curve_make(S, name) for name in ("X", "Y", "Z")]
-    box = [sf.Divisor(S, dict(zip(lines, rep)))
-           for rep in itertools.product(range(-2, 3), repeat=3)]
+    # -2..2 on X, Y and Z; one figure per divisor.  Each round starts on a
+    # fresh surface, as each verify command does, so nothing the first
+    # round leaves in S.memo is timed as free.
+    sf, co = m["surface"], m["cohomology"]
 
-    def run(_arg):
-        for D in box:
-            m["cohomology"].rr_space(D)
+    def box():
+        S = surface(m, "P2", 9)
+        lines = [sf.curve_make(S, name) for name in ("X", "Y", "Z")]
+        return [sf.Divisor(S, dict(zip(lines, rep)))
+                for rep in itertools.product(range(-2, 3), repeat=3)]
 
-    return {"cohomology.rr_space.windows.P2.q9": (lambda: None, run,
-                                                  len(box))}
+    # the count the windows suite makes; a checkout from before
+    # rr_dimension counted the basis
+    dimension = getattr(co, "rr_dimension", None)
+    if dimension is None:
+        def dimension(D):
+            return len(co.rr_space(D))
+
+    def run(fn):
+        def timed(divisors):
+            for D in divisors:
+                fn(D)
+        return timed
+
+    n = len(box())
+    return {"cohomology.rr_space.windows.P2.q9": (box, run(co.rr_space), n),
+            "cohomology.rr_dimension.windows.P2.q9": (box, run(dimension),
+                                                      n)}
 
 
 def measure_cases(m: dict) -> Dict[str, Case]:
@@ -288,13 +305,15 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "multipoly.mul.1x1", "multipoly.mul.sextics.F5",
     "multipoly.mul.sextics.F49", "multipoly.exact_div.sextics.F5",
     "multipoly.resultant_elim.F5", "linalg.mat_rref.15x21.F5",
+    "linalg.mat_rank.15x21.F5",
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
     "surface.points_on_curve.cubic.F5.deg2",
     "surface.points_on_curve.Z.P2.F9.deg2",
     "surface.intersection_support.cubic.P2.F5",
     "symbols.symbol_at_flag.conic", "symbols.intersection_oracle.cubic.P2.F5",
     "residues.local_residue.cubic_on_Z.P2.F5", "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9",
-    "cohomology.rr_space.windows.P2.q9", "measures.derive_eq1.P1xP1.q3")
+    "cohomology.rr_space.windows.P2.q9",
+    "cohomology.rr_dimension.windows.P2.q9", "measures.derive_eq1.P1xP1.q3")
 
 
 def time_once(case) -> float:
