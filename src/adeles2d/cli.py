@@ -43,6 +43,7 @@ from .surface import (
     SURFACES,
     Divisor,
     RationalFunction,
+    class_intersection,
     curve_make,
     divisor_class,
     expand_at_flag,
@@ -52,7 +53,6 @@ from .surface import (
     surface_make,
 )
 from .symbols import (
-    class_intersection,
     intersection_number,
     intersection_oracle,
     symbol_at_flag,
@@ -132,7 +132,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="base field size (prime power, soft limit "
                             f"{SOFT_Q_LIMIT})")
         p.add_argument("--precision", type=int, default=START_PREC,
-                       help="starting series window (escalated as needed)")
+                       help="the series window of expand; recorded in "
+                            "every report")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write the JSON report here")
         p.add_argument("--allow-large-q", action="store_true",
@@ -244,7 +245,7 @@ def _parse_function(S, text: str) -> RationalFunction:
         num = parse_poly(S, num_s.strip())
         den = parse_poly(S, den_s.strip()) if den_s else parse_poly(S, "1")
         f = RationalFunction(S, num, den)
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, ZeroDivisionError) as err:
         raise ConfigError(f"bad function {text!r}: {err}") from err
     if f.is_zero():
         raise ConfigError(f"bad function {text!r}: the zero function has "
@@ -290,7 +291,7 @@ def _parse_den(S, text: str) -> List[Tuple[object, int]]:
 
 def _config(args, **more) -> Dict:
     """A report's config: the command, surface and q, then `more`, then the
-    starting precision."""
+    precision."""
     return {"command": args.command, "surface": args.surface, "q": args.q,
             **more, "precision": args.precision}
 
@@ -381,7 +382,7 @@ def _cmd_residue(args) -> int:
         w = form_make(S, num, _parse_den(S, args.den))
     except (ValueError, KeyError) as err:
         raise ConfigError(f"bad form: {err}") from err
-    res = local_residue(w, fl, args.precision)
+    res = local_residue(w, fl)
     print(repr(res))
     inputs = {"curve": args.curve, "point": args.point, "num": args.num,
               "den": args.den}
@@ -395,7 +396,7 @@ def _cmd_symbol(args) -> int:
     f = _parse_function(S, args.f)
     g = _parse_function(S, args.g)
     value = symbol_at_flag([(f.num, 1), (f.den, -1)],
-                           [(g.num, 1), (g.den, -1)], fl, args.precision)
+                           [(g.num, 1), (g.den, -1)], fl)
     print(value)
     inputs = {"curve": args.curve, "point": args.point, "f": args.f,
               "g": args.g}
@@ -411,7 +412,7 @@ def _cmd_intersect(args) -> int:
     C = Divisor(S, {A: 1})
     H = Divisor(S, {B: 1})
     try:
-        got = intersection_number(C, H, args.precision)
+        got = intersection_number(C, H)
         want = intersection_oracle(C, H)
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -443,11 +444,11 @@ def _cmd_cohomology(args) -> int:
 def _suite_reciprocity(S, classes, args) -> List[Check]:
     checks = []
     for idx, w in enumerate(reciprocity_corpus(S, 9, args.seed)):
-        around = check_reciprocity_around_points(w, args.precision)
+        around = check_reciprocity_around_points(w)
         checks.append(Check(
             "reciprocity-around-points", {"form": idx},
             sum(1 for _x, s in around if s.is_zero()), len(around)))
-        along = check_reciprocity_along_curves(w, args.precision)
+        along = check_reciprocity_along_curves(w)
         checks.append(Check(
             "reciprocity-along-curves", {"form": idx},
             sum(1 for _d, s in along if s.is_zero()), len(along)))
@@ -463,7 +464,7 @@ def _suite_bezout(S, classes, args) -> List[Check]:
         for j in range(i + 1, len(curves)):
             C = Divisor(S, {curves[i]: 1})
             H = Divisor(S, {curves[j]: 1})
-            got = intersection_number(C, H, args.precision)
+            got = intersection_number(C, H)
             want = intersection_oracle(C, H)
             # the class form is a third witness: the two routes share the
             # support, so a support that loses points fools both alike
@@ -491,17 +492,13 @@ def _suite_chi(S, classes, args) -> List[Check]:
 
 def _suite_commutator(S, classes, args) -> List[Check]:
     wdiv = canonical_divisor(S)
-    return [central_commutator(class_representative(S, c), wdiv,
-                               args.precision) for c in classes]
+    return [central_commutator(class_representative(S, c), wdiv)
+            for c in classes]
 
 
 def _suite_rr(S, classes, args) -> List[Check]:
     wdiv = canonical_divisor(S)
-    checks = []
-    for c in classes:
-        checks.append(rr_assemble(class_representative(S, c), wdiv,
-                                  args.precision))
-    return checks
+    return [rr_assemble(class_representative(S, c), wdiv) for c in classes]
 
 
 def _suite_windows(S, classes, args) -> List[Check]:
@@ -511,17 +508,16 @@ def _suite_windows(S, classes, args) -> List[Check]:
 
     if S.model == "P2":
         w1 = window_build(divisor_zero(S), Divisor(S, {lines[0]: 1}),
-                          u_size=1, prec=args.precision)
+                          u_size=1)
         checks.append(Check("window-rank", {"window": "0..X", "u": 1},
                             w1.rank, w1.dimension))
         L = Divisor(S, {D: 1 for D in lines})
-        w = window_build(-L, L, u_size=2, prec=args.precision)
+        w = window_build(-L, L, u_size=2)
         checks.append(Check("window-rank", {"window": "-L..L", "u": 2},
                             w.rank, w.dimension))
     else:
         wdiv = canonical_divisor(S)
-        w = window_build(wdiv, divisor_zero(S), u_size=1,
-                         prec=args.precision)
+        w = window_build(wdiv, divisor_zero(S), u_size=1)
         checks.append(Check("window-rank", {"window": "omega..0", "u": 1},
                             w.rank, w.dimension))
 

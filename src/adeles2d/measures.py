@@ -20,13 +20,14 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .cohomology import h_vector
 from .linalg import mat_rank
 from .residues import AdeleFragment, adelic_pairing
-from .series import START_PREC, LaurentSeries2
+from .series import LaurentSeries2
 from .surface import (
     ClassVector,
     Divisor,
     Flag,
     Surface,
     canonical_divisor,
+    class_intersection,
     coordinate_lines,
     divisor_class,
     form_polynomial,
@@ -36,7 +37,6 @@ from .surface import (
 from .symbols import (
     IdeleRule,
     QPower,
-    class_intersection,
     commutator_pairing,
     intersection_flags,
 )
@@ -486,8 +486,7 @@ def _disjoint_representative(S: Surface, cls: ClassVector,
     return Divisor(S, dict(coordinate_lines(S, cls, lambda L: L not in avoid)))
 
 
-def central_commutator(C: Divisor, wdiv: Divisor,
-                       prec: int = START_PREC) -> Check:
+def central_commutator(C: Divisor, wdiv: Divisor) -> Check:
     """The commutator of the standard lifts two ways, as q-exponents.
 
     Measure route: lift the point-style idele of C with the canonical
@@ -505,7 +504,7 @@ def central_commutator(C: Divisor, wdiv: Divisor,
     Hrep = _disjoint_representative(surf, divisor_class(H), set(C.components))
     symbol_route = commutator_pairing(IdeleRule("at_points", C),
                                       IdeleRule("along_curves", Hrep),
-                                      intersection_flags(C, Hrep), prec)
+                                      intersection_flags(C, Hrep))
     return Check("commutator", {"C": _cls_json(divisor_class(C))},
                  measure_route.exponent, symbol_route.exponent)
 
@@ -514,8 +513,7 @@ def central_commutator(C: Divisor, wdiv: Divisor,
 # Riemann-Roch assembly
 
 
-def rr_assemble(Cdiv: Divisor, wdiv: Divisor,
-                prec: int = START_PREC) -> Check:
+def rr_assemble(Cdiv: Divisor, wdiv: Divisor) -> Check:
     """The Riemann-Roch identity for O(C) with every ingredient derived.
 
     LHS: h0(C) - h1(C) + h0(w - C).  RHS: h0(0) - h1(0) + h0(w) minus half
@@ -537,7 +535,7 @@ def rr_assemble(Cdiv: Divisor, wdiv: Divisor,
     if pairing % 2:
         raise RuntimeError("intersection with the reflection must be even")
     rhs = h0.h0 - h0.h1 + hW.h0 - pairing // 2
-    comm = central_commutator(Cdiv, wdiv, prec)
+    comm = central_commutator(Cdiv, wdiv)
     subchecks = (derive_eq1(S, clsC, S.class_zero()), derive_eq2(S, clsC),
                  comm)
     passed = (lhs == rhs and all(c.passed for c in subchecks)
@@ -587,8 +585,7 @@ def _basis_fragment(fl: Flag, b: int, a: int, li: int) -> AdeleFragment:
     return AdeleFragment({fl: LaurentSeries2.monomial(kx, coeff, b, a)})
 
 
-def window_build(R: Divisor, S: Divisor, u_size: int = 2,
-                 prec: int = START_PREC) -> Window:
+def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
     """Build the window between R and S with one flag per curve, at a
     point of degree at most WINDOW_POINT_DEGREE off the other curves.
 
@@ -620,7 +617,7 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2,
         fl = smooth_flag(D, WINDOW_POINT_DEGREE, avoid)
         flags.append(fl)
         # the form is du^dt / P: its rank-2 valuation is minus P's
-        p_t, p_u = poly_valuation_at_flag(form_polynomial(fl), fl, prec)
+        p_t, p_u = poly_valuation_at_flag(form_polynomial(fl), fl)
         jorders.append((-p_t, -p_u))
         r_D = R.components.get(D, 0)
         s_D = S.components.get(D, 0)
@@ -640,7 +637,7 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2,
             if fi != fj:
                 row.append(0)
             else:
-                row.append(adelic_pairing(frags[i], dual_frags[j], prec).n)
+                row.append(adelic_pairing(frags[i], dual_frags[j]).n)
         gram.append(row)
     rank = mat_rank(gram, surf.base)
     return Window(surf, R, S, wdiv, flags, basis, dual_basis, gram, rank,

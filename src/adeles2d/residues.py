@@ -5,19 +5,20 @@ to the first chart (dX^dY on the plane, d(X0/X1)^d(Y0/Y1) on the quadric).
 Its residue at a flag is the (t^-1, u^-1) coefficient of the local
 expression, an element of the point's residue field; summing over the
 curves through a point, or with trace weights over the points of a curve,
-must give zero exactly.  Every residue computation retries with doubled
-windows before giving up, so callers normally never see precision errors.
+must give zero exactly.  Every series window is sized once, from the exact
+orders of the form and of the fixed form along the flag's curve; a window
+that still falls short raises PrecisionError naming the flag.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fields import FieldElem, rel_trace
 from .multipoly import MPoly
-from .series import START_PREC, LaurentSeries2, escalate, res2
+from .series import START_PREC, LaurentSeries2, PrecisionError, res2
 from .surface import (
     ClosedPoint,
     Curve,
@@ -97,25 +98,43 @@ def polar_components(w: GlobalForm) -> List[Curve]:
     return [C for C in w.components if form_total_order(w, C) < 0]
 
 
-def local_residue(w: GlobalForm, fl: Flag,
-                  prec: int = START_PREC) -> FieldElem:
+def local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
     where J du^dt = du^dt / form_polynomial(fl) is the fixed form in flag
     coordinates.  Only the columns that can meet at t^-1 are multiplied:
     the coefficient's below t^-j and J's below t^-v (from P's below
     t^(-2j - v)), for the exact orders v of the coefficient and j of the
-    form along the curve; when v + j >= 0 there are none."""
+    form along the curve; when v + j >= 0 there are none.
+
+    The window is max(START_PREC, -2j - v), resized at most once
+    (_sized_residue)."""
     f = w.coefficient
     v = poly_order_at_flag(f.num, fl) - poly_order_at_flag(f.den, fl)
     j = form_order_on_curve(fl.curve)
     if v + j >= 0:
         return fl.point.residue_field.zero()
     P = form_polynomial(fl)
-    return escalate(
-        lambda window: res2(
-            expand_at_flag(f, fl, window).truncate(t_to=-j)
-            * invert_poly_at_flag(P, fl, window, t_window=-2 * j - v)),
-        prec, lambda: f"residue at flag {fl!r}")
+    return _sized_residue(
+        lambda window: expand_at_flag(f, fl, window).truncate(t_to=-j)
+        * invert_poly_at_flag(P, fl, window, t_window=-2 * j - v),
+        max(START_PREC, -2 * j - v), lambda: f"residue at flag {fl!r}")
+
+
+def _sized_residue(product: Callable[[int], LaurentSeries2], window: int,
+                   what: Callable[[], str]) -> FieldElem:
+    """res2(product(window)).  Each factor's box grows one for one with the
+    window, so when the product's box leaves out the (-1, -1) slot, the
+    window plus the shortfall the box reports brings it in; that one
+    recomputation is the last.  what() names the computation in the
+    error text."""
+    g = product(window)
+    short = max(-g.t_prec, -g.u_prec)
+    if short > 0:
+        window += short
+        g = product(window)
+        if min(g.t_prec, g.u_prec) < 0:
+            raise PrecisionError(f"{what()} undetermined at window {window}")
+    return res2(g)
 
 
 def _meeting_flags(w: GlobalForm, D: Curve) -> List[Flag]:
@@ -125,18 +144,17 @@ def _meeting_flags(w: GlobalForm, D: Curve) -> List[Flag]:
             for pt in meeting_points((D, C) for C in w.components if C != D)]
 
 
-def residue_sum_along_curve(w: GlobalForm, D: Curve,
-                            prec: int = START_PREC) -> FieldElem:
+def residue_sum_along_curve(w: GlobalForm, D: Curve) -> FieldElem:
     """Trace-weighted residue sum over the points of D; identically zero."""
-    return _trace_sum(w, _meeting_flags(w, D), prec)
+    return _trace_sum(w, _meeting_flags(w, D))
 
 
-def _trace_sum(w: GlobalForm, flags: List[Flag], prec: int) -> FieldElem:
+def _trace_sum(w: GlobalForm, flags: List[Flag]) -> FieldElem:
     """The sum of the traces to the base field of w's residues at flags."""
     base = w.surface.base
     total = base.zero()
     for fl in flags:
-        total = total + rel_trace(local_residue(w, fl, prec), base)
+        total = total + rel_trace(local_residue(w, fl), base)
     return total
 
 
@@ -160,11 +178,12 @@ class AdeleFragment:
         return f"AdeleFragment({len(self.entries)} flags)"
 
 
-def adelic_pairing(a: AdeleFragment, b: AdeleFragment,
-                   prec: int = START_PREC) -> FieldElem:
+def adelic_pairing(a: AdeleFragment, b: AdeleFragment) -> FieldElem:
     """Sum over common flags of tr res(a*b*omega); symmetric and bilinear.
     All fragments in one computation share a surface, whose base field
-    holds the sum (zero on disjoint supports)."""
+    holds the sum (zero on disjoint supports).  omega's local coefficient
+    J is taken on the window START_PREC, resized at most once
+    (_sized_residue)."""
     every = list(a.entries) + list(b.entries)
     if not every:
         raise ValueError("cannot pair two empty fragments")
@@ -173,10 +192,10 @@ def adelic_pairing(a: AdeleFragment, b: AdeleFragment,
     common = [fl for fl in a.entries if fl in b.entries]
     for fl in sorted(common, key=lambda fl: (fl.point.sort_key(),
                                              fl.curve._key)):
-        r = escalate(
-            lambda window: res2(a.entries[fl] * b.entries[fl]
-                                * canonical_local_form(fl, window)),
-            prec, lambda: f"pairing at flag {fl!r}")
+        ab = a.entries[fl] * b.entries[fl]
+        r = _sized_residue(
+            lambda window: ab * canonical_local_form(fl, window),
+            START_PREC, lambda: f"pairing at flag {fl!r}")
         total = total + rel_trace(r, base)
     return total
 
@@ -221,8 +240,7 @@ def reciprocity_corpus(S: Surface, count: int, seed: int,
     return out
 
 
-def check_reciprocity_around_points(w: GlobalForm,
-                                    prec: int = START_PREC) -> List[Tuple[ClosedPoint, FieldElem]]:
+def check_reciprocity_around_points(w: GlobalForm) -> List[Tuple[ClosedPoint, FieldElem]]:
     """Evaluate the around-a-point sum at every crossing of polar components
     of degree at most AROUND_POINT_DEGREE.
 
@@ -242,13 +260,12 @@ def check_reciprocity_around_points(w: GlobalForm,
             continue
         total = x.residue_field.zero()
         for fl in flags:
-            total = total + local_residue(w, fl, prec)
+            total = total + local_residue(w, fl)
         results.append((x, total))
     return results
 
 
-def check_reciprocity_along_curves(w: GlobalForm,
-                                   prec: int = START_PREC) -> List[Tuple[Curve, FieldElem]]:
+def check_reciprocity_along_curves(w: GlobalForm) -> List[Tuple[Curve, FieldElem]]:
     """Evaluate the along-a-curve sum for every polar component; all sums
     must be zero.  A component singular where it meets another component
     is skipped (out of scope), as the around-point sums skip such points."""
@@ -258,5 +275,5 @@ def check_reciprocity_along_curves(w: GlobalForm,
             flags = _meeting_flags(w, D)
         except ValueError:
             continue
-        results.append((D, _trace_sum(w, flags, prec)))
+        results.append((D, _trace_sum(w, flags)))
     return results

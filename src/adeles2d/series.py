@@ -22,73 +22,24 @@ box rule new_prec = min(prec_a + val_b, prec_b + val_a) in each variable
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldDesc, FieldElem
 
 INF = math.inf
 DEFAULT_PREC = 16
-# the window escalate starts from where the caller names none
+# the least window a residue or a pairing is computed at: windows sized from
+# exact orders alone would differ per form, and the per-flag caches, keyed
+# by window, would stop sharing
 START_PREC = 8
-MAX_ESCALATIONS = 4
-
-_T = TypeVar("_T")
 
 
 class PrecisionError(ArithmeticError):
     """A computation needed coefficients outside the tracked window."""
 
 
-def escalate(compute: Callable[[int], _T], prec: int,
-             what: Callable[[], str]) -> _T:
-    """compute(window) at windows prec, 2*prec, ..., prec << MAX_ESCALATIONS;
-    the first result that needs no wider window wins.  what() names the
-    computation in the error text; it is called only on failure."""
-    if prec < 1:
-        raise ValueError(f"{what()}: window must be at least 1, got {prec}")
-    last = None
-    for k in range(MAX_ESCALATIONS + 1):
-        try:
-            return compute(prec << k)
-        except PrecisionError as err:
-            last = err
-    raise PrecisionError(f"{what()} undetermined at window "
-                         f"{prec << MAX_ESCALATIONS}; raise prec (last: {last})")
-
-
 def _as_prec(x) -> float:
     return INF if x == INF else int(x)
-
-
-class LaurentSeries1:
-    """A one-variable truncated Laurent series (the residue level k(x)((u)))."""
-
-    __slots__ = ("desc", "terms", "prec")
-
-    def __init__(self, desc: FieldDesc, terms: Dict[int, object], prec=INF):
-        self.desc = desc
-        self.prec = _as_prec(prec)
-        self.terms = {e: n for e, c in terms.items()
-                      if (n := desc.code(c)) and e < self.prec}
-
-    def valuation(self) -> int:
-        if not self.terms:
-            raise PrecisionError("series is indistinguishable from 0 in u at this precision")
-        return min(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentSeries1)
-            and self.desc == other.desc
-            and self.terms == other.terms
-            and self.prec == other.prec
-        )
-
-    def __repr__(self):
-        body = ", ".join(f"u^{e}: {self.desc.text(self.terms[e])}"
-                         for e in sorted(self.terms)) or "0"
-        tail = "" if self.prec == INF else f" + O(u^{int(self.prec)})"
-        return body + tail
 
 
 class LaurentSeries2:
@@ -159,16 +110,6 @@ class LaurentSeries2:
         if not self.terms:
             raise PrecisionError("series is indistinguishable from 0 in t at this precision")
         return min(k[0] for k in self.terms)
-
-    def column(self, t_exp: int) -> LaurentSeries1:
-        """The coefficient of t^t_exp, a one-variable series in u."""
-        if t_exp >= self.t_prec:
-            raise PrecisionError(f"t-exponent {t_exp} outside tracked window")
-        return LaurentSeries1(
-            self.desc,
-            {u: c for (t, u), c in self.terms.items() if t == t_exp},
-            self.u_prec,
-        )
 
     # -- ring operations -----------------------------------------------------
 

@@ -36,7 +36,8 @@ from .fields import (
     ptrim,
 )
 from .multipoly import MPoly, resultant_elim
-from .series import DEFAULT_PREC, INF, LaurentSeries2, PrecisionError, escalate
+from .series import (DEFAULT_PREC, INF, START_PREC, LaurentSeries2,
+                     PrecisionError, ls2_valuation)
 
 ClassVector = Tuple[int, ...]
 
@@ -815,12 +816,14 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
     multiplicity of the flag's curve in P), because a square window can hide
     the whole leading t-column when its u-valuation is large -- reading the
     valuation off the tracked terms would then invert about the wrong
-    leading term.  Once the leading column is visible, the polynomial is
+    leading term.  A hidden leading column is shown by one u-wider box,
+    from its exact u-order (poly_valuation_at_flag).  The polynomial is then
     re-expanded on a u-wider box sized so the erosion the division causes
     (2*lead for the leading-column inverse, plus a dip per Neumann step up
     to t_window) lands exactly where the requested window begins.  Only the
     u-window widens; a box wider than MAX_U_WIDENING * window +
-    U_WIDENING_SLACK raises PrecisionError.
+    U_WIDENING_SLACK, or a t-window that ends before the leading column,
+    raises PrecisionError.
     """
     t_to = window if t_window is None else min(window, t_window)
     key = ("polyinv", P, window, t_to)
@@ -828,24 +831,26 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
     if got is not None:
         return got
 
+    def short(why: str) -> PrecisionError:
+        return PrecisionError(f"inverting {poly_text(fl.curve.surface, P)} "
+                              f"at {fl!r} on window {window} {why}")
+
     def wider(u_window: int) -> LaurentSeries2:
         cap = MAX_U_WIDENING * window + U_WIDENING_SLACK
         if u_window > cap:
-            raise PrecisionError(
-                f"inverting {poly_text(fl.curve.surface, P)} at {fl!r} on "
-                f"window {window} needs a u-window of {u_window}, over the "
-                f"cap {cap}")
+            raise short(f"needs a u-window of {u_window}, over the cap {cap}")
         return expand_poly_at_flag(P, fl, window, u_window).truncate(
             t_to=t_to)
 
     vt = poly_order_at_flag(P, fl)
+    if t_to <= vt:
+        raise short(f"ends its t-window {t_to} before the leading column "
+                    f"t^{vt}")
     e = expand_poly_at_flag(P, fl, window).truncate(t_to=t_to)
-    u_wide = max(window, 1)  # doubles up to the cap
-    while not any(t == vt for (t, _u) in e.terms):
-        u_wide *= 2
-        e = wider(u_wide)
+    if not any(t == vt for (t, _u) in e.terms):
+        e = wider(poly_valuation_at_flag(P, fl)[1] + 1)
     lead_u = min(u for (t, u) in e.terms if t == vt)
-    size = max(1, t_to - vt)
+    size = t_to - vt
     rest = [(t - vt, lead_u - u) for (t, u) in e.terms if t != vt]
     min_step = min((step for step, _dip in rest), default=1)
     max_dip = max([0] + [dip for _step, dip in rest])
@@ -866,23 +871,23 @@ def poly_order_at_flag(P: MPoly, fl: Flag) -> int:
     return got
 
 
-def poly_valuation_at_flag(P: MPoly, fl: Flag, prec: int) -> Tuple[int, int]:
+def poly_valuation_at_flag(P: MPoly, fl: Flag) -> Tuple[int, int]:
     """The rank-2 valuation (vt, w) of P's expansion at the flag: vt is the
-    multiplicity of the flag's curve in P, and w the u-valuation of the t^vt
-    column.  That column is read on a box of t-window vt + 1 whose u-window
-    escalates from prec until the column shows.  The pair does not depend
-    on the box once it is visible, so it is cached per polynomial."""
+    multiplicity of the flag's curve D in P, and w the u-valuation of the
+    t^vt column, which is P / D^vt restricted to D.  So w is a local
+    intersection number of P / D^vt with D, at most their class pairing B,
+    and one box of t-window vt + 1 and u-window max(START_PREC, B + 1)
+    shows it.  Cached per polynomial."""
     key = ("val", P)
     got = fl._cache.get(key)
     if got is not None:
         return got
+    S, D = fl.curve.surface, fl.curve
     vt = poly_order_at_flag(P, fl)
-    w = escalate(
-        lambda u_window: expand_poly_at_flag(P, fl, vt + 1, u_window)
-        .column(vt).valuation(),
-        prec, lambda: f"u-valuation of {poly_text(fl.curve.surface, P)} "
-                      f"at {fl!r}")
-    got = fl._cache[key] = (vt, w)
+    rest = S.class_add(S.poly_class(P), S.class_scale(-vt, D.degree()))
+    u_window = max(START_PREC, class_intersection(S, rest, D.degree()) + 1)
+    got = fl._cache[key] = ls2_valuation(
+        expand_poly_at_flag(P, fl, vt + 1, u_window))
     return got
 
 
@@ -987,6 +992,16 @@ class Divisor:
 
 def divisor_class(D: Divisor) -> ClassVector:
     return D._cls
+
+
+def class_intersection(S: Surface, a: ClassVector, b: ClassVector) -> int:
+    """The intersection form on divisor classes: the coefficient of the top
+    monomial prod h_i^n_i of (sum a_i h_i)(sum b_j h_j) in the product of
+    the rings Z[h_i]/(h_i^(n_i + 1)), one for each factor P^n_i."""
+    top = [len(g) - 1 for g in S.groups]
+    pairs = itertools.product(range(len(top)), repeat=2)
+    return sum(a[i] * b[j] for i, j in pairs
+               if [(m == i) + (m == j) for m in range(len(top))] == top)
 
 
 # the fixed global 2-form: d(x) ^ d(y) in the first chart's coordinates

@@ -10,7 +10,6 @@ sheared coordinate frame over a splitting field.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,16 +23,14 @@ from .fields import (
     ptrim,
 )
 from .multipoly import MPoly, resultant_elim
-from .series import (START_PREC, LaurentSeries1, LaurentSeries2,
-                     ls2_valuation)
 from .surface import (
-    ClassVector,
     ClosedPoint,
     Curve,
     Divisor,
     Flag,
     Surface,
     _mp_embed,
+    class_intersection,
     coordinate_lines,
     divisor_class,
     flag_make,
@@ -69,37 +66,6 @@ class QPower:
 
     def __repr__(self):
         return f"q^{self.exponent}"
-
-
-# ---------------------------------------------------------------------------
-# tame symbol and the integer bisymbol
-
-
-def tame_t(f: LaurentSeries2, g: LaurentSeries2) -> LaurentSeries1:
-    """(-1)^(v(f)v(g)) f^v(g) g^-v(f) reduced mod t, in k(x)((u)).
-
-    The u-valuation cannot see the sign factor, so the integer symbol does
-    not depend on it.
-    """
-    a = f.t_valuation()
-    b = g.t_valuation()
-    h = (f ** b) * (g ** (-a))
-    col = h.column(0)
-    if (a * b) % 2:
-        col = LaurentSeries1(col.desc, {e: col.desc.neg(c)
-                                        for e, c in col.terms.items()}, col.prec)
-    return col
-
-
-def bisymbol(f: LaurentSeries2, g: LaurentSeries2) -> int:
-    """The integer symbol at a flag: the u-valuation of tame_t(f, g).
-
-    The rank-2 valuation (v_t, w) is a homomorphism, so that valuation is
-    the determinant v_t(g) w(f) - v_t(f) w(g); no power is formed.
-    """
-    a, wf = ls2_valuation(f)
-    b, wg = ls2_valuation(g)
-    return b * wf - a * wg
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +121,7 @@ class IdeleRule:
 # commutator pairing and the symbol-route intersection number
 
 
-def symbol_at_flag(f: Factors, g: Factors, fl: Flag,
-                   prec: int = START_PREC) -> int:
+def symbol_at_flag(f: Factors, g: Factors, fl: Flag) -> int:
     """The integer symbol at one flag of two functions given as factors.
 
     With a = v_t(f) and b = v_t(g), the symbol is the u-valuation of the t^0
@@ -164,26 +129,24 @@ def symbol_at_flag(f: Factors, g: Factors, fl: Flag,
     is the u-valuation of the leading t-column, is a homomorphism, so that
     valuation is the determinant b w(f) - a w(g), and both f and g
     contribute the sum of e (v_t, w)(P) over their factors (P, e).  Each w
-    is read from one polynomial on a box of t-window v_t + 1, its u-window
-    escalated from prec (surface.poly_valuation_at_flag); a factor whose
-    coefficient is 0 is never expanded.
+    is read from one polynomial on one box sized by a class pairing
+    (surface.poly_valuation_at_flag); a factor whose coefficient is 0 is
+    never expanded.
     """
-    if prec < 1:
-        raise ValueError(f"symbol window must be at least 1, got {prec}")
     a = sum(e * poly_order_at_flag(P, fl) for P, e in f)
     b = sum(e * poly_order_at_flag(P, fl) for P, e in g)
-    return sum(n * e * poly_valuation_at_flag(P, fl, prec)[1]
+    return sum(n * e * poly_valuation_at_flag(P, fl)[1]
                for n, h in ((b, f), (-a, g)) if n for P, e in h if e)
 
 
-def commutator_pairing(g1: IdeleRule, g2: IdeleRule, flags: Sequence[Flag],
-                       prec: int = START_PREC) -> QPower:
+def commutator_pairing(g1: IdeleRule, g2: IdeleRule,
+                       flags: Sequence[Flag]) -> QPower:
     """Product over flags of q^(-deg(x) * symbol), the symbol of the two
     idele components at each flag."""
     exponent = 0
     for fl in flags:
         exponent -= fl.point.degree * symbol_at_flag(
-            g1.local(fl), g2.local(fl), fl, prec)
+            g1.local(fl), g2.local(fl), fl)
     return QPower(exponent)
 
 
@@ -205,10 +168,11 @@ def intersection_flags(C: Divisor, H: Divisor) -> List[Flag]:
     return [fl for x in _meeting_points(C, H) for fl in _flags_through(x, H)]
 
 
-def intersection_number(C: Divisor, H: Divisor,
-                        prec: int = START_PREC) -> int:
+def intersection_number(C: Divisor, H: Divisor, _window=None) -> int:
     """(C, H) by the symbol route: minus the pairing exponent of the
-    standard ideles over the intersection flags.
+    standard ideles over the intersection flags.  Every series window is
+    sized from exact orders, so a third argument, a window, is ignored; it
+    is accepted so that callers which pass one keep working.
 
     The flags at a point lie on the components of H through it.  Where one
     of them is singular, the point's term is computed with C and H swapped
@@ -229,22 +193,12 @@ def intersection_number(C: Divisor, H: Divisor,
                 continue
             exponent += commutator_pairing(
                 IdeleRule("at_points", A), IdeleRule("along_curves", B),
-                flags, prec).exponent
+                flags).exponent
             break
         else:
             raise ValueError(f"both divisors have a component singular at "
                              f"{x!r}: no flag there gives the intersection")
     return -exponent
-
-
-def class_intersection(S: Surface, a: ClassVector, b: ClassVector) -> int:
-    """The intersection form on divisor classes: the coefficient of the top
-    monomial prod h_i^n_i of (sum a_i h_i)(sum b_j h_j) in the product of
-    the rings Z[h_i]/(h_i^(n_i + 1)), one for each factor P^n_i."""
-    top = [len(g) - 1 for g in S.groups]
-    pairs = itertools.product(range(len(top)), repeat=2)
-    return sum(a[i] * b[j] for i, j in pairs
-               if [(m == i) + (m == j) for m in range(len(top))] == top)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 
@@ -210,6 +211,10 @@ def test_invalid_configurations_exit_two():
          "--f", "0", "--g", "Y/Z"],
         ["symbol", "--q", "3", "--curve", "Y", "--point", "0:0:1",
          "--f", "X/Z", "--g", "0/Z"],
+        ["expand", "--q", "3", "--curve", "Z", "--point", "0:1:0",
+         "--function", "X/0"],
+        ["symbol", "--q", "3", "--curve", "Y", "--point", "0:0:1",
+         "--f", "X/0", "--g", "Y/Z"],
         ["symbol", "--q", "3", "--curve", "Y", "--point", "0:0:1",
          "--f", "Y/Z", "--g", "Y/Z", "--precision", "0"],
         ["residue", "--q", "3", "--curve", "Y", "--point", "0:0:1",
@@ -227,6 +232,29 @@ def test_invalid_configurations_exit_two():
         assert code == 2, (argv, err)
         assert err.startswith("error:"), (argv, err)
     assert "expected 3 coordinates, got 2" in err, err
+
+
+def test_precision_sizes_only_the_series_of_expand():
+    # every other window is sized from exact orders: a large --precision
+    # costs no time there and changes no check, only the echoed config
+    start = time.perf_counter()
+    code, out, _err = run(["residue", "--q", "3", "--curve", "Z",
+                           "--point", "1:1:0", "--num", "Y^2",
+                           "--den", "X^2+XZ+2Y^2", "--precision", "1024"])
+    assert code == 0 and out.splitlines()[0] == "1", out
+    assert time.perf_counter() - start < 10
+    docs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for precision in ("8", "512"):
+            path = os.path.join(tmp, f"p{precision}.json")
+            code, out, _err = run(["verify", "--q", "3", "--range", "0:1",
+                                   "--suites", "reciprocity,bezout,rr",
+                                   "--precision", precision, "--json", path])
+            assert code == 0, out
+            docs.append(json.load(open(path)))
+    assert docs[0]["checks"] == docs[1]["checks"]
+    assert docs[0]["summary"] == docs[1]["summary"]
+    assert [d["config"]["precision"] for d in docs] == [8, 512]
 
 
 def test_soft_q_limit_is_overridable():
@@ -304,7 +332,7 @@ def test_a_degenerate_window_fails_its_rank_check(monkeypatch):
     # rank 0: the run reports the window-rank checks as failed
     monkeypatch.setattr(
         measures, "adelic_pairing",
-        lambda a, b, prec: next(iter(a.entries)).curve.surface.base.zero())
+        lambda a, b: next(iter(a.entries)).curve.surface.base.zero())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "windows.json")
         code, out, _err = run(["verify", "--q", "3", "--range", "0:0",

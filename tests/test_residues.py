@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from adeles2d import residues as residues_mod
 from adeles2d.residues import (
     AdeleFragment,
     adelic_pairing,
@@ -15,12 +16,14 @@ from adeles2d.residues import (
     reciprocity_corpus,
     residue_sum_along_curve,
 )
-from adeles2d.series import LaurentSeries2
+from adeles2d.series import START_PREC, LaurentSeries2, PrecisionError
 from adeles2d.surface import (
     Flag,
+    canonical_local_form,
     curve_make,
     flag_make,
     form_order_on_curve,
+    invert_poly_at_flag,
     point_from_coords,
     surface_make,
 )
@@ -250,6 +253,30 @@ def test_adelic_pairing_bilinear():
     assert adelic_pairing(b, a) == ab
 
 
+def test_pairing_and_residue_are_linear_over_f4():
+    # every scalar of F_4 = F_2(g), g outside F_2, comes out as a factor;
+    # a map like r -> r^2 that keeps every sum of residues zero does not
+    S = p2(4)
+    L = coordinate_lines(S)
+    fl = flag_make(origin(S), L["Y"])
+    k = fl.point.residue_field
+    a = LaurentSeries2.monomial(k, k.one(), -1, 0)
+    b = AdeleFragment({fl: LaurentSeries2.monomial(k, k.one(), 0, -1)
+                       + LaurentSeries2.monomial(k, k.gen(), -1, -1)})
+    poles = [(L["X"], 1), (L["Y"], 1)]
+    w = form_make(S, "Z^2", poles)
+    pairing = adelic_pairing(AdeleFragment({fl: a}), b)
+    residue = local_residue(w, fl)
+    assert not pairing.is_zero() and not residue.is_zero()
+    for c in S.base.elems():
+        scaled = AdeleFragment({fl: a * LaurentSeries2.const(k, c)})
+        assert adelic_pairing(scaled, b) == c * pairing, c
+        assert adelic_pairing(b, scaled) == c * pairing, c
+        if not c.is_zero():
+            cw = form_make(S, w.coefficient.num.scale(c), poles)
+            assert local_residue(cw, fl) == c * residue, c
+
+
 def _f4_conics():
     """Two conics over F_4 = F_2(w); the first is singular at (1:w:1)."""
     S = surface_make("P2", 4)
@@ -303,7 +330,7 @@ OFF_THE_LINES = [
 ]
 
 
-def test_reciprocity_off_the_coordinate_lines():
+def _off_the_lines_forms():
     forms = []
     for model, q, num, poles in OFF_THE_LINES:
         S = surface_make(model, q)
@@ -311,7 +338,11 @@ def test_reciprocity_off_the_coordinate_lines():
                                         for text, m in poles]))
     S, first, second = _f4_conics()
     forms.append(form_make(S, "X^4", [(first, 1), (second, 1)]))
-    for w in forms:
+    return forms
+
+
+def test_reciprocity_off_the_coordinate_lines():
+    for w in _off_the_lines_forms():
         start = time.perf_counter()
         around = check_reciprocity_around_points(w)
         along = check_reciprocity_along_curves(w)
@@ -319,3 +350,78 @@ def test_reciprocity_off_the_coordinate_lines():
         assert around and along, w
         assert all(total.is_zero() for _x, total in around), (w, around)
         assert all(total.is_zero() for _D, total in along), (w, along)
+
+
+def test_local_residue_resizes_at_most_once(monkeypatch):
+    # the window starts at max(START_PREC, -2j - v); a product whose box
+    # misses the residue slot is recomputed once, on a wider window
+    windows = []
+    expand = residues_mod.expand_at_flag
+    residue = residues_mod.local_residue
+
+    def recorded_expand(f, fl, window):
+        windows[-1].append(window)
+        return expand(f, fl, window)
+
+    def recorded_residue(w, fl):
+        windows.append([])
+        return residue(w, fl)
+
+    monkeypatch.setattr(residues_mod, "expand_at_flag", recorded_expand)
+    monkeypatch.setattr(residues_mod, "local_residue", recorded_residue)
+    for w in _off_the_lines_forms():
+        around = check_reciprocity_around_points(w)
+        along = check_reciprocity_along_curves(w)
+        assert all(total.is_zero() for _x, total in around + along), w
+    resized = [got for got in windows if len(got) == 2]
+    assert all(len(got) <= 2 for got in windows), windows
+    assert resized, "no residue needed a second window"
+    assert all(START_PREC <= first < second for first, second in resized)
+
+
+def test_local_residue_names_the_flag_when_the_resize_falls_short(
+        monkeypatch):
+    S = p2(5)
+    L = coordinate_lines(S)
+    w = form_make(S, "Z^2", [(L["X"], 1), (L["Y"], 1)])
+    fl = flag_make(origin(S), L["Y"])
+    invert = invert_poly_at_flag
+    monkeypatch.setattr(
+        residues_mod, "invert_poly_at_flag",
+        lambda *args, **kwargs: invert(*args, **kwargs).truncate(u_to=-5))
+    with pytest.raises(PrecisionError, match="undetermined at window") as err:
+        local_residue(w, fl)
+    assert repr(fl) in str(err.value)
+
+
+def test_adelic_pairing_reads_the_fixed_form_past_the_floor():
+    # paired with 1, t^b u^a gives the (-1-b, -1-a) coefficient of J, the
+    # fixed form's local coefficient; J's column -1-b needs a window past
+    # -b, over START_PREC here
+    S = p2(7)
+    D = curve_make(S, "YZ-X^2-XZ")
+    fl = flag_make(point_from_coords(S, [S.base.from_int(i)
+                                         for i in (0, 1, 0)]), D)
+    k = fl.point.residue_field
+    J = canonical_local_form(fl, 24)
+    one = AdeleFragment({fl: LaurentSeries2.one(k)})
+    nonzero = 0
+    for b in range(-12, 0):
+        for a in range(-2 * b + 1, -2 * b + 6):
+            got = adelic_pairing(AdeleFragment(
+                {fl: LaurentSeries2.monomial(k, k.one(), b, a)}), one)
+            assert got.n == J.terms.get((-1 - b, -1 - a), 0), (b, a)
+            nonzero += not got.is_zero()
+    assert nonzero >= 15
+
+
+def test_adelic_pairing_names_the_flag_when_an_entry_hides_the_slot():
+    S = p2(3)
+    fl = flag_make(origin(S), coordinate_lines(S)["Y"])
+    k = fl.point.residue_field
+    hidden = AdeleFragment({fl: LaurentSeries2.zero(k, u_prec=-2)})
+    one = AdeleFragment({fl: LaurentSeries2.one(k)})
+    with pytest.raises(PrecisionError, match="pairing at flag") as err:
+        adelic_pairing(hidden, one)
+    assert repr(fl) in str(err.value)
+

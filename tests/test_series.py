@@ -9,7 +9,6 @@ from adeles2d.series import (
     INF,
     LaurentSeries2,
     PrecisionError,
-    escalate,
     ls2_to_text,
     ls2_valuation,
     res2,
@@ -271,52 +270,6 @@ def test_mismatched_fields_raise():
         pass
     else:
         raise AssertionError("mixed coefficient fields did not raise")
-
-
-def test_escalate_doubles_the_window_then_names_the_computation():
-    seen = []
-
-    def never(window):
-        seen.append(window)
-        raise PrecisionError(f"hidden at {window}")
-
-    try:
-        escalate(never, 3, lambda: "probe value")
-    except PrecisionError as err:
-        message = str(err)
-    else:
-        raise AssertionError("escalate returned without a result")
-    assert seen == [3, 6, 12, 24, 48], seen
-    assert "probe value" in message and "48" in message, message
-
-
-def test_escalate_rejects_windows_below_one():
-    def never_called(window):
-        raise AssertionError(f"computed at window {window}")
-
-    for prec in (0, -1):
-        try:
-            escalate(never_called, prec, lambda: "probe value")
-        except ValueError as err:
-            assert "probe value" in str(err)
-        else:
-            raise AssertionError(f"window {prec} accepted")
-
-
-def test_escalate_returns_the_first_determined_result():
-    seen = []
-
-    def at_four_times(window):
-        seen.append(window)
-        if window < 20:
-            raise PrecisionError("not yet")
-        return ("value", window)
-
-    def unread():
-        raise AssertionError("error text built on success")
-
-    assert escalate(at_four_times, 5, unread) == ("value", 20)
-    assert seen == [5, 10, 20], seen
 
 
 def stored_outside_or_zero(f):

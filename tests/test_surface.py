@@ -23,6 +23,7 @@ from adeles2d.surface import (
     _ratio_at_flag,
     canonical_divisor,
     canonical_local_form,
+    class_intersection,
     class_monomials,
     coordinate_lines,
     curve_make,
@@ -32,6 +33,7 @@ from adeles2d.surface import (
     flag_coordinate_series,
     flag_make,
     form_order_on_curve,
+    form_polynomial,
     intersection_support,
     invert_poly_at_flag,
     ord_on_curve,
@@ -39,10 +41,11 @@ from adeles2d.surface import (
     point_from_coords,
     points_on_curve,
     poly_text,
+    poly_valuation_at_flag,
     smooth_flag,
     surface_make,
 )
-from adeles2d.symbols import class_intersection, intersection_oracle
+from adeles2d.symbols import intersection_oracle
 from test_series import derive
 
 
@@ -1118,3 +1121,61 @@ def test_flex_expansion_past_the_cap_names_the_inversion():
         raise AssertionError("a u-window over the cap was expanded")
     assert "Z^30" in msg and repr(fl) in msg and "window 1" in msg, msg
     assert "over the cap 80" in msg, msg
+
+
+def test_a_hidden_leading_column_is_shown_by_one_box(monkeypatch):
+    # Z^3 has u-order 9 at the flex: a box of u-window 4 hides its leading
+    # column, and its exact u-order sizes the one box that shows it
+    S, fl = _flex_flag()
+    P = parse_poly(S, "Z^3")
+    assert poly_valuation_at_flag(P, fl) == (0, 9)
+    u_windows = []
+    expand = surface_mod.expand_poly_at_flag
+
+    def recorded(P, fl, window, u_window=None):
+        u_windows.append(u_window)
+        return expand(P, fl, window, u_window)
+
+    monkeypatch.setattr(surface_mod, "expand_poly_at_flag", recorded)
+    inv = invert_poly_at_flag(P, fl, 4)
+    assert u_windows[:2] == [None, 10], u_windows
+    assert len(u_windows) == 3, u_windows
+    one = expand_poly_at_flag(P, fl, 4, 24) * inv
+    assert one.t_prec >= 1 and one.u_prec >= 1, one
+    assert one.truncate(1, 1).terms == {(0, 0): 1}, one
+    assert agree(inv, invert_poly_at_flag(P, fl, 6))
+
+
+def test_a_t_window_that_ends_before_the_leading_column_raises_at_once():
+    S = p2(3)
+    fl = flag_make(point_from_coords(S, [S.base.from_int(i) for i in (0, 0, 1)]),
+                   S.lines["Y"])
+    P = parse_poly(S, "Y^2Z")
+    with pytest.raises(PrecisionError, match=r"t-window 2 before the leading "
+                                             r"column t\^2"):
+        invert_poly_at_flag(P, fl, 8, t_window=2)
+    assert ("polyinv", P, 8, 2) not in fl._cache
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+def test_poly_valuation_stays_within_the_class_pairing(model):
+    # w is a local intersection number of P / D^vt with D, so it is at most
+    # their class pairing, and a much wider box reads the same column
+    S = surface_make(model, 3)
+    curves = [curve_make(S, t) for t in
+              (("X", "Y", "YZ-X^2", "Y^2Z-X^3+XZ^2") if model == "P2" else
+               ("X1", "Y1", "X0Y1-X1Y0", "X0Y0^2+X1Y1^2"))]
+    seen = 0
+    for D, E in itertools.combinations(curves, 2):
+        for x in intersection_support(D, E):
+            fl = flag_make(x, D)
+            for P in [C.poly for C in curves] + [form_polynomial(fl)]:
+                vt, w = poly_valuation_at_flag(P, fl)
+                rest = S.class_add(S.poly_class(P),
+                                   S.class_scale(-vt, D.degree()))
+                assert 0 <= w <= class_intersection(S, rest, D.degree())
+                wide = expand_poly_at_flag(P, fl, vt + 1, 64)
+                assert min(u for t, u in wide.terms if t == vt) == w
+                seen += 1
+    assert seen >= 20
+

@@ -1,4 +1,4 @@
-"""Tame symbols, ideles, and the two intersection-number routes."""
+"""Symbols at flags, ideles, and the two intersection-number routes."""
 
 import itertools
 import random
@@ -9,7 +9,7 @@ from adeles2d.fields import field_make, pmul, poly_roots, ptrim
 from adeles2d.multipoly import MPoly
 from adeles2d import surface, symbols
 from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
-from adeles2d.series import INF, LaurentSeries2, escalate
+from adeles2d.series import INF, LaurentSeries2, ls2_valuation
 from adeles2d.surface import (
     Divisor,
     RationalFunction,
@@ -25,14 +25,12 @@ from adeles2d.surface import (
 from adeles2d.symbols import (
     IdeleRule,
     QPower,
-    bisymbol,
     class_intersection,
     commutator_pairing,
     intersection_flags,
     intersection_number,
     intersection_oracle,
     symbol_at_flag,
-    tame_t,
     _root_order,
 )
 
@@ -58,42 +56,12 @@ def rand_invertible(desc, rng):
 
 
 # ---------------------------------------------------------------------------
-# tame symbol and bisymbol
+# the rank-2 valuation and the symbol built on it
 
 
-def test_tame_symbol_parameter_against_unit_coordinate():
-    f5 = field_make(5, 1)
-    t = mk(f5, {(1, 0): 1})
-    u = mk(f5, {(0, 1): 1})
-    out = tame_t(t, u)
-    assert dict(out.terms) == {-1: f5.one().n}, out
-
-
-def test_tame_symbol_of_parameter_with_itself():
-    f3 = field_make(3, 1)
-    t = mk(f3, {(1, 0): 1})
-    out = tame_t(t, t)
-    assert dict(out.terms) == {0: f3.from_int(-1).n}, out
-
-
-def test_tame_symbol_of_two_units():
-    f5 = field_make(5, 1)
-    f = mk(f5, {(0, 0): 1, (1, 0): 2, (0, 1): 3})
-    g = mk(f5, {(0, 0): 4, (1, 1): 1})
-    out = tame_t(f, g)
-    assert dict(out.terms) == {0: f5.one().n}, out
-
-
-def test_bisymbol_goldens():
-    f5 = field_make(5, 1)
-    t = mk(f5, {(1, 0): 1})
-    u = mk(f5, {(0, 1): 1})
-    assert bisymbol(t, u) == -1
-    assert bisymbol(u, t) == 1
-    assert bisymbol(t, t) == 0
-
-
-def test_bisymbol_antisymmetric_and_bimultiplicative():
+def test_ls2_valuation_is_a_homomorphism():
+    # (v_t, w) adds over products, which makes the determinant
+    # b w(f) - a w(g) of symbol_at_flag antisymmetric and bimultiplicative
     rng = random.Random(71)
     f3 = field_make(3, 1)
     f5 = field_make(5, 1)
@@ -101,32 +69,69 @@ def test_bisymbol_antisymmetric_and_bimultiplicative():
         desc = f3 if trial % 2 else f5
         f = rand_invertible(desc, rng)
         g = rand_invertible(desc, rng)
-        h = rand_invertible(desc, rng)
-        assert bisymbol(f, g) == -bisymbol(g, f), (trial, f, g)
-        assert bisymbol(f * g, h) == bisymbol(f, h) + bisymbol(g, h), \
-            (trial, f, g, h)
+        (ft, fu), (gt, gu) = ls2_valuation(f), ls2_valuation(g)
+        assert ls2_valuation(f * g) == (ft + gt, fu + gu), (trial, f, g)
+    t = mk(f5, {(1, 0): 1})
+    u = mk(f5, {(0, 1): 1})
+    assert (ls2_valuation(t), ls2_valuation(u)) == ((1, 0), (0, 1))
 
 
-def test_bisymbol_is_the_valuation_of_the_tame_symbol():
-    rng = random.Random(74)
-    f3 = field_make(3, 1)
-    f5 = field_make(5, 1)
-    for trial in range(120):
-        desc = f3 if trial % 2 else f5
-        f = rand_invertible(desc, rng)
-        g = rand_invertible(desc, rng)
-        assert bisymbol(f, g) == tame_t(f, g).valuation(), (trial, f, g)
+def _origin_on_y():
+    """The flag ((0:0:1), Y) on P2 over F_5, where t = Y/Z and u = X/Z,
+    and a factor list for each polynomial text over Z^n."""
+    S = surface_make("P2", 5)
+    fl = flag_make(point_from_coords(
+        S, (S.base.zero(), S.base.zero(), S.base.one())), S.lines["Y"])
+    Z = S.lines["Z"].poly
+
+    def over_z(text, n=1):
+        return [(surface.parse_poly(S, text), 1), (Z, -n)]
+    return fl, over_z
 
 
-def test_bisymbol_ignores_the_sign_convention():
-    rng = random.Random(72)
-    f5 = field_make(5, 1)
-    for trial in range(25):
-        f = rand_invertible(f5, rng)
-        g = rand_invertible(f5, rng)
-        a, b = f.t_valuation(), g.t_valuation()
-        unsigned = ((f ** b) * (g ** (-a))).column(0).valuation()
-        assert tame_t(f, g).valuation() == unsigned, (trial, f, g)
+def test_tame_symbol_parameter_against_unit_coordinate():
+    # (t, u) is u^-1 mod t up to sign, of u-valuation -1
+    fl, over_z = _origin_on_y()
+    t, u = over_z("Y"), over_z("X")
+    assert (fl.u_index, symbol_at_flag(t, u, fl)) == (0, -1)
+    assert symbol_at_flag(u, t, fl) == 1
+
+
+def test_tame_symbol_of_parameter_with_itself():
+    # (t, t) is -1, a unit
+    fl, over_z = _origin_on_y()
+    t = over_z("Y")
+    assert symbol_at_flag(t, t, fl) == 0
+    assert symbol_at_flag(t + t, t, fl) == 0
+
+
+def test_tame_symbol_of_two_units():
+    # 1 + 2t + 3u and 4 + tu are units of k[[u]][[t]]; u^2 + t is a t-unit
+    # of u-valuation 2
+    fl, over_z = _origin_on_y()
+    f = over_z("Z+2Y+3X")
+    g = over_z("4Z^2+XY", 2)
+    assert symbol_at_flag(f, g, fl) == 0
+    assert symbol_at_flag(over_z("Y"), over_z("X^2+YZ", 2), fl) == -2
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+def test_symbol_at_flag_antisymmetric_and_bimultiplicative(model):
+    rng = random.Random(73)
+    S = surface_make(model, 5)
+    names = [n for n in FIXTURES[model].bezout if n != "cubic"]
+    curves = [curve_make(S, t) for t in names]
+    seen = 0
+    for C, H in itertools.combinations(curves, 2):
+        for fl in intersection_flags(Divisor(S, {C: 1}), Divisor(S, {H: 1})):
+            f, g, h = ([(D.poly, rng.randrange(-2, 3)) for D in curves]
+                       for _ in range(3))
+            fg = symbol_at_flag(f, g, fl)
+            assert fg == -symbol_at_flag(g, f, fl), (names, fl, f, g)
+            assert symbol_at_flag(f + h, g, fl) == \
+                fg + symbol_at_flag(h, g, fl), (names, fl, f, g, h)
+            seen += 1
+    assert seen >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +278,18 @@ def test_the_commutator_pairing_forms_no_polynomial_power(monkeypatch):
 # the symbol at a flag of two rational functions
 
 
-def power_product_symbol(f, g, fl, prec=8):
+def power_product_symbol(f, g, fl, window=8):
     """The symbol read the long way: multiply the factors of h = f^b g^-a
     out into one numerator and one denominator, with a = v_t(f) and
     b = v_t(g) read off the same products, expand h at the flag, and take
-    the u-valuation of its t^0 column."""
+    the u-valuation of its t^0 column (min() raises if the window hides
+    it)."""
     S = fl.curve.surface
     a = ord_on_curve(as_function(S, f), fl.curve)
     b = ord_on_curve(as_function(S, g), fl.curve)
     h = as_function(S, [(P, b * e) for P, e in f]
                     + [(P, -a * e) for P, e in g])
-    return escalate(
-        lambda window: expand_at_flag(h, fl, window).column(0).valuation(),
-        prec, lambda: "power-product symbol")
+    return min(u for t, u in expand_at_flag(h, fl, window).terms if t == 0)
 
 
 @pytest.mark.parametrize("model", ["P2", "P1xP1"])
@@ -310,14 +314,12 @@ def test_symbol_at_flag_matches_the_power_product(model, q):
     assert seen >= 20
 
 
-def test_symbol_of_two_units_checks_the_window():
+def test_symbol_of_a_unit_with_itself_and_of_zero():
     S = surface_make("P2", 3)
     fl = flag_make(point_from_coords(
         S, (S.base.zero(), S.base.zero(), S.base.one())), curve_make(S, "Y"))
     f = [(S.var(0), 1), (S.var(2), -1)]
     assert symbol_at_flag(f, f, fl) == 0
-    with pytest.raises(ValueError, match="at least 1"):
-        symbol_at_flag(f, f, fl, 0)
     zero = [(S.zero_poly(), 1), (S.var(2), -1)]
     with pytest.raises(ValueError, match="zero polynomial"):
         symbol_at_flag(zero, f, fl)

@@ -210,7 +210,7 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
         return [(f.num, 1), (f.den, -1)], [(g.num, 1), (g.den, -1)], fl
 
     out["symbols.symbol_at_flag.conic"] = (
-        symbol_inputs, lambda fgl: m["symbols"].symbol_at_flag(*fgl, 8), 1)
+        symbol_inputs, lambda fgl: m["symbols"].symbol_at_flag(*fgl), 1)
     out["symbols.intersection_oracle.cubic.P2.F5"] = (
         oracle_inputs, lambda ch: m["symbols"].intersection_oracle(*ch), 1)
 
@@ -223,7 +223,7 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
         return w, sf.flag_make(sf.intersection_support(C, Z)[0], C)
 
     out["residues.local_residue.cubic_on_Z.P2.F5"] = (
-        residue_inputs, lambda wf: m["residues"].local_residue(*wf, 8), 1)
+        residue_inputs, lambda wf: m["residues"].local_residue(*wf), 1)
     out["cli.parser_build"] = (lambda: None,
                                lambda _a: m["cli"]._parser.__wrapped__(), 1)
     with tempfile.TemporaryDirectory() as tmp:
