@@ -50,10 +50,12 @@ class GlobalForm:
 
     The component list names every curve that can carry a pole of the form
     (denominator factors plus the poles of omega itself); residue-point
-    searches range over it.
+    searches range over it.  The residue at each flag is computed once and
+    kept, flag -> residue, so the along-curve law reads what the
+    around-point law computed.
     """
 
-    __slots__ = ("coefficient", "components")
+    __slots__ = ("coefficient", "components", "_residues")
 
     def __init__(self, coefficient: RationalFunction,
                  components: Sequence[Curve]):
@@ -65,6 +67,7 @@ class GlobalForm:
             if C not in seen:
                 seen.append(C)
         self.components = tuple(seen)
+        self._residues: Dict[Flag, FieldElem] = {}
 
     @property
     def surface(self) -> Surface:
@@ -99,6 +102,14 @@ def polar_components(w: GlobalForm) -> List[Curve]:
 
 
 def local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
+    """res at the flag, computed once per (form, flag) (_local_residue)."""
+    got = w._residues.get(fl)
+    if got is None:
+        got = w._residues[fl] = _local_residue(w, fl)
+    return got
+
+
+def _local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
     where J du^dt = du^dt / form_polynomial(fl) is the fixed form in flag
     coordinates.  Only the columns that can meet at t^-1 are multiplied:

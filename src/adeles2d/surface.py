@@ -36,8 +36,8 @@ from .fields import (
     ptrim,
 )
 from .multipoly import MPoly, resultant_elim
-from .series import (DEFAULT_PREC, INF, START_PREC, LaurentSeries2,
-                     PrecisionError, ls2_valuation)
+from .series import (DEFAULT_PREC, INF, LaurentSeries2, PrecisionError,
+                     _invert_column)
 
 ClassVector = Tuple[int, ...]
 
@@ -90,8 +90,9 @@ class Surface:
     and their arguments, under tuple keys led by the kind of value:
     ("support", C, H) for intersection_support, ("h", c) for
     cohomology.h_vector, ("monomials", c) for class_monomials,
-    ("canonical",) for canonical_divisor, and ("representative", c) and
-    ("reflect", wdiv, D) for measures.
+    ("canonical",) for canonical_divisor, ("ord", P, D) for the
+    multiplicity of a curve in a polynomial and the quotient (_order), and
+    ("representative", c) and ("reflect", wdiv, D) for measures.
     Both live until their owner clears them; an equal but new Surface
     starts empty."""
 
@@ -755,22 +756,46 @@ def mp_eval_series(f: MPoly, args: Sequence[LaurentSeries2],
 def flag_coordinate_series(fl: Flag, window: int,
                            u_window: Optional[int] = None) -> List[LaurentSeries2]:
     """Expansions of the two chart coordinates at the flag on the box of
-    t-window `window` and u-window `u_window` (default: the same), cached:
-    u itself, and the other as a series B(u, t) with B(0,0) = its value at
-    the point, solving t_param(coords) = t by Hensel iteration."""
+    t-window `window` and u-window `u_window` (default: the same): u itself,
+    and the other as a series B(u, t) with B(0,0) = its value at the point,
+    solving t_param(coords) = t by Hensel iteration.
+
+    The flag keeps one solution, on the join of the boxes asked for so far.
+    A box inside it is served by truncation; a larger box restarts Newton
+    from it, re-marked exact, since the box rule would otherwise pin the
+    result's precision at the old box.  Either way the result equals a
+    fresh solve on the box, terms and precisions."""
     if u_window is None:
         u_window = window
-    key = ("coords", window, u_window)
-    got = fl._cache.get(key)
-    if got is not None:
-        return got
+    other = 1 - fl.u_index
+    got = fl._cache.get("coords")
+    if got is None:
+        got = fl._cache["coords"] = _solve_coordinates(
+            fl, window, u_window, None)
+    elif window > got[other].t_prec or u_window > got[other].u_prec:
+        got = fl._cache["coords"] = _solve_coordinates(
+            fl, max(window, got[other].t_prec),
+            max(u_window, got[other].u_prec), got)
+    out = list(got)
+    out[other] = got[other].truncate(window, u_window)
+    return out
+
+
+def _solve_coordinates(fl: Flag, window: int, u_window: int,
+                       start: Optional[List[LaurentSeries2]]
+                       ) -> List[LaurentSeries2]:
+    """The coordinate series on one box, by Newton's method from the
+    point's coordinates or from `start`, a solution on a smaller box."""
     k = fl.point.residue_field
     other = 1 - fl.u_index
     u_series = LaurentSeries2.monomial(k, k.one(), 0, 1) + \
         LaurentSeries2.const(k, fl.u_value)
     t_series = LaurentSeries2.monomial(k, k.one(), 1, 0)
     coords = [u_series, u_series]
-    coords[other] = LaurentSeries2.const(k, fl.point_affine[other])
+    if start is None:
+        coords[other] = LaurentSeries2.const(k, fl.point_affine[other])
+    else:
+        coords[other] = LaurentSeries2._make(k, start[other].terms, INF, INF)
     dT = fl.t_param.derivative(other)
     # each Newton step doubles the solved total degree in (u, t)
     for _ in range((window + u_window).bit_length() + 2):
@@ -779,7 +804,6 @@ def flag_coordinate_series(fl: Flag, window: int,
         resid = resid.truncate(window, u_window)
         if resid.is_zero_window():
             coords[other] = coords[other].truncate(window, u_window)
-            fl._cache[key] = coords
             return coords
         deriv = mp_eval_series(dT, cur, k).truncate(window, u_window)
         coords[other] = (coords[other]
@@ -863,32 +887,100 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
 
 
 def poly_order_at_flag(P: MPoly, fl: Flag) -> int:
-    """Multiplicity of the flag's curve in P, by exact division; cached."""
-    key = ("ord", P)
-    got = fl._cache.get(key)
-    if got is None:
-        got = fl._cache[key] = _poly_ord(P, fl.curve)
-    return got
+    """Multiplicity of the flag's curve in P, by exact division (_order)."""
+    return _order(P, fl.curve)[0]
 
 
 def poly_valuation_at_flag(P: MPoly, fl: Flag) -> Tuple[int, int]:
     """The rank-2 valuation (vt, w) of P's expansion at the flag: vt is the
     multiplicity of the flag's curve D in P, and w the u-valuation of the
-    t^vt column, which is P / D^vt restricted to D.  So w is a local
-    intersection number of P / D^vt with D, at most their class pairing B,
-    and one box of t-window vt + 1 and u-window max(START_PREC, B + 1)
-    shows it.  Cached per polynomial."""
+    t^vt column, which is Q = P / D^vt restricted to D.  So w is the u-order
+    of Q(u_value + u, ybar(u)) for ybar the other chart coordinate along D
+    (_branch): a local intersection number of Q with D, at most their class
+    pairing B, so the codes below u^(B + 1) show it.  No two-variable
+    series is expanded.  Cached per polynomial."""
     key = ("val", P)
     got = fl._cache.get(key)
     if got is not None:
         return got
     S, D = fl.curve.surface, fl.curve
-    vt = poly_order_at_flag(P, fl)
-    rest = S.class_add(S.poly_class(P), S.class_scale(-vt, D.degree()))
-    u_window = max(START_PREC, class_intersection(S, rest, D.degree()) + 1)
-    got = fl._cache[key] = ls2_valuation(
-        expand_poly_at_flag(P, fl, vt + 1, u_window))
+    vt, rest = _order(P, D)
+    n = class_intersection(S, S.class_add(S.poly_class(P), S.class_scale(
+        -vt, D.degree())), D.degree()) + 1
+    k = fl.point.residue_field
+    along = _horner(_u_columns(_mp_embed(S.dehomogenize(rest, fl.chart), k),
+                               fl, n), _branch(fl, n), n, k)
+    w = next((i for i, c in enumerate(along) if c), None)
+    if w is None:  # pragma: no cover - Bezout bounds w by B
+        raise PrecisionError(f"{poly_text(S, P)} vanishes to order {n} "
+                             f"along {D!r} at {fl!r}")
+    got = fl._cache[key] = (vt, w)
     return got
+
+
+def _branch(fl: Flag, n: int) -> List[int]:
+    """The chart coordinate other than u along the flag's curve, as the
+    codes of ybar(u) in k(x)[[u]] below u^n: the root of
+    t_param(u_value + u, ybar) = 0 with ybar(0) its value at the point.
+    Newton's method doubles the codes known each step; its divisor, the
+    derivative of t_param in that coordinate, is a unit at the point, which
+    flag_make checks.  The flag keeps the longest branch asked for and
+    serves shorter ones by slicing."""
+    got = fl._cache.get("branch")
+    if got is not None and len(got) >= n:
+        return got[:n]
+    k = fl.point.residue_field
+    other = 1 - fl.u_index
+    y = got or [fl.point_affine[other].n]
+    T = _u_columns(fl.t_param, fl, n)
+    dT = _u_columns(fl.t_param.derivative(other), fl, n)
+    while len(y) < n:
+        m = min(2 * len(y), n)
+        y = y + [0] * (m - len(y))
+        d = _horner(dT, y, m, k)
+        inv, _prec = _invert_column(
+            {i: c for i, c in enumerate(d) if c}, INF, m, k)
+        step = _ps_mul(_horner(T, y, m, k),
+                       [inv.get(i, 0) for i in range(m)], m, k)
+        y = [k.sub(a, b) for a, b in zip(y, step)]
+    fl._cache["branch"] = y
+    return y[:n]
+
+
+def _u_columns(f: MPoly, fl: Flag, n: int) -> List[List[int]]:
+    """f(u_value + u, c) for f a polynomial in the flag's chart coordinates
+    and c the one other than u, as its coefficient of each power of c: the
+    codes below u^n of a polynomial in u."""
+    k = fl.point.residue_field
+    ui = fl.u_index
+    # the codes of (u_value + u)^i below u^n, for i up to f's degree in u
+    shifted = [[1] + [0] * (n - 1)]
+    for _ in range(f.degree_in(ui)):
+        prev = shifted[-1]
+        shifted.append(k.axpy(fl.u_value.n, prev, [0] + prev[:-1]))
+    cols = [[0] * n for _ in range(f.degree_in(1 - ui) + 1)]
+    for e, c in f.terms.items():
+        cols[e[1 - ui]] = k.axpy(c, shifted[e[ui]], cols[e[1 - ui]])
+    return cols
+
+
+def _horner(cols: List[List[int]], y: List[int], n: int,
+            k: FieldDesc) -> List[int]:
+    """sum_j cols[j] * y^j below u^n, by Horner's rule in y."""
+    acc = cols[-1][:n]
+    for col in reversed(cols[:-1]):
+        acc = [k.add(a, b) for a, b in zip(_ps_mul(acc, y, n, k), col)]
+    return acc
+
+
+def _ps_mul(a: List[int], b: List[int], n: int, k: FieldDesc) -> List[int]:
+    """The codes below u^n of the product of two power series in u."""
+    out = [0] * n
+    for i, c in enumerate(a[:n]):
+        if c:
+            m = min(n - i, len(b))
+            out[i:i + m] = k.axpy(c, b[:m], out[i:i + m])
+    return out
 
 
 def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag,
@@ -917,10 +1009,22 @@ def expand_at_flag(f: RationalFunction, fl: Flag,
 
 def ord_on_curve(f: RationalFunction, D: Curve) -> int:
     """Multiplicity of D in div(f), by exact polynomial division."""
-    return _poly_ord(f.num, D) - _poly_ord(f.den, D)
+    return _order(f.num, D)[0] - _order(f.den, D)[0]
 
 
-def _poly_ord(P: MPoly, D: Curve) -> int:
+def _order(P: MPoly, D: Curve) -> Tuple[int, MPoly]:
+    """(v, P / D^v) for v the multiplicity of D in P: one chain of exact
+    divisions per (polynomial, curve), kept in D.surface.memo under
+    ("ord", P, D), so that every flag on D shares it."""
+    key = ("ord", P, D)
+    memo = D.surface.memo
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = _poly_ord(P, D)
+    return got
+
+
+def _poly_ord(P: MPoly, D: Curve) -> Tuple[int, MPoly]:
     if P.is_zero():
         raise ValueError("the zero polynomial has no order along a curve")
     n = 0
@@ -928,7 +1032,7 @@ def _poly_ord(P: MPoly, D: Curve) -> int:
     while True:
         nxt = cur.exact_div(D.poly)
         if nxt is None:
-            return n
+            return n, cur
         cur = nxt
         n += 1
 

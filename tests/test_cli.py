@@ -136,7 +136,7 @@ def test_no_cache_outlives_a_verify_run(monkeypatch):
     assert code == 0, out
     # the suite filled the memo and made flags, and the run emptied both
     assert set(filled) == {"support", "h", "canonical", "representative",
-                           "reflect", "flags"}, filled
+                           "reflect", "ord", "flags"}, filled
     S, = made
     assert S.memo == {} and S.flags == {}
 

@@ -1,10 +1,12 @@
 """Local residues and both reciprocity laws, exactly."""
 
 import time
+from collections import Counter
 
 import pytest
 
 from adeles2d import residues as residues_mod
+from adeles2d import surface as surface_mod
 from adeles2d.residues import (
     AdeleFragment,
     adelic_pairing,
@@ -377,6 +379,36 @@ def test_local_residue_resizes_at_most_once(monkeypatch):
     assert all(len(got) <= 2 for got in windows), windows
     assert resized, "no residue needed a second window"
     assert all(START_PREC <= first < second for first, second in resized)
+
+
+def test_one_residue_per_form_and_flag_and_one_order_per_curve(monkeypatch):
+    # in one reciprocity cell, the along-curve law reads the residues the
+    # around-point law computed, and every flag on a curve shares one chain
+    # of exact divisions per polynomial
+    S = surface_make("P2", 5)
+    asked, computed, divided = Counter(), Counter(), Counter()
+    residue, compute = residues_mod.local_residue, residues_mod._local_residue
+    divide = surface_mod._poly_ord
+
+    def counted(counter, fn, key):
+        def run(*args):
+            counter[key(*args)] += 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(residues_mod, "local_residue",
+                        counted(asked, residue, lambda w, fl: (w, fl)))
+    monkeypatch.setattr(residues_mod, "_local_residue",
+                        counted(computed, compute, lambda w, fl: (w, fl)))
+    monkeypatch.setattr(surface_mod, "_poly_ord",
+                        counted(divided, divide, lambda P, D: (P, D)))
+    for w in reciprocity_corpus(S, 9, 0):
+        around = check_reciprocity_around_points(w)
+        along = check_reciprocity_along_curves(w)
+        assert all(total.is_zero() for _x, total in around + along), w
+    assert set(computed) == set(asked) and set(computed.values()) == {1}
+    assert sum(asked.values()) > len(asked)
+    assert divided and set(divided.values()) == {1}, divided
 
 
 def test_local_residue_names_the_flag_when_the_resize_falls_short(

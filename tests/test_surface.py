@@ -11,7 +11,10 @@ from adeles2d.cohomology import class_range
 from adeles2d import surface as surface_mod
 from adeles2d.fields import FieldElem, field_make, poly_factor
 from adeles2d.multipoly import MPoly, resultant_elim
-from adeles2d.series import PrecisionError
+from adeles2d.residues import (check_reciprocity_along_curves,
+                               check_reciprocity_around_points,
+                               reciprocity_corpus)
+from adeles2d.series import INF, LaurentSeries2, PrecisionError
 from adeles2d.surface import (
     ClosedPoint,
     Curve,
@@ -1158,24 +1161,129 @@ def test_a_t_window_that_ends_before_the_leading_column_raises_at_once():
 
 
 @pytest.mark.parametrize("model", ["P2", "P1xP1"])
-def test_poly_valuation_stays_within_the_class_pairing(model):
+def test_poly_valuation_stays_within_the_class_pairing(model, monkeypatch):
     # w is a local intersection number of P / D^vt with D, so it is at most
-    # their class pairing, and a much wider box reads the same column
-    S = surface_make(model, 3)
-    curves = [curve_make(S, t) for t in
-              (("X", "Y", "YZ-X^2", "Y^2Z-X^3+XZ^2") if model == "P2" else
-               ("X1", "Y1", "X0Y1-X1Y0", "X0Y0^2+X1Y1^2"))]
-    seen = 0
-    for D, E in itertools.combinations(curves, 2):
-        for x in intersection_support(D, E):
-            fl = flag_make(x, D)
-            for P in [C.poly for C in curves] + [form_polynomial(fl)]:
-                vt, w = poly_valuation_at_flag(P, fl)
-                rest = S.class_add(S.poly_class(P),
-                                   S.class_scale(-vt, D.degree()))
-                assert 0 <= w <= class_intersection(S, rest, D.degree())
-                wide = expand_poly_at_flag(P, fl, vt + 1, 64)
-                assert min(u for t, u in wide.terms if t == vt) == w
-                seen += 1
-    assert seen >= 20
+    # their class pairing, and a much wider box reads the same column; the
+    # valuation itself reads the branch and expands no series
+    for q in (3, 4, 9):
+        S = surface_make(model, q)
+        curves = [curve_make(S, t) for t in
+                  (("X", "Y", "YZ-X^2", "Y^2Z-X^3+XZ^2") if model == "P2"
+                   else ("X1", "Y1", "X0Y1-X1Y0", "X0Y0^2+X1Y1^2"))]
+        cases = []
+        for D, E in itertools.combinations(curves, 2):
+            for x in intersection_support(D, E):
+                fl = flag_make(x, D)
+                cases += [(fl, P) for P in
+                          [C.poly for C in curves] + [form_polynomial(fl)]]
+
+        def expanded(*args):
+            raise AssertionError(f"a series was expanded for {args!r}")
+
+        with monkeypatch.context() as m:
+            m.setattr(surface_mod, "flag_coordinate_series", expanded)
+            m.setattr(surface_mod, "expand_poly_at_flag", expanded)
+            valuations = [poly_valuation_at_flag(P, fl) for fl, P in cases]
+        for (fl, P), (vt, w) in zip(cases, valuations):
+            D = fl.curve
+            rest = S.class_add(S.poly_class(P),
+                               S.class_scale(-vt, D.degree()))
+            assert 0 <= w <= class_intersection(S, rest, D.degree())
+            wide = expand_poly_at_flag(P, fl, vt + 1, 64)
+            assert min(u for t, u in wide.terms if t == vt) == w, (fl, P)
+        assert len(cases) >= 20, (q, len(cases))
+
+
+def _branch_flags(model, q):
+    """Every flag at a point of degree at most 2 on a conic and a cubic."""
+    S = surface_make(model, q)
+    texts = (("YZ-X^2", "Y^2Z-X^3-XZ^2-Z^3") if model == "P2" else
+             ("X0Y1-X1Y0", "X0Y0^2+X1Y1^2+X1Y0Y1"))
+    flags = []
+    for D in (curve_make(S, t) for t in texts):
+        for x in points_on_curve(D, 2):
+            try:
+                flags.append(flag_make(x, D))
+            except ValueError:  # a singular point carries no flag
+                pass
+    return flags
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_branch_solves_the_curve_equation_along_the_curve(model, q):
+    # ybar(u) is the root of T(u_value + u, ybar) in k(x)[[u]]: T vanishes
+    # on it below u^n, evaluated by series arithmetic, and it is the t^0
+    # column of the two-variable coordinate series
+    flags = _branch_flags(model, q)
+    assert any(fl.point.degree == 2 for fl in flags)
+    assert any(fl.u_index == 1 for fl in flags)
+    for fl in flags:
+        k = fl.point.residue_field
+        other = 1 - fl.u_index
+        for n in (1, 2, 7, 12):
+            ybar = surface_mod._branch(fl, n)
+            assert len(ybar) == n
+            args = [None, None]
+            args[fl.u_index] = (LaurentSeries2.const(k, fl.u_value)
+                                + LaurentSeries2.monomial(k, k.one(), 0, 1))
+            args[other] = LaurentSeries2(k, {(0, u): c for u, c in
+                                             enumerate(ybar)}, INF, n)
+            T = surface_mod.mp_eval_series(fl.t_param, args, k)
+            assert T.u_prec == n and T.is_zero_window(), (fl, n, T)
+            column = flag_coordinate_series(fl, 1, n)[other]
+            assert [column.terms.get((0, u), 0) for u in range(n)] == ybar
+
+
+def test_branch_is_kept_once_and_sliced(monkeypatch):
+    fl = _branch_flags("P2", 9)[-1]
+    long = surface_mod._branch(fl, 10)
+
+    def solved(*args):
+        raise AssertionError("the branch was solved again")
+
+    monkeypatch.setattr(surface_mod, "_u_columns", solved)
+    assert surface_mod._branch(fl, 4) == long[:4]
+    assert surface_mod._branch(fl, 10) == long
+    monkeypatch.undo()
+    assert surface_mod._branch(fl, 16)[:10] == long
+
+
+@pytest.mark.parametrize("model, q", [("P2", 5), ("P1xP1", 4)])
+def test_coordinate_series_served_from_one_solve_equal_fresh_ones(
+        model, q, monkeypatch):
+    # every box the reciprocity cell asks for, whether served by truncation
+    # of the flag's one solution or by a restart from it, equals a fresh
+    # solve on a fresh surface: terms, t_prec and u_prec
+    S = surface_make(model, q)
+    asked, ways = [], set()
+    solve = surface_mod.flag_coordinate_series
+
+    def recorded(fl, window, u_window=None):
+        held = fl._cache.get("coords")
+        box = (window, window if u_window is None else u_window)
+        if held is None:
+            ways.add("fresh")
+        else:
+            ours = held[1 - fl.u_index]
+            ways.add("truncate" if box[0] <= ours.t_prec
+                     and box[1] <= ours.u_prec else "restart")
+        got = solve(fl, window, u_window)
+        asked.append((fl, box, got))
+        return got
+
+    monkeypatch.setattr(surface_mod, "flag_coordinate_series", recorded)
+    for w in reciprocity_corpus(S, 9, 0):
+        check_reciprocity_around_points(w)
+        check_reciprocity_along_curves(w)
+    monkeypatch.undo()
+    assert ways == {"fresh", "truncate", "restart"}, ways
+    assert len(asked) >= 50, len(asked)
+    for fl, box, got in asked:
+        T = surface_make(model, q)
+        again = flag_make(point_from_coords(T, fl.point.coords),
+                          curve_make(T, fl.curve.poly))
+        fresh = flag_coordinate_series(again, *box)
+        assert [(c.terms, c.t_prec, c.u_prec) for c in got] == \
+            [(c.terms, c.t_prec, c.u_prec) for c in fresh], (fl, box)
 

@@ -340,6 +340,7 @@ def test_symbol_at_flag_reuses_the_flag_cache(monkeypatch):
 
     monkeypatch.setattr(surface, "expand_poly_at_flag", recomputed)
     monkeypatch.setattr(surface, "_poly_ord", recomputed)
+    monkeypatch.setattr(surface, "_branch", recomputed)
     assert symbol_at_flag(f, g, fl) == 2
     assert symbol_at_flag(g, f, fl) == -2
     assert fl._cache.keys() == before.keys()

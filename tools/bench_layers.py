@@ -224,6 +224,20 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
 
     out["residues.local_residue.cubic_on_Z.P2.F5"] = (
         residue_inputs, lambda wf: m["residues"].local_residue(*wf), 1)
+
+    def valuation_inputs():
+        """The fixed form's polynomial at that flag, nothing cached on it."""
+        fl = residue_inputs()[1]
+        return sf.form_polynomial(fl), fl
+
+    out["surface.poly_valuation_at_flag.cubic_on_Z.P2.F5"] = (
+        valuation_inputs, lambda pf: sf.poly_valuation_at_flag(*pf), 1)
+
+    def both_laws(wf):
+        m["residues"].check_reciprocity_around_points(wf[0])
+        m["residues"].check_reciprocity_along_curves(wf[0])
+
+    out["residues.reciprocity_laws.P2.F5"] = (residue_inputs, both_laws, 1)
     out["cli.parser_build"] = (lambda: None,
                                lambda _a: m["cli"]._parser.__wrapped__(), 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -311,7 +325,10 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "surface.points_on_curve.Z.P2.F9.deg2",
     "surface.intersection_support.cubic.P2.F5",
     "symbols.symbol_at_flag.conic", "symbols.intersection_oracle.cubic.P2.F5",
-    "residues.local_residue.cubic_on_Z.P2.F5", "cli.parser_build", "cli.report_encoding.serre.P1xP1.q9",
+    "residues.local_residue.cubic_on_Z.P2.F5",
+    "surface.poly_valuation_at_flag.cubic_on_Z.P2.F5",
+    "residues.reciprocity_laws.P2.F5", "cli.parser_build",
+    "cli.report_encoding.serre.P1xP1.q9",
     "cohomology.rr_space.windows.P2.q9",
     "cohomology.rr_dimension.windows.P2.q9", "measures.derive_eq1.P1xP1.q3")
 
