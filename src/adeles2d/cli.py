@@ -329,23 +329,84 @@ def _report_text(obj, newline: str = "\n") -> str:
     return f"{opening}{inner}{(',' + inner).join(items)}{newline}{closing}"
 
 
+# one check record at its depth in a report: the record opens at an indent
+# of four spaces and its six keys sit at six
+_RECORD = ('{\n      "name": %s,\n      "inputs": %s,\n      "lhs": %s,\n'
+           '      "rhs": %s,\n      "pass": %s,\n      "micros": %d\n    }')
+_TOP_DEPTH = "\n  "
+_KEY_DEPTH = "\n      "
+_INPUT_DEPTH = "\n        "
+_INT_ONLY = frozenset((int,))
+
+
+def _records_text(checks: Sequence[Check], micros: Sequence[int]) -> str:
+    """The text `_report_text` writes for a report's list of check records,
+    at its depth under the "checks" key: each record holds its check's
+    name, inputs, lhs, rhs and verdict, and the matching entry of micros.
+    Each record fills one template; ints are written inline, and the text
+    of a tuple whose elements all have type int is written once per
+    (tuple, depth).  The type test comes first because (True, False) and
+    (1.0, 0) equal (1, 0) and hash alike, yet write otherwise or raise."""
+    memo: Dict[Tuple[tuple, str], str] = {}
+
+    def value(v, newline: str) -> str:
+        kind = type(v)
+        if kind is int:
+            return int.__repr__(v)
+        if kind is str:
+            return _escape(v)
+        if kind is tuple and _INT_ONLY.issuperset(map(type, v)):
+            key = (v, newline)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = _report_text(v, newline)
+            return text
+        return _report_text(v, newline)
+
+    def inputs(d) -> str:
+        if type(d) is not dict or not d:
+            return _report_text(d, _KEY_DEPTH)
+        # the escaper raises TypeError on a key that is not a str
+        items = [f"{_escape(k)}: {value(v, _INPUT_DEPTH)}"
+                 for k, v in d.items()]
+        body = ("," + _INPUT_DEPTH).join(items)
+        return f"{{{_INPUT_DEPTH}{body}{_KEY_DEPTH}}}"
+
+    records = [_RECORD % (value(c.name, _KEY_DEPTH), inputs(c.inputs),
+                          value(c.lhs, _KEY_DEPTH), value(c.rhs, _KEY_DEPTH),
+                          "true" if c.passed else "false", us)
+               for c, us in zip(checks, micros)]
+    if not records:
+        return "[]"
+    return "[\n    " + ",\n    ".join(records) + "\n  ]"
+
+
+def _document_text(config: Dict, checks: Sequence[Check],
+                   micros: Sequence[int], summary: Dict) -> str:
+    """The text `_report_text` writes for a report: config, the records of
+    checks with their micros, and summary."""
+    return (f'{{{_TOP_DEPTH}"config": {_report_text(config, _TOP_DEPTH)},'
+            f'{_TOP_DEPTH}"checks": {_records_text(checks, micros)},'
+            f'{_TOP_DEPTH}"summary": {_report_text(summary, _TOP_DEPTH)}'
+            '\n}')
+
+
 def _emit(config: Dict, checks: List[Check], args) -> int:
     """Print the summary and write the report; with --timings each check's
     micros is the time since the previous check or the command start."""
-    records = []
-    last = args.started
-    for c in checks:
-        micros = int((c.stamp - last) * 1_000_000) if args.timings else 0
-        last = c.stamp
-        records.append(c.as_dict(micros))
     passed = sum(1 for c in checks if c.passed)
     failed = len(checks) - passed
-    doc = {"config": config, "checks": records,
-           "summary": {"passed": passed, "failed": failed}}
     if args.json:
+        micros = [0] * len(checks)
+        if args.timings:
+            stamps = [args.started] + [c.stamp for c in checks]
+            micros = [int((b - a) * 1_000_000)
+                      for a, b in zip(stamps, stamps[1:])]
+        text = _document_text(config, checks, micros,
+                              {"passed": passed, "failed": failed})
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(_report_text(doc) + "\n")
+                fh.write(text + "\n")
         except OSError as err:
             raise ConfigError(f"cannot write report: {err}") from err
     if failed:
@@ -525,7 +586,7 @@ def _suite_windows(S, classes, args) -> List[Check]:
     for rep in fix.reps:
         C = Divisor(S, dict(zip(wcurves, rep)))
         ok = window_annihilator_check(w, C)
-        checks.append(Check("window-annihilator", {"C": list(rep)},
+        checks.append(Check("window-annihilator", {"C": rep},
                             ok, True))
 
     dims: Dict[Tuple[int, ...], int] = {}
@@ -534,7 +595,7 @@ def _suite_windows(S, classes, args) -> List[Check]:
         D = Divisor(S, dict(zip(lines, rep)))
         dims[rep] = rr_dimension(D)
         h0s[rep] = h_vector(S, divisor_class(D)).h0
-        checks.append(Check("sections-dimension", {"D": list(rep)},
+        checks.append(Check("sections-dimension", {"D": rep},
                             dims[rep], h0s[rep]))
     for rep in dims:
         for k in range(len(lines)):
@@ -544,7 +605,7 @@ def _suite_windows(S, classes, args) -> List[Check]:
             if key not in dims:
                 continue
             checks.append(Check(
-                "sections-quotient", {"C": list(rep), "H": list(key)},
+                "sections-quotient", {"C": rep, "H": key},
                 dims[rep] - dims[key], h0s[rep] - h0s[key]))
     return checks
 

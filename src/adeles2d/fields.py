@@ -178,7 +178,7 @@ class FieldDesc:
             return self._exp[self.q - 1 - self._log[a]]
         if self.d == 1:
             return pow(a, -1, self.p)
-        return self._vec_pow(a, self.q - 2)  # Fermat
+        return self._vec_inv(a)
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -238,6 +238,22 @@ class FieldDesc:
             a = self._vec_mul(a, a)
             e >>= 1
         return result
+
+    def _vec_inv(self, a: int) -> int:
+        """Inverse of the nonzero code a by the extended Euclidean algorithm
+        on its coefficient vector against the modulus, over F_p: each step
+        keeps r1 = s1 * a mod the modulus, until r1 is a nonzero constant."""
+        base = field_make(self.p, 1)
+        r0, r1 = list(self.modulus), ptrim(list(self.digits(a)))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quot, rem = pdivmod(r0, r1, base)
+            r0, r1, s0, s1 = r1, rem, s1, psub(s0, pmul(quot, s1, base), base)
+        # over F_p the codes are the coefficients themselves
+        n = 0
+        for c in reversed(pscale(s1, base.inv(r1[0]), base)):
+            n = n * self.p + c
+        return n
 
     def _vec_add(self, a: int, b: int, scale: int) -> int:
         """Code of a + scale*b; scale p-1 subtracts."""

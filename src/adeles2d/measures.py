@@ -377,7 +377,8 @@ class Check:
     """One verification: the values of both routes, the verdict (by default
     whether they agree), any sub-derivations, and when it was built.  A
     verdict that also weighs other values names them in `witness`, for the
-    summary line of a failure."""
+    summary line of a failure.  A report record holds the name, inputs,
+    lhs, rhs and verdict; sub-derivations stay out of it."""
 
     __slots__ = ("name", "inputs", "lhs", "rhs", "passed", "subchecks",
                  "witness", "stamp")
@@ -393,11 +394,6 @@ class Check:
         self.subchecks = tuple(subchecks)
         self.witness = witness
         self.stamp = time.perf_counter()
-
-    def as_dict(self, micros: int = 0) -> Dict:
-        """The report record; sub-derivations stay out of it."""
-        return {"name": self.name, "inputs": self.inputs, "lhs": self.lhs,
-                "rhs": self.rhs, "pass": self.passed, "micros": micros}
 
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"
@@ -630,14 +626,21 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
     frags = [_basis_fragment(flags[fi], b, a, li) for fi, b, a, li in basis]
     dual_frags = [_basis_fragment(flags[fi], b, a, li)
                   for fi, b, a, li in dual_basis]
+    # an entry pairs the product of two monomials at one flag, so it
+    # depends only on the flag and the sums of the exponents: one pairing
+    # per distinct product
+    pairings: Dict[Tuple[int, int, int, int], int] = {}
     gram = []
-    for i, (fi, _b, _a, _li) in enumerate(basis):
+    for i, (fi, b, a, li) in enumerate(basis):
         row = []
-        for j, (fj, _bj, _aj, _lj) in enumerate(dual_basis):
+        for j, (fj, bj, aj, lj) in enumerate(dual_basis):
             if fi != fj:
                 row.append(0)
-            else:
-                row.append(adelic_pairing(frags[i], dual_frags[j]).n)
+                continue
+            key = (fi, b + bj, a + aj, li + lj)
+            if key not in pairings:
+                pairings[key] = adelic_pairing(frags[i], dual_frags[j]).n
+            row.append(pairings[key])
         gram.append(row)
     rank = mat_rank(gram, surf.base)
     return Window(surf, R, S, wdiv, flags, basis, dual_basis, gram, rank,

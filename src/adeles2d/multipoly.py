@@ -34,19 +34,20 @@ class MPoly:
     Binary operations raise ValueError on polynomials over different
     fields."""
 
-    __slots__ = ("desc", "nvars", "terms")
+    __slots__ = ("desc", "nvars", "terms", "_hash")
 
     def __init__(self, desc: FieldDesc, nvars: int, terms: Dict[Exponent, object]):
         self.desc = desc
         self.nvars = nvars
         self.terms = {e: n for e, c in terms.items() if (n := desc.code(c))}
+        self._hash = None
 
     @staticmethod
     def _make(desc: FieldDesc, nvars: int, terms: Dict[Exponent, int]) -> "MPoly":
         """Trusted constructor: terms maps to nonzero codes and is owned by
         the new polynomial alone."""
         f = object.__new__(MPoly)
-        f.desc, f.nvars, f.terms = desc, nvars, terms
+        f.desc, f.nvars, f.terms, f._hash = desc, nvars, terms, None
         return f
 
     def _check_field(self, other: "MPoly") -> None:
@@ -89,7 +90,11 @@ class MPoly:
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # computed on the first call and kept: no caller changes terms
+        # after construction
+        if self._hash is None:
+            self._hash = hash((self.nvars, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self):
         if not self.terms:

@@ -469,3 +469,104 @@ def test_report_writer_equals_json_dumps_on_a_hostile_document():
 def test_report_writer_refuses_what_a_report_cannot_hold(bad):
     with pytest.raises(TypeError):
         cli._report_text(bad)
+
+
+# the check-record writer against the same encoder
+
+def _records_doc(config, checks, micros):
+    """The report `_emit` writes, as the dict json.dumps would take."""
+    records = [{"name": c.name, "inputs": c.inputs, "lhs": c.lhs,
+                "rhs": c.rhs, "pass": c.passed, "micros": us}
+               for c, us in zip(checks, micros)]
+    passed = sum(1 for c in checks if c.passed)
+    return {"config": config, "checks": records,
+            "summary": {"passed": passed, "failed": len(checks) - passed}}
+
+
+def _document(config, checks, micros):
+    doc = _records_doc(config, checks, micros)
+    return cli._document_text(config, checks, micros, doc["summary"]), doc
+
+
+def _int_lists_as_tuples(v):
+    if type(v) is list and all(type(x) is int for x in v):
+        return tuple(v)
+    if type(v) is dict:
+        return {k: _int_lists_as_tuples(x) for k, x in v.items()}
+    return v
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in os.listdir(GOLDEN_DIR) if n.endswith(".json")))
+def test_records_writer_equals_json_dumps_on_the_goldens(name):
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    micros = [r["micros"] for r in doc["checks"]]
+    for shape in (lambda v: v, _int_lists_as_tuples):
+        checks = [measures.Check(r["name"], shape(r["inputs"]),
+                                 shape(r["lhs"]), shape(r["rhs"]), r["pass"])
+                  for r in doc["checks"]]
+        text, _ = _document(doc["config"], checks, micros)
+        assert text == json.dumps(doc, indent=2)
+
+
+def test_records_writer_equals_json_dumps_on_hostile_records():
+    Check = measures.Check
+    nasty = ("ünïcödé ∂ 𝔽 \"'\\/" + "".join(map(chr, range(32)))
+             + "\x7f")
+    checks = [
+        Check(nasty, {nasty: nasty, "\n\t\"key\\": ""}, nasty, nasty + "!"),
+        Check("nested", {"t": (1, (2, [3, {"a": ()}]), [True, None])},
+              [[(1, 2)], {"k": [(), {}]}], {"d": {"e": (None, False)}}),
+        Check("scalars", {"none": None, "big": 10 ** 60, "neg": -(10 ** 40)},
+              None, True, passed=False),
+        Check("empty", {}, (), [], passed=True),
+        Check("list-in-tuple", {"x": (1, [2, 3]), "y": ([],)}, (0, [1]),
+              ((1, 2), (3,))),
+        # equal tuples and hash alike, but only the first is a tuple of ints
+        Check("ints", {"C": (1, 0), "H": (1, 0)}, (1, 0), (1, 0)),
+        Check("bools", {"C": (True, False), "H": (1, 0)}, (True, False),
+              (1, 0)),
+        Check("ints-again", {"C": (1, 0)}, (False, True), (0, 1)),
+    ]
+    micros = [0, 7, 10 ** 12, 0, 3, 0, 0, 1]
+    text, doc = _document({"command": nasty, "k": (2, 3)}, checks, micros)
+    assert text == json.dumps(doc, indent=2)
+    text, doc = _document({}, [], [])
+    assert text == json.dumps(doc, indent=2)
+    assert cli._records_text([], []) == "[]"
+
+
+def test_records_writer_never_shares_text_across_element_types():
+    Check = measures.Check
+    checks = [Check("a", {"k": (1, 0)}, (1, 0), (1, 0)),
+              Check("b", {"k": (True, False)}, (True, False), (True, False))]
+    records = json.loads(cli._records_text(checks, [0, 0]))
+    assert records[1]["inputs"]["k"] == [True, False]
+    assert records[1]["lhs"] == records[1]["rhs"] == [True, False]
+    assert type(records[1]["lhs"][0]) is bool
+    for bad in (Check("f", {"k": (1.0, 0)}, 0, 0),
+                Check("f", {"k": (1, 0)}, (1.0, 0), 0),
+                Check("f", {}, 0, (1, 0.5))):
+        # the int tuple (1, 0) is in the memo and equals (1.0, 0)
+        with pytest.raises(TypeError):
+            cli._records_text([checks[0], bad], [0, 0])
+
+
+@pytest.mark.parametrize("extra", [["--timings"], ["--inject-failure"],
+                                   ["--timings", "--inject-failure"]])
+def test_timed_and_injected_reports_equal_json_dumps(extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        code, _out, _err = run(["verify", "--surface", "P2", "--q", "3",
+                                "--range", "-1:1", "--suites",
+                                "bezout,windows,chi", "--json", path, *extra])
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    assert code == (1 if "--inject-failure" in extra else 0)
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert doc["checks"][0]["inputs"].get("injected") is (
+        True if "--inject-failure" in extra else None)
+    if "--timings" in extra:
+        assert any(r["micros"] > 0 for r in doc["checks"])

@@ -197,6 +197,23 @@ def test_mpoly_constructor_drops_zero_coefficients():
     assert f.exact_div(g) == g
 
 
+def test_mpoly_hash_is_kept_and_equal_polynomials_hash_equal():
+    rng = random.Random(23)
+    for desc in (field_make(3, 1), field_make(2, 3)):
+        for _ in range(50):
+            f = rand_mpoly(desc, 3, rng)
+            first = hash(f)
+            # the same polynomial built again, by the public constructor
+            # with its terms in reverse order, and by arithmetic
+            again = MPoly(desc, 3, dict(reversed(list(f.terms.items()))))
+            assert again == f and hash(again) == first
+            assert hash(f + MPoly.zero(desc, 3)) == first
+            f * f
+            assert hash(f) == first
+    x = MPoly.var(field_make(3, 1), 2, 0)
+    assert len({x, x * MPoly.const(x.desc, 2, 1), x + x - x}) == 1
+
+
 def _raises_value_error(fn):
     try:
         fn()

@@ -141,6 +141,20 @@ def test_every_nonzero_element_inverts():
             assert a * a.inverse() == desc.one(), (p, d, a.coeffs)
 
 
+def test_euclidean_inverse_matches_fermat_above_the_table_limit():
+    """Fields without log tables invert by the extended Euclidean algorithm
+    on the coefficient vector; Fermat's a^(q-2) is the reference."""
+    rng = random.Random(2026)
+    for p, d in [(5, 6), (7, 6), (2, 13), (3, 9)]:
+        desc = field_make(p, d)
+        assert desc._log is None, (p, d)
+        for _ in range(2000):
+            n = rng.randrange(1, desc.q)
+            assert desc.inv(n) == desc._vec_pow(n, desc.q - 2), (p, d, n)
+        # the constants invert inside the prime field
+        assert desc.inv(1) == 1 and desc.mul(desc.inv(p - 1), p - 1) == 1
+
+
 def test_poly_factor_golden():
     f5 = field_make(5, 1)
     unit, factors = poly_factor(mkpoly(f5, 1, 0, 1), f5)  # x^2 + 1

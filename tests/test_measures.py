@@ -3,7 +3,7 @@ extension, finite windows, and the assembled Riemann-Roch identity."""
 
 import json
 
-from adeles2d import measures
+from adeles2d import cli, measures
 from adeles2d.cohomology import cech_h_vector, class_range, h_vector, rr_space
 from adeles2d.measures import (
     CentralExtElem,
@@ -468,7 +468,7 @@ def test_riemann_roch_reports_on_both_surfaces():
 def test_riemann_roch_report_serializes_to_json():
     S = plane()
     r = rr_assemble(class_representative(S, (2,)), canonical_divisor(S))
-    doc = json.loads(json.dumps(r.as_dict()))
+    [doc] = json.loads(cli._records_text([r], [0]))
     assert doc["name"] == "riemann-roch"
     assert doc["pass"] is True
     assert doc["lhs"] == doc["rhs"] == 6
@@ -568,6 +568,46 @@ def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
     for D, max_degree, avoid, fl in chosen:
         ref = _exhaustive_flag(D, max_degree, avoid)
         assert (fl.point, fl.curve) == (ref.point, ref.curve), (D, avoid, fl)
+
+
+def test_window_gram_equals_the_all_pairs_gram(monkeypatch):
+    calls = []
+    real = measures.adelic_pairing
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    for q in (2, 4, 9):
+        # the windows of `verify --suites windows` on each surface, and one
+        # whose flag on Y+Z sits at a point of degree 2 over F_2, so that
+        # the residue-field exponents add too
+        S = surface_make("P2", q)
+        L = Divisor(S, {curve_make(S, n): 1 for n in "XYZ"})
+        L4 = L + Divisor(S, {curve_make(S, "Y+Z"): 1})
+        Q = surface_make("P1xP1", q)
+        for R, top, u_size in (
+                (divisor_zero(S), Divisor(S, {curve_make(S, "X"): 1}), 1),
+                (-L, L, 2), (canonical_divisor(Q), divisor_zero(Q), 1),
+                (divisor_zero(S), L4, 2)):
+            monkeypatch.setattr(measures, "adelic_pairing", counting)
+            calls.clear()
+            w = window_build(R, top, u_size=u_size)
+            monkeypatch.setattr(measures, "adelic_pairing", real)
+            frag = [measures._basis_fragment(w.flags[fi], b, a, li)
+                    for fi, b, a, li in w.basis]
+            dual = [measures._basis_fragment(w.flags[fi], b, a, li)
+                    for fi, b, a, li in w.dual_basis]
+            gram = [[real(x, y).n if e[0] == f[0] else 0
+                     for y, f in zip(dual, w.dual_basis)]
+                    for x, e in zip(frag, w.basis)]
+            assert w.gram == gram, (q, w)
+            if q == 2 and top == L4:
+                assert max(fl.point.degree for fl in w.flags) == 2, w
+            # one pairing per flag and sum of exponents
+            sums = {(e[0],) + tuple(i + j for i, j in zip(e[1:], f[1:]))
+                    for e in w.basis for f in w.dual_basis if e[0] == f[0]}
+            assert len(calls) == len(sums), (q, w, len(calls))
 
 
 def test_window_rejects_bad_inputs():

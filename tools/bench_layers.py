@@ -3,6 +3,7 @@
     python3 tools/bench_layers.py --label int-codes
     python3 tools/bench_layers.py --label parent --src /other/checkout/src
     python3 tools/bench_layers.py --label ci --repeat 1 --out /tmp/b.json
+    python3 tools/bench_layers.py --label records --against /parent/src
 
 Every case builds its inputs through text parsing (`parse_poly`,
 `curve_make` and the cli parsers) and public calls, so one script times any
@@ -12,6 +13,12 @@ case once, in seconds; the element, 1 x 1, Riemann-Roch space and
 dimension and derive_eq1 cases time a batch and report one operation.  The
 file also records the line count of each source module.  Standard library
 only; single-threaded.
+
+Two checkouts timed in separate processes differ by the drift of the host
+between the processes as well as by their code.  --against SRC imports
+SRC's package under another name into the same process, times each case
+on both sides in turn (the side that goes first alternates by round), and
+writes both figures and their ratio.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import random
 import sys
 import tempfile
 import time
+import types
 from pathlib import Path
 from typing import Callable, Dict, Tuple
 
@@ -50,9 +58,17 @@ CUBIC_ON_Z = ("X^3+Y^3+Z^3+XYZ", "Z")
 Case = Tuple[Callable[[], object], Callable[[object], object], int]
 
 
-def load(src: Path) -> dict:
-    sys.path.insert(0, str(src))
-    m = {name: importlib.import_module(f"adeles2d.{name}") for name in MODULES}
+def load(src: Path, package: str = "adeles2d") -> dict:
+    """The modules of the package under src, imported as `package`; the
+    modules import each other relatively, so any name will do."""
+    if package == "adeles2d":
+        sys.path.insert(0, str(src))
+    else:
+        copy = types.ModuleType(package)
+        copy.__path__ = [str(src / "adeles2d")]
+        sys.modules[package] = copy
+    m = {name: importlib.import_module(f"{package}.{name}")
+         for name in MODULES}
     for mod in m.values():
         if not Path(mod.__file__).resolve().is_relative_to(src.resolve()):
             raise RuntimeError(f"{mod.__name__} imported from {mod.__file__}")
@@ -256,6 +272,29 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
     return out
 
 
+def record_cases(m: dict) -> Dict[str, Case]:
+    """The check records of one verify cell written as report text: what
+    `_emit` writes under "checks".  A checkout from before the records
+    writer wrote the `as_dict` records with `_report_text` at that depth."""
+    cli = m["cli"]
+    write = getattr(cli, "_records_text", None)
+    if write is None:
+        def write(checks, _micros):
+            return cli._report_text([c.as_dict(0) for c in checks], "\n  ")
+    out: Dict[str, Case] = {}
+    for suite, model, q in (("serre", "P1xP1", 9), ("windows", "P2", 13)):
+        args = cli._parser().parse_args(
+            ["verify", "--surface", model, "--q", str(q), "--allow-large-q",
+             "--suites", suite])
+        S = cli._make_surface(args)
+        classes, _range = cli._parse_range(args.range, S)
+        checks = cli._SUITE_FNS[suite](S, classes, args)
+        out[f"cli.report_records.{suite}.{model}.q{q}"] = (
+            lambda: None,
+            lambda _a, checks=checks: write(checks, [0] * len(checks)), 1)
+    return out
+
+
 def cohomology_cases(m: dict) -> Dict[str, Case]:
     # the 125 divisors of `verify --suites windows` on P2: multiplicities
     # -2..2 on X, Y and Z; one figure per divisor.  Each round starts on a
@@ -310,7 +349,7 @@ def measure_cases(m: dict) -> Dict[str, Case]:
 
 
 CASES = (field_cases, series_cases, poly_cases, geometry_cases,
-         cohomology_cases, measure_cases)
+         record_cases, cohomology_cases, measure_cases)
 # every timing a run writes, one or more per layer
 KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
              for op in ("mul", "add", "inverse")) + (
@@ -329,6 +368,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "surface.poly_valuation_at_flag.cubic_on_Z.P2.F5",
     "residues.reciprocity_laws.P2.F5", "cli.parser_build",
     "cli.report_encoding.serre.P1xP1.q9",
+    "cli.report_records.serre.P1xP1.q9", "cli.report_records.windows.P2.q13",
     "cohomology.rr_space.windows.P2.q9",
     "cohomology.rr_dimension.windows.P2.q9", "measures.derive_eq1.P1xP1.q3")
 
@@ -358,23 +398,43 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--out", type=Path, default=None,
                         help="default: BENCH_<label>.json in the repo root")
+    parser.add_argument("--against", type=Path, default=None, metavar="SRC",
+                        help="the src directory of a second checkout, timed "
+                             "case by case in this process")
     args = parser.parse_args(argv)
-    m = load(args.src)
-    cases = {key: case for make in CASES for key, case in make(m).items()}
+    sides = [load(args.src)]
+    if args.against:
+        sides.append(load(args.against, "adeles2d_against"))
+    cases = [{key: case for make in CASES for key, case in make(m).items()}
+             for m in sides]
+    for side in cases:
+        if tuple(side) != KEYS:
+            raise RuntimeError(
+                f"cases and KEYS differ: {sorted(set(side) ^ set(KEYS))}")
     # one round times every case once, so that a slow spell of a shared
-    # host spoils one sample of each case, not every sample of a few
-    timings = {key: float("inf") for key in cases}
-    for _ in range(args.repeat):
-        for key, case in cases.items():
-            timings[key] = min(timings[key], time_once(case))
-    for key, best in timings.items():
-        print(f"{key:45s} {best * 1e6:12.2f} us")
-    if tuple(timings) != KEYS:
-        raise RuntimeError(f"cases and KEYS differ: {sorted(set(timings) ^ set(KEYS))}")
+    # host spoils one sample of each case, not every sample of a few; the
+    # two sides of a case run back to back, the first side alternating
+    timings = [{key: float("inf") for key in KEYS} for _ in sides]
+    for r in range(args.repeat):
+        order = range(len(sides)) if r % 2 == 0 else range(len(sides))[::-1]
+        for key in KEYS:
+            for i in order:
+                timings[i][key] = min(timings[i][key],
+                                      time_once(cases[i][key]))
+    for key in KEYS:
+        best = "".join(f" {t[key] * 1e6:12.2f} us" for t in timings)
+        ratio = (f" {timings[0][key] / timings[1][key]:7.3f}x"
+                 if args.against else "")
+        print(f"{key:50s}{best}{ratio}")
     doc = {"label": args.label, "unit": "s", "best_of": args.repeat,
            "python": platform.python_version(), "machine": platform.machine(),
-           "cpus": os.cpu_count(), "timings": timings,
+           "cpus": os.cpu_count(), "timings": timings[0],
            "lines": line_counts(args.src)}
+    if args.against:
+        doc["against"] = {"timings": timings[1],
+                          "lines": line_counts(args.against)}
+        doc["ratio"] = {key: timings[0][key] / timings[1][key]
+                        for key in KEYS}
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
