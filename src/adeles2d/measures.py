@@ -18,7 +18,7 @@ import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import h_vector
-from .linalg import mat_rank
+from .linalg import Matrix, mat_rank
 from .residues import AdeleFragment, adelic_pairing
 from .series import LaurentSeries2
 from .surface import (
@@ -552,7 +552,9 @@ class Window(NamedTuple):
     Monomial basis per flag: t-exponents running through the window's
     multiplicity range, u-exponents through a centered interval, and a
     residue-field power basis.  The gram matrix pairs the window against
-    its reflection through the form's divisor; it must have full rank.
+    its reflection through the form's divisor; it must have full rank.  Its
+    rows are sparse (linalg): row i maps the index of each dual monomial to
+    its nonzero pairing with basis monomial i.
     """
 
     surface: Surface
@@ -562,7 +564,7 @@ class Window(NamedTuple):
     flags: List[Flag]
     basis: List[Tuple[int, int, int, int]]
     dual_basis: List[Tuple[int, int, int, int]]
-    gram: List[List[int]]
+    gram: Matrix
     rank: int
     jorders: List[Tuple[int, int]]
 
@@ -628,19 +630,22 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
                   for fi, b, a, li in dual_basis]
     # an entry pairs the product of two monomials at one flag, so it
     # depends only on the flag and the sums of the exponents: one pairing
-    # per distinct product
+    # per distinct product.  Fragments at different flags pair to zero, so
+    # a row holds only the same-flag columns, and of those the nonzero ones
     pairings: Dict[Tuple[int, int, int, int], int] = {}
+    same_flag = [[j for j, e in enumerate(dual_basis) if e[0] == fi]
+                 for fi in range(len(flags))]
     gram = []
     for i, (fi, b, a, li) in enumerate(basis):
-        row = []
-        for j, (fj, bj, aj, lj) in enumerate(dual_basis):
-            if fi != fj:
-                row.append(0)
-                continue
+        row = {}
+        for j in same_flag[fi]:
+            _fj, bj, aj, lj = dual_basis[j]
             key = (fi, b + bj, a + aj, li + lj)
-            if key not in pairings:
-                pairings[key] = adelic_pairing(frags[i], dual_frags[j]).n
-            row.append(pairings[key])
+            n = pairings.get(key)
+            if n is None:
+                n = pairings[key] = adelic_pairing(frags[i], dual_frags[j]).n
+            if n:
+                row[j] = n
         gram.append(row)
     rank = mat_rank(gram, surf.base)
     return Window(surf, R, S, wdiv, flags, basis, dual_basis, gram, rank,
@@ -672,13 +677,10 @@ def window_dual_columns(w: Window, C: Divisor) -> List[int]:
 
 def window_annihilator_check(w: Window, C: Divisor) -> bool:
     """Whether the gram-annihilator of the C-lattice image equals the image
-    of the reflected lattice, by exact rank computations."""
-    rows = window_lattice_rows(w, C)
+    of the reflected lattice: the lattice rows must hold no column of the
+    reflected lattice, and their rank must be its codimension."""
+    sub = [w.gram[i] for i in window_lattice_rows(w, C)]
     cols = set(window_dual_columns(w, C))
-    for i in rows:
-        for j in cols:
-            if w.gram[i][j]:
-                return False
-    sub = [w.gram[i] for i in rows]
-    rank = mat_rank(sub, w.surface.base) if sub else 0
-    return rank == len(w.basis) - len(cols)
+    if any(not cols.isdisjoint(row) for row in sub):
+        return False
+    return mat_rank(sub, w.surface.base) == len(w.basis) - len(cols)

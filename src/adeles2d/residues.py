@@ -112,10 +112,11 @@ def local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
 def _local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
     where J du^dt = du^dt / form_polynomial(fl) is the fixed form in flag
-    coordinates.  Only the columns that can meet at t^-1 are multiplied:
-    the coefficient's below t^-j and J's below t^-v (from P's below
-    t^(-2j - v)), for the exact orders v of the coefficient and j of the
-    form along the curve; when v + j >= 0 there are none.
+    coordinates.  Only the columns that can meet at t^-1 are computed:
+    the coefficient's below t^-j (expand_at_flag's t-window) and J's below
+    t^-v (from P's below t^(-2j - v)), for the exact orders v of the
+    coefficient and j of the form along the curve; when v + j >= 0 there
+    are none.
 
     The window is max(START_PREC, -2j - v), resized at most once
     (_sized_residue)."""
@@ -126,7 +127,7 @@ def _local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
         return fl.point.residue_field.zero()
     P = form_polynomial(fl)
     return _sized_residue(
-        lambda window: expand_at_flag(f, fl, window).truncate(t_to=-j)
+        lambda window: expand_at_flag(f, fl, window, -j)
         * invert_poly_at_flag(P, fl, window, t_window=-2 * j - v),
         max(START_PREC, -2 * j - v), lambda: f"residue at flag {fl!r}")
 

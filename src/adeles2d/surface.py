@@ -484,9 +484,21 @@ def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
 
 
 def points_on_curve(D: Curve, max_degree: int) -> List[ClosedPoint]:
-    """Closed points of degree <= max_degree, one per orbit, sorted."""
+    """Closed points of degree <= max_degree, one per orbit, sorted.
+
+    Computed once per (curve, max_degree) on a surface and kept in
+    D.surface.memo as a tuple; each call returns a new list."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
+    key = ("points", D, max_degree)
+    memo = D.surface.memo
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = tuple(_points_on_curve(D, max_degree))
+    return list(got)
+
+
+def _points_on_curve(D: Curve, max_degree: int) -> List[ClosedPoint]:
     S = D.surface
     values = [x0 for m in range(1, max_degree + 1)
               for x0 in _orbit_starts(S.base, m)]
@@ -983,28 +995,39 @@ def _ps_mul(a: List[int], b: List[int], n: int, k: FieldDesc) -> List[int]:
     return out
 
 
-def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag,
-                   window: int) -> LaurentSeries2:
-    """num/den expanded at the flag; the numerator window is widened to
-    survive multiplication against an inverse whose terms dip in u."""
-    inv = invert_poly_at_flag(den, fl, window)
+def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, window: int,
+                   t_window: Optional[int] = None) -> LaurentSeries2:
+    """num/den expanded at the flag on the box of `window`, or only its
+    columns below t^t_window.  For those, with vn and vd the orders of num
+    and den along the flag's curve, the inverse of den is read below
+    t^(t_window - vn), from den's columns below t^(t_window + 2vd - vn),
+    and num is expanded below t^(t_window + vd).  The numerator's u-window
+    is widened to survive multiplication against an inverse whose terms
+    dip in u."""
+    num_to, den_to = window, None
+    if t_window is not None:
+        vn, vd = poly_order_at_flag(num, fl), poly_order_at_flag(den, fl)
+        num_to, den_to = min(window, t_window + vd), t_window + 2 * vd - vn
+    inv = invert_poly_at_flag(den, fl, window, t_window=den_to)
     need = window
     if inv.terms:
         dip = min(u for (_t, u) in inv.terms)
         if dip < 0:
             need = window - dip
-    top = expand_poly_at_flag(num, fl, window, need).truncate(t_to=window)
+    top = expand_poly_at_flag(num, fl, num_to, need).truncate(t_to=num_to)
     return top * inv
 
 
 def expand_at_flag(f: RationalFunction, fl: Flag,
-                   prec: int = DEFAULT_PREC) -> LaurentSeries2:
-    """The image of a rational function in the local field at the flag."""
+                   prec: int = DEFAULT_PREC,
+                   t_window: Optional[int] = None) -> LaurentSeries2:
+    """The image of a rational function in the local field at the flag, on
+    the box of `prec`; with t_window, only its columns below t^t_window."""
     if f.is_zero():
         raise ValueError("cannot expand the zero function")
     if prec < 1:
         raise ValueError(f"expansion window must be at least 1, got {prec}")
-    return _ratio_at_flag(f.num, f.den, fl, prec)
+    return _ratio_at_flag(f.num, f.den, fl, prec, t_window)
 
 
 def ord_on_curve(f: RationalFunction, D: Curve) -> int:

@@ -180,7 +180,8 @@ def test_rr_space_on_the_windows_box_is_an_rref_basis_of_multiples(model, q):
             for C, m in D.items():
                 if m < 0:
                     assert f.num.exact_div(C.poly ** -m) is not None, (rep, C)
-            vecs.append([f.num.terms.get(e, 0) for e in monos])
+            vecs.append({j: f.num.terms[e] for j, e in enumerate(monos)
+                         if e in f.num.terms})
         if vecs:
             rref, pivots = mat_rref(vecs, S.base)
             assert (rref, len(pivots)) == (vecs, len(vecs)), rep

@@ -1,7 +1,9 @@
 """Internal exact-algebra helpers: F_q linear algebra and sparse polynomials."""
 
+import itertools
 import random
 
+from adeles2d.cohomology import rr_space
 from adeles2d.fields import (
     FieldElem,
     field_make,
@@ -13,6 +15,13 @@ from adeles2d.fields import (
 from adeles2d.linalg import mat_rank, mat_rref
 from adeles2d.multipoly import MPoly, det_bareiss, resultant_elim
 from adeles2d.series import LaurentSeries2
+from adeles2d.surface import (
+    Divisor,
+    class_monomials,
+    curve_make,
+    divisor_class,
+    surface_make,
+)
 
 
 def peval(f, x, desc):
@@ -32,6 +41,17 @@ def rand_mpoly(desc, nvars, rng, max_deg=2, nterms=4):
     return MPoly(desc, nvars, terms)
 
 
+def sparse(rows):
+    """Dense rows of codes as the sparse rows linalg takes: column -> code,
+    nonzero codes only."""
+    return [{j: c for j, c in enumerate(row) if c} for row in rows]
+
+
+def dense(rows, width):
+    """Sparse rows back to dense rows of the given width."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
 def test_rank_of_a_dependent_system():
     f5 = field_make(5, 1)
 
@@ -43,7 +63,7 @@ def test_rank_of_a_dependent_system():
         [e(2), e(4), e(6)],  # 2x the first row
         [e(0), e(1), e(1)],
     ]
-    assert mat_rank(rows, f5) == 2
+    assert mat_rank(sparse(rows), f5) == 2
 
 
 def test_rref_pivots_and_solve():
@@ -53,18 +73,20 @@ def test_rref_pivots_and_solve():
         return f3.from_int(n).n
 
     rows = [[e(1), e(1)], [e(1), e(2)]]
-    _, pivots = mat_rref(rows, f3)
+    _, pivots = mat_rref(sparse(rows), f3)
     assert pivots == [0, 1]
     # the reduced augmented matrix [A | b] carries the solution in its last
     # column
     rhs = [e(0), e(1)]
-    rref, pivots = mat_rref([row + [b] for row, b in zip(rows, rhs)], f3)
+    rref, pivots = mat_rref(
+        sparse([row + [b] for row, b in zip(rows, rhs)]), f3)
     assert pivots == [0, 1]
-    x = [rref[0][2], rref[1][2]]
+    x = [row[2] for row in dense(rref, 3)]
     for row, b in zip(rows, rhs):
         assert f3.add(f3.mul(row[0], x[0]), f3.mul(row[1], x[1])) == b
     # an inconsistent system has a pivot in the appended column
-    _, pivots = mat_rref([[e(1), e(1), e(0)], [e(2), e(2), e(1)]], f3)
+    _, pivots = mat_rref(sparse([[e(1), e(1), e(0)], [e(2), e(2), e(1)]]),
+                         f3)
     assert pivots == [0, 2]
 
 
@@ -97,19 +119,123 @@ def test_rank_by_forward_elimination_counts_the_rref_pivots():
         desc = field_make(*{2: (2, 1), 5: (5, 1), 4: (2, 2), 9: (3, 2)}[q])
         for nrows, ncols in shapes:
             for rank in range(min(nrows, ncols) + 1):
-                rows = _planted_matrix(desc, rng, nrows, ncols, rank)
-                before = [row[:] for row in rows]
+                rows = sparse(_planted_matrix(desc, rng, nrows, ncols, rank))
+                before = [dict(row) for row in rows]
                 got = mat_rank(rows, desc)
                 assert got == len(mat_rref(rows, desc)[1]), (q, rows)
                 assert got <= rank
                 assert rows == before  # the input is left unchanged
         # rows of width zero, and all-zero matrices
-        assert mat_rank([[], []], desc) == 0
-        assert mat_rank([[0] * 4] * 3, desc) == 0
+        assert mat_rank(sparse([[], []]), desc) == 0
+        assert mat_rank(sparse([[0] * 4] * 3), desc) == 0
         # a full-rank square matrix and the same matrix with a row repeated
-        eye = [[int(i == j) for j in range(5)] for i in range(5)]
+        eye = sparse([[int(i == j) for j in range(5)] for i in range(5)])
         assert mat_rank(eye, desc) == 5
         assert mat_rank(eye + eye[2:3], desc) == 5
+
+
+def _reference_rref(rows, width, desc):
+    """Dense Gauss-Jordan elimination with pivots taken in column order: the
+    nonzero rows of the reduced row-echelon form and the pivot columns."""
+    mat = [list(row) for row in rows]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        s = desc.inv(mat[r][c])
+        mat[r] = [desc.mul(v, s) for v in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                f = row[c]
+                mat[i] = [desc.sub(a, desc.mul(f, b))
+                          for a, b in zip(row, mat[r])]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
+def _reference_cases(desc, rng):
+    """(dense rows, width) pairs: empty input, zero matrices, random
+    matrices of three densities with a zero row and a repeated row mixed
+    in, planted low ranks, and matrices with one nonzero per row, in
+    distinct columns (permutations) and in columns drawn with repeats."""
+    def code():
+        return desc.from_coeffs([rng.randrange(desc.p)
+                                 for _ in range(desc.d)]).n
+
+    def nonzero():
+        c = code()
+        return c or 1
+
+    out = [([], 0), ([], 5), ([[], []], 0), ([[0] * 4] * 3, 4)]
+    for _ in range(30):
+        nrows, width = rng.randrange(1, 13), rng.randrange(1, 13)
+        density = rng.choice((0.1, 0.3, 1.0))
+        rows = [[code() if rng.random() < density else 0
+                 for _ in range(width)] for _ in range(nrows)]
+        if nrows >= 3:
+            rows[rng.randrange(nrows)] = [0] * width
+            rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+        out.append((rows, width))
+    for nrows, width in ((6, 9), (9, 6), (10, 10)):
+        for rank in (1, 2, 4):
+            out.append((_planted_matrix(desc, rng, nrows, width, rank),
+                        width))
+    for n in (1, 5, 12, 28):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        drawn = [rng.randrange(n) for _ in range(n + 3)]
+        for cols in (perm, drawn):
+            out.append(([[nonzero() if j == c else 0 for j in range(n)]
+                         for c in cols], n))
+    return out
+
+
+def test_sparse_elimination_matches_a_dense_reference():
+    rng = random.Random(1990)
+    for p, d in ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 6)):
+        desc = field_make(p, d)
+        for rows, width in _reference_cases(desc, rng):
+            want, want_pivots = _reference_rref(rows, width, desc)
+            given = sparse(rows)
+            before = [dict(row) for row in given]
+            rref, pivots = mat_rref(given, desc)
+            assert pivots == want_pivots, (desc, rows)
+            assert dense(rref, width) == want, (desc, rows)
+            assert all(all(row.values()) for row in rref), (desc, rows)
+            assert mat_rank(given, desc) == len(want_pivots), (desc, rows)
+            assert given == before, (desc, rows)  # the input is unchanged
+
+
+def test_rr_space_on_the_p2_windows_box_is_the_reference_basis():
+    # the 125 divisors of `verify --suites windows` on P2 (multiplicities
+    # -2..2 on X, Y and Z), and the same box with a conic for Z, whose
+    # shifts have several terms.  The reference spans the numerators by
+    # polynomial products, P times each monomial of the class of D, and
+    # reduces them densely.
+    for q, names in ((13, ("X", "Y", "Z")), (4, ("X", "Y", "YZ-X^2"))):
+        S = surface_make("P2", q)
+        curves = [curve_make(S, n) for n in names]
+        for rep in itertools.product(range(-2, 3), repeat=3):
+            D = Divisor(S, dict(zip(curves, rep)))
+            P = Q = MPoly.const(S.base, S.nvars, 1)
+            for C, m in D.items():
+                if m < 0:
+                    P = P * C.poly ** -m
+                else:
+                    Q = Q * C.poly ** m
+            monos = class_monomials(S, divisor_class(
+                Divisor(S, {C: m for C, m in D.items() if m > 0})))
+            rows = [[(P * MPoly(S.base, S.nvars, {a: 1})).terms.get(e, 0)
+                     for e in monos]
+                    for a in class_monomials(S, divisor_class(D))]
+            want, _pivots = _reference_rref(rows, len(monos), S.base)
+            got = rr_space(D)
+            assert [f.den for f in got] == [Q] * len(want), (q, rep)
+            assert [[f.num.terms.get(e, 0) for e in monos]
+                    for f in got] == want, (q, rep)
 
 
 # rank-based span predicates
@@ -118,18 +244,20 @@ def test_rank_by_forward_elimination_counts_the_rref_pivots():
 def span_contains(vectors, v, desc):
     if not vectors:
         return not any(v)
-    return mat_rank(vectors, desc) == mat_rank(vectors + [v], desc)
+    return (mat_rank(sparse(vectors), desc)
+            == mat_rank(sparse(vectors + [v]), desc))
 
 
 def spans_equal(a, b, desc):
-    ra = mat_rank(a, desc)
-    rb = mat_rank(b, desc)
-    return ra == rb and mat_rank(a + b, desc) == ra
+    ra = mat_rank(sparse(a), desc)
+    rb = mat_rank(sparse(b), desc)
+    return ra == rb and mat_rank(sparse(a + b), desc) == ra
 
 
 def span_intersection_dim(a, b, desc):
     """dim(U cap V) = dim U + dim V - dim(U + V)."""
-    return mat_rank(a, desc) + mat_rank(b, desc) - mat_rank(a + b, desc)
+    return (mat_rank(sparse(a), desc) + mat_rank(sparse(b), desc)
+            - mat_rank(sparse(a + b), desc))
 
 
 def test_span_predicates():
@@ -334,7 +462,8 @@ def test_kernels_build_no_field_elements(monkeypatch):
         u, v = MPoly.var(F, 2, 0), MPoly.var(F, 2, 1)
         s = LaurentSeries2(F, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 2): 4},
                            6, 6)
-        rows = [[(i * j + i + 2 * j) % F.q for j in range(7)] for i in range(5)]
+        rows = sparse([[(i * j + i + 2 * j) % F.q for j in range(7)]
+                       for i in range(5)])
         return (f * g, (f * g).exact_div(g), (f * g).exact_div(g + x),
                 resultant_elim(u * u - v, u * v - u - v, elim=1, keep=0),
                 s * s, s.inverse(), mat_rref(rows, F))

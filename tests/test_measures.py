@@ -570,6 +570,11 @@ def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
         assert (fl.point, fl.curve) == (ref.point, ref.curve), (D, avoid, fl)
 
 
+def _dense(rows, width):
+    """Sparse rows (column -> code) as dense rows of the given width."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
 def test_window_gram_equals_the_all_pairs_gram(monkeypatch):
     calls = []
     real = measures.adelic_pairing
@@ -601,7 +606,9 @@ def test_window_gram_equals_the_all_pairs_gram(monkeypatch):
             gram = [[real(x, y).n if e[0] == f[0] else 0
                      for y, f in zip(dual, w.dual_basis)]
                     for x, e in zip(frag, w.basis)]
-            assert w.gram == gram, (q, w)
+            assert _dense(w.gram, len(w.dual_basis)) == gram, (q, w)
+            # a row holds nonzero pairings only
+            assert all(all(row.values()) for row in w.gram), (q, w)
             if q == 2 and top == L4:
                 assert max(fl.point.degree for fl in w.flags) == 2, w
             # one pairing per flag and sum of exponents

@@ -1,5 +1,6 @@
 """Local residues and both reciprocity laws, exactly."""
 
+import random
 import time
 from collections import Counter
 
@@ -9,6 +10,7 @@ from adeles2d import residues as residues_mod
 from adeles2d import surface as surface_mod
 from adeles2d.residues import (
     AdeleFragment,
+    _random_form_of_class,
     adelic_pairing,
     check_reciprocity_along_curves,
     check_reciprocity_around_points,
@@ -354,6 +356,23 @@ def test_reciprocity_off_the_coordinate_lines():
         assert all(total.is_zero() for _D, total in along), (w, along)
 
 
+def test_both_laws_close_over_a_squared_cubic_times_a_cubic():
+    # P2 over F_7: a random numerator of class 9 over C1^2 * C2 for two
+    # cubics.  Its residues expand the coefficient only on the columns they
+    # read; on the full window both laws took over twice as long.
+    S = p2(7)
+    C1 = curve_make(S, "X^2Y+4XY^2+5XYZ+3XZ^2+3Y^3+3Y^2Z+3YZ^2+6Z^3")
+    C2 = curve_make(S, "X^3+5X^2Y+2X^2Z+2XY^2+3XYZ+5XZ^2+2Y^3+4Y^2Z"
+                       "+6YZ^2+2Z^3")
+    num = _random_form_of_class(S, (9,), random.Random(1))
+    w = form_make(S, num, [(C1, 2), (C2, 1)])
+    around = check_reciprocity_around_points(w)
+    along = check_reciprocity_along_curves(w)
+    assert around and along, w
+    assert all(total.is_zero() for _x, total in around), (w, around)
+    assert all(total.is_zero() for _D, total in along), (w, along)
+
+
 def test_local_residue_resizes_at_most_once(monkeypatch):
     # the window starts at max(START_PREC, -2j - v); a product whose box
     # misses the residue slot is recomputed once, on a wider window
@@ -361,9 +380,9 @@ def test_local_residue_resizes_at_most_once(monkeypatch):
     expand = residues_mod.expand_at_flag
     residue = residues_mod.local_residue
 
-    def recorded_expand(f, fl, window):
+    def recorded_expand(f, fl, window, *t_window):
         windows[-1].append(window)
-        return expand(f, fl, window)
+        return expand(f, fl, window, *t_window)
 
     def recorded_residue(w, fl):
         windows.append([])

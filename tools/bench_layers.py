@@ -180,13 +180,47 @@ def poly_cases(m: dict) -> Dict[str, Case]:
     out["multipoly.resultant_elim.F5"] = (lambda: None, lambda _a: m[
         "multipoly"].resultant_elim(cf, cg, elim=1, keep=0), 1)
     rng = random.Random(1521)
-    rows = [[native(m, S, rng.randrange(5)) for _ in range(21)]
-            for _ in range(15)]
+    rows = row_form(m, [[native(m, S, rng.randrange(5)) for _ in range(21)]
+                        for _ in range(15)])
     out["linalg.mat_rref.15x21.F5"] = (lambda: None, lambda _a: m[
         "linalg"].mat_rref(rows, S.base), 1)
     out["linalg.mat_rank.15x21.F5"] = (lambda: None, lambda _a: m[
         "linalg"].mat_rank(rows, S.base), 1)
     return out
+
+
+def row_form(m: dict, rows):
+    """Dense rows of codes in the row form the checkout's linalg takes:
+    sparse, column -> nonzero code; a checkout from before sparse rows (no
+    `linalg.Row`) takes the dense lists themselves."""
+    if not hasattr(m["linalg"], "Row"):
+        return rows
+    return [{j: c for j, c in enumerate(row) if c} for row in rows]
+
+
+def rank_cases(m: dict) -> Dict[str, Case]:
+    """Ranks of the matrices `verify --suites windows` takes on P2 over
+    F_13, each built by the checkout's own code, so in its own row form:
+    the section rows of the 125 divisors of the -2..2 box on X, Y and Z
+    (one figure per divisor), and the gram of the -L..L window."""
+    sf = m["surface"]
+    S = surface(m, "P2", 13)
+    lines = [sf.curve_make(S, name) for name in ("X", "Y", "Z")]
+    box = [m["cohomology"]._section_rows(
+        sf.Divisor(S, dict(zip(lines, rep))))[0]
+        for rep in itertools.product(range(-2, 3), repeat=3)]
+    L = sf.Divisor(S, {C: 1 for C in lines})
+    gram = m["measures"].window_build(-L, L, u_size=2).gram
+    rank = m["linalg"].mat_rank
+
+    def ranks(_arg):
+        for rows in box:
+            rank(rows, S.base)
+
+    return {"linalg.mat_rank.section_rows.P2.q13": (lambda: None, ranks,
+                                                    len(box)),
+            "linalg.mat_rank.window_gram.P2.q13": (
+                lambda: None, lambda _a: rank(gram, S.base), 1)}
 
 
 def geometry_cases(m: dict) -> Dict[str, Case]:
@@ -197,14 +231,13 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
             lambda spec=spec: flag(m, spec),
             lambda fl_f, prec=spec[4]: sf.expand_at_flag(fl_f[1], fl_f[0], prec),
             1)
-    S5 = surface(m, "P2", 5)
-    cubic = sf.curve_make(S5, "Y^2Z-X^3-XZ^2")
-    out["surface.points_on_curve.cubic.F5.deg2"] = (
-        lambda: None, lambda _a: sf.points_on_curve(cubic, 2), 1)
-    # Z is the unit line of the first chart: the later charts fibre across it
-    unit_line = sf.curve_make(surface(m, "P2", 9), "Z")
-    out["surface.points_on_curve.Z.P2.F9.deg2"] = (
-        lambda: None, lambda _a: sf.points_on_curve(unit_line, 2), 1)
+    # each round on a fresh surface, whose memo holds no points yet; Z is
+    # the unit line of the first chart: the later charts fibre across it
+    for key, (q, text) in (("cubic.F5", (5, "Y^2Z-X^3-XZ^2")),
+                           ("Z.P2.F9", (9, "Z"))):
+        out[f"surface.points_on_curve.{key}.deg2"] = (
+            lambda q=q, text=text: sf.curve_make(surface(m, "P2", q), text),
+            lambda D: sf.points_on_curve(D, 2), 1)
 
     def conic_cubic():
         """The pair on a fresh P2 over F_5, so no support is in its memo."""
@@ -348,7 +381,7 @@ def measure_cases(m: dict) -> Dict[str, Case]:
     return {"measures.derive_eq1.P1xP1.q3": (warmed, run, len(pairs))}
 
 
-CASES = (field_cases, series_cases, poly_cases, geometry_cases,
+CASES = (field_cases, series_cases, poly_cases, rank_cases, geometry_cases,
          record_cases, cohomology_cases, measure_cases)
 # every timing a run writes, one or more per layer
 KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
@@ -358,7 +391,8 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "multipoly.mul.1x1", "multipoly.mul.sextics.F5",
     "multipoly.mul.sextics.F49", "multipoly.exact_div.sextics.F5",
     "multipoly.resultant_elim.F5", "linalg.mat_rref.15x21.F5",
-    "linalg.mat_rank.15x21.F5",
+    "linalg.mat_rank.15x21.F5", "linalg.mat_rank.section_rows.P2.q13",
+    "linalg.mat_rank.window_gram.P2.q13",
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
     "surface.points_on_curve.cubic.F5.deg2",
     "surface.points_on_curve.Z.P2.F9.deg2",
