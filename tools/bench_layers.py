@@ -9,7 +9,7 @@ Every case builds its inputs through text parsing (`parse_poly`,
 `curve_make` and the cli parsers) and public calls, so one script times any
 checkout of the package, whatever its coefficients are made of.  A case's
 figure is the best of --repeat rounds (7 by default), each timing every
-case once, in seconds; the element, 1 x 1, Riemann-Roch space and
+case once, in seconds; the element, trace, 1 x 1, Riemann-Roch space and
 dimension and derive_eq1 cases time a batch and report one operation.  The
 file also records the line count of each source module.  Standard library
 only; single-threaded.
@@ -46,6 +46,8 @@ MODULES = ("fields", "series", "multipoly", "linalg", "surface", "residues",
 # (p, d) of the element-arithmetic fields: a prime field, two table fields
 # and one field above the table limit
 FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
+# (p, d, e) of a trace from F_(p^d) down to F_(p^e)
+TRACES = {"F7^6.F7": (7, 6, 1), "F81.F9": (3, 4, 2)}
 BATCH = 400
 FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
 CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
@@ -126,6 +128,16 @@ def field_cases(m: dict) -> Dict[str, Case]:
             lambda a, b: a + b, pairs), len(pairs))
         out[f"fields.inverse.{name}"] = (lambda: None, batch(
             lambda a, _b: a.inverse(), pairs), len(pairs))
+    # traces down from an extension: coerce_down solves a dense system of
+    # sup.d rows and sub.d + 1 columns over F_p for each, the densest
+    # matrix the package ranks
+    for name, (p, d, e) in TRACES.items():
+        F, sub = (m["fields"].field_make(p, k) for k in (d, e))
+        rng = random.Random(p * 10 + d)
+        elems = [F.from_coeffs([rng.randrange(p) for _ in range(d)])
+                 for _ in range(BATCH // 4)]
+        out[f"fields.rel_trace.{name}"] = (lambda: None, batch(
+            m["fields"].rel_trace, [(a, sub) for a in elems]), len(elems))
     return out
 
 
@@ -385,7 +397,8 @@ CASES = (field_cases, series_cases, poly_cases, rank_cases, geometry_cases,
          record_cases, cohomology_cases, measure_cases)
 # every timing a run writes, one or more per layer
 KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
-             for op in ("mul", "add", "inverse")) + (
+             for op in ("mul", "add", "inverse")) + tuple(
+    f"fields.rel_trace.{name}" for name in TRACES) + (
     "series.mul.1x1", "series.mul.12x12.F5", "series.inverse.12x12.F5",
     "series.mul.12x12.F729", "series.inverse.12x12.F729",
     "multipoly.mul.1x1", "multipoly.mul.sextics.F5",
