@@ -329,56 +329,102 @@ def _report_text(obj, newline: str = "\n") -> str:
     return f"{opening}{inner}{(',' + inner).join(items)}{newline}{closing}"
 
 
-# one check record at its depth in a report: the record opens at an indent
-# of four spaces and its six keys sit at six
-_RECORD = ('{\n      "name": %s,\n      "inputs": %s,\n      "lhs": %s,\n'
-           '      "rhs": %s,\n      "pass": %s,\n      "micros": %d\n    }')
+# the depths in a report: its top keys sit at an indent of two spaces, a
+# check record's keys at six and the keys of its inputs at eight
 _TOP_DEPTH = "\n  "
 _KEY_DEPTH = "\n      "
 _INPUT_DEPTH = "\n        "
 _INT_ONLY = frozenset((int,))
+_INT = -1  # the kind of an int leaf; n >= 0 is a tuple of n ints
+
+
+def _fill(v, newline: str, args: list) -> Optional[int]:
+    """Append what fills v's slot in a record template to args, and return
+    v's kind: _INT for an int, n for a tuple of n ints (each filled
+    alone), None for anything else (filled with its report text at the
+    indentation of newline).  The type test comes first: (True, False) and
+    (1.0, 0) equal (1, 0), yet write otherwise or raise."""
+    kind = type(v)
+    if kind is int:
+        args.append(v)
+        return _INT
+    if kind is tuple and _INT_ONLY.issuperset(map(type, v)):
+        args.extend(v)
+        return len(v)
+    args.append(_report_text(v, newline))
+    return None
+
+
+def _slot(kind: Optional[int], newline: str) -> str:
+    """The template text of a slot of that kind at the indentation of
+    newline."""
+    if kind is None:
+        return "%s"
+    if kind == _INT:
+        return "%d"
+    if not kind:
+        return "[]"
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(['%d'] * kind)}{newline}]"
+
+
+def _template(name: str, passed, inputs: Optional[tuple],
+              lhs: Optional[int], rhs: Optional[int]) -> str:
+    """The %-template of one record shape: the escaped name, input keys and
+    verdict are written in, with each % doubled, and every leaf is a slot.
+    inputs is None when they are not a dict, and else their (key, kind)
+    pairs.  The escaper raises TypeError on a name or key that is not a
+    str."""
+    def text(s: str) -> str:
+        return _escape(s).replace("%", "%%")
+
+    if inputs is None:
+        body = "%s"
+    elif not inputs:
+        body = "{}"
+    else:
+        items = [f"{text(k)}: {_slot(kind, _INPUT_DEPTH)}"
+                 for k, kind in inputs]
+        body = f"{{{_INPUT_DEPTH}{(',' + _INPUT_DEPTH).join(items)}" \
+               f"{_KEY_DEPTH}}}"
+    return (f'{{{_KEY_DEPTH}"name": {text(name)},{_KEY_DEPTH}"inputs": '
+            f'{body},{_KEY_DEPTH}"lhs": {_slot(lhs, _KEY_DEPTH)},'
+            f'{_KEY_DEPTH}"rhs": {_slot(rhs, _KEY_DEPTH)},{_KEY_DEPTH}'
+            f'"pass": {"true" if passed else "false"},{_KEY_DEPTH}'
+            '"micros": %d\n    }')
 
 
 def _records_text(checks: Sequence[Check], micros: Sequence[int]) -> str:
     """The text `_report_text` writes for a report's list of check records,
     at its depth under the "checks" key: each record holds its check's
     name, inputs, lhs, rhs and verdict, and the matching entry of micros.
-    Each record fills one template; ints are written inline, and the text
-    of a tuple whose elements all have type int is written once per
-    (tuple, depth).  The type test comes first because (True, False) and
-    (1.0, 0) equal (1, 0) and hash alike, yet write otherwise or raise."""
-    memo: Dict[Tuple[tuple, str], str] = {}
-
-    def value(v, newline: str) -> str:
-        kind = type(v)
-        if kind is int:
-            return int.__repr__(v)
-        if kind is str:
-            return _escape(v)
-        if kind is tuple and _INT_ONLY.issuperset(map(type, v)):
-            key = (v, newline)
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = _report_text(v, newline)
-            return text
-        return _report_text(v, newline)
-
-    def inputs(d) -> str:
-        if type(d) is not dict or not d:
-            return _report_text(d, _KEY_DEPTH)
-        # the escaper raises TypeError on a key that is not a str
-        items = [f"{_escape(k)}: {value(v, _INPUT_DEPTH)}"
-                 for k, v in d.items()]
-        body = ("," + _INPUT_DEPTH).join(items)
-        return f"{{{_INPUT_DEPTH}{body}{_KEY_DEPTH}}}"
-
-    records = [_RECORD % (value(c.name, _KEY_DEPTH), inputs(c.inputs),
-                          value(c.lhs, _KEY_DEPTH), value(c.rhs, _KEY_DEPTH),
-                          "true" if c.passed else "false", us)
-               for c, us in zip(checks, micros)]
-    if not records:
+    A record's shape is its name, verdict, input keys and the kinds of its
+    input values, lhs and rhs (see `_fill`).  Each shape's template is
+    built once per call, and the records' templates, joined, are filled in
+    one % operation."""
+    templates: Dict[tuple, str] = {}
+    parts = []
+    args: list = []
+    for c, us in zip(checks, micros):
+        inputs = c.inputs
+        if type(inputs) is dict:
+            shape = []
+            for k, v in inputs.items():
+                shape.append((k, _fill(v, _INPUT_DEPTH, args)))
+            shape = tuple(shape)
+        else:
+            shape = None
+            args.append(_report_text(inputs, _KEY_DEPTH))
+        key = (c.name, c.passed, shape, _fill(c.lhs, _KEY_DEPTH, args),
+               _fill(c.rhs, _KEY_DEPTH, args))
+        args.append(us)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _template(*key)
+        parts.append(template)
+    if not parts:
         return "[]"
-    return "[\n    " + ",\n    ".join(records) + "\n  ]"
+    return ("[\n    " + ",\n    ".join(parts) + "\n  ]") % tuple(args)
 
 
 def _document_text(config: Dict, checks: Sequence[Check],

@@ -28,7 +28,6 @@ from .surface import (
     RationalFunction,
     Surface,
     class_monomials,
-    divisor_class,
 )
 
 
@@ -121,6 +120,14 @@ def cech_h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
     return CohomologyVector(*h)
 
 
+def _section_key(D: Divisor) -> tuple:
+    """What the rows of D depend on: its negative part, as a frozenset of
+    (curve, multiplicity) pairs with positive multiplicities, and its
+    class."""
+    return frozenset([(C, -m) for C, m in D.components.items() if m < 0]), \
+        D._cls
+
+
 def _section_rows(D: Divisor) -> Tuple[Matrix, List[tuple]]:
     """The rows that span the numerators of L(D), and their columns.
 
@@ -130,23 +137,35 @@ def _section_rows(D: Divisor) -> Tuple[Matrix, List[tuple]]:
     their product P divides N: the numerators are the multiples A*P of the
     class of N, and there is one row per monomial a of A, the class of D.
     The row of a is P shifted by a, its |P| entries at the monomials of the
-    class of N (that of D's positive part), which are returned as the
-    columns.  P is computed once per negative part and kept in S.memo.
+    class of N (D's class plus the negative part's), which are returned as
+    the columns.  The rows are kept in S.memo under `_section_key`, P under
+    the negative part and the column of each monomial under its class, so
+    callers share them and must not change them.
     """
     S = D.surface
-    items = D.items()
-    negative = tuple((C, -m) for C, m in items if m < 0)
-    key = ("section product", negative)
-    P = S.memo.get(key)
+    negative, cls = _section_key(D)
+    got = S.memo.get(("section rows", negative, cls))
+    if got is not None:
+        return got
+    P = S.memo.get(("section product", negative))
     if P is None:
-        P = S.memo[key] = _product(S, list(negative))
-    monos = class_monomials(S, divisor_class(
-        Divisor(S, {C: m for C, m in items if m > 0})))
-    column = {e: i for i, e in enumerate(monos)}
+        P = S.memo["section product", negative] = _product(
+            S, sorted(negative, key=lambda Ck: Ck[0]._key))
+    positive = list(cls)
+    for C, k in negative:
+        for i, d in enumerate(C._cls):
+            positive[i] += k * d
+    positive = tuple(positive)
+    monos = class_monomials(S, positive)
+    column = S.memo.get(("columns", positive))
+    if column is None:
+        column = S.memo["columns", positive] = {
+            e: i for i, e in enumerate(monos)}
     terms = P.terms.items()
     rows = [{column[tuple(map(_add, a, m))]: c for m, c in terms}
-            for a in class_monomials(S, divisor_class(D))]
-    return rows, monos
+            for a in class_monomials(S, cls)]
+    got = S.memo["section rows", negative, cls] = rows, monos
+    return got
 
 
 def rr_space(D: Divisor) -> List[RationalFunction]:
@@ -167,8 +186,14 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
 
 def rr_dimension(D: Divisor) -> int:
     """dim L(D), the rank of the rows of `_section_rows`: the number of
-    vectors `rr_space` returns, without the basis or the denominator."""
-    return mat_rank(_section_rows(D)[0], D.surface.base)
+    vectors `rr_space` returns, without the basis or the denominator.  It
+    is kept in S.memo under the key of the rows."""
+    S = D.surface
+    key = ("section rank",) + _section_key(D)
+    got = S.memo.get(key)
+    if got is None:
+        got = S.memo[key] = mat_rank(_section_rows(D)[0], S.base)
+    return got
 
 
 def _product(S: Surface, factors: List[Tuple[Curve, int]]) -> MPoly:

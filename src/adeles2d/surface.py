@@ -424,9 +424,14 @@ def coordinate_lines(S: Surface, cls: ClassVector,
 
 
 class ClosedPoint:
-    """A Galois orbit of geometric points, by its least normalized member."""
+    """A Galois orbit of geometric points, by its least normalized member.
 
-    __slots__ = ("surface", "residue_field", "coords", "degree")
+    On one surface a point is its degree and coordinate codes; that key,
+    its hash and the sort key are computed once, here, since points are
+    looked up in the flag registry and the memo again and again."""
+
+    __slots__ = ("surface", "residue_field", "coords", "degree", "_key",
+                 "_hash", "_sort")
 
     def __init__(self, surface: Surface, residue_field: FieldDesc,
                  coords: Tuple[FieldElem, ...], degree: int):
@@ -434,20 +439,20 @@ class ClosedPoint:
         self.residue_field = residue_field
         self.coords = coords
         self.degree = degree
+        self._key = (degree, tuple(c.n for c in coords))
+        self._hash = hash(self._key)
+        self._sort = (degree, tuple(c.sort_key() for c in coords))
 
     def sort_key(self):
-        return (self.degree, tuple(c.sort_key() for c in self.coords))
+        return self._sort
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ClosedPoint)
-            and self.surface == other.surface
-            and self.degree == other.degree
-            and tuple(c.n for c in self.coords) == tuple(c.n for c in other.coords)
-        )
+        return self is other or (isinstance(other, ClosedPoint)
+                                 and self._key == other._key
+                                 and self.surface == other.surface)
 
     def __hash__(self):
-        return hash((self.degree, tuple(c.n for c in self.coords)))
+        return self._hash
 
     def __repr__(self):
         return "x".join("(" + ":".join(repr(self.coords[i]) for i in g) + ")"
@@ -755,14 +760,29 @@ def mp_eval_series(f: MPoly, args: Sequence[LaurentSeries2],
             pows[i][n] = got
         return got
 
-    acc = LaurentSeries2.zero(desc)
+    # the terms are summed into one dict and cut once to the least of their
+    # windows: the terms and windows that adding them one by one with `+`
+    # gives, without a copy of the sum per term
+    add = desc.add
+    acc: Dict[Tuple[int, int], int] = {}
+    t_prec = u_prec = INF
     for e, c in f.terms.items():
         term = LaurentSeries2._make(desc, {(0, 0): c}, INF, INF)
         for i, k in enumerate(e):
             if k:
                 term = term * pw(i, k)
-        acc = acc + term
-    return acc
+        t_prec, u_prec = min(t_prec, term.t_prec), min(u_prec, term.u_prec)
+        for key, v in term.terms.items():
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = v
+            elif cur := add(cur, v):
+                acc[key] = cur
+            else:
+                del acc[key]
+    if t_prec != INF or u_prec != INF:
+        acc = {k: c for k, c in acc.items() if k[0] < t_prec and k[1] < u_prec}
+    return LaurentSeries2._make(desc, acc, t_prec, u_prec)
 
 
 def flag_coordinate_series(fl: Flag, window: int,

@@ -547,10 +547,44 @@ def test_records_writer_never_shares_text_across_element_types():
     assert type(records[1]["lhs"][0]) is bool
     for bad in (Check("f", {"k": (1.0, 0)}, 0, 0),
                 Check("f", {"k": (1, 0)}, (1.0, 0), 0),
-                Check("f", {}, 0, (1, 0.5))):
-        # the int tuple (1, 0) is in the memo and equals (1.0, 0)
+                Check("a", {"k": (1.0, 0)}, (1, 0), (1, 0)),
+                Check("a", {"k": (1, 0)}, (1.0, 0), (1, 0)),
+                Check("a", {"k": (1, 0)}, (1, 0), 1.0),
+                Check("f", {}, 0, (1, 0.5)),
+                Check("a", {1: (1, 0)}, (1, 0), (1, 0)),
+                Check(1, {"k": (1, 0)}, (1, 0), (1, 0))):
+        # the first record's shape has a template, and (1.0, 0) equals
+        # (1, 0); names and input keys must be str
         with pytest.raises(TypeError):
             cli._records_text([checks[0], bad], [0, 0])
+
+
+def test_records_writer_keeps_shapes_that_differ_only_in_leaf_types_apart():
+    # each record shares its name, verdict and keys with many others and
+    # differs from them only in the types of its leaves, so a template
+    # that one shape left behind would write the next wrongly
+    Check = measures.Check
+    leaves = [1, True, 0, False, None, -(10 ** 30), "1", "%d %s %%", "∂ü",
+              (1, 0), (True, False), (1, False), (0, True), (), [], (1,),
+              [1, 0], (1, (0,)), ((1, 0),), {"k": 1}, {}, [{"%": (1,)}]]
+    checks = []
+    for name in ("plain", "100% ünïcödé %s %d %%", "%(k)s"):
+        for v in leaves:
+            checks.append(Check(name, {"k": v, "%d ∂": v}, v, v, True))
+            checks.append(Check(name, {"k": v, "%d ∂": "%s"}, (1, 0), v,
+                                False))
+            checks.append(Check(name, {"%d ∂": v, "k": v}, 1, 1, True))
+        for inputs in ({}, [], (), (1, 0), (True, False), 7, True, "%s",
+                       None, [("%", 1)], {"k": {}}):
+            checks.append(Check(name, inputs, 0, True, True))
+            checks.append(Check(name, inputs, True, 0, True))
+    micros = [i * 37 % 11 for i in range(len(checks))]
+    text, doc = _document({"command": "%s %%"}, checks, micros)
+    assert text == json.dumps(doc, indent=2)
+    # and in the opposite order, so that the other shape of each pair
+    # builds its template first
+    text, doc = _document({}, checks[::-1], micros)
+    assert text == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("extra", [["--timings"], ["--inject-failure"],

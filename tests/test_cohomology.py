@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from adeles2d import cohomology
 from adeles2d.cli import FIXTURES
 from adeles2d.cohomology import (
     cech_h_vector,
@@ -213,6 +214,35 @@ def test_rr_dimension_off_the_coordinate_lines():
         dim = rr_dimension(D)
         assert dim == len(rr_space(D)), D
         assert dim == h_vector(S, divisor_class(D)).h0, D
+
+
+def test_section_rows_follow_the_negative_part_not_the_class_alone():
+    # divisors of one class whose negative parts differ, asked in turn on
+    # one surface: each row must be its own P shifted by a monomial of the
+    # class.  The rank cannot tell them apart (it is the number of
+    # monomials of the class for every nonzero P), so the rows are read.
+    S = p2(5)
+    X, Y, Z = (S.lines[n] for n in ("X", "Y", "Z"))
+    conic = curve_make(S, "YZ-X^2")
+    cases = [
+        (Divisor(S, {Z: 2, X: -1}), X.poly),
+        (Divisor(S, {Z: 2, Y: -1}), Y.poly),
+        (Divisor(S, {Z: 3, conic: -1}), conic.poly),
+        (Divisor(S, {Z: 3, X: -2}), X.poly ** 2),
+        (Divisor(S, {Z: 3, X: -1, Y: -1}), X.poly * Y.poly),
+        (Divisor(S, {conic: 1, X: -1}), X.poly),
+        (Divisor(S, {Z: 2, Y: -1}), Y.poly),
+    ]
+    for D, P in cases + cases[::-1]:
+        assert divisor_class(D) == (1,), D
+        rows, monos = cohomology._section_rows(D)
+        got = [MPoly._make(S.base, S.nvars, {monos[j]: c
+                                             for j, c in row.items()})
+               for row in rows]
+        want = [MPoly._make(S.base, S.nvars, {a: 1}) * P
+                for a in class_monomials(S, (1,))]
+        assert got == want, D
+        assert rr_dimension(D) == len(want), D
 
 
 def test_chi_ignores_principal_shifts():

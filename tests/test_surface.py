@@ -493,6 +493,22 @@ def test_separately_made_curves_of_one_text_hash_equal():
             assert {a: 1}[b] == 1
 
 
+def test_closed_points_are_equal_by_surface_degree_and_codes():
+    # the key, hash and sort key are kept on the point: equal points made
+    # apart still meet in a dict, and a point of another base field with
+    # the same codes does not
+    S, T = p2(3), p2(3)
+    a = point_from_coords(S, [S.base.from_int(c) for c in (1, 2, 0)])
+    b = point_from_coords(T, [T.base.from_int(c) for c in (1, 2, 0)])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1 and a.sort_key() == b.sort_key()
+    F9 = p2(9)
+    c = point_from_coords(F9, [F9.base.from_int(c) for c in (1, 2, 0)])
+    assert [x.n for x in c.coords] == [x.n for x in a.coords]
+    assert c != a and a != c and {a: 1}.get(c) is None
+    assert a != "a point" and a != a.coords
+
+
 def _recount(D):
     acc = [0] * len(D.surface.groups)
     for c, m in D.components.items():
@@ -1233,6 +1249,32 @@ def test_branch_solves_the_curve_equation_along_the_curve(model, q):
             assert T.u_prec == n and T.is_zero_window(), (fl, n, T)
             column = flag_coordinate_series(fl, 1, n)[other]
             assert [column.terms.get((0, u), 0) for u in range(n)] == ybar
+
+
+def test_series_evaluation_equals_the_sum_of_its_terms_one_by_one():
+    # the reference adds the terms with `+`, which cuts each partial sum to
+    # the least window so far; the evaluation cuts once, at the end, and
+    # must give the same terms in the same order and the same windows
+    rng = random.Random(25)
+    for q in (2, 5, 9):
+        k = field_make(*surface_mod._prime_power(q))
+        for _ in range(12):
+            args = [LaurentSeries2(k, {
+                (t, u): k.from_int(rng.randrange(1, k.p))
+                for t in range(-1, 3) for u in range(-1, 3)
+                if rng.random() < 0.4}, rng.choice((2, 3, 4, INF)),
+                rng.choice((3, 5, INF))) for _ in range(2)]
+            f = MPoly._make(k, 2, {
+                (i, j): k.from_int(rng.randrange(1, k.p)).n
+                for i in range(3) for j in range(3) if rng.random() < 0.5})
+            want = LaurentSeries2.zero(k)
+            for e, c in f.terms.items():
+                term = LaurentSeries2._make(k, {(0, 0): c}, INF, INF)
+                for arg, n in zip(args, e):
+                    term = term * arg ** n
+                want = want + term
+            got = surface_mod.mp_eval_series(f, args, k)
+            assert got == want and list(got.terms) == list(want.terms)
 
 
 def test_branch_is_kept_once_and_sliced(monkeypatch):
