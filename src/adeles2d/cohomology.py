@@ -17,7 +17,7 @@ import functools
 import itertools
 from math import comb
 from operator import add as _add, mul as _mul
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from .linalg import Matrix, mat_rank, mat_rref
 from .multipoly import MPoly
@@ -98,26 +98,37 @@ def cech_h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
     exponent signs are uniform within each homogeneous group: all
     nonnegative (degree 0) or all negative (degree size - 1 for the group).
     Every exponent of such a monomial lies between min(0, d + size - 1) and
-    max(d, -1), for d the degree of its group; each tuple in that box is
-    tested.
+    max(d, -1), for d the degree of its group.  A monomial of class c is one
+    exponent tuple of degree d per group, so each group walks only the
+    tuples of its degree in that box, and the counts of the groups multiply.
     """
-    # one range per variable, in order: the groups are consecutive blocks
-    box = [range(min(0, d + len(g) - 1), max(d, -1) + 1)
-           for g, d in zip(S.groups, c) for _v in g]
-    h = [0, 0, 0]
-    for e in itertools.product(*box):
-        degree = 0
-        for g, d in zip(S.groups, c):
-            part = [e[v] for v in g]
-            if sum(part) != d:
-                break
+    h = [1]
+    for g, d in zip(S.groups, c):
+        counts = [0] * len(g)
+        for part in _parts(len(g), d, min(0, d + len(g) - 1), max(d, -1)):
             if all(x < 0 for x in part):
-                degree += len(g) - 1
-            elif any(x < 0 for x in part):
-                break
-        else:
-            h[degree] += 1
+                counts[-1] += 1
+            elif not any(x < 0 for x in part):
+                counts[0] += 1
+        prod = [0] * (len(h) + len(counts) - 1)
+        for i, x in enumerate(h):
+            for j, y in enumerate(counts):
+                prod[i + j] += x * y
+        h = prod
     return CohomologyVector(*h)
+
+
+def _parts(size: int, d: int, lo: int, hi: int) -> Iterable[Tuple[int, ...]]:
+    """The tuples of `size` integers in [lo, hi] that sum to d, in lex
+    order; each prefix is one that some tuple extends."""
+    if size == 1:
+        if lo <= d <= hi:
+            yield (d,)
+        return
+    rest = size - 1
+    for x in range(max(lo, d - rest * hi), min(hi, d - rest * lo) + 1):
+        for tail in _parts(rest, d - x, lo, hi):
+            yield (x,) + tail
 
 
 def _section_key(D: Divisor) -> tuple:

@@ -348,9 +348,6 @@ class FieldElem:
     def is_zero(self) -> bool:
         return not self.n
 
-    def is_one(self) -> bool:
-        return self.n == 1
-
     def __bool__(self):
         return self.n != 0
 

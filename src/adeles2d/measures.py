@@ -18,15 +18,16 @@ import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import h_vector
+from .fields import FieldDesc, FieldElem, rel_trace
 from .linalg import Matrix, mat_rank
-from .residues import AdeleFragment, adelic_pairing
-from .series import LaurentSeries2
+from .series import LaurentSeries2, PrecisionError
 from .surface import (
     ClassVector,
     Divisor,
     Flag,
     Surface,
     canonical_divisor,
+    canonical_local_form,
     class_intersection,
     coordinate_lines,
     divisor_class,
@@ -577,12 +578,6 @@ class Window(NamedTuple):
                 f"{len(self.flags)} flags)")
 
 
-def _basis_fragment(fl: Flag, b: int, a: int, li: int) -> AdeleFragment:
-    kx = fl.point.residue_field
-    coeff = kx.gen() ** li if li else kx.one()
-    return AdeleFragment({fl: LaurentSeries2.monomial(kx, coeff, b, a)})
-
-
 def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
     """Build the window between R and S with one flag per curve, at a
     point of degree at most WINDOW_POINT_DEGREE off the other curves.
@@ -608,6 +603,7 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
     u_window = list(range(u_lo, u_lo + u_size))
     flags: List[Flag] = []
     jorders: List[Tuple[int, int]] = []
+    forms: List[LaurentSeries2] = []
     basis: List[Tuple[int, int, int, int]] = []
     dual_basis: List[Tuple[int, int, int, int]] = []
     for fi, D in enumerate(curves):
@@ -619,37 +615,72 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
         jorders.append((-p_t, -p_u))
         r_D = R.components.get(D, 0)
         s_D = S.components.get(D, 0)
+        forms.append(_window_form(fl, s_D - r_D, u_size, p_t, p_u))
         deg = fl.point.degree
         for b in range(-s_D, -r_D):
             for a in u_window:
                 for li in range(deg):
                     basis.append((fi, b, a, li))
                     dual_basis.append((fi, p_t - 1 - b, p_u - 1 - a, li))
-    frags = [_basis_fragment(flags[fi], b, a, li) for fi, b, a, li in basis]
-    dual_frags = [_basis_fragment(flags[fi], b, a, li)
-                  for fi, b, a, li in dual_basis]
-    # an entry pairs the product of two monomials at one flag, so it
-    # depends only on the flag and the sums of the exponents: one pairing
-    # per distinct product.  Fragments at different flags pair to zero, so
+    # the pairing of gen^li t^b u^a with gen^lj t^bj u^aj at a flag is
+    # tr(gen^(li + lj) J[-1 - (b + bj), -1 - (a + aj)]), for J the flag's
+    # form: it depends only on the flag and the sums of the exponents, so
+    # each sum is read once.  Monomials at different flags pair to zero, so
     # a row holds only the same-flag columns, and of those the nonzero ones
+    base = surf.base
     pairings: Dict[Tuple[int, int, int, int], int] = {}
     same_flag = [[j for j, e in enumerate(dual_basis) if e[0] == fi]
                  for fi in range(len(flags))]
     gram = []
-    for i, (fi, b, a, li) in enumerate(basis):
+    for fi, b, a, li in basis:
+        J, kx = forms[fi].terms, flags[fi].point.residue_field
         row = {}
         for j in same_flag[fi]:
             _fj, bj, aj, lj = dual_basis[j]
             key = (fi, b + bj, a + aj, li + lj)
             n = pairings.get(key)
             if n is None:
-                n = pairings[key] = adelic_pairing(frags[i], dual_frags[j]).n
+                n = pairings[key] = _pair_code(
+                    kx, J.get((-1 - key[1], -1 - key[2]), 0), key[3], base)
             if n:
                 row[j] = n
         gram.append(row)
-    rank = mat_rank(gram, surf.base)
+    rank = mat_rank(gram, base)
     return Window(surf, R, S, wdiv, flags, basis, dual_basis, gram, rank,
                   jorders)
+
+
+def _window_form(fl: Flag, t_span: int, u_size: int, p_t: int,
+                 p_u: int) -> LaurentSeries2:
+    """J = canonical_local_form(fl, window) on a box that holds every slot
+    the gram reads at fl, for (p_t, p_u) the rank-2 valuation of P and
+    t_span and u_size the numbers of basis t- and u-exponents there: the
+    slots lie below t^(t_span - p_t) and u^(u_size - p_u).  J's box holds
+    the t-exponents below window - 2 p_t and the u-exponents below
+    window - p_u, so the first window comes from those, and the shortfall
+    J's box reports resizes it at most once."""
+    t_to, u_to = t_span - p_t, u_size - p_u
+    window = max(t_span + p_t, u_size)
+    J = canonical_local_form(fl, window)
+    short = max(t_to - J.t_prec, u_to - J.u_prec)
+    if short > 0:
+        window += short
+        J = canonical_local_form(fl, window)
+        if J.t_prec < t_to or J.u_prec < u_to:
+            raise PrecisionError(f"window gram at flag {fl!r} undetermined "
+                                 f"at window {window}")
+    return J
+
+
+def _pair_code(kx: FieldDesc, code: int, power: int, base: FieldDesc) -> int:
+    """The code of tr(gen^power * c) from kx down to the base field, for c
+    the element of kx coded `code`."""
+    if not code:
+        return 0
+    c = FieldElem(kx, code)
+    if power:
+        c = c * kx.gen() ** power
+    return rel_trace(c, base).n
 
 
 def window_lattice_rows(w: Window, C: Divisor) -> List[int]:

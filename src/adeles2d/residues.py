@@ -156,11 +156,6 @@ def _meeting_flags(w: GlobalForm, D: Curve) -> List[Flag]:
             for pt in meeting_points((D, C) for C in w.components if C != D)]
 
 
-def residue_sum_along_curve(w: GlobalForm, D: Curve) -> FieldElem:
-    """Trace-weighted residue sum over the points of D; identically zero."""
-    return _trace_sum(w, _meeting_flags(w, D))
-
-
 def _trace_sum(w: GlobalForm, flags: List[Flag]) -> FieldElem:
     """The sum of the traces to the base field of w's residues at flags."""
     base = w.surface.base

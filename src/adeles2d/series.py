@@ -291,13 +291,6 @@ def _invert_column(col: Dict[int, int], u_prec, lu: int,
 # valuation, residue and serialization
 
 
-def ls2_valuation(f: LaurentSeries2) -> Tuple[int, int]:
-    """(vt, vu): least t-exponent and the u-valuation of that column."""
-    vt = f.t_valuation()
-    vu = min(u for (t, u) in f.terms if t == vt)
-    return vt, vu
-
-
 def res2(f: LaurentSeries2) -> FieldElem:
     """The two-dimensional residue of the form f du^dt: the u^-1 t^-1
     coefficient of f."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from math import comb
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .fields import (
@@ -790,57 +791,76 @@ def flag_coordinate_series(fl: Flag, window: int,
     """Expansions of the two chart coordinates at the flag on the box of
     t-window `window` and u-window `u_window` (default: the same): u itself,
     and the other as a series B(u, t) with B(0,0) = its value at the point,
-    solving t_param(coords) = t by Hensel iteration.
+    solving t_param(coords) = t, lifted from the branch (_lift).
 
     The flag keeps one solution, on the join of the boxes asked for so far.
-    A box inside it is served by truncation; a larger box restarts Newton
-    from it, re-marked exact, since the box rule would otherwise pin the
-    result's precision at the old box.  Either way the result equals a
-    fresh solve on the box, terms and precisions."""
+    A box inside it is served by truncation; a larger box restarts the lift
+    on the join.  Either way the result equals a fresh lift on the box,
+    terms and precisions."""
     if u_window is None:
         u_window = window
     other = 1 - fl.u_index
     got = fl._cache.get("coords")
     if got is None:
-        got = fl._cache["coords"] = _solve_coordinates(
-            fl, window, u_window, None)
+        got = fl._cache["coords"] = _lift(fl, window, u_window)
     elif window > got[other].t_prec or u_window > got[other].u_prec:
-        got = fl._cache["coords"] = _solve_coordinates(
+        got = fl._cache["coords"] = _lift(
             fl, max(window, got[other].t_prec),
-            max(u_window, got[other].u_prec), got)
+            max(u_window, got[other].u_prec))
     out = list(got)
     out[other] = got[other].truncate(window, u_window)
     return out
 
 
-def _solve_coordinates(fl: Flag, window: int, u_window: int,
-                       start: Optional[List[LaurentSeries2]]
-                       ) -> List[LaurentSeries2]:
-    """The coordinate series on one box, by Newton's method from the
-    point's coordinates or from `start`, a solution on a smaller box."""
+def _lift(fl: Flag, window: int, u_window: int) -> List[LaurentSeries2]:
+    """The coordinate series on one box.  Along t = 0 the other coordinate
+    is the branch ybar(u); off it, y = ybar + delta with
+    sum_j T^[j](u, ybar) delta^j = t, for T^[j] the Hasse derivatives of
+    t_param in y and T^[0](u, ybar) = 0.  So delta = sum_i c_i(u) t^i with
+    c_1 = 1 / T^[1](u, ybar), a unit since flag_make checks it at the
+    point, and c_i = -c_1 * sum_{j >= 2} T^[j](u, ybar) [t^i] delta^j, whose
+    right side holds c_1 ... c_(i-1) only: every product is one of power
+    series in u (Kung and Traub, J. ACM 25(2), 1978).  A curve linear in y
+    has c_i = 0 for i >= 2."""
     k = fl.point.residue_field
     other = 1 - fl.u_index
     u_series = LaurentSeries2.monomial(k, k.one(), 0, 1) + \
         LaurentSeries2.const(k, fl.u_value)
-    t_series = LaurentSeries2.monomial(k, k.one(), 1, 0)
     coords = [u_series, u_series]
-    if start is None:
-        coords[other] = LaurentSeries2.const(k, fl.point_affine[other])
-    else:
-        coords[other] = LaurentSeries2._make(k, start[other].terms, INF, INF)
-    dT = fl.t_param.derivative(other)
-    # each Newton step doubles the solved total degree in (u, t)
-    for _ in range((window + u_window).bit_length() + 2):
-        cur = [c.truncate(window, u_window) for c in coords]
-        resid = mp_eval_series(fl.t_param, cur, k) - t_series
-        resid = resid.truncate(window, u_window)
-        if resid.is_zero_window():
-            coords[other] = coords[other].truncate(window, u_window)
-            return coords
-        deriv = mp_eval_series(dT, cur, k).truncate(window, u_window)
-        coords[other] = (coords[other]
-                         - resid * deriv.inverse()).truncate(window, u_window)
-    raise RuntimeError("coordinate solution did not converge")  # pragma: no cover
+    n = u_window
+    if window < 1 or n < 1:  # an empty box
+        coords[other] = LaurentSeries2._make(k, {}, window, n)
+        return coords
+    ybar = _branch(fl, n)
+    cols = _u_columns(fl.t_param, fl, n)
+    deg = len(cols) - 1  # of t_param in y
+    # hasse[j] = T^[j](u, ybar) = sum_m binom(m, j) cols[m] ybar^(m - j)
+    hasse = [None] + [
+        _horner([k.axpy(comb(m, j) % k.p, col, [0] * n) for m, col in
+                 enumerate(cols[j:], j)], ybar, n, k)
+        for j in range(1, deg + 1)]
+    inv, _prec = _invert_column({i: c for i, c in enumerate(hasse[1]) if c},
+                                INF, n, k)
+    c1 = [inv.get(i, 0) for i in range(n)]
+    # powers[j][i] = [t^i] delta^j, zero below t^j; powers[1] holds the c_i
+    powers = [None, [[0] * n, c1]] + [[[0] * n] * j
+                                      for j in range(2, deg + 1)]
+    for i in range(2, window if deg > 1 else 2):
+        acc = [0] * n
+        for j in range(2, min(i, deg) + 1):
+            # [t^i] delta^j = sum_m c_m [t^(i - m)] delta^(j - 1)
+            term = [0] * n
+            for m in range(1, i - j + 2):
+                term = _ps_add(term, _ps_mul(powers[1][m],
+                                             powers[j - 1][i - m], n, k), k)
+            powers[j].append(term)
+            acc = _ps_add(acc, _ps_mul(hasse[j], term, n, k), k)
+        powers[1].append([k.neg(c) for c in _ps_mul(c1, acc, n, k)])
+    terms = {(0, e): c for e, c in enumerate(ybar) if c}
+    terms.update({(i, e): c for i, ci in enumerate(powers[1][1:window], 1)
+                  for e, c in enumerate(ci) if c})
+    coords[other] = LaurentSeries2._make(k, terms, window, n)
+    return coords
 
 
 def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
@@ -1001,8 +1021,13 @@ def _horner(cols: List[List[int]], y: List[int], n: int,
     """sum_j cols[j] * y^j below u^n, by Horner's rule in y."""
     acc = cols[-1][:n]
     for col in reversed(cols[:-1]):
-        acc = [k.add(a, b) for a, b in zip(_ps_mul(acc, y, n, k), col)]
+        acc = _ps_add(_ps_mul(acc, y, n, k), col, k)
     return acc
+
+
+def _ps_add(a: List[int], b: List[int], k: FieldDesc) -> List[int]:
+    """The codes of the sum of two power series in u of one length."""
+    return [k.add(x, y) for x, y in zip(a, b)]
 
 
 def _ps_mul(a: List[int], b: List[int], n: int, k: FieldDesc) -> List[int]:
@@ -1184,8 +1209,13 @@ def smooth_flag(D: Curve, max_degree: int,
     """The first flag on D at a point of degree at most max_degree that lies
     on no curve of `avoid`; singular points of D are skipped.  Points are
     tried one exact degree at a time, lowest first, since the fibres to
-    factor and the residue fields of the points grow like q^d."""
-    for degree in range(1, max_degree + 1):
+    factor and the residue fields of the points grow like q^d.  The least
+    rational point is found by a walk over the surface (_rational_points),
+    with no enumeration of D."""
+    got = _least_rational_point(D, avoid)
+    if got is not None:
+        return flag_make(got, D)
+    for degree in range(2, max_degree + 1):
         for pt in points_on_curve(D, degree):
             if pt.degree < degree:
                 continue
@@ -1198,6 +1228,49 @@ def smooth_flag(D: Curve, max_degree: int,
                 continue
     raise ValueError(f"no admissible flag on {D!r} up to point degree "
                      f"{max_degree}")
+
+
+def _least_rational_point(D: Curve, avoid: Sequence[Curve]
+                          ) -> Optional[ClosedPoint]:
+    """The least rational point of D, by ClosedPoint.sort_key, on no curve
+    of `avoid` and smooth on D, or None: at most one evaluation of D per
+    rational point of the surface.  A point of D is singular where every
+    partial derivative of D.poly vanishes, which (by Euler's relation in
+    each group) is where flag_make finds none in the chart."""
+    S = D.surface
+    partials = None
+    for coords in _rational_points(S):
+        if D.poly.evaluate(coords) or any(
+                not E.poly.evaluate(coords) for E in avoid):
+            continue
+        if partials is None:
+            partials = [D.poly.derivative(v) for v in range(S.nvars)]
+        if any(d.evaluate(coords) for d in partials):
+            return ClosedPoint(S, S.base, tuple(coords), 1)
+    return None
+
+
+def _rational_points(S: Surface) -> Iterable[List[FieldElem]]:
+    """The normalized rational points of S in ClosedPoint.sort_key order, as
+    coordinate lists, made one at a time.  The zero element sorts first, so
+    within a group the leading 1 moves from the last variable back to the
+    first, the free coordinates running over F_q by FieldElem.sort_key (not
+    code order when q is not prime); the groups nest in variable order."""
+    elems = sorted(S.base.elems(), key=FieldElem.sort_key)
+    zero, one = S.base.zero(), S.base.one()
+
+    def walk(start: int) -> Iterable[List[FieldElem]]:
+        if start == len(S.groups):
+            yield []
+            return
+        size = len(S.groups[start])
+        for lead in range(size - 1, -1, -1):
+            for free in itertools.product(elems, repeat=size - lead - 1):
+                head = [zero] * lead + [one] + list(free)
+                for rest in walk(start + 1):
+                    yield head + rest
+
+    return walk(0)
 
 
 def canonical_divisor(S: Surface) -> Divisor:

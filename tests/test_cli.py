@@ -11,6 +11,7 @@ import pytest
 
 from adeles2d import cli, cohomology, measures, surface
 from adeles2d.cli import main
+from adeles2d.series import LaurentSeries2
 
 
 def run(argv):
@@ -328,11 +329,12 @@ def test_timings_flag_fills_microseconds():
 
 
 def test_a_degenerate_window_fails_its_rank_check(monkeypatch):
-    # a residue pairing that is identically zero leaves the gram matrix at
-    # rank 0: the run reports the window-rank checks as failed
+    # a fixed form whose local coefficient J is identically zero pairs
+    # every monomial to zero and leaves the gram matrix at rank 0: the run
+    # reports the window-rank checks as failed
     monkeypatch.setattr(
-        measures, "adelic_pairing",
-        lambda a, b: next(iter(a.entries)).curve.surface.base.zero())
+        measures, "canonical_local_form",
+        lambda fl, window: LaurentSeries2.zero(fl.point.residue_field))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "windows.json")
         code, out, _err = run(["verify", "--q", "3", "--range", "0:0",

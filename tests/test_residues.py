@@ -8,6 +8,7 @@ import pytest
 
 from adeles2d import residues as residues_mod
 from adeles2d import surface as surface_mod
+from adeles2d.fields import rel_trace
 from adeles2d.residues import (
     AdeleFragment,
     _random_form_of_class,
@@ -18,7 +19,6 @@ from adeles2d.residues import (
     local_residue,
     polar_components,
     reciprocity_corpus,
-    residue_sum_along_curve,
 )
 from adeles2d.series import START_PREC, LaurentSeries2, PrecisionError
 from adeles2d.surface import (
@@ -28,6 +28,7 @@ from adeles2d.surface import (
     flag_make,
     form_order_on_curve,
     invert_poly_at_flag,
+    meeting_points,
     point_from_coords,
     surface_make,
 )
@@ -124,6 +125,16 @@ def test_around_point_rejects_incomplete_curve_list():
         assert "polar component" in str(e)
     else:
         raise AssertionError("missing polar component accepted")
+
+
+def residue_sum_along_curve(w, D):
+    """The trace-weighted sum of w's residues at the points where D meets
+    another component of w, where alone a residue can be nonzero."""
+    base = w.surface.base
+    total = base.zero()
+    for pt in meeting_points((D, C) for C in w.components if C != D):
+        total = total + rel_trace(local_residue(w, flag_make(pt, D)), base)
+    return total
 
 
 def test_along_curve_contributions_cancel():

@@ -10,9 +10,15 @@ from adeles2d.series import (
     LaurentSeries2,
     PrecisionError,
     ls2_to_text,
-    ls2_valuation,
     res2,
 )
+
+
+def ls2_valuation(f):
+    """(vt, vu): the least t-exponent of f and the u-valuation of that
+    column."""
+    vt = f.t_valuation()
+    return vt, min(u for (t, u) in f.terms if t == vt)
 
 
 _TERM_RE = re.compile(r"t\^(-?\d+)\*u\^(-?\d+):\s*(\[[-\d,]+\]|-?\d+)")

@@ -71,6 +71,10 @@ def coeff(f, t, u):
     return FieldElem(f.desc, f.terms.get((t, u), 0))
 
 
+def is_one(x):
+    return x == x.desc.one()
+
+
 def agree(a, b):
     """Equal coefficients inside the common window of a and b."""
     t_prec = min(a.t_prec, b.t_prec)
@@ -307,7 +311,7 @@ def test_two_lines_meet_at_origin():
     pts = intersection_support(A, B)
     assert len(pts) == 1
     x, y, z = pts[0].coords
-    assert x.is_zero() and y.is_zero() and z.is_one()
+    assert x.is_zero() and y.is_zero() and is_one(z)
 
 
 def test_line_meets_conic_twice():
@@ -330,7 +334,7 @@ def test_tangent_line_meets_conic_once():
     assert len(pts) == 1
     assert pts[0].degree == 1
     x, y, z = pts[0].coords
-    assert x.is_zero() and y.is_zero() and z.is_one()
+    assert x.is_zero() and y.is_zero() and is_one(z)
 
 
 def test_intersection_point_of_higher_degree():
@@ -363,7 +367,7 @@ def test_fiber_lines_meet_on_p1xp1():
     pts = intersection_support(F1, F2)
     assert len(pts) == 1
     c = pts[0].coords
-    assert c[0].is_one() and c[1].is_zero() and c[2].is_one() and c[3].is_zero()
+    assert is_one(c[0]) and c[1].is_zero() and is_one(c[2]) and c[3].is_zero()
     # two fibers of the same ruling never meet
     G1 = curve_make(S, "X0")
     assert intersection_support(F1, G1) == []
@@ -654,7 +658,7 @@ def test_coordinate_series_solves_curve_equation():
     # the normalized equation is x^2 - y, so t = x^2 - y and y = u^2 - t
     B = coords[1]
     assert coeff(B, 1, 0) == -S.base.one()
-    assert coeff(B, 0, 2).is_one()
+    assert is_one(coeff(B, 0, 2))
     assert all(coeff(B, t, u).is_zero()
                for t, u in [(0, 0), (0, 1), (1, 1), (2, 0)])
 
@@ -670,7 +674,7 @@ def test_expand_coordinate_ratio():
     fl = flag_make(pt, L)
     f = ratfn(S, "X", "Y")
     e = expand_at_flag(f, fl, prec=8)
-    assert coeff(e, -1, 1).is_one()
+    assert is_one(coeff(e, -1, 1))
     assert e.t_valuation() == -1
 
 
@@ -682,7 +686,7 @@ def test_expand_geometric_series():
     f = ratfn(S, "Z", "Z-X")  # 1/(1-x) in the chart at the origin
     e = expand_at_flag(f, fl, prec=8)
     for k in range(8):
-        assert coeff(e, 0, k).is_one(), k
+        assert is_one(coeff(e, 0, k)), k
 
 
 def test_expand_parabola_equation():
@@ -692,7 +696,7 @@ def test_expand_parabola_equation():
     fl = flag_make(pt, L)
     f = ratfn(S, "YZ - X^2", "Z^2")
     e = expand_at_flag(f, fl, prec=8)
-    assert coeff(e, 1, 0).is_one()
+    assert is_one(coeff(e, 1, 0))
     assert coeff(e, 0, 2) == -S.base.one()
     assert coeff(e, 0, 0).is_zero() and coeff(e, 0, 1).is_zero()
 
@@ -1329,3 +1333,43 @@ def test_coordinate_series_served_from_one_solve_equal_fresh_ones(
         assert [(c.terms, c.t_prec, c.u_prec) for c in got] == \
             [(c.terms, c.t_prec, c.u_prec) for c in fresh], (fl, box)
 
+
+
+# ---------------------------------------------------------------------------
+# coordinates lifted from the branch
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_lifted_coordinates_solve_the_curve_equation_on_the_box(model, q):
+    # y = ybar(u) + sum_i c_i(u) t^i solves t_param(coords) = t: the
+    # difference is zero on the box, and the box is its window.  Over F_2
+    # the cubic's flags solve for a coordinate of degree 3 >= p, whose
+    # Hasse derivatives T^[j] differ from T^(j) / j!, which is 0 / 0 there
+    flags = _branch_flags(model, q)
+    assert any(fl.point.degree == 2 for fl in flags)
+    assert {D.degree() for D in {fl.curve for fl in flags}} == (
+        {(2,), (3,)} if model == "P2" else {(1, 1), (1, 2)})
+    if q == 2:
+        assert any(fl.t_param.degree_in(1 - fl.u_index) >= 2 for fl in flags)
+    for fl in flags:
+        k = fl.point.residue_field
+        t = LaurentSeries2.monomial(k, k.one(), 1, 0)
+        for box in ((1, 1), (2, 9), (8, 8), (12, 5)):
+            coords = flag_coordinate_series(fl, *box)
+            rest = surface_mod.mp_eval_series(fl.t_param, coords, k) - t
+            assert (rest.t_prec, rest.u_prec) == box, (fl, box, rest)
+            assert rest.is_zero_window(), (fl, box, rest)
+
+
+def test_a_curve_linear_in_the_solved_coordinate_lifts_to_one_t_column():
+    # t_param = x^2 - y on the conic YZ - X^2 at the origin: y = u^2 - t,
+    # so c_1 = -1 and every later c_i is 0
+    S = p2(5)
+    fl = flag_make(point_from_coords(S, [S.base.from_int(i)
+                                         for i in (0, 0, 1)]),
+                   curve_make(S, "YZ-X^2"))
+    other = flag_coordinate_series(fl, 12, 12)[1 - fl.u_index]
+    assert {t for t, _u in other.terms} <= {0, 1}, other
+    assert coeff(other, 1, 0) == -S.base.one() and is_one(coeff(other, 0, 2))
+    assert len(other.terms) == 2 and (other.t_prec, other.u_prec) == (12, 12)

@@ -9,7 +9,7 @@ from adeles2d.fields import field_make, pmul, poly_roots, ptrim
 from adeles2d.multipoly import MPoly
 from adeles2d import surface, symbols
 from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
-from adeles2d.series import INF, LaurentSeries2, ls2_valuation
+from adeles2d.series import INF, LaurentSeries2
 from adeles2d.surface import (
     Divisor,
     RationalFunction,
@@ -33,6 +33,7 @@ from adeles2d.symbols import (
     symbol_at_flag,
     _root_order,
 )
+from test_series import ls2_valuation
 
 
 def mk(desc, terms, t_prec=INF, u_prec=INF):

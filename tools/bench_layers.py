@@ -10,9 +10,9 @@ Every case builds its inputs through text parsing (`parse_poly`,
 checkout of the package, whatever its coefficients are made of.  A case's
 figure is the best of --repeat rounds (7 by default), each timing every
 case once, in seconds; the element, trace, 1 x 1, Riemann-Roch space and
-dimension and derive_eq1 cases time a batch and report one operation.  The
-file also records the line count of each source module.  Standard library
-only; single-threaded.
+dimension, derive_eq1 and smooth_flag cases time a batch and report one
+operation.  The file also records the line count of each source module.
+Standard library only; single-threaded.
 
 Two checkouts timed in separate processes differ by the drift of the host
 between the processes as well as by their code.  --against SRC imports
@@ -393,8 +393,40 @@ def measure_cases(m: dict) -> Dict[str, Case]:
     return {"measures.derive_eq1.P1xP1.q3": (warmed, run, len(pairs))}
 
 
+def flag_cases(m: dict) -> Dict[str, Case]:
+    """The flag work of `verify --suites windows` on P2 over F_13, each
+    round on a fresh surface, so no flag or expansion is cached: both
+    windows of the suite (0..X at u-size 1 and -L..L at 2, one figure for
+    the two), and the flags of -L..L, one per line, each off the other
+    lines (one figure per flag); and the coordinate series of a flag on a
+    cubic whose solved coordinate has degree 2, on the box (8, 8)."""
+    sf, ms = m["surface"], m["measures"]
+
+    def lines():
+        S = surface(m, "P2", 13)
+        return [sf.curve_make(S, name) for name in ("X", "Y", "Z")]
+
+    def windows(ls):
+        S = ls[0].surface
+        L = sf.Divisor(S, {C: 1 for C in ls})
+        ms.window_build(sf.Divisor(S, {}), sf.Divisor(S, {ls[0]: 1}),
+                        u_size=1)
+        ms.window_build(-L, L, u_size=2)
+
+    def flags(ls):
+        for D in ls:
+            sf.smooth_flag(D, 2, [E for E in ls if E != D])
+
+    return {
+        "measures.window_build.P2.q13": (lines, windows, 1),
+        "surface.smooth_flag.lines.P2.q13": (lines, flags, 3),
+        "surface.flag_coordinate_series.cubic.P2.F9": (
+            lambda: flag(m, ("Y^2Z-X^3-XZ^2-Z^3", "0:1:1", "X/Z", 9, 8))[0],
+            lambda fl: sf.flag_coordinate_series(fl, 8, 8), 1)}
+
+
 CASES = (field_cases, series_cases, poly_cases, rank_cases, geometry_cases,
-         record_cases, cohomology_cases, measure_cases)
+         record_cases, cohomology_cases, measure_cases, flag_cases)
 # every timing a run writes, one or more per layer
 KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
              for op in ("mul", "add", "inverse")) + tuple(
@@ -417,7 +449,9 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "cli.report_encoding.serre.P1xP1.q9",
     "cli.report_records.serre.P1xP1.q9", "cli.report_records.windows.P2.q13",
     "cohomology.rr_space.windows.P2.q9",
-    "cohomology.rr_dimension.windows.P2.q9", "measures.derive_eq1.P1xP1.q3")
+    "cohomology.rr_dimension.windows.P2.q9", "measures.derive_eq1.P1xP1.q3",
+    "measures.window_build.P2.q13", "surface.smooth_flag.lines.P2.q13",
+    "surface.flag_coordinate_series.cubic.P2.F9")
 
 
 def time_once(case) -> float:
