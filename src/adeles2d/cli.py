@@ -13,6 +13,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -53,6 +54,7 @@ from .surface import (
     surface_make,
 )
 from .symbols import (
+    BudgetExceeded,
     intersection_number,
     intersection_oracle,
     symbol_at_flag,
@@ -451,6 +453,11 @@ def _emit(config: Dict, checks: List[Check], args) -> int:
         text = _document_text(config, checks, micros,
                               {"passed": passed, "failed": failed})
         try:
+            # truncating a file in place makes the file system flush it
+            # first, which a new file at the same path does not; a
+            # symlink is written through
+            if os.path.isfile(args.json) and not os.path.islink(args.json):
+                os.remove(args.json)
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as err:
@@ -726,6 +733,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except PrecisionError as err:
         print(f"precision failure: {err}", file=sys.stderr)
+        return 1
+    except BudgetExceeded as err:
+        print(f"budget exceeded: {err}", file=sys.stderr)
         return 1
 
 

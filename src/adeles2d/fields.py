@@ -707,6 +707,23 @@ def subfield_embedding(sub: FieldDesc, sup: FieldDesc) -> int:
     return root
 
 
+def frobenius_twist(sub: FieldDesc, mid: FieldDesc, sup: FieldDesc) -> int:
+    """The least j such that x -> x^(p^j) on sup carries the embedding of
+    sub into sup through mid onto the direct one.  Each embedding is picked
+    on its own, so the two differ on some towers over a field that is not
+    prime (F_9 in F_81 in F_3^8 is one)."""
+    if sub.d == 1 or mid == sub or mid == sup:
+        return 0
+    got = _embed_code(mid, subfield_embedding(sub, mid), sup)
+    want = subfield_embedding(sub, sup)
+    for j in range(sup.d):
+        if got == want:
+            return j
+        got = sup.pow(got, sup.p)
+    raise RuntimeError(f"no Frobenius power of {sup} aligns {sub} "
+                       f"through {mid}")  # pragma: no cover
+
+
 def _embed_code(sub: FieldDesc, n: int, sup: FieldDesc) -> int:
     """The code in sup of the element coded n of its subfield sub."""
     if sub is sup or sub == sup:

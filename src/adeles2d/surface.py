@@ -30,6 +30,7 @@ from .fields import (
     coerce_down,
     embed,
     field_make,
+    frobenius_twist,
     pdeg,
     pgcd,
     poly_factor,
@@ -563,7 +564,7 @@ def intersection_support(C: Curve, H: Curve) -> List[ClosedPoint]:
 
     Computed once per ordered pair on a surface and kept in C.surface.memo
     as a tuple; each call returns a new list.  Both intersection routes
-    (the commutator pairing in symbols and the resultant oracle) start
+    (the commutator pairing in symbols and the Fulton oracle) start
     from this support, and each computes its own local multiplicities."""
     if C == H:
         raise ValueError("curves share a component")
@@ -659,6 +660,12 @@ def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
             coords[v] = y0.desc.one()
         coords[chart.affine_vars[solve]] = y0
         coords[chart.affine_vars[1 - solve]] = embed(x0, y0.desc)
+        # the point lies on the curves as embedded through k; a power of
+        # Frobenius moves it onto them as embedded directly, as every
+        # later use of the point embeds them
+        j = frobenius_twist(S.base, k, y0.desc)
+        if j:
+            coords = [c ** S.base.p ** j for c in coords]
         if any(ch.contains(coords) for ch in earlier):
             continue
         found.append(point_from_coords(S, coords))

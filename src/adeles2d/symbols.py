@@ -4,31 +4,22 @@ The pairing K* x K* -> Z at a flag is the tame symbol in the t-direction
 followed by the u-valuation; weighting by residue degrees and negating
 gives the exponent of the commutator pairing, whose value on the standard
 idele choices recovers the intersection number of divisors.  An independent
-classical oracle computes the same number from resultant root orders in a
-sheared coordinate frame over a splitting field.
+classical oracle computes the same number point by point, by Fulton's
+algorithm in each point's residue field.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from math import comb
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import (
-    FieldDesc,
-    FieldElem,
-    Poly,
-    embed,
-    field_make,
-    pdivmod,
-    ptrim,
-)
-from .multipoly import MPoly, resultant_elim
+from .fields import FieldElem
+from .multipoly import MPoly
 from .surface import (
     ClosedPoint,
     Curve,
     Divisor,
     Flag,
-    Surface,
     _mp_embed,
     class_intersection,
     coordinate_lines,
@@ -39,6 +30,12 @@ from .surface import (
     poly_order_at_flag,
     poly_valuation_at_flag,
 )
+
+# Fulton's loop at a point may take FULTON_STEPS * (m + 1) * (d + e + 1)
+# steps, with m the class pairing over the point's degree and d, e the
+# degrees of the two chart equations; no pair of the tests or the
+# workloads takes a sixth of that
+FULTON_STEPS = 4
 
 
 class QPower:
@@ -202,15 +199,19 @@ def intersection_number(C: Divisor, H: Divisor, _window=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# classical oracle via sheared resultants
+# classical oracle: Fulton's algorithm at each point, in its residue field
+
+
+class BudgetExceeded(ArithmeticError):
+    """A bounded loop ran out of steps, or passed a bound its answer keeps."""
 
 
 def intersection_oracle(C: Divisor, H: Divisor) -> int:
     """Independent total intersection number.
 
     Divisors sharing a component fall back to the class-level form;
-    otherwise each local multiplicity is the order of a resultant root in a
-    coordinate frame that separates the geometric intersection points.
+    otherwise each point of the support adds its degree times its local
+    multiplicity, found by Fulton's algorithm in the point's residue field.
     """
     S = C.surface
     shared = [D for D in C.components if D in H.components]
@@ -224,86 +225,73 @@ def intersection_oracle(C: Divisor, H: Divisor) -> int:
 
 
 def _pairwise_intersection(D: Curve, E: Curve) -> int:
+    bezout = class_intersection(D.surface, D.degree(), E.degree())
+    return sum(pt.degree * _multiplicity(D, E, pt, bezout // pt.degree)
+               for pt in intersection_support(D, E))
+
+
+def _multiplicity(D: Curve, E: Curve, pt: ClosedPoint, most: int) -> int:
+    """I_pt(D, E) by Fulton's algorithm (Algebraic Curves, 1969, section
+    3.3), over pt's residue field k.  Both equations of the first chart
+    holding pt are embedded in k and moved so that pt is the origin; with
+    r <= s the degrees of f(x, 0) and g(x, 0), either f(x, 0) = 0 and
+    f = y h, so that I(f, g) = ord_x g(x, 0) + I(h, g), or g is replaced by
+    g - (c/a) x^(s-r) f, with a and c the leading coefficients of f(x, 0)
+    and g(x, 0).  The loop stops when f or g is a unit at the origin.
+
+    The loop has a step budget from the degrees of f and g, and I may not
+    pass `most`, the class pairing over deg(pt): either overrun raises
+    BudgetExceeded."""
     S = D.surface
-    pts = intersection_support(D, E)
-    if not pts:
-        return 0
-    L = 1
-    for pt in pts:
-        L = math.lcm(L, pt.degree)
-    # The frame search needs shear constants beyond the bad ones: at most
-    # one per pair of geometric points (sheared abscissas colliding) plus
-    # the roots of the two leading forms.  Grow the working field until a
-    # good constant must exist.
-    npts = sum(pt.degree for pt in pts)
-    bad = npts * (npts - 1) // 2 + sum(D.degree()) + sum(E.degree())
-    while S.base.q ** L <= bad + 1:
-        L *= 2
-    F = field_make(S.base.p, S.base.d * L)
-    # each point's multiplicity is read in the first chart that holds it
-    groups = {}
-    for pt in pts:
-        chart = next(ch for ch in S.charts if ch.contains(pt.coords))
-        groups.setdefault(chart, []).append(pt)
-    return sum(pt.degree * m for chart, group in groups.items()
-               for pt, m in zip(group, _chart_multiplicities(
-                   S, D, E, chart, group, pts, F)))
+    k = pt.residue_field
+    chart = next(ch for ch in S.charts if ch.contains(pt.coords))
+    a, b = chart.affine(pt.coords)
+    f, g = (_moved(_mp_embed(S.dehomogenize(C.poly, chart), k), a.n, b.n)
+            for C in (D, E))
+    budget = FULTON_STEPS * (most + 1) * (
+        max(map(sum, f)) + max(map(sum, g)) + 1)
+    n = 0
+    for _ in range(budget):
+        if (0, 0) in f or (0, 0) in g:
+            return n
+        r = max((i for i, j in f if not j), default=-1)
+        s = max((i for i, j in g if not j), default=-1)
+        if r > s:
+            f, g, r, s = g, f, s, r
+        if s < 0:
+            raise ValueError(f"{D!r} and {E!r} share a component through "
+                             f"{pt!r}")
+        if r < 0:  # f = y h
+            n += min(i for i, j in g if not j)
+            if n > most:
+                raise BudgetExceeded(
+                    f"the multiplicity of {D!r} and {E!r} at {pt!r} passed "
+                    f"{most}, the class pairing over the point's degree")
+            f = {(i, j - 1): c for (i, j), c in f.items()}
+        else:  # g - (c/a) x^(s-r) f lowers deg g(x, 0)
+            m = k.neg(k.mul(g[s, 0], k.inv(f[r, 0])))
+            g = dict(g)
+            for (i, j), c in f.items():
+                e = (i + s - r, j)
+                v = k.add(g.get(e, 0), k.mul(m, c))
+                if v:
+                    g[e] = v
+                else:
+                    del g[e]
+    raise BudgetExceeded(f"the multiplicity of {D!r} and {E!r} at {pt!r} "
+                         f"ran out of its {budget} steps")
 
 
-def _shear(f: MPoly, c: FieldElem) -> MPoly:
-    """Substitute x -> x + c*y, fixing y."""
-    x, y = MPoly.var(f.desc, 2, 0), MPoly.var(f.desc, 2, 1)
-    return f.substitute([x + y.scale(c), y])
-
-
-def _lead_is_constant(f: MPoly) -> bool:
-    """True when the top coefficient in y is a nonzero constant, so no zero
-    escapes to infinity in that direction and resultant root orders match
-    the local multiplicities below them."""
-    d = f.degree_in(1)
-    return all(e[0] == 0 for e in f.terms if e[1] == d)
-
-
-def _chart_multiplicities(S: Surface, D: Curve, E: Curve, chart,
-                          group: List[ClosedPoint], pts: List[ClosedPoint],
-                          F: FieldDesc) -> List[int]:
-    """i_pt(D, E) for each pt of group, all read off one resultant in y
-    after a shear x -> x + c*y that separates the conjugates over F of
-    every point of pts in the chart: a zero at (a, b) moves to x = a - c*b.
-    The field bound of _pairwise_intersection leaves some c good."""
-    q = S.base.q
-    conjugates = {}
-    for pt in pts:
-        if chart.contains(pt.coords):
-            a, b = chart.affine([embed(v, F) for v in pt.coords])
-            conjugates[pt] = [(a ** q ** k, b ** q ** k)
-                              for k in range(pt.degree)]
-    geo = [ab for got in conjugates.values() for ab in got]
-    f, g = (_mp_embed(S.dehomogenize(C.poly, chart), F) for C in (D, E))
-    for c in F.elems():
-        if len({(a - c * b).n for a, b in geo}) < len(geo):
-            continue
-        fc = _shear(f, c)
-        if not _lead_is_constant(fc):
-            continue
-        gc = _shear(g, c)
-        if not _lead_is_constant(gc):
-            continue
-        res = ptrim(list(resultant_elim(fc, gc, elim=1, keep=0)))
-        mults = [_root_order(res, (a - c * b).n, F)
-                 for a, b in (conjugates[pt][0] for pt in group)]
-        if 0 in mults:
-            raise RuntimeError("resultant lost an intersection point")
-        return mults
-    raise RuntimeError("no separating frame over the working field")
-
-
-def _root_order(f: Poly, x0: int, F: FieldDesc) -> int:
-    """The order of the element coded x0 as a root of the nonzero polynomial
-    f (0 when f(x0) is nonzero), by repeated division by X - x0."""
-    linear = [F.neg(x0), 1]
-    for order in range(len(f)):
-        f, rem = pdivmod(f, linear, F)
-        if rem:
-            return order
-    raise ValueError("the zero polynomial has no root order")
+def _moved(f: MPoly, a: int, b: int) -> Dict[Tuple[int, int], int]:
+    """The terms of f(x + a, y + b), a and b codes of f's field."""
+    k = f.desc
+    out: Dict[Tuple[int, int], int] = {}
+    for (i, j), c in f.terms.items():
+        for u in range(i + 1):
+            cu = k.mul(c, k.mul(comb(i, u) % k.p, k.pow(a, i - u)))
+            if not cu:
+                continue
+            for v in range(j + 1):
+                w = k.mul(cu, k.mul(comb(j, v) % k.p, k.pow(b, j - v)))
+                out[u, v] = k.add(out.get((u, v), 0), w)
+    return {e: c for e, c in out.items() if c}

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from adeles2d import cli, cohomology, measures, surface
+from adeles2d import cli, cohomology, measures, surface, symbols
 from adeles2d.cli import main
 from adeles2d.series import LaurentSeries2
 
@@ -606,3 +606,29 @@ def test_timed_and_injected_reports_equal_json_dumps(extra):
         True if "--inject-failure" in extra else None)
     if "--timings" in extra:
         assert any(r["micros"] > 0 for r in doc["checks"])
+
+
+def test_a_rewritten_report_has_the_same_bytes():
+    # the report replaces a regular file at its path, and writes through a
+    # symlink, which stays a link
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        link = os.path.join(tmp, "link.json")
+        argv = ["verify", "--surface", "P2", "--q", "3", "--range", "-1:1",
+                "--suites", "chi,bezout", "--json"]
+        assert run(argv + [path])[0] == 0
+        first = open(path, "rb").read()
+        assert run(argv + [path])[0] == 0
+        assert open(path, "rb").read() == first
+        os.symlink(path, link)
+        assert run(argv + [link])[0] == 0
+        assert os.path.islink(link)
+        assert open(path, "rb").read() == first
+
+
+def test_an_exhausted_budget_exits_1_with_the_reason(monkeypatch):
+    monkeypatch.setattr(symbols, "FULTON_STEPS", 0)
+    code, _out, err = run(["intersect", "--surface", "P2", "--q", "5",
+                           "--curves", "YZ-X^2,Y"])
+    assert code == 1
+    assert err.startswith("budget exceeded: ") and "0 steps" in err, err

@@ -6,11 +6,14 @@ root enumeration over all field elements) independent of the library code.
 
 import random
 
+import pytest
+
 from adeles2d.fields import (
     FieldElem,
     coerce_down,
     embed,
     field_make,
+    frobenius_twist,
     pdeg,
     pmul,
     poly_factor,
@@ -19,6 +22,7 @@ from adeles2d.fields import (
     ptrim,
     rel_trace,
     subfield_embedding,
+    _embed_code,
 )
 from adeles2d.surface import _one_root
 
@@ -362,3 +366,18 @@ def test_elements_keep_their_coefficient_tuples():
     # coefficient tuples order lexicographically, constant term first
     assert sorted(f9.elems(), key=lambda a: a.sort_key())[:3] == [
         f9.zero(), f9.gen(), f9.from_coeffs([0, 2])]
+
+
+@pytest.mark.parametrize("p, a, b, c, twisted", [
+    (3, 2, 4, 8, True), (2, 2, 4, 8, True), (2, 3, 6, 12, True),
+    (2, 2, 6, 12, False), (5, 1, 2, 4, False)])
+def test_frobenius_twist_aligns_a_tower(p, a, b, c, twisted):
+    # the embeddings F_p^a -> F_p^b -> F_p^c are picked one by one, so
+    # their composite need not be the direct one; a power of Frobenius on
+    # F_p^c makes it so
+    sub, mid, sup = (field_make(p, d) for d in (a, b, c))
+    j = frobenius_twist(sub, mid, sup)
+    assert (j != 0) == twisted
+    for x in range(sub.q):
+        via = _embed_code(mid, _embed_code(sub, x, mid), sup)
+        assert sup.pow(via, p ** j) == _embed_code(sub, x, sup), (x, j)

@@ -5,14 +5,15 @@ import random
 
 import pytest
 
-from adeles2d.fields import field_make, pmul, poly_roots, ptrim
+from adeles2d.fields import field_make
 from adeles2d.multipoly import MPoly
-from adeles2d import surface, symbols
+from adeles2d import fields, multipoly, surface, symbols
 from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
 from adeles2d.series import INF, LaurentSeries2
 from adeles2d.surface import (
     Divisor,
     RationalFunction,
+    class_monomials,
     curve_make,
     divisor_class,
     expand_at_flag,
@@ -23,6 +24,7 @@ from adeles2d.surface import (
     surface_make,
 )
 from adeles2d.symbols import (
+    BudgetExceeded,
     IdeleRule,
     QPower,
     class_intersection,
@@ -31,7 +33,6 @@ from adeles2d.symbols import (
     intersection_number,
     intersection_oracle,
     symbol_at_flag,
-    _root_order,
 )
 from test_series import ls2_valuation
 
@@ -503,27 +504,155 @@ def test_oracle_falls_back_to_classes_on_shared_components():
         Divisor(Q, {F1: 1}), Divisor(Q, {F1: 1})) == 0
 
 
-def test_oracle_reads_each_chart_off_one_resultant(monkeypatch):
-    # over F_5 the conic and the cubic meet in (0:0:1) and a point of
-    # degree 3 in the first chart, and in (0:1:0), of multiplicity 2
+def test_oracle_makes_no_resultant_and_no_field_above_a_point(monkeypatch):
+    # over F_5 the conic and the cubic meet in (0:0:1), (0:1:0) and a point
+    # of degree 3; over F_2 the quintic and the quartic meet in points of
+    # degree 1, 1, 4 and 11, where a common field would be F_2^44
+    cases = [(5, "YZ-X^2", "Y^2Z-X^3-XZ^2", 6),
+             (2, "X^5+Y^5+Z^5+X^2Y^3", "X^4+Y^3Z+Z^4", 20)]
+    for q, first, second, want in cases:
+        S = surface_make("P2", q)
+        C, H = curve_make(S, first), curve_make(S, second)
+        largest = max(pt.degree for pt in intersection_support(C, H))
+
+        def no_resultant(*args, **kwargs):
+            raise AssertionError("the oracle formed a resultant")
+
+        def checked(p, d):
+            assert d <= S.base.d * largest, (q, d, largest)
+            return real(p, d)
+
+        real = fields.field_make
+        for mod in (fields, surface, symbols):
+            if hasattr(mod, "field_make"):
+                monkeypatch.setattr(mod, "field_make", checked)
+        for mod in (multipoly, surface, symbols):
+            if hasattr(mod, "resultant_elim"):
+                monkeypatch.setattr(mod, "resultant_elim", no_resultant)
+        got = intersection_oracle(Divisor(S, {C: 1}), Divisor(S, {H: 1}))
+        assert got == class_intersection(S, C.degree(), H.degree()) == want
+        monkeypatch.undo()
+    assert largest == 11
+
+
+def _one_point(q, first, second):
+    """The two curves on P2 over F_q and the one point where they meet."""
+    S = surface_make("P2", q)
+    D, E = curve_make(S, first), curve_make(S, second)
+    pt, = intersection_support(D, E)
+    return D, E, pt
+
+
+@pytest.mark.parametrize("q, first, second, degree, want", [
+    (5, "X", "Y", 1, 1),                  # transversal lines
+    (5, "YZ-X^2", "Y", 1, 2),             # a tangent line to a conic
+    (5, "Y^2Z-X^3", "Y", 1, 3),           # a line through a cusp
+    (3, "YZ-X^2", "Z-2Y", 2, 1),          # a point of degree 2
+])
+def test_fulton_loop_by_hand(q, first, second, degree, want):
+    D, E, pt = _one_point(q, first, second)
+    assert pt.degree == degree
+    for A, B in ((D, E), (E, D)):
+        assert symbols._multiplicity(A, B, pt, want) == want
+    assert intersection_oracle(Divisor(D.surface, {D: 1}),
+                               Divisor(D.surface, {E: 1})) == degree * want
+
+
+def test_fulton_loop_shifts_before_it_subtracts():
+    # y - x^2 and y - x^2 - xy: after g - f = -xy and the step that splits
+    # off y, the loop pairs x (r = 1) with y - x^2 (s = 2), which takes the
+    # x^(s - r) shift
     S = surface_make("P2", 5)
-    C, H = curve_make(S, "YZ-X^2"), curve_make(S, "Y^2Z-X^3-XZ^2")
-    pts = intersection_support(C, H)
-    groups = [[pt for pt in pts if next(
-        ch for ch in S.charts if ch.contains(pt.coords)) is chart]
-        for chart in S.charts]
-    assert [[pt.degree for pt in g] for g in groups] == [[1, 3], [1], []]
-    made = []
+    D, E = curve_make(S, "YZ-X^2"), curve_make(S, "YZ-X^2-XY")
+    pts = intersection_support(D, E)
+    origin = point_from_coords(S, (S.base.zero(), S.base.zero(),
+                                   S.base.one()))
+    assert origin in pts
+    assert symbols._multiplicity(D, E, origin, 4) == 3
+    assert intersection_oracle(Divisor(S, {D: 1}), Divisor(S, {E: 1})) == 4
 
-    def counted(*args, **kwargs):
-        made.append(args)
-        return real(*args, **kwargs)
 
-    real = symbols.resultant_elim
-    monkeypatch.setattr(symbols, "resultant_elim", counted)
-    got = intersection_oracle(Divisor(S, {C: 1}), Divisor(S, {H: 1}))
-    assert got == class_intersection(S, C.degree(), H.degree()) == 6
-    assert len(made) <= 2
+def test_fulton_budget_names_the_curves_and_the_point(monkeypatch):
+    D, E, pt = _one_point(5, "Y^2Z-X^3", "Y")
+    monkeypatch.setattr(symbols, "FULTON_STEPS", 0)
+    with pytest.raises(BudgetExceeded) as err:
+        intersection_oracle(Divisor(D.surface, {D: 1}),
+                            Divisor(D.surface, {E: 1}))
+    text = str(err.value)
+    assert "ran out of its 0 steps" in text
+    for name in (repr(D), repr(E), repr(pt)):
+        assert name in text, (name, text)
+
+
+def test_fulton_multiplicity_may_not_pass_the_class_pairing():
+    D, E, pt = _one_point(5, "Y^2Z-X^3", "Y")
+    with pytest.raises(BudgetExceeded, match=r"passed 2, the class pairing"):
+        symbols._multiplicity(D, E, pt, 2)
+
+
+# Curve pairs drawn at random (seed 5; P2 classes (1)-(3), P1xP1 classes
+# (1,1)-(2,2); q in 2, 3, 4, 5, 7, 8, 9; every code from all of F_q) on
+# which the former oracle, read off resultants over one common field,
+# raised or ran past 5 s, and the P2/F_9 pair XY+[0,1]XZ+Y^2 and
+# X^3+[2,0]X^2Y+[1,1]X^2Z+[0,1]Y^3+[1,2]Z^3.  Each curve is its class and
+# the codes of its coefficients in class_monomials order.
+HARD_PAIRS = [
+    ("P1xP1", 9, (2, 2), [5, 3, 2, 2, 6, 1, 2, 6, 5],
+     (1, 2), [0, 6, 4, 2, 7, 2]),
+    ("P1xP1", 9, (2, 1), [6, 5, 2, 2, 8, 1],
+     (2, 2), [3, 1, 6, 3, 4, 0, 7, 3, 0]),
+    ("P2", 4, (2,), [1, 3, 3, 1, 3, 0],
+     (3,), [1, 3, 3, 0, 0, 1, 3, 0, 1, 0]),
+    ("P1xP1", 9, (2, 2), [4, 7, 8, 8, 4, 4, 2, 4, 7],
+     (2, 2), [6, 1, 2, 3, 7, 1, 7, 3, 2]),
+    ("P2", 8, (2,), [6, 7, 5, 5, 0, 2],
+     (3,), [7, 0, 7, 7, 5, 0, 3, 0, 7, 1]),
+    ("P1xP1", 8, (2, 2), [5, 2, 4, 2, 0, 2, 6, 1, 0],
+     (2, 2), [5, 1, 7, 2, 5, 0, 0, 5, 7]),
+    ("P1xP1", 9, (2, 2), [3, 1, 5, 1, 1, 5, 6, 2, 5],
+     (2, 1), [0, 4, 1, 8, 1, 1]),
+    ("P2", 4, (2,), [1, 0, 3, 3, 2, 1],
+     (3,), [2, 3, 3, 3, 0, 1, 2, 3, 2, 0]),
+    ("P2", 7, (3,), [6, 0, 6, 5, 1, 0, 3, 5, 4, 5],
+     (3,), [1, 0, 6, 0, 6, 6, 0, 6, 3, 3]),
+    ("P1xP1", 8, (1, 2), [5, 4, 3, 6, 2, 2],
+     (2, 2), [4, 6, 7, 5, 4, 5, 5, 0, 4]),
+    ("P1xP1", 9, (1, 2), [2, 1, 3, 4, 2, 8],
+     (2, 1), [6, 4, 0, 7, 2, 2]),
+    ("P2", 8, (3,), [5, 1, 7, 3, 2, 0, 2, 7, 4, 6],
+     (3,), [7, 6, 6, 5, 2, 5, 3, 3, 7, 3]),
+    ("P2", 5, (3,), [1, 3, 0, 0, 0, 4, 2, 0, 2, 3],
+     (3,), [4, 3, 0, 4, 4, 2, 4, 0, 0, 3]),
+    ("P2", 8, (3,), [0, 4, 6, 5, 2, 3, 5, 3, 5, 6],
+     (3,), [4, 7, 1, 1, 4, 2, 1, 7, 1, 1]),
+    ("P2", 9, (3,), [5, 7, 8, 0, 0, 3, 3, 8, 7, 3],
+     (2,), [7, 3, 1, 4, 3, 6]),
+    ("P1xP1", 8, (2, 2), [2, 6, 6, 7, 4, 2, 0, 2, 5],
+     (2, 1), [3, 3, 7, 3, 6, 2]),
+    ("P2", 7, (3,), [1, 2, 3, 0, 3, 6, 6, 3, 2, 2],
+     (3,), [6, 0, 3, 5, 6, 2, 2, 2, 1, 2]),
+    ("P1xP1", 8, (2, 2), [3, 0, 7, 6, 1, 2, 5, 3, 4],
+     (2, 2), [5, 5, 0, 0, 3, 6, 6, 2, 1]),
+    ("P2", 4, (2,), [3, 0, 1, 0, 0, 3],
+     (3,), [3, 0, 0, 1, 2, 1, 2, 0, 0, 1]),
+    ("P2", 9, (2,), [0, 1, 3, 1, 0, 0],
+     (3,), [1, 2, 4, 0, 0, 0, 3, 0, 0, 7]),
+]
+
+
+@pytest.mark.parametrize(
+    "model, q, first, first_codes, second, second_codes", HARD_PAIRS,
+    ids=[f"{pair[0]}-q{pair[1]}-{i}" for i, pair in enumerate(HARD_PAIRS)])
+def test_hard_pairs_give_the_class_form_by_all_three_routes(
+        model, q, first, first_codes, second, second_codes):
+    S = surface_make(model, q)
+    D, E = (curve_make(S, MPoly(S.base, S.nvars, dict(
+        zip(class_monomials(S, cls), codes))))
+        for cls, codes in ((first, first_codes), (second, second_codes)))
+    C, H = Divisor(S, {D: 1}), Divisor(S, {E: 1})
+    want = class_intersection(S, D.degree(), E.degree())
+    assert intersection_oracle(C, H) == want
+    assert intersection_number(C, H) == want
 
 
 def test_qpower_arithmetic():
@@ -531,25 +660,3 @@ def test_qpower_arithmetic():
     assert QPower(2) / QPower(3) == QPower(-1)
     assert QPower(2) ** 3 == QPower(6)
     assert QPower(4).inverse() == QPower(-4)
-
-
-
-# ---------------------------------------------------------------------------
-# root orders for the classical route
-
-
-@pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (7, 2)])
-def test_root_order_matches_the_factored_multiplicity(p, d):
-    F = field_make(p, d)
-    rng = random.Random(p * 100 + d)
-    elems = list(range(F.q))  # the codes of the elements
-    for _ in range(50):
-        root = rng.choice(elems)
-        f = [1]
-        for _ in range(rng.randrange(5)):
-            f = pmul(f, [F.neg(root), 1], F)
-        cofactor = ptrim([rng.choice(elems) for _ in range(rng.randrange(4))]
-                         + [rng.choice(elems[1:])])
-        f = pmul(f, cofactor, F)
-        want = dict(poly_roots(f, F)).get(root, 0) if len(f) > 1 else 0
-        assert _root_order(f, root, F) == want, (f, root)

@@ -51,7 +51,8 @@ TRACES = {"F7^6.F7": (7, 6, 1), "F81.F9": (3, 4, 2)}
 BATCH = 400
 FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
 CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
-# over F_5 these meet in two points of the first chart and one at infinity
+# over F_5 these meet in two points of the first chart and one at infinity;
+# the oracle also times them over F_9
 CONIC_CUBIC = ("YZ-X^2", "Y^2Z-X^3-XZ^2")
 # over F_5 the cubic crosses Z at (1:4:0) and at a point of degree 2
 CUBIC_ON_Z = ("X^3+Y^3+Z^3+XYZ", "Z")
@@ -251,14 +252,14 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
             lambda q=q, text=text: sf.curve_make(surface(m, "P2", q), text),
             lambda D: sf.points_on_curve(D, 2), 1)
 
-    def conic_cubic():
-        """The pair on a fresh P2 over F_5, so no support is in its memo."""
-        S = surface(m, "P2", 5)
+    def conic_cubic(q=5):
+        """The pair on a fresh P2 over F_q, so no support is in its memo."""
+        S = surface(m, "P2", q)
         return [sf.curve_make(S, text) for text in CONIC_CUBIC]
 
-    def oracle_inputs():
+    def oracle_inputs(q=5):
         """The pair as divisors, with only their support in the memo."""
-        C, H = conic_cubic()
+        C, H = conic_cubic(q)
         sf.intersection_support(C, H)
         return sf.Divisor(C.surface, {C: 1}), sf.Divisor(C.surface, {H: 1})
 
@@ -272,8 +273,10 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
 
     out["symbols.symbol_at_flag.conic"] = (
         symbol_inputs, lambda fgl: m["symbols"].symbol_at_flag(*fgl), 1)
-    out["symbols.intersection_oracle.cubic.P2.F5"] = (
-        oracle_inputs, lambda ch: m["symbols"].intersection_oracle(*ch), 1)
+    for q in (5, 9):
+        out[f"symbols.intersection_oracle.cubic.P2.F{q}"] = (
+            lambda q=q: oracle_inputs(q),
+            lambda ch: m["symbols"].intersection_oracle(*ch), 1)
 
     def residue_inputs():
         """X^2Y / cubic times the fixed form, and the cubic's flag at its
@@ -443,6 +446,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "surface.points_on_curve.Z.P2.F9.deg2",
     "surface.intersection_support.cubic.P2.F5",
     "symbols.symbol_at_flag.conic", "symbols.intersection_oracle.cubic.P2.F5",
+    "symbols.intersection_oracle.cubic.P2.F9",
     "residues.local_residue.cubic_on_Z.P2.F5",
     "surface.poly_valuation_at_flag.cubic_on_Z.P2.F5",
     "residues.reciprocity_laws.P2.F5", "cli.parser_build",
