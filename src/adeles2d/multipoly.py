@@ -3,8 +3,8 @@
 A polynomial is a dict from exponent tuples to nonzero coefficient codes,
 with a fixed variable count.  Variables are anonymous here (x0, x1, ...);
 geometric naming lives with the caller.  Includes exact division under lex
-order, Sylvester resultants with fraction-free (Bareiss) determinant
-evaluation, and substitution homomorphisms used for chart changes.
+order, and Sylvester resultants with fraction-free (Bareiss) determinant
+evaluation.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ class MPoly:
                 out[e[:i] + (e[i] - 1,) + e[i + 1:]] = mul(c, e[i] % p)
         return MPoly._make(self.desc, self.nvars, out)
 
-    # -- evaluation and substitution ------------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, point: Sequence[FieldElem]) -> FieldElem:
         """Full evaluation; the point may live in an extension field."""
@@ -194,24 +194,6 @@ class MPoly:
                     term = mul(term, got)
             acc = add(acc, term)
         return FieldElem(target, acc)
-
-    def substitute(self, images: Sequence["MPoly"]) -> "MPoly":
-        """Ring homomorphism sending variable i to images[i]."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        target_nvars = images[0].nvars if images else self.nvars
-        pow_cache: Dict[Tuple[int, int], MPoly] = {}
-        acc = MPoly.zero(self.desc, target_nvars)
-        for e, c in self.terms.items():
-            term = MPoly._make(self.desc, target_nvars, {(0,) * target_nvars: c})
-            for i, k in enumerate(e):
-                if k:
-                    got = pow_cache.get((i, k))
-                    if got is None:
-                        got = pow_cache[(i, k)] = images[i] ** k
-                    term = term * got
-            acc = acc + term
-        return acc
 
     # -- conversions ----------------------------------------------------------
 

@@ -490,57 +490,15 @@ def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
     return best, size
 
 
-def points_on_curve(D: Curve, max_degree: int) -> List[ClosedPoint]:
-    """Closed points of degree <= max_degree, one per orbit, sorted.
-
-    Computed once per (curve, max_degree) on a surface and kept in
-    D.surface.memo as a tuple; each call returns a new list."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
-    key = ("points", D, max_degree)
-    memo = D.surface.memo
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = tuple(_points_on_curve(D, max_degree))
-    return list(got)
-
-
-def _points_on_curve(D: Curve, max_degree: int) -> List[ClosedPoint]:
-    S = D.surface
-    values = [x0 for m in range(1, max_degree + 1)
-              for x0 in _orbit_starts(S.base, m)]
-    f = S.dehomogenize(D.poly, S.charts[0])
-    # solve for the second coordinate; an equation free of it holds on
-    # whole fibres of the first, so then fibre over the second instead;
-    # an equation free of both misses the chart
-    solve = 1 if f.degree_in(1) > 0 else 0
-    first = [(solve, x0) for x0 in values] if f.degree_in(solve) else []
-    return _chart_walk(S, [D], first, values, max_degree)
-
-
-def _orbit_starts(base: FieldDesc, m: int) -> List[FieldElem]:
-    """One element of each Frobenius orbit of exact size m over base."""
-    ext = field_make(base.p, base.d * m)
-    if m == 1:
-        return list(ext.elems())
-    seen = set()
-    out = []
-    for x in ext.elems():
-        if x.n in seen:
-            continue
-        orbit = [x.n]
-        y = x ** base.q
-        while y != x:
-            orbit.append(y.n)
-            y = y ** base.q
-        seen.update(orbit)
-        if len(orbit) == m:
-            out.append(x)
-    return out
-
-
 def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
-    """Closed point through the given geometric point (exact degree computed)."""
+    """Closed point through the given geometric point (exact degree computed).
+
+    The coordinates are read against the base field embedded directly into
+    theirs, as every curve is embedded.  Coordinates in a field larger than
+    the residue field are moved down to it: first by the Frobenius power
+    that undoes the twist between the embedding through the residue field
+    and the direct one (fields.frobenius_twist), then by coerce_down, and
+    the point is the least orbit member there."""
     if len(coords) != S.nvars:
         raise ValueError(f"expected {S.nvars} coordinates, got {len(coords)}")
     field = coords[0].desc
@@ -550,7 +508,9 @@ def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
     rep, size = _orbit_representative(S, norm, S.base.q)
     exact = field_make(S.base.p, S.base.d * size)
     if exact != field:
-        rep = tuple(coerce_down(c, exact) for c in rep)
+        back = S.base.p ** (-frobenius_twist(S.base, exact, field) % field.d)
+        rep, _size = _orbit_representative(S, tuple(
+            coerce_down(c ** back, exact) for c in rep), S.base.q)
     return ClosedPoint(S, exact, rep, size)
 
 
@@ -586,58 +546,39 @@ def meeting_points(pairs: Iterable[Tuple[Curve, Curve]]) -> List[ClosedPoint]:
 
 
 def _support(C: Curve, H: Curve) -> List[ClosedPoint]:
+    """The fibres of the first chart over the roots of the resultant in its
+    second variable, one root per factor, as conjugate fibres hold
+    conjugate points; then in each later chart the one fibre where a unit
+    variable of the first chart is 0, since every point there that no
+    earlier chart holds lies on it (_collect_fiber_points drops the
+    others).  Both equations vanish on that whole fibre only if both curves
+    are that unit line (Z on P2; X1 or Y1 on P1xP1)."""
     S = C.surface
-    f, g = (S.dehomogenize(D.poly, S.charts[0]) for D in (C, H))
-    # the roots of the resultant in the second chart variable are the first
-    # coordinates; one root per factor, as conjugate fibres hold conjugate
-    # points
-    res = resultant_elim(f, g, elim=1, keep=0)
+    first = S.charts[0]
+    fs = [S.dehomogenize(D.poly, first) for D in (C, H)]
+    res = resultant_elim(*fs, elim=1, keep=0)
     if not res:  # distinct irreducible curves stay coprime
         raise ValueError("curves share a component")
-    return _chart_walk(S, [C, H], [(1, _one_root(irr, S.base))
-                                   for irr, _m in poly_factor(res, S.base)[1]])
-
-
-def _chart_walk(S: Surface, curves: Sequence[Curve],
-                first: List[Tuple[int, FieldElem]],
-                values: Optional[List[FieldElem]] = None,
-                max_degree: Optional[int] = None) -> List[ClosedPoint]:
-    """The closed points on all of `curves`, sorted: the fibres (solve, x0)
-    `first` of the first chart, then in each later chart the one fibre
-    where a unit variable of the first chart is 0, since every point there
-    that no earlier chart holds lies on it (`_collect_fiber_points` drops
-    the others).  If all equations vanish on that whole fibre, the curve is
-    that unit line (Z on P2; X1 or Y1 on P1xP1), and the walk fibres across
-    it, over each x0 in `values`, then, in a later chart, at x0 = 0 only:
-    the points left there have the earlier across chart's unit 0."""
     found: List[ClosedPoint] = []
-    across = values
-    for chart in S.charts:
-        fs = [S.dehomogenize(D.poly, chart) for D in curves]
-        fibres = first
-        if chart is not S.charts[0]:
-            solve = 1 if chart.affine_vars[0] in S.charts[0].unit_vars else 0
-            fibres = [(solve, S.base.zero())]
-            if all(e[1 - solve] for f in fs for e in f.terms):
-                if values is None:  # two distinct curves cannot both be it
-                    raise ValueError("curves share a component")
-                fibres = [(1 - solve, x0) for x0 in across]
-                across = [S.base.zero()]
-        for solve, x0 in fibres:
-            _collect_fiber_points(S, chart, fs, solve, x0, found, max_degree)
+    for irr, _m in poly_factor(res, S.base)[1]:
+        _collect_fiber_points(S, first, fs, 1, _one_root(irr, S.base), found)
+    for chart in S.charts[1:]:
+        fs = [S.dehomogenize(D.poly, chart) for D in (C, H)]
+        solve = 1 if chart.affine_vars[0] in first.unit_vars else 0
+        if all(e[1 - solve] for f in fs for e in f.terms):
+            raise ValueError("curves share a component")
+        _collect_fiber_points(S, chart, fs, solve, S.base.zero(), found)
     return sorted(found, key=ClosedPoint.sort_key)
 
 
 def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
                           solve: int, x0: FieldElem,
-                          found: List[ClosedPoint],
-                          max_degree: Optional[int] = None) -> None:
+                          found: List[ClosedPoint]) -> None:
     """Append the closed points of the chart where every chart equation in
     fs vanishes and the coordinate other than `solve` is x0, which must
     generate its field over the base.  Each point is appended once: one x0
     per Frobenius orbit, one root per factor, and points of an earlier chart
-    are left to it, as callers visit the charts in order.  Points of degree
-    above max_degree are skipped."""
+    are left to it, as callers visit the charts in order."""
     k = x0.desc
     h: Poly = []
     for f in fs:
@@ -649,11 +590,8 @@ def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
         h = pgcd(h, ptrim(r), k)
     if pdeg(h) < 1:
         return
-    m = k.d // S.base.d
     earlier = S.charts[:S.charts.index(chart)]
     for irr, _m in poly_factor(h, k)[1]:
-        if max_degree is not None and m * pdeg(irr) > max_degree:
-            continue
         y0 = _one_root(irr, k)
         coords = [y0.desc.zero()] * S.nvars
         for v in chart.unit_vars:
@@ -1215,56 +1153,55 @@ def smooth_flag(D: Curve, max_degree: int,
                 avoid: Sequence[Curve] = ()) -> Flag:
     """The first flag on D at a point of degree at most max_degree that lies
     on no curve of `avoid`; singular points of D are skipped.  Points are
-    tried one exact degree at a time, lowest first, since the fibres to
-    factor and the residue fields of the points grow like q^d.  The least
-    rational point is found by a walk over the surface (_rational_points),
-    with no enumeration of D."""
-    got = _least_rational_point(D, avoid)
-    if got is not None:
-        return flag_make(got, D)
-    for degree in range(2, max_degree + 1):
-        for pt in points_on_curve(D, degree):
-            if pt.degree < degree:
-                continue
-            coords = list(pt.coords)
-            if any(E.poly.evaluate(coords).is_zero() for E in avoid):
-                continue
-            try:
-                return flag_make(pt, D)
-            except ValueError:
-                continue
+    tried one exact degree d at a time, lowest first, since the walk over
+    the surface's points with coordinates in F_(q^d) grows like q^(2d)
+    (_least_rational_point); D is not enumerated."""
+    base = D.surface.base
+    for degree in range(1, max_degree + 1):
+        got = _least_rational_point(D, avoid,
+                                    field_make(base.p, base.d * degree))
+        if got is not None:
+            return flag_make(got, D)
     raise ValueError(f"no admissible flag on {D!r} up to point degree "
                      f"{max_degree}")
 
 
-def _least_rational_point(D: Curve, avoid: Sequence[Curve]
-                          ) -> Optional[ClosedPoint]:
-    """The least rational point of D, by ClosedPoint.sort_key, on no curve
-    of `avoid` and smooth on D, or None: at most one evaluation of D per
-    rational point of the surface.  A point of D is singular where every
-    partial derivative of D.poly vanishes, which (by Euler's relation in
-    each group) is where flag_make finds none in the chart."""
+def _least_rational_point(D: Curve, avoid: Sequence[Curve],
+                          k: FieldDesc) -> Optional[ClosedPoint]:
+    """The least point of D with coordinates in k, by ClosedPoint.sort_key,
+    on no curve of `avoid` and smooth on D, or None: at most one evaluation
+    of D per point of the surface over k, with the curves embedded into k
+    directly, as flag_make embeds them.  A point of D is singular where
+    every partial derivative of D.poly vanishes, which (by Euler's relation
+    in each group) is where flag_make finds none in the chart.
+
+    Whether a point qualifies does not change under Galois conjugation, so
+    the first one found is the least member of its orbit.  Its degree is
+    taken to be [k : F_q]: the caller has rejected every point over a
+    smaller field."""
     S = D.surface
+    f = _mp_embed(D.poly, k)
+    others = [_mp_embed(E.poly, k) for E in avoid]
     partials = None
-    for coords in _rational_points(S):
-        if D.poly.evaluate(coords) or any(
-                not E.poly.evaluate(coords) for E in avoid):
+    for coords in _points_over(S, k):
+        if f.evaluate(coords) or any(not E.evaluate(coords) for E in others):
             continue
         if partials is None:
-            partials = [D.poly.derivative(v) for v in range(S.nvars)]
+            partials = [f.derivative(v) for v in range(S.nvars)]
         if any(d.evaluate(coords) for d in partials):
-            return ClosedPoint(S, S.base, tuple(coords), 1)
+            return ClosedPoint(S, k, tuple(coords), k.d // S.base.d)
     return None
 
 
-def _rational_points(S: Surface) -> Iterable[List[FieldElem]]:
-    """The normalized rational points of S in ClosedPoint.sort_key order, as
-    coordinate lists, made one at a time.  The zero element sorts first, so
-    within a group the leading 1 moves from the last variable back to the
-    first, the free coordinates running over F_q by FieldElem.sort_key (not
-    code order when q is not prime); the groups nest in variable order."""
-    elems = sorted(S.base.elems(), key=FieldElem.sort_key)
-    zero, one = S.base.zero(), S.base.one()
+def _points_over(S: Surface, k: FieldDesc) -> Iterable[List[FieldElem]]:
+    """The normalized points of S with coordinates in k, in
+    ClosedPoint.sort_key order, as coordinate lists, made one at a time.
+    The zero element sorts first, so within a group the leading 1 moves
+    from the last variable back to the first, the free coordinates running
+    over k by FieldElem.sort_key (not code order when k is not prime); the
+    groups nest in variable order."""
+    elems = sorted(k.elems(), key=FieldElem.sort_key)
+    zero, one = k.zero(), k.one()
 
     def walk(start: int) -> Iterable[List[FieldElem]]:
         if start == len(S.groups):

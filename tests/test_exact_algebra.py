@@ -376,17 +376,6 @@ def test_mixed_fields_raise_in_containers():
     assert padd(pa, pa, f3) == [f3.from_int(2).n, f3.one().n]
 
 
-def test_mpoly_substitution_is_homomorphism():
-    rng = random.Random(9)
-    f5 = field_make(5, 1)
-    images = [rand_mpoly(f5, 2, rng), rand_mpoly(f5, 2, rng), rand_mpoly(f5, 2, rng)]
-    for _ in range(20):
-        f = rand_mpoly(f5, 3, rng)
-        g = rand_mpoly(f5, 3, rng)
-        assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
-        assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
-
-
 def test_resultant_golden_line_parabola():
     f5 = field_make(5, 1)
     x = MPoly.var(f5, 2, 0)

@@ -7,6 +7,7 @@ import pytest
 
 from adeles2d import cli, measures, residues, surface
 from adeles2d.cohomology import cech_h_vector, class_range, h_vector, rr_space
+from adeles2d.fields import field_make
 from adeles2d.measures import (
     CentralExtElem,
     CharElem,
@@ -39,11 +40,11 @@ from adeles2d.surface import (
     curve_make,
     divisor_class,
     flag_make,
-    points_on_curve,
     smooth_flag,
     surface_make,
 )
 from adeles2d.symbols import IdeleRule, QPower
+from reference_points import scan_points
 
 
 def plane(q=3):
@@ -532,7 +533,7 @@ def test_self_dual_window_on_the_quadric():
 
 def _exhaustive_flag(D, max_degree, avoid=()):
     """The first admissible flag over every point of D up to the degree."""
-    for pt in points_on_curve(D, max_degree):
+    for pt in scan_points(D, max_degree):
         if any(E.poly.evaluate(list(pt.coords)).is_zero() for E in avoid):
             continue
         try:
@@ -569,6 +570,11 @@ def test_window_flag_matches_the_exhaustive_choice(monkeypatch):
     fl = smooth_flag(X, 2, avoid)
     assert fl.point.degree == 2
     chosen.append((X, 2, avoid, fl))
+    # and its points of degree 2 on the conic Y^2 + YZ + Z^2
+    avoid = avoid + [curve_make(S, "Y^2+YZ+Z^2")]
+    fl = smooth_flag(X, 3, avoid)
+    assert fl.point.degree == 3
+    chosen.append((X, 3, avoid, fl))
     for D, max_degree, avoid, fl in chosen:
         ref = _exhaustive_flag(D, max_degree, avoid)
         assert (fl.point, fl.curve) == (ref.point, ref.curve), (D, avoid, fl)
@@ -620,26 +626,37 @@ def test_the_walk_picks_the_exhaustive_flag_on_conics_and_cubics():
 
 def test_a_curve_with_an_admissible_rational_point_is_not_enumerated(
         monkeypatch):
+    # the walk over the points with coordinates in F_q is the only one
+    # when an admissible rational point exists; otherwise it goes on to
+    # F_(q^2)
     cases = [(D, avoid) for model in ("P2", "P1xP1") for q in (4, 9)
              for D, avoid in _walk_cases(model, q)]
     refs = [_exhaustive_flag(D, 2, avoid) for D, avoid in cases]
+    walked = []
+    points_over = surface._points_over
 
-    def enumerated(D, max_degree):
-        raise AssertionError(f"{D!r} was enumerated to degree {max_degree}")
+    def recording(S, k):
+        walked.append(k)
+        return points_over(S, k)
 
-    monkeypatch.setattr(surface, "points_on_curve", enumerated)
+    monkeypatch.setattr(surface, "_points_over", recording)
     rational = 0
     for (D, avoid), ref in zip(cases, refs):
         # fresh curves on a fresh surface, so nothing is cached
         S = surface_make(D.surface.model, D.surface.base.q)
         D2 = curve_make(S, D.poly)
         avoid2 = [curve_make(S, E.poly) for E in avoid]
+        walked.clear()
         if ref is not None and ref.point.degree == 1:
             assert smooth_flag(D2, 2, avoid2).point == ref.point
+            assert walked == [S.base], (D, avoid, walked)
             rational += 1
         else:
-            with pytest.raises(AssertionError, match="was enumerated"):
-                smooth_flag(D2, 2, avoid2)
+            try:
+                assert smooth_flag(D2, 2, avoid2).point == ref.point
+            except ValueError:
+                assert ref is None, (D, avoid)
+            assert walked == [S.base, field_make(S.base.p, 2 * S.base.d)]
     assert 0 < rational < len(cases), (rational, len(cases))
 
 

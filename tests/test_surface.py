@@ -9,7 +9,7 @@ import pytest
 
 from adeles2d.cohomology import class_range
 from adeles2d import surface as surface_mod
-from adeles2d.fields import FieldElem, field_make, poly_factor
+from adeles2d.fields import FieldElem, embed, field_make, poly_factor
 from adeles2d.multipoly import MPoly, resultant_elim
 from adeles2d.residues import (check_reciprocity_along_curves,
                                check_reciprocity_around_points,
@@ -42,13 +42,13 @@ from adeles2d.surface import (
     ord_on_curve,
     parse_poly,
     point_from_coords,
-    points_on_curve,
     poly_text,
     poly_valuation_at_flag,
     smooth_flag,
     surface_make,
 )
 from adeles2d.symbols import intersection_oracle
+from reference_points import scan_points
 from test_series import derive
 
 
@@ -173,40 +173,6 @@ def test_curve_equality_ignores_scaling():
 # closed points
 
 
-def test_points_on_line_over_gf2():
-    S = p2(2)
-    L = curve_make(S, "Y")
-    pts = points_on_curve(L, 1)
-    coords = {tuple(int(c.coeffs[0]) for c in p.coords) for p in pts}
-    assert coords == {(0, 0, 1), (1, 0, 1), (1, 0, 0)}
-    assert all(p.degree == 1 for p in pts)
-    # one extra orbit of degree two (the 5 points of the projective line
-    # over GF(4), minus 3 rational ones, in a single orbit)
-    pts2 = points_on_curve(L, 2)
-    assert len(pts2) == 4
-    assert sorted(p.degree for p in pts2) == [1, 1, 1, 2]
-    deg2 = [p for p in pts2 if p.degree == 2][0]
-    assert deg2.residue_field.q == 4
-
-
-def test_points_on_conic_over_gf3():
-    S = p2(3)
-    C = curve_make(S, "YZ-X^2")
-    pts = points_on_curve(C, 1)
-    assert len(pts) == 4  # a smooth conic has q+1 rational points
-    for p in pts:
-        assert C.poly.evaluate(list(p.coords)).is_zero()
-
-
-def test_points_enumeration_is_deterministic():
-    S = p2(3)
-    C = curve_make(S, "YZ-X^2")
-    a = points_on_curve(C, 2)
-    b = points_on_curve(C, 2)
-    assert [p.coords for p in a] == [p.coords for p in b]
-    assert a == sorted(a, key=lambda p: p.sort_key())
-
-
 def test_point_from_coords_degree():
     S = p2(2)
     F4 = field_make(2, 2)
@@ -219,85 +185,32 @@ def test_point_from_coords_degree():
     assert rational.residue_field.q == 2
 
 
-def test_points_on_p1xp1_diagonal():
-    S = quadric(2)
-    D = curve_make(S, "X0Y1 - X1Y0")
-    pts = points_on_curve(D, 1)
-    assert len(pts) == 3  # diagonal is a P^1
+@pytest.mark.parametrize("q", [4, 5, 8, 9])
+def test_a_point_given_in_a_larger_field_lands_on_its_curve(q):
+    # the conic X^2 + gYZ + Z^2, g the generator of F_q: its points
+    # (x : -(x^2 + 1)/g : 1), with g embedded directly, over F_(q^2) and
+    # F_(q^4); over a base field that is not prime the embedding of F_q
+    # through F_(q^2) into F_(q^4) may differ from the direct one
+    S = p2(q)
+    g = S.base.gen()
+    D = curve_make(S, S.var(0) ** 2 + (S.var(1) * S.var(2)).scale(g)
+                   + S.var(2) ** 2)
 
-
-def _scan_points(D, max_degree):
-    """Reference finder: test every ambient point over F_{q^m}, m <= max."""
-    S = D.surface
-    found = set()
-    for m in range(1, max_degree + 1):
+    def degree_two(m):
         F = field_make(S.base.p, S.base.d * m)
-        one, zero, elems = F.one(), F.zero(), list(F.elems())
-        if S.model == "P2":
-            ambient = [(one, y, z) for y in elems for z in elems]
-            ambient += [(zero, one, z) for z in elems] + [(zero, zero, one)]
-        else:
-            line = [(one, x) for x in elems] + [(zero, one)]
-            ambient = [a + b for a in line for b in line]
-        for coords in ambient:
-            if D.poly.evaluate(list(coords)).is_zero():
-                pt = point_from_coords(S, coords)
-                if pt.degree == m:
-                    found.add(pt)
-    return sorted(found, key=ClosedPoint.sort_key)
+        gF, one = embed(g, F), F.one()
+        # the point has degree at most 2 where x lies in F_(q^2)
+        pts = [point_from_coords(S, (x, -(x * x + one) / gF, one))
+               for x in F.elems() if x ** (q * q) == x]
+        return [pt for pt in pts if pt.degree == 2]
 
-
-def _check_against_scan(S, text):
-    D = curve_make(S, text)
-    want = _scan_points(D, 2)
-    for max_degree in (1, 2):
-        got = points_on_curve(D, max_degree)
-        ref = [p for p in want if p.degree <= max_degree]
-        assert got == ref, (S, text, max_degree)
-        assert ([p.residue_field for p in got]
-                == [p.residue_field for p in ref])
-
-
-def test_fibre_point_finder_matches_ambient_scan():
-    # Z on P2 and X1, Y1 on P1xP1 are the unit lines of the first chart,
-    # which later charts fibre across instead of at 0
-    texts = {"P2": ["X", "Z", "YZ-X^2", "Y^2Z-X^3-Z^3", "X^2Y+Y^2Z+Z^2X"],
-             "P1xP1": ["X0", "X1", "Y1", "X0Y0+X1Y1", "X0^2Y0+X1^2Y1"]}
-    for q in (2, 3, 4, 5):
-        for model, curves in texts.items():
-            S = surface_make(model, q)
-            # a "vertical" conic: geometrically two conjugate lines
-            extra = ["X^2+XZ+Z^2" if model == "P2" else "X0^2+X0X1+X1^2"]
-            for text in curves + (extra if q % 3 == 2 else []):
-                _check_against_scan(S, text)
-    # the fibres across a unit line, over an extension field of F_9
-    for model, line in (("P2", "Z"), ("P1xP1", "X1")):
-        _check_against_scan(surface_make(model, 9), line)
-
-
-def test_points_on_curve_takes_one_fibre_in_each_later_chart(monkeypatch):
-    charts = []
-    collect = surface_mod._collect_fiber_points
-
-    def counting(S, chart, *args, **kwargs):
-        charts.append(chart.name)
-        return collect(S, chart, *args, **kwargs)
-
-    monkeypatch.setattr(surface_mod, "_collect_fiber_points", counting)
-    D = curve_make(p2(5), "Y^2Z-X^3-XZ^2")
-    assert points_on_curve(D, 2) == _scan_points(D, 2)
-    # the first chart fibres over 5 values and 10 orbits of degree 2
-    assert charts == ["Z"] * 15 + ["Y", "X"]
-    # a unit line of the first chart: the first chart that fibres it across
-    # takes the 9 values and 36 orbits of degree 2 over F_9, and a later one
-    # only the fibre at 0, since an earlier chart holds its other points
-    for model, line, walk in (("P2", "Z", ["Y"] * 45 + ["X"]),
-                              ("P1xP1", "X1", ["X1Y0"] + ["X0Y1"] * 45
-                               + ["X0Y0"])):
-        D = curve_make(surface_make(model, 9), line)
-        charts.clear()
-        assert points_on_curve(D, 2) == _scan_points(D, 2)
-        assert charts == walk, (model, line)
+    want = set(degree_two(2))
+    got = degree_two(4)
+    assert len(got) == 2 * len(want) > 0, (len(got), len(want))
+    for pt in got:
+        assert pt.residue_field == field_make(S.base.p, 2 * S.base.d)
+        assert D.poly.evaluate(list(pt.coords)).is_zero(), pt
+    assert set(got) == want
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +326,40 @@ def _check_support(C, H):
     assert (intersection_oracle(Divisor(S, {C: 1}), Divisor(S, {H: 1}))
             == class_intersection(S, C.degree(), H.degree())), (C, H)
     return pts
+
+
+def test_points_on_curve_takes_one_fibre_in_each_later_chart(monkeypatch):
+    # per pair, the first chart takes one fibre per factor of the resultant
+    # in its second variable, and each later chart the one fibre where a
+    # unit variable of the first chart is 0
+    charts = []
+    collect = surface_mod._collect_fiber_points
+
+    def counting(S, chart, *args, **kwargs):
+        charts.append(chart.name)
+        return collect(S, chart, *args, **kwargs)
+
+    factors = []
+    for model, q, pairs in (
+            ("P2", 5, [("Y^2Z-X^3-XZ^2", "YZ-X^2"), ("Z", "XY-Z^2"),
+                       ("X^3+Y^3+XYZ", "X+Y+Z")]),
+            ("P1xP1", 9, [("X0Y0+X1Y1", "X0^2Y1+X1^2Y0+X0X1Y0"),
+                          ("X1", "X0Y1-X1Y0")])):
+        S = surface_make(model, q)
+        first = S.charts[0]
+        for C, H in ([curve_make(S, t) for t in pair] for pair in pairs):
+            f, g = (S.dehomogenize(D.poly, first) for D in (C, H))
+            n = len(poly_factor(resultant_elim(f, g, elim=1, keep=0),
+                                S.base)[1])
+            factors.append(n)
+            charts.clear()
+            with monkeypatch.context() as m:
+                m.setattr(surface_mod, "_collect_fiber_points", counting)
+                pts = intersection_support(C, H)
+            assert charts == [first.name] * n + [
+                ch.name for ch in S.charts[1:]], (C, H)
+            assert pts == _chartwise_support(C, H), (C, H)
+    assert 0 in factors and max(factors) > 1, factors
 
 
 @pytest.mark.parametrize("model, q, line, texts, charts", [
@@ -573,7 +520,7 @@ def test_an_equal_new_surface_recomputes_the_support(monkeypatch):
 def test_flag_at_affine_point_on_line():
     S = p2(2)
     L = curve_make(S, "Y")
-    pt = [p for p in points_on_curve(L, 1)
+    pt = [p for p in scan_points(L, 1)
           if tuple(int(c.coeffs[0]) for c in p.coords) == (0, 0, 1)][0]
     fl = flag_make(pt, L)
     assert fl.chart.name == "Z"
@@ -584,7 +531,7 @@ def test_flag_at_affine_point_on_line():
 def test_flag_at_infinity_switches_chart():
     S = p2(2)
     L = curve_make(S, "Y")
-    pt = [p for p in points_on_curve(L, 1)
+    pt = [p for p in scan_points(L, 1)
           if tuple(int(c.coeffs[0]) for c in p.coords) == (1, 0, 0)][0]
     fl = flag_make(pt, L)
     assert fl.chart.name == "X"
@@ -731,7 +678,7 @@ def test_expansion_is_multiplicative():
 def test_expand_at_degree_two_point():
     S = p2(2)
     L = curve_make(S, "Z")
-    deg2 = [p for p in points_on_curve(L, 2) if p.degree == 2][0]
+    deg2 = [p for p in scan_points(L, 2) if p.degree == 2][0]
     fl = flag_make(deg2, L)
     f = ratfn(S, "X", "Y")
     e = expand_at_flag(f, fl, prec=6)
@@ -851,7 +798,7 @@ def test_form_polynomial_inverts_to_the_jacobian_of_the_first_chart():
             S = surface_make(model, q)
             for text in texts:
                 D = curve_make(S, text)
-                pts = points_on_curve(D, 2)
+                pts = scan_points(D, 2)
                 # two rational points and one of degree 2
                 for pt in pts[:2] + [p for p in pts if p.degree == 2][:1]:
                     fl = flag_make(pt, D)
@@ -1108,7 +1055,7 @@ def test_derived_geometry_matches_the_surface_tables(model):
             banned = {S.lines[n] for n in names[:k]}
             assert coordinate_lines(S, cls, lambda L: L not in banned) == \
                 [(S.lines[name], 1)]
-    pts = points_on_curve(curve_make(S, table["curve"]), 2)
+    pts = scan_points(curve_make(S, table["curve"]), 2)
     assert [repr(pt) for pt in pts] == table["points"]
 
 
@@ -1221,7 +1168,7 @@ def _branch_flags(model, q):
              ("X0Y1-X1Y0", "X0Y0^2+X1Y1^2+X1Y0Y1"))
     flags = []
     for D in (curve_make(S, t) for t in texts):
-        for x in points_on_curve(D, 2):
+        for x in scan_points(D, 2):
             try:
                 flags.append(flag_make(x, D))
             except ValueError:  # a singular point carries no flag

@@ -572,6 +572,21 @@ def test_fulton_loop_shifts_before_it_subtracts():
     assert intersection_oracle(Divisor(S, {D: 1}), Divisor(S, {E: 1})) == 4
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_fulton_loop_shifts_on_the_quadric(q):
+    # x - y and x^2 - y in the first chart of P1xP1: at the origin
+    # (0:1)x(0:1), f(x, 0) = x (r = 1) and g(x, 0) = x^2 (s = 2), so the
+    # first step takes the x^(s - r) shift
+    S = surface_make("P1xP1", q)
+    D, E = curve_make(S, "X0Y1-X1Y0"), curve_make(S, "X0^2Y1-X1^2Y0")
+    origin = point_from_coords(S, [S.base.zero(), S.base.one()] * 2)
+    assert origin in intersection_support(D, E)
+    assert symbols._multiplicity(D, E, origin, 3) == 1
+    C, H = Divisor(S, {D: 1}), Divisor(S, {E: 1})
+    assert intersection_oracle(C, H) == intersection_number(C, H) == 3
+    assert class_intersection(S, D.degree(), E.degree()) == 3
+
+
 def test_fulton_budget_names_the_curves_and_the_point(monkeypatch):
     D, E, pt = _one_point(5, "Y^2Z-X^3", "Y")
     monkeypatch.setattr(symbols, "FULTON_STEPS", 0)

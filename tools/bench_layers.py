@@ -244,13 +244,19 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
             lambda spec=spec: flag(m, spec),
             lambda fl_f, prec=spec[4]: sf.expand_at_flag(fl_f[1], fl_f[0], prec),
             1)
-    # each round on a fresh surface, whose memo holds no points yet; Z is
-    # the unit line of the first chart: the later charts fibre across it
-    for key, (q, text) in (("cubic.F5", (5, "Y^2Z-X^3-XZ^2")),
-                           ("Z.P2.F9", (9, "Z"))):
-        out[f"surface.points_on_curve.{key}.deg2"] = (
-            lambda q=q, text=text: sf.curve_make(surface(m, "P2", q), text),
-            lambda D: sf.points_on_curve(D, 2), 1)
+
+    def off_lines(q):
+        """X on a fresh P2 over F_q with Z and every line Y + aZ over F_p,
+        which hold all its rational points: its flag is at degree 2."""
+        S = surface(m, "P2", q)
+        lines = ["Z"] + [f"Y+{a}Z" if a else "Y" for a in range(S.base.p)]
+        return (sf.curve_make(S, "X"),
+                [sf.curve_make(S, text) for text in lines])
+
+    for q in (3, 13):
+        out[f"surface.smooth_flag.deg2.P2.q{q}"] = (
+            lambda q=q: off_lines(q),
+            lambda xa: sf.smooth_flag(xa[0], 2, xa[1]), 1)
 
     def conic_cubic(q=5):
         """The pair on a fresh P2 over F_q, so no support is in its memo."""
@@ -442,8 +448,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "linalg.mat_rank.15x21.F5", "linalg.mat_rank.section_rows.P2.q13",
     "linalg.mat_rank.window_gram.P2.q13",
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
-    "surface.points_on_curve.cubic.F5.deg2",
-    "surface.points_on_curve.Z.P2.F9.deg2",
+    "surface.smooth_flag.deg2.P2.q3", "surface.smooth_flag.deg2.P2.q13",
     "surface.intersection_support.cubic.P2.F5",
     "symbols.symbol_at_flag.conic", "symbols.intersection_oracle.cubic.P2.F5",
     "symbols.intersection_oracle.cubic.P2.F9",
