@@ -8,9 +8,9 @@ vector (c_0, ..., c_{d-1}); code 0 is zero and code 1 is one.  Polynomials,
 series and matrices hold codes, and the field descriptor computes on them;
 FieldElem wraps a code with its field where elements leave the package.
 Relative data for a tower F_{q^a}/F_q is recovered on demand: embeddings
-are canonical roots of the small modulus in the big field, and relative
-traces are sums of q-power Frobenius iterates coerced back down through
-that embedding.
+are roots of the small modulus in the big field, chosen so that they
+compose, and relative traces are sums of q-power Frobenius iterates
+coerced back down through that embedding.
 """
 
 from __future__ import annotations
@@ -689,50 +689,49 @@ def poly_roots(f: Poly, desc: FieldDesc) -> List[Tuple[int, int]]:
 # embeddings and relative traces
 
 def subfield_embedding(sub: FieldDesc, sup: FieldDesc) -> int:
-    """Code in sup of sub's generator: the least root of sub's modulus."""
+    """Code in sup of sub's generator: the least root of sub's modulus that
+    maps each intermediate field F_{p^l} of sub, 1 < l < sub.d, into sup as
+    F_{p^l}'s own embedding does, so embeddings compose on every tower.  The
+    choice recurses on sub.d, so it does not depend on the order in which
+    fields are built; a sub of prime degree has no intermediate field, and
+    its embeddings are the least roots.
+
+    Such a root exists: the embeddings of sub into sup are a torsor under
+    Gal(sub/F_p), cyclic of order sub.d; the constraint from l fixes the
+    choice mod l; by induction the constraints agree mod every gcd; so by
+    the Chinese remainder theorem one root meets them all."""
     if sub.p != sup.p or sup.d % sub.d != 0:
         raise ValueError(f"{sub} does not embed into {sup}")
     cached = sup._embed_cache.get((sub.p, sub.d))
     if cached is not None:
         return cached
-    if sub.d == 1:
-        root = 1
-    else:
+    root = 1
+    if sub.d > 1:
+        mids = [field_make(sub.p, l) for l in range(2, sub.d)
+                if sub.d % l == 0]
+        want = [(subfield_embedding(mid, sub), subfield_embedding(mid, sup))
+                for mid in mids]
         # the modulus has prime-field coefficients, whose codes are their values
-        roots = poly_roots(list(sub.modulus), sup)
-        if not roots:  # pragma: no cover
-            raise RuntimeError("modulus has no root in the extension")
-        root = roots[0][0]
+        root = next(r for r, _m in poly_roots(list(sub.modulus), sup)
+                    if all(_image(sub, g, sup, r) == h for g, h in want))
     sup._embed_cache[(sub.p, sub.d)] = root
     return root
 
 
-def frobenius_twist(sub: FieldDesc, mid: FieldDesc, sup: FieldDesc) -> int:
-    """The least j such that x -> x^(p^j) on sup carries the embedding of
-    sub into sup through mid onto the direct one.  Each embedding is picked
-    on its own, so the two differ on some towers over a field that is not
-    prime (F_9 in F_81 in F_3^8 is one)."""
-    if sub.d == 1 or mid == sub or mid == sup:
-        return 0
-    got = _embed_code(mid, subfield_embedding(sub, mid), sup)
-    want = subfield_embedding(sub, sup)
-    for j in range(sup.d):
-        if got == want:
-            return j
-        got = sup.pow(got, sup.p)
-    raise RuntimeError(f"no Frobenius power of {sup} aligns {sub} "
-                       f"through {mid}")  # pragma: no cover
+def _image(sub: FieldDesc, n: int, sup: FieldDesc, root: int) -> int:
+    """The code in sup of the element coded n of sub, sub's generator going
+    to the code root."""
+    acc = 0
+    for c in reversed(sub.digits(n)):
+        acc = sup.add(sup.mul(acc, root), c)
+    return acc
 
 
 def _embed_code(sub: FieldDesc, n: int, sup: FieldDesc) -> int:
     """The code in sup of the element coded n of its subfield sub."""
     if sub is sup or sub == sup:
         return n
-    root = subfield_embedding(sub, sup)
-    acc = 0
-    for c in reversed(sub.digits(n)):
-        acc = sup.add(sup.mul(acc, root), c)
-    return acc
+    return _image(sub, n, sup, subfield_embedding(sub, sup))
 
 
 def embed(a: FieldElem, sup: FieldDesc) -> FieldElem:

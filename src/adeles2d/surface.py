@@ -30,7 +30,6 @@ from .fields import (
     coerce_down,
     embed,
     field_make,
-    frobenius_twist,
     pdeg,
     pgcd,
     poly_factor,
@@ -493,12 +492,10 @@ def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
 def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
     """Closed point through the given geometric point (exact degree computed).
 
-    The coordinates are read against the base field embedded directly into
-    theirs, as every curve is embedded.  Coordinates in a field larger than
-    the residue field are moved down to it: first by the Frobenius power
-    that undoes the twist between the embedding through the residue field
-    and the direct one (fields.frobenius_twist), then by coerce_down, and
-    the point is the least orbit member there."""
+    The coordinates are read against the base field embedded into theirs,
+    as every curve is embedded.  Coordinates in a field larger than the
+    residue field are moved down to it by coerce_down, and the point is the
+    least orbit member there."""
     if len(coords) != S.nvars:
         raise ValueError(f"expected {S.nvars} coordinates, got {len(coords)}")
     field = coords[0].desc
@@ -508,9 +505,8 @@ def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
     rep, size = _orbit_representative(S, norm, S.base.q)
     exact = field_make(S.base.p, S.base.d * size)
     if exact != field:
-        back = S.base.p ** (-frobenius_twist(S.base, exact, field) % field.d)
         rep, _size = _orbit_representative(S, tuple(
-            coerce_down(c ** back, exact) for c in rep), S.base.q)
+            coerce_down(c, exact) for c in rep), S.base.q)
     return ClosedPoint(S, exact, rep, size)
 
 
@@ -598,12 +594,6 @@ def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
             coords[v] = y0.desc.one()
         coords[chart.affine_vars[solve]] = y0
         coords[chart.affine_vars[1 - solve]] = embed(x0, y0.desc)
-        # the point lies on the curves as embedded through k; a power of
-        # Frobenius moves it onto them as embedded directly, as every
-        # later use of the point embeds them
-        j = frobenius_twist(S.base, k, y0.desc)
-        if j:
-            coords = [c ** S.base.p ** j for c in coords]
         if any(ch.contains(coords) for ch in earlier):
             continue
         found.append(point_from_coords(S, coords))

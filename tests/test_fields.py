@@ -8,12 +8,13 @@ import random
 
 import pytest
 
+from adeles2d import fields
 from adeles2d.fields import (
     FieldElem,
     coerce_down,
     embed,
     field_make,
-    frobenius_twist,
+    is_prime,
     pdeg,
     pmul,
     poly_factor,
@@ -22,7 +23,6 @@ from adeles2d.fields import (
     ptrim,
     rel_trace,
     subfield_embedding,
-    _embed_code,
 )
 from adeles2d.surface import _one_root
 
@@ -368,16 +368,71 @@ def test_elements_keep_their_coefficient_tuples():
         f9.zero(), f9.gen(), f9.from_coeffs([0, 2])]
 
 
-@pytest.mark.parametrize("p, a, b, c, twisted", [
-    (3, 2, 4, 8, True), (2, 2, 4, 8, True), (2, 3, 6, 12, True),
-    (2, 2, 6, 12, False), (5, 1, 2, 4, False)])
-def test_frobenius_twist_aligns_a_tower(p, a, b, c, twisted):
-    # the embeddings F_p^a -> F_p^b -> F_p^c are picked one by one, so
-    # their composite need not be the direct one; a power of Frobenius on
-    # F_p^c makes it so
+def _towers(limit=10 ** 7):
+    """Every tower (p, a, b, c): F_p^a < F_p^b < F_p^c, p^c <= limit."""
+    out = []
+    for p in (n for n in range(2, 60) if is_prime(n)):
+        for c in range(4, 64):
+            if p ** c > limit:
+                break
+            out += [(p, a, b, c) for b in range(2, c) if c % b == 0
+                    for a in range(1, b) if b % a == 0]
+    return out
+
+
+def _tower_codes(towers, descending):
+    """For each tower (p, a, b, c), the codes in F_p^c of F_p^a's generator
+    embedded directly and through F_p^b; the generator fixes a whole
+    embedding.  The towers, the fields of each and the two embeddings are
+    taken in order of degree, ascending or descending."""
+    out = {}
+    for p, a, b, c in sorted(towers, key=lambda t: t[::-1],
+                             reverse=descending):
+        degrees = (c, b, a) if descending else (a, b, c)
+        built = {d: field_make(p, d) for d in degrees}
+        sub, mid, sup = built[a], built[b], built[c]
+        g = sub.gen()
+        if descending:
+            direct = embed(g, sup).n
+            via = embed(embed(g, mid), sup).n
+        else:
+            via = embed(embed(g, mid), sup).n
+            direct = embed(g, sup).n
+        out[p, a, b, c] = (direct, via)
+    return out
+
+
+def test_embeddings_compose_on_every_tower_in_any_build_order(monkeypatch):
+    towers = _towers()
+    assert len(towers) == 93 and max(p for p, *_ in towers) == 53
+    # a fresh field cache gives each order new descriptors, whose
+    # embedding caches it fills
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    up = _tower_codes(towers, descending=False)
+    monkeypatch.setattr(fields, "_FIELD_CACHE", {})
+    down = _tower_codes(towers, descending=True)
+    assert up == down
+    for tower, (direct, via) in up.items():
+        assert via == direct, tower
+
+
+@pytest.mark.parametrize("p, a, b, c", [
+    (3, 2, 4, 8), (2, 2, 4, 8), (2, 3, 6, 12), (2, 2, 6, 12), (5, 1, 2, 4)])
+def test_elements_move_up_and_down_a_tower(p, a, b, c):
     sub, mid, sup = (field_make(p, d) for d in (a, b, c))
-    j = frobenius_twist(sub, mid, sup)
-    assert (j != 0) == twisted
-    for x in range(sub.q):
-        via = _embed_code(mid, _embed_code(sub, x, mid), sup)
-        assert sup.pow(via, p ** j) == _embed_code(sub, x, sup), (x, j)
+    for x in sub.elems():
+        y = embed(embed(x, mid), sup)
+        assert y == embed(x, sup), x
+        assert coerce_down(y, mid) == embed(x, mid), x
+        assert coerce_down(y, sub) == x, x
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_a_field_of_prime_degree_embeds_by_the_least_root(q):
+    # F_4, F_8 and F_9 have no intermediate field, so nothing constrains
+    # their embeddings: they stay the least roots, which fix printed codes
+    sub = field_make(*{4: (2, 2), 8: (2, 3), 9: (3, 2)}[q])
+    for k in (2, 3, 4):
+        sup = field_make(sub.p, sub.d * k)
+        least = poly_roots(list(sub.modulus), sup)[0][0]
+        assert subfield_embedding(sub, sup) == least, (q, k)

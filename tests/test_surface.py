@@ -189,8 +189,8 @@ def test_point_from_coords_degree():
 def test_a_point_given_in_a_larger_field_lands_on_its_curve(q):
     # the conic X^2 + gYZ + Z^2, g the generator of F_q: its points
     # (x : -(x^2 + 1)/g : 1), with g embedded directly, over F_(q^2) and
-    # F_(q^4); over a base field that is not prime the embedding of F_q
-    # through F_(q^2) into F_(q^4) may differ from the direct one
+    # F_(q^4); point_from_coords moves the F_(q^4) coordinates down to
+    # F_(q^2), whose embedding into F_(q^4) composes with the one of F_q
     S = p2(q)
     g = S.base.gen()
     D = curve_make(S, S.var(0) ** 2 + (S.var(1) * S.var(2)).scale(g)
@@ -259,6 +259,23 @@ def test_intersection_point_of_higher_degree():
     assert len(pts) == 1
     assert pts[0].degree == 2
     assert C.poly.evaluate(list(pts[0].coords)).is_zero()
+
+
+def test_support_reached_through_an_intermediate_field():
+    # two conics over F_4, given by codes since parse_poly reads only
+    # prime-field coefficients, meet in one point of degree 4; the fibre
+    # walk reaches it over F_16, whose embedding into F_256 must compose
+    # with the one of F_4
+    S = p2(4)
+    C = curve_make(S, MPoly(S.base, 3, {(2, 0, 0): 1, (1, 0, 1): 3,
+                                        (0, 0, 2): 1}))
+    H = curve_make(S, MPoly(S.base, 3, {(2, 0, 0): 1, (1, 0, 1): 1,
+                                        (0, 2, 0): 1, (0, 1, 1): 2,
+                                        (0, 0, 2): 2}))
+    on_h = set(scan_points(H, 4))
+    want = [pt for pt in scan_points(C, 4) if pt in on_h]
+    assert [pt.degree for pt in want] == [4]
+    assert intersection_support(C, H) == want
 
 
 def test_intersection_rejects_equal_curves():
