@@ -16,7 +16,8 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .cohomology import cech_h_vector, class_range, h_vector, rr_dimension
 from .measures import (
@@ -439,6 +440,18 @@ def _document_text(config: Dict, checks: Sequence[Check],
             '\n}')
 
 
+def _collect(checks: Iterable[Check], args) -> List[Check]:
+    """The checks as a list; under --timings the clock is read as each one
+    arrives."""
+    if not args.timings:
+        return list(checks)
+    out = []
+    for check in checks:
+        out.append(check)
+        args.stamps.append(time.perf_counter())
+    return out
+
+
 def _emit(config: Dict, checks: List[Check], args) -> int:
     """Print the summary and write the report; with --timings each check's
     micros is the time since the previous check or the command start."""
@@ -447,9 +460,8 @@ def _emit(config: Dict, checks: List[Check], args) -> int:
     if args.json:
         micros = [0] * len(checks)
         if args.timings:
-            stamps = [args.started] + [c.stamp for c in checks]
             micros = [int((b - a) * 1_000_000)
-                      for a, b in zip(stamps, stamps[1:])]
+                      for a, b in zip(args.stamps, args.stamps[1:])]
         text = _document_text(config, checks, micros,
                               {"passed": passed, "failed": failed})
         try:
@@ -485,7 +497,8 @@ def _cmd_expand(args) -> int:
     inputs = {"curve": args.curve, "point": args.point,
               "function": args.function}
     out = repr(series)
-    return _emit(_config(args), [Check("expand", inputs, out, out)], args)
+    return _emit(_config(args), _collect([Check("expand", inputs, out, out)],
+                                         args), args)
 
 
 def _cmd_residue(args) -> int:
@@ -501,7 +514,8 @@ def _cmd_residue(args) -> int:
     inputs = {"curve": args.curve, "point": args.point, "num": args.num,
               "den": args.den}
     out = repr(res)
-    return _emit(_config(args), [Check("residue", inputs, out, out)], args)
+    return _emit(_config(args), _collect(
+        [Check("residue", inputs, out, out)], args), args)
 
 
 def _cmd_symbol(args) -> int:
@@ -514,7 +528,8 @@ def _cmd_symbol(args) -> int:
     print(value)
     inputs = {"curve": args.curve, "point": args.point, "f": args.f,
               "g": args.g}
-    return _emit(_config(args), [Check("symbol", inputs, value, value)], args)
+    return _emit(_config(args), _collect(
+        [Check("symbol", inputs, value, value)], args), args)
 
 
 def _cmd_intersect(args) -> int:
@@ -531,7 +546,8 @@ def _cmd_intersect(args) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     print(got)
-    checks = [Check("intersect", {"curves": args.curves}, got, want)]
+    checks = _collect([Check("intersect", {"curves": args.curves}, got,
+                             want)], args)
     return _emit(_config(args), checks, args)
 
 
@@ -544,36 +560,32 @@ def _cmd_cohomology(args) -> int:
         indep = cech_h_vector(S, c)
         print(f"class {_cls_json(c)}: h0={closed.h0} h1={closed.h1} "
               f"h2={closed.h2} chi={closed.chi}")
-        checks.append(Check(
+        checks += _collect([Check(
             "h-vector", {"class": _cls_json(c)},
             [closed.h0, closed.h1, closed.h2],
-            [indep.h0, indep.h1, indep.h2]))
+            [indep.h0, indep.h1, indep.h2])], args)
     return _emit(_config(args, range=range_json), checks, args)
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each yields its checks as it builds them, so that
+# under --timings the run reads the clock as each one arrives (_collect)
 
 
-def _suite_reciprocity(S, classes, args) -> List[Check]:
-    checks = []
+def _suite_reciprocity(S, classes, args) -> Iterator[Check]:
     for idx, w in enumerate(reciprocity_corpus(S, 9, args.seed)):
         around = check_reciprocity_around_points(w)
-        checks.append(Check(
-            "reciprocity-around-points", {"form": idx},
-            sum(1 for _x, s in around if s.is_zero()), len(around)))
+        yield Check("reciprocity-around-points", {"form": idx},
+                    sum(1 for _x, s in around if s.is_zero()), len(around))
         along = check_reciprocity_along_curves(w)
-        checks.append(Check(
-            "reciprocity-along-curves", {"form": idx},
-            sum(1 for _d, s in along if s.is_zero()), len(along)))
-    return checks
+        yield Check("reciprocity-along-curves", {"form": idx},
+                    sum(1 for _d, s in along if s.is_zero()), len(along))
 
 
-def _suite_bezout(S, classes, args) -> List[Check]:
+def _suite_bezout(S, classes, args) -> Iterator[Check]:
     cubic = CUBIC_BY_P.get(S.base.p, CUBIC_DEFAULT)
     names = [cubic if n == "cubic" else n for n in FIXTURES[S.model].bezout]
     curves = [curve_make(S, t) for t in names]
-    checks = []
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
             C = Divisor(S, {curves[i]: 1})
@@ -583,64 +595,62 @@ def _suite_bezout(S, classes, args) -> List[Check]:
             # the class form is a third witness: the two routes share the
             # support, so a support that loses points fools both alike
             third = class_intersection(S, divisor_class(C), divisor_class(H))
-            checks.append(Check("bezout", {"C": names[i], "H": names[j]},
-                                got, want, got == want == third,
-                                witness=f"class form {third}"))
-    return checks
+            yield Check("bezout", {"C": names[i], "H": names[j]}, got,
+                        want, got == want == third,
+                        witness=f"class form {third}")
 
 
-def _suite_serre(S, classes, args) -> List[Check]:
-    checks = [derive_eq1(S, cC, cH) for cC in classes for cH in classes]
+def _suite_serre(S, classes, args) -> Iterator[Check]:
+    for cC in classes:
+        for cH in classes:
+            yield derive_eq1(S, cC, cH)
     for c in classes:
         if min(c) < 0:
             continue
         dim = rr_dimension(class_representative(S, c))
-        checks.append(Check("sections-dimension", {"C": _cls_json(c)},
-                            dim, h_vector(S, c).h0))
-    return checks
+        yield Check("sections-dimension", {"C": _cls_json(c)}, dim,
+                    h_vector(S, c).h0)
 
 
-def _suite_chi(S, classes, args) -> List[Check]:
-    return [derive_eq2(S, c) for c in classes]
+def _suite_chi(S, classes, args) -> Iterator[Check]:
+    return (derive_eq2(S, c) for c in classes)
 
 
-def _suite_commutator(S, classes, args) -> List[Check]:
+def _suite_commutator(S, classes, args) -> Iterator[Check]:
     wdiv = canonical_divisor(S)
-    return [central_commutator(class_representative(S, c), wdiv)
-            for c in classes]
+    return (central_commutator(class_representative(S, c), wdiv)
+            for c in classes)
 
 
-def _suite_rr(S, classes, args) -> List[Check]:
+def _suite_rr(S, classes, args) -> Iterator[Check]:
     wdiv = canonical_divisor(S)
-    return [rr_assemble(class_representative(S, c), wdiv) for c in classes]
+    return (rr_assemble(class_representative(S, c), wdiv) for c in classes)
 
 
-def _suite_windows(S, classes, args) -> List[Check]:
-    checks = []
+def _suite_windows(S, classes, args) -> Iterator[Check]:
     fix = FIXTURES[S.model]
     lines = [S.lines[n] for n in fix.lines]
 
     if S.model == "P2":
         w1 = window_build(divisor_zero(S), Divisor(S, {lines[0]: 1}),
                           u_size=1)
-        checks.append(Check("window-rank", {"window": "0..X", "u": 1},
-                            w1.rank, w1.dimension))
+        yield Check("window-rank", {"window": "0..X", "u": 1}, w1.rank,
+                    w1.dimension)
         L = Divisor(S, {D: 1 for D in lines})
         w = window_build(-L, L, u_size=2)
-        checks.append(Check("window-rank", {"window": "-L..L", "u": 2},
-                            w.rank, w.dimension))
+        yield Check("window-rank", {"window": "-L..L", "u": 2}, w.rank,
+                    w.dimension)
     else:
         wdiv = canonical_divisor(S)
         w = window_build(wdiv, divisor_zero(S), u_size=1)
-        checks.append(Check("window-rank", {"window": "omega..0", "u": 1},
-                            w.rank, w.dimension))
+        yield Check("window-rank", {"window": "omega..0", "u": 1}, w.rank,
+                    w.dimension)
 
     wcurves = [fl.curve for fl in w.flags]
     for rep in fix.reps:
         C = Divisor(S, dict(zip(wcurves, rep)))
         ok = window_annihilator_check(w, C)
-        checks.append(Check("window-annihilator", {"C": rep},
-                            ok, True))
+        yield Check("window-annihilator", {"C": rep}, ok, True)
 
     dims: Dict[Tuple[int, ...], int] = {}
     h0s: Dict[Tuple[int, ...], int] = {}
@@ -648,8 +658,7 @@ def _suite_windows(S, classes, args) -> List[Check]:
         D = Divisor(S, dict(zip(lines, rep)))
         dims[rep] = rr_dimension(D)
         h0s[rep] = h_vector(S, divisor_class(D)).h0
-        checks.append(Check("sections-dimension", {"D": rep},
-                            dims[rep], h0s[rep]))
+        yield Check("sections-dimension", {"D": rep}, dims[rep], h0s[rep])
     for rep in dims:
         for k in range(len(lines)):
             low = list(rep)
@@ -657,10 +666,8 @@ def _suite_windows(S, classes, args) -> List[Check]:
             key = tuple(low)
             if key not in dims:
                 continue
-            checks.append(Check(
-                "sections-quotient", {"C": rep, "H": key},
-                dims[rep] - dims[key], h0s[rep] - h0s[key]))
-    return checks
+            yield Check("sections-quotient", {"C": rep, "H": key},
+                        dims[rep] - dims[key], h0s[rep] - h0s[key])
 
 
 _SUITE_FNS = {
@@ -684,7 +691,7 @@ def _cmd_verify(args) -> int:
     suites = [s for s in SUITES if s in wanted]
     checks: List[Check] = []
     for name in suites:
-        got = _SUITE_FNS[name](S, classes, args)
+        got = _collect(_SUITE_FNS[name](S, classes, args), args)
         ok = sum(1 for c in got if c.passed)
         print(f"suite {name}: {ok}/{len(got)} checks passed")
         checks.extend(got)
@@ -722,7 +729,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parser().parse_args(_join_values(list(argv)))
-    args.started = time.perf_counter()
+    # the clock is read only under --timings: here, and as each check
+    # arrives (_collect)
+    args.stamps = [time.perf_counter()] if args.timings else None
     try:
         if args.precision < 1:
             raise ConfigError(f"--precision must be at least 1, got "

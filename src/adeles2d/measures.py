@@ -14,7 +14,6 @@ Riemann-Roch identity, each identity a `Check` of two routes.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology import h_vector
@@ -239,7 +238,7 @@ def mu_measure(R: Divisor, S: Divisor) -> MeasureTag:
     """The A02-adapted measure on the full chain."""
     surf = R.surface
     return measure_mu_L(LatticeSymbol("A02", surface=surf),
-                        LatticeSymbol("A12", R), LatticeSymbol("A12", S))
+                        LatticeSymbol("A12", R), LatticeSymbol("A12", S), "A")
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +375,13 @@ def _pairing_and_transform(ambient: str, H: Divisor, C: Divisor,
 
 class Check:
     """One verification: the values of both routes, the verdict (by default
-    whether they agree), any sub-derivations, and when it was built.  A
+    whether they agree) and any sub-derivations.  A
     verdict that also weighs other values names them in `witness`, for the
     summary line of a failure.  A report record holds the name, inputs,
     lhs, rhs and verdict; sub-derivations stay out of it."""
 
     __slots__ = ("name", "inputs", "lhs", "rhs", "passed", "subchecks",
-                 "witness", "stamp")
+                 "witness")
 
     def __init__(self, name: str, inputs: Dict, lhs, rhs,
                  passed: Optional[bool] = None,
@@ -394,7 +393,6 @@ class Check:
         self.passed = lhs == rhs if passed is None else bool(passed)
         self.subchecks = tuple(subchecks)
         self.witness = witness
-        self.stamp = time.perf_counter()
 
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"

@@ -89,13 +89,16 @@ class Surface:
     representatives, the flags made on it so far ((point, curve) -> Flag,
     see flag_make), and a memo of values that depend only on the surface
     and their arguments, under tuple keys led by the kind of value:
-    ("support", C, H) for intersection_support, ("h", c) for
-    cohomology.h_vector, ("monomials", c) for class_monomials,
-    ("canonical",) for canonical_divisor, ("ord", P, D) for the
-    multiplicity of a curve in a polynomial and the quotient (_order), and
-    ("representative", c) and ("reflect", wdiv, D) for measures.
-    Both live until their owner clears them; an equal but new Surface
-    starts empty."""
+    ("support", C, H) for intersection_support, ("monomials", c) for
+    class_monomials, ("canonical",) for canonical_divisor, ("ord", P, D)
+    for the multiplicity of a curve in a polynomial and the quotient
+    (_order); ("h", c), ("section rows", negative, c),
+    ("section product", negative), ("columns", c) and
+    ("section rank", negative, c) for cohomology; ("representative", c)
+    and ("reflect", wdiv, D) for measures; and ("germ", D, x) for the idele
+    germ of a curve at a point and ("intersection flags", supp C, supp H)
+    for the flags of two supports, in symbols.  Both live until their owner
+    clears them; an equal but new Surface starts empty."""
 
     __slots__ = ("model", "base", "groups", "nvars", "var_names", "charts",
                  "lines", "class_lines", "flags", "memo")
@@ -1048,7 +1051,8 @@ class Divisor:
     """A finite formal sum of irreducible curves with integer multiplicities.
 
     The components never change after construction, so the class is
-    counted once, here, and serves as the hash."""
+    counted once, here, and serves as the hash, and a sum or difference
+    with the zero divisor is the other divisor itself."""
 
     __slots__ = ("surface", "components", "_cls")
 
@@ -1064,6 +1068,10 @@ class Divisor:
     def __add__(self, other: "Divisor") -> "Divisor":
         if other.surface != self.surface:
             raise ValueError("divisors live on different surfaces")
+        if not self.components:
+            return other
+        if not other.components:
+            return self
         out = dict(self.components)
         for c, m in other.components.items():
             out[c] = out.get(c, 0) + m
@@ -1075,6 +1083,8 @@ class Divisor:
     def __sub__(self, other: "Divisor") -> "Divisor":
         if other.surface != self.surface:
             raise ValueError("divisors live on different surfaces")
+        if not other.components:
+            return self
         out = dict(self.components)
         for c, m in other.components.items():
             out[c] = out.get(c, 0) - m

@@ -13,7 +13,6 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import FieldElem
 from .multipoly import MPoly
 from .surface import (
     ClosedPoint,
@@ -71,20 +70,33 @@ class QPower:
 
 # A function as factors (P, e), standing for the product of the P^e.
 Factors = List[Tuple[MPoly, int]]
+# A unit germ (D, x), standing for the factors _germ(D, x).
+Germ = Tuple[Curve, Optional[ClosedPoint]]
 
 
-def _germ(D: Curve, m: int,
-          avoid: Optional[Sequence[FieldElem]]) -> Factors:
-    """D^m over the m-th power of a form of D's class made of coordinate
-    lines other than D, none vanishing at the coordinates `avoid` when
-    given.  A projective point always leaves at least one coordinate line
-    of each group available."""
-    def ok(L: Curve) -> bool:
-        return L != D and (
-            avoid is None or not L.poly.evaluate(avoid).is_zero())
+def _germ(D: Curve, x: Optional[ClosedPoint]) -> Factors:
+    """D over a form of D's class made of coordinate lines other than D,
+    none through x when given; D^m's germ is this to the m-th power.  A
+    projective point always leaves at least one coordinate line of each
+    group available.  At a point x off D the germ is a unit: no factors.
+    Chosen once per (curve, point), kept in S.memo under ("germ", D, x)."""
+    key = ("germ", D, x)
+    memo = D.surface.memo
+    got = memo.get(key)
+    if got is not None:
+        return got
+    avoid = None if x is None else list(x.coords)
+    if avoid is not None and not D.poly.evaluate(avoid).is_zero():
+        got = []
+    else:
+        def ok(L: Curve) -> bool:
+            return L != D and (
+                avoid is None or not L.poly.evaluate(avoid).is_zero())
 
-    return [(D.poly, m)] + [(L.poly, -m * n) for L, n in
-                            coordinate_lines(D.surface, D.degree(), ok)]
+        got = [(D.poly, 1)] + [(L.poly, -n) for L, n in
+                               coordinate_lines(D.surface, D.degree(), ok)]
+    memo[key] = got
+    return got
 
 
 class IdeleRule:
@@ -104,46 +116,81 @@ class IdeleRule:
         self.kind = kind
         self.divisor = divisor
 
-    def local(self, fl: Flag) -> Factors:
-        """The component at the flag, as factors."""
+    def germs(self, fl: Flag) -> List[Tuple[Germ, int]]:
+        """The component at the flag, as unit germs with multiplicities."""
         if self.kind == "along_curves":
             m = self.divisor.components.get(fl.curve, 0)
-            return _germ(fl.curve, m, None) if m else []
-        x = list(fl.point.coords)
-        return [fac for D, m in self.divisor.items()
-                if D.poly.evaluate(x).is_zero() for fac in _germ(D, m, x)]
+            return [((fl.curve, None), m)] if m else []
+        x = fl.point
+        return [((D, x), m) for D, m in self.divisor.components.items()
+                if _germ(D, x)]
+
+    def local(self, fl: Flag) -> Factors:
+        """The component at the flag, as factors."""
+        return [(P, m * e) for germ, m in self.germs(fl)
+                for P, e in _germ(*germ)]
 
 
 # ---------------------------------------------------------------------------
 # commutator pairing and the symbol-route intersection number
 
 
-def symbol_at_flag(f: Factors, g: Factors, fl: Flag) -> int:
-    """The integer symbol at one flag of two functions given as factors.
+def _symbol(f, g, fl: Flag, valuation) -> int:
+    """The integer symbol at fl of f and g given as factors (h, e), standing
+    for the product of the h^e, where valuation(h, fl, 0) is v_t(h) and
+    valuation(h, fl, 1) is w(h).
 
     With a = v_t(f) and b = v_t(g), the symbol is the u-valuation of the t^0
     column of f^b g^-a.  The rank-2 valuation (v_t, w) at the flag, where w
     is the u-valuation of the leading t-column, is a homomorphism, so that
     valuation is the determinant b w(f) - a w(g), and both f and g
-    contribute the sum of e (v_t, w)(P) over their factors (P, e).  Each w
-    is read from one polynomial on one box sized by a class pairing
-    (surface.poly_valuation_at_flag); a factor whose coefficient is 0 is
-    never expanded.
-    """
-    a = sum(e * poly_order_at_flag(P, fl) for P, e in f)
-    b = sum(e * poly_order_at_flag(P, fl) for P, e in g)
-    return sum(n * e * poly_valuation_at_flag(P, fl)[1]
-               for n, h in ((b, f), (-a, g)) if n for P, e in h if e)
+    contribute the sum of e (v_t, w)(h) over their factors (h, e).  A w is
+    read only where its coefficient is nonzero."""
+    a, b = _sum(f, fl, 0, valuation), _sum(g, fl, 0, valuation)
+    return ((b and b * _sum(f, fl, 1, valuation))
+            - (a and a * _sum(g, fl, 1, valuation)))
+
+
+def _sum(h, fl: Flag, part: int, valuation) -> int:
+    """v_t (part 0) or w (part 1) of the product of the factors (x, e)."""
+    return sum(e * valuation(x, fl, part) for x, e in h if e)
+
+
+def _poly_valuation(P: MPoly, fl: Flag, part: int) -> int:
+    """v_t (part 0) or w (part 1) of P at the flag; only w expands P."""
+    if part:
+        return poly_valuation_at_flag(P, fl)[1]
+    return poly_order_at_flag(P, fl)
+
+
+def _germ_valuation(germ: Germ, fl: Flag, part: int) -> int:
+    """v_t (part 0) or w (part 1) of a unit germ at the flag, the sum over
+    its factors; each computed once per flag and kept in fl._cache."""
+    key = ("germ", part) + germ
+    got = fl._cache.get(key)
+    if got is None:
+        got = fl._cache[key] = _sum(_germ(*germ), fl, part, _poly_valuation)
+    return got
+
+
+def symbol_at_flag(f: Factors, g: Factors, fl: Flag) -> int:
+    """The integer symbol at one flag of two functions given as factors
+    (_symbol).  Each w is read from one polynomial on one box sized by a
+    class pairing (surface.poly_valuation_at_flag); a factor whose
+    coefficient is 0 is never expanded."""
+    return _symbol(f, g, fl, _poly_valuation)
 
 
 def commutator_pairing(g1: IdeleRule, g2: IdeleRule,
                        flags: Sequence[Flag]) -> QPower:
     """Product over flags of q^(-deg(x) * symbol), the symbol of the two
-    idele components at each flag."""
+    idele components at each flag.  The components are read as unit germs
+    with multiplicities, whose rank-2 valuations each flag keeps, so the
+    symbol at a flag is a sum of cached integers."""
     exponent = 0
     for fl in flags:
-        exponent -= fl.point.degree * symbol_at_flag(
-            g1.local(fl), g2.local(fl), fl)
+        exponent -= fl.point.degree * _symbol(
+            g1.germs(fl), g2.germs(fl), fl, _germ_valuation)
     return QPower(exponent)
 
 
@@ -161,8 +208,17 @@ def _flags_through(x: ClosedPoint, H: Divisor) -> List[Flag]:
 
 def intersection_flags(C: Divisor, H: Divisor) -> List[Flag]:
     """Flags (x, D) with D in supp(H) and x in supp(C) cap D, sorted by
-    point, then by curve."""
-    return [fl for x in _meeting_points(C, H) for fl in _flags_through(x, H)]
+    point, then by curve.  Computed once per pair of supports and kept in
+    S.memo under ("intersection flags", supp C, supp H), each support a
+    frozenset of curves; each call returns a new list."""
+    key = ("intersection flags", frozenset(C.components),
+           frozenset(H.components))
+    memo = C.surface.memo
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = tuple(fl for x in _meeting_points(C, H)
+                                for fl in _flags_through(x, H))
+    return list(got)
 
 
 def intersection_number(C: Divisor, H: Divisor, _window=None) -> int:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 import time
 
@@ -117,29 +118,35 @@ def test_verify_rr_suite_over_the_full_plane_range():
 
 
 def test_no_cache_outlives_a_verify_run(monkeypatch):
-    made, filled = [], []
-    rr_suite = cli._SUITE_FNS["rr"]
+    made, filled = [], set()
 
     def make_surface(args):
         made.append(cli.surface_make(args.surface, args.q))
         return made[-1]
 
-    def run_rr(S, classes, args):
-        got = rr_suite(S, classes, args)
-        filled.extend({key[0] for key in S.memo})
-        filled.extend(["flags"] * bool(S.flags))
-        return got
+    def watched(suite):
+        def run_suite(S, classes, args):
+            yield from suite(S, classes, args)
+            filled.update(key[0] for key in S.memo)
+            filled.update(["flag registry"] * bool(S.flags))
+        return run_suite
 
     monkeypatch.setattr(cli, "_make_surface", make_surface)
-    monkeypatch.setitem(cli._SUITE_FNS, "rr", run_rr)
-    code, out, _err = run(["verify", "--surface", "P2", "--q", "3",
-                           "--range", "0:1", "--suites", "rr"])
-    assert code == 0, out
-    # the suite filled the memo and made flags, and the run emptied both
-    assert set(filled) == {"support", "h", "canonical", "representative",
-                           "reflect", "ord", "flags"}, filled
-    S, = made
-    assert S.memo == {} and S.flags == {}
+    for name, suite in list(cli._SUITE_FNS.items()):
+        monkeypatch.setitem(cli._SUITE_FNS, name, watched(suite))
+    for model in ("P2", "P1xP1"):
+        code, out, _err = run(["verify", "--surface", model, "--q", "3",
+                               "--range", "0:1", "--suites",
+                               ",".join(cli.SUITES)])
+        assert code == 0, out
+    # the suites filled the memo with every kind the Surface docstring
+    # lists, and made flags, and each run emptied both
+    documented = set(re.findall(r'\("([a-z ]+)"', surface.Surface.__doc__))
+    assert filled == documented | {"flag registry"}, filled ^ documented
+    assert {"germ", "intersection flags", "ord", "support"} <= documented
+    assert len(made) == 2
+    for S in made:
+        assert S.memo == {} and S.flags == {}
 
 
 def test_report_schema_is_stable_and_runs_are_byte_identical():
@@ -326,6 +333,24 @@ def test_timings_flag_fills_microseconds():
         doc = json.load(open(path))
         assert doc["config"]["timings"] is True
         assert any(c["micros"] > 0 for c in doc["checks"])
+
+
+def test_only_a_timed_run_reads_the_clock(monkeypatch):
+    # checks are built without a clock: with perf_counter raising, every
+    # suite and the one-check commands still run, and only --timings
+    # reads it
+    def no_clock():
+        raise AssertionError("the clock was read")
+
+    monkeypatch.setattr(time, "perf_counter", no_clock)
+    verify = ["verify", "--surface", "P2", "--q", "3", "--range", "0:1",
+              "--suites", ",".join(cli.SUITES)]
+    code, out, _err = run(verify)
+    assert code == 0 and "summary: 499 passed, 0 failed" in out, out
+    code, out, _err = run(["intersect", "--q", "5", "--curves", "X,Y"])
+    assert code == 0 and out.startswith("1\n"), out
+    with pytest.raises(AssertionError, match="the clock was read"):
+        run(verify + ["--timings"])
 
 
 def test_a_degenerate_window_fails_its_rank_check(monkeypatch):

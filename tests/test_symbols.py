@@ -7,8 +7,9 @@ import pytest
 
 from adeles2d.fields import field_make
 from adeles2d.multipoly import MPoly
-from adeles2d import fields, multipoly, surface, symbols
+from adeles2d import fields, measures, multipoly, surface, symbols
 from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
+from adeles2d.cohomology import class_range
 from adeles2d.series import INF, LaurentSeries2
 from adeles2d.surface import (
     Divisor,
@@ -274,6 +275,131 @@ def test_the_commutator_pairing_forms_no_polynomial_power(monkeypatch):
                                  intersection_flags(C, H))
         assert got == QPower(-want), (C, H)
     assert len(pairs) == 15
+
+
+def reference_local(rule, fl):
+    """The idele component at the flag as factors, chosen afresh as it was
+    before germs were kept: per component D of multiplicity m, D^m over
+    the m-th power of a form of D's class in coordinate lines other than
+    D, none through the flag's point for a point rule."""
+    S = fl.curve.surface
+
+    def germ(D, m, avoid):
+        def ok(L):
+            return L != D and (
+                avoid is None or not L.poly.evaluate(avoid).is_zero())
+
+        return [(D.poly, m)] + [(L.poly, -m * n) for L, n in
+                                surface.coordinate_lines(S, D.degree(), ok)]
+
+    if rule.kind == "along_curves":
+        m = rule.divisor.components.get(fl.curve, 0)
+        return germ(fl.curve, m, None) if m else []
+    x = list(fl.point.coords)
+    return [fac for D, m in rule.divisor.items()
+            if D.poly.evaluate(x).is_zero() for fac in germ(D, m, x)]
+
+
+def reference_exponent(g1, g2, C, H):
+    """The pairing exponent of two rules over the flags of C and H,
+    composed the long way: every component and every symbol computed
+    afresh at every flag, from the polynomials' own valuations."""
+    return -sum(x.degree * symbol_at_flag(reference_local(g1, fl),
+                                          reference_local(g2, fl), fl)
+                for x in symbols._meeting_points(C, H)
+                for fl in symbols._flags_through(x, H))
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_the_kept_germs_and_flags_give_the_reference_pairing(model, q):
+    # the reference runs on a surface of its own, so that it reads none of
+    # the germs, germ valuations and flag lists the pairing keeps.  The
+    # class pairing is the truth of the commutator; the second pair of
+    # rules shares H, so that the lines of H's germs along its curves
+    # enter the symbol
+    S, ref = surface_make(model, q), surface_make(model, q)
+    wdiv = measures.canonical_divisor(S)
+    # every divisor here lies on coordinate lines; the same lines of ref
+    on_ref = {L: L for L in ref.lines.values()}
+    for cls in class_range(S, -2, 2):
+        C = measures.class_representative(S, cls)
+        H = measures._reflect(wdiv, C)
+        H = measures._disjoint_representative(S, divisor_class(H),
+                                              set(C.components))
+        C2, H2 = (Divisor(ref, {on_ref[L]: m
+                                for L, m in D.components.items()})
+                  for D in (C, H))
+        flags = intersection_flags(C, H)
+        for A, A2 in ((C, C2), (H, H2)):
+            want = reference_exponent(IdeleRule("at_points", A2),
+                                      IdeleRule("along_curves", H2), C2, H2)
+            got = commutator_pairing(IdeleRule("at_points", A),
+                                     IdeleRule("along_curves", H), flags)
+            assert got.exponent == want, (cls, A, got, want)
+        check = measures.central_commutator(C, wdiv)
+        want = -class_intersection(S, cls, divisor_class(H))
+        assert check.rhs == check.lhs == want, cls
+        assert reference_exponent(IdeleRule("at_points", C2),
+                                  IdeleRule("along_curves", H2),
+                                  C2, H2) == want, cls
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_intersection_number_gives_the_reference_on_the_fixtures(model, q):
+    # as above, with the rules of H against each other as the second pair:
+    # a line of H's germ along a fixture curve may pass through the point
+    S, ref = surface_make(model, q), surface_make(model, q)
+    cubic = CUBIC_BY_P.get(S.base.p, CUBIC_DEFAULT)
+    names = [cubic if n == "cubic" else n for n in FIXTURES[model].bezout]
+    assert len(names) == {"P2": 6, "P1xP1": 5}[model]
+    for a, b in itertools.combinations(names, 2):
+        C, H = (Divisor(S, {curve_make(S, t): 1}) for t in (a, b))
+        C2, H2 = (Divisor(ref, {curve_make(ref, t): 1}) for t in (a, b))
+        want = intersection_oracle(C, H)
+        assert want == class_intersection(S, divisor_class(C),
+                                          divisor_class(H))
+        got = -reference_exponent(IdeleRule("at_points", C2),
+                                  IdeleRule("along_curves", H2), C2, H2)
+        assert got == intersection_number(C, H) == want, (a, b)
+        got = commutator_pairing(IdeleRule("at_points", H),
+                                 IdeleRule("along_curves", H),
+                                 intersection_flags(C, H))
+        assert got.exponent == reference_exponent(
+            IdeleRule("at_points", H2), IdeleRule("along_curves", H2),
+            C2, H2), (a, b)
+
+
+def _recomputed(*_args):
+    raise AssertionError("recomputed")
+
+
+def test_germs_and_intersection_flags_are_kept_per_surface(monkeypatch):
+    def pairing_on(S):
+        C, H = (Divisor(S, {curve_make(S, t): 1}) for t in ("YZ-X^2", "X"))
+        return C, H, IdeleRule("at_points", C), IdeleRule("along_curves", H)
+
+    S = surface_make("P2", 5)
+    C, H, g1, g2 = pairing_on(S)
+    want = commutator_pairing(g1, g2, intersection_flags(C, H))
+    assert want == QPower(-2)
+    monkeypatch.setattr(symbols, "coordinate_lines", _recomputed)
+    monkeypatch.setattr(symbols, "_meeting_points", _recomputed)
+    # the surface keeps both; a new pairing there chooses no line again
+    C, H, g1, g2 = pairing_on(S)
+    assert commutator_pairing(g1, g2, intersection_flags(C, H)) == want
+    # an equal but new surface keeps nothing of S's
+    T = surface_make("P2", 5)
+    assert T == S and T.memo == {} and T.flags == {}
+    C, H, g1, g2 = pairing_on(T)
+    with pytest.raises(AssertionError, match="recomputed"):
+        intersection_flags(C, H)
+    (A, _m), = C.items()
+    (D, _n), = H.items()
+    fl = flag_make(intersection_support(A, D)[0], D)
+    with pytest.raises(AssertionError, match="recomputed"):
+        commutator_pairing(g1, g2, [fl])
 
 
 # ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ def record_cases(m: dict) -> Dict[str, Case]:
              "--suites", suite])
         S = cli._make_surface(args)
         classes, _range = cli._parse_range(args.range, S)
-        checks = cli._SUITE_FNS[suite](S, classes, args)
+        checks = list(cli._SUITE_FNS[suite](S, classes, args))
         out[f"cli.report_records.{suite}.{model}.q{q}"] = (
             lambda: None,
             lambda _a, checks=checks: write(checks, [0] * len(checks)), 1)
@@ -399,7 +399,26 @@ def measure_cases(m: dict) -> Dict[str, Case]:
         run(S)
         return S
 
-    return {"measures.derive_eq1.P1xP1.q3": (warmed, run, len(pairs))}
+    # the commutator checks of `verify --suites commutator --range -2:2` on
+    # P1xP1 over F_5, one figure for the 25, each round on a fresh surface
+    # with the class representatives built, so that no support, germ or
+    # flag is kept from an earlier round
+    commutator = m["measures"].central_commutator
+
+    def representatives():
+        S = surface(m, "P1xP1", 5)
+        wdiv = m["surface"].canonical_divisor(S)
+        return wdiv, [m["measures"].class_representative(S, c)
+                      for c in classes]
+
+    def commutators(reps):
+        wdiv, divisors = reps
+        for C in divisors:
+            commutator(C, wdiv)
+
+    return {"measures.derive_eq1.P1xP1.q3": (warmed, run, len(pairs)),
+            "symbols.central_commutator.P1xP1.q5": (representatives,
+                                                    commutators, 1)}
 
 
 def flag_cases(m: dict) -> Dict[str, Case]:
@@ -459,6 +478,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "cli.report_records.serre.P1xP1.q9", "cli.report_records.windows.P2.q13",
     "cohomology.rr_space.windows.P2.q9",
     "cohomology.rr_dimension.windows.P2.q9", "measures.derive_eq1.P1xP1.q3",
+    "symbols.central_commutator.P1xP1.q5",
     "measures.window_build.P2.q13", "surface.smooth_flag.lines.P2.q13",
     "surface.flag_coordinate_series.cubic.P2.F9")
 
