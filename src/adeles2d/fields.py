@@ -616,15 +616,20 @@ def _distinct_degree(f: Poly, desc: FieldDesc) -> List[Tuple[Poly, int]]:
     return out
 
 
-def _equal_degree_split(f: Poly, deg: int, desc: FieldDesc, rng: random.Random) -> List[Poly]:
-    """Cantor-Zassenhaus splitting of f into monic irreducibles of degree deg."""
+def _equal_degree_split(f: Poly, deg: int, desc: FieldDesc,
+                        rng: List[random.Random]) -> List[Poly]:
+    """Cantor-Zassenhaus splitting of f into monic irreducibles of degree
+    deg.  rng holds the generator of the factorization, seeded here on the
+    first draw: most factorizations never draw."""
     n = pdeg(f)
     if n == deg:
         return [pmonic(f, desc)]
+    if not rng:
+        rng.append(random.Random(_FACTOR_SEED))
     q, p = desc.q, desc.p
     while True:
         # each code drawn digit by digit, constant digit first
-        r = ptrim([sum(rng.randrange(p) * p ** i for i in range(desc.d))
+        r = ptrim([sum(rng[0].randrange(p) * p ** i for i in range(desc.d))
                    for _ in range(n)])
         if pdeg(r) < 1:
             continue
@@ -650,8 +655,9 @@ def _equal_degree_split(f: Poly, deg: int, desc: FieldDesc, rng: random.Random) 
 def poly_factor(f: Poly, desc: FieldDesc) -> Tuple[int, List[Tuple[Poly, int]]]:
     """Factor f over F_q into (unit, [(monic irreducible, multiplicity), ...]).
 
-    Deterministic: the equal-degree stage draws from a fixed-seed generator,
-    and factors are sorted by (degree, coefficient sort keys).
+    Deterministic: the equal-degree stage draws from one fixed-seed
+    generator per call, built on its first draw, and factors are sorted by
+    (degree, coefficient sort keys).
     """
     if not f:
         raise ValueError("cannot factor the zero polynomial")
@@ -659,7 +665,7 @@ def poly_factor(f: Poly, desc: FieldDesc) -> Tuple[int, List[Tuple[Poly, int]]]:
         return f[-1], [(pmonic(f, desc), 1)]
     unit = f[-1]
     work = pmonic(f, desc)
-    rng = random.Random(_FACTOR_SEED)
+    rng: List[random.Random] = []
     factors: List[Tuple[Poly, int]] = []
     # strip powers of x first so squarefree bookkeeping stays simple
     shift = 0

@@ -95,13 +95,14 @@ class Surface:
     (_order); ("h", c), ("section rows", negative, c),
     ("section product", negative), ("columns", c) and
     ("section rank", negative, c) for cohomology; ("representative", c)
-    and ("reflect", wdiv, D) for measures; and ("germ", D, x) for the idele
+    and ("reflect", wdiv, D) for measures; ("germ", D, x) for the idele
     germ of a curve at a point and ("intersection flags", supp C, supp H)
-    for the flags of two supports, in symbols.  Both live until their owner
-    clears them; an equal but new Surface starts empty."""
+    for the flags of two supports, in symbols; and ("chart", P, name) for
+    a polynomial restricted to a chart (dehomogenize).  Both live until
+    their owner clears them; an equal but new Surface starts empty."""
 
     __slots__ = ("model", "base", "groups", "nvars", "var_names", "charts",
-                 "lines", "class_lines", "flags", "memo")
+                 "top_pairs", "lines", "class_lines", "flags", "memo")
 
     def __init__(self, model: str, base: FieldDesc):
         if model not in SURFACES:
@@ -122,6 +123,11 @@ class Surface:
             self.charts.append(Chart(
                 "".join(self.var_names[u] for u in units), affine,
                 tuple(unit_of[v] for v in affine)))
+        # the pairs (i, j) with h_i h_j the top class (class_intersection)
+        top = [len(g) - 1 for g in self.groups]
+        self.top_pairs = tuple(
+            (i, j) for i, j in itertools.product(range(len(top)), repeat=2)
+            if [(m == i) + (m == j) for m in range(len(top))] == top)
         # a coordinate line is irreducible and normalized as it stands
         self.lines = {n: Curve(self, self.var(i))
                       for i, n in enumerate(self.var_names)}
@@ -130,8 +136,9 @@ class Surface:
         self.memo: Dict[tuple, object] = {}
 
     def __eq__(self, other):
-        return (isinstance(other, Surface)
-                and (self.model, self.base) == (other.model, other.base))
+        return self is other or (
+            isinstance(other, Surface)
+            and (self.model, self.base) == (other.model, other.base))
 
     def __hash__(self):
         return hash((self.model, self.base))
@@ -162,14 +169,21 @@ class Surface:
 
     def dehomogenize(self, f: MPoly, chart: Chart) -> MPoly:
         """Restrict to the chart: unit variables -> 1, affine variables kept
-        (as a 2-variable polynomial in the chart's coordinate order)."""
+        (as a 2-variable polynomial in the chart's coordinate order).
+        Computed once per (polynomial, chart), kept in the memo."""
+        key = ("chart", f, chart.name)
+        got = self.memo.get(key)
+        if got is not None:
+            return got
         add = f.desc.add
         a0, a1 = chart.affine_vars
         out: Dict[Tuple[int, int], int] = {}
         for e, c in f.terms.items():
             k = (e[a0], e[a1])
             out[k] = add(out[k], c) if k in out else c
-        return MPoly._make(f.desc, 2, {k: c for k, c in out.items() if c})
+        got = self.memo[key] = MPoly._make(
+            f.desc, 2, {k: c for k, c in out.items() if c})
+        return got
 
     def class_add(self, a: ClassVector, b: ClassVector) -> ClassVector:
         return tuple(x + y for x, y in zip(a, b))
@@ -887,19 +901,24 @@ def poly_valuation_at_flag(P: MPoly, fl: Flag) -> Tuple[int, int]:
     t^vt column, which is Q = P / D^vt restricted to D.  So w is the u-order
     of Q(u_value + u, ybar(u)) for ybar the other chart coordinate along D
     (_branch): a local intersection number of Q with D, at most their class
-    pairing B, so the codes below u^(B + 1) show it.  No two-variable
-    series is expanded.  Cached per polynomial."""
+    pairing B, so the codes below u^(B + 1) show it; where Q is a unit at
+    the point, w is 0 from one evaluation.  No two-variable series is
+    expanded.  Cached per polynomial."""
     key = ("val", P)
     got = fl._cache.get(key)
     if got is not None:
         return got
     S, D = fl.curve.surface, fl.curve
     vt, rest = _order(P, D)
+    affine = S.dehomogenize(rest, fl.chart)
+    if not affine.evaluate(fl.point_affine).is_zero():
+        got = fl._cache[key] = (vt, 0)
+        return got
     n = class_intersection(S, S.class_add(S.poly_class(P), S.class_scale(
         -vt, D.degree())), D.degree()) + 1
     k = fl.point.residue_field
-    along = _horner(_u_columns(_mp_embed(S.dehomogenize(rest, fl.chart), k),
-                               fl, n), _branch(fl, n), n, k)
+    along = _horner(_u_columns(_mp_embed(affine, k), fl, n), _branch(fl, n),
+                    n, k)
     w = next((i for i, c in enumerate(along) if c), None)
     if w is None:  # pragma: no cover - Bezout bounds w by B
         raise PrecisionError(f"{poly_text(S, P)} vanishes to order {n} "
@@ -1051,10 +1070,10 @@ class Divisor:
     """A finite formal sum of irreducible curves with integer multiplicities.
 
     The components never change after construction, so the class is
-    counted once, here, and serves as the hash, and a sum or difference
-    with the zero divisor is the other divisor itself."""
+    counted once, here, and its hash serves as the divisor's, and a sum or
+    difference with the zero divisor is the other divisor itself."""
 
-    __slots__ = ("surface", "components", "_cls")
+    __slots__ = ("surface", "components", "_cls", "_hash")
 
     def __init__(self, surface: Surface, components: Dict[Curve, int]):
         self.surface = surface
@@ -1064,6 +1083,7 @@ class Divisor:
             for i, d in enumerate(c._cls):
                 acc[i] += m * d
         self._cls = tuple(acc)
+        self._hash = hash(self._cls)
 
     def __add__(self, other: "Divisor") -> "Divisor":
         if other.surface != self.surface:
@@ -1099,7 +1119,7 @@ class Divisor:
             and self.components == other.components)
 
     def __hash__(self):
-        return hash(self._cls)
+        return self._hash
 
     def __repr__(self):
         if not self.components:
@@ -1114,11 +1134,9 @@ def divisor_class(D: Divisor) -> ClassVector:
 def class_intersection(S: Surface, a: ClassVector, b: ClassVector) -> int:
     """The intersection form on divisor classes: the coefficient of the top
     monomial prod h_i^n_i of (sum a_i h_i)(sum b_j h_j) in the product of
-    the rings Z[h_i]/(h_i^(n_i + 1)), one for each factor P^n_i."""
-    top = [len(g) - 1 for g in S.groups]
-    pairs = itertools.product(range(len(top)), repeat=2)
-    return sum(a[i] * b[j] for i, j in pairs
-               if [(m == i) + (m == j) for m in range(len(top))] == top)
+    the rings Z[h_i]/(h_i^(n_i + 1)), one for each factor P^n_i, read off
+    the surface's pairs (i, j) with h_i h_j the top monomial."""
+    return sum(a[i] * b[j] for i, j in S.top_pairs)
 
 
 # the fixed global 2-form: d(x) ^ d(y) in the first chart's coordinates

@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 import time
+from pathlib import Path
 
 from adeles2d.cli import _records_text, main as cli_main
 from adeles2d.cohomology import cech_h_vector, class_range, h_vector, rr_space
@@ -228,7 +229,7 @@ def test_criterion_9_deterministic_reports():
             with contextlib.redirect_stdout(sink):
                 code = cli_main(argv + ["--json", path])
             assert code == 0, sink.getvalue()
-            blobs.append(open(path, "rb").read())
+            blobs.append(Path(path).read_bytes())
     assert blobs[0] == blobs[1], "reports differ between identical runs"
     doc = json.loads(blobs[0])
     assert doc["summary"]["failed"] == 0

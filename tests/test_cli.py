@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -158,8 +159,8 @@ def test_report_schema_is_stable_and_runs_are_byte_identical():
         code1, _o, _e = run(argv + ["--json", p1])
         code2, _o, _e = run(argv + ["--json", p2])
         assert code1 == code2 == 0
-        b1 = open(p1, "rb").read()
-        b2 = open(p2, "rb").read()
+        b1 = Path(p1).read_bytes()
+        b2 = Path(p2).read_bytes()
         assert b1 == b2, "reports differ between identical runs"
         doc = json.loads(b1)
         assert list(doc) == ["config", "checks", "summary"]
@@ -180,7 +181,7 @@ def test_injected_oracle_failure_is_reported_and_exits_one():
                                "--json", path])
         assert code == 1
         assert "FAIL riemann-roch" in out
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_bytes())
         first = doc["checks"][0]
         assert first["pass"] is False
         assert first["inputs"]["injected"] is True
@@ -193,7 +194,7 @@ def test_empty_suite_produces_an_empty_report():
         code, out, _err = run(["verify", "--q", "3", "--range", "0:0",
                                "--suites", "", "--json", path])
         assert code == 0
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_bytes())
         assert doc["checks"] == []
         assert doc["summary"] == {"passed": 0, "failed": 0}
 
@@ -259,7 +260,7 @@ def test_precision_sizes_only_the_series_of_expand():
                                    "--suites", "reciprocity,bezout,rr",
                                    "--precision", precision, "--json", path])
             assert code == 0, out
-            docs.append(json.load(open(path)))
+            docs.append(json.loads(Path(path).read_bytes()))
     assert docs[0]["checks"] == docs[1]["checks"]
     assert docs[0]["summary"] == docs[1]["summary"]
     assert [d["config"]["precision"] for d in docs] == [8, 512]
@@ -330,7 +331,7 @@ def test_timings_flag_fills_microseconds():
                                 "--suites", "rr", "--timings",
                                 "--json", path])
         assert code == 0
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_bytes())
         assert doc["config"]["timings"] is True
         assert any(c["micros"] > 0 for c in doc["checks"])
 
@@ -364,7 +365,7 @@ def test_a_degenerate_window_fails_its_rank_check(monkeypatch):
         path = os.path.join(tmp, "windows.json")
         code, out, _err = run(["verify", "--q", "3", "--range", "0:0",
                                "--suites", "windows", "--json", path])
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_bytes())
     assert code == 1, out
     assert "FAIL window-rank" in out, out
     ranks = [c for c in doc["checks"] if c["name"] == "window-rank"]
@@ -387,7 +388,7 @@ def test_a_section_row_builder_that_drops_a_row_fails_by_verdict(monkeypatch):
         path = os.path.join(tmp, "windows.json")
         code, out, _err = run(["verify", "--surface", "P2", "--q", "3",
                                "--suites", "windows", "--json", path])
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_bytes())
     assert code == 1, out
     assert "FAIL sections-dimension" in out, out
     dims = [c for c in doc["checks"] if c["name"] == "sections-dimension"]
@@ -456,7 +457,7 @@ def test_reports_match_their_golden_bytes(name):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         code, out, _err = run(GOLDEN_REPORTS[name] + ["--json", path])
-        report = open(path, "rb").read()
+        report = Path(path).read_bytes()
     assert code == 0
     with open(os.path.join(GOLDEN_DIR, name + ".out"), encoding="utf-8") as fh:
         assert out == fh.read()
@@ -642,13 +643,13 @@ def test_a_rewritten_report_has_the_same_bytes():
         argv = ["verify", "--surface", "P2", "--q", "3", "--range", "-1:1",
                 "--suites", "chi,bezout", "--json"]
         assert run(argv + [path])[0] == 0
-        first = open(path, "rb").read()
+        first = Path(path).read_bytes()
         assert run(argv + [path])[0] == 0
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
         os.symlink(path, link)
         assert run(argv + [link])[0] == 0
         assert os.path.islink(link)
-        assert open(path, "rb").read() == first
+        assert Path(path).read_bytes() == first
 
 
 def test_an_exhausted_budget_exits_1_with_the_reason(monkeypatch):

@@ -4,6 +4,7 @@ Golden values below were frozen from exhaustive searches (inverse tables,
 root enumeration over all field elements) independent of the library code.
 """
 
+import itertools
 import random
 
 import pytest
@@ -202,6 +203,44 @@ def test_poly_factor_roundtrip_random():
                     prod = pmul(prod, g, desc)
             prod = pscale(prod, unit, desc)
             assert prod == f, (p, d, f)
+
+
+def _rootless(desc, deg):
+    """The first monic polynomial of degree deg (2 or 3) in code order with
+    no root in the field, hence irreducible."""
+    for low in itertools.product(range(desc.q), repeat=deg):
+        f = list(low) + [1]
+        if all(peval(f, x, desc) for x in range(desc.q)):
+            return f
+    raise AssertionError(f"no irreducible of degree {deg} over {desc}")
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_poly_factor_draws_only_to_split(q, monkeypatch):
+    # only the equal-degree split of a part with two or more factors draws,
+    # so a linear, an irreducible and a distinct-degree-only polynomial
+    # factor with no generator, to the factors found with one
+    desc = field_make(*{5: (5, 1), 9: (3, 2)}[q])
+    linear = [1, 1]
+    quad, cubic = _rootless(desc, 2), _rootless(desc, 3)
+    distinct = pmul(pmul(linear, quad, desc), cubic, desc)
+    cases = [(linear, [1]), (quad, [2]), (cubic, [3]),
+             (distinct, [1, 2, 3])]
+    want = [poly_factor(f, desc) for f, _degrees in cases]
+
+    class Drawn(Exception):
+        pass
+
+    def no_generator(*_args):
+        raise Drawn
+
+    monkeypatch.setattr(fields.random, "Random", no_generator)
+    for (f, degrees), before in zip(cases, want):
+        unit, factors = poly_factor(f, desc)
+        assert [(pdeg(g), m) for g, m in factors] == [(d, 1) for d in degrees]
+        assert (unit, factors) == before
+    with pytest.raises(Drawn):  # two linear factors: a split draws
+        poly_factor(pmul(linear, [2, 1], desc), desc)
 
 
 def test_poly_factor_is_deterministic():

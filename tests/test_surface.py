@@ -1337,3 +1337,118 @@ def test_a_curve_linear_in_the_solved_coordinate_lifts_to_one_t_column():
     assert {t for t, _u in other.terms} <= {0, 1}, other
     assert coeff(other, 1, 0) == -S.base.one() and is_one(coeff(other, 0, 2))
     assert len(other.terms) == 2 and (other.t_prec, other.u_prec) == (12, 12)
+
+
+# ---------------------------------------------------------------------------
+# the kept forms of the class pairing, the chart equations and the valuation,
+# against the forms they replace
+
+
+def reference_pairing(S, a, b):
+    """The class pairing by the product formula: the coefficient of the top
+    monomial of (sum a_i h_i)(sum b_j h_j), over every index pair."""
+    top = [len(g) - 1 for g in S.groups]
+    pairs = itertools.product(range(len(top)), repeat=2)
+    return sum(a[i] * b[j] for i, j in pairs
+               if [(m == i) + (m == j) for m in range(len(top))] == top)
+
+
+def reference_dehomogenize(f, chart):
+    """f with the chart's unit variables set to 1, computed afresh."""
+    out = {}
+    for e, c in f.terms.items():
+        k = tuple(e[v] for v in chart.affine_vars)
+        out[k] = f.desc.add(out.get(k, 0), c)
+    return MPoly(f.desc, 2, out)
+
+
+def reference_valuation(P, fl):
+    """(vt, w) by the branch at every flag: the u-order of the t^vt column
+    read off Horner's rule along the curve, with no test for a unit."""
+    S, D = fl.curve.surface, fl.curve
+    vt, rest = surface_mod._order(P, D)
+    n = reference_pairing(S, S.class_add(S.poly_class(P), S.class_scale(
+        -vt, D.degree())), D.degree()) + 1
+    k = fl.point.residue_field
+    along = surface_mod._horner(
+        surface_mod._u_columns(surface_mod._mp_embed(
+            reference_dehomogenize(rest, fl.chart), k), fl, n),
+        surface_mod._branch(fl, n), n, k)
+    return vt, next(i for i, c in enumerate(along) if c)
+
+
+def _fixture_curves(S):
+    from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
+    cubic = CUBIC_BY_P.get(S.base.p, CUBIC_DEFAULT)
+    return [curve_make(S, cubic if n == "cubic" else n)
+            for n in FIXTURES[S.model].bezout]
+
+
+def _valuation_cases(S):
+    """(P, flag) for every flag where two bezout fixture curves meet and
+    every flag of the reciprocity corpus at seed 0 (each polar component
+    where it meets another component of its form), with P each fixture
+    curve, each curve times the flag's curve, the form polynomial and, on
+    the corpus, the form's numerator and denominator."""
+    curves = _fixture_curves(S)
+    cases = []
+    for C, H in itertools.combinations(curves, 2):
+        for x in intersection_support(C, H):
+            for D in (C, H):
+                fl = flag_make(x, D)
+                polys = [E.poly for E in curves]
+                cases += [(P, fl) for P in polys + [P * D.poly for P in polys]
+                          + [form_polynomial(fl)]]
+    for w in reciprocity_corpus(S, 9, 0):
+        f = w.coefficient
+        for D in w.components:
+            for x in surface_mod.meeting_points(
+                    (D, E) for E in w.components if E != D):
+                fl = flag_make(x, D)
+                cases += [(P, fl) for P in [f.num, f.den, form_polynomial(fl)]
+                          + [E.poly for E in w.components]]
+    return cases
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_the_valuation_of_a_unit_equals_the_branch_route(model, q):
+    # where P / D^vt does not vanish at the point, the valuation reads w = 0
+    # from one evaluation; the branch route must find the same 0, and the
+    # same w everywhere else
+    S = surface_make(model, q)
+    cases = _valuation_cases(S)
+    got = [poly_valuation_at_flag(P, fl) for P, fl in cases]
+    assert got == [reference_valuation(P, fl) for P, fl in cases]
+    # both routes are taken, the branch also past a power of the curve
+    assert {w == 0 for _vt, w in got} == {True, False}
+    assert any(vt and w for vt, w in got)
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+def test_the_pairing_table_equals_the_product_formula(model):
+    S = surface_make(model, 3)
+    box = class_range(S, -3, 3)
+    for a in box:
+        for b in box:
+            assert class_intersection(S, a, b) == reference_pairing(S, a, b)
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+@pytest.mark.parametrize("q", [2, 4])
+def test_chart_equations_are_kept_once_per_polynomial_and_chart(model, q):
+    S = surface_make(model, q)
+    curves = _fixture_curves(S)
+    for C, H in itertools.combinations(curves, 2):
+        intersection_oracle(Divisor(S, {C: 1}), Divisor(S, {H: 1}))
+    kept = [(key, f) for key, f in S.memo.items() if key[0] == "chart"]
+    assert kept
+    charts = {ch.name: ch for ch in S.charts}
+    for (_kind, P, name), f in kept:
+        assert f == reference_dehomogenize(P, charts[name]), (P, name)
+        assert S.dehomogenize(P, charts[name]) is f
+    for P in [C.poly for C in curves]:
+        for chart in S.charts:
+            f = S.dehomogenize(P, chart)
+            assert f == reference_dehomogenize(P, chart), (P, chart)
+            assert S.dehomogenize(P, chart) is f

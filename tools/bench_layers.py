@@ -416,9 +416,26 @@ def measure_cases(m: dict) -> Dict[str, Case]:
         for C in divisors:
             commutator(C, wdiv)
 
+    # the symbol route of the bezout checks of `verify --suites bezout` on
+    # P1xP1 over F_5, one figure for the 10 fixture pairs, each round on a
+    # fresh surface with only the curves made
+    def fixture_pairs():
+        S = surface(m, "P1xP1", 5)
+        curves = [m["surface"].curve_make(S, text)
+                  for text in m["cli"].FIXTURES["P1xP1"].bezout]
+        return [(m["surface"].Divisor(S, {C: 1}),
+                 m["surface"].Divisor(S, {H: 1}))
+                for C, H in itertools.combinations(curves, 2)]
+
+    def intersections(pairs):
+        for C, H in pairs:
+            m["symbols"].intersection_number(C, H)
+
     return {"measures.derive_eq1.P1xP1.q3": (warmed, run, len(pairs)),
             "symbols.central_commutator.P1xP1.q5": (representatives,
-                                                    commutators, 1)}
+                                                    commutators, 1),
+            "symbols.intersection_number.bezout.P1xP1.q5": (
+                fixture_pairs, intersections, 1)}
 
 
 def flag_cases(m: dict) -> Dict[str, Case]:
@@ -479,6 +496,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "cohomology.rr_space.windows.P2.q9",
     "cohomology.rr_dimension.windows.P2.q9", "measures.derive_eq1.P1xP1.q3",
     "symbols.central_commutator.P1xP1.q5",
+    "symbols.intersection_number.bezout.P1xP1.q5",
     "measures.window_build.P2.q13", "surface.smooth_flag.lines.P2.q13",
     "surface.flag_coordinate_series.cubic.P2.F9")
 
