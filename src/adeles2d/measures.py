@@ -75,46 +75,13 @@ def _cls_json(cls: ClassVector):
 
 
 # ---------------------------------------------------------------------------
-# lattice symbols and measure tags
-
-
-class LatticeSymbol:
-    """A named subgroup of the adelic chain, with a divisor where graded."""
-
-    TAGS = ("A0", "A01", "A02", "A1", "A12")
-    __slots__ = ("tag", "divisor", "surface")
-
-    def __init__(self, tag: str, divisor: Optional[Divisor] = None,
-                 surface: Optional[Surface] = None):
-        if tag not in self.TAGS:
-            raise ValueError(f"unknown lattice tag {tag!r}")
-        if tag in ("A1", "A12"):
-            if divisor is None:
-                raise ValueError(f"lattice {tag} requires a divisor")
-            surface = divisor.surface
-        else:
-            if divisor is not None:
-                raise ValueError(f"lattice {tag} does not take a divisor")
-            if surface is None:
-                raise ValueError(f"lattice {tag} requires a surface")
-        self.tag = tag
-        self.divisor = divisor
-        self.surface = surface
-
-    def __eq__(self, other):
-        return (isinstance(other, LatticeSymbol)
-                and self.tag == other.tag
-                and self.surface == other.surface
-                and self.divisor == other.divisor)
-
-    def __repr__(self):
-        if self.divisor is None:
-            return self.tag
-        return f"{self.tag}({self.divisor!r})"
+# measure tags
 
 
 class MeasureTag:
-    """A measure on the chain between two reference lattices.
+    """A measure on an ambient chain between two positions of its graded
+    lattice, each position a divisor; the chain's row of `_CHAINS` names
+    that lattice.
 
     The value is an exact power of q relative to the canonical
     normalization of the ambient chain; composition of adjacent tags
@@ -123,8 +90,8 @@ class MeasureTag:
 
     __slots__ = ("ambient", "family", "frm", "to", "value")
 
-    def __init__(self, ambient: str, family: str, frm: LatticeSymbol,
-                 to: LatticeSymbol, value: QPower):
+    def __init__(self, ambient: str, family: str, frm: Divisor, to: Divisor,
+                 value: QPower):
         self.ambient = ambient
         self.family = family
         self.frm = frm
@@ -153,8 +120,8 @@ class MeasureTag:
                 and self.value == other.value)
 
     def __repr__(self):
-        return (f"MeasureTag({self.family}: {self.frm!r} -> {self.to!r}, "
-                f"{self.value!r})")
+        return (f"MeasureTag({self.family} in {self.ambient}: {self.frm!r} "
+                f"-> {self.to!r}, {self.value!r})")
 
 
 class _Chain(NamedTuple):
@@ -195,35 +162,20 @@ def counting_measure(ambient: str, P: Divisor, Q: Divisor) -> MeasureTag:
     """The chain's canonical normalization between the positions P and Q of
     its graded lattice: counting on the discrete chain, total mass one on
     the compact quotient, and their mixture on the full group."""
-    chain = _chain(ambient)
-    return MeasureTag(ambient, chain.counting, LatticeSymbol(chain.graded, P),
-                      LatticeSymbol(chain.graded, Q), QPower(0))
+    return MeasureTag(ambient, _chain(ambient).counting, P, Q, QPower(0))
 
 
-def measure_mu_L(L: LatticeSymbol, i: LatticeSymbol, j: LatticeSymbol,
-                 ambient: Optional[str] = None) -> MeasureTag:
-    """The L-adapted measure between reference lattices i and j.
+def measure_mu_L(ambient: str, i: Divisor, j: Divisor) -> MeasureTag:
+    """The measure adapted to the chain's global lattice L, between the
+    positions i and j of its graded lattice.
 
     Normalized to give mass 1 to L-cosets; its value against the canonical
     normalization is q^(d(i) - d(j)), where d is the chain's growth function
     of the intersections of L with the chain (h0, h2 or chi of the class).
-    Without an ambient, the chain whose graded lattice is i's, unquotiented.
     """
-    if i.tag != j.tag or i.tag not in ("A1", "A12"):
-        raise ValueError("unsupported lattice pair: references must be a "
-                         "matching A1 or A12 pair")
-    if ambient is None:
-        ambient = next(a for a, c in _CHAINS.items()
-                       if c.graded == i.tag and c.graded_mod is None)
     chain = _chain(ambient)
-    if i.tag != chain.graded:
-        raise ValueError(f"ambient {ambient!r} does not contain {i.tag} "
-                         "reference lattices")
-    if L.tag != chain.lattice:
-        raise ValueError(f"unsupported lattice pair: no {L.tag}-adapted "
-                         f"measure in the {ambient} chain")
     return MeasureTag(ambient, chain.adapted, i, j,
-                      _adapted_value(chain, i.divisor, j.divisor))
+                      _adapted_value(chain, i, j))
 
 
 def _adapted_value(chain: _Chain, i: Divisor, j: Divisor) -> QPower:
@@ -232,13 +184,6 @@ def _adapted_value(chain: _Chain, i: Divisor, j: Divisor) -> QPower:
     S = i.surface
     return QPower(getattr(h_vector(S, divisor_class(i)), chain.growth)
                   - getattr(h_vector(S, divisor_class(j)), chain.growth))
-
-
-def mu_measure(R: Divisor, S: Divisor) -> MeasureTag:
-    """The A02-adapted measure on the full chain."""
-    surf = R.surface
-    return measure_mu_L(LatticeSymbol("A02", surface=surf),
-                        LatticeSymbol("A12", R), LatticeSymbol("A12", S), "A")
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +205,14 @@ class CharElem:
 
     def __init__(self, ambient: str, reference: Divisor,
                  measure: Optional[MeasureTag] = None):
-        graded = _chain(ambient).graded
+        _chain(ambient)  # rejects an unknown chain
         if measure is not None:
             if measure.ambient != ambient:
                 raise ValueError(f"measure of the {measure.ambient} chain "
                                  f"for an element of the {ambient} chain")
-            if (measure.frm.tag != graded or measure.to.tag != graded
-                    or measure.frm.divisor != reference):
-                raise ValueError(f"measure must run between {graded} "
-                                 "lattices from the element's reference")
+            if measure.frm != reference:
+                raise ValueError("measure must start at the element's "
+                                 "reference")
         self.ambient = ambient
         self.reference = reference
         self.measure = measure
@@ -284,7 +228,8 @@ class CharElem:
         if self.measure is None:
             lattice, mod, by = chain.lattice, chain.lattice_mod, ""
         else:
-            lattice, mod = self.measure.to, chain.graded_mod
+            lattice = f"{chain.graded}({self.measure.to!r})"
+            mod = chain.graded_mod
             by = f", {self.measure.family} {self.measure.value!r}"
         mod = f" mod {mod}" if mod else ""
         return (f"CharElem({lattice}{mod} in {self.ambient} at "
@@ -301,11 +246,10 @@ def char_function(S: Surface, ambient: str, reference: Divisor) -> CharElem:
 def char_distribution(D: Divisor, measure: MeasureTag) -> CharElem:
     """The distribution of the graded lattice at D, in the chain of the
     measure, which must end there."""
-    chain = _chain(measure.ambient)
-    if measure.to.tag != chain.graded or measure.to.divisor != D:
+    if measure.to != D:
         raise ValueError("measure must end at the element's lattice in the "
                          f"{measure.ambient} chain")
-    return CharElem(measure.ambient, measure.frm.divisor, measure)
+    return CharElem(measure.ambient, measure.frm, measure)
 
 
 def char_pairing(dL: CharElem, dA: CharElem) -> QPower:
@@ -318,8 +262,7 @@ def char_pairing(dL: CharElem, dA: CharElem) -> QPower:
     if dL.ambient != dA.ambient or dL.reference != dA.reference:
         raise ValueError("incompatible reference lattices")
     m = dA.measure
-    return m.value / _adapted_value(_CHAINS[dA.ambient], dA.reference,
-                                    m.to.divisor)
+    return m.value / _adapted_value(_CHAINS[dA.ambient], dA.reference, m.to)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +295,10 @@ def fourier_char(e: CharElem, wdiv: Divisor) -> CharElem:
     if m.family != chain.counting:
         raise ValueError(f"unsupported characteristic shape: measure family "
                          f"{m.family!r} has no transform")
-    dual = _CHAINS[chain.dual]
-    frm = LatticeSymbol(dual.graded, _reflect(wdiv, m.frm.divisor))
-    to = LatticeSymbol(dual.graded, _reflect(wdiv, m.to.divisor))
-    return CharElem(chain.dual, frm.divisor,
-                    MeasureTag(chain.dual, dual.counting, frm, to, m.value))
+    frm = _reflect(wdiv, m.frm)
+    return CharElem(chain.dual, frm, MeasureTag(
+        chain.dual, _CHAINS[chain.dual].counting, frm, _reflect(wdiv, m.to),
+        m.value))
 
 
 def _pairing_and_transform(ambient: str, H: Divisor, C: Divisor,
@@ -434,15 +376,16 @@ def derive_eq2(S: Surface, Sclass: ClassVector) -> Check:
 
 
 class CentralExtElem:
-    """A lift of an idele: the idele with a measure from the base lattice
-    to its translate.  Multiplication transports the second measure by the
-    first idele."""
+    """A lift of an idele: the idele with a measure of the full chain from
+    the base lattice to its translate.  Multiplication transports the second
+    measure by the first idele."""
 
     __slots__ = ("g", "phi")
 
     def __init__(self, g, phi: MeasureTag):
-        if phi.frm.tag != "A12" or phi.frm.divisor.components:
-            raise ValueError("lift measure must start at the base lattice")
+        if phi.ambient != "A" or phi.frm.components:
+            raise ValueError("lift measure must start at the base lattice "
+                             "of the full chain")
         self.g = g
         self.phi = phi
 
@@ -459,9 +402,9 @@ def idele_transport(g: IdeleRule, tag: MeasureTag) -> MeasureTag:
         raise ValueError("only a pure idele can transport a measure")
     E = g.divisor
     if g.kind == "at_points" and tag.family == "mu":
-        return mu_measure(tag.frm.divisor + E, tag.to.divisor + E)
+        return measure_mu_L("A", tag.frm + E, tag.to + E)
     if g.kind == "along_curves" and tag.family == "nu":
-        return counting_measure("A", tag.frm.divisor + E, tag.to.divisor + E)
+        return counting_measure("A", tag.frm + E, tag.to + E)
     raise ValueError(f"unsupported idele action on measure family "
                      f"{tag.family!r}")
 
@@ -494,7 +437,7 @@ def central_commutator(C: Divisor, wdiv: Divisor) -> Check:
     H = _reflect(wdiv, C)
     z = divisor_zero(surf)
     a = CentralExtElem(IdeleRule("at_points", C), counting_measure("A", z, C))
-    b = CentralExtElem(IdeleRule("along_curves", H), mu_measure(z, H))
+    b = CentralExtElem(IdeleRule("along_curves", H), measure_mu_L("A", z, H))
     measure_route = central_ext_commutator(a, b)
     Hrep = _disjoint_representative(surf, divisor_class(H), set(C.components))
     symbol_route = commutator_pairing(IdeleRule("at_points", C),
@@ -565,7 +508,6 @@ class Window(NamedTuple):
     dual_basis: List[Tuple[int, int, int, int]]
     gram: Matrix
     rank: int
-    jorders: List[Tuple[int, int]]
 
     @property
     def dimension(self) -> int:
@@ -600,7 +542,6 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
     u_lo = -(u_size // 2)
     u_window = list(range(u_lo, u_lo + u_size))
     flags: List[Flag] = []
-    jorders: List[Tuple[int, int]] = []
     forms: List[LaurentSeries2] = []
     basis: List[Tuple[int, int, int, int]] = []
     dual_basis: List[Tuple[int, int, int, int]] = []
@@ -610,7 +551,6 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
         flags.append(fl)
         # the form is du^dt / P: its rank-2 valuation is minus P's
         p_t, p_u = poly_valuation_at_flag(form_polynomial(fl), fl)
-        jorders.append((-p_t, -p_u))
         r_D = R.components.get(D, 0)
         s_D = S.components.get(D, 0)
         forms.append(_window_form(fl, s_D - r_D, u_size, p_t, p_u))
@@ -644,8 +584,7 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
                 row[j] = n
         gram.append(row)
     rank = mat_rank(gram, base)
-    return Window(surf, R, S, wdiv, flags, basis, dual_basis, gram, rank,
-                  jorders)
+    return Window(surf, R, S, wdiv, flags, basis, dual_basis, gram, rank)
 
 
 def _window_form(fl: Flag, t_span: int, u_size: int, p_t: int,

@@ -11,8 +11,6 @@ from adeles2d.fields import field_make
 from adeles2d.measures import (
     CentralExtElem,
     CharElem,
-    LatticeSymbol,
-    MeasureTag,
     WINDOW_POINT_DEGREE,
     canonical_divisor,
     central_commutator,
@@ -28,7 +26,6 @@ from adeles2d.measures import (
     fourier_char,
     idele_transport,
     measure_mu_L,
-    mu_measure,
     rr_assemble,
     window_annihilator_check,
     window_build,
@@ -40,6 +37,8 @@ from adeles2d.surface import (
     curve_make,
     divisor_class,
     flag_make,
+    form_polynomial,
+    poly_valuation_at_flag,
     smooth_flag,
     surface_make,
 )
@@ -93,7 +92,6 @@ def test_measure_tags_reject_mismatched_endpoints():
 
 def test_global_function_adapted_measure_counts_sections():
     for S in (plane(2), plane(3), quadric(2)):
-        L = LatticeSymbol("A0", surface=S)
         refs = [class_representative(S, c) for c in class_range(S, 0, 2)]
         if S.model == "P2":
             # references that are not class representatives
@@ -102,8 +100,7 @@ def test_global_function_adapted_measure_counts_sections():
                      Divisor(S, {X: -1, curve_make(S, "Y"): 1})]
         for Di in refs:
             for Dj in refs:
-                m = measure_mu_L(L, LatticeSymbol("A1", Di),
-                                 LatticeSymbol("A1", Dj))
+                m = measure_mu_L("A01", Di, Dj)
                 hi = len(rr_space(Di))
                 hj = len(rr_space(Dj))
                 assert m.value == QPower(hi - hj), (Di, Dj, m)
@@ -111,46 +108,31 @@ def test_global_function_adapted_measure_counts_sections():
 
 def test_full_and_compact_chain_adapted_measures():
     for S in (plane(3), quadric(2)):
-        A02 = LatticeSymbol("A02", surface=S)
         for ci in class_range(S, -2, 1):
             for cj in class_range(S, -2, 1):
                 Di = class_representative(S, ci)
                 Dj = class_representative(S, cj)
-                full = mu_measure(Di, Dj)
+                full = measure_mu_L("A", Di, Dj)
                 want = cech_h_vector(S, ci).chi - cech_h_vector(S, cj).chi
                 assert full.value == QPower(want), (ci, cj, full)
-                compact = measure_mu_L(A02, LatticeSymbol("A12", Di),
-                                       LatticeSymbol("A12", Dj),
-                                       ambient="A/A01")
+                compact = measure_mu_L("A/A01", Di, Dj)
                 want2 = cech_h_vector(S, ci).h2 - cech_h_vector(S, cj).h2
                 assert compact.value == QPower(want2), (ci, cj, compact)
 
 
-def test_unsupported_lattice_pairs_are_rejected():
+def test_measures_reject_an_unknown_ambient_chain():
     S = plane()
     z = divisor_zero(S)
     L1 = class_representative(S, (1,))
-    cases = [
-        lambda: measure_mu_L(LatticeSymbol("A01", surface=S),
-                             LatticeSymbol("A1", z), LatticeSymbol("A1", L1)),
-        lambda: measure_mu_L(LatticeSymbol("A0", surface=S),
-                             LatticeSymbol("A1", z),
-                             LatticeSymbol("A12", L1)),
-        lambda: measure_mu_L(LatticeSymbol("A0", surface=S),
-                             LatticeSymbol("A12", z),
-                             LatticeSymbol("A12", L1)),
-        lambda: measure_mu_L(LatticeSymbol("A0", surface=S),
-                             LatticeSymbol("A1", z), LatticeSymbol("A1", L1),
-                             ambient="A"),
-    ]
-    for make in cases:
-        try:
-            make()
-        except ValueError as err:
-            assert "unsupported lattice pair" in str(err) or "ambient" in str(
-                err), err
-        else:
-            raise AssertionError("accepted an unsupported lattice pair")
+    for make in (measure_mu_L, counting_measure):
+        for ambient in ("A02", "A12", "a", ""):
+            try:
+                make(ambient, z, L1)
+            except ValueError as err:
+                assert f"unknown ambient chain {ambient!r}" in str(err), err
+            else:
+                raise AssertionError(f"{make.__name__} built a measure in "
+                                     f"the unknown chain {ambient!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +214,15 @@ def test_char_elements_check_their_measure_where_built():
         (lambda: CharElem("A01", z, counting_measure("A", z, C)),
          "measure of the A chain for an element of the A01 chain"),
         (lambda: CharElem("A01", C, counting_measure("A01", z, C)),
-         "measure must run between A1 lattices from the element's "
-         "reference"),
+         "measure must start at the element's reference"),
         (lambda: CharElem("A01", z, counting_measure("A01", z, C).inverse()),
-         "measure must run between A1 lattices"),
-        (lambda: CharElem("A01", z, MeasureTag(
-            "A01", "delta", LatticeSymbol("A1", z), LatticeSymbol("A12", C),
-            QPower(0))), "measure must run between A1 lattices"),
+         "measure must start at the element's reference"),
         (lambda: CharElem("A02", z), "unknown ambient chain 'A02'"),
         (lambda: char_function(S, "A01", None),
          "the reference must be a divisor on P2/GF(3)"),
         (lambda: char_function(S, "A01", divisor_zero(quadric(3))),
          "the reference must be a divisor on P2/GF(3)"),
     ]
-    # hand-built measures that end at the lattice but do not start at a
-    # graded lattice of their chain
-    for start in (LatticeSymbol("A0", surface=S), LatticeSymbol("A12", z)):
-        tag = MeasureTag("A01", "delta", start, LatticeSymbol("A1", C),
-                         QPower(0))
-        cases.append((lambda tag=tag: char_distribution(C, tag),
-                      "measure must run between A1 lattices"))
     for make, text in cases:
         try:
             make()
@@ -301,7 +272,7 @@ def test_fourier_rejects_unsupported_shapes():
     z = divisor_zero(S)
     C = class_representative(S, (1,))
     w = canonical_divisor(S)
-    mixed = counting_measure("A", z, C) * mu_measure(C, C)
+    mixed = counting_measure("A", z, C) * measure_mu_L("A", C, C)
     try:
         fourier_char(char_distribution(C, mixed), w)
     except ValueError as err:
@@ -396,19 +367,35 @@ def test_central_extension_products_transport_measures():
     C = class_representative(S, (1,))
     H = class_representative(S, (-4,))
     a = CentralExtElem(IdeleRule("at_points", C), counting_measure("A", z, C))
-    b = CentralExtElem(IdeleRule("along_curves", H), mu_measure(z, H))
+    b = CentralExtElem(IdeleRule("along_curves", H), measure_mu_L("A", z, H))
     ab = a * b
 
     def chi_of(D):
         return h_vector(S, divisor_class(D)).chi
 
-    assert ab.phi.frm == LatticeSymbol("A12", z)
-    assert ab.phi.to == LatticeSymbol("A12", C + H)
+    assert ab.phi.frm == z
+    assert ab.phi.to == C + H
     assert ab.phi.value == QPower(chi_of(C) - chi_of(C + H))
     ba = b * a
     assert ba.phi.value == QPower(chi_of(z) - chi_of(H))
     got = central_ext_commutator(a, b)
     assert got == QPower(4), got
+
+
+def test_a_lift_carries_a_full_chain_measure_from_the_base_lattice():
+    S = plane()
+    z = divisor_zero(S)
+    C = class_representative(S, (1,))
+    for phi in (counting_measure("A01", z, C),
+                counting_measure("A/A01", z, C),
+                counting_measure("A", C, C + C)):
+        try:
+            CentralExtElem(IdeleRule("at_points", C), phi)
+        except ValueError as err:
+            assert "lift measure must start at the base lattice" in str(
+                err), err
+        else:
+            raise AssertionError(f"built a lift carrying {phi!r}")
 
 
 def test_idele_transport_only_moves_its_own_family():
@@ -417,10 +404,10 @@ def test_idele_transport_only_moves_its_own_family():
     C = class_representative(S, (1,))
     moved = idele_transport(IdeleRule("along_curves", C),
                             counting_measure("A", z, C))
-    assert moved.frm == LatticeSymbol("A12", C)
-    assert moved.to == LatticeSymbol("A12", C + C)
+    assert moved.frm == C
+    assert moved.to == C + C
     for kind, tag in (("at_points", counting_measure("A", z, C)),
-                      ("along_curves", mu_measure(z, C))):
+                      ("along_curves", measure_mu_L("A", z, C))):
         try:
             idele_transport(IdeleRule(kind, C), tag)
         except ValueError:
@@ -504,7 +491,10 @@ def test_window_on_three_coordinate_lines_has_rank_twelve():
     w = window_build(-L, L, u_size=2)
     assert w.dimension == 12 and w.rank == 12, w
     assert len(w.flags) == 3
-    assert sorted(jt for jt, _ju in w.jorders) == [-3, 0, 0]
+    # the form is du^dt / P: its t-order at a flag is minus P's
+    jorders = [poly_valuation_at_flag(form_polynomial(fl), fl)
+               for fl in w.flags]
+    assert sorted(-pt for pt, _pu in jorders) == [-3, 0, 0]
 
 
 def test_window_annihilators_match_reflected_lattices():
