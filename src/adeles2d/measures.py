@@ -36,7 +36,6 @@ from .surface import (
 )
 from .symbols import (
     IdeleRule,
-    QPower,
     commutator_pairing,
     intersection_flags,
 )
@@ -83,15 +82,15 @@ class MeasureTag:
     lattice, each position a divisor; the chain's row of `_CHAINS` names
     that lattice.
 
-    The value is an exact power of q relative to the canonical
-    normalization of the ambient chain; composition of adjacent tags
-    multiplies values (adds exponents).
+    The value is the exponent k of the measure's exact power q^k relative
+    to the canonical normalization of the ambient chain; composition of
+    adjacent tags adds values, and the inverse negates them.
     """
 
     __slots__ = ("ambient", "family", "frm", "to", "value")
 
     def __init__(self, ambient: str, family: str, frm: Divisor, to: Divisor,
-                 value: QPower):
+                 value: int):
         self.ambient = ambient
         self.family = family
         self.frm = frm
@@ -105,11 +104,11 @@ class MeasureTag:
             raise ValueError("measure tags do not compose: endpoints differ")
         family = self.family if self.family == other.family else "mixed"
         return MeasureTag(self.ambient, family, self.frm, other.to,
-                          self.value * other.value)
+                          self.value + other.value)
 
     def inverse(self) -> "MeasureTag":
         return MeasureTag(self.ambient, self.family, self.to, self.frm,
-                          self.value.inverse())
+                          -self.value)
 
     def __eq__(self, other):
         return (isinstance(other, MeasureTag)
@@ -121,7 +120,7 @@ class MeasureTag:
 
     def __repr__(self):
         return (f"MeasureTag({self.family} in {self.ambient}: {self.frm!r} "
-                f"-> {self.to!r}, {self.value!r})")
+                f"-> {self.to!r}, q^{self.value})")
 
 
 class _Chain(NamedTuple):
@@ -162,7 +161,7 @@ def counting_measure(ambient: str, P: Divisor, Q: Divisor) -> MeasureTag:
     """The chain's canonical normalization between the positions P and Q of
     its graded lattice: counting on the discrete chain, total mass one on
     the compact quotient, and their mixture on the full group."""
-    return MeasureTag(ambient, _chain(ambient).counting, P, Q, QPower(0))
+    return MeasureTag(ambient, _chain(ambient).counting, P, Q, 0)
 
 
 def measure_mu_L(ambient: str, i: Divisor, j: Divisor) -> MeasureTag:
@@ -178,12 +177,12 @@ def measure_mu_L(ambient: str, i: Divisor, j: Divisor) -> MeasureTag:
                       _adapted_value(chain, i, j))
 
 
-def _adapted_value(chain: _Chain, i: Divisor, j: Divisor) -> QPower:
+def _adapted_value(chain: _Chain, i: Divisor, j: Divisor) -> int:
     """The chain's adapted measure between the positions i and j against its
-    canonical normalization: q^(g(i) - g(j)) for the growth entry g."""
+    canonical normalization: the q-exponent g(i) - g(j), g the growth entry."""
     S = i.surface
-    return QPower(getattr(h_vector(S, divisor_class(i)), chain.growth)
-                  - getattr(h_vector(S, divisor_class(j)), chain.growth))
+    return (getattr(h_vector(S, divisor_class(i)), chain.growth)
+            - getattr(h_vector(S, divisor_class(j)), chain.growth))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,7 @@ class CharElem:
         else:
             lattice = f"{chain.graded}({self.measure.to!r})"
             mod = chain.graded_mod
-            by = f", {self.measure.family} {self.measure.value!r}"
+            by = f", {self.measure.family} q^{self.measure.value}"
         mod = f" mod {mod}" if mod else ""
         return (f"CharElem({lattice}{mod} in {self.ambient} at "
                 f"{self.reference!r}{by})")
@@ -252,17 +251,17 @@ def char_distribution(D: Divisor, measure: MeasureTag) -> CharElem:
     return CharElem(measure.ambient, measure.frm, measure)
 
 
-def char_pairing(dL: CharElem, dA: CharElem) -> QPower:
-    """Pairing of a function-like with a distribution-like element: the
-    distribution's measure divided by the adapted measure between the
-    common reference and the distribution's position."""
+def char_pairing(dL: CharElem, dA: CharElem) -> int:
+    """Pairing of a function-like with a distribution-like element, as a
+    q-exponent: the distribution's measure over the adapted measure between
+    the common reference and the distribution's position."""
     if dL.measure is not None or dA.measure is None:
         raise ValueError("pairing takes a function-like and a "
                          "distribution-like element, in that order")
     if dL.ambient != dA.ambient or dL.reference != dA.reference:
         raise ValueError("incompatible reference lattices")
     m = dA.measure
-    return m.value / _adapted_value(_CHAINS[dA.ambient], dA.reference, m.to)
+    return m.value - _adapted_value(_CHAINS[dA.ambient], dA.reference, m.to)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,7 @@ def fourier_char(e: CharElem, wdiv: Divisor) -> CharElem:
 
 
 def _pairing_and_transform(ambient: str, H: Divisor, C: Divisor,
-                           wdiv: Divisor) -> Tuple[QPower, QPower]:
+                           wdiv: Divisor) -> Tuple[int, int]:
     """Pair the chain's indicator at H with the counting distribution from
     H to C, and pair the transforms of the two."""
     dL = char_function(C.surface, ambient, H)
@@ -351,8 +350,7 @@ def derive_eq1(S: Surface, Cclass: ClassVector,
         "A01", class_representative(S, Hclass),
         class_representative(S, Cclass), canonical_divisor(S))
     return Check("serre-difference",
-                 {"C": _cls_json(Cclass), "H": _cls_json(Hclass)},
-                 lhs.exponent, rhs.exponent)
+                 {"C": _cls_json(Cclass), "H": _cls_json(Hclass)}, lhs, rhs)
 
 
 def derive_eq2(S: Surface, Sclass: ClassVector) -> Check:
@@ -368,7 +366,7 @@ def derive_eq2(S: Surface, Sclass: ClassVector) -> Check:
     chiDual = h_vector(S, divisor_class(Rdiv)).chi
     return Check("chi-symmetry", {"S": _cls_json(Sclass)}, chiS, chiDual,
                  lhs == rhs and chiS == chiDual,
-                 witness=f"pairing {lhs!r} vs transformed {rhs!r}")
+                 witness=f"pairing q^{lhs} vs transformed q^{rhs}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +407,14 @@ def idele_transport(g: IdeleRule, tag: MeasureTag) -> MeasureTag:
                      f"{tag.family!r}")
 
 
-def central_ext_commutator(a: CentralExtElem, b: CentralExtElem) -> QPower:
-    """The commutator scalar [a, b]: the ratio of the two product lifts."""
+def central_ext_commutator(a: CentralExtElem, b: CentralExtElem) -> int:
+    """The commutator scalar [a, b], the ratio of the two product lifts, as
+    a q-exponent."""
     ab = a * b
     ba = b * a
     if ab.phi.frm != ba.phi.frm or ab.phi.to != ba.phi.to:
         raise ValueError("commutator requires matching product endpoints")
-    return ab.phi.value / ba.phi.value
+    return ab.phi.value - ba.phi.value
 
 
 def _disjoint_representative(S: Surface, cls: ClassVector,
@@ -444,7 +443,7 @@ def central_commutator(C: Divisor, wdiv: Divisor) -> Check:
                                       IdeleRule("along_curves", Hrep),
                                       intersection_flags(C, Hrep))
     return Check("commutator", {"C": _cls_json(divisor_class(C))},
-                 measure_route.exponent, symbol_route.exponent)
+                 measure_route, symbol_route)
 
 
 # ---------------------------------------------------------------------------
@@ -593,19 +592,16 @@ def _window_form(fl: Flag, t_span: int, u_size: int, p_t: int,
     the gram reads at fl, for (p_t, p_u) the rank-2 valuation of P and
     t_span and u_size the numbers of basis t- and u-exponents there: the
     slots lie below t^(t_span - p_t) and u^(u_size - p_u).  J's box holds
-    the t-exponents below window - 2 p_t and the u-exponents below
-    window - p_u, so the first window comes from those, and the shortfall
-    J's box reports resizes it at most once."""
+    the t-exponents below window - 2 p_t and the u-exponents below at
+    least window - p_u (surface.invert_poly_at_flag), so the window sized
+    from those holds them all; a box that falls short raises
+    PrecisionError naming the flag."""
     t_to, u_to = t_span - p_t, u_size - p_u
     window = max(t_span + p_t, u_size)
     J = canonical_local_form(fl, window)
-    short = max(t_to - J.t_prec, u_to - J.u_prec)
-    if short > 0:
-        window += short
-        J = canonical_local_form(fl, window)
-        if J.t_prec < t_to or J.u_prec < u_to:
-            raise PrecisionError(f"window gram at flag {fl!r} undetermined "
-                                 f"at window {window}")
+    if J.t_prec < t_to or J.u_prec < u_to:
+        raise PrecisionError(f"window gram at flag {fl!r} undetermined "
+                             f"at window {window}")
     return J
 
 

@@ -37,33 +37,6 @@ from .surface import (
 FULTON_STEPS = 4
 
 
-class QPower:
-    """An exact power of q."""
-
-    __slots__ = ("exponent",)
-
-    def __init__(self, exponent: int):
-        self.exponent = exponent
-
-    def __mul__(self, other: "QPower") -> "QPower":
-        return QPower(self.exponent + other.exponent)
-
-    def __truediv__(self, other: "QPower") -> "QPower":
-        return QPower(self.exponent - other.exponent)
-
-    def __pow__(self, n: int) -> "QPower":
-        return QPower(self.exponent * n)
-
-    def inverse(self) -> "QPower":
-        return QPower(-self.exponent)
-
-    def __eq__(self, other):
-        return isinstance(other, QPower) and self.exponent == other.exponent
-
-    def __repr__(self):
-        return f"q^{self.exponent}"
-
-
 # ---------------------------------------------------------------------------
 # idele choosers
 
@@ -182,16 +155,13 @@ def symbol_at_flag(f: Factors, g: Factors, fl: Flag) -> int:
 
 
 def commutator_pairing(g1: IdeleRule, g2: IdeleRule,
-                       flags: Sequence[Flag]) -> QPower:
-    """Product over flags of q^(-deg(x) * symbol), the symbol of the two
-    idele components at each flag.  The components are read as unit germs
-    with multiplicities, whose rank-2 valuations each flag keeps, so the
-    symbol at a flag is a sum of cached integers."""
-    exponent = 0
-    for fl in flags:
-        exponent -= fl.point.degree * _symbol(
-            g1.germs(fl), g2.germs(fl), fl, _germ_valuation)
-    return QPower(exponent)
+                       flags: Sequence[Flag]) -> int:
+    """The exponent of q in the product over flags of q^(-deg(x) * symbol),
+    the symbol of the two idele components at each flag.  The components
+    are read as unit germs with multiplicities, whose rank-2 valuations
+    each flag keeps, so the symbol at a flag is a sum of cached integers."""
+    return -sum(fl.point.degree * _symbol(
+        g1.germs(fl), g2.germs(fl), fl, _germ_valuation) for fl in flags)
 
 
 def _meeting_points(C: Divisor, H: Divisor) -> List[ClosedPoint]:
@@ -246,7 +216,7 @@ def intersection_number(C: Divisor, H: Divisor, _window=None) -> int:
                 continue
             exponent += commutator_pairing(
                 IdeleRule("at_points", A), IdeleRule("along_curves", B),
-                flags).exponent
+                flags)
             break
         else:
             raise ValueError(f"both divisors have a component singular at "

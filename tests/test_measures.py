@@ -42,7 +42,7 @@ from adeles2d.surface import (
     smooth_flag,
     surface_make,
 )
-from adeles2d.symbols import IdeleRule, QPower
+from adeles2d.symbols import IdeleRule
 from reference_points import scan_points
 
 
@@ -66,7 +66,7 @@ def test_measure_tags_compose_associatively_with_identity():
     t23 = counting_measure("A01", D[2], D[3])
     assert (t01 * t12) * t23 == t01 * (t12 * t23)
     ident = counting_measure("A01", D[1], D[1])
-    assert ident.value == QPower(0)
+    assert ident.value == 0
     assert t01 * ident == t01
     assert t01 * t01.inverse() == counting_measure("A01", D[0], D[0])
 
@@ -103,7 +103,7 @@ def test_global_function_adapted_measure_counts_sections():
                 m = measure_mu_L("A01", Di, Dj)
                 hi = len(rr_space(Di))
                 hj = len(rr_space(Dj))
-                assert m.value == QPower(hi - hj), (Di, Dj, m)
+                assert m.value == hi - hj, (Di, Dj, m)
 
 
 def test_full_and_compact_chain_adapted_measures():
@@ -114,10 +114,10 @@ def test_full_and_compact_chain_adapted_measures():
                 Dj = class_representative(S, cj)
                 full = measure_mu_L("A", Di, Dj)
                 want = cech_h_vector(S, ci).chi - cech_h_vector(S, cj).chi
-                assert full.value == QPower(want), (ci, cj, full)
+                assert full.value == want, (ci, cj, full)
                 compact = measure_mu_L("A/A01", Di, Dj)
                 want2 = cech_h_vector(S, ci).h2 - cech_h_vector(S, cj).h2
-                assert compact.value == QPower(want2), (ci, cj, compact)
+                assert compact.value == want2, (ci, cj, compact)
 
 
 def test_measures_reject_an_unknown_ambient_chain():
@@ -149,7 +149,7 @@ def test_char_pairing_counts_sections_between_levels():
             got = char_pairing(char_function(S, "A01", H), char_distribution(
                 C, counting_measure("A01", H, C)))
             want = len(rr_space(C)) - len(rr_space(H))
-            assert got == QPower(want), (cH, cC, got)
+            assert got == want, (cH, cC, got)
 
 
 def test_char_pairing_on_the_full_chain_compares_euler_characteristics():
@@ -162,7 +162,7 @@ def test_char_pairing_on_the_full_chain_compares_euler_characteristics():
                                    char_distribution(
                                        Sd, counting_measure("A", R, Sd)))
                 want = cech_h_vector(S, cS).chi - cech_h_vector(S, cR).chi
-                assert got == QPower(want), (cR, cS, got)
+                assert got == want, (cR, cS, got)
 
 
 def test_char_pairing_rejects_incompatible_elements():
@@ -375,11 +375,11 @@ def test_central_extension_products_transport_measures():
 
     assert ab.phi.frm == z
     assert ab.phi.to == C + H
-    assert ab.phi.value == QPower(chi_of(C) - chi_of(C + H))
+    assert ab.phi.value == chi_of(C) - chi_of(C + H)
     ba = b * a
-    assert ba.phi.value == QPower(chi_of(z) - chi_of(H))
+    assert ba.phi.value == chi_of(z) - chi_of(H)
     got = central_ext_commutator(a, b)
-    assert got == QPower(4), got
+    assert got == 4, got
 
 
 def test_a_lift_carries_a_full_chain_measure_from_the_base_lattice():
@@ -703,15 +703,14 @@ def test_window_gram_equals_the_all_pairs_gram(monkeypatch):
             assert all(all(row.values()) for row in w.gram), (q, w)
             if q == 2 and top == L4:
                 assert max(fl.point.degree for fl in w.flags) == 2, w
-            # the gram reads one J per flag, resized at most once, and
-            # pairs no fragments
+            # the gram reads one J per flag and pairs no fragments
             assert not pairings, (q, w)
             assert set(forms) == set(w.flags), (q, w)
-            assert all(forms.count(fl) <= 2 for fl in w.flags), (q, forms)
+            assert all(forms.count(fl) == 1 for fl in w.flags), (q, forms)
 
 
 def test_a_window_form_short_after_one_resize_names_the_flag(monkeypatch):
-    # a J whose box never grows: the gram resizes once, then refuses
+    # a J whose box holds no slot: the gram asks for it once, then refuses
     windows = []
 
     def stuck(fl, window):
@@ -724,7 +723,47 @@ def test_a_window_form_short_after_one_resize_names_the_flag(monkeypatch):
     with pytest.raises(PrecisionError, match="window gram at flag") as err:
         window_build(divisor_zero(S), Divisor(S, {X: 1}), u_size=1)
     assert "Flag(" in str(err.value) and "Curve(X)" in str(err.value)
-    assert len(windows) == 2 and windows[0] < windows[1], windows
+    assert len(windows) == 1, windows
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+def test_the_first_window_form_holds_every_slot_the_gram_reads(monkeypatch,
+                                                                model):
+    # the windows suite's windows at every q of the sweep matrix: the J
+    # sized from the exact orders is asked for once per flag, and its box
+    # holds every slot J[-1 - (b + bj), -1 - (a + aj)] its gram reads
+    built = []
+    real_build = measures.window_build
+    real_form = measures.canonical_local_form
+
+    def build(*args, **kwargs):
+        forms = {}
+
+        def form(fl, window):
+            assert fl not in forms, fl
+            forms[fl] = real_form(fl, window)
+            return forms[fl]
+
+        with monkeypatch.context() as m:
+            m.setattr(measures, "canonical_local_form", form)
+            w = real_build(*args, **kwargs)
+        built.append((w, forms))
+        return w
+
+    monkeypatch.setattr(cli, "window_build", build)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        built.clear()
+        checks = list(cli._suite_windows(surface_make(model, q), None, None))
+        assert all(c.passed for c in checks), q
+        assert len(built) == {"P2": 2, "P1xP1": 1}[model], q
+        for w, forms in built:
+            assert set(forms) == set(w.flags), (q, w)
+            for fi, b, a, _li in w.basis:
+                J = forms[w.flags[fi]]
+                for fj, bj, aj, _lj in w.dual_basis:
+                    if fj == fi:
+                        assert -1 - (b + bj) < J.t_prec, (q, w, b, bj)
+                        assert -1 - (a + aj) < J.u_prec, (q, w, a, aj)
 
 
 def test_window_rejects_bad_inputs():

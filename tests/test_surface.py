@@ -511,7 +511,7 @@ def test_intersection_support_is_computed_once_per_pair(monkeypatch):
     first = intersection_support(C, H)
     want = list(first)
     assert want
-    monkeypatch.setattr("adeles2d.surface.resultant_elim", _no_resultants)
+    monkeypatch.setattr(surface_mod, "resultant_elim", _no_resultants)
     again = intersection_support(curve_make(S, "YZ-X^2"), H)
     assert again == want and again is not first
     # the list a call returns is the caller's own
@@ -525,7 +525,7 @@ def test_an_equal_new_surface_recomputes_the_support(monkeypatch):
     intersection_support(curve_make(S, "X"), curve_make(S, "YZ-X^2"))
     T = p2(5)
     assert T == S and T.memo == {}
-    monkeypatch.setattr("adeles2d.surface.resultant_elim", _no_resultants)
+    monkeypatch.setattr(surface_mod, "resultant_elim", _no_resultants)
     with pytest.raises(AssertionError, match="resultant computed"):
         intersection_support(curve_make(T, "X"), curve_make(T, "YZ-X^2"))
 
