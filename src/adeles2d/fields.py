@@ -330,8 +330,7 @@ class FieldElem:
     report text, return values): the code n = sum c_i p^i of its coefficient
     vector over F_p with its field, whose operations on codes it calls.
 
-    Operands of one operation must share a field; the containers (series,
-    polynomials) check that, the element operations do not.
+    Operands of one operation must share a field, or it raises ValueError.
     """
 
     __slots__ = ("desc", "n")
@@ -352,21 +351,29 @@ class FieldElem:
         return self.n != 0
 
     def __add__(self, other: "FieldElem") -> "FieldElem":
+        if other.desc is not self.desc and other.desc != self.desc:
+            raise ValueError("mismatched fields")
         return FieldElem(self.desc, self.desc.add(self.n, other.n))
 
     def __sub__(self, other: "FieldElem") -> "FieldElem":
+        if other.desc is not self.desc and other.desc != self.desc:
+            raise ValueError("mismatched fields")
         return FieldElem(self.desc, self.desc.sub(self.n, other.n))
 
     def __neg__(self) -> "FieldElem":
         return FieldElem(self.desc, self.desc.neg(self.n))
 
     def __mul__(self, other: "FieldElem") -> "FieldElem":
+        if other.desc is not self.desc and other.desc != self.desc:
+            raise ValueError("mismatched fields")
         return FieldElem(self.desc, self.desc.mul(self.n, other.n))
 
     def inverse(self) -> "FieldElem":
         return FieldElem(self.desc, self.desc.inv(self.n))
 
     def __truediv__(self, other: "FieldElem") -> "FieldElem":
+        if other.desc is not self.desc and other.desc != self.desc:
+            raise ValueError("mismatched fields")
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "FieldElem":

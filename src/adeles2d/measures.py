@@ -84,7 +84,7 @@ class MeasureTag:
 
     The value is the exponent k of the measure's exact power q^k relative
     to the canonical normalization of the ambient chain; composition of
-    adjacent tags adds values, and the inverse negates them.
+    adjacent tags adds values.
     """
 
     __slots__ = ("ambient", "family", "frm", "to", "value")
@@ -105,10 +105,6 @@ class MeasureTag:
         family = self.family if self.family == other.family else "mixed"
         return MeasureTag(self.ambient, family, self.frm, other.to,
                           self.value + other.value)
-
-    def inverse(self) -> "MeasureTag":
-        return MeasureTag(self.ambient, self.family, self.to, self.frm,
-                          -self.value)
 
     def __eq__(self, other):
         return (isinstance(other, MeasureTag)

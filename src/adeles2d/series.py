@@ -22,7 +22,7 @@ box rule new_prec = min(prec_a + val_b, prec_b + val_a) in each variable
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .fields import FieldDesc, FieldElem
 
@@ -177,16 +177,14 @@ class LaurentSeries2:
             k: c for k, c in self.terms.items()
             if k[0] < t_prec and k[1] < u_prec}, t_prec, u_prec)
 
-    def inverse(self, t_window: Optional[int] = None,
-                u_window: Optional[int] = None) -> "LaurentSeries2":
+    def inverse(self, t_window: int = DEFAULT_PREC,
+                u_window: int = DEFAULT_PREC) -> "LaurentSeries2":
         """Multiplicative inverse.
 
         For truncated input the result carries the largest provable window;
         for exact input with a non-monomial expansion the window defaults to
-        `t_window`/`u_window` (DEFAULT_PREC) above the valuation.
+        `t_window`/`u_window` above the valuation.
         """
-        lt = DEFAULT_PREC if t_window is None else t_window
-        lu = DEFAULT_PREC if u_window is None else u_window
         if self.is_exact_zero():
             raise ZeroDivisionError("inverse of the exact zero series")
         if not self.terms:
@@ -194,7 +192,7 @@ class LaurentSeries2:
         vt = self.t_valuation()
         lead = {u: c for (t, u), c in self.terms.items() if t == vt}
         vu_lead = min(lead)
-        size = lt if self.t_prec == INF else int(self.t_prec - vt)
+        size = t_window if self.t_prec == INF else int(self.t_prec - vt)
         if size <= 0:
             raise PrecisionError("cannot invert: empty provable window in t")
         # Later columns dipping below the leading column's u-valuation erode
@@ -202,18 +200,27 @@ class LaurentSeries2:
         # window so the requested one survives the cascade.
         higher = [u for (t, u) in self.terms if t != vt]
         drop = max(0, vu_lead - min(higher)) if higher else 0
-        lu_eff = lu if self.u_prec != INF else lu + size * drop
-        icol, icol_prec = _invert_column(lead, self.u_prec, lu_eff, self.desc)
+        # the leading column's inverse: its m codes from u^-vu_lead on
+        m = u_window + size * drop
+        u_prec = m - vu_lead
+        if self.u_prec != INF:
+            m, u_prec = int(self.u_prec - vu_lead), self.u_prec - 2 * vu_lead
+        elif len(lead) == 1:
+            m, u_prec = 1, INF
+        if m <= 0:
+            raise PrecisionError("cannot invert: empty provable window in u")
+        icol = ps_inverse([lead.get(u, 0) for u in range(vu_lead, max(lead) + 1)],
+                          m, self.desc)
         y0 = LaurentSeries2._make(
-            self.desc, {(-vt, u): c for u, c in icol.items()}, INF, icol_prec)
+            self.desc, {(-vt, i - vu_lead): c for i, c in enumerate(icol) if c},
+            INF, u_prec)
         if not higher and self.t_prec == INF:
             return y0
         # normalize: self * y0 = 1 + r with r of positive t-valuation
-        r = self * y0 - LaurentSeries2.one(self.desc)
-        negr = (-r).truncate(t_to=size)
         one = LaurentSeries2.one(self.desc)
-        total = one
-        term = one
+        r = self * y0 - one
+        negr = (-r).truncate(t_to=size)
+        total = term = one
         for _ in range(1, size):
             term = (term * negr).truncate(t_to=size)
             if term.is_zero_window():
@@ -222,7 +229,7 @@ class LaurentSeries2:
             total = total + term
         out = (y0 * total).truncate(t_to=size - vt)
         if self.u_prec == INF:
-            out = out.truncate(u_to=-vu_lead + lu)
+            out = out.truncate(u_to=-vu_lead + u_window)
         return out
 
     def __pow__(self, n: int) -> "LaurentSeries2":
@@ -258,33 +265,52 @@ class LaurentSeries2:
         return body + (" + " + " + ".join(wins) if wins else "")
 
 
-def _invert_column(col: Dict[int, int], u_prec, lu: int,
-                   desc: FieldDesc) -> Tuple[Dict[int, int], float]:
-    """Invert a one-variable Laurent column of codes; returns (terms, result
-    u_prec), the terms nonzero and inside that window."""
-    if not col:
-        raise PrecisionError("cannot invert: leading t-column is indistinguishable from 0 in u")
-    vu = min(col)
-    c0i = desc.inv(col[vu])
-    if len(col) == 1:
-        prec = INF if u_prec == INF else u_prec - 2 * vu
-        return {-vu: c0i}, prec
-    size = lu if u_prec == INF else int(u_prec - vu)
-    if size <= 0:
-        raise PrecisionError("cannot invert: empty provable window in u")
-    # normalized tail s_j = col[vu+j] / c0; e_k = -sum_{j>=1} s_j e_{k-j}
-    add, mul = desc.add, desc.mul
-    s = {j - vu: mul(c, c0i) for j, c in col.items() if j != vu}
-    e: List[int] = [1]
-    for k in range(1, size):
+# ---------------------------------------------------------------------------
+# the one-variable kernel: power series in u as lists of codes, entry i of u^i
+
+
+def ps_add(a: List[int], b: List[int], k: FieldDesc) -> List[int]:
+    """The codes of a + b, for b no longer than a."""
+    add = k.add
+    return [add(x, y) for x, y in zip(a, b)] + a[len(b):]
+
+
+def ps_mul(a: List[int], b: List[int], n: int, k: FieldDesc) -> List[int]:
+    """The n codes below u^n of a * b."""
+    out = [0] * n
+    for i, c in enumerate(a[:n]):
+        if c:
+            m = min(n - i, len(b))
+            out[i:i + m] = k.axpy(c, b[:m], out[i:i + m])
+    return out
+
+
+def ps_horner(cols: List[List[int]], y: List[int], n: int,
+              k: FieldDesc) -> List[int]:
+    """The n codes below u^n of sum_j cols[j] * y^j, by Horner's rule."""
+    acc = [0] * n
+    for col in reversed(cols):
+        acc = ps_add(ps_mul(acc, y, n, k), col[:n], k)
+    return acc
+
+
+def ps_inverse(a: List[int], n: int, k: FieldDesc) -> List[int]:
+    """The n >= 1 codes below u^n of 1 / a, for a[0] nonzero, by the
+    recurrence e_i = -(sum_{j >= 1} a_j e_(i-j)) / a_0 over the nonzero a_j:
+    at the sizes the package inverts it beats Newton's doubling."""
+    add, mul = k.add, k.mul
+    c0i = k.inv(a[0])
+    minus = k.neg(c0i)
+    tail = [(j, c) for j, c in enumerate(a[1:n], 1) if c]
+    e = [c0i]
+    for i in range(1, n):
         acc = 0
-        for j, sj in s.items():
-            if j <= k:
-                acc = add(acc, mul(sj, e[k - j]))
-        e.append(desc.neg(acc))
-    out = {k - vu: mul(ek, c0i) for k, ek in enumerate(e) if ek}
-    prec = (-vu + size) if u_prec == INF else u_prec - 2 * vu
-    return out, prec
+        for j, c in tail:
+            if j > i:
+                break
+            acc = add(acc, mul(c, e[i - j]))
+        e.append(mul(acc, minus))
+    return e
 
 
 # ---------------------------------------------------------------------------

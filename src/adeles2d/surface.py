@@ -38,7 +38,7 @@ from .fields import (
 )
 from .multipoly import MPoly, resultant_elim
 from .series import (DEFAULT_PREC, INF, LaurentSeries2, PrecisionError,
-                     _invert_column)
+                     ps_add, ps_horner, ps_inverse, ps_mul)
 
 ClassVector = Tuple[int, ...]
 
@@ -784,16 +784,11 @@ def _lift(fl: Flag, window: int, u_window: int) -> List[LaurentSeries2]:
         coords[other] = LaurentSeries2._make(k, {}, window, n)
         return coords
     ybar = _branch(fl, n)
-    cols = _u_columns(fl.t_param, fl, n)
+    cols = fl._cache["branch"][0]  # t_param's _u_columns, kept by _branch
     deg = len(cols) - 1  # of t_param in y
-    # hasse[j] = T^[j](u, ybar) = sum_m binom(m, j) cols[m] ybar^(m - j)
-    hasse = [None] + [
-        _horner([k.axpy(comb(m, j) % k.p, col, [0] * n) for m, col in
-                 enumerate(cols[j:], j)], ybar, n, k)
-        for j in range(1, deg + 1)]
-    inv, _prec = _invert_column({i: c for i, c in enumerate(hasse[1]) if c},
-                                INF, n, k)
-    c1 = [inv.get(i, 0) for i in range(n)]
+    hasse = [None] + [_hasse(cols, j, ybar, n, k) for j in range(1, deg + 1)]
+    c1 = ps_inverse(hasse[1], n, k)
+    minus_c1 = [k.neg(c) for c in c1]
     # powers[j][i] = [t^i] delta^j, zero below t^j; powers[1] holds the c_i
     powers = [None, [[0] * n, c1]] + [[[0] * n] * j
                                       for j in range(2, deg + 1)]
@@ -803,11 +798,11 @@ def _lift(fl: Flag, window: int, u_window: int) -> List[LaurentSeries2]:
             # [t^i] delta^j = sum_m c_m [t^(i - m)] delta^(j - 1)
             term = [0] * n
             for m in range(1, i - j + 2):
-                term = _ps_add(term, _ps_mul(powers[1][m],
-                                             powers[j - 1][i - m], n, k), k)
+                term = ps_add(term, ps_mul(powers[1][m],
+                                           powers[j - 1][i - m], n, k), k)
             powers[j].append(term)
-            acc = _ps_add(acc, _ps_mul(hasse[j], term, n, k), k)
-        powers[1].append([k.neg(c) for c in _ps_mul(c1, acc, n, k)])
+            acc = ps_add(acc, ps_mul(hasse[j], term, n, k), k)
+        powers[1].append(ps_mul(minus_c1, acc, n, k))
     terms = {(0, e): c for e, c in enumerate(ybar) if c}
     terms.update({(i, e): c for i, ci in enumerate(powers[1][1:window], 1)
                   for e, c in enumerate(ci) if c})
@@ -917,8 +912,8 @@ def poly_valuation_at_flag(P: MPoly, fl: Flag) -> Tuple[int, int]:
     n = class_intersection(S, S.class_add(S.poly_class(P), S.class_scale(
         -vt, D.degree())), D.degree()) + 1
     k = fl.point.residue_field
-    along = _horner(_u_columns(_mp_embed(affine, k), fl, n), _branch(fl, n),
-                    n, k)
+    along = ps_horner(_u_columns(_mp_embed(affine, k), fl), _branch(fl, n),
+                      n, k)
     w = next((i for i, c in enumerate(along) if c), None)
     if w is None:  # pragma: no cover - Bezout bounds w by B
         raise PrecisionError(f"{poly_text(S, P)} vanishes to order {n} "
@@ -929,42 +924,34 @@ def poly_valuation_at_flag(P: MPoly, fl: Flag) -> Tuple[int, int]:
 
 def _branch(fl: Flag, n: int) -> List[int]:
     """The chart coordinate other than u along the flag's curve, as the
-    codes of ybar(u) in k(x)[[u]] below u^n: the root of
-    t_param(u_value + u, ybar) = 0 with ybar(0) its value at the point.
-    Newton's method doubles the codes known each step; its divisor, the
-    derivative of t_param in that coordinate, is a unit at the point, which
-    flag_make checks.  The flag keeps the longest branch asked for and
-    serves shorter ones by slicing."""
-    got = fl._cache.get("branch")
-    if got is not None and len(got) >= n:
-        return got[:n]
+    codes of ybar(u) in k(x)[[u]] below u^n: the root of T(u, ybar) =
+    t_param(u_value + u, ybar) = 0 with ybar(0) its value at the point, by
+    Newton's method, which doubles the codes known each step; its divisor
+    T^[1](u, ybar) is a unit at the point, as flag_make checks.  The flag
+    keeps the longest branch asked for, with t_param's _u_columns."""
     k = fl.point.residue_field
-    other = 1 - fl.u_index
-    y = got or [fl.point_affine[other].n]
-    T = _u_columns(fl.t_param, fl, n)
-    dT = _u_columns(fl.t_param.derivative(other), fl, n)
+    cols, y = fl._cache.get("branch") or (
+        _u_columns(fl.t_param, fl), [fl.point_affine[1 - fl.u_index].n])
     while len(y) < n:
         m = min(2 * len(y), n)
         y = y + [0] * (m - len(y))
-        d = _horner(dT, y, m, k)
-        inv, _prec = _invert_column(
-            {i: c for i, c in enumerate(d) if c}, INF, m, k)
-        step = _ps_mul(_horner(T, y, m, k),
-                       [inv.get(i, 0) for i in range(m)], m, k)
-        y = [k.sub(a, b) for a, b in zip(y, step)]
-    fl._cache["branch"] = y
+        step = ps_mul(ps_horner(cols, y, m, k),
+                      ps_inverse(_hasse(cols, 1, y, m, k), m, k), m, k)
+        y = k.axpy(k.neg(1), step, y)
+    fl._cache["branch"] = cols, y
     return y[:n]
 
 
-def _u_columns(f: MPoly, fl: Flag, n: int) -> List[List[int]]:
+def _u_columns(f: MPoly, fl: Flag) -> List[List[int]]:
     """f(u_value + u, c) for f a polynomial in the flag's chart coordinates
     and c the one other than u, as its coefficient of each power of c: the
-    codes below u^n of a polynomial in u."""
+    codes of a polynomial in u, one per power up to f's degree in u."""
     k = fl.point.residue_field
     ui = fl.u_index
-    # the codes of (u_value + u)^i below u^n, for i up to f's degree in u
+    # the n codes of (u_value + u)^i for i < n, n - 1 being f's degree in u
+    n = f.degree_in(ui) + 1
     shifted = [[1] + [0] * (n - 1)]
-    for _ in range(f.degree_in(ui)):
+    for _ in range(n - 1):
         prev = shifted[-1]
         shifted.append(k.axpy(fl.u_value.n, prev, [0] + prev[:-1]))
     cols = [[0] * n for _ in range(f.degree_in(1 - ui) + 1)]
@@ -973,28 +960,12 @@ def _u_columns(f: MPoly, fl: Flag, n: int) -> List[List[int]]:
     return cols
 
 
-def _horner(cols: List[List[int]], y: List[int], n: int,
-            k: FieldDesc) -> List[int]:
-    """sum_j cols[j] * y^j below u^n, by Horner's rule in y."""
-    acc = cols[-1][:n]
-    for col in reversed(cols[:-1]):
-        acc = _ps_add(_ps_mul(acc, y, n, k), col, k)
-    return acc
-
-
-def _ps_add(a: List[int], b: List[int], k: FieldDesc) -> List[int]:
-    """The codes of the sum of two power series in u of one length."""
-    return [k.add(x, y) for x, y in zip(a, b)]
-
-
-def _ps_mul(a: List[int], b: List[int], n: int, k: FieldDesc) -> List[int]:
-    """The codes below u^n of the product of two power series in u."""
-    out = [0] * n
-    for i, c in enumerate(a[:n]):
-        if c:
-            m = min(n - i, len(b))
-            out[i:i + m] = k.axpy(c, b[:m], out[i:i + m])
-    return out
+def _hasse(cols: List[List[int]], j: int, y: List[int], n: int,
+           k: FieldDesc) -> List[int]:
+    """T^[j](u, y) below u^n, for cols the columns of T in its second
+    variable: the Hasse derivative sum_m binom(m, j) cols[m] y^(m - j)."""
+    return ps_horner([k.axpy(comb(m, j) % k.p, col, [0] * len(col))
+                      for m, col in enumerate(cols[j:], j)], y, n, k)
 
 
 def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, window: int,

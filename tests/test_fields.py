@@ -5,6 +5,7 @@ root enumeration over all field elements) independent of the library code.
 """
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -99,6 +100,22 @@ def test_division_by_zero_raises():
         pass
     else:
         raise AssertionError("division by zero did not raise")
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_elements_of_two_fields_do_not_mix(op):
+    # F_4's and F_3's codes are also codes of F_9, so without the check the
+    # operation would read them as F_9's elements
+    f9 = field_make(3, 2)
+    a = f9.gen()
+    for other in (field_make(2, 2).gen(), field_make(3, 1).from_int(2)):
+        for x, y in ((a, other), (other, a)):
+            with pytest.raises(ValueError, match="mismatched fields"):
+                op(x, y)
+    # an equal field that is another object is the same field
+    twin = fields.FieldDesc(f9.p, f9.d, f9.modulus)
+    assert op(a, FieldElem(twin, f9.one().n)) == op(a, f9.one())
 
 
 def test_trace_golden():

@@ -1,7 +1,10 @@
 """Two-variable truncated Laurent series: golden examples and ring properties."""
 
+import itertools
 import random
 import re
+
+import pytest
 
 from adeles2d.fields import field_make
 from adeles2d.series import (
@@ -10,6 +13,10 @@ from adeles2d.series import (
     LaurentSeries2,
     PrecisionError,
     ls2_to_text,
+    ps_add,
+    ps_horner,
+    ps_inverse,
+    ps_mul,
     res2,
 )
 
@@ -301,3 +308,90 @@ def test_results_store_no_key_outside_their_window_and_no_zero():
     # a product whose cross terms cancel: (1 + t)^2 = 1 + t^2 in char 2
     g = mk(field_make(2, 1), {(0, 0): 1, (1, 0): 1})
     assert (g * g).terms == {(0, 0): 1, (2, 0): 1}
+
+
+# ---------------------------------------------------------------------------
+# the one-variable kernel against schoolbook references
+
+KERNEL_SIZES = (1, 2, 7, 33)
+KERNEL_FIELDS = pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (5, 1),
+                                                 (3, 2)])
+
+
+def kernel_columns(k, rng, n):
+    """Columns of codes with a nonzero constant term, dense and at 20 %
+    density, of length n, shorter than n and longer than n."""
+    out = []
+    for length, density in itertools.product(
+            (n, max(1, n // 2), 1, n + 3), (1.0, 0.2)):
+        col = [rng.randrange(k.q) if rng.random() < density else 0
+               for _ in range(length)]
+        col[0] = rng.randrange(1, k.q)
+        out.append(col)
+    return out
+
+
+def schoolbook_mul(a, b, n, k):
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] = k.add(out[i + j], k.mul(x, y))
+    return out
+
+
+def newton_inverse(a, n, k):
+    """1/a below u^n by Newton's doubling e <- e (2 - a e)."""
+    e = [k.inv(a[0])]
+    while len(e) < n:
+        m = min(2 * len(e), n)
+        r = [k.neg(c) for c in schoolbook_mul(a, e, m, k)]
+        r[0] = k.add(r[0], k.add(1, 1))
+        e = schoolbook_mul(e, r, m, k)
+    return e
+
+
+def by_powers(cols, y, n, k):
+    """sum_j cols[j] y^j below u^n, each power of y formed in turn."""
+    out, power = [0] * n, [1] + [0] * (n - 1)
+    for col in cols:
+        out = [k.add(a, b) for a, b in zip(out, schoolbook_mul(
+            col, power, n, k))]
+        power = schoolbook_mul(power, y, n, k)
+    return out
+
+
+@KERNEL_FIELDS
+def test_kernel_sum_and_product_equal_the_schoolbook_ones(p, d):
+    k = field_make(p, d)
+    rng = random.Random(10 * p + d)
+    for n in KERNEL_SIZES:
+        for a, b in itertools.product(kernel_columns(k, rng, n), repeat=2):
+            assert ps_mul(a, b, n, k) == schoolbook_mul(a, b, n, k), (a, b)
+            if len(b) <= len(a):
+                padded = b + [0] * (len(a) - len(b))
+                assert ps_add(a, b, k) == [k.add(x, y)
+                                           for x, y in zip(a, padded)]
+
+
+@KERNEL_FIELDS
+def test_kernel_inverse_multiplies_back_to_one_and_equals_newton(p, d):
+    k = field_make(p, d)
+    rng = random.Random(10 * p + d)
+    for n in KERNEL_SIZES:
+        for a in kernel_columns(k, rng, n):
+            inv = ps_inverse(a, n, k)
+            assert schoolbook_mul(a, inv, n, k) == [1] + [0] * (n - 1), a
+            assert inv == newton_inverse(a, n, k), a
+
+
+@KERNEL_FIELDS
+def test_kernel_horner_equals_evaluation_by_powers(p, d):
+    k = field_make(p, d)
+    rng = random.Random(10 * p + d)
+    for n in KERNEL_SIZES:
+        pool = kernel_columns(k, rng, n)
+        for y in pool:
+            cols = rng.sample(pool, rng.randrange(1, 5))
+            y = [rng.randrange(k.q)] + y[1:]  # a constant term of 0 too
+            assert ps_horner(cols, y, n, k) == by_powers(cols, y, n, k)

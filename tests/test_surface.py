@@ -14,7 +14,7 @@ from adeles2d.multipoly import MPoly, resultant_elim
 from adeles2d.residues import (check_reciprocity_along_curves,
                                check_reciprocity_around_points,
                                reciprocity_corpus)
-from adeles2d.series import INF, LaurentSeries2, PrecisionError
+from adeles2d.series import INF, LaurentSeries2, PrecisionError, ps_horner
 from adeles2d.surface import (
     ClosedPoint,
     Curve,
@@ -1252,7 +1252,7 @@ def test_branch_is_kept_once_and_sliced(monkeypatch):
     def solved(*args):
         raise AssertionError("the branch was solved again")
 
-    monkeypatch.setattr(surface_mod, "_u_columns", solved)
+    monkeypatch.setattr(surface_mod, "_hasse", solved)
     assert surface_mod._branch(fl, 4) == long[:4]
     assert surface_mod._branch(fl, 10) == long
     monkeypatch.undo()
@@ -1370,9 +1370,9 @@ def reference_valuation(P, fl):
     n = reference_pairing(S, S.class_add(S.poly_class(P), S.class_scale(
         -vt, D.degree())), D.degree()) + 1
     k = fl.point.residue_field
-    along = surface_mod._horner(
+    along = ps_horner(
         surface_mod._u_columns(surface_mod._mp_embed(
-            reference_dehomogenize(rest, fl.chart), k), fl, n),
+            reference_dehomogenize(rest, fl.chart), k), fl),
         surface_mod._branch(fl, n), n, k)
     return vt, next(i for i, c in enumerate(along) if c)
 

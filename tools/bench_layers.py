@@ -444,7 +444,8 @@ def flag_cases(m: dict) -> Dict[str, Case]:
     windows of the suite (0..X at u-size 1 and -L..L at 2, one figure for
     the two), and the flags of -L..L, one per line, each off the other
     lines (one figure per flag); and the coordinate series of a flag on a
-    cubic whose solved coordinate has degree 2, on the box (8, 8)."""
+    cubic whose solved coordinate has degree 2, on the box (8, 8), and on
+    the box (1, 48), which is its branch alone."""
     sf, ms = m["surface"], m["measures"]
 
     def lines():
@@ -462,12 +463,16 @@ def flag_cases(m: dict) -> Dict[str, Case]:
         for D in ls:
             sf.smooth_flag(D, 2, [E for E in ls if E != D])
 
+    def cubic_flag():
+        return flag(m, ("Y^2Z-X^3-XZ^2-Z^3", "0:1:1", "X/Z", 9, 8))[0]
+
     return {
         "measures.window_build.P2.q13": (lines, windows, 1),
         "surface.smooth_flag.lines.P2.q13": (lines, flags, 3),
         "surface.flag_coordinate_series.cubic.P2.F9": (
-            lambda: flag(m, ("Y^2Z-X^3-XZ^2-Z^3", "0:1:1", "X/Z", 9, 8))[0],
-            lambda fl: sf.flag_coordinate_series(fl, 8, 8), 1)}
+            cubic_flag, lambda fl: sf.flag_coordinate_series(fl, 8, 8), 1),
+        "surface.branch.cubic.P2.F9": (
+            cubic_flag, lambda fl: sf.flag_coordinate_series(fl, 1, 48), 1)}
 
 
 CASES = (field_cases, series_cases, poly_cases, rank_cases, geometry_cases,
@@ -498,7 +503,8 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "symbols.central_commutator.P1xP1.q5",
     "symbols.intersection_number.bezout.P1xP1.q5",
     "measures.window_build.P2.q13", "surface.smooth_flag.lines.P2.q13",
-    "surface.flag_coordinate_series.cubic.P2.F9")
+    "surface.flag_coordinate_series.cubic.P2.F9",
+    "surface.branch.cubic.P2.F9")
 
 
 def time_once(case) -> float:
