@@ -65,7 +65,7 @@ class FieldDesc:
 
     __slots__ = (
         "p", "d", "q", "modulus", "_zero", "_one", "_exp", "_log", "_zech",
-        "_half", "_slot", "_split", "_pack_lo", "_pack_hi", "_red",
+        "_half", "_slot", "_split", "_packs", "_red",
         "_embed_cache", "add", "sub", "neg", "mul", "axpy",
     )
 
@@ -91,15 +91,19 @@ class FieldDesc:
         vectors.  A slot holds any sum the product and reduction make."""
         p, d = self.p, self.d
         slot = self._slot = (2 * d * p * p).bit_length()
+        # blocks of h digits: halves, or less where a table of p^h entries
+        # would pass TABLE_MAX, but one digit at least
         h = (d + 1) // 2
+        while h > 1 and p ** h > TABLE_MAX:
+            h -= 1
         self._split = p ** h
 
         def packed(n: int) -> int:
             return sum(c << (slot * i) for i, c in enumerate(self.digits(n)))
 
-        # packed codes by halves: pack(n) = lo[n % p^h] + hi[n // p^h]
-        self._pack_lo = [packed(n) for n in range(p ** h)]
-        self._pack_hi = [packed(n) << (slot * h) for n in range(p ** (d - h))]
+        # pack(n) = sum_b packs[b][digit block b of n]
+        self._packs = [[packed(n) << (slot * b) for n in range(p ** min(
+            h, d - b))] for b in range(0, d, h)]
         # x^(d+i) mod modulus, packed, for i < d-1
         xd = [(-c) % p for c in self.modulus[:d]]
         cur = xd
@@ -204,8 +208,14 @@ class FieldDesc:
         return tuple(out)
 
     def _pack(self, n: int) -> int:
-        split = self._split
-        return self._pack_lo[n % split] + self._pack_hi[n // split]
+        split, packs = self._split, self._packs
+        if len(packs) == 2:  # halves, unless p^h had to shrink: no loop
+            return packs[0][n % split] + packs[1][n // split]
+        out = 0
+        for table in packs:
+            n, r = divmod(n, split)
+            out += table[r]
+        return out
 
     def _unpack(self, x: int) -> int:
         """Code of a packed vector whose slots hold nonnegative sums."""
@@ -240,18 +250,13 @@ class FieldDesc:
         return result
 
     def _vec_inv(self, a: int) -> int:
-        """Inverse of the nonzero code a by the extended Euclidean algorithm
-        on its coefficient vector against the modulus, over F_p: each step
-        keeps r1 = s1 * a mod the modulus, until r1 is a nonzero constant."""
+        """Inverse of the nonzero code a: the inverse of its coefficient
+        vector modulo the modulus, over F_p."""
         base = field_make(self.p, 1)
-        r0, r1 = list(self.modulus), ptrim(list(self.digits(a)))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            quot, rem = pdivmod(r0, r1, base)
-            r0, r1, s0, s1 = r1, rem, s1, psub(s0, pmul(quot, s1, base), base)
         # over F_p the codes are the coefficients themselves
         n = 0
-        for c in reversed(pscale(s1, base.inv(r1[0]), base)):
+        for c in reversed(pinv_mod(ptrim(list(self.digits(a))),
+                                   list(self.modulus), base)):
             n = n * self.p + c
         return n
 
@@ -496,6 +501,15 @@ def pscale(f: Poly, a: int, desc: FieldDesc) -> Poly:
     return ptrim([desc.mul(c, a) for c in f])
 
 
+def peval(f: Poly, x: int, desc: FieldDesc) -> int:
+    """f(x), by Horner's rule."""
+    add, mul = desc.add, desc.mul
+    acc = 0
+    for c in reversed(f):
+        acc = add(mul(acc, x), c)
+    return acc
+
+
 def pmonic(f: Poly, desc: FieldDesc) -> Poly:
     if not f or f[-1] == 1:
         return f[:]
@@ -547,22 +561,34 @@ def pderiv(f: Poly, desc: FieldDesc) -> Poly:
     return ptrim([mul(f[i], i % p) for i in range(1, len(f))])
 
 
+def pinv_mod(a: Poly, m: Poly, desc: FieldDesc) -> Poly:
+    """The s of degree below deg m with s * a = 1 mod m, for a coprime to m:
+    the extended Euclidean algorithm, each step keeping r1 = s1 * a mod m,
+    until r1 is a nonzero constant."""
+    r0, r1 = m[:], pmod(a, m, desc)
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quot, rem = pdivmod(r0, r1, desc)
+        r0, r1, s0, s1 = r1, rem, s1, psub(s0, pmul(quot, s1, desc), desc)
+    if not r1:
+        raise ZeroDivisionError("polynomial not invertible modulo m")
+    return pscale(s1, desc.inv(r1[0]), desc)
+
+
 def _is_irreducible(f: Poly, desc: FieldDesc) -> bool:
-    """Rabin test: x^(q^n) = x mod f and gcd(x^(q^(n/t)) - x, f) = 1."""
+    """Ben-Or's test: f of degree n is irreducible iff it shares no factor
+    with x^(q^i) - x for i <= n/2, since a reducible f has an irreducible
+    factor of degree at most n/2.  Most reducible f have a root, and the
+    test stops at i = 1."""
     n = pdeg(f)
     if n <= 0:
         return False
-    if n == 1:
-        return True
-    q = desc.q
-    x = [0, 1]
-    for t in _prime_factors(n):
-        h = ppow_mod(x, q ** (n // t), f, desc)
-        g = pgcd(psub(h, x, desc), f, desc)
-        if pdeg(g) != 0:
+    x = h = [0, 1]
+    for _ in range(n // 2):
+        h = ppow_mod(h, desc.q, f, desc)
+        if pdeg(pgcd(psub(h, x, desc), f, desc)) != 0:
             return False
-    h = ppow_mod(x, q ** n, f, desc)
-    return not psub(h, x, desc)
+    return True
 
 
 def _squarefree_decompose(f: Poly, desc: FieldDesc) -> List[Tuple[Poly, int]]:
@@ -623,40 +649,73 @@ def _distinct_degree(f: Poly, desc: FieldDesc) -> List[Tuple[Poly, int]]:
     return out
 
 
-def _equal_degree_split(f: Poly, deg: int, desc: FieldDesc,
-                        rng: List[random.Random]) -> List[Poly]:
-    """Cantor-Zassenhaus splitting of f into monic irreducibles of degree
-    deg.  rng holds the generator of the factorization, seeded here on the
-    first draw: most factorizations never draw."""
-    n = pdeg(f)
-    if n == deg:
-        return [pmonic(f, desc)]
+def _split(f: Poly, deg: int, desc: FieldDesc,
+           rng: List[random.Random]) -> Poly:
+    """A proper monic factor of f, a product of two or more monic
+    irreducibles of degree deg, by Cantor-Zassenhaus draws.  rng holds the
+    generator of the caller, seeded here on the first draw: most
+    factorizations never draw."""
     if not rng:
         rng.append(random.Random(_FACTOR_SEED))
-    q, p = desc.q, desc.p
+    n, q, p = pdeg(f), desc.q, desc.p
     while True:
         # each code drawn digit by digit, constant digit first
         r = ptrim([sum(rng[0].randrange(p) * p ** i for i in range(desc.d))
                    for _ in range(n)])
         if pdeg(r) < 1:
             continue
-        if desc.p == 2:
+        if p == 2:
             # trace map sum r^(2^i) over the splitting field F_{q^deg}
             h = r[:]
             acc = r[:]
-            bits = desc.d * deg
-            for _ in range(bits - 1):
+            for _ in range(desc.d * deg - 1):
                 h = pmod(pmul(h, h, desc), f, desc)
                 acc = padd(acc, h, desc)
             g = pgcd(acc, f, desc)
         else:
-            e = (q ** deg - 1) // 2
-            h = ppow_mod(r, e, f, desc)
+            h = ppow_mod(r, (q ** deg - 1) // 2, f, desc)
             g = pgcd(psub(h, [1], desc), f, desc)
         if 0 < pdeg(g) < n:
-            left = _equal_degree_split(g, deg, desc, rng)
-            right = _equal_degree_split(pdivmod(f, g, desc)[0], deg, desc, rng)
-            return left + right
+            return g
+
+
+def _equal_degree_split(f: Poly, deg: int, desc: FieldDesc,
+                        rng: List[random.Random]) -> List[Poly]:
+    """Split f into its monic irreducible factors, all of degree deg."""
+    if pdeg(f) == deg:
+        return [pmonic(f, desc)]
+    g = _split(f, deg, desc, rng)
+    return (_equal_degree_split(g, deg, desc, rng)
+            + _equal_degree_split(pdivmod(f, g, desc)[0], deg, desc, rng))
+
+
+def _one_factor(f: Poly, part: int, desc: FieldDesc,
+                rng: List[random.Random]) -> Poly:
+    """One monic irreducible factor of f, a product of distinct ones of
+    degree part: split by Cantor-Zassenhaus draws, the smaller part kept
+    each time."""
+    while pdeg(f) > part:
+        g = _split(f, part, desc, rng)
+        h = pdivmod(f, g, desc)[0]
+        f = g if pdeg(g) <= pdeg(h) else h
+    return f
+
+
+def poly_root(f: Poly, desc: FieldDesc) -> Tuple[FieldDesc, int]:
+    """(F_(q^n), a root there) for f monic irreducible of degree n over
+    desc = F_q.  Over F_(q^l), l the least prime factor of n, f splits into
+    l irreducible factors of degree n / l; one of them is isolated
+    (_one_factor, draws from one fixed-seed generator) and goes on up the
+    same way.  The polynomial shrinks as the field grows, so the steps in
+    large fields work on small polynomials; the last one is linear."""
+    rng: List[random.Random] = []
+    while pdeg(f) > 1:
+        n = pdeg(f)
+        part = n // _prime_factors(n)[0]
+        up = field_make(desc.p, desc.d * (n // part))
+        f = _one_factor([_embed_code(desc, c, up) for c in f], part, up, rng)
+        desc = up
+    return desc, desc.neg(f[0])
 
 
 def poly_factor(f: Poly, desc: FieldDesc) -> Tuple[int, List[Tuple[Poly, int]]]:
@@ -690,14 +749,6 @@ def poly_factor(f: Poly, desc: FieldDesc) -> Tuple[int, List[Tuple[Poly, int]]]:
     return unit, factors
 
 
-def poly_roots(f: Poly, desc: FieldDesc) -> List[Tuple[int, int]]:
-    """Roots of f in the coefficient field, with multiplicities, sorted."""
-    _, factors = poly_factor(f, desc)
-    out = [(desc.neg(g[0]), m) for g, m in factors if pdeg(g) == 1]
-    out.sort(key=lambda rm: desc.digits(rm[0]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # embeddings and relative traces
 
@@ -724,8 +775,12 @@ def subfield_embedding(sub: FieldDesc, sup: FieldDesc) -> int:
                 if sub.d % l == 0]
         want = [(subfield_embedding(mid, sub), subfield_embedding(mid, sup))
                 for mid in mids]
-        # the modulus has prime-field coefficients, whose codes are their values
-        root = next(r for r, _m in poly_roots(list(sub.modulus), sup)
+        # the modulus has prime-field coefficients, whose codes are their
+        # values; its roots are the p-th power orbit of any one of them
+        roots = [sup.neg(_one_factor(list(sub.modulus), 1, sup, [])[0])]
+        for _ in range(sub.d - 1):
+            roots.append(sup.pow(roots[-1], sub.p))
+        root = next(r for r in sorted(roots, key=sup.digits)
                     if all(_image(sub, g, sup, r) == h for g, h in want))
     sup._embed_cache[(sub.p, sub.d)] = root
     return root

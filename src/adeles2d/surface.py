@@ -31,11 +31,13 @@ from .fields import (
     embed,
     field_make,
     pdeg,
+    peval,
     pgcd,
     poly_factor,
-    poly_roots,
+    poly_root,
     ptrim,
 )
+from .irreducible import first_factor
 from .multipoly import MPoly, resultant_elim
 from .series import (DEFAULT_PREC, INF, LaurentSeries2, PrecisionError,
                      ps_add, ps_horner, ps_inverse, ps_mul)
@@ -89,17 +91,18 @@ class Surface:
     representatives, the flags made on it so far ((point, curve) -> Flag,
     see flag_make), and a memo of values that depend only on the surface
     and their arguments, under tuple keys led by the kind of value:
-    ("support", C, H) for intersection_support, ("monomials", c) for
-    class_monomials, ("canonical",) for canonical_divisor, ("ord", P, D)
-    for the multiplicity of a curve in a polynomial and the quotient
-    (_order); ("h", c), ("section rows", negative, c),
-    ("section product", negative), ("columns", c) and
+    ("support", C, H) for intersection_support (one entry for both orders
+    of a pair), ("monomials", c) for class_monomials, ("canonical",) for
+    canonical_divisor, ("ord", P, D) for the multiplicity of a curve in a
+    polynomial and the quotient (_order); ("h", c), ("section rows",
+    negative, c), ("section product", negative), ("columns", c) and
     ("section rank", negative, c) for cohomology; ("representative", c)
     and ("reflect", wdiv, D) for measures; ("germ", D, x) for the idele
     germ of a curve at a point and ("intersection flags", supp C, supp H)
-    for the flags of two supports, in symbols; and ("chart", P, name) for
-    a polynomial restricted to a chart (dehomogenize).  Both live until
-    their owner clears them; an equal but new Surface starts empty."""
+    for the flags of two supports, in symbols; ("chart", P, name) for a
+    polynomial restricted to a chart (dehomogenize) and ("layout", D,
+    name, solve) for its columns in one coordinate (_layout).  Both live
+    until their owner clears them; an equal but new Surface starts empty."""
 
     __slots__ = ("model", "base", "groups", "nvars", "var_names", "charts",
                  "top_pairs", "lines", "class_lines", "flags", "memo")
@@ -342,11 +345,6 @@ class Curve:
         return f"Curve({label})"
 
 
-def _normalize_scalar(f: MPoly) -> MPoly:
-    c = f.terms[max(f.terms)]
-    return f if c == 1 else f.scale(f.desc.inv(c))
-
-
 def _group_monomials(size: int, d: int) -> List[tuple]:
     """Exponent tuples of the monomials of degree d in `size` variables, in
     descending lex order."""
@@ -368,53 +366,25 @@ def class_monomials(S: Surface, cls: ClassVector) -> List[tuple]:
     return got
 
 
-def _candidate_polys(S: Surface, cls: ClassVector) -> Iterable[MPoly]:
-    """All nonzero homogeneous polynomials of the given class, normalized
-    so their first (lex-greatest) nonzero coefficient is 1."""
-    desc = S.base
-    monos = class_monomials(S, cls)
-    n = len(monos)
-    q = desc.q
-    # first nonzero coefficient (in lex-monomial order) pinned to 1; the
-    # others run through all codes, the first fastest
-    for lead in range(n):
-        total = q ** (n - lead - 1)
-        for code in range(total):
-            terms = {monos[lead]: 1}
-            m = code
-            for k in range(lead + 1, n):
-                m, c = divmod(m, q)
-                if c:
-                    terms[monos[k]] = c
-            yield MPoly._make(desc, S.nvars, terms)
-
-
-def _class_halves(S: Surface, cls: ClassVector) -> List[ClassVector]:
-    """Proper divisor classes to test, up to half the total degree."""
-    return [c for c in itertools.product(*(range(d + 1) for d in cls))
-            if 0 < 2 * sum(c) <= sum(cls) and c != cls]
-
-
 def curve_make(S: Surface, poly: Union[MPoly, str], name: Optional[str] = None) -> Curve:
-    """Validated irreducible curve; raises listing a factor pair otherwise."""
+    """Validated irreducible curve; raises naming a factor pair otherwise
+    (irreducible.first_factor: a certificate or a factorization, whose
+    worst case in the degree D is 2^(D - 1) sets of lifted factors)."""
     if isinstance(poly, str):
         poly = parse_poly(S, poly)
     if poly.is_zero():
         raise ValueError("the zero polynomial does not define a curve")
     if not S.is_homogeneous(poly):
         raise ValueError("curve polynomial must be homogeneous")
-    f = _normalize_scalar(poly)
-    cls = S.poly_class(f)
-    if sum(cls) <= 0:
+    f = poly.normalized()
+    if sum(S.poly_class(f)) <= 0:
         raise ValueError("a curve must have positive degree")
-    if sum(cls) > 1:
-        for sub in _class_halves(S, cls):
-            for g in _candidate_polys(S, sub):
-                h = f.exact_div(g)
-                if h is not None:
-                    gt = poly_text(S, _normalize_scalar(g))
-                    ht = poly_text(S, _normalize_scalar(h))
-                    raise ValueError(f"reducible curve: factors ({gt}) * ({ht})")
+    if sum(S.poly_class(f)) > 1:
+        g = first_factor(S, f)
+        if g is not None:
+            h = f.exact_div(g).normalized()
+            raise ValueError(f"reducible curve: factors ({poly_text(S, g)}) "
+                             f"* ({poly_text(S, h)})")
     return Curve(S, f, name)
 
 
@@ -535,17 +505,19 @@ def intersection_support(C: Curve, H: Curve) -> List[ClosedPoint]:
     """The closed points lying on both curves, sorted: the roots of one
     resultant in the first chart, then one fibre in each later chart.
 
-    Computed once per ordered pair on a surface and kept in C.surface.memo
-    as a tuple; each call returns a new list.  Both intersection routes
-    (the commutator pairing in symbols and the Fulton oracle) start
-    from this support, and each computes its own local multiplicities."""
+    Computed once per unordered pair on a surface and kept in
+    C.surface.memo as a tuple, under the order of the first call; each call
+    returns a new list.  Both intersection routes (the commutator pairing
+    in symbols and the Fulton oracle) start from this support, and each
+    computes its own local multiplicities."""
     if C == H:
         raise ValueError("curves share a component")
-    key = ("support", C, H)
     memo = C.surface.memo
-    got = memo.get(key)
+    got = memo.get(("support", C, H))
     if got is None:
-        got = memo[key] = tuple(_support(C, H))
+        got = memo.get(("support", H, C))
+        if got is None:
+            got = memo[("support", C, H)] = tuple(_support(C, H))
     return list(got)
 
 
@@ -568,39 +540,52 @@ def _support(C: Curve, H: Curve) -> List[ClosedPoint]:
     are that unit line (Z on P2; X1 or Y1 on P1xP1)."""
     S = C.surface
     first = S.charts[0]
-    fs = [S.dehomogenize(D.poly, first) for D in (C, H)]
-    res = resultant_elim(*fs, elim=1, keep=0)
+    res = resultant_elim(*(S.dehomogenize(D.poly, first) for D in (C, H)),
+                         elim=1, keep=0)
     if not res:  # distinct irreducible curves stay coprime
         raise ValueError("curves share a component")
     found: List[ClosedPoint] = []
+    layouts = [_layout(D, first, 1) for D in (C, H)]
     for irr, _m in poly_factor(res, S.base)[1]:
-        _collect_fiber_points(S, first, fs, 1, _one_root(irr, S.base), found)
+        _collect_fiber_points(S, first, layouts, 1, _one_root(irr, S.base),
+                              found)
     for chart in S.charts[1:]:
-        fs = [S.dehomogenize(D.poly, chart) for D in (C, H)]
         solve = 1 if chart.affine_vars[0] in first.unit_vars else 0
-        if all(e[1 - solve] for f in fs for e in f.terms):
+        layouts = [_layout(D, chart, solve) for D in (C, H)]
+        if not any(col and col[0] for cols in layouts for col in cols):
             raise ValueError("curves share a component")
-        _collect_fiber_points(S, chart, fs, solve, S.base.zero(), found)
+        _collect_fiber_points(S, chart, layouts, solve, S.base.zero(), found)
     return sorted(found, key=ClosedPoint.sort_key)
 
 
-def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
-                          solve: int, x0: FieldElem,
-                          found: List[ClosedPoint]) -> None:
-    """Append the closed points of the chart where every chart equation in
-    fs vanishes and the coordinate other than `solve` is x0, which must
-    generate its field over the base.  Each point is appended once: one x0
+def _layout(D: Curve, chart: Chart, solve: int) -> List[Poly]:
+    """D's equation in the chart as its columns in coordinate `solve`
+    (MPoly.columns), computed once and kept in the surface memo; callers
+    must not change it."""
+    memo = D.surface.memo
+    key = ("layout", D, chart.name, solve)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = D.surface.dehomogenize(D.poly, chart).columns(solve)
+    return got
+
+
+def _collect_fiber_points(S: Surface, chart: Chart,
+                          layouts: Sequence[List[Poly]], solve: int,
+                          x0: FieldElem, found: List[ClosedPoint]) -> None:
+    """Append the closed points of the chart where every chart equation
+    vanishes and the coordinate other than `solve` is x0, which must
+    generate its field over the base; each equation comes as its columns in
+    coordinate `solve` (MPoly.columns).  Each point is appended once: one x0
     per Frobenius orbit, one root per factor, and points of an earlier chart
     are left to it, as callers visit the charts in order."""
     k = x0.desc
     h: Poly = []
-    for f in fs:
-        # f on the fibre, as a polynomial in coordinate `solve`
-        r = [0] * (f.degree_in(solve) + 1)
-        for e, c in f.terms.items():
-            r[e[solve]] = k.add(r[e[solve]], k.mul(
-                _embed_code(f.desc, c, k), k.pow(x0.n, e[1 - solve])))
-        h = pgcd(h, ptrim(r), k)
+    for cols in layouts:
+        if k is not S.base:
+            cols = [[_embed_code(S.base, c, k) for c in col] for col in cols]
+        # the equation on the fibre, as a polynomial in coordinate `solve`
+        h = pgcd(h, ptrim([peval(col, x0.n, k) for col in cols]), k)
     if pdeg(h) < 1:
         return
     earlier = S.charts[:S.charts.index(chart)]
@@ -617,12 +602,10 @@ def _collect_fiber_points(S: Surface, chart: Chart, fs: Sequence[MPoly],
 
 
 def _one_root(irr: Poly, k: FieldDesc) -> FieldElem:
-    """A root of the monic irreducible irr over k, in its splitting field."""
-    if pdeg(irr) == 1:
-        return FieldElem(k, k.neg(irr[0]))
-    ext = field_make(k.p, k.d * pdeg(irr))
-    return FieldElem(ext, poly_roots([_embed_code(k, c, ext) for c in irr],
-                                     ext)[0][0])
+    """A root of the monic irreducible irr over k, in its splitting field
+    (fields.poly_root): any one will do, as point_from_coords takes the
+    least member of its orbit."""
+    return FieldElem(*poly_root(irr, k))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from adeles2d.fields import (
     ptrim,
 )
 from adeles2d.linalg import mat_rank, mat_rref
-from adeles2d.multipoly import MPoly, det_bareiss, resultant_elim
+from adeles2d.multipoly import MPoly, det_bareiss, factor2, resultant_elim
 from adeles2d.series import LaurentSeries2
 from adeles2d.surface import (
     Divisor,
@@ -374,6 +374,33 @@ def test_mixed_fields_raise_in_containers():
     # one field throughout still works
     pa = [f3.one().n, a.n]
     assert padd(pa, pa, f3) == [f3.from_int(2).n, f3.one().n]
+
+
+def _monic(f):
+    """f scaled so its lex-leading coefficient is 1."""
+    return f.scale(f.desc.inv(f.terms[max(f.terms)]))
+
+
+def test_factor2_finds_every_factor_with_its_multiplicity():
+    # over fields of characteristic 2 and 3: y^p - x and x^p - y have
+    # derivative 0 in y and in x, x^2 + x + 2 (p = 2: x^2 + x + 1) has no
+    # y, and (y + 1)^p is a p-th power; each appears with multiplicity
+    for p, d in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        F = field_make(p, d)
+        x, y = MPoly.var(F, 2, 0), MPoly.var(F, 2, 1)
+        one = MPoly.const(F, 2, 1)
+        quadratic = x * x + x + (one if p == 2 else one.scale(2))
+        want = {(y ** p - x): 2, (x ** p - y): 1, (x * y + one): 3,
+                quadratic: 1, (y + one): p}
+        if d == 2:  # x^2 + x + c has roots in F_(p^2)
+            del want[quadratic]
+        f = one
+        for g, m in want.items():
+            f = f * g ** m
+        got = factor2(f)
+        assert {_monic(g): m for g, m in got} == {
+            _monic(g): m for g, m in want.items()}, (p, d)
+        assert len(got) == len(want), (p, d, got)
 
 
 def test_resultant_golden_line_parabola():

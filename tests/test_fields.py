@@ -20,7 +20,6 @@ from adeles2d.fields import (
     pdeg,
     pmul,
     poly_factor,
-    poly_roots,
     pscale,
     ptrim,
     rel_trace,
@@ -41,6 +40,14 @@ def peval(f, x, desc):
     return acc
 
 
+def poly_roots(f, desc):
+    """Roots of f in its field with multiplicities, sorted: the linear
+    factors of its full factorization, for a reference."""
+    _, factors = poly_factor(f, desc)
+    return sorted(((desc.neg(g[0]), m) for g, m in factors if pdeg(g) == 1),
+                  key=lambda rm: desc.digits(rm[0]))
+
+
 def ff_trace(a):
     """The absolute trace, to the prime field."""
     return rel_trace(a, field_make(a.desc.p, 1))
@@ -57,6 +64,15 @@ def test_field_make_basic():
     f9 = field_make(3, 2)
     # 1 + x^2 is irreducible over F_3 (-1 is not a square mod 3)
     assert f9.modulus == (1, 0, 1), f9.modulus
+
+
+def test_a_quadratic_field_over_a_large_prime_packs_by_digits():
+    # 4099^1 > TABLE_MAX: the packing tables hold single digits
+    k = field_make(4099, 2)
+    a, b = 5000, 7000
+    assert k.mul(k.mul(a, b), k.inv(b)) == a
+    assert k.mul(a, k.inv(a)) == 1
+    assert k.pow(a, k.q - 1) == 1
 
 
 def test_field_make_rejects_bad_args():
@@ -312,6 +328,38 @@ def test_code_lists_move_up_a_tower_through_the_embedding():
             assert root.desc == sup
             assert peval([embed(FieldElem(sub, n), sup).n for n in irr],
                          root.n, sup) == 0
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_one_root_finds_a_root_by_splitting_alone(p, d, monkeypatch):
+    # irreducibles of degree 2 to 6 over F_2, F_3, F_4 and F_9: _one_root
+    # splits each in its splitting field and keeps one part each time,
+    # never factoring it outright
+    from adeles2d import surface
+
+    sub = field_make(p, d)
+    rng = random.Random(p * 10 + d)
+    cases = []
+    for deg in range(2, 7):
+        while len(cases) < 3 * (deg - 1):
+            irr = [rng.randrange(sub.q) for _ in range(deg)] + [1]
+            if fields._is_irreducible(irr, sub):
+                cases.append((irr, field_make(p, d * deg)))
+    for irr, _sup in cases:  # the embeddings factor moduli, once per field
+        _one_root(irr, sub)
+
+    def refused(*_args):
+        raise AssertionError("factored outright")
+
+    for module in (fields, surface):
+        for name in ("poly_factor", "poly_roots"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    for irr, sup in cases:
+        root = _one_root(irr, sub)
+        assert root.desc == sup
+        assert peval([embed(FieldElem(sub, n), sup).n for n in irr],
+                     root.n, sup) == 0, (irr, root)
 
 
 def test_relative_trace_tower():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from adeles2d.cohomology import class_range
+from adeles2d import irreducible
 from adeles2d import surface as surface_mod
 from adeles2d.fields import FieldElem, embed, field_make, poly_factor
 from adeles2d.multipoly import MPoly, resultant_elim
@@ -20,7 +21,6 @@ from adeles2d.surface import (
     Curve,
     Divisor,
     RationalFunction,
-    _class_halves,
     _collect_fiber_points,
     _one_root,
     _ratio_at_flag,
@@ -48,6 +48,8 @@ from adeles2d.surface import (
     surface_make,
 )
 from adeles2d.symbols import intersection_oracle
+from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
+from reference_curves import class_halves, search_outcome
 from reference_points import scan_points
 from test_series import derive
 
@@ -159,6 +161,63 @@ def test_curve_make_rejects_reducibles():
         pass
     else:
         raise AssertionError("zero polynomial accepted on P1xP1")
+
+
+def test_curve_make_names_the_factor_the_search_meets_first():
+    # the least class of half the degree or less, then the earliest
+    # leading monomial, then the least coefficients from the last monomial
+    # back; coordinate lines, repeated factors and P1xP1 classes included
+    cases = [
+        ("P2", 5, "X^2+XY", "(X) * (X + Y)"),
+        ("P2", 3, "X^2", "(X) * (X)"),
+        ("P2", 3, "X^3+Y^3", "(X + Y) * (X^2 + 2XY + Y^2)"),
+        ("P2", 7, "X^6+X^4YZ+X^3Y^3+X^3Y^2Z+5X^3Z^3+XY^3Z^2+3XYZ^4+Y^5Z"
+         "+3Y^3Z^3+2Y^2Z^4+6Z^6", "(X^3 + XYZ + Y^3 + 2Z^3) * (X^3 + Y^2Z"
+         " + 3Z^3)"),
+        ("P1xP1", 2, "X0X1Y0+X0X1Y1", "(Y0 + Y1) * (X0X1)"),
+        ("P1xP1", 2, "X0^2+X1^2", "(X0 + X1) * (X0 + X1)"),
+    ]
+    for model, q, text, named in cases:
+        S = surface_make(model, q)
+        with pytest.raises(ValueError) as err:
+            curve_make(S, text)
+        assert str(err.value) == f"reducible curve: factors {named}"
+        if text != cases[3][2]:  # the search never ends on the sextic
+            assert search_outcome(S, parse_poly(S, text)) == str(err.value)
+
+
+def test_curve_make_names_the_factors_over_a_prime_above_the_tables():
+    # the line certificate fails over F_4099 and draws lines over F_4099^2
+    S = surface_make("P2", 4099)
+    with pytest.raises(ValueError) as err:
+        curve_make(S, "X^2-Y^2")
+    assert str(err.value) == "reducible curve: factors (X + Y) * (X + 4098Y)"
+    assert search_outcome(S, parse_poly(S, "X^2-Y^2")) == str(err.value)
+
+
+def test_curve_make_certifies_plane_fixtures_without_the_factorization(
+        monkeypatch):
+    # every P2 bezout fixture, at every q of the sweep, is certified by a
+    # line: the factorization is never reached
+    monkeypatch.setattr(irreducible, "factor2", _never)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        S = surface_make("P2", q)
+        cubic = CUBIC_BY_P.get(S.base.p, CUBIC_DEFAULT)
+        for text in FIXTURES["P2"].bezout:
+            curve_make(S, cubic if text == "cubic" else text)
+
+
+def test_a_degree_seven_pair_is_accepted():
+    # the curves of the degree-7 intersect over F_7, where the search over
+    # the polynomials of half the class never ended
+    S = p2(7)
+    got = [curve_make(S, t).degree() for t in (
+        "X^7+Y^7+Z^7+3X^2Y^5+X^6Z", "X^6+2Y^5Z+Z^6+XY^4Z+5X^3Y^3")]
+    assert got == [(7,), (6,)]
+
+
+def _never(*_args):
+    raise AssertionError("factored")
 
 
 def test_curve_equality_ignores_scaling():
@@ -320,8 +379,8 @@ def _chartwise_support(C, H):
         f, g = (S.dehomogenize(D.poly, chart) for D in (C, H))
         for irr, _m in poly_factor(resultant_elim(f, g, elim=1, keep=0),
                                    S.base)[1]:
-            _collect_fiber_points(S, chart, [f, g], 1, _one_root(irr, S.base),
-                                  found)
+            _collect_fiber_points(S, chart, [f.columns(1), g.columns(1)], 1,
+                                  _one_root(irr, S.base), found)
     return sorted(found, key=ClosedPoint.sort_key)
 
 
@@ -518,6 +577,25 @@ def test_intersection_support_is_computed_once_per_pair(monkeypatch):
     again.clear()
     first.append(first[0])
     assert intersection_support(C, H) == want
+
+
+@pytest.mark.parametrize("model, texts", [
+    ("P2", ("YZ-X^2", "Y^2Z-X^3-XZ^2")),
+    ("P1xP1", ("X0Y1-X1Y0", "X0^2Y0+X1^2Y1"))])
+def test_intersection_support_is_computed_once_per_unordered_pair(
+        monkeypatch, model, texts):
+    S = surface_make(model, 5)
+    C, H = (curve_make(S, t) for t in texts)
+    calls = []
+    real = surface_mod._support
+    monkeypatch.setattr(surface_mod, "_support",
+                        lambda *ch: calls.append(ch) or real(*ch))
+    there = intersection_support(C, H)
+    back = intersection_support(H, C)
+    assert there == back and there and back is not there
+    assert calls == [(C, H)]
+    # the reverse order finds the same sorted points on its own
+    assert real(H, C) == there
 
 
 def test_an_equal_new_surface_recomputes_the_support(monkeypatch):
@@ -1065,7 +1143,7 @@ def test_derived_geometry_matches_the_surface_tables(model):
     for cls in table["box"](-1, table["top"]):
         assert class_monomials(S, cls) == table["monomials"](cls), cls
         if min(cls) >= 0:
-            assert _class_halves(S, cls) == table["halves"](cls), cls
+            assert class_halves(S, cls) == table["halves"](cls), cls
     for group, names in enumerate(table["line_order"]):
         cls = tuple(int(i == group) for i in range(len(S.groups)))
         for k, name in enumerate(names):

@@ -370,6 +370,29 @@ def test_intersection_number_gives_the_reference_on_the_fixtures(model, q):
             C2, H2), (a, b)
 
 
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+@pytest.mark.parametrize("q", [2, 3, 5, 9])
+def test_divisors_sharing_a_component_pair_to_its_self_intersection(model, q):
+    # mD's point idele against nD's curve idele, at the flags of D where
+    # the lines of D's germ meet it: v_t of the point idele is m there, so
+    # the lines' exponents (-n times their multiplicity in the germ) give
+    # the symbol, and the pairing exponent is -m n D.D.  A sign slip in
+    # the germ lines flips it; disjoint divisors never see those lines
+    S = surface_make(model, q)
+    cubic = CUBIC_BY_P.get(S.base.p, CUBIC_DEFAULT)
+    for text in FIXTURES[model].bezout:
+        D = curve_make(S, cubic if text == "cubic" else text)
+        lines = surface.coordinate_lines(S, D.degree(), lambda L: L != D)
+        points = surface.meeting_points((D, L) for L, _n in lines)
+        flags = [surface.flag_make(x, D) for x in points]
+        self_int = class_intersection(S, D.degree(), D.degree())
+        for m, n in ((1, 1), (2, 1), (1, 3)):
+            got = commutator_pairing(IdeleRule("at_points", Divisor(S, {D: m})),
+                                     IdeleRule("along_curves",
+                                               Divisor(S, {D: n})), flags)
+            assert got == -m * n * self_int, (text, m, n, got)
+
+
 def _recomputed(*_args):
     raise AssertionError("recomputed")
 

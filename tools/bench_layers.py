@@ -56,6 +56,12 @@ CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
 CONIC_CUBIC = ("YZ-X^2", "Y^2Z-X^3-XZ^2")
 # over F_5 the cubic crosses Z at (1:4:0) and at a point of degree 2
 CUBIC_ON_Z = ("X^3+Y^3+Z^3+XYZ", "Z")
+# the smooth cubic of the bezout suite at q = 9, and over F_7 a sextic that
+# is a conic times a quartic, whose conic a search over the polynomials of
+# each class up to half the degree meets after about 7,600 of them
+BEZOUT_CUBIC_F9 = "Y^2Z-X^3+XZ^2"
+SEXTIC_F7 = ("X^6+X^4YZ+3X^4Z^2+X^3YZ^2+X^2Y^3Z+2X^2Z^4+XY^2Z^3+3XYZ^4"
+             "+Y^4Z^2+3Y^3Z^3+2YZ^5+6Z^6")
 
 # a case: (setup, timed call taking what setup returned, operations per call)
 Case = Tuple[Callable[[], object], Callable[[object], object], int]
@@ -271,6 +277,27 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
 
     out["surface.intersection_support.cubic.P2.F5"] = (
         conic_cubic, lambda ch: sf.intersection_support(*ch), 1)
+
+    def made(q, text):
+        """curve_make on a fresh P2 over F_q, rejections included."""
+        def run(S):
+            try:
+                sf.curve_make(S, text)
+            except ValueError:
+                pass
+        return lambda: surface(m, "P2", q), run, 1
+
+    out["surface.curve_make.cubic.P2.F9"] = made(9, BEZOUT_CUBIC_F9)
+    out["surface.curve_make.sextic.P2.F7"] = made(7, SEXTIC_F7)
+
+    def cubic_over_f9():
+        """The least monic irreducible cubic x^3 + a x + b over F_9."""
+        F, fl = m["fields"].field_make(3, 2), m["fields"]
+        return next(f for a in range(9) for b in range(1, 9)
+                    if fl._is_irreducible(f := [b, a, 0, 1], F)), F
+
+    out["surface.one_root.cubic.F9"] = (
+        cubic_over_f9, lambda irr_k: sf._one_root(*irr_k), 1)
 
     def symbol_inputs():
         fl, f = flag(m, ("YZ-X^2", "0:0:1", "X/Z", 5, 8))
@@ -491,7 +518,8 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
     "surface.smooth_flag.deg2.P2.q3", "surface.smooth_flag.deg2.P2.q13",
     "surface.intersection_support.cubic.P2.F5",
-    "symbols.symbol_at_flag.conic", "symbols.intersection_oracle.cubic.P2.F5",
+    "surface.curve_make.cubic.P2.F9", "surface.curve_make.sextic.P2.F7",
+    "surface.one_root.cubic.F9", "symbols.symbol_at_flag.conic", "symbols.intersection_oracle.cubic.P2.F5",
     "symbols.intersection_oracle.cubic.P2.F9",
     "residues.local_residue.cubic_on_Z.P2.F5",
     "surface.poly_valuation_at_flag.cubic_on_Z.P2.F5",
