@@ -49,6 +49,7 @@ from .surface import (
     curve_make,
     divisor_class,
     expand_at_flag,
+    expand_poly_at_flag,
     flag_make,
     parse_poly,
     point_from_coords,
@@ -489,16 +490,25 @@ def _emit(config: Dict, checks: List[Check], args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    """Print num/den on the box t < P, u < P (P = --precision) and check
+    it by multiplying back: the series times den's expansion, taken far
+    enough past the series' least exponents to hold that box, must be
+    num's expansion on it."""
     S = _make_surface(args)
     fl = _parse_flag(S, args)
     f = _parse_function(S, args.function)
-    series = expand_at_flag(f, fl, args.precision)
+    P = args.precision
+    series = expand_at_flag(f, fl, P)
     print(repr(series))
     inputs = {"curve": args.curve, "point": args.point,
               "function": args.function}
-    out = repr(series)
-    return _emit(_config(args), _collect([Check("expand", inputs, out, out)],
-                                         args), args)
+    t_low = min((t for t, _u in series.terms), default=0)
+    u_low = min((u for _t, u in series.terms), default=0)
+    back = series * expand_poly_at_flag(f.den, fl, P - t_low, P - u_low)
+    num = expand_poly_at_flag(f.num, fl, P)
+    return _emit(_config(args), _collect([Check(
+        "expand", inputs, repr(num.truncate(P, P)),
+        repr(back.truncate(P, P)))], args), args)
 
 
 def _cmd_residue(args) -> int:

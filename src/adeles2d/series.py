@@ -93,9 +93,6 @@ class LaurentSeries2:
     def is_zero_window(self) -> bool:
         return not self.terms
 
-    def is_exact_zero(self) -> bool:
-        return not self.terms and self.is_exact()
-
     def _low(self) -> Tuple[float, float]:
         """Least tracked t- and u-exponents, or the window's ends when the
         window is all zero."""
@@ -179,58 +176,60 @@ class LaurentSeries2:
 
     def inverse(self, t_window: int = DEFAULT_PREC,
                 u_window: int = DEFAULT_PREC) -> "LaurentSeries2":
-        """Multiplicative inverse.
+        """Multiplicative inverse, one t-column at a time.
 
-        For truncated input the result carries the largest provable window;
-        for exact input with a non-monomial expansion the window defaults to
-        `t_window`/`u_window` above the valuation.
-        """
-        if self.is_exact_zero():
-            raise ZeroDivisionError("inverse of the exact zero series")
+        With self = t^vt sum_j t^j B_j(u), B_0 of u-order w and s >= 0 the
+        least slope with ord B_i >= w - i*s for i >= 1, the inverse is
+        t^-vt sum_j t^j d_j, d_0 = 1/B_0 and d_j = -d_0 sum_{i=1..j}
+        B_i d_(j-i), of u-order at least -w - j*s.  So e_j = u^(w + j*s) d_j
+        and A_i = u^(i*s - w) B_i are power series, e_j = -e_0 sum_i
+        A_i e_(j-i) takes one ps_mul per term, and n codes of each e_j need
+        B_0 below u^(w + n) and no more of the others.  The box holds `size`
+        columns (t_prec - vt of truncated input, `t_window` of exact input)
+        and ends below u_prec - 2w - (size - 1)*s in u (u_window - w on
+        exact input).  Exact input on one column keeps the exact t-box, and
+        a monomial has its exact inverse."""
         if not self.terms:
+            if self.is_exact():
+                raise ZeroDivisionError("inverse of the exact zero series")
             raise PrecisionError("cannot invert: series is indistinguishable from 0 in t")
+        k = self.desc
         vt = self.t_valuation()
-        lead = {u: c for (t, u), c in self.terms.items() if t == vt}
-        vu_lead = min(lead)
         size = t_window if self.t_prec == INF else int(self.t_prec - vt)
         if size <= 0:
             raise PrecisionError("cannot invert: empty provable window in t")
-        # Later columns dipping below the leading column's u-valuation erode
-        # one u-level per geometric step; for exact input, inflate the working
-        # window so the requested one survives the cascade.
-        higher = [u for (t, u) in self.terms if t != vt]
-        drop = max(0, vu_lead - min(higher)) if higher else 0
-        # the leading column's inverse: its m codes from u^-vu_lead on
-        m = u_window + size * drop
-        u_prec = m - vu_lead
+        cols: Dict[int, Dict[int, int]] = {}
+        for (t, u), c in self.terms.items():
+            if t - vt < size:
+                cols.setdefault(t - vt, {})[u] = c
+        lead = cols.pop(0)
+        w = min(lead)
+        one_column = not cols and self.t_prec == INF
+        size = 1 if one_column else size
+        s = max([0] + [-((min(col) - w) // i) for i, col in cols.items()])
         if self.u_prec != INF:
-            m, u_prec = int(self.u_prec - vu_lead), self.u_prec - 2 * vu_lead
-        elif len(lead) == 1:
-            m, u_prec = 1, INF
-        if m <= 0:
+            n = int(self.u_prec) - w
+            u_prec = n - w - (size - 1) * s
+        elif one_column and len(lead) == 1:
+            n, u_prec = 1, INF
+        else:
+            n, u_prec = u_window + (size - 1) * s, u_window - w
+        if n <= 0:
             raise PrecisionError("cannot invert: empty provable window in u")
-        icol = ps_inverse([lead.get(u, 0) for u in range(vu_lead, max(lead) + 1)],
-                          m, self.desc)
-        y0 = LaurentSeries2._make(
-            self.desc, {(-vt, i - vu_lead): c for i, c in enumerate(icol) if c},
-            INF, u_prec)
-        if not higher and self.t_prec == INF:
-            return y0
-        # normalize: self * y0 = 1 + r with r of positive t-valuation
-        one = LaurentSeries2.one(self.desc)
-        r = self * y0 - one
-        negr = (-r).truncate(t_to=size)
-        total = term = one
-        for _ in range(1, size):
-            term = (term * negr).truncate(t_to=size)
-            if term.is_zero_window():
-                # all remaining powers live above the t-window
-                break
-            total = total + term
-        out = (y0 * total).truncate(t_to=size - vt)
-        if self.u_prec == INF:
-            out = out.truncate(u_to=-vu_lead + u_window)
-        return out
+        e = [ps_inverse([lead.get(u, 0) for u in range(w, w + n)], n, k)]
+        minus = [k.neg(c) for c in e[0]]
+        A = [(i, [col.get(u, 0) for u in range(w - i * s, w - i * s + n)])
+             for i, col in cols.items()]
+        for j in range(1, size):
+            acc = [0] * n
+            for i, a in A:
+                if i <= j:
+                    acc = ps_add(acc, ps_mul(a, e[j - i], n, k), k)
+            e.append(ps_mul(minus, acc, n, k) if any(acc) else acc)
+        terms = {(j - vt, u): c for j, ej in enumerate(e)
+                 for u, c in enumerate(ej, -w - j * s) if c and u < u_prec}
+        return LaurentSeries2._make(
+            k, terms, INF if one_column else size - vt, u_prec)
 
     def __pow__(self, n: int) -> "LaurentSeries2":
         if n < 0:

@@ -611,12 +611,6 @@ def _one_root(irr: Poly, k: FieldDesc) -> FieldElem:
 # ---------------------------------------------------------------------------
 # flags and local expansion
 
-# invert_poly_at_flag widens the u-window of a box at most to
-# MAX_U_WIDENING * window + U_WIDENING_SLACK
-MAX_U_WIDENING = 16
-U_WIDENING_SLACK = 64
-
-
 class Flag:
     """A point on a curve with a deterministic local coordinate pair."""
 
@@ -815,56 +809,32 @@ def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
 
 def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
                         t_window: Optional[int] = None) -> LaurentSeries2:
-    """Inverse of P's expansion on the box of `window`, from its columns
-    below t^t_window (default: the window).
+    """1/P at the flag on the box t < t_to - 2vt, u < window - w, for
+    (vt, w) = poly_valuation_at_flag(P, fl) and t_to = t_window (default:
+    the window), cached per (P, window, t_to).
 
-    The t-valuation of the expansion is pinned down exactly (it is the
-    multiplicity of the flag's curve in P), because a square window can hide
-    the whole leading t-column when its u-valuation is large -- reading the
-    valuation off the tracked terms would then invert about the wrong
-    leading term.  A hidden leading column is shown by one u-wider box,
-    from its exact u-order (poly_valuation_at_flag).  The polynomial is then
-    re-expanded on a u-wider box sized so the erosion the division causes
-    (2*lead for the leading-column inverse, plus a dip per Neumann step up
-    to t_window) lands exactly where the requested window begins.  Only the
-    u-window widens; a box wider than MAX_U_WIDENING * window +
-    U_WIDENING_SLACK, or a t-window that ends before the leading column,
-    raises PrecisionError.
-    """
-    t_to = window if t_window is None else min(window, t_window)
+    The box is fixed before anything is expanded.  P's expansion has no
+    negative u-exponent and its t^vt column has u-order w, so the column
+    recurrence of LaurentSeries2.inverse loses 2w codes on the leading
+    column and w more on each of the size - 1 later ones, size = t_to - vt:
+    P is expanded once, on the box t < t_to, u < window + size * w.  A
+    t-window that ends at or before the leading column raises
+    PrecisionError."""
+    t_to = window if t_window is None else t_window
     key = ("polyinv", P, window, t_to)
     got = fl._cache.get(key)
     if got is not None:
         return got
-
-    def short(why: str) -> PrecisionError:
-        return PrecisionError(f"inverting {poly_text(fl.curve.surface, P)} "
-                              f"at {fl!r} on window {window} {why}")
-
-    def wider(u_window: int) -> LaurentSeries2:
-        cap = MAX_U_WIDENING * window + U_WIDENING_SLACK
-        if u_window > cap:
-            raise short(f"needs a u-window of {u_window}, over the cap {cap}")
-        return expand_poly_at_flag(P, fl, window, u_window).truncate(
-            t_to=t_to)
-
-    vt = poly_order_at_flag(P, fl)
-    if t_to <= vt:
-        raise short(f"ends its t-window {t_to} before the leading column "
-                    f"t^{vt}")
-    e = expand_poly_at_flag(P, fl, window).truncate(t_to=t_to)
-    if not any(t == vt for (t, _u) in e.terms):
-        e = wider(poly_valuation_at_flag(P, fl)[1] + 1)
-    lead_u = min(u for (t, u) in e.terms if t == vt)
+    vt, w = poly_valuation_at_flag(P, fl)
     size = t_to - vt
-    rest = [(t - vt, lead_u - u) for (t, u) in e.terms if t != vt]
-    min_step = min((step for step, _dip in rest), default=1)
-    max_dip = max([0] + [dip for _step, dip in rest])
-    if lead_u > 0 or max_dip > 0:
-        steps = 1 - (-size // min_step)
-        e = wider(window + 2 * lead_u + steps * max_dip)
-    out = e.inverse(u_window=window)
-    fl._cache[key] = out
+    if size <= 0:
+        raise PrecisionError(
+            f"inverting {poly_text(fl.curve.surface, P)} at {fl!r} on window "
+            f"{window} ends its t-window {t_to} before the leading column "
+            f"t^{vt}")
+    u_to = window + size * w
+    e = expand_poly_at_flag(P, fl, t_to, u_to).truncate(t_to, u_to)
+    out = fl._cache[key] = e.inverse().truncate(u_to=window - w)
     return out
 
 
@@ -953,32 +923,33 @@ def _hasse(cols: List[List[int]], j: int, y: List[int], n: int,
 
 def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, window: int,
                    t_window: Optional[int] = None) -> LaurentSeries2:
-    """num/den expanded at the flag on the box of `window`, or only its
-    columns below t^t_window.  For those, with vn and vd the orders of num
-    and den along the flag's curve, the inverse of den is read below
-    t^(t_window - vn), from den's columns below t^(t_window + 2vd - vn),
-    and num is expanded below t^(t_window + vd).  The numerator's u-window
-    is widened to survive multiplication against an inverse whose terms
-    dip in u."""
-    num_to, den_to = window, None
-    if t_window is not None:
-        vn, vd = poly_order_at_flag(num, fl), poly_order_at_flag(den, fl)
-        num_to, den_to = min(window, t_window + vd), t_window + 2 * vd - vn
-    inv = invert_poly_at_flag(den, fl, window, t_window=den_to)
-    need = window
-    if inv.terms:
-        dip = min(u for (_t, u) in inv.terms)
-        if dip < 0:
-            need = window - dip
-    top = expand_poly_at_flag(num, fl, num_to, need).truncate(t_to=num_to)
-    return top * inv
+    """num/den expanded at the flag on the box t < t_to, u < window, for
+    t_to = t_window (default: the window).  With vn the order of num along
+    the flag's curve and (vd, wd) the valuation of den, the quotient's
+    columns below t^t_to need the size = t_to - vn + vd columns of 1/den
+    from t^-vd on, the last of u-order at least -size * wd; so 1/den is
+    taken on the box t < t_to - vn, u < window (invert_poly_at_flag on
+    window + wd, from den's columns below t^(t_to - vn + 2vd)), and num is
+    expanded on the box t < t_to + vd, u < window + size * wd.  When size
+    <= 0 the quotient is 0 on the box."""
+    t_to = window if t_window is None else t_window
+    vn = poly_order_at_flag(num, fl)
+    vd, wd = poly_valuation_at_flag(den, fl)
+    size = t_to - vn + vd
+    if size <= 0:
+        return LaurentSeries2.zero(fl.point.residue_field, t_to, window)
+    inv = invert_poly_at_flag(den, fl, window + wd, t_window=size + vd)
+    top_t, top_u = t_to + vd, window + size * wd
+    top = expand_poly_at_flag(num, fl, top_t, top_u).truncate(top_t, top_u)
+    return (top * inv).truncate(t_to, window)
 
 
 def expand_at_flag(f: RationalFunction, fl: Flag,
                    prec: int = DEFAULT_PREC,
                    t_window: Optional[int] = None) -> LaurentSeries2:
     """The image of a rational function in the local field at the flag, on
-    the box of `prec`; with t_window, only its columns below t^t_window."""
+    exactly the box t < prec, u < prec; with t_window, on the box
+    t < t_window, u < prec (_ratio_at_flag)."""
     if f.is_zero():
         raise ValueError("cannot expand the zero function")
     if prec < 1:

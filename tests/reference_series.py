@@ -1,0 +1,81 @@
+"""Reference inverses for the tests: the routes the package used before it
+inverted by t-columns, kept to check that route against.
+
+`neumann_inverse` inverts a two-variable series by the geometric series
+1 / (y0 (1 + r)) = y0^-1 sum (-r)^i over the leading column's inverse y0,
+with every product a two-variable one.  `widening_inverse` inverts a
+polynomial at a flag the way `surface.invert_poly_at_flag` did: expand on
+the square box of the window, re-expand on a u-wider box when the leading
+column is hidden, and again on a box sized from the dips of the later
+columns (the old route also gave up past a cap on the u-window, which no
+input of the tests reaches)."""
+
+from adeles2d.series import INF, LaurentSeries2, PrecisionError, ps_inverse
+from adeles2d.surface import (expand_poly_at_flag, poly_order_at_flag,
+                              poly_valuation_at_flag)
+
+
+def neumann_inverse(f, t_window=16, u_window=16):
+    """1/f by the Neumann series; the box is the one the series box rule
+    leaves, cut below u^(u_window - w) on exact input."""
+    if not f.terms:
+        raise PrecisionError("cannot invert: series is indistinguishable from 0")
+    vt = f.t_valuation()
+    lead = {u: c for (t, u), c in f.terms.items() if t == vt}
+    vu_lead = min(lead)
+    size = t_window if f.t_prec == INF else int(f.t_prec - vt)
+    if size <= 0:
+        raise PrecisionError("cannot invert: empty provable window in t")
+    # later columns dipping below the leading column's u-valuation erode one
+    # u-level per geometric step: widen the exact input's window to match
+    higher = [u for (t, u) in f.terms if t != vt]
+    drop = max(0, vu_lead - min(higher)) if higher else 0
+    m = u_window + size * drop
+    u_prec = m - vu_lead
+    if f.u_prec != INF:
+        m, u_prec = int(f.u_prec - vu_lead), f.u_prec - 2 * vu_lead
+    elif len(lead) == 1:
+        m, u_prec = 1, INF
+    if m <= 0:
+        raise PrecisionError("cannot invert: empty provable window in u")
+    icol = ps_inverse([lead.get(u, 0) for u in range(vu_lead, max(lead) + 1)],
+                      m, f.desc)
+    y0 = LaurentSeries2._make(
+        f.desc, {(-vt, i - vu_lead): c for i, c in enumerate(icol) if c},
+        INF, u_prec)
+    if not higher and f.t_prec == INF:
+        return y0
+    one = LaurentSeries2.one(f.desc)
+    negr = (-(f * y0 - one)).truncate(t_to=size)
+    total = term = one
+    for _ in range(1, size):
+        term = (term * negr).truncate(t_to=size)
+        if term.is_zero_window():
+            break
+        total = total + term
+    out = (y0 * total).truncate(t_to=size - vt)
+    if f.u_prec == INF:
+        out = out.truncate(u_to=-vu_lead + u_window)
+    return out
+
+
+def widening_inverse(P, fl, window):
+    """1/P at the flag on the box of the window, by neumann_inverse on a
+    u-widened expansion."""
+    def wider(u_window):
+        return expand_poly_at_flag(P, fl, window, u_window).truncate(window)
+
+    vt = poly_order_at_flag(P, fl)
+    if window <= vt:
+        raise PrecisionError(f"window {window} ends before t^{vt}")
+    e = wider(window)
+    if not any(t == vt for (t, _u) in e.terms):
+        e = wider(poly_valuation_at_flag(P, fl)[1] + 1)
+    lead_u = min(u for (t, u) in e.terms if t == vt)
+    rest = [(t - vt, lead_u - u) for (t, u) in e.terms if t != vt]
+    min_step = min((step for step, _dip in rest), default=1)
+    max_dip = max([0] + [dip for _step, dip in rest])
+    if lead_u > 0 or max_dip > 0:
+        steps = 1 - (-(window - vt) // min_step)
+        e = wider(window + 2 * lead_u + steps * max_dip)
+    return neumann_inverse(e, u_window=window)

@@ -1,17 +1,20 @@
 """Command-line interface: exit codes, reports, determinism, goldens."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
 import re
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 
 import pytest
 
 from adeles2d import cli, cohomology, measures, surface, symbols
+from adeles2d import series as series_mod
 from adeles2d.cli import main
 from adeles2d.series import LaurentSeries2
 
@@ -278,6 +281,24 @@ def test_expand_prints_the_local_series():
                            "--function", "X^2/YZ", "--precision", "4"])
     assert code == 0
     assert out.splitlines()[0].startswith("t^-1*u^2: 1"), out
+
+
+def test_a_recurrence_mutant_fails_expand_by_verdict(monkeypatch):
+    # the column recurrence of LaurentSeries2.inverse without its i = j
+    # term: the series it prints, times the denominator, is no longer the
+    # numerator on the printed box
+    source = textwrap.dedent(inspect.getsource(LaurentSeries2.inverse))
+    mutant = source.replace("if i <= j:", "if i < j:")
+    assert mutant != source
+    scope = {}
+    exec(mutant, vars(series_mod).copy(), scope)
+    monkeypatch.setattr(LaurentSeries2, "inverse", scope["inverse"])
+    code, out, err = run(["expand", "--q", "7", "--curve", "X^3+XZ^2+6Y^2Z",
+                          "--point", "0:1:0", "--function", "X^3/Z^3",
+                          "--precision", "4"])
+    assert code == 1, out
+    assert err == "", err
+    assert "FAIL expand " in out, out
 
 
 def test_symbol_command_reads_the_unit_restriction():

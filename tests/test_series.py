@@ -19,6 +19,7 @@ from adeles2d.series import (
     ps_mul,
     res2,
 )
+from reference_series import neumann_inverse
 
 
 def ls2_valuation(f):
@@ -395,3 +396,62 @@ def test_kernel_horner_equals_evaluation_by_powers(p, d):
             cols = rng.sample(pool, rng.randrange(1, 5))
             y = [rng.randrange(k.q)] + y[1:]  # a constant term of 0 too
             assert ps_horner(cols, y, n, k) == by_powers(cols, y, n, k)
+
+
+
+def test_column_inverse_matches_the_neumann_series_on_exact_input():
+    # the column recurrence against the Neumann loop it replaced
+    # (tests/reference_series.py), on exact series whose later columns dip
+    # below the leading one: every coefficient of the common box agrees
+    rng = random.Random(38)
+    compared = 0
+    for q in (2, 3, 5):
+        desc = field_make(q, 1)
+        for _ in range(40):
+            a = rand_series(desc, rng)
+            if a.is_zero_window():
+                continue
+            got, want = a.inverse(6, 6), neumann_inverse(a, 6, 6)
+            t_to, u_to = min(got.t_prec, want.t_prec), min(got.u_prec, want.u_prec)
+            assert got.truncate(t_to, u_to).terms, (q, a)
+            assert (got.truncate(t_to, u_to).terms
+                    == want.truncate(t_to, u_to).terms), (q, a)
+            compared += 1
+    assert compared >= 100, compared
+
+
+def test_column_inverse_claims_only_what_its_input_determines():
+    # a truncated series says nothing past its box, so each coefficient in
+    # its inverse's box must be the same for every completion that keeps
+    # the leading column (the package's convention): the input with random
+    # terms added past its box and above its t-valuation, inverted exactly
+    # on a wide box.
+    # The Neumann loop failed this: it stopped at the first power of r
+    # that its u-box left empty, as if every later power were 0.
+    rng = random.Random(39)
+    checked = 0
+    for q in (2, 3, 5):
+        desc = field_make(q, 1)
+        for _ in range(30):
+            t_prec, u_prec = rng.choice([(INF, 9), (7, 8), (6, INF)])
+            a = rand_series(desc, rng, t_prec=t_prec, u_prec=u_prec)
+            if a.is_zero_window():
+                continue
+            try:
+                got = a.inverse(6, 6)
+            except PrecisionError:
+                continue
+            for _ in range(3):
+                terms = dict(a.terms)
+                for _ in range(3):
+                    if u_prec == INF or t_prec != INF and rng.randrange(2):
+                        t, u = t_prec + rng.randrange(3), rng.randrange(-3, 12)
+                    else:
+                        t = rng.randrange(a.t_valuation(), 8)
+                        u = u_prec + rng.randrange(3)
+                    terms[t, u] = rng.randrange(1, q)
+                wide = LaurentSeries2(desc, terms).inverse(t_window=12,
+                                                           u_window=80)
+                assert agree(got, wide), (q, a, terms)
+            checked += bool(got.terms)
+    assert checked >= 40, checked

@@ -51,6 +51,7 @@ from adeles2d.symbols import intersection_oracle
 from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
 from reference_curves import class_halves, search_outcome
 from reference_points import scan_points
+from reference_series import widening_inverse
 from test_series import derive
 
 
@@ -1047,13 +1048,16 @@ def test_windows_below_one_are_rejected_or_bounded():
             pass
         else:
             raise AssertionError(f"window {window} accepted")
-    # below the leading column the u-widening gives up instead of looping
+    # a t-window that ends before the leading column is refused at once
     try:
         invert_poly_at_flag(parse_poly(S, "Y"), fl, 0)
     except PrecisionError:
         pass
     else:
         raise AssertionError("inverse read off an empty window")
+    # a function whose every column lies at or above the box is 0 there
+    zero = expand_at_flag(ratfn(S, "Y^2", "Z^2"), fl, 2)
+    assert (zero.terms, zero.t_prec, zero.u_prec) == ({}, 2, 2), zero
 
 
 def test_poly_text_round_trip():
@@ -1176,39 +1180,61 @@ def test_flex_expansion_at_precision_eight_extends_precision_four():
     assert e8.truncate(4, e4.u_prec).terms == e4.terms
 
 
+def _multiplies_back(S, fl, num, den, window):
+    # the quotient comes back on exactly the box it was asked for, and
+    # times the denominator it gives the numerator on that box
+    f = ratfn(S, num, den)
+    e = expand_at_flag(f, fl, window)
+    assert (e.t_prec, e.u_prec) == (window, window), e
+    low_u = min(u for _t, u in e.terms)
+    back = e * expand_poly_at_flag(f.den, fl, window, window - low_u)
+    assert back.t_prec >= window and back.u_prec >= window, back
+    top = expand_poly_at_flag(f.num, fl, window).truncate(window, window)
+    assert back.truncate(window, window).terms == top.terms, (num, den)
+
+
 def test_flex_expansion_past_the_cap_names_the_inversion():
+    # Z meets the cubic to order 3 at the flex, so Z^30 has u-order 90
+    # there, past the former u-widening cap of 80 at window 1: its columns
+    # are sized from (vt, w) up front and the quotient expands; the one
+    # inversion that still fails, a t-window that ends before the leading
+    # column, names the polynomial, the flag and the window
     S, fl = _flex_flag()
-    try:
-        expand_at_flag(ratfn(S, "X^30", "Z^30"), fl, 1)
-    except PrecisionError as err:
-        msg = str(err)
-    else:
-        raise AssertionError("a u-window over the cap was expanded")
+    _multiplies_back(S, fl, "X^30", "Z^30", 1)
+    P = parse_poly(S, "Z^30")
+    assert poly_valuation_at_flag(P, fl) == (0, 90)
+    with pytest.raises(PrecisionError) as err:
+        invert_poly_at_flag(P, fl, 1, t_window=0)
+    msg = str(err.value)
     assert "Z^30" in msg and repr(fl) in msg and "window 1" in msg, msg
-    assert "over the cap 80" in msg, msg
 
 
 def test_a_hidden_leading_column_is_shown_by_one_box(monkeypatch):
-    # Z^3 has u-order 9 at the flex: a box of u-window 4 hides its leading
-    # column, and its exact u-order sizes the one box that shows it
+    # Z^3 has u-order 9 at the flex, past the u-window 4: its exact
+    # valuation sizes the one box it is expanded on, and the inverse comes
+    # back on t < 4, u < 4 - 9
     S, fl = _flex_flag()
     P = parse_poly(S, "Z^3")
     assert poly_valuation_at_flag(P, fl) == (0, 9)
-    u_windows = []
+    boxes = []
     expand = surface_mod.expand_poly_at_flag
 
     def recorded(P, fl, window, u_window=None):
-        u_windows.append(u_window)
+        boxes.append((window, u_window))
         return expand(P, fl, window, u_window)
 
     monkeypatch.setattr(surface_mod, "expand_poly_at_flag", recorded)
     inv = invert_poly_at_flag(P, fl, 4)
-    assert u_windows[:2] == [None, 10], u_windows
-    assert len(u_windows) == 3, u_windows
-    one = expand_poly_at_flag(P, fl, 4, 24) * inv
+    assert boxes == [(4, 4 + 4 * 9)], boxes
+    assert (inv.t_prec, inv.u_prec) == (4, 4 - 9), inv
+    monkeypatch.undo()
+    wide = invert_poly_at_flag(P, fl, 10)
+    assert agree(inv, wide)
+    low_u = min(u for _t, u in wide.terms)
+    one = expand_poly_at_flag(P, fl, 10, 1 - low_u) * wide
     assert one.t_prec >= 1 and one.u_prec >= 1, one
     assert one.truncate(1, 1).terms == {(0, 0): 1}, one
-    assert agree(inv, invert_poly_at_flag(P, fl, 6))
+    _multiplies_back(S, fl, "Y^3", "Z^3", 4)
 
 
 def test_a_t_window_that_ends_before_the_leading_column_raises_at_once():
@@ -1222,22 +1248,30 @@ def test_a_t_window_that_ends_before_the_leading_column_raises_at_once():
     assert ("polyinv", P, 8, 2) not in fl._cache
 
 
+def _meeting_cases(model, q):
+    """(flag, P) at every flag where two of two lines, a conic and a cubic
+    meet, on the first of the two, for P each curve's polynomial and the
+    flag's form polynomial."""
+    S = surface_make(model, q)
+    curves = [curve_make(S, t) for t in
+              (("X", "Y", "YZ-X^2", "Y^2Z-X^3+XZ^2") if model == "P2"
+               else ("X1", "Y1", "X0Y1-X1Y0", "X0Y0^2+X1Y1^2"))]
+    cases = []
+    for D, E in itertools.combinations(curves, 2):
+        for x in intersection_support(D, E):
+            fl = flag_make(x, D)
+            cases += [(fl, P) for P in
+                      [C.poly for C in curves] + [form_polynomial(fl)]]
+    return S, cases
+
+
 @pytest.mark.parametrize("model", ["P2", "P1xP1"])
 def test_poly_valuation_stays_within_the_class_pairing(model, monkeypatch):
     # w is a local intersection number of P / D^vt with D, so it is at most
     # their class pairing, and a much wider box reads the same column; the
     # valuation itself reads the branch and expands no series
     for q in (3, 4, 9):
-        S = surface_make(model, q)
-        curves = [curve_make(S, t) for t in
-                  (("X", "Y", "YZ-X^2", "Y^2Z-X^3+XZ^2") if model == "P2"
-                   else ("X1", "Y1", "X0Y1-X1Y0", "X0Y0^2+X1Y1^2"))]
-        cases = []
-        for D, E in itertools.combinations(curves, 2):
-            for x in intersection_support(D, E):
-                fl = flag_make(x, D)
-                cases += [(fl, P) for P in
-                          [C.poly for C in curves] + [form_polynomial(fl)]]
+        S, cases = _meeting_cases(model, q)
 
         def expanded(*args):
             raise AssertionError(f"a series was expanded for {args!r}")
@@ -1254,6 +1288,29 @@ def test_poly_valuation_stays_within_the_class_pairing(model, monkeypatch):
             wide = expand_poly_at_flag(P, fl, vt + 1, 64)
             assert min(u for t, u in wide.terms if t == vt) == w, (fl, P)
         assert len(cases) >= 20, (q, len(cases))
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+def test_column_inverse_matches_the_neumann_route(model):
+    # the column recurrence on the box fixed by (vt, w) against the route
+    # it replaced, the Neumann loop on u-widened boxes
+    # (tests/reference_series.py): every coefficient of the common box
+    # agrees, and that box is not empty
+    compared = 0
+    for q in (2, 3, 4, 9):
+        _S, cases = _meeting_cases(model, q)
+        for (fl, P), window in itertools.product(cases, range(4, 17)):
+            vt, w = poly_valuation_at_flag(P, fl)
+            got = invert_poly_at_flag(P, fl, window)
+            assert (got.t_prec, got.u_prec) == (window - 2 * vt, window - w)
+            want = widening_inverse(P, fl, window)
+            t_to = min(got.t_prec, want.t_prec)
+            u_to = min(got.u_prec, want.u_prec)
+            assert got.truncate(t_to, u_to).terms, (fl, P, window)
+            assert (got.truncate(t_to, u_to).terms
+                    == want.truncate(t_to, u_to).terms), (fl, P, window)
+            compared += 1
+    assert compared >= 1000, compared
 
 
 def _branch_flags(model, q):

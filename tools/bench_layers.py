@@ -50,6 +50,8 @@ FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
 TRACES = {"F7^6.F7": (7, 6, 1), "F81.F9": (3, 4, 2)}
 BATCH = 400
 FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
+# YZ meets the cubic to order 3 at the flex: its inverse on window 64
+FLEX64 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^2/YZ", 7, 64)
 CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
 # over F_5 these meet in two points of the first chart and one at infinity;
 # the oracle also times them over F_9
@@ -250,6 +252,10 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
             lambda spec=spec: flag(m, spec),
             lambda fl_f, prec=spec[4]: sf.expand_at_flag(fl_f[1], fl_f[0], prec),
             1)
+    out["surface.invert_poly_at_flag.flex64"] = (
+        lambda: flag(m, FLEX64),
+        lambda fl_f: sf.invert_poly_at_flag(fl_f[1].den, fl_f[0], FLEX64[4]),
+        1)
 
     def off_lines(q):
         """X on a fresh P2 over F_q with Z and every line Y + aZ over F_p,
@@ -516,6 +522,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "linalg.mat_rank.15x21.F5", "linalg.mat_rank.section_rows.P2.q13",
     "linalg.mat_rank.window_gram.P2.q13",
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
+    "surface.invert_poly_at_flag.flex64",
     "surface.smooth_flag.deg2.P2.q3", "surface.smooth_flag.deg2.P2.q13",
     "surface.intersection_support.cubic.P2.F5",
     "surface.curve_make.cubic.P2.F9", "surface.curve_make.sextic.P2.F7",
