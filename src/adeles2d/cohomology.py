@@ -149,15 +149,13 @@ def _section_rows(D: Divisor) -> Tuple[Matrix, List[tuple]]:
     class of N, and there is one row per monomial a of A, the class of D.
     The row of a is P shifted by a, its |P| entries at the monomials of the
     class of N (D's class plus the negative part's), which are returned as
-    the columns.  The rows are kept in S.memo under `_section_key`, P under
-    the negative part and the column of each monomial under its class, so
-    callers share them and must not change them.
+    the columns.  P is kept in S.memo under the negative part and the
+    column of each monomial under its class, so callers share them and must
+    not change them; the rows are not kept, as rr_dimension keeps their
+    rank under `_section_key`.
     """
     S = D.surface
     negative, cls = _section_key(D)
-    got = S.memo.get(("section rows", negative, cls))
-    if got is not None:
-        return got
     P = S.memo.get(("section product", negative))
     if P is None:
         P = S.memo["section product", negative] = _product(
@@ -173,10 +171,8 @@ def _section_rows(D: Divisor) -> Tuple[Matrix, List[tuple]]:
         column = S.memo["columns", positive] = {
             e: i for i, e in enumerate(monos)}
     terms = P.terms.items()
-    rows = [{column[tuple(map(_add, a, m))]: c for m, c in terms}
-            for a in class_monomials(S, cls)]
-    got = S.memo["section rows", negative, cls] = rows, monos
-    return got
+    return [{column[tuple(map(_add, a, m))]: c for m, c in terms}
+            for a in class_monomials(S, cls)], monos
 
 
 def rr_space(D: Divisor) -> List[RationalFunction]:
@@ -198,7 +194,7 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
 def rr_dimension(D: Divisor) -> int:
     """dim L(D), the rank of the rows of `_section_rows`: the number of
     vectors `rr_space` returns, without the basis or the denominator.  It
-    is kept in S.memo under the key of the rows."""
+    is kept in S.memo under what the rows depend on (`_section_key`)."""
     S = D.surface
     key = ("section rank",) + _section_key(D)
     got = S.memo.get(key)

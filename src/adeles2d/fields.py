@@ -1,9 +1,9 @@
 """Exact arithmetic in finite fields F_{p^d} and univariate polynomials over them.
 
 Every extension is an absolute extension of the prime field: F_{p^d} is
-represented as F_p[x]/(m(x)) where m is the lexicographically least monic
-irreducible polynomial of degree d (coefficient tuples ordered constant term
-first).  An element is coded as one int n = sum c_i p^i of its coefficient
+represented as F_p[x]/(m(x)) where m is the monic irreducible polynomial of
+degree d whose lower coefficients c_0, ..., c_(d-1) have the least code
+sum c_i p^i.  An element is coded as one int n = sum c_i p^i of its coefficient
 vector (c_0, ..., c_{d-1}); code 0 is zero and code 1 is one.  Polynomials,
 series and matrices hold codes, and the field descriptor computes on them;
 FieldElem wraps a code with its field where elements leave the package.
@@ -15,6 +15,7 @@ coerced back down through that embedding.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from array import array
@@ -137,7 +138,8 @@ class FieldDesc:
             self._zech = zech
 
     def _is_primitive(self, g: int, m: int) -> bool:
-        return all(self._vec_pow(g, m // r) != 1 for r in _prime_factors(m))
+        return all(power(g, m // r, self._vec_mul) != 1
+                   for r in _prime_factors(m))
 
     def _bind_kernels(self) -> None:
         p, exp, log, zech, half = (self.p, self._exp, self._log, self._zech,
@@ -193,7 +195,7 @@ class FieldDesc:
             return self._exp[self._log[a] * e % (self.q - 1)]
         if self.d == 1:
             return pow(a, e, self.p)
-        return self._vec_pow(a, e)
+        return power(a, e, self._vec_mul) if e else 1
 
     # -- coefficient-vector arithmetic on codes (extensions) ---------------
 
@@ -240,25 +242,13 @@ class FieldDesc:
             prod >>= slot
         return self._unpack(out)
 
-    def _vec_pow(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._vec_mul(result, a)
-            a = self._vec_mul(a, a)
-            e >>= 1
-        return result
-
     def _vec_inv(self, a: int) -> int:
         """Inverse of the nonzero code a: the inverse of its coefficient
-        vector modulo the modulus, over F_p."""
-        base = field_make(self.p, 1)
-        # over F_p the codes are the coefficients themselves
-        n = 0
-        for c in reversed(pinv_mod(ptrim(list(self.digits(a))),
-                                   list(self.modulus), base)):
-            n = n * self.p + c
-        return n
+        vector modulo the modulus, over F_p, whose codes are the
+        coefficients themselves."""
+        inv = pinv_mod(ptrim(list(self.digits(a))), list(self.modulus),
+                       field_make(self.p, 1))
+        return sum(c * self.p ** i for i, c in enumerate(inv))
 
     def _vec_add(self, a: int, b: int, scale: int) -> int:
         """Code of a + scale*b; scale p-1 subtracts."""
@@ -410,8 +400,9 @@ _FIELD_CACHE: dict = {}
 def field_make(p: int, d: int) -> FieldDesc:
     """Return the canonical descriptor of F_{p^d}.
 
-    The modulus is the lexicographically least monic irreducible polynomial of
-    degree d over F_p, comparing coefficient tuples constant term first.
+    The modulus is the monic irreducible polynomial of degree d over F_p
+    whose lower coefficients have the least code, so the least in
+    lexicographic order from the coefficient of x^(d-1) down.
     """
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
@@ -425,24 +416,11 @@ def field_make(p: int, d: int) -> FieldDesc:
         desc = FieldDesc(p, 1, (0, 1))
         _FIELD_CACHE[key] = desc
         return desc
-    # search lexicographically; constant term 0 gives a factor of x, skip it
+    # search by code, the top coefficient first; constant term 0 gives a
+    # factor of x.  Over F_p the codes are the coefficients themselves.
     base = field_make(p, 1)
-    found = None
-    for n in range(p ** d):
-        coeffs = []
-        m = n
-        for _ in range(d):
-            coeffs.append(m % p)
-            m //= p
-        if coeffs[0] == 0:
-            continue
-        cand = tuple(coeffs) + (1,)
-        # over F_p the codes are the coefficients themselves
-        if _is_irreducible(list(cand), base):
-            found = cand
-            break
-    if found is None:  # pragma: no cover - cannot happen
-        raise RuntimeError("no irreducible polynomial found")
+    cands = (top[::-1] + (1,) for top in itertools.product(range(p), repeat=d))
+    found = next(m for m in cands if m[0] and _is_irreducible(list(m), base))
     desc = FieldDesc(p, d, found)
     _FIELD_CACHE[key] = desc
     return desc
@@ -501,13 +479,43 @@ def pscale(f: Poly, a: int, desc: FieldDesc) -> Poly:
     return ptrim([desc.mul(c, a) for c in f])
 
 
-def peval(f: Poly, x: int, desc: FieldDesc) -> int:
+def peval(f: Sequence[int], x: int, desc: FieldDesc) -> int:
     """f(x), by Horner's rule."""
     add, mul = desc.add, desc.mul
     acc = 0
     for c in reversed(f):
         acc = add(mul(acc, x), c)
     return acc
+
+
+def pshift(f: Poly, a: int, desc: FieldDesc) -> Poly:
+    """f(a + s), by repeated synthetic division by s - a in place: pass i
+    leaves the Taylor coefficient of s^i at i (von zur Gathen and Gerhard,
+    ISSAC 1997)."""
+    out = f[:]
+    if a:
+        add, mul = desc.add, desc.mul
+        for i in range(len(out) - 1):
+            for j in range(len(out) - 2, i - 1, -1):
+                out[j] = add(out[j], mul(a, out[j + 1]))
+    return ptrim(out)
+
+
+def power(x, n: int, mul):
+    """x^n for n >= 1 by square-and-multiply (Knuth, TAOCP vol. 2, 4.6.3)
+    from the lowest set bit of n: no product by one, no square past the
+    top bit.  It raises ValueError for n < 1, which callers give their own
+    meaning."""
+    if n < 1:
+        raise ValueError(f"power takes an exponent n >= 1, got {n}")
+    while not n & 1:
+        x, n = mul(x, x), n >> 1
+    result = x
+    while n > 1:
+        x, n = mul(x, x), n >> 1
+        if n & 1:
+            result = mul(result, x)
+    return result
 
 
 def pmonic(f: Poly, desc: FieldDesc) -> Poly:
@@ -546,14 +554,9 @@ def pgcd(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
 
 
 def ppow_mod(f: Poly, e: int, m: Poly, desc: FieldDesc) -> Poly:
-    result = [1]
-    base = pmod(f, m, desc)
-    while e:
-        if e & 1:
-            result = pmod(pmul(result, base, desc), m, desc)
-        base = pmod(pmul(base, base, desc), m, desc)
-        e >>= 1
-    return result
+    """f^e mod m, for e >= 0."""
+    return power(pmod(f, m, desc), e,
+                 lambda a, b: pmod(pmul(a, b, desc), m, desc)) if e else [1]
 
 
 def pderiv(f: Poly, desc: FieldDesc) -> Poly:
@@ -788,11 +791,8 @@ def subfield_embedding(sub: FieldDesc, sup: FieldDesc) -> int:
 
 def _image(sub: FieldDesc, n: int, sup: FieldDesc, root: int) -> int:
     """The code in sup of the element coded n of sub, sub's generator going
-    to the code root."""
-    acc = 0
-    for c in reversed(sub.digits(n)):
-        acc = sup.add(sup.mul(acc, root), c)
-    return acc
+    to the code root: n's digits are prime-field codes in sup too."""
+    return peval(sub.digits(n), root, sup)
 
 
 def _embed_code(sub: FieldDesc, n: int, sup: FieldDesc) -> int:

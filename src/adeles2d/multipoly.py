@@ -29,7 +29,9 @@ from .fields import (
     pmod,
     pmul,
     poly_factor,
+    power,
     pscale,
+    pshift,
     psub,
     ptrim,
 )
@@ -173,16 +175,7 @@ class MPoly:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return MPoly._make(self.desc, self.nvars, {(0,) * self.nvars: 1})
-        # square-and-multiply from the lowest set bit: no product by 1
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return power(self, n, MPoly.__mul__)
 
     def derivative(self, i: int) -> "MPoly":
         mul, p = self.desc.mul, self.desc.p
@@ -304,8 +297,9 @@ def resultant_elim(f: MPoly, g: MPoly, elim: int, keep: int) -> Poly:
     """Resultant of f and g with respect to variable `elim`.
 
     Both inputs are in the two variables `elim` and `keep`; the result is
-    univariate in `keep`.  Degenerate degree-zero cases follow the usual
-    conventions (Res(a, g) = a^deg(g)).
+    univariate in `keep`.  An input of degree 0 in `elim` makes the
+    Sylvester matrix diagonal, so Res(a, g) = a^deg(g) and
+    Res(f, b) = b^deg(f).
     """
     f._check_field(g)
     if not f.nvars == g.nvars == 2 or {elim, keep} != {0, 1}:
@@ -316,18 +310,6 @@ def resultant_elim(f: MPoly, g: MPoly, elim: int, keep: int) -> Poly:
     dn = len(gu) - 1
     if dm < 0 or dn < 0:
         return []
-    if dm == 0 and dn == 0:
-        return [1]
-    if dm == 0:
-        out = [1]
-        for _ in range(dn):
-            out = pmul(out, fu[0], desc)
-        return out
-    if dn == 0:
-        out = [1]
-        for _ in range(dm):
-            out = pmul(out, gu[0], desc)
-        return out
     size = dm + dn
     zero: Poly = []
     rows: List[List[Poly]] = []
@@ -440,7 +422,7 @@ def _factor_separable(cols: List[Poly], desc: FieldDesc) -> List[List[Poly]]:
     if len(us) == 1:
         return [cols]
     N = max(map(pdeg, cols)) + pdeg(cols[-1]) + 1
-    shifted = [_shift([_embed_code(desc, c, k) for c in col], x0, k)
+    shifted = [pshift([_embed_code(desc, c, k) for c in col], x0, k)
                for col in cols]
     lc_inv = ps_inverse(shifted[-1] + [0] * N, N, k)
     monic = [ps_mul(col + [0] * N, lc_inv, N, k) for col in shifted]
@@ -454,7 +436,7 @@ def _factor_separable(cols: List[Poly], desc: FieldDesc) -> List[List[Poly]]:
     size = 1
     while 2 * size <= len(left):
         # lc_y of what is left, at x0 + s, as a series of constants in y
-        lc = _shift([_embed_code(desc, c, k) for c in rest.columns(1)[-1]],
+        lc = pshift([_embed_code(desc, c, k) for c in rest.columns(1)[-1]],
                     x0, k)
         lc = [[c] if c else [] for c in lc] + [[]] * (N - len(lc))
         for part in itertools.combinations(left, size):
@@ -488,14 +470,6 @@ def _good_line(cols: List[Poly], desc: FieldDesc) -> Tuple[FieldDesc, int, Poly]
                 return k, x0, u
         if k.q > bound:  # pragma: no cover - the bound rules it out
             raise ArithmeticError("no squarefree specialization")
-
-
-def _shift(f: Poly, a: int, k: FieldDesc) -> Poly:
-    """f(a + s), by Horner's rule."""
-    out: Poly = []
-    for c in reversed(f):
-        out = padd(pmul(out, [a, 1], k), [c], k)
-    return out
 
 
 def _hensel(g: List[Poly], u: Poly, w: Poly, N: int,
@@ -533,7 +507,7 @@ def _candidate(acc: List[Poly], lifts: List[List[Poly]], x0: int, N: int,
                   for j in range(max(map(len, acc)))])
     out = []
     for col in cols:
-        col = _shift(col, k.neg(x0), k)
+        col = pshift(col, k.neg(x0), k)
         if any(c not in down for c in col):
             return None
         out.append([down[c] for c in col])

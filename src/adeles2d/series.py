@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Tuple
 
-from .fields import FieldDesc, FieldElem
+from .fields import FieldDesc, FieldElem, power
 
 INF = math.inf
 DEFAULT_PREC = 16
@@ -234,14 +234,9 @@ class LaurentSeries2:
     def __pow__(self, n: int) -> "LaurentSeries2":
         if n < 0:
             return self.inverse() ** (-n)
-        result, base = LaurentSeries2.one(self.desc), self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # no square past the last bit
-                base = base * base
-        return result
+        if n == 0:
+            return LaurentSeries2.one(self.desc)
+        return power(self, n, LaurentSeries2.__mul__)
 
     # -- comparison and display ------------------------------------------------
 

@@ -35,6 +35,7 @@ from .fields import (
     pgcd,
     poly_factor,
     poly_root,
+    pshift,
     ptrim,
 )
 from .irreducible import first_factor
@@ -94,14 +95,14 @@ class Surface:
     ("support", C, H) for intersection_support (one entry for both orders
     of a pair), ("monomials", c) for class_monomials, ("canonical",) for
     canonical_divisor, ("ord", P, D) for the multiplicity of a curve in a
-    polynomial and the quotient (_order); ("h", c), ("section rows",
-    negative, c), ("section product", negative), ("columns", c) and
-    ("section rank", negative, c) for cohomology; ("representative", c)
-    and ("reflect", wdiv, D) for measures; ("germ", D, x) for the idele
-    germ of a curve at a point and ("intersection flags", supp C, supp H)
-    for the flags of two supports, in symbols; ("chart", P, name) for a
-    polynomial restricted to a chart (dehomogenize) and ("layout", D,
-    name, solve) for its columns in one coordinate (_layout).  Both live
+    polynomial and the quotient (_order); ("h", c), ("section product",
+    negative), ("columns", c) and ("section rank", negative, c) for
+    cohomology; ("representative", c) and ("reflect", wdiv, D) for
+    measures; ("germ", D, x) for the idele germ of a curve at a point and
+    ("intersection flags", supp C, supp H) for the flags of two supports,
+    in symbols; ("chart", P, name) for a polynomial restricted to a chart
+    (dehomogenize) and ("layout", D, name, solve) for its columns in one
+    coordinate (_layout).  Both live
     until their owner clears them; an equal but new Surface starts empty."""
 
     __slots__ = ("model", "base", "groups", "nvars", "var_names", "charts",
@@ -790,21 +791,15 @@ def _lift(fl: Flag, window: int, u_window: int) -> List[LaurentSeries2]:
 def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
                         u_window: Optional[int] = None) -> LaurentSeries2:
     """Expansion of a homogeneous polynomial, dehomogenized in the flag's
-    chart, as a series in (u, t) on the box of the coordinate series;
-    cached per (polynomial, box)."""
+    chart, as a series in (u, t) on the box of the coordinate series.  It
+    is not kept: its callers keep what they make of it (invert_poly_at_flag
+    the inverse) and rarely ask for one box twice."""
     S = fl.curve.surface
-    if u_window is None:
-        u_window = window
-    key = ("poly", P, window, u_window)
-    got = fl._cache.get(key)
-    if got is not None:
-        return got
     k = fl.point.residue_field
     affine = _mp_embed(S.dehomogenize(P, fl.chart), k)
-    coords = flag_coordinate_series(fl, window, u_window)
-    out = mp_eval_series(affine, coords, k)
-    fl._cache[key] = out
-    return out
+    coords = flag_coordinate_series(
+        fl, window, window if u_window is None else u_window)
+    return mp_eval_series(affine, coords, k)
 
 
 def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
@@ -895,22 +890,12 @@ def _branch(fl: Flag, n: int) -> List[int]:
     return y[:n]
 
 
-def _u_columns(f: MPoly, fl: Flag) -> List[List[int]]:
+def _u_columns(f: MPoly, fl: Flag) -> List[Poly]:
     """f(u_value + u, c) for f a polynomial in the flag's chart coordinates
-    and c the one other than u, as its coefficient of each power of c: the
-    codes of a polynomial in u, one per power up to f's degree in u."""
-    k = fl.point.residue_field
-    ui = fl.u_index
-    # the n codes of (u_value + u)^i for i < n, n - 1 being f's degree in u
-    n = f.degree_in(ui) + 1
-    shifted = [[1] + [0] * (n - 1)]
-    for _ in range(n - 1):
-        prev = shifted[-1]
-        shifted.append(k.axpy(fl.u_value.n, prev, [0] + prev[:-1]))
-    cols = [[0] * n for _ in range(f.degree_in(1 - ui) + 1)]
-    for e, c in f.terms.items():
-        cols[e[1 - ui]] = k.axpy(c, shifted[e[ui]], cols[e[1 - ui]])
-    return cols
+    and c the one other than u, as its coefficient of each power of c: a
+    polynomial in u, the Taylor shift (fields.pshift) of f's column."""
+    return [pshift(col, fl.u_value.n, fl.point.residue_field)
+            for col in f.columns(1 - fl.u_index)]
 
 
 def _hasse(cols: List[List[int]], j: int, y: List[int], n: int,

@@ -10,9 +10,9 @@ algorithm in each point's residue field.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .fields import pshift
 from .multipoly import MPoly
 from .surface import (
     ClosedPoint,
@@ -309,15 +309,10 @@ def _multiplicity(D: Curve, E: Curve, pt: ClosedPoint, most: int) -> int:
 
 
 def _moved(f: MPoly, a: int, b: int) -> Dict[Tuple[int, int], int]:
-    """The terms of f(x + a, y + b), a and b codes of f's field."""
+    """The terms of f(x + a, y + b), a and b codes of f's field: a Taylor
+    shift (fields.pshift) of each column in x by a, then of each column in
+    y by b."""
     k = f.desc
-    out: Dict[Tuple[int, int], int] = {}
-    for (i, j), c in f.terms.items():
-        for u in range(i + 1):
-            cu = k.mul(c, k.mul(comb(i, u) % k.p, k.pow(a, i - u)))
-            if not cu:
-                continue
-            for v in range(j + 1):
-                w = k.mul(cu, k.mul(comb(j, v) % k.p, k.pow(b, j - v)))
-                out[u, v] = k.add(out.get((u, v), 0), w)
-    return {e: c for e, c in out.items() if c}
+    f = MPoly.from_columns(k, [pshift(col, a, k) for col in f.columns(1)], 1)
+    return MPoly.from_columns(
+        k, [pshift(col, b, k) for col in f.columns(0)], 0).terms

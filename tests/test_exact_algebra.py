@@ -2,13 +2,28 @@
 
 import itertools
 import random
+from types import SimpleNamespace
+
+import pytest
+
+from reference_poly import (
+    binomial_moved,
+    binomial_u_columns,
+    degree0_resultant,
+    horner_shift,
+    square_and_multiply,
+)
 
 from adeles2d.cohomology import rr_space
 from adeles2d.fields import (
     FieldElem,
     field_make,
     padd,
+    pmod,
     pmul,
+    power,
+    ppow_mod,
+    pshift,
     psub,
     ptrim,
 )
@@ -17,11 +32,13 @@ from adeles2d.multipoly import MPoly, det_bareiss, factor2, resultant_elim
 from adeles2d.series import LaurentSeries2
 from adeles2d.surface import (
     Divisor,
+    _u_columns,
     class_monomials,
     curve_make,
     divisor_class,
     surface_make,
 )
+from adeles2d.symbols import _moved
 
 
 def peval(f, x, desc):
@@ -491,3 +508,74 @@ def test_kernels_build_no_field_elements(monkeypatch):
 
     monkeypatch.setattr(FieldElem, "__init__", refused)
     assert [work(F) for F in fields] == want
+
+
+def test_poly_kernel_matches_its_references():
+    """pshift, power and the degree-0 resultants against the routes they
+    replaced (tests/reference_poly.py) on seeded random input over F_2,
+    F_3, F_4, F_9 and the packed F_(7^6): degrees 0 to 8, the empty
+    polynomial and a zero shift, n = 1, and n = 0 where a caller defines
+    it."""
+    rng = random.Random(39)
+    for F in [field_make(p, d) for p, d in
+              ((2, 1), (3, 1), (2, 2), (3, 2), (7, 6))]:
+        def poly(deg):
+            """A random polynomial of degree deg, [] for deg -1."""
+            return [rng.randrange(F.q) for _ in range(deg)] + \
+                [rng.randrange(1, F.q)] * (deg >= 0)
+
+        def shifts():
+            return (0, rng.randrange(F.q), rng.randrange(1, F.q))
+
+        for deg in range(-1, 9):
+            f = poly(deg)
+            for a in shifts():
+                assert pshift(f, a, F) == horner_shift(f, a, F), (F, f, a)
+        # powers of codes, of polynomials mod m, of MPolys and of series
+        for n in list(range(1, 18)) + [F.q + 1, F.q ** 2, 1000]:
+            for x in (0, 1, rng.randrange(1, F.q)):
+                want = square_and_multiply(x, n, F.mul, 1)
+                assert power(x, n, F.mul) == want == F.pow(x, n), (F, x, n)
+        assert F.pow(rng.randrange(F.q), 0) == 1
+        with pytest.raises(ValueError, match="n >= 1"):
+            power(rng.randrange(F.q), 0, F.mul)
+        m = poly(rng.randrange(1, 6))
+        for e in range(0, 12):
+            f = poly(rng.randrange(0, 8))
+            assert ppow_mod(f, e, m, F) == square_and_multiply(
+                pmod(f, m, F), e, lambda a, b: pmod(pmul(a, b, F), m, F),
+                [1]), (F, f, e, m)
+        one2 = MPoly.const(F, 2, 1)
+        g = rand_mpoly(F, 2, rng, max_deg=2, nterms=3)
+        s = LaurentSeries2(F, {(0, 0): 1, (1, -1): rng.randrange(F.q),
+                               (0, 2): rng.randrange(F.q)}, 5, 6)
+        for n in range(0, 5):
+            assert g ** n == square_and_multiply(g, n, MPoly.__mul__, one2)
+            assert s ** n == square_and_multiply(
+                s, n, LaurentSeries2.__mul__, LaurentSeries2.one(F)), (F, n)
+        # the two-variable shifts: _u_columns (a flag reads only u_index,
+        # u_value and the residue field) and _moved
+        for _ in range(4):
+            f = rand_mpoly(F, 2, rng, max_deg=rng.randrange(0, 7), nterms=8)
+            for ui, (a, b) in itertools.product((0, 1), zip(shifts(),
+                                                            shifts())):
+                fl = SimpleNamespace(u_index=ui, u_value=FieldElem(F, a),
+                                     point=SimpleNamespace(residue_field=F))
+                assert _u_columns(f, fl) == [ptrim(col) for col in
+                                             binomial_u_columns(f, F, ui, a)]
+                assert _moved(f, a, b) == binomial_moved(f, a, b), (F, f)
+        # degree 0 in the eliminated variable, on either side or both
+        for elim in (0, 1):
+            keep = 1 - elim
+            for _ in range(3):
+                const, g = (MPoly(F, 2, {
+                    tuple(d if v == keep else 0 for v in (0, 1)): c
+                    for d, c in enumerate(poly(rng.randrange(0, 4)))})
+                    for _ in range(2))
+                g = g + rand_mpoly(F, 2, rng, max_deg=3, nterms=5)
+                for a, b in ((const, g), (g, const), (const, const)):
+                    if a.is_zero() or b.is_zero():
+                        continue
+                    assert resultant_elim(a, b, elim, keep) == \
+                        degree0_resultant(a.columns(elim), b.columns(elim),
+                                          F), (F, a, b, elim)

@@ -20,6 +20,7 @@ from adeles2d.fields import (
     pdeg,
     pmul,
     poly_factor,
+    power,
     pscale,
     ptrim,
     rel_trace,
@@ -188,7 +189,8 @@ def test_euclidean_inverse_matches_fermat_above_the_table_limit():
         assert desc._log is None, (p, d)
         for _ in range(2000):
             n = rng.randrange(1, desc.q)
-            assert desc.inv(n) == desc._vec_pow(n, desc.q - 2), (p, d, n)
+            assert desc.inv(n) == power(n, desc.q - 2, desc._vec_mul), \
+                (p, d, n)
         # the constants invert inside the prime field
         assert desc.inv(1) == 1 and desc.mul(desc.inv(p - 1), p - 1) == 1
 
