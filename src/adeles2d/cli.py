@@ -507,7 +507,7 @@ def _cmd_expand(args) -> int:
     back = series * expand_poly_at_flag(f.den, fl, P - t_low, P - u_low)
     num = expand_poly_at_flag(f.num, fl, P)
     return _emit(_config(args), _collect([Check(
-        "expand", inputs, repr(num.truncate(P, P)),
+        "expand", inputs, repr(num),
         repr(back.truncate(P, P)))], args), args)
 
 

@@ -90,9 +90,6 @@ class LaurentSeries2:
     def is_exact(self) -> bool:
         return self.t_prec == INF and self.u_prec == INF
 
-    def is_zero_window(self) -> bool:
-        return not self.terms
-
     def _low(self) -> Tuple[float, float]:
         """Least tracked t- and u-exponents, or the window's ends when the
         window is all zero."""

@@ -613,7 +613,10 @@ def _one_root(irr: Poly, k: FieldDesc) -> FieldElem:
 # flags and local expansion
 
 class Flag:
-    """A point on a curve with a deterministic local coordinate pair."""
+    """A point on a curve with a deterministic local coordinate pair.  Its
+    cache holds "coords", the solved coordinate (flag_coordinate_series),
+    "branch" (_branch), ("val", P), ("polyinv", P, window, t_to), "P"
+    (form_polynomial) and the ("germ", ...) valuations of symbols."""
 
     __slots__ = ("point", "curve", "chart", "u_index", "u_value", "t_param",
                  "point_affine", "_cache")
@@ -679,49 +682,12 @@ def _mp_embed(f: MPoly, ext: FieldDesc) -> MPoly:
                                       for e, c in f.terms.items()})
 
 
-def mp_eval_series(f: MPoly, args: Sequence[LaurentSeries2],
-                   desc: FieldDesc) -> LaurentSeries2:
-    """Evaluate a polynomial at series arguments (coefficients in desc)."""
-    pows: List[Dict[int, LaurentSeries2]] = [dict() for _ in range(f.nvars)]
-
-    def pw(i: int, n: int) -> LaurentSeries2:
-        got = pows[i].get(n)
-        if got is None:
-            got = args[i] ** n
-            pows[i][n] = got
-        return got
-
-    # the terms are summed into one dict and cut once to the least of their
-    # windows: the terms and windows that adding them one by one with `+`
-    # gives, without a copy of the sum per term
-    add = desc.add
-    acc: Dict[Tuple[int, int], int] = {}
-    t_prec = u_prec = INF
-    for e, c in f.terms.items():
-        term = LaurentSeries2._make(desc, {(0, 0): c}, INF, INF)
-        for i, k in enumerate(e):
-            if k:
-                term = term * pw(i, k)
-        t_prec, u_prec = min(t_prec, term.t_prec), min(u_prec, term.u_prec)
-        for key, v in term.terms.items():
-            cur = acc.get(key)
-            if cur is None:
-                acc[key] = v
-            elif cur := add(cur, v):
-                acc[key] = cur
-            else:
-                del acc[key]
-    if t_prec != INF or u_prec != INF:
-        acc = {k: c for k, c in acc.items() if k[0] < t_prec and k[1] < u_prec}
-    return LaurentSeries2._make(desc, acc, t_prec, u_prec)
-
-
 def flag_coordinate_series(fl: Flag, window: int,
-                           u_window: Optional[int] = None) -> List[LaurentSeries2]:
-    """Expansions of the two chart coordinates at the flag on the box of
-    t-window `window` and u-window `u_window` (default: the same): u itself,
-    and the other as a series B(u, t) with B(0,0) = its value at the point,
-    solving t_param(coords) = t, lifted from the branch (_lift).
+                           u_window: Optional[int] = None) -> LaurentSeries2:
+    """The chart coordinate other than u at the flag, as a series B(u, t)
+    on the box of t-window `window` and u-window `u_window` (default: the
+    same), with B(0, 0) its value at the point: the solution of
+    t_param(u_value + u, B) = t, lifted from the branch (_lift).
 
     The flag keeps one solution, on the join of the boxes asked for so far.
     A box inside it is served by truncation; a larger box restarts the lift
@@ -729,22 +695,18 @@ def flag_coordinate_series(fl: Flag, window: int,
     terms and precisions."""
     if u_window is None:
         u_window = window
-    other = 1 - fl.u_index
     got = fl._cache.get("coords")
     if got is None:
         got = fl._cache["coords"] = _lift(fl, window, u_window)
-    elif window > got[other].t_prec or u_window > got[other].u_prec:
+    elif window > got.t_prec or u_window > got.u_prec:
         got = fl._cache["coords"] = _lift(
-            fl, max(window, got[other].t_prec),
-            max(u_window, got[other].u_prec))
-    out = list(got)
-    out[other] = got[other].truncate(window, u_window)
-    return out
+            fl, max(window, got.t_prec), max(u_window, got.u_prec))
+    return got.truncate(window, u_window)
 
 
-def _lift(fl: Flag, window: int, u_window: int) -> List[LaurentSeries2]:
-    """The coordinate series on one box.  Along t = 0 the other coordinate
-    is the branch ybar(u); off it, y = ybar + delta with
+def _lift(fl: Flag, window: int, u_window: int) -> LaurentSeries2:
+    """The solved coordinate B on one box.  Along t = 0 it is the branch
+    ybar(u); off it, B = ybar + delta with
     sum_j T^[j](u, ybar) delta^j = t, for T^[j] the Hasse derivatives of
     t_param in y and T^[0](u, ybar) = 0.  So delta = sum_i c_i(u) t^i with
     c_1 = 1 / T^[1](u, ybar), a unit since flag_make checks it at the
@@ -753,14 +715,9 @@ def _lift(fl: Flag, window: int, u_window: int) -> List[LaurentSeries2]:
     series in u (Kung and Traub, J. ACM 25(2), 1978).  A curve linear in y
     has c_i = 0 for i >= 2."""
     k = fl.point.residue_field
-    other = 1 - fl.u_index
-    u_series = LaurentSeries2.monomial(k, k.one(), 0, 1) + \
-        LaurentSeries2.const(k, fl.u_value)
-    coords = [u_series, u_series]
     n = u_window
     if window < 1 or n < 1:  # an empty box
-        coords[other] = LaurentSeries2._make(k, {}, window, n)
-        return coords
+        return LaurentSeries2._make(k, {}, window, n)
     ybar = _branch(fl, n)
     cols = fl._cache["branch"][0]  # t_param's _u_columns, kept by _branch
     deg = len(cols) - 1  # of t_param in y
@@ -784,22 +741,29 @@ def _lift(fl: Flag, window: int, u_window: int) -> List[LaurentSeries2]:
     terms = {(0, e): c for e, c in enumerate(ybar) if c}
     terms.update({(i, e): c for i, ci in enumerate(powers[1][1:window], 1)
                   for e, c in enumerate(ci) if c})
-    coords[other] = LaurentSeries2._make(k, terms, window, n)
-    return coords
+    return LaurentSeries2._make(k, terms, window, n)
 
 
 def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
                         u_window: Optional[int] = None) -> LaurentSeries2:
     """Expansion of a homogeneous polynomial, dehomogenized in the flag's
-    chart, as a series in (u, t) on the box of the coordinate series.  It
-    is not kept: its callers keep what they make of it (invert_poly_at_flag
-    the inverse) and rarely ask for one box twice."""
-    S = fl.curve.surface
-    k = fl.point.residue_field
-    affine = _mp_embed(S.dehomogenize(P, fl.chart), k)
-    coords = flag_coordinate_series(
-        fl, window, window if u_window is None else u_window)
-    return mp_eval_series(affine, coords, k)
+    chart, on exactly the box t < window, u < u_window (default: the
+    window): sum_m col_m(u) B^m, for col_m its _u_columns and B the solved
+    coordinate (flag_coordinate_series).  It is not kept: its callers keep
+    what they make of it (invert_poly_at_flag the inverse) and rarely ask
+    for one box twice."""
+    if u_window is None:
+        u_window = window
+    k, S = fl.point.residue_field, fl.curve.surface
+    cols = _u_columns(_mp_embed(S.dehomogenize(P, fl.chart), k), fl)
+    B = flag_coordinate_series(fl, window, u_window)
+    out = LaurentSeries2.zero(k, window, u_window)
+    for m, col in enumerate(cols):
+        if col:
+            col_m = LaurentSeries2._make(
+                k, {(0, e): c for e, c in enumerate(col) if c}, INF, INF)
+            out = out + col_m * B ** m
+    return out
 
 
 def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
@@ -828,7 +792,7 @@ def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
             f"{window} ends its t-window {t_to} before the leading column "
             f"t^{vt}")
     u_to = window + size * w
-    e = expand_poly_at_flag(P, fl, t_to, u_to).truncate(t_to, u_to)
+    e = expand_poly_at_flag(P, fl, t_to, u_to)
     out = fl._cache[key] = e.inverse().truncate(u_to=window - w)
     return out
 
@@ -925,7 +889,7 @@ def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, window: int,
         return LaurentSeries2.zero(fl.point.residue_field, t_to, window)
     inv = invert_poly_at_flag(den, fl, window + wd, t_window=size + vd)
     top_t, top_u = t_to + vd, window + size * wd
-    top = expand_poly_at_flag(num, fl, top_t, top_u).truncate(top_t, top_u)
+    top = expand_poly_at_flag(num, fl, top_t, top_u)
     return (top * inv).truncate(t_to, window)
 
 

@@ -1,5 +1,6 @@
-"""Reference inverses for the tests: the routes the package used before it
-inverted by t-columns, kept to check that route against.
+"""Reference routes for the tests: the ones the package used before it
+inverted by t-columns and expanded polynomials from their columns, kept to
+check those routes against.
 
 `neumann_inverse` inverts a two-variable series by the geometric series
 1 / (y0 (1 + r)) = y0^-1 sum (-r)^i over the leading column's inverse y0,
@@ -8,11 +9,72 @@ polynomial at a flag the way `surface.invert_poly_at_flag` did: expand on
 the square box of the window, re-expand on a u-wider box when the leading
 column is hidden, and again on a box sized from the dips of the later
 columns (the old route also gave up past a cap on the u-window, which no
-input of the tests reaches)."""
+input of the tests reaches).  `mp_eval_series` evaluates a polynomial at
+series arguments term by term, the way `surface.expand_poly_at_flag` did,
+and `chart_series` gives it the two chart coordinates at a flag: the exact
+series u_value + u and the solved coordinate of
+`surface.flag_coordinate_series`."""
 
 from adeles2d.series import INF, LaurentSeries2, PrecisionError, ps_inverse
-from adeles2d.surface import (expand_poly_at_flag, poly_order_at_flag,
+from adeles2d.surface import (_mp_embed, expand_poly_at_flag,
+                              flag_coordinate_series, poly_order_at_flag,
                               poly_valuation_at_flag)
+
+
+def mp_eval_series(f, args, desc):
+    """Evaluate a polynomial at series arguments (coefficients in desc).
+    The terms are summed into one dict and cut once to the least of their
+    windows: the terms and windows that adding them one by one with `+`
+    gives, without a copy of the sum per term."""
+    pows = [dict() for _ in range(f.nvars)]
+
+    def pw(i, n):
+        got = pows[i].get(n)
+        if got is None:
+            got = pows[i][n] = args[i] ** n
+        return got
+
+    add = desc.add
+    acc = {}
+    t_prec = u_prec = INF
+    for e, c in f.terms.items():
+        term = LaurentSeries2._make(desc, {(0, 0): c}, INF, INF)
+        for i, k in enumerate(e):
+            if k:
+                term = term * pw(i, k)
+        t_prec, u_prec = min(t_prec, term.t_prec), min(u_prec, term.u_prec)
+        for key, v in term.terms.items():
+            cur = acc.get(key)
+            if cur is None:
+                acc[key] = v
+            elif cur := add(cur, v):
+                acc[key] = cur
+            else:
+                del acc[key]
+    if t_prec != INF or u_prec != INF:
+        acc = {k: c for k, c in acc.items() if k[0] < t_prec and k[1] < u_prec}
+    return LaurentSeries2._make(desc, acc, t_prec, u_prec)
+
+
+def chart_series(fl, window, u_window=None):
+    """The flag's two chart coordinates as series on the box: u_value + u,
+    exact, and the solved coordinate B(u, t), in chart order."""
+    k = fl.point.residue_field
+    coords = [None, None]
+    coords[fl.u_index] = (LaurentSeries2.monomial(k, k.one(), 0, 1)
+                          + LaurentSeries2.const(k, fl.u_value))
+    coords[1 - fl.u_index] = flag_coordinate_series(fl, window, u_window)
+    return coords
+
+
+def reference_expansion(P, fl, window, u_window=None):
+    """P at the flag by mp_eval_series at the chart series, cut to the box
+    t < window, u < u_window (default: the window)."""
+    k = fl.point.residue_field
+    S = fl.curve.surface
+    affine = _mp_embed(S.dehomogenize(P, fl.chart), k)
+    got = mp_eval_series(affine, chart_series(fl, window, u_window), k)
+    return got.truncate(window, window if u_window is None else u_window)
 
 
 def neumann_inverse(f, t_window=16, u_window=16):
@@ -50,7 +112,7 @@ def neumann_inverse(f, t_window=16, u_window=16):
     total = term = one
     for _ in range(1, size):
         term = (term * negr).truncate(t_to=size)
-        if term.is_zero_window():
+        if not term.terms:
             break
         total = total + term
     out = (y0 * total).truncate(t_to=size - vt)

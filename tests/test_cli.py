@@ -456,6 +456,10 @@ GOLDEN_REPORTS = {
     "flex4": ["expand", "--q", "7", "--curve", "X^3+XZ^2+6Y^2Z",
               "--point", "0:1:0", "--function", "X^3/Z^3",
               "--precision", "4"],
+    # Z^20 meets the cubic to order 60 at the flex
+    "flex20": ["expand", "--q", "7", "--curve", "X^3+XZ^2+6Y^2Z",
+               "--point", "0:1:0", "--function", "X^20/Z^20",
+               "--precision", "8"],
     "verify_measures_p2": ["verify", "--surface", "P2", "--q", "3",
                            "--range", "-1:1",
                            "--suites", "serre,chi,commutator,rr"],

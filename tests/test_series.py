@@ -136,7 +136,7 @@ def test_inverse_multiplies_back_to_one():
         desc = field_make(q, 1)
         for _ in range(25):
             a = rand_series(desc, rng)
-            if a.is_zero_window():
+            if not a.terms:
                 continue
             inv = a.inverse()
             prod = a * inv
@@ -229,7 +229,7 @@ def test_res2_invariant_under_coordinate_change():
         desc = field_make(q, 1)
         for _ in range(15):
             f = rand_series(desc, rng, span=2, nterms=4)
-            if f.is_zero_window():
+            if not f.terms:
                 continue
             # old parameters as polynomials in the new ones: unit Jacobian
             u_img = mk(desc, {(0, 1): 1,
@@ -256,7 +256,7 @@ def test_precision_monotonicity():
         small = (a.truncate(4, 4) * b.truncate(4, 4))
         large = (a.truncate(9, 9) * b.truncate(9, 9))
         assert agree(small, large)
-        if not a.is_zero_window():
+        if a.terms:
             inv_small = a.truncate(5, 5).inverse()
             inv_large = a.truncate(10, 10).inverse()
             assert agree(inv_small, inv_large)
@@ -409,7 +409,7 @@ def test_column_inverse_matches_the_neumann_series_on_exact_input():
         desc = field_make(q, 1)
         for _ in range(40):
             a = rand_series(desc, rng)
-            if a.is_zero_window():
+            if not a.terms:
                 continue
             got, want = a.inverse(6, 6), neumann_inverse(a, 6, 6)
             t_to, u_to = min(got.t_prec, want.t_prec), min(got.u_prec, want.u_prec)
@@ -435,7 +435,7 @@ def test_column_inverse_claims_only_what_its_input_determines():
         for _ in range(30):
             t_prec, u_prec = rng.choice([(INF, 9), (7, 8), (6, INF)])
             a = rand_series(desc, rng, t_prec=t_prec, u_prec=u_prec)
-            if a.is_zero_window():
+            if not a.terms:
                 continue
             try:
                 got = a.inverse(6, 6)

@@ -51,7 +51,8 @@ from adeles2d.symbols import intersection_oracle
 from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
 from reference_curves import class_halves, search_outcome
 from reference_points import scan_points
-from reference_series import widening_inverse
+from reference_series import (chart_series, mp_eval_series,
+                              reference_expansion, widening_inverse)
 from test_series import derive
 
 
@@ -697,9 +698,9 @@ def test_coordinate_series_solves_curve_equation():
     C = curve_make(S, "YZ-X^2")
     pt = point_from_coords(S, (S.base.zero(), S.base.zero(), S.base.one()))
     fl = flag_make(pt, C)
-    coords = flag_coordinate_series(fl, 8)
     # the normalized equation is x^2 - y, so t = x^2 - y and y = u^2 - t
-    B = coords[1]
+    B = flag_coordinate_series(fl, 8)
+    assert fl.u_index == 0
     assert coeff(B, 1, 0) == -S.base.one()
     assert is_one(coeff(B, 0, 2))
     assert all(coeff(B, t, u).is_zero()
@@ -778,7 +779,7 @@ def test_expand_at_degree_two_point():
     fl = flag_make(deg2, L)
     f = ratfn(S, "X", "Y")
     e = expand_at_flag(f, fl, prec=6)
-    assert not e.is_zero_window()
+    assert e.terms
     # the value at the point is the ratio of the point's coordinates
     x0, y0, _ = deg2.coords
     assert coeff(e, 0, 0) == x0 / y0
@@ -1348,9 +1349,9 @@ def test_branch_solves_the_curve_equation_along_the_curve(model, q):
                                 + LaurentSeries2.monomial(k, k.one(), 0, 1))
             args[other] = LaurentSeries2(k, {(0, u): c for u, c in
                                              enumerate(ybar)}, INF, n)
-            T = surface_mod.mp_eval_series(fl.t_param, args, k)
-            assert T.u_prec == n and T.is_zero_window(), (fl, n, T)
-            column = flag_coordinate_series(fl, 1, n)[other]
+            T = mp_eval_series(fl.t_param, args, k)
+            assert T.u_prec == n and not T.terms, (fl, n, T)
+            column = flag_coordinate_series(fl, 1, n)
             assert [column.terms.get((0, u), 0) for u in range(n)] == ybar
 
 
@@ -1376,7 +1377,7 @@ def test_series_evaluation_equals_the_sum_of_its_terms_one_by_one():
                 for arg, n in zip(args, e):
                     term = term * arg ** n
                 want = want + term
-            got = surface_mod.mp_eval_series(f, args, k)
+            got = mp_eval_series(f, args, k)
             assert got == want and list(got.terms) == list(want.terms)
 
 
@@ -1410,9 +1411,8 @@ def test_coordinate_series_served_from_one_solve_equal_fresh_ones(
         if held is None:
             ways.add("fresh")
         else:
-            ours = held[1 - fl.u_index]
-            ways.add("truncate" if box[0] <= ours.t_prec
-                     and box[1] <= ours.u_prec else "restart")
+            ways.add("truncate" if box[0] <= held.t_prec
+                     and box[1] <= held.u_prec else "restart")
         got = solve(fl, window, u_window)
         asked.append((fl, box, got))
         return got
@@ -1429,8 +1429,8 @@ def test_coordinate_series_served_from_one_solve_equal_fresh_ones(
         again = flag_make(point_from_coords(T, fl.point.coords),
                           curve_make(T, fl.curve.poly))
         fresh = flag_coordinate_series(again, *box)
-        assert [(c.terms, c.t_prec, c.u_prec) for c in got] == \
-            [(c.terms, c.t_prec, c.u_prec) for c in fresh], (fl, box)
+        assert (got.terms, got.t_prec, got.u_prec) == \
+            (fresh.terms, fresh.t_prec, fresh.u_prec), (fl, box)
 
 
 
@@ -1455,10 +1455,9 @@ def test_lifted_coordinates_solve_the_curve_equation_on_the_box(model, q):
         k = fl.point.residue_field
         t = LaurentSeries2.monomial(k, k.one(), 1, 0)
         for box in ((1, 1), (2, 9), (8, 8), (12, 5)):
-            coords = flag_coordinate_series(fl, *box)
-            rest = surface_mod.mp_eval_series(fl.t_param, coords, k) - t
+            rest = mp_eval_series(fl.t_param, chart_series(fl, *box), k) - t
             assert (rest.t_prec, rest.u_prec) == box, (fl, box, rest)
-            assert rest.is_zero_window(), (fl, box, rest)
+            assert not rest.terms, (fl, box, rest)
 
 
 def test_a_curve_linear_in_the_solved_coordinate_lifts_to_one_t_column():
@@ -1468,10 +1467,61 @@ def test_a_curve_linear_in_the_solved_coordinate_lifts_to_one_t_column():
     fl = flag_make(point_from_coords(S, [S.base.from_int(i)
                                          for i in (0, 0, 1)]),
                    curve_make(S, "YZ-X^2"))
-    other = flag_coordinate_series(fl, 12, 12)[1 - fl.u_index]
+    other = flag_coordinate_series(fl, 12, 12)
     assert {t for t, _u in other.terms} <= {0, 1}, other
     assert coeff(other, 1, 0) == -S.base.one() and is_one(coeff(other, 0, 2))
     assert len(other.terms) == 2 and (other.t_prec, other.u_prec) == (12, 12)
+
+
+def _expansion_cases(model, q):
+    """(flag, P) for every flag of _branch_flags and P the curves' own
+    polynomials, two seeded ones and a sum of two monomials, whose columns
+    in the solved coordinate skip every power between 0 and 4."""
+    S = surface_make(model, q)
+    rng = random.Random(q)
+    cls, sparse = ((3,), "X^4+Y^4+Z^4") if model == "P2" else \
+        ((2, 2), "X0^4Y0^4+X1^4Y1^4")
+    polys = [parse_poly(S, sparse)]
+    for _ in range(2):
+        polys.append(MPoly(S.base, S.nvars, {
+            e: rng.randrange(q) for e in class_monomials(S, cls)}))
+    flags = _branch_flags(model, q)
+    polys += [D.poly for D in {fl.curve: None for fl in flags}]
+    return [(fl, P) for fl in flags for P in polys if not P.is_zero()]
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+@pytest.mark.parametrize("q", [2, 4, 9])
+def test_expansion_from_columns_equals_term_by_term_evaluation(model, q):
+    # sum_m col_m(u) B^m on the box against the polynomial evaluated term
+    # by term at u_value + u and B (tests/reference_series.py), cut to the
+    # box: the same terms and exactly the box, at points of degree 2, for
+    # either coordinate as u, on boxes of t-window 1 and of unequal
+    # windows, for columns that skip powers and degrees past the t-window
+    cases = _expansion_cases(model, q)
+    assert any(fl.point.degree == 2 for fl, _P in cases)
+    assert {fl.u_index for fl, _P in cases} == {0, 1}
+    seen = set()
+    for fl, P in cases:
+        k = fl.point.residue_field
+        cols = surface_mod._u_columns(surface_mod._mp_embed(
+            fl.curve.surface.dehomogenize(P, fl.chart), k), fl)
+        for box in ((1, 1), (1, 6), (3, 9), (6, 2), (8, 8)):
+            got = expand_poly_at_flag(P, fl, *box)
+            want = reference_expansion(P, fl, *box)
+            assert (got.t_prec, got.u_prec) == box, (fl, P, box, got)
+            assert (want.t_prec, want.u_prec) == box, (fl, P, box, want)
+            assert got.terms == want.terms, (fl, P, box)
+            if not all(cols) and len(cols) > box[0]:
+                seen.add("skip past the window")
+    assert seen == {"skip past the window"}
+    S, fl = _flex_flag()
+    P = parse_poly(S, "Z^20")
+    for box in ((1, 61), (4, 20), (8, 8), (16, 76)):
+        got = expand_poly_at_flag(P, fl, *box)
+        assert (got.t_prec, got.u_prec) == box, (box, got)
+        assert got.terms == reference_expansion(P, fl, *box).terms, box
+    assert got.terms
 
 
 # ---------------------------------------------------------------------------

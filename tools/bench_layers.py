@@ -53,6 +53,10 @@ FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
 # YZ meets the cubic to order 3 at the flex: its inverse on window 64
 FLEX64 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^2/YZ", 7, 64)
 CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
+# Z^20 meets the cubic to order 60 at the flex: `expand --function
+# X^20/Z^20 --precision 16` expands it on the box t < 16, u < 1036
+FLEX20 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^20/Z^20", 7, (16, 1036))
+CUBIC_F9 = ("Y^2Z-X^3-XZ^2-Z^3", "0:1:1", "X/Z", 9, (8, 8))
 # over F_5 these meet in two points of the first chart and one at infinity;
 # the oracle also times them over F_9
 CONIC_CUBIC = ("YZ-X^2", "Y^2Z-X^3-XZ^2")
@@ -476,9 +480,12 @@ def flag_cases(m: dict) -> Dict[str, Case]:
     round on a fresh surface, so no flag or expansion is cached: both
     windows of the suite (0..X at u-size 1 and -L..L at 2, one figure for
     the two), and the flags of -L..L, one per line, each off the other
-    lines (one figure per flag); and the coordinate series of a flag on a
+    lines (one figure per flag); the coordinate series of a flag on a
     cubic whose solved coordinate has degree 2, on the box (8, 8), and on
-    the box (1, 48), which is its branch alone."""
+    the box (1, 48), which is its branch alone; and two polynomials
+    expanded at a flag whose coordinate series is already lifted on the
+    box: Z^20 at the flex of FLEX20, and a dense sextic at that cubic's
+    flag on the box (8, 8)."""
     sf, ms = m["surface"], m["measures"]
 
     def lines():
@@ -497,7 +504,16 @@ def flag_cases(m: dict) -> Dict[str, Case]:
             sf.smooth_flag(D, 2, [E for E in ls if E != D])
 
     def cubic_flag():
-        return flag(m, ("Y^2Z-X^3-XZ^2-Z^3", "0:1:1", "X/Z", 9, 8))[0]
+        return flag(m, CUBIC_F9)[0]
+
+    def lifted(spec, poly):
+        """A fresh flag, its coordinate series lifted on the spec's box,
+        and the polynomial poly(S) to expand there."""
+        def setup():
+            fl = flag(m, spec)[0]
+            sf.flag_coordinate_series(fl, *spec[4])
+            return poly(fl.curve.surface), fl
+        return (setup, lambda pf: sf.expand_poly_at_flag(*pf, *spec[4]), 1)
 
     return {
         "measures.window_build.P2.q13": (lines, windows, 1),
@@ -505,7 +521,11 @@ def flag_cases(m: dict) -> Dict[str, Case]:
         "surface.flag_coordinate_series.cubic.P2.F9": (
             cubic_flag, lambda fl: sf.flag_coordinate_series(fl, 8, 8), 1),
         "surface.branch.cubic.P2.F9": (
-            cubic_flag, lambda fl: sf.flag_coordinate_series(fl, 1, 48), 1)}
+            cubic_flag, lambda fl: sf.flag_coordinate_series(fl, 1, 48), 1),
+        "surface.expand_poly_at_flag.flex20": lifted(
+            FLEX20, lambda S: sf.parse_poly(S, "Z^20")),
+        "surface.expand_poly_at_flag.sextic.cubic.P2.F9": lifted(
+            CUBIC_F9, lambda S: dense_sextic(m, S, random.Random(9)))}
 
 
 CASES = (field_cases, series_cases, poly_cases, rank_cases, geometry_cases,
@@ -539,7 +559,8 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "symbols.intersection_number.bezout.P1xP1.q5",
     "measures.window_build.P2.q13", "surface.smooth_flag.lines.P2.q13",
     "surface.flag_coordinate_series.cubic.P2.F9",
-    "surface.branch.cubic.P2.F9")
+    "surface.branch.cubic.P2.F9", "surface.expand_poly_at_flag.flex20",
+    "surface.expand_poly_at_flag.sextic.cubic.P2.F9")
 
 
 def time_once(case) -> float:
