@@ -51,6 +51,7 @@ from .surface import (
     expand_at_flag,
     expand_poly_at_flag,
     flag_make,
+    ord_on_curve,
     parse_poly,
     point_from_coords,
     surface_make,
@@ -529,6 +530,11 @@ def _cmd_residue(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
+    """Print the symbol of f and g at the flag and check it by the power
+    product: with a and b the orders of f and g along the flag's curve,
+    h = f^b g^-a has t-order 0, and the u-order of its t^0 column, read
+    on the box t < 1, u < symbol + 1, is the symbol (None if the column
+    is empty there)."""
     S = _make_surface(args)
     fl = _parse_flag(S, args)
     f = _parse_function(S, args.f)
@@ -536,10 +542,17 @@ def _cmd_symbol(args) -> int:
     value = symbol_at_flag([(f.num, 1), (f.den, -1)],
                            [(g.num, 1), (g.den, -1)], fl)
     print(value)
+    a, b = ord_on_curve(f, fl.curve), ord_on_curve(g, fl.curve)
+    num = den = S.var(0) ** 0
+    for P, e in ((f.num, b), (f.den, -b), (g.num, -a), (g.den, a)):
+        num, den = (num * P ** e, den) if e > 0 else (num, den * P ** -e)
+    h = expand_at_flag(RationalFunction(S, num, den), fl, max(1, value + 1),
+                       t_window=1)
+    rhs = min((u for t, u in h.terms if t == 0), default=None)
     inputs = {"curve": args.curve, "point": args.point, "f": args.f,
               "g": args.g}
     return _emit(_config(args), _collect(
-        [Check("symbol", inputs, value, value)], args), args)
+        [Check("symbol", inputs, value, rhs)], args), args)
 
 
 def _cmd_intersect(args) -> int:

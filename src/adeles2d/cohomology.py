@@ -2,13 +2,14 @@
 
 Dimensions come from two independent routes that are cross-checked in the
 test suite: closed binomial formulas for each projective factor, combined
-by the Kuenneth formula, and literal Cech monomial enumeration over all the
-variables, where only the all-nonnegative and all-negative exponent
-patterns of each group contribute.  On top of the dimension oracles sit
-brute-force Riemann-Roch spaces computed by exact linear algebra over the
-base field: `rr_space` is the rref basis of the rows that span the
-numerators, and `rr_dimension` the rank of the same rows by forward
-elimination, which counts the sections without building them.
+by the Kuenneth formula, and a Cech monomial count per group of variables,
+where only the all-nonnegative and all-negative exponent patterns
+contribute, each counted without listing its tuples.  On top of the
+dimension oracles sit brute-force Riemann-Roch spaces computed by exact
+linear algebra over the base field: `rr_space` is the rref basis of the
+rows that span the numerators, and `rr_dimension` the rank of the same
+rows by forward elimination, which counts the sections without building
+them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 import itertools
 from math import comb
 from operator import add as _add, mul as _mul
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from .linalg import Matrix, mat_rank, mat_rref
 from .multipoly import MPoly
@@ -75,14 +76,15 @@ def h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
     key = ("h", tuple(c))
     got = S.memo.get(key)
     if got is None:
-        got = S.memo[key] = _kuenneth_h(S, c)
+        got = S.memo[key] = _kuenneth_h(
+            [_projective_h(len(g) - 1, a) for g, a in zip(S.groups, c)])
     return got
 
 
-def _kuenneth_h(S: Surface, c: ClassVector) -> CohomologyVector:
-    h = [1]
-    for g, a in zip(S.groups, c):
-        f = _projective_h(len(g) - 1, a)
+def _kuenneth_h(factors: List[List[int]]) -> CohomologyVector:
+    """The Kuenneth product of one vector (h^0, ..., h^n) per factor."""
+    h, *rest = factors
+    for f in rest:
         prod = [0] * (len(h) + len(f) - 1)
         for i, x in enumerate(h):
             for j, y in enumerate(f):
@@ -92,43 +94,30 @@ def _kuenneth_h(S: Surface, c: ClassVector) -> CohomologyVector:
 
 
 def cech_h_vector(S: Surface, c: ClassVector) -> CohomologyVector:
-    """The same dimensions by literal monomial counting in the Cech complex.
+    """The same dimensions by counting monomials in the Cech complex.
 
     A Laurent monomial of class c survives to cohomology exactly when its
     exponent signs are uniform within each homogeneous group: all
     nonnegative (degree 0) or all negative (degree size - 1 for the group).
-    Every exponent of such a monomial lies between min(0, d + size - 1) and
-    max(d, -1), for d the degree of its group.  A monomial of class c is one
-    exponent tuple of degree d per group, so each group walks only the
-    tuples of its degree in that box, and the counts of the groups multiply.
+    For a group of degree d, the first are the exponent tuples of sum d
+    with every entry in [0, d], the second those with every entry in
+    [d + size - 1, -1]; each pattern is counted (`_count`), and the
+    Kuenneth product of the groups' counts is the h-vector.
     """
-    h = [1]
-    for g, d in zip(S.groups, c):
-        counts = [0] * len(g)
-        for part in _parts(len(g), d, min(0, d + len(g) - 1), max(d, -1)):
-            if all(x < 0 for x in part):
-                counts[-1] += 1
-            elif not any(x < 0 for x in part):
-                counts[0] += 1
-        prod = [0] * (len(h) + len(counts) - 1)
-        for i, x in enumerate(h):
-            for j, y in enumerate(counts):
-                prod[i + j] += x * y
-        h = prod
-    return CohomologyVector(*h)
+    return _kuenneth_h([
+        [_count(len(g), d, 0, d)] + [0] * (len(g) - 2)
+        + [_count(len(g), d, d + len(g) - 1, -1)]
+        for g, d in zip(S.groups, c)])
 
 
-def _parts(size: int, d: int, lo: int, hi: int) -> Iterable[Tuple[int, ...]]:
-    """The tuples of `size` integers in [lo, hi] that sum to d, in lex
-    order; each prefix is one that some tuple extends."""
-    if size == 1:
-        if lo <= d <= hi:
-            yield (d,)
-        return
-    rest = size - 1
-    for x in range(max(lo, d - rest * hi), min(hi, d - rest * lo) + 1):
-        for tail in _parts(rest, d - x, lo, hi):
-            yield (x,) + tail
+def _count(size: int, d: int, lo: int, hi: int) -> int:
+    """The number of tuples of `size` >= 2 integers in [lo, hi] that sum
+    to d: for each first entry x, the rest sum to d - x, and the last two
+    entries are one interval of x."""
+    xs = range(max(lo, d - (size - 1) * hi), min(hi, d - (size - 1) * lo) + 1)
+    if size == 2:
+        return len(xs)
+    return sum(_count(size - 1, d - x, lo, hi) for x in xs)
 
 
 def _section_key(D: Divisor) -> tuple:

@@ -27,17 +27,12 @@ TABLE_MAX = 4096  # largest extension field given log/antilog tables
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n, ascending, by trial division; []
+    for n < 2."""
     out = []
     t = 2
     while t * t <= n:

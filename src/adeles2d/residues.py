@@ -219,9 +219,9 @@ def _random_form_of_class(S: Surface, cls, rng: random.Random) -> Optional[MPoly
     return None if f.is_zero() else f
 
 
-def reciprocity_corpus(S: Surface, count: int, seed: int,
-                       max_degree: int = 3) -> List[GlobalForm]:
-    """Deterministic list of forms with poles on coordinate curves."""
+def reciprocity_corpus(S: Surface, count: int, seed: int) -> List[GlobalForm]:
+    """Deterministic list of forms with poles on coordinate curves, of
+    total polar degree at most 3."""
     rng = random.Random(seed)
     lines = list(S.lines.values())
     out: List[GlobalForm] = []
@@ -231,7 +231,7 @@ def reciprocity_corpus(S: Surface, count: int, seed: int,
         mults = [0] * len(lines)
         total = 0
         for i in range(len(lines)):
-            m = rng.randrange(0, max_degree - total + 1)
+            m = rng.randrange(0, 3 - total + 1)
             mults[i] = m
             total += m
         if total == 0:

@@ -27,6 +27,7 @@ from .fields import (
     FieldElem,
     Poly,
     _embed_code,
+    _prime_factors,
     coerce_down,
     embed,
     field_make,
@@ -210,17 +211,14 @@ def surface_make(model: str, q: int) -> Surface:
 
 
 def _prime_power(q: int) -> Tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            d = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                d += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, d
-    raise ValueError(f"{q} is not a prime power")
+    primes = _prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p = primes[0]
+    d = 1
+    while p ** d < q:
+        d += 1
+    return p, d
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,11 @@ def _multiplicity(D: Curve, E: Curve, pt: ClosedPoint, most: int) -> int:
 def _moved(f: MPoly, a: int, b: int) -> Dict[Tuple[int, int], int]:
     """The terms of f(x + a, y + b), a and b codes of f's field: a Taylor
     shift (fields.pshift) of each column in x by a, then of each column in
-    y by b."""
+    y by b; a shift by 0 is skipped, so at the origin these are f's own
+    terms, which the caller must not change."""
     k = f.desc
-    f = MPoly.from_columns(k, [pshift(col, a, k) for col in f.columns(1)], 1)
-    return MPoly.from_columns(
-        k, [pshift(col, b, k) for col in f.columns(0)], 0).terms
+    if a:
+        f = MPoly.from_columns(k, [pshift(c, a, k) for c in f.columns(1)], 1)
+    if b:
+        f = MPoly.from_columns(k, [pshift(c, b, k) for c in f.columns(0)], 0)
+    return f.terms

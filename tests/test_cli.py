@@ -301,6 +301,21 @@ def test_a_recurrence_mutant_fails_expand_by_verdict(monkeypatch):
     assert "FAIL expand " in out, out
 
 
+def test_a_determinant_mutant_fails_symbol_by_verdict(monkeypatch):
+    # the symbol's determinant with a w(g) added instead of subtracted: the
+    # power product f^b g^-a, expanded at the flag, no longer agrees
+    source = textwrap.dedent(inspect.getsource(symbols._symbol))
+    mutant = source.replace("- (a and a *", "+ (a and a *")
+    assert mutant != source
+    scope = {}
+    exec(mutant, vars(symbols).copy(), scope)
+    monkeypatch.setattr(symbols, "_symbol", scope["_symbol"])
+    code, out, err = run(GOLDEN_REPORTS["symbol_p2"])
+    assert code == 1, out
+    assert err == "", err
+    assert "FAIL symbol " in out, out
+
+
 def test_symbol_command_reads_the_unit_restriction():
     code, out, _err = run(["symbol", "--surface", "P2", "--q", "3",
                            "--curve", "Y", "--point", "0:0:1",

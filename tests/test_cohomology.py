@@ -24,6 +24,7 @@ from adeles2d.surface import (
     ord_on_curve,
     surface_make,
 )
+from reference_cohomology import walk_h_vector
 
 
 def p2(q=3):
@@ -60,12 +61,22 @@ def test_h_vector_golden_p1xp1():
 
 def test_cech_count_agrees_with_closed_form():
     S = p2()
-    for n in range(-9, 10):
+    for n in list(range(-9, 10)) + [-500, 500]:
         assert cech_h_vector(S, (n,)) == h_vector(S, (n,)), n
     T = quadric()
-    for a in range(-5, 6):
-        for b in range(-5, 6):
-            assert cech_h_vector(T, (a, b)) == h_vector(T, (a, b)), (a, b)
+    for a, b in list(itertools.product(range(-5, 6), repeat=2)) + [
+            (300, -300), (-300, 300)]:
+        assert cech_h_vector(T, (a, b)) == h_vector(T, (a, b)), (a, b)
+
+
+def test_cech_count_equals_the_walk_over_exponent_tuples():
+    # d >= 0, -size < d < 0 and d <= -size in each group
+    S = p2()
+    for c in class_range(S, -40, 40):
+        assert cech_h_vector(S, c) == walk_h_vector(S, c), c
+    T = quadric()
+    for c in class_range(T, -8, 8):
+        assert cech_h_vector(T, c) == walk_h_vector(T, c), c
 
 
 def test_chi_is_the_riemann_roch_polynomial():

@@ -720,6 +720,22 @@ def test_fulton_loop_shifts_before_it_subtracts():
     assert intersection_oracle(Divisor(S, {D: 1}), Divisor(S, {E: 1})) == 4
 
 
+def test_fulton_loop_leaves_the_chart_equations_at_the_origin():
+    # at the origin over the base field `_moved` returns the memoized chart
+    # polynomial's own terms; the loop's swaps, subtractions and y-splits
+    # must leave them as they were
+    S = surface_make("P2", 5)
+    D, E = curve_make(S, "YZ-X^2"), curve_make(S, "YZ-X^2-XY")
+    origin = point_from_coords(S, (S.base.zero(), S.base.zero(),
+                                   S.base.one()))
+    chart = next(ch for ch in S.charts if ch.contains(origin.coords))
+    before = [dict(S.dehomogenize(C.poly, chart).terms) for C in (D, E)]
+    for A, B in ((D, E), (E, D)):
+        assert symbols._multiplicity(A, B, origin, 4) == 3
+    assert intersection_oracle(Divisor(S, {D: 1}), Divisor(S, {E: 1})) == 4
+    assert [S.dehomogenize(C.poly, chart).terms for C in (D, E)] == before
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_fulton_loop_shifts_on_the_quadric(q):
     # x - y and x^2 - y in the first chart of P1xP1: at the origin
