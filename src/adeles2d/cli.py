@@ -503,13 +503,13 @@ def _cmd_expand(args) -> int:
     print(repr(series))
     inputs = {"curve": args.curve, "point": args.point,
               "function": args.function}
-    t_low = min((t for t, _u in series.terms), default=0)
-    u_low = min((u for _t, u in series.terms), default=0)
-    back = series * expand_poly_at_flag(f.den, fl, P - t_low, P - u_low)
+    t_low = min(series.cols, default=0)
+    u_low = min((v for v, _codes in series.cols.values()), default=0)
+    back = series.mul(expand_poly_at_flag(f.den, fl, P - t_low, P - u_low),
+                      P, P)
     num = expand_poly_at_flag(f.num, fl, P)
     return _emit(_config(args), _collect([Check(
-        "expand", inputs, repr(num),
-        repr(back.truncate(P, P)))], args), args)
+        "expand", inputs, repr(num), repr(back))], args), args)
 
 
 def _cmd_residue(args) -> int:
@@ -548,7 +548,7 @@ def _cmd_symbol(args) -> int:
         num, den = (num * P ** e, den) if e > 0 else (num, den * P ** -e)
     h = expand_at_flag(RationalFunction(S, num, den), fl, max(1, value + 1),
                        t_window=1)
-    rhs = min((u for t, u in h.terms if t == 0), default=None)
+    rhs = h.cols[0][0] if 0 in h.cols else None
     inputs = {"curve": args.curve, "point": args.point, "f": args.f,
               "g": args.g}
     return _emit(_config(args), _collect(

@@ -31,7 +31,12 @@ if TYPE_CHECKING:
 
 def first_factor(S: Surface, f: MPoly) -> Optional[MPoly]:
     """None if the normalized f, of degree above 1, is irreducible, else
-    the normalized factor that names it."""
+    the normalized factor that names it.  The first coordinate line of the
+    least class, X on P2 and Y0 on P1xP1, comes first in _first_factor's
+    order, so where it divides f it names f with nothing factored."""
+    first = 0 if S.model == "P2" else 2
+    if all(e[first] for e in f.terms):
+        return S.var(first)
     if S.model == "P2" and not any(
             all(e[v] for e in f.terms) for v in range(S.nvars)) and \
             _line_certificate(S, f):
@@ -123,12 +128,13 @@ def _first_factor(S: Surface, f: MPoly,
         return tuple(sum(a * c[i] for a, c in zip(picks, classes))
                      for i in range(len(S.groups)))
 
-    picks = [p for p in itertools.product(*(range(m + 1) for _g, m in factors))
-             if 0 < 2 * sum(class_of(p)) <= total]
-    cls = min(map(class_of, picks))
+    picks = {p: c for p in itertools.product(*(range(m + 1)
+                                               for _g, m in factors))
+             if 0 < 2 * sum(c := class_of(p)) <= total}
+    cls = min(picks.values())
     found = [functools.reduce(operator.mul, (
         h ** a for (h, _m), a in zip(factors, p) if a))
-        for p in picks if class_of(p) == cls]
+        for p, c in picks.items() if c == cls]
     # the monomials that some candidate uses, in descending lex order: one
     # that none uses does not tell two of them apart
     monos = sorted(set().union(*(g.terms for g in found)), reverse=True)

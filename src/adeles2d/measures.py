@@ -566,7 +566,7 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
                  for fi in range(len(flags))]
     gram = []
     for fi, b, a, li in basis:
-        J, kx = forms[fi].terms, flags[fi].point.residue_field
+        J, kx = forms[fi], flags[fi].point.residue_field
         row = {}
         for j in same_flag[fi]:
             _fj, bj, aj, lj = dual_basis[j]
@@ -574,7 +574,7 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
             n = pairings.get(key)
             if n is None:
                 n = pairings[key] = _pair_code(
-                    kx, J.get((-1 - key[1], -1 - key[2]), 0), key[3], base)
+                    kx, J.coeff(-1 - key[1], -1 - key[2]), key[3], base)
             if n:
                 row[j] = n
         gram.append(row)

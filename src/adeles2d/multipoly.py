@@ -337,8 +337,13 @@ def factor2(f: MPoly) -> List[Tuple[MPoly, int]]:
     pp_y(f) / gcd(pp_y(f), df/dy), then, with x and y swapped, the others,
     whose derivative in x is not zero, as no irreducible is a p-th power;
     every multiplicity is counted by exact division.  What is left is a
-    p-th power, and the next round factors its p-th root."""
+    p-th power, and the next round factors its p-th root.  A polynomial in
+    one variable is factored by poly_factor alone."""
     desc = f.desc
+    for v in (0, 1):
+        if not f.degree_in(1 - v):
+            return [(MPoly.from_columns(desc, [g], 1 - v), m)
+                    for g, m in poly_factor(f.columns(1 - v)[0], desc)[1]]
     out: List[Tuple[MPoly, int]] = []
     mult = 1
     while any(any(e) for e in f.terms):

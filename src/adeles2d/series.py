@@ -1,14 +1,16 @@
 """Truncated iterated Laurent series over finite fields.
 
 This is the computational model of the two-dimensional local field
-k(x)((u))((t)): a sparse dict of (t-exponent, u-exponent) -> coefficient
-code together with a precision box.  `t_prec` is the first unknown
+k(x)((u))((t)), whose elements are Laurent series in t with coefficients in
+k(x)((u)): a series is its nonzero t-columns, each a u-series given by its
+u-order and the codes from that order on, with the zeros at both ends
+trimmed, together with a precision box.  `t_prec` is the first unknown
 t-exponent and `u_prec` the first unknown u-exponent, uniform across
 t-columns; both may be `inf`, meaning the series is exact in that variable.
-Inside the box, absent keys are exactly zero; outside it, nothing is
-claimed.  "Exact zero" (no terms, both precisions infinite) and "zero at
-this precision" are therefore different states, and only the former
-participates in equality assertions.
+Inside the box, absent columns and codes are exactly zero; outside it,
+nothing is claimed.  "Exact zero" (no columns, both precisions infinite)
+and "zero at this precision" are therefore different states, and only the
+former participates in equality assertions.
 
 Valuations are reported with respect to the tracked window: expansion and
 inversion routines arrange their output so that the leading tracked column is
@@ -16,13 +18,16 @@ genuinely the leading column of the underlying series.
 
 Precision bookkeeping is deliberately conservative.  Multiplication uses the
 box rule new_prec = min(prec_a + val_b, prec_b + val_a) in each variable
-(valuations taken over tracked terms), and addition intersects boxes.
+(valuations taken over tracked columns: the least t-exponent and the least
+u-order), and addition intersects boxes.  A product is a sum of column
+products, each on the one-variable kernel below (ps_mac).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from itertools import compress
+from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldDesc, FieldElem, power
 
@@ -32,6 +37,13 @@ DEFAULT_PREC = 16
 # exact orders alone would differ per form, and the per-flag caches, keyed
 # by window, would stop sharing
 START_PREC = 8
+
+# the least length of two factors that ps_mac deflates or steps through the
+# sparser of: below it the search costs more than it saves, and the shorter
+# factor is stepped through
+LONG = 16
+# a u-series: its u-order v and the codes of u^v, u^(v + 1), ...
+Column = Tuple[int, List[int]]
 
 
 class PrecisionError(ArithmeticError):
@@ -43,30 +55,54 @@ def _as_prec(x) -> float:
 
 
 class LaurentSeries2:
-    """A two-variable truncated Laurent series in u and t (t outermost); the
-    constructor keeps the nonzero codes, given as codes or FieldElem, inside
-    the window."""
+    """A two-variable truncated Laurent series in u and t (t outermost).
 
-    __slots__ = ("desc", "terms", "t_prec", "u_prec")
+    `cols` maps each t-exponent of a nonzero column, in increasing order, to
+    the column (v, codes), whose first and last codes are nonzero and which
+    ends below u_prec.  The constructor takes the nonzero coefficients as a
+    dict (t, u) -> code or FieldElem and keeps those inside the window;
+    `from_columns` takes columns.  The code lists are never changed in
+    place, so series share them."""
+
+    __slots__ = ("desc", "cols", "t_prec", "u_prec")
 
     def __init__(self, desc: FieldDesc, terms: Dict[Tuple[int, int], object],
                  t_prec=INF, u_prec=INF):
         self.desc = desc
         self.t_prec = t_prec = _as_prec(t_prec)
         self.u_prec = u_prec = _as_prec(u_prec)
-        self.terms = {k: n for k, c in terms.items()
-                      if (n := desc.code(c)) and k[0] < t_prec and k[1] < u_prec}
+        by_t: Dict[int, Dict[int, int]] = {}
+        for (t, u), c in terms.items():
+            if (n := desc.code(c)) and t < t_prec and u < u_prec:
+                by_t.setdefault(t, {})[u] = n
+        self.cols = {}
+        for t in sorted(by_t):
+            col = by_t[t]
+            v = min(col)
+            self.cols[t] = v, [col.get(u, 0) for u in range(v, max(col) + 1)]
 
     @staticmethod
-    def _make(desc: FieldDesc, terms: Dict[Tuple[int, int], int],
+    def _make(desc: FieldDesc, cols: Dict[int, Column],
               t_prec, u_prec) -> "LaurentSeries2":
-        """Trusted constructor: terms maps keys inside the window (int or INF
-        precisions) to nonzero codes, and nothing else holds it."""
+        """Trusted constructor: cols holds trimmed nonzero columns inside the
+        window (int or INF precisions), in increasing t."""
         f = object.__new__(LaurentSeries2)
-        f.desc, f.terms, f.t_prec, f.u_prec = desc, terms, t_prec, u_prec
+        f.desc, f.cols, f.t_prec, f.u_prec = desc, cols, t_prec, u_prec
         return f
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_columns(cls, desc: FieldDesc, cols: Dict[int, Column],
+                     t_prec=INF, u_prec=INF) -> "LaurentSeries2":
+        """The series whose t^t column is cols[t], for cols in increasing t,
+        cut to the window, with the zeros at both ends of each column
+        trimmed."""
+        t_prec, u_prec = _as_prec(t_prec), _as_prec(u_prec)
+        return cls._make(desc, {
+            t: col for t, (v, codes) in cols.items()
+            if t < t_prec and (col := _column(v, codes, u_prec))},
+            t_prec, u_prec)
 
     @classmethod
     def zero(cls, desc: FieldDesc, t_prec=INF, u_prec=INF) -> "LaurentSeries2":
@@ -78,7 +114,7 @@ class LaurentSeries2:
 
     @classmethod
     def one(cls, desc: FieldDesc) -> "LaurentSeries2":
-        return cls._make(desc, {(0, 0): 1}, INF, INF)
+        return cls._make(desc, {0: (0, [1])}, INF, INF)
 
     @classmethod
     def monomial(cls, desc: FieldDesc, a, t_exp: int, u_exp: int,
@@ -90,20 +126,21 @@ class LaurentSeries2:
     def is_exact(self) -> bool:
         return self.t_prec == INF and self.u_prec == INF
 
-    def _low(self) -> Tuple[float, float]:
-        """Least tracked t- and u-exponents, or the window's ends when the
-        window is all zero."""
-        if len(self.terms) == 1:
-            return next(iter(self.terms))
-        if not self.terms:
-            return self.t_prec, self.u_prec
-        ts, us = zip(*self.terms)
-        return min(ts), min(us)
-
     def t_valuation(self) -> int:
-        if not self.terms:
+        if not self.cols:
             raise PrecisionError("series is indistinguishable from 0 in t at this precision")
-        return min(k[0] for k in self.terms)
+        return next(iter(self.cols))
+
+    def coeff(self, t: int, u: int) -> int:
+        """The code of the t^t u^u coefficient (0 where none is stored)."""
+        v, codes = self.cols.get(t, (u, ()))
+        return codes[u - v] if 0 <= u - v < len(codes) else 0
+
+    @property
+    def terms(self) -> Dict[Tuple[int, int], int]:
+        """The nonzero codes keyed by (t, u), the constructor's form."""
+        return {(t, u): c for t, (v, codes) in self.cols.items()
+                for u, c in enumerate(codes, v) if c}
 
     # -- ring operations -----------------------------------------------------
 
@@ -113,63 +150,70 @@ class LaurentSeries2:
 
     def __add__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         self._check_desc(other)
-        add = self.desc.add
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            if cur is None:
-                out[k] = c
-            elif cur := add(cur, c):
-                out[k] = cur
-            else:
-                del out[k]
-        t_prec, u_prec = self.t_prec, self.u_prec
-        if (t_prec, u_prec) != (other.t_prec, other.u_prec):
-            t_prec, u_prec = min(t_prec, other.t_prec), min(u_prec, other.u_prec)
-            out = {k: c for k, c in out.items()
-                   if k[0] < t_prec and k[1] < u_prec}
-        return LaurentSeries2._make(self.desc, out, t_prec, u_prec)
+        k, a, b = self.desc, self.cols, other.cols
+        t_prec = min(self.t_prec, other.t_prec)
+        u_prec = min(self.u_prec, other.u_prec)
+        cols = {}
+        for t in sorted(a.keys() | b.keys()):
+            if t < t_prec and (col := _add(a.get(t), b.get(t), k, u_prec)):
+                cols[t] = col
+        return LaurentSeries2._make(k, cols, t_prec, u_prec)
 
     def __neg__(self) -> "LaurentSeries2":
         neg = self.desc.neg
         return LaurentSeries2._make(
-            self.desc, {k: neg(c) for k, c in self.terms.items()},
+            self.desc, {t: (v, [neg(c) for c in codes])
+                        for t, (v, codes) in self.cols.items()},
             self.t_prec, self.u_prec)
 
     def __sub__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentSeries2") -> "LaurentSeries2":
+    def mul(self, other: "LaurentSeries2", t_to=INF,
+            u_to=INF) -> "LaurentSeries2":
+        """(self * other).truncate(t_to, u_to) for ints or INF t_to and
+        u_to, with nothing computed past the cut: each column of the
+        product is the sum of the products of the columns whose t-exponents
+        add up to it (ps_mac), each cut to the box."""
         self._check_desc(other)
+        a, b = self.cols, other.cols
+        t_prec, u_prec = t_to, u_to
         # the box rule; on exact windows it gives INF whatever the valuations
-        t_prec = u_prec = INF
         if not self.t_prec == self.u_prec == other.t_prec == other.u_prec == INF:
-            (at, au), (bt, bu) = self._low(), other._low()
-            t_prec = min(self.t_prec + bt, other.t_prec + at)
-            u_prec = min(self.u_prec + bu, other.u_prec + au)
-        add, mul = self.desc.add, self.desc.mul
-        out = {}
-        pairs = 0
-        for (ta, ua), ca in self.terms.items():
-            for (tb, ub), cb in other.terms.items():
-                t, u = ta + tb, ua + ub
-                if t < t_prec and u < u_prec:
-                    pairs += 1
-                    cur = out.get((t, u))
-                    out[t, u] = (mul(ca, cb) if cur is None
-                                 else add(cur, mul(ca, cb)))
-        if len(out) < pairs:  # terms met, so some may have cancelled
-            out = {k: c for k, c in out.items() if c}
-        return LaurentSeries2._make(self.desc, out, t_prec, u_prec)
+            # the least (u-order, codes) column has the least u-order
+            at, bt = next(iter(a), self.t_prec), next(iter(b), other.t_prec)
+            au = min(a.values())[0] if a else self.u_prec
+            bu = min(b.values())[0] if b else other.u_prec
+            t_prec = min(t_prec, self.t_prec + bt, other.t_prec + at)
+            u_prec = min(u_prec, self.u_prec + bu, other.u_prec + au)
+        k = self.desc
+        groups: Dict[int, List[Tuple[int, List[int], List[int]]]] = {}
+        for ta, (va, ca) in a.items():
+            for tb, (vb, cb) in b.items():
+                if ta + tb >= t_prec:
+                    break
+                groups.setdefault(ta + tb, []).append((va + vb, ca, cb))
+        cols = {}
+        for t in sorted(groups):
+            v = min(groups[t])[0]
+            end = min(u_prec, max(w + len(x) + len(y) - 1
+                                  for w, x, y in groups[t]))
+            acc = [0] * max(0, end - v)
+            for w, x, y in groups[t]:
+                ps_mac(acc, w - v, x, y, k)
+            if col := _column(v, acc):
+                cols[t] = col
+        return LaurentSeries2._make(k, cols, t_prec, u_prec)
+
+    def __mul__(self, other: "LaurentSeries2") -> "LaurentSeries2":
+        return self.mul(other)
 
     def truncate(self, t_to=None, u_to=None) -> "LaurentSeries2":
         t_prec = self.t_prec if t_to is None else min(self.t_prec, _as_prec(t_to))
         u_prec = self.u_prec if u_to is None else min(self.u_prec, _as_prec(u_to))
         if (t_prec, u_prec) == (self.t_prec, self.u_prec):
             return self
-        return LaurentSeries2._make(self.desc, {
-            k: c for k, c in self.terms.items()
-            if k[0] < t_prec and k[1] < u_prec}, t_prec, u_prec)
+        return LaurentSeries2.from_columns(self.desc, self.cols, t_prec, u_prec)
 
     def inverse(self, t_window: int = DEFAULT_PREC,
                 u_window: int = DEFAULT_PREC) -> "LaurentSeries2":
@@ -180,13 +224,13 @@ class LaurentSeries2:
         t^-vt sum_j t^j d_j, d_0 = 1/B_0 and d_j = -d_0 sum_{i=1..j}
         B_i d_(j-i), of u-order at least -w - j*s.  So e_j = u^(w + j*s) d_j
         and A_i = u^(i*s - w) B_i are power series, e_j = -e_0 sum_i
-        A_i e_(j-i) takes one ps_mul per term, and n codes of each e_j need
+        A_i e_(j-i) takes one ps_mac per term, and n codes of each e_j need
         B_0 below u^(w + n) and no more of the others.  The box holds `size`
         columns (t_prec - vt of truncated input, `t_window` of exact input)
         and ends below u_prec - 2w - (size - 1)*s in u (u_window - w on
-        exact input).  Exact input on one column keeps the exact t-box, and
+        exact input).  Exact input of one column keeps the exact t-box, and
         a monomial has its exact inverse."""
-        if not self.terms:
+        if not self.cols:
             if self.is_exact():
                 raise ZeroDivisionError("inverse of the exact zero series")
             raise PrecisionError("cannot invert: series is indistinguishable from 0 in t")
@@ -195,15 +239,12 @@ class LaurentSeries2:
         size = t_window if self.t_prec == INF else int(self.t_prec - vt)
         if size <= 0:
             raise PrecisionError("cannot invert: empty provable window in t")
-        cols: Dict[int, Dict[int, int]] = {}
-        for (t, u), c in self.terms.items():
-            if t - vt < size:
-                cols.setdefault(t - vt, {})[u] = c
-        lead = cols.pop(0)
-        w = min(lead)
-        one_column = not cols and self.t_prec == INF
+        w, lead = self.cols[vt]
+        later = [(t - vt, v, codes) for t, (v, codes) in self.cols.items()
+                 if 0 < t - vt < size]
+        one_column = len(self.cols) == 1 and self.t_prec == INF
         size = 1 if one_column else size
-        s = max([0] + [-((min(col) - w) // i) for i, col in cols.items()])
+        s = max([0] + [-((v - w) // i) for i, v, _ in later])
         if self.u_prec != INF:
             n = int(self.u_prec) - w
             u_prec = n - w - (size - 1) * s
@@ -213,20 +254,18 @@ class LaurentSeries2:
             n, u_prec = u_window + (size - 1) * s, u_window - w
         if n <= 0:
             raise PrecisionError("cannot invert: empty provable window in u")
-        e = [ps_inverse([lead.get(u, 0) for u in range(w, w + n)], n, k)]
+        e = [ps_inverse(lead, n, k)]
         minus = [k.neg(c) for c in e[0]]
-        A = [(i, [col.get(u, 0) for u in range(w - i * s, w - i * s + n)])
-             for i, col in cols.items()]
+        A = [(i, [0] * (v - w + i * s) + codes) for i, v, codes in later]
         for j in range(1, size):
             acc = [0] * n
             for i, a in A:
                 if i <= j:
-                    acc = ps_add(acc, ps_mul(a, e[j - i], n, k), k)
+                    ps_mac(acc, 0, a, e[j - i], k)
             e.append(ps_mul(minus, acc, n, k) if any(acc) else acc)
-        terms = {(j - vt, u): c for j, ej in enumerate(e)
-                 for u, c in enumerate(ej, -w - j * s) if c and u < u_prec}
-        return LaurentSeries2._make(
-            k, terms, INF if one_column else size - vt, u_prec)
+        return LaurentSeries2.from_columns(
+            k, {j - vt: (-w - j * s, ej) for j, ej in enumerate(e)},
+            INF if one_column else size - vt, u_prec)
 
     def __pow__(self, n: int) -> "LaurentSeries2":
         if n < 0:
@@ -241,7 +280,7 @@ class LaurentSeries2:
         return (
             isinstance(other, LaurentSeries2)
             and self.desc == other.desc
-            and self.terms == other.terms
+            and self.cols == other.cols
             and self.t_prec == other.t_prec
             and self.u_prec == other.u_prec
         )
@@ -254,6 +293,31 @@ class LaurentSeries2:
         if self.u_prec != INF:
             wins.append(f"O(u^{int(self.u_prec)})")
         return body + (" + " + " + ".join(wins) if wins else "")
+
+
+def _column(v: int, codes: List[int], u_prec=INF) -> Optional[Column]:
+    """The column of the codes of u^v, u^(v + 1), ... below u^u_prec, with
+    the zeros at both ends trimmed; None when no code is left."""
+    end = len(codes) if u_prec >= v + len(codes) else max(0, u_prec - v)
+    lo = 0
+    while lo < end and not codes[lo]:
+        lo += 1
+    if lo == end:
+        return None
+    while not codes[end - 1]:
+        end -= 1
+    return v + lo, codes[lo:end] if lo or end < len(codes) else codes
+
+
+def _add(x: Optional[Column], y: Optional[Column], k: FieldDesc,
+         u_prec) -> Optional[Column]:
+    """The column of x + y below u^u_prec, for columns or None."""
+    if x is None or y is None:
+        return _column(*(x or y), u_prec)
+    (v, a), (w, b) = sorted((x, y))
+    acc = a + [0] * (w - v + len(b) - len(a))
+    acc[w - v:w - v + len(b)] = ps_add(b, acc[w - v:w - v + len(b)], k)
+    return _column(v, acc, u_prec)
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +333,41 @@ def ps_add(a: List[int], b: List[int], k: FieldDesc) -> List[int]:
 def ps_mul(a: List[int], b: List[int], n: int, k: FieldDesc) -> List[int]:
     """The n codes below u^n of a * b."""
     out = [0] * n
-    for i, c in enumerate(a[:n]):
-        if c:
-            m = min(n - i, len(b))
-            out[i:i + m] = k.axpy(c, b[:m], out[i:i + m])
+    ps_mac(out, 0, a, b, k)
     return out
+
+
+def ps_mac(out: List[int], lo: int, a: List[int], b: List[int],
+           k: FieldDesc) -> None:
+    """Add u^lo * a * b to the codes of out, below u^len(out), in place:
+    each nonzero code of the sparser factor times the other
+    (FieldDesc.axpy).  Factors that are series in u^g for some g > 1 are
+    multiplied as series in u^g (deflation), which skips the codes between
+    their terms."""
+    n = len(out) - lo
+    if n <= 0:
+        return
+    if len(a) == 1 == len(b):
+        out[lo] = k.add(out[lo], k.mul(a[0], b[0]))
+        return
+    a, b = a[:n], b[:n]
+    if len(a) >= LONG <= len(b):
+        # the gcd of the exponents of both factors' terms; one at u^1 makes
+        # it 1
+        if not a[1] and not b[1] and (g := math.gcd(
+                *compress(range(n), a), *compress(range(n), b))) > 1:
+            part = out[lo::g]
+            ps_mac(part, 0, a[::g], b[::g], k)
+            out[lo::g] = part
+            return
+        if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
+            a, b = b, a
+    elif len(b) < len(a):
+        a, b = b, a
+    for i, c in enumerate(a, lo):
+        if c:
+            m = min(len(out) - i, len(b))
+            out[i:i + m] = k.axpy(c, b[:m], out[i:i + m])
 
 
 def ps_horner(cols: List[List[int]], y: List[int], n: int,
@@ -281,7 +375,10 @@ def ps_horner(cols: List[List[int]], y: List[int], n: int,
     """The n codes below u^n of sum_j cols[j] * y^j, by Horner's rule."""
     acc = [0] * n
     for col in reversed(cols):
-        acc = ps_add(ps_mul(acc, y, n, k), col[:n], k)
+        step = col[:n] + [0] * (n - len(col))
+        if any(acc):
+            ps_mac(step, 0, acc, y, k)
+        acc = step
     return acc
 
 
@@ -313,14 +410,12 @@ def res2(f: LaurentSeries2) -> FieldElem:
     coefficient of f."""
     if f.t_prec <= -1 or f.u_prec <= -1:
         raise PrecisionError("residue slot (-1,-1) lies outside the tracked window")
-    return FieldElem(f.desc, f.terms.get((-1, -1), 0))
+    return FieldElem(f.desc, f.coeff(-1, -1))
 
 
 def ls2_to_text(f: LaurentSeries2) -> str:
     """Sparse text form `t^B*u^A: C`, terms sorted by (t, u) exponent."""
-    if not f.terms:
-        return "0"
-    bits = []
-    for (t, u) in sorted(f.terms):
-        bits.append(f"t^{t}*u^{u}: {f.desc.text(f.terms[(t, u)])}")
-    return "; ".join(bits)
+    text = f.desc.text
+    return "; ".join(f"t^{t}*u^{u}: {text(c)}"
+                     for t, (v, codes) in f.cols.items()
+                     for u, c in enumerate(codes, v) if c) or "0"

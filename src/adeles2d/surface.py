@@ -36,13 +36,14 @@ from .fields import (
     pgcd,
     poly_factor,
     poly_root,
+    power,
     pshift,
     ptrim,
 )
 from .irreducible import first_factor
 from .multipoly import MPoly, resultant_elim
-from .series import (DEFAULT_PREC, INF, LaurentSeries2, PrecisionError,
-                     ps_add, ps_horner, ps_inverse, ps_mul)
+from .series import (DEFAULT_PREC, LaurentSeries2, PrecisionError,
+                     ps_horner, ps_inverse, ps_mac, ps_mul)
 
 ClassVector = Tuple[int, ...]
 
@@ -164,10 +165,12 @@ class Surface:
         return tuple([sum(e[g.start:g.stop]) for g in self.groups])
 
     def poly_class(self, f: MPoly) -> ClassVector:
-        """The degree in each group of a homogeneous polynomial (-1 in every
-        group for the zero polynomial)."""
-        return tuple(max((sum(e[g.start:g.stop]) for e in f.terms), default=-1)
-                     for g in self.groups)
+        """The degree in each group of a homogeneous polynomial, read off
+        any one of its monomials (-1 in every group for the zero
+        polynomial)."""
+        for e in f.terms:
+            return self.exponent_class(e)
+        return (-1,) * len(self.groups)
 
     def is_homogeneous(self, f: MPoly) -> bool:
         return len({self.exponent_class(e) for e in f.terms}) <= 1
@@ -703,19 +706,19 @@ def flag_coordinate_series(fl: Flag, window: int,
 
 
 def _lift(fl: Flag, window: int, u_window: int) -> LaurentSeries2:
-    """The solved coordinate B on one box.  Along t = 0 it is the branch
-    ybar(u); off it, B = ybar + delta with
+    """The solved coordinate B on one box, written column by column: its
+    t^0 column is the branch ybar(u), and off it B = ybar + delta with
     sum_j T^[j](u, ybar) delta^j = t, for T^[j] the Hasse derivatives of
     t_param in y and T^[0](u, ybar) = 0.  So delta = sum_i c_i(u) t^i with
     c_1 = 1 / T^[1](u, ybar), a unit since flag_make checks it at the
     point, and c_i = -c_1 * sum_{j >= 2} T^[j](u, ybar) [t^i] delta^j, whose
     right side holds c_1 ... c_(i-1) only: every product is one of power
-    series in u (Kung and Traub, J. ACM 25(2), 1978).  A curve linear in y
-    has c_i = 0 for i >= 2."""
+    series in u (Kung and Traub, J. ACM 25(2), 1978), and c_i is the t^i
+    column.  A curve linear in y has c_i = 0 for i >= 2."""
     k = fl.point.residue_field
     n = u_window
     if window < 1 or n < 1:  # an empty box
-        return LaurentSeries2._make(k, {}, window, n)
+        return LaurentSeries2.zero(k, window, n)
     ybar = _branch(fl, n)
     cols = fl._cache["branch"][0]  # t_param's _u_columns, kept by _branch
     deg = len(cols) - 1  # of t_param in y
@@ -731,15 +734,13 @@ def _lift(fl: Flag, window: int, u_window: int) -> LaurentSeries2:
             # [t^i] delta^j = sum_m c_m [t^(i - m)] delta^(j - 1)
             term = [0] * n
             for m in range(1, i - j + 2):
-                term = ps_add(term, ps_mul(powers[1][m],
-                                           powers[j - 1][i - m], n, k), k)
+                ps_mac(term, 0, powers[1][m], powers[j - 1][i - m], k)
             powers[j].append(term)
-            acc = ps_add(acc, ps_mul(hasse[j], term, n, k), k)
+            ps_mac(acc, 0, hasse[j], term, k)
         powers[1].append(ps_mul(minus_c1, acc, n, k))
-    terms = {(0, e): c for e, c in enumerate(ybar) if c}
-    terms.update({(i, e): c for i, ci in enumerate(powers[1][1:window], 1)
-                  for e, c in enumerate(ci) if c})
-    return LaurentSeries2._make(k, terms, window, n)
+    return LaurentSeries2.from_columns(
+        k, {i: (0, c) for i, c in enumerate([ybar] + powers[1][1:window])},
+        window, n)
 
 
 def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
@@ -747,21 +748,32 @@ def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
     """Expansion of a homogeneous polynomial, dehomogenized in the flag's
     chart, on exactly the box t < window, u < u_window (default: the
     window): sum_m col_m(u) B^m, for col_m its _u_columns and B the solved
-    coordinate (flag_coordinate_series).  It is not kept: its callers keep
-    what they make of it (invert_poly_at_flag the inverse) and rarely ask
-    for one box twice."""
+    coordinate (flag_coordinate_series), summed one t-column at a time
+    (ps_mac).  Each B^m with col_m nonzero is the last such power times
+    B^(m - m') by square-and-multiply; B is a power series, so every
+    product is cut to the box as it is made.  The expansion is not kept:
+    its callers keep what they make of it (invert_poly_at_flag the
+    inverse) and rarely ask for one box twice."""
     if u_window is None:
         u_window = window
     k, S = fl.point.residue_field, fl.curve.surface
     cols = _u_columns(_mp_embed(S.dehomogenize(P, fl.chart), k), fl)
     B = flag_coordinate_series(fl, window, u_window)
-    out = LaurentSeries2.zero(k, window, u_window)
+
+    def mul(x, y):
+        return x.mul(y, window, u_window)
+
+    out: Dict[int, List[int]] = {}
+    Bm, last = None, 0  # B^last, None for B^0
     for m, col in enumerate(cols):
         if col:
-            col_m = LaurentSeries2._make(
-                k, {(0, e): c for e, c in enumerate(col) if c}, INF, INF)
-            out = out + col_m * B ** m
-    return out
+            if m > last:
+                step = power(B, m - last, mul)
+                Bm, last = step if Bm is None else mul(Bm, step), m
+            for t, (v, codes) in (Bm.cols if m else {0: (0, [1])}).items():
+                ps_mac(out.setdefault(t, [0] * u_window), v, col, codes, k)
+    return LaurentSeries2.from_columns(
+        k, {t: (0, out[t]) for t in sorted(out)}, window, u_window)
 
 
 def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
@@ -888,7 +900,7 @@ def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, window: int,
     inv = invert_poly_at_flag(den, fl, window + wd, t_window=size + vd)
     top_t, top_u = t_to + vd, window + size * wd
     top = expand_poly_at_flag(num, fl, top_t, top_u)
-    return (top * inv).truncate(t_to, window)
+    return top.mul(inv, t_to, window)
 
 
 def expand_at_flag(f: RationalFunction, fl: Flag,

@@ -13,7 +13,12 @@ input of the tests reaches).  `mp_eval_series` evaluates a polynomial at
 series arguments term by term, the way `surface.expand_poly_at_flag` did,
 and `chart_series` gives it the two chart coordinates at a flag: the exact
 series u_value + u and the solved coordinate of
-`surface.flag_coordinate_series`."""
+`surface.flag_coordinate_series`.
+
+`pairs_mul`, `pairs_add` and `pairs_truncate` are the product, sum and
+truncation of `LaurentSeries2` when it was a dict from (t, u) to a code:
+the product loops over pairs of terms, with the box rule read from the
+least t- and u-exponents of the terms."""
 
 from adeles2d.series import INF, LaurentSeries2, PrecisionError, ps_inverse
 from adeles2d.surface import (_mp_embed, expand_poly_at_flag,
@@ -38,7 +43,7 @@ def mp_eval_series(f, args, desc):
     acc = {}
     t_prec = u_prec = INF
     for e, c in f.terms.items():
-        term = LaurentSeries2._make(desc, {(0, 0): c}, INF, INF)
+        term = LaurentSeries2(desc, {(0, 0): c})
         for i, k in enumerate(e):
             if k:
                 term = term * pw(i, k)
@@ -53,7 +58,7 @@ def mp_eval_series(f, args, desc):
                 del acc[key]
     if t_prec != INF or u_prec != INF:
         acc = {k: c for k, c in acc.items() if k[0] < t_prec and k[1] < u_prec}
-    return LaurentSeries2._make(desc, acc, t_prec, u_prec)
+    return LaurentSeries2(desc, acc, t_prec, u_prec)
 
 
 def chart_series(fl, window, u_window=None):
@@ -102,7 +107,7 @@ def neumann_inverse(f, t_window=16, u_window=16):
         raise PrecisionError("cannot invert: empty provable window in u")
     icol = ps_inverse([lead.get(u, 0) for u in range(vu_lead, max(lead) + 1)],
                       m, f.desc)
-    y0 = LaurentSeries2._make(
+    y0 = LaurentSeries2(
         f.desc, {(-vt, i - vu_lead): c for i, c in enumerate(icol) if c},
         INF, u_prec)
     if not higher and f.t_prec == INF:
@@ -141,3 +146,43 @@ def widening_inverse(P, fl, window):
         steps = 1 - (-(window - vt) // min_step)
         e = wider(window + 2 * lead_u + steps * max_dip)
     return neumann_inverse(e, u_window=window)
+
+
+def _low(f):
+    """The least t- and u-exponents of f's terms, or its window's ends when
+    it has none."""
+    if not f.terms:
+        return f.t_prec, f.u_prec
+    return min(t for t, _u in f.terms), min(u for _t, u in f.terms)
+
+
+def pairs_mul(a, b):
+    """a * b, one pair of terms at a time, on the box of the box rule."""
+    t_prec = u_prec = INF
+    if not a.t_prec == a.u_prec == b.t_prec == b.u_prec == INF:
+        (at, au), (bt, bu) = _low(a), _low(b)
+        t_prec = min(a.t_prec + bt, b.t_prec + at)
+        u_prec = min(a.u_prec + bu, b.u_prec + au)
+    add, mul = a.desc.add, a.desc.mul
+    out = {}
+    for (ta, ua), ca in a.terms.items():
+        for (tb, ub), cb in b.terms.items():
+            t, u = ta + tb, ua + ub
+            if t < t_prec and u < u_prec:
+                out[t, u] = add(out.get((t, u), 0), mul(ca, cb))
+    return LaurentSeries2(a.desc, out, t_prec, u_prec)
+
+
+def pairs_add(a, b):
+    """a + b, one term at a time, on the intersection of the boxes."""
+    out = dict(a.terms)
+    for key, c in b.terms.items():
+        out[key] = a.desc.add(out.get(key, 0), c)
+    return LaurentSeries2(a.desc, out, min(a.t_prec, b.t_prec),
+                          min(a.u_prec, b.u_prec))
+
+
+def pairs_truncate(f, t_to, u_to):
+    """f cut below t^t_to and u^u_to."""
+    return LaurentSeries2(f.desc, f.terms, min(f.t_prec, t_to),
+                          min(f.u_prec, u_to))

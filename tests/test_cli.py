@@ -475,6 +475,11 @@ GOLDEN_REPORTS = {
     "flex20": ["expand", "--q", "7", "--curve", "X^3+XZ^2+6Y^2Z",
                "--point", "0:1:0", "--function", "X^20/Z^20",
                "--precision", "8"],
+    # the same at precision 16, where the t-columns of the powers of the
+    # solved coordinate run to u^1036
+    "flex20_16": ["expand", "--q", "7", "--curve", "X^3+XZ^2+6Y^2Z",
+                  "--point", "0:1:0", "--function", "X^20/Z^20",
+                  "--precision", "16"],
     "verify_measures_p2": ["verify", "--surface", "P2", "--q", "3",
                            "--range", "-1:1",
                            "--suites", "serre,chi,commutator,rr"],

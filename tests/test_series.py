@@ -19,7 +19,8 @@ from adeles2d.series import (
     ps_mul,
     res2,
 )
-from reference_series import neumann_inverse
+from reference_series import (neumann_inverse, pairs_add, pairs_mul,
+                              pairs_truncate)
 
 
 def ls2_valuation(f):
@@ -128,6 +129,14 @@ def test_inverse_single_column_unit():
     assert inv.terms == mk(f5, {(-1, 0): 1, (-1, 1): -1, (-1, 2): 1}).terms
     assert inv.u_prec == 3
     assert inv.t_prec == INF  # the true inverse lives on one t-column
+
+
+def test_inverse_of_exact_input_with_a_column_past_its_t_window():
+    # 1 + t^20 is not one column: its inverse 1 - t^20 + ... is known only
+    # below the t-window, not exactly
+    f5 = field_make(5, 1)
+    inv = mk(f5, {(0, 0): 1, (20, 0): 1}).inverse()
+    assert inv.t_prec == DEFAULT_PREC and inv.terms == {(0, 0): 1}, inv
 
 
 def test_inverse_multiplies_back_to_one():
@@ -455,3 +464,43 @@ def test_column_inverse_claims_only_what_its_input_determines():
                 assert agree(got, wide), (q, a, terms)
             checked += bool(got.terms)
     assert checked >= 40, checked
+
+
+def pairs_series(k, rng):
+    """A random series for the pairs reference: negative exponents in t and
+    u, columns of one code or several, exact or truncated in either
+    variable."""
+    terms = {(rng.randrange(-3, 4), rng.randrange(-4, 5)): k.from_int(
+        rng.randrange(1, k.q)) if k.d == 1 else k.from_coeffs(
+        [rng.randrange(k.p) for _ in range(k.d)])
+        for _ in range(rng.choice((0, 1, 1, 2, 4, 8)))}
+    return LaurentSeries2(k, terms, rng.choice((INF, INF, -1, 0, 2, 4)),
+                          rng.choice((INF, INF, -2, 0, 3, 6)))
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (7, 1), (3, 2), (7, 2)])
+def test_column_product_sum_and_truncation_equal_the_pairs_reference(p, d):
+    # the column routes against the dict-of-pairs routes they replaced
+    # (tests/reference_series.py): equal columns and equal boxes, on random
+    # series and on products whose terms cancel, down to the zero series
+    k = field_make(p, d)
+    rng = random.Random(100 * p + d)
+
+    def mono(t, u):
+        return LaurentSeries2.monomial(k, k.one(), t, u)
+
+    x, y = mono(1, 1), mono(1, 2)
+    cases = [(x + y, x - y), (x + y, x + y), (mono(0, 0) + mono(1, 0),) * 2,
+             (x, y - y), (x.truncate(3, 2), (x - y).truncate(2, 5))]
+    cases += [(pairs_series(k, rng), pairs_series(k, rng)) for _ in range(150)]
+    nonzero = 0
+    for a, b in cases:
+        assert a * b == pairs_mul(a, b), (a, b)
+        assert a + b == pairs_add(a, b), (a, b)
+        assert a - a == pairs_add(a, -a) and not (a - a).cols, a
+        for t_to, u_to in ((INF, INF), (1, 2), (-1, INF), (INF, -3)):
+            assert a.truncate(t_to, u_to) == pairs_truncate(a, t_to, u_to)
+            assert a.mul(b, t_to, u_to) == pairs_truncate(
+                pairs_mul(a, b), t_to, u_to), (a, b, t_to, u_to)
+        nonzero += bool((a * b).cols)
+    assert nonzero >= 40, nonzero

@@ -1373,7 +1373,7 @@ def test_series_evaluation_equals_the_sum_of_its_terms_one_by_one():
                 for i in range(3) for j in range(3) if rng.random() < 0.5})
             want = LaurentSeries2.zero(k)
             for e, c in f.terms.items():
-                term = LaurentSeries2._make(k, {(0, 0): c}, INF, INF)
+                term = LaurentSeries2(k, {(0, 0): c})
                 for arg, n in zip(args, e):
                     term = term * arg ** n
                 want = want + term

@@ -178,6 +178,21 @@ def series_cases(m: dict) -> Dict[str, Case]:
                                            lambda _a, x=x, y=y: x * y, 1)
         out[f"series.inverse.12x12.{name}"] = (lambda: None,
                                                lambda _a, x=x: x.inverse(), 1)
+    # two expansions at the conic's flag of CONIC8 on a box of the sizes a
+    # sweep cell multiplies on, t < 4 and u < 14, four terms each
+    fl, _f = flag(m, CONIC8)
+    S, cli, sf = fl.curve.surface, m["cli"], m["surface"]
+    x, y = (sf.expand_at_flag(cli._parse_function(S, text), fl, 14,
+                              t_window=4)
+            for text in ("X^2+Y^2/Z^2", "Y^2+XZ/XZ"))
+    out["series.LaurentSeries2.mul.sweep.conic.F5"] = (lambda: None, batch(
+        lambda a, b: a * b, [(x, y)] * BATCH), BATCH)
+    # the solved coordinate B at FLEX20's flex squared on its box, t < 16
+    # and u < 1036, as `expand --function X^20/Z^20 --precision 16` does
+    fl, _f = flag(m, FLEX20)
+    B = sf.flag_coordinate_series(fl, *FLEX20[4])
+    out["series.LaurentSeries2.mul.flex20.BB"] = (lambda: None,
+                                                  lambda _a: B * B, 1)
     return out
 
 
@@ -536,6 +551,8 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     f"fields.rel_trace.{name}" for name in TRACES) + (
     "series.mul.1x1", "series.mul.12x12.F5", "series.inverse.12x12.F5",
     "series.mul.12x12.F729", "series.inverse.12x12.F729",
+    "series.LaurentSeries2.mul.sweep.conic.F5",
+    "series.LaurentSeries2.mul.flex20.BB",
     "multipoly.mul.1x1", "multipoly.mul.sextics.F5",
     "multipoly.mul.sextics.F49", "multipoly.exact_div.sextics.F5",
     "multipoly.resultant_elim.F5", "linalg.mat_rref.15x21.F5",
