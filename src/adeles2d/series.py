@@ -26,7 +26,7 @@ products, each on the one-variable kernel below (ps_mac).
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import chain, compress
 from typing import Dict, List, Optional, Tuple
 
 from .fields import FieldDesc, FieldElem, power
@@ -39,11 +39,13 @@ DEFAULT_PREC = 16
 START_PREC = 8
 
 # the least length of two factors that ps_mac deflates or steps through the
-# sparser of: below it the search costs more than it saves, and the shorter
-# factor is stepped through
+# sparser of (tools/bench_layers.py times 8 to 32 alike; 2 slows the small
+# products, 64 the flex4 expansion)
 LONG = 16
 # a u-series: its u-order v and the codes of u^v, u^(v + 1), ...
 Column = Tuple[int, List[int]]
+# per t-exponent, the terms (w, x, y) of a sum of u^w * x * y (_sum_columns)
+Terms = Dict[int, List[Tuple[int, List[int], List[int]]]]
 
 
 class PrecisionError(ArithmeticError):
@@ -75,11 +77,8 @@ class LaurentSeries2:
         for (t, u), c in terms.items():
             if (n := desc.code(c)) and t < t_prec and u < u_prec:
                 by_t.setdefault(t, {})[u] = n
-        self.cols = {}
-        for t in sorted(by_t):
-            col = by_t[t]
-            v = min(col)
-            self.cols[t] = v, [col.get(u, 0) for u in range(v, max(col) + 1)]
+        self.cols = {t: (min(col), [col.get(u, 0) for u in range(
+            min(col), max(col) + 1)]) for t, col in sorted(by_t.items())}
 
     @staticmethod
     def _make(desc: FieldDesc, cols: Dict[int, Column],
@@ -150,14 +149,14 @@ class LaurentSeries2:
 
     def __add__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         self._check_desc(other)
-        k, a, b = self.desc, self.cols, other.cols
         t_prec = min(self.t_prec, other.t_prec)
         u_prec = min(self.u_prec, other.u_prec)
-        cols = {}
-        for t in sorted(a.keys() | b.keys()):
-            if t < t_prec and (col := _add(a.get(t), b.get(t), k, u_prec)):
-                cols[t] = col
-        return LaurentSeries2._make(k, cols, t_prec, u_prec)
+        groups: Terms = {}
+        for t, (v, codes) in chain(self.cols.items(), other.cols.items()):
+            if t < t_prec:
+                groups.setdefault(t, []).append((v, codes, [1]))
+        return LaurentSeries2._make(
+            self.desc, _sum_columns(groups, u_prec, self.desc), t_prec, u_prec)
 
     def __neg__(self) -> "LaurentSeries2":
         neg = self.desc.neg
@@ -169,12 +168,12 @@ class LaurentSeries2:
     def __sub__(self, other: "LaurentSeries2") -> "LaurentSeries2":
         return self + (-other)
 
-    def mul(self, other: "LaurentSeries2", t_to=INF,
-            u_to=INF) -> "LaurentSeries2":
+    def __mul__(self, other: "LaurentSeries2", t_to=INF,
+                u_to=INF) -> "LaurentSeries2":
         """(self * other).truncate(t_to, u_to) for ints or INF t_to and
         u_to, with nothing computed past the cut: each column of the
         product is the sum of the products of the columns whose t-exponents
-        add up to it (ps_mac), each cut to the box."""
+        add up to it."""
         self._check_desc(other)
         a, b = self.cols, other.cols
         t_prec, u_prec = t_to, u_to
@@ -186,27 +185,19 @@ class LaurentSeries2:
             bu = min(b.values())[0] if b else other.u_prec
             t_prec = min(t_prec, self.t_prec + bt, other.t_prec + at)
             u_prec = min(u_prec, self.u_prec + bu, other.u_prec + au)
-        k = self.desc
-        groups: Dict[int, List[Tuple[int, List[int], List[int]]]] = {}
+        groups: Terms = {}
         for ta, (va, ca) in a.items():
             for tb, (vb, cb) in b.items():
                 if ta + tb >= t_prec:
                     break
                 groups.setdefault(ta + tb, []).append((va + vb, ca, cb))
-        cols = {}
-        for t in sorted(groups):
-            v = min(groups[t])[0]
-            end = min(u_prec, max(w + len(x) + len(y) - 1
-                                  for w, x, y in groups[t]))
-            acc = [0] * max(0, end - v)
-            for w, x, y in groups[t]:
-                ps_mac(acc, w - v, x, y, k)
-            if col := _column(v, acc):
-                cols[t] = col
-        return LaurentSeries2._make(k, cols, t_prec, u_prec)
+        return LaurentSeries2._make(
+            self.desc, _sum_columns(groups, u_prec, self.desc), t_prec, u_prec)
 
-    def __mul__(self, other: "LaurentSeries2") -> "LaurentSeries2":
-        return self.mul(other)
+    def mul(self, other: "LaurentSeries2", t_to=INF,
+            u_to=INF) -> "LaurentSeries2":
+        """self * other on the box t < t_to, u < u_to (__mul__)."""
+        return LaurentSeries2.__mul__(self, other, t_to, u_to)
 
     def truncate(self, t_to=None, u_to=None) -> "LaurentSeries2":
         t_prec = self.t_prec if t_to is None else min(self.t_prec, _as_prec(t_to))
@@ -309,25 +300,24 @@ def _column(v: int, codes: List[int], u_prec=INF) -> Optional[Column]:
     return v + lo, codes[lo:end] if lo or end < len(codes) else codes
 
 
-def _add(x: Optional[Column], y: Optional[Column], k: FieldDesc,
-         u_prec) -> Optional[Column]:
-    """The column of x + y below u^u_prec, for columns or None."""
-    if x is None or y is None:
-        return _column(*(x or y), u_prec)
-    (v, a), (w, b) = sorted((x, y))
-    acc = a + [0] * (w - v + len(b) - len(a))
-    acc[w - v:w - v + len(b)] = ps_add(b, acc[w - v:w - v + len(b)], k)
-    return _column(v, acc, u_prec)
+def _sum_columns(groups: Terms, u_prec, k: FieldDesc) -> Dict[int, Column]:
+    """The nonzero columns sum u^w * x * y over the (w, x, y) of groups[t]
+    below u^u_prec, trimmed, for each t in increasing order (ps_mac)."""
+    cols = {}
+    for t in sorted(groups):
+        terms = groups[t]
+        v = min(terms)[0]
+        end = min(u_prec, max([w + len(x) + len(y) for w, x, y in terms]) - 1)
+        acc = [0] * (end - v)
+        for w, x, y in terms:
+            ps_mac(acc, w - v, x, y, k)
+        if col := _column(v, acc):
+            cols[t] = col
+    return cols
 
 
 # ---------------------------------------------------------------------------
 # the one-variable kernel: power series in u as lists of codes, entry i of u^i
-
-
-def ps_add(a: List[int], b: List[int], k: FieldDesc) -> List[int]:
-    """The codes of a + b, for b no longer than a."""
-    add = k.add
-    return [add(x, y) for x, y in zip(a, b)] + a[len(b):]
 
 
 def ps_mul(a: List[int], b: List[int], n: int, k: FieldDesc) -> List[int]:
@@ -340,34 +330,28 @@ def ps_mul(a: List[int], b: List[int], n: int, k: FieldDesc) -> List[int]:
 def ps_mac(out: List[int], lo: int, a: List[int], b: List[int],
            k: FieldDesc) -> None:
     """Add u^lo * a * b to the codes of out, below u^len(out), in place:
-    each nonzero code of the sparser factor times the other
-    (FieldDesc.axpy).  Factors that are series in u^g for some g > 1 are
-    multiplied as series in u^g (deflation), which skips the codes between
-    their terms."""
-    n = len(out) - lo
-    if n <= 0:
-        return
+    each nonzero code of one factor times the other (FieldDesc.axpy).  Of
+    two factors of LONG codes or more, two series in u^g for some g > 1 are
+    multiplied as series in u^g, which skips the codes between their terms,
+    and otherwise the sparser is stepped through; else the shorter is."""
     if len(a) == 1 == len(b):
-        out[lo] = k.add(out[lo], k.mul(a[0], b[0]))
+        if lo < len(out):
+            out[lo] = k.add(out[lo], k.mul(a[0], b[0]))
         return
-    a, b = a[:n], b[:n]
-    if len(a) >= LONG <= len(b):
-        # the gcd of the exponents of both factors' terms; one at u^1 makes
-        # it 1
+    if len(b) < len(a):
+        a, b = b, a
+    if len(a) >= LONG:
         if not a[1] and not b[1] and (g := math.gcd(
-                *compress(range(n), a), *compress(range(n), b))) > 1:
+                *compress(range(len(b)), a), *compress(range(len(b)), b))) > 1:
             part = out[lo::g]
             ps_mac(part, 0, a[::g], b[::g], k)
             out[lo::g] = part
             return
         if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
             a, b = b, a
-    elif len(b) < len(a):
-        a, b = b, a
-    for i, c in enumerate(a, lo):
+    for i, c in zip(range(lo, len(out)), a):
         if c:
-            m = min(len(out) - i, len(b))
-            out[i:i + m] = k.axpy(c, b[:m], out[i:i + m])
+            out[i:i + len(b)] = k.axpy(c, b, out[i:i + len(b)])
 
 
 def ps_horner(cols: List[List[int]], y: List[int], n: int,

@@ -10,12 +10,13 @@ from adeles2d.fields import field_make
 from adeles2d.series import (
     DEFAULT_PREC,
     INF,
+    LONG,
     LaurentSeries2,
     PrecisionError,
     ls2_to_text,
-    ps_add,
     ps_horner,
     ps_inverse,
+    ps_mac,
     ps_mul,
     res2,
 )
@@ -330,12 +331,18 @@ KERNEL_FIELDS = pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (5, 1),
 
 def kernel_columns(k, rng, n):
     """Columns of codes with a nonzero constant term, dense and at 20 %
-    density, of length n, shorter than n and longer than n."""
+    density, of length n, shorter than n and longer than n; then series in
+    u^2, u^3 and u^4 of at least LONG codes."""
     out = []
     for length, density in itertools.product(
             (n, max(1, n // 2), 1, n + 3), (1.0, 0.2)):
         col = [rng.randrange(k.q) if rng.random() < density else 0
                for _ in range(length)]
+        col[0] = rng.randrange(1, k.q)
+        out.append(col)
+    for g in (2, 3, 4):
+        col = [rng.randrange(k.q) if i % g == 0 else 0
+               for i in range(max(n, LONG))]
         col[0] = rng.randrange(1, k.q)
         out.append(col)
     return out
@@ -373,15 +380,21 @@ def by_powers(cols, y, n, k):
 
 @KERNEL_FIELDS
 def test_kernel_sum_and_product_equal_the_schoolbook_ones(p, d):
+    # ps_mac adds u^lo * a * b to what out holds; two long series in u^g
+    # (the last three columns, and them times u^g) are multiplied deflated
     k = field_make(p, d)
     rng = random.Random(10 * p + d)
     for n in KERNEL_SIZES:
-        for a, b in itertools.product(kernel_columns(k, rng, n), repeat=2):
+        cols = kernel_columns(k, rng, n)
+        cols += [[0] * g + col for g, col in zip((2, 3, 4), cols[-3:])]
+        for a, b in itertools.product(cols, repeat=2):
             assert ps_mul(a, b, n, k) == schoolbook_mul(a, b, n, k), (a, b)
-            if len(b) <= len(a):
-                padded = b + [0] * (len(a) - len(b))
-                assert ps_add(a, b, k) == [k.add(x, y)
-                                           for x, y in zip(a, padded)]
+            lo = rng.randrange(5)
+            out = [rng.randrange(k.q) for _ in range(n)]
+            want = [k.add(x, y) for x, y in zip(
+                out, [0] * lo + schoolbook_mul(a, b, n, k))]
+            ps_mac(out, lo, a, b, k)
+            assert out == want, (a, b, lo)
 
 
 @KERNEL_FIELDS
