@@ -499,7 +499,7 @@ def _cmd_expand(args) -> int:
     fl = _parse_flag(S, args)
     f = _parse_function(S, args.function)
     P = args.precision
-    series = expand_at_flag(f, fl, P)
+    series = expand_at_flag(f, fl, P, P)
     print(repr(series))
     inputs = {"curve": args.curve, "point": args.point,
               "function": args.function}
@@ -507,7 +507,7 @@ def _cmd_expand(args) -> int:
     u_low = min((v for v, _codes in series.cols.values()), default=0)
     back = series.mul(expand_poly_at_flag(f.den, fl, P - t_low, P - u_low),
                       P, P)
-    num = expand_poly_at_flag(f.num, fl, P)
+    num = expand_poly_at_flag(f.num, fl, P, P)
     return _emit(_config(args), _collect([Check(
         "expand", inputs, repr(num), repr(back))], args), args)
 
@@ -546,8 +546,7 @@ def _cmd_symbol(args) -> int:
     num = den = S.var(0) ** 0
     for P, e in ((f.num, b), (f.den, -b), (g.num, -a), (g.den, a)):
         num, den = (num * P ** e, den) if e > 0 else (num, den * P ** -e)
-    h = expand_at_flag(RationalFunction(S, num, den), fl, max(1, value + 1),
-                       t_window=1)
+    h = expand_at_flag(RationalFunction(S, num, den), fl, 1, max(1, value + 1))
     rhs = h.cols[0][0] if 0 in h.cols else None
     inputs = {"curve": args.curve, "point": args.point, "f": args.f,
               "g": args.g}

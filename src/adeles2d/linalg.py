@@ -7,17 +7,17 @@ matrix form.
 
 Two kinds of matrix come here.  The ranks of `verify` are sparse: the
 section rows of Riemann-Roch spaces (shifts of a product of coordinate
-lines, a monomial) and the window grams with their lattice blocks.
-Counted at `_echelon` itself, a pass of the `points` workload at seed 0
-makes 567 eliminations over 2,031 rows and one of `sweep` 1,407 over
-5,061, all `mat_rank`, up to 28 x 28 and 8.7 % and 9.0 % nonzero; every
-row has a single nonzero and none is reduced by another.  The dense ones
-are the small systems of `fields.coerce_down`, sup.d rows by sub.d + 1
-columns over F_p, one per trace from a flag over a point of degree >= 2
-(`rel_trace`) and one per point found in a field larger than its own.
-Neither workload makes one; a tier-1 run makes 2,174, none larger than
-7 x 2 or 4 x 3.  The sections of a divisor whose negative part is not a
-product of lines have rows with several nonzeros too.
+lines, a monomial) and the window grams with their lattice blocks.  Counted
+at `_echelon` itself, a pass of the `points` workload at seed 0 makes 435
+eliminations over 1,230 rows and one of `sweep` 1,099 over 3,192, all
+`mat_rank`, up to 28 x 28 and 10.9 % and 11.4 % nonzero in the columns
+used; every row has a single nonzero and none is reduced by another.  The
+dense ones are the small systems of `fields.coerce_down`, sup.d rows by
+sub.d + 1 columns over F_p, one per trace from a flag over a point of
+degree >= 2 (`rel_trace`) and one per point found in a field larger than
+its own.  Neither workload makes one; a tier-1 run makes 2,174, none larger
+than 7 x 2 or 4 x 3.  The sections of a divisor whose negative part is not
+a product of lines have rows with several nonzeros too.
 
 Both routines take the rows in order.  A row is reduced on its lowest
 column by the pivot row of that column until it is zero or its lowest

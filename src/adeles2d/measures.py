@@ -535,7 +535,7 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
         raise ValueError("u window must have positive size")
     wdiv = canonical_divisor(surf)
     u_lo = -(u_size // 2)
-    u_window = list(range(u_lo, u_lo + u_size))
+    u_exponents = list(range(u_lo, u_lo + u_size))
     flags: List[Flag] = []
     forms: List[LaurentSeries2] = []
     basis: List[Tuple[int, int, int, int]] = []
@@ -548,10 +548,17 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
         p_t, p_u = poly_valuation_at_flag(form_polynomial(fl), fl)
         r_D = R.components.get(D, 0)
         s_D = S.components.get(D, 0)
-        forms.append(_window_form(fl, s_D - r_D, u_size, p_t, p_u))
+        # the slots J[-1 - (b + bj), -1 - (a + aj)] the gram reads at fl
+        # lie below t^(s_D - r_D - p_t) and u^(u_size - p_u)
+        t_to, u_to = s_D - r_D - p_t, u_size - p_u
+        J = canonical_local_form(fl, t_to, u_to)
+        if J.t_prec < t_to or J.u_prec < u_to:
+            raise PrecisionError(f"window gram at flag {fl!r} undetermined "
+                                 f"on the box t < {t_to}, u < {u_to}")
+        forms.append(J)
         deg = fl.point.degree
         for b in range(-s_D, -r_D):
-            for a in u_window:
+            for a in u_exponents:
                 for li in range(deg):
                     basis.append((fi, b, a, li))
                     dual_basis.append((fi, p_t - 1 - b, p_u - 1 - a, li))
@@ -580,25 +587,6 @@ def window_build(R: Divisor, S: Divisor, u_size: int = 2) -> Window:
         gram.append(row)
     rank = mat_rank(gram, base)
     return Window(surf, R, S, wdiv, flags, basis, dual_basis, gram, rank)
-
-
-def _window_form(fl: Flag, t_span: int, u_size: int, p_t: int,
-                 p_u: int) -> LaurentSeries2:
-    """J = canonical_local_form(fl, window) on a box that holds every slot
-    the gram reads at fl, for (p_t, p_u) the rank-2 valuation of P and
-    t_span and u_size the numbers of basis t- and u-exponents there: the
-    slots lie below t^(t_span - p_t) and u^(u_size - p_u).  J's box holds
-    the t-exponents below window - 2 p_t and the u-exponents below at
-    least window - p_u (surface.invert_poly_at_flag), so the window sized
-    from those holds them all; a box that falls short raises
-    PrecisionError naming the flag."""
-    t_to, u_to = t_span - p_t, u_size - p_u
-    window = max(t_span + p_t, u_size)
-    J = canonical_local_form(fl, window)
-    if J.t_prec < t_to or J.u_prec < u_to:
-        raise PrecisionError(f"window gram at flag {fl!r} undetermined "
-                             f"at window {window}")
-    return J
 
 
 def _pair_code(kx: FieldDesc, code: int, power: int, base: FieldDesc) -> int:

@@ -5,20 +5,21 @@ to the first chart (dX^dY on the plane, d(X0/X1)^d(Y0/Y1) on the quadric).
 Its residue at a flag is the (t^-1, u^-1) coefficient of the local
 expression, an element of the point's residue field; summing over the
 curves through a point, or with trace weights over the points of a curve,
-must give zero exactly.  Every series window is sized once, from the exact
-orders of the form and of the fixed form along the flag's curve; a window
-that still falls short raises PrecisionError naming the flag.
+must give zero exactly.  Each residue is read from one quotient on the box
+t < 0, u < 1, which holds the (t^-1, u^-1) slot by the box contract of the
+expansions at a flag (surface); a product whose box leaves the slot out
+raises PrecisionError naming the flag.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import FieldElem, rel_trace
 from .multipoly import MPoly
-from .series import START_PREC, LaurentSeries2, PrecisionError, res2
+from .series import LaurentSeries2, PrecisionError, res2
 from .surface import (
     ClosedPoint,
     Curve,
@@ -30,15 +31,13 @@ from .surface import (
     canonical_local_form,
     class_monomials,
     divisor_class,
-    expand_at_flag,
     flag_make,
     form_order_on_curve,
     form_polynomial,
-    invert_poly_at_flag,
     meeting_points,
     ord_on_curve,
     parse_poly,
-    poly_order_at_flag,
+    ratio_at_flag,
 )
 
 # the around-a-point sums visit crossings of at most this degree
@@ -112,40 +111,23 @@ def local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
 def _local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
     where J du^dt = du^dt / form_polynomial(fl) is the fixed form in flag
-    coordinates.  Only the columns that can meet at t^-1 are computed:
-    the coefficient's below t^-j (expand_at_flag's t-window) and J's below
-    t^-v (from P's below t^(-2j - v)), for the exact orders v of the
-    coefficient and j of the form along the curve; when v + j >= 0 there
-    are none.
-
-    The window is max(START_PREC, -2j - v), resized at most once
-    (_sized_residue)."""
+    coordinates, read from the one quotient num / (den * P) on the box
+    t < 0, u < 1.  That quotient has t-order v + j, for the orders v of the
+    coefficient and j of the form along the curve, so when v + j >= 0 the
+    residue is 0 and nothing is expanded."""
     f = w.coefficient
-    v = poly_order_at_flag(f.num, fl) - poly_order_at_flag(f.den, fl)
-    j = form_order_on_curve(fl.curve)
-    if v + j >= 0:
+    if ord_on_curve(f, fl.curve) + form_order_on_curve(fl.curve) >= 0:
         return fl.point.residue_field.zero()
-    P = form_polynomial(fl)
-    return _sized_residue(
-        lambda window: expand_at_flag(f, fl, window, -j)
-        * invert_poly_at_flag(P, fl, window, t_window=-2 * j - v),
-        max(START_PREC, -2 * j - v), lambda: f"residue at flag {fl!r}")
+    return _residue_of(ratio_at_flag(f.num, f.den * form_polynomial(fl), fl,
+                                     0, 1), "residue", fl)
 
 
-def _sized_residue(product: Callable[[int], LaurentSeries2], window: int,
-                   what: Callable[[], str]) -> FieldElem:
-    """res2(product(window)).  Each factor's box grows one for one with the
-    window, so when the product's box leaves out the (-1, -1) slot, the
-    window plus the shortfall the box reports brings it in; that one
-    recomputation is the last.  what() names the computation in the
-    error text."""
-    g = product(window)
-    short = max(-g.t_prec, -g.u_prec)
-    if short > 0:
-        window += short
-        g = product(window)
-        if min(g.t_prec, g.u_prec) < 0:
-            raise PrecisionError(f"{what()} undetermined at window {window}")
+def _residue_of(g: LaurentSeries2, what: str, fl: Flag) -> FieldElem:
+    """res2(g), or PrecisionError naming `what` and the flag when g's box
+    leaves out the (-1, -1) slot."""
+    if min(g.t_prec, g.u_prec) < 0:
+        raise PrecisionError(f"{what} at flag {fl!r} undetermined on the box "
+                             f"t < {g.t_prec}, u < {g.u_prec}")
     return res2(g)
 
 
@@ -189,8 +171,9 @@ def adelic_pairing(a: AdeleFragment, b: AdeleFragment) -> FieldElem:
     """Sum over common flags of tr res(a*b*omega); symmetric and bilinear.
     All fragments in one computation share a surface, whose base field
     holds the sum (zero on disjoint supports).  omega's local coefficient
-    J is taken on the window START_PREC, resized at most once
-    (_sized_residue)."""
+    J is taken on the box t < -at, u < -au, for at and au the least t- and
+    u-exponents of a*b there: it holds every slot of J that meets a term of
+    a*b at t^-1 u^-1."""
     every = list(a.entries) + list(b.entries)
     if not every:
         raise ValueError("cannot pair two empty fragments")
@@ -200,9 +183,10 @@ def adelic_pairing(a: AdeleFragment, b: AdeleFragment) -> FieldElem:
     for fl in sorted(common, key=lambda fl: (fl.point.sort_key(),
                                              fl.curve._key)):
         ab = a.entries[fl] * b.entries[fl]
-        r = _sized_residue(
-            lambda window: ab * canonical_local_form(fl, window),
-            START_PREC, lambda: f"pairing at flag {fl!r}")
+        at = next(iter(ab.cols), 0)
+        au = min(ab.cols.values(), default=(0,))[0]
+        r = _residue_of(ab * canonical_local_form(fl, -at, -au), "pairing",
+                        fl)
         total = total + rel_trace(r, base)
     return total
 

@@ -33,9 +33,7 @@ from .fields import FieldDesc, FieldElem, power
 
 INF = math.inf
 DEFAULT_PREC = 16
-# the least window a residue or a pairing is computed at: windows sized from
-# exact orders alone would differ per form, and the per-flag caches, keyed
-# by window, would stop sharing
+# the CLI's default --precision: the box t < 8, u < 8 that `expand` prints
 START_PREC = 8
 
 # the least length of two factors that ps_mac deflates or steps through the

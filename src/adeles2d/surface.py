@@ -42,8 +42,8 @@ from .fields import (
 )
 from .irreducible import first_factor
 from .multipoly import MPoly, resultant_elim
-from .series import (DEFAULT_PREC, LaurentSeries2, PrecisionError,
-                     ps_horner, ps_inverse, ps_mac, ps_mul)
+from .series import (LaurentSeries2, PrecisionError, ps_horner, ps_inverse,
+                     ps_mac, ps_mul)
 
 ClassVector = Tuple[int, ...]
 
@@ -612,11 +612,17 @@ def _one_root(irr: Poly, k: FieldDesc) -> FieldElem:
 
 # ---------------------------------------------------------------------------
 # flags and local expansion
+#
+# The box contract: every routine that expands at a flag
+# (flag_coordinate_series, expand_poly_at_flag, invert_poly_at_flag,
+# ratio_at_flag, expand_at_flag, canonical_local_form) takes the box
+# t < t_to, u < u_to and returns a series whose (t_prec, u_prec) is exactly
+# (t_to, u_to), equal to the same call on any wider box, truncated.
 
 class Flag:
     """A point on a curve with a deterministic local coordinate pair.  Its
     cache holds "coords", the solved coordinate (flag_coordinate_series),
-    "branch" (_branch), ("val", P), ("polyinv", P, window, t_to), "P"
+    "branch" (_branch), ("val", P), ("polyinv", P, t_to, u_to), "P"
     (form_polynomial) and the ("germ", ...) valuations of symbols."""
 
     __slots__ = ("point", "curve", "chart", "u_index", "u_value", "t_param",
@@ -683,29 +689,25 @@ def _mp_embed(f: MPoly, ext: FieldDesc) -> MPoly:
                                       for e, c in f.terms.items()})
 
 
-def flag_coordinate_series(fl: Flag, window: int,
-                           u_window: Optional[int] = None) -> LaurentSeries2:
+def flag_coordinate_series(fl: Flag, t_to: int, u_to: int) -> LaurentSeries2:
     """The chart coordinate other than u at the flag, as a series B(u, t)
-    on the box of t-window `window` and u-window `u_window` (default: the
-    same), with B(0, 0) its value at the point: the solution of
-    t_param(u_value + u, B) = t, lifted from the branch (_lift).
+    on the box t < t_to, u < u_to, with B(0, 0) its value at the point: the
+    solution of t_param(u_value + u, B) = t, lifted from the branch (_lift).
 
     The flag keeps one solution, on the join of the boxes asked for so far.
     A box inside it is served by truncation; a larger box restarts the lift
     on the join.  Either way the result equals a fresh lift on the box,
     terms and precisions."""
-    if u_window is None:
-        u_window = window
     got = fl._cache.get("coords")
     if got is None:
-        got = fl._cache["coords"] = _lift(fl, window, u_window)
-    elif window > got.t_prec or u_window > got.u_prec:
+        got = fl._cache["coords"] = _lift(fl, t_to, u_to)
+    elif t_to > got.t_prec or u_to > got.u_prec:
         got = fl._cache["coords"] = _lift(
-            fl, max(window, got.t_prec), max(u_window, got.u_prec))
-    return got.truncate(window, u_window)
+            fl, max(t_to, got.t_prec), max(u_to, got.u_prec))
+    return got.truncate(t_to, u_to)
 
 
-def _lift(fl: Flag, window: int, u_window: int) -> LaurentSeries2:
+def _lift(fl: Flag, t_to: int, n: int) -> LaurentSeries2:
     """The solved coordinate B on one box, written column by column: its
     t^0 column is the branch ybar(u), and off it B = ybar + delta with
     sum_j T^[j](u, ybar) delta^j = t, for T^[j] the Hasse derivatives of
@@ -716,9 +718,8 @@ def _lift(fl: Flag, window: int, u_window: int) -> LaurentSeries2:
     series in u (Kung and Traub, J. ACM 25(2), 1978), and c_i is the t^i
     column.  A curve linear in y has c_i = 0 for i >= 2."""
     k = fl.point.residue_field
-    n = u_window
-    if window < 1 or n < 1:  # an empty box
-        return LaurentSeries2.zero(k, window, n)
+    if t_to < 1 or n < 1:  # an empty box
+        return LaurentSeries2.zero(k, t_to, n)
     ybar = _branch(fl, n)
     cols = fl._cache["branch"][0]  # t_param's _u_columns, kept by _branch
     deg = len(cols) - 1  # of t_param in y
@@ -728,7 +729,7 @@ def _lift(fl: Flag, window: int, u_window: int) -> LaurentSeries2:
     # powers[j][i] = [t^i] delta^j, zero below t^j; powers[1] holds the c_i
     powers = [None, [[0] * n, c1]] + [[[0] * n] * j
                                       for j in range(2, deg + 1)]
-    for i in range(2, window if deg > 1 else 2):
+    for i in range(2, t_to if deg > 1 else 2):
         acc = [0] * n
         for j in range(2, min(i, deg) + 1):
             # [t^i] delta^j = sum_m c_m [t^(i - m)] delta^(j - 1)
@@ -739,29 +740,26 @@ def _lift(fl: Flag, window: int, u_window: int) -> LaurentSeries2:
             ps_mac(acc, 0, hasse[j], term, k)
         powers[1].append(ps_mul(minus_c1, acc, n, k))
     return LaurentSeries2.from_columns(
-        k, {i: (0, c) for i, c in enumerate([ybar] + powers[1][1:window])},
-        window, n)
+        k, {i: (0, c) for i, c in enumerate([ybar] + powers[1][1:t_to])},
+        t_to, n)
 
 
-def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
-                        u_window: Optional[int] = None) -> LaurentSeries2:
+def expand_poly_at_flag(P: MPoly, fl: Flag, t_to: int,
+                        u_to: int) -> LaurentSeries2:
     """Expansion of a homogeneous polynomial, dehomogenized in the flag's
-    chart, on exactly the box t < window, u < u_window (default: the
-    window): sum_m col_m(u) B^m, for col_m its _u_columns and B the solved
-    coordinate (flag_coordinate_series), summed one t-column at a time
-    (ps_mac).  Each B^m with col_m nonzero is the last such power times
-    B^(m - m') by square-and-multiply; B is a power series, so every
-    product is cut to the box as it is made.  The expansion is not kept:
-    its callers keep what they make of it (invert_poly_at_flag the
-    inverse) and rarely ask for one box twice."""
-    if u_window is None:
-        u_window = window
+    chart, on the box t < t_to, u < u_to: sum_m col_m(u) B^m, for col_m its
+    _u_columns and B the solved coordinate (flag_coordinate_series), summed
+    one t-column at a time (ps_mac).  Each B^m with col_m nonzero is the
+    last such power times B^(m - m') by square-and-multiply; B is a power
+    series, so every product is cut to the box as it is made.  The
+    expansion is not kept: its callers keep what they make of it
+    (invert_poly_at_flag the inverse) and rarely ask for one box twice."""
     k, S = fl.point.residue_field, fl.curve.surface
     cols = _u_columns(_mp_embed(S.dehomogenize(P, fl.chart), k), fl)
-    B = flag_coordinate_series(fl, window, u_window)
+    B = flag_coordinate_series(fl, t_to, u_to)
 
     def mul(x, y):
-        return x.mul(y, window, u_window)
+        return x.mul(y, t_to, u_to)
 
     out: Dict[int, List[int]] = {}
     Bm, last = None, 0  # B^last, None for B^0
@@ -771,40 +769,38 @@ def expand_poly_at_flag(P: MPoly, fl: Flag, window: int,
                 step = power(B, m - last, mul)
                 Bm, last = step if Bm is None else mul(Bm, step), m
             for t, (v, codes) in (Bm.cols if m else {0: (0, [1])}).items():
-                ps_mac(out.setdefault(t, [0] * u_window), v, col, codes, k)
+                ps_mac(out.setdefault(t, [0] * u_to), v, col, codes, k)
     return LaurentSeries2.from_columns(
-        k, {t: (0, out[t]) for t in sorted(out)}, window, u_window)
+        k, {t: (0, out[t]) for t in sorted(out)}, t_to, u_to)
 
 
-def invert_poly_at_flag(P: MPoly, fl: Flag, window: int,
-                        t_window: Optional[int] = None) -> LaurentSeries2:
-    """1/P at the flag on the box t < t_to - 2vt, u < window - w, for
-    (vt, w) = poly_valuation_at_flag(P, fl) and t_to = t_window (default:
-    the window), cached per (P, window, t_to).
+def invert_poly_at_flag(P: MPoly, fl: Flag, t_to: int,
+                        u_to: int) -> LaurentSeries2:
+    """1/P at the flag on the box t < t_to, u < u_to, cached per
+    (P, t_to, u_to).
 
-    The box is fixed before anything is expanded.  P's expansion has no
-    negative u-exponent and its t^vt column has u-order w, so the column
-    recurrence of LaurentSeries2.inverse loses 2w codes on the leading
-    column and w more on each of the size - 1 later ones, size = t_to - vt:
-    P is expanded once, on the box t < t_to, u < window + size * w.  A
-    t-window that ends at or before the leading column raises
-    PrecisionError."""
-    t_to = window if t_window is None else t_window
-    key = ("polyinv", P, window, t_to)
+    The box P is expanded on is fixed before anything is expanded.  For
+    (vt, w) = poly_valuation_at_flag(P, fl), P's expansion has no negative
+    u-exponent and its t^vt column has u-order w, so 1/P starts at t^-vt
+    and the column recurrence of LaurentSeries2.inverse loses 2w codes on
+    its leading column and w more on each of the size - 1 later ones,
+    size = t_to + vt: P is expanded once, on the box t < t_to + 2vt,
+    u < u_to + (size + 1) * w.  No column of 1/P dips below u^(-size * w),
+    so a box that ends at or before the leading column in t, or at or
+    before u^(-size * w) in u, holds only zeros."""
+    key = ("polyinv", P, t_to, u_to)
     got = fl._cache.get(key)
     if got is not None:
         return got
     vt, w = poly_valuation_at_flag(P, fl)
-    size = t_to - vt
-    if size <= 0:
-        raise PrecisionError(
-            f"inverting {poly_text(fl.curve.surface, P)} at {fl!r} on window "
-            f"{window} ends its t-window {t_to} before the leading column "
-            f"t^{vt}")
-    u_to = window + size * w
-    e = expand_poly_at_flag(P, fl, t_to, u_to)
-    out = fl._cache[key] = e.inverse().truncate(u_to=window - w)
-    return out
+    size = t_to + vt
+    if size <= 0 or u_to + size * w <= 0:
+        got = LaurentSeries2.zero(fl.point.residue_field, t_to, u_to)
+    else:
+        e = expand_poly_at_flag(P, fl, t_to + 2 * vt, u_to + (size + 1) * w)
+        got = e.inverse().truncate(t_to, u_to)
+    fl._cache[key] = got
+    return got
 
 
 def poly_order_at_flag(P: MPoly, fl: Flag) -> int:
@@ -880,40 +876,36 @@ def _hasse(cols: List[List[int]], j: int, y: List[int], n: int,
                       for m, col in enumerate(cols[j:], j)], y, n, k)
 
 
-def _ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, window: int,
-                   t_window: Optional[int] = None) -> LaurentSeries2:
-    """num/den expanded at the flag on the box t < t_to, u < window, for
-    t_to = t_window (default: the window).  With vn the order of num along
-    the flag's curve and (vd, wd) the valuation of den, the quotient's
-    columns below t^t_to need the size = t_to - vn + vd columns of 1/den
-    from t^-vd on, the last of u-order at least -size * wd; so 1/den is
-    taken on the box t < t_to - vn, u < window (invert_poly_at_flag on
-    window + wd, from den's columns below t^(t_to - vn + 2vd)), and num is
-    expanded on the box t < t_to + vd, u < window + size * wd.  When size
-    <= 0 the quotient is 0 on the box."""
-    t_to = window if t_window is None else t_window
+def ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, t_to: int,
+                  u_to: int) -> LaurentSeries2:
+    """num/den at the flag on the box t < t_to, u < u_to, for u_to >= 1.
+    With vn the order of num along the flag's curve and (vd, wd) the
+    valuation of den, the quotient's columns below t^t_to need the
+    size = t_to - vn + vd columns of 1/den from t^-vd on, none of u-order
+    below -size * wd: so 1/den is taken on the box t < t_to - vn, u < u_to
+    (invert_poly_at_flag), and num, of u-order at least 0, on the box
+    t < t_to + vd, u < u_to + size * wd.  When size <= 0 the quotient is 0
+    on the box."""
     vn = poly_order_at_flag(num, fl)
     vd, wd = poly_valuation_at_flag(den, fl)
     size = t_to - vn + vd
     if size <= 0:
-        return LaurentSeries2.zero(fl.point.residue_field, t_to, window)
-    inv = invert_poly_at_flag(den, fl, window + wd, t_window=size + vd)
-    top_t, top_u = t_to + vd, window + size * wd
-    top = expand_poly_at_flag(num, fl, top_t, top_u)
-    return top.mul(inv, t_to, window)
+        return LaurentSeries2.zero(fl.point.residue_field, t_to, u_to)
+    # the inverse first: its wider box lifts the solved coordinate once
+    inv = invert_poly_at_flag(den, fl, t_to - vn, u_to)
+    top = expand_poly_at_flag(num, fl, t_to + vd, u_to + size * wd)
+    return top.mul(inv, t_to, u_to)
 
 
-def expand_at_flag(f: RationalFunction, fl: Flag,
-                   prec: int = DEFAULT_PREC,
-                   t_window: Optional[int] = None) -> LaurentSeries2:
+def expand_at_flag(f: RationalFunction, fl: Flag, t_to: int,
+                   u_to: int) -> LaurentSeries2:
     """The image of a rational function in the local field at the flag, on
-    exactly the box t < prec, u < prec; with t_window, on the box
-    t < t_window, u < prec (_ratio_at_flag)."""
+    the box t < t_to, u < u_to (ratio_at_flag)."""
     if f.is_zero():
         raise ValueError("cannot expand the zero function")
-    if prec < 1:
-        raise ValueError(f"expansion window must be at least 1, got {prec}")
-    return _ratio_at_flag(f.num, f.den, fl, prec, t_window)
+    if u_to < 1:
+        raise ValueError(f"expansion box must hold u^0, got u < {u_to}")
+    return ratio_at_flag(f.num, f.den, fl, t_to, u_to)
 
 
 def ord_on_curve(f: RationalFunction, D: Curve) -> int:
@@ -1046,9 +1038,10 @@ def form_polynomial(fl: Flag) -> MPoly:
     return got
 
 
-def canonical_local_form(fl: Flag, window: int) -> LaurentSeries2:
-    """J = 1 / form_polynomial(fl): the fixed form is J du^dt at the flag."""
-    return invert_poly_at_flag(form_polynomial(fl), fl, window)
+def canonical_local_form(fl: Flag, t_to: int, u_to: int) -> LaurentSeries2:
+    """J = 1 / form_polynomial(fl) on the box t < t_to, u < u_to: the fixed
+    form is J du^dt at the flag."""
+    return invert_poly_at_flag(form_polynomial(fl), fl, t_to, u_to)
 
 
 def smooth_flag(D: Curve, max_degree: int,

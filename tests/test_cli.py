@@ -396,7 +396,7 @@ def test_a_degenerate_window_fails_its_rank_check(monkeypatch):
     # reports the window-rank checks as failed
     monkeypatch.setattr(
         measures, "canonical_local_form",
-        lambda fl, window: LaurentSeries2.zero(fl.point.residue_field))
+        lambda fl, t_to, u_to: LaurentSeries2.zero(fl.point.residue_field))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "windows.json")
         code, out, _err = run(["verify", "--q", "3", "--range", "0:0",

@@ -671,9 +671,9 @@ def test_window_gram_equals_the_all_pairs_gram(monkeypatch):
         pairings.append((a, b))
         return adelic_pairing(a, b)
 
-    def counting(fl, window):
+    def counting(fl, t_to, u_to):
         forms.append(fl)
-        return real_form(fl, window)
+        return real_form(fl, t_to, u_to)
 
     for q in (2, 4, 9):
         # the windows of `verify --suites windows` on each surface, and one
@@ -714,8 +714,8 @@ def test_a_window_form_short_after_one_resize_names_the_flag(monkeypatch):
     # a J whose box holds no slot: the gram asks for it once, then refuses
     windows = []
 
-    def stuck(fl, window):
-        windows.append(window)
+    def stuck(fl, t_to, u_to):
+        windows.append((t_to, u_to))
         return LaurentSeries2.zero(fl.point.residue_field, 0, 0)
 
     monkeypatch.setattr(measures, "canonical_local_form", stuck)
@@ -740,9 +740,9 @@ def test_the_first_window_form_holds_every_slot_the_gram_reads(monkeypatch,
     def build(*args, **kwargs):
         forms = {}
 
-        def form(fl, window):
+        def form(fl, t_to, u_to):
             assert fl not in forms, fl
-            forms[fl] = real_form(fl, window)
+            forms[fl] = real_form(fl, t_to, u_to)
             return forms[fl]
 
         with monkeypatch.context() as m:

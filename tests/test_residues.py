@@ -1,5 +1,6 @@
 """Local residues and both reciprocity laws, exactly."""
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -11,6 +12,8 @@ from adeles2d import surface as surface_mod
 from adeles2d.fields import rel_trace
 from adeles2d.residues import (
     AdeleFragment,
+    GlobalForm,
+    _local_residue,
     _random_form_of_class,
     adelic_pairing,
     check_reciprocity_along_curves,
@@ -20,18 +23,21 @@ from adeles2d.residues import (
     polar_components,
     reciprocity_corpus,
 )
-from adeles2d.series import START_PREC, LaurentSeries2, PrecisionError
+from adeles2d.series import LaurentSeries2, PrecisionError, res2
 from adeles2d.surface import (
     Flag,
+    RationalFunction,
     canonical_local_form,
     curve_make,
+    expand_at_flag,
     flag_make,
     form_order_on_curve,
-    invert_poly_at_flag,
     meeting_points,
+    ord_on_curve,
     point_from_coords,
     surface_make,
 )
+from test_surface import box_contract_cases
 
 
 def p2(q):
@@ -384,31 +390,41 @@ def test_both_laws_close_over_a_squared_cubic_times_a_cubic():
     assert all(total.is_zero() for _D, total in along), (w, along)
 
 
-def test_local_residue_resizes_at_most_once(monkeypatch):
-    # the window starts at max(START_PREC, -2j - v); a product whose box
-    # misses the residue slot is recomputed once, on a wider window
-    windows = []
-    expand = residues_mod.expand_at_flag
-    residue = residues_mod.local_residue
+def two_factor_residue(w, fl, u_to=32):
+    """The residue the way it was read before one quotient took it: the
+    coefficient's columns below t^-j times J's below t^-v, for v the order
+    of the coefficient and j of the form along the curve, each on the
+    u-box u_to, with the (-1, -1) slot of the product."""
+    f = w.coefficient
+    v = ord_on_curve(f, fl.curve)
+    j = form_order_on_curve(fl.curve)
+    if v + j >= 0:
+        return fl.point.residue_field.zero()
+    return res2(expand_at_flag(f, fl, -j, u_to)
+                * canonical_local_form(fl, -v, u_to))
 
-    def recorded_expand(f, fl, window, *t_window):
-        windows[-1].append(window)
-        return expand(f, fl, window, *t_window)
 
-    def recorded_residue(w, fl):
-        windows.append([])
-        return residue(w, fl)
-
-    monkeypatch.setattr(residues_mod, "expand_at_flag", recorded_expand)
-    monkeypatch.setattr(residues_mod, "local_residue", recorded_residue)
-    for w in _off_the_lines_forms():
-        around = check_reciprocity_around_points(w)
-        along = check_reciprocity_along_curves(w)
-        assert all(total.is_zero() for _x, total in around + along), w
-    resized = [got for got in windows if len(got) == 2]
-    assert all(len(got) <= 2 for got in windows), windows
-    assert resized, "no residue needed a second window"
-    assert all(START_PREC <= first < second for first, second in resized)
+def test_local_residue_equals_the_two_factor_route():
+    # the one quotient on t < 0, u < 1 against the product of the
+    # coefficient and the fixed form on wide boxes, at every flag of the
+    # reciprocity corpus at q = 2, 3, 4 on both surfaces, of the forms off
+    # the coordinate lines, and of the box contract's quotients
+    forms = _off_the_lines_forms() + [
+        w for model, q in itertools.product(("P2", "P1xP1"), (2, 3, 4))
+        for w in reciprocity_corpus(surface_make(model, q), 9, 0)]
+    for w in forms:
+        check_reciprocity_around_points(w)
+        check_reciprocity_along_curves(w)
+    pairs = [(w, fl) for w in forms for fl in w._residues]
+    pairs += [(GlobalForm(RationalFunction(fl.curve.surface, num, den),
+                          [fl.curve]), fl)
+              for fl, num, den in box_contract_cases()]
+    nonzero = 0
+    for w, fl in pairs:
+        got = _local_residue(w, fl)
+        assert got == two_factor_residue(w, fl), (w, fl)
+        nonzero += not got.is_zero()
+    assert len(pairs) >= 250 and nonzero >= 80, (len(pairs), nonzero)
 
 
 def test_one_residue_per_form_and_flag_and_one_order_per_curve(monkeypatch):
@@ -443,29 +459,30 @@ def test_one_residue_per_form_and_flag_and_one_order_per_curve(monkeypatch):
 
 def test_local_residue_names_the_flag_when_the_resize_falls_short(
         monkeypatch):
+    # a quotient whose box is cut below the (-1, -1) slot
     S = p2(5)
     L = coordinate_lines(S)
     w = form_make(S, "Z^2", [(L["X"], 1), (L["Y"], 1)])
     fl = flag_make(origin(S), L["Y"])
-    invert = invert_poly_at_flag
+    ratio = residues_mod.ratio_at_flag
     monkeypatch.setattr(
-        residues_mod, "invert_poly_at_flag",
-        lambda *args, **kwargs: invert(*args, **kwargs).truncate(u_to=-5))
-    with pytest.raises(PrecisionError, match="undetermined at window") as err:
+        residues_mod, "ratio_at_flag",
+        lambda *args: ratio(*args).truncate(u_to=-5))
+    with pytest.raises(PrecisionError, match="residue at flag") as err:
         local_residue(w, fl)
-    assert repr(fl) in str(err.value)
+    assert repr(fl) in str(err.value) and "u < -5" in str(err.value)
 
 
 def test_adelic_pairing_reads_the_fixed_form_past_the_floor():
     # paired with 1, t^b u^a gives the (-1-b, -1-a) coefficient of J, the
-    # fixed form's local coefficient; J's column -1-b needs a window past
-    # -b, over START_PREC here
+    # fixed form's local coefficient; J's column -1-b needs a box past
+    # t^-b, up to t^11 here
     S = p2(7)
     D = curve_make(S, "YZ-X^2-XZ")
     fl = flag_make(point_from_coords(S, [S.base.from_int(i)
                                          for i in (0, 1, 0)]), D)
     k = fl.point.residue_field
-    J = canonical_local_form(fl, 24)
+    J = canonical_local_form(fl, 24, 24)
     one = AdeleFragment({fl: LaurentSeries2.one(k)})
     nonzero = 0
     for b in range(-12, 0):

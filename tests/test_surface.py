@@ -23,7 +23,6 @@ from adeles2d.surface import (
     RationalFunction,
     _collect_fiber_points,
     _one_root,
-    _ratio_at_flag,
     canonical_divisor,
     canonical_local_form,
     class_intersection,
@@ -44,6 +43,7 @@ from adeles2d.surface import (
     point_from_coords,
     poly_text,
     poly_valuation_at_flag,
+    ratio_at_flag,
     smooth_flag,
     surface_make,
 )
@@ -669,7 +669,7 @@ def test_flag_make_returns_one_flag_per_point_and_curve():
     zero, one = S.base.zero(), S.base.one()
     origin = point_from_coords(S, (zero, zero, one))
     fl = flag_make(origin, curve_make(S, "Y"))
-    expand_at_flag(ratfn(S, "X", "Z"), fl, 4)
+    expand_at_flag(ratfn(S, "X", "Z"), fl, 4, 4)
     # an equal point and a separately parsed (here rescaled) equal curve
     again = flag_make(point_from_coords(S, (zero, zero, one)),
                       curve_make(S, "2Y"))
@@ -699,7 +699,7 @@ def test_coordinate_series_solves_curve_equation():
     pt = point_from_coords(S, (S.base.zero(), S.base.zero(), S.base.one()))
     fl = flag_make(pt, C)
     # the normalized equation is x^2 - y, so t = x^2 - y and y = u^2 - t
-    B = flag_coordinate_series(fl, 8)
+    B = flag_coordinate_series(fl, 8, 8)
     assert fl.u_index == 0
     assert coeff(B, 1, 0) == -S.base.one()
     assert is_one(coeff(B, 0, 2))
@@ -717,7 +717,7 @@ def test_expand_coordinate_ratio():
     pt = point_from_coords(S, (S.base.zero(), S.base.zero(), S.base.one()))
     fl = flag_make(pt, L)
     f = ratfn(S, "X", "Y")
-    e = expand_at_flag(f, fl, prec=8)
+    e = expand_at_flag(f, fl, 8, 8)
     assert is_one(coeff(e, -1, 1))
     assert e.t_valuation() == -1
 
@@ -728,7 +728,7 @@ def test_expand_geometric_series():
     pt = point_from_coords(S, (S.base.zero(), S.base.zero(), S.base.one()))
     fl = flag_make(pt, L)
     f = ratfn(S, "Z", "Z-X")  # 1/(1-x) in the chart at the origin
-    e = expand_at_flag(f, fl, prec=8)
+    e = expand_at_flag(f, fl, 8, 8)
     for k in range(8):
         assert is_one(coeff(e, 0, k)), k
 
@@ -739,7 +739,7 @@ def test_expand_parabola_equation():
     pt = point_from_coords(S, (S.base.zero(), S.base.zero(), S.base.one()))
     fl = flag_make(pt, L)
     f = ratfn(S, "YZ - X^2", "Z^2")
-    e = expand_at_flag(f, fl, prec=8)
+    e = expand_at_flag(f, fl, 8, 8)
     assert is_one(coeff(e, 1, 0))
     assert coeff(e, 0, 2) == -S.base.one()
     assert coeff(e, 0, 0).is_zero() and coeff(e, 0, 1).is_zero()
@@ -764,11 +764,11 @@ def test_expansion_is_multiplicative():
         P, Q = rand_form(), rand_form()
         if P.is_zero() or Q.is_zero():
             continue
-        eP = expand_poly_at_flag(P, fl, 8)
-        eQ = expand_poly_at_flag(Q, fl, 8)
-        ePQ = expand_poly_at_flag(P * Q, fl, 8)
+        eP = expand_poly_at_flag(P, fl, 8, 8)
+        eQ = expand_poly_at_flag(Q, fl, 8, 8)
+        ePQ = expand_poly_at_flag(P * Q, fl, 8, 8)
         assert agree(ePQ, eP * eQ)
-        ePplusQ = expand_poly_at_flag(P + Q, fl, 8)
+        ePplusQ = expand_poly_at_flag(P + Q, fl, 8, 8)
         assert agree(ePplusQ, eP + eQ)
 
 
@@ -778,7 +778,7 @@ def test_expand_at_degree_two_point():
     deg2 = [p for p in scan_points(L, 2) if p.degree == 2][0]
     fl = flag_make(deg2, L)
     f = ratfn(S, "X", "Y")
-    e = expand_at_flag(f, fl, prec=6)
+    e = expand_at_flag(f, fl, 6, 6)
     assert e.terms
     # the value at the point is the ratio of the point's coordinates
     x0, y0, _ = deg2.coords
@@ -792,10 +792,10 @@ def test_expansion_valuation_matches_ord():
     assert ord_on_curve(f, C) == 1
     pt = point_from_coords(S, (S.base.zero(), S.base.zero(), S.base.one()))
     fl = flag_make(pt, C)
-    assert expand_at_flag(f, fl, prec=8).t_valuation() == 1
+    assert expand_at_flag(f, fl, 8, 8).t_valuation() == 1
     g = ratfn(S, "Z^2", "YZ - X^2")
     assert ord_on_curve(g, C) == -1
-    assert expand_at_flag(g, fl, prec=8).t_valuation() == -1
+    assert expand_at_flag(g, fl, 8, 8).t_valuation() == -1
 
 
 # ---------------------------------------------------------------------------
@@ -874,14 +874,14 @@ def test_closed_form_orders_match_the_local_form_on_coordinate_lines():
         for D in S.lines.values():
             fl = smooth_flag(D, 1)
             assert (form_order_on_curve(D)
-                    == canonical_local_form(fl, 16).t_valuation()), (S, D)
+                    == canonical_local_form(fl, 16, 16).t_valuation()), (S, D)
 
 
 def _jacobian_of_first_chart(fl, window):
     """The fixed form's coefficient as the Jacobian d(x, y)/d(u, t) of the
     first chart's coordinates x, y, each expanded as a ratio at the flag."""
     S = fl.curve.surface
-    x, y = [_ratio_at_flag(S.var(a), S.var(u), fl, window)
+    x, y = [ratio_at_flag(S.var(a), S.var(u), fl, window, window)
             for a, u in zip(S.charts[0].affine_vars, S.charts[0].units)]
     return (derive(x, "u") * derive(y, "t")
             - derive(x, "t") * derive(y, "u"))
@@ -900,7 +900,7 @@ def test_form_polynomial_inverts_to_the_jacobian_of_the_first_chart():
                 for pt in pts[:2] + [p for p in pts if p.degree == 2][:1]:
                     fl = flag_make(pt, D)
                     want = _jacobian_of_first_chart(fl, 4)
-                    got = canonical_local_form(fl, 4)
+                    got = canonical_local_form(fl, 4, 4)
                     t_to = min(got.t_prec, want.t_prec)
                     u_to = min(got.u_prec, want.u_prec)
                     # the box both hold is not empty
@@ -1042,22 +1042,18 @@ def test_windows_below_one_are_rejected_or_bounded():
     S = p2(3)
     fl = flag_make(point_from_coords(S, [S.base.from_int(i) for i in (0, 0, 1)]),
                    S.lines["Y"])
-    for window in (0, -1):
+    for u_to in (0, -1):
         try:
-            expand_at_flag(ratfn(S, "Y", "Z"), fl, window)
+            expand_at_flag(ratfn(S, "Y", "Z"), fl, 1, u_to)
         except ValueError:
             pass
         else:
-            raise AssertionError(f"window {window} accepted")
-    # a t-window that ends before the leading column is refused at once
-    try:
-        invert_poly_at_flag(parse_poly(S, "Y"), fl, 0)
-    except PrecisionError:
-        pass
-    else:
-        raise AssertionError("inverse read off an empty window")
+            raise AssertionError(f"u-box {u_to} accepted")
+    # 1/Y starts at t^-1: a box that ends before it holds only zeros
+    empty = invert_poly_at_flag(parse_poly(S, "Y"), fl, -1, 4)
+    assert (empty.terms, empty.t_prec, empty.u_prec) == ({}, -1, 4), empty
     # a function whose every column lies at or above the box is 0 there
-    zero = expand_at_flag(ratfn(S, "Y^2", "Z^2"), fl, 2)
+    zero = expand_at_flag(ratfn(S, "Y^2", "Z^2"), fl, 2, 2)
     assert (zero.terms, zero.t_prec, zero.u_prec) == ({}, 2, 2), zero
 
 
@@ -1174,8 +1170,8 @@ def _flex_flag():
 def test_flex_expansion_at_precision_eight_extends_precision_four():
     S, fl = _flex_flag()
     f = ratfn(S, "X^3", "Z^3")
-    e4 = expand_at_flag(f, fl, 4)
-    e8 = expand_at_flag(f, fl, 8)
+    e4 = expand_at_flag(f, fl, 4, 4)
+    e8 = expand_at_flag(f, fl, 8, 8)
     assert (e4.t_prec, e8.t_prec) == (4, 8)
     assert agree(e8, e4)
     assert e8.truncate(4, e4.u_prec).terms == e4.terms
@@ -1185,51 +1181,48 @@ def _multiplies_back(S, fl, num, den, window):
     # the quotient comes back on exactly the box it was asked for, and
     # times the denominator it gives the numerator on that box
     f = ratfn(S, num, den)
-    e = expand_at_flag(f, fl, window)
+    e = expand_at_flag(f, fl, window, window)
     assert (e.t_prec, e.u_prec) == (window, window), e
     low_u = min(u for _t, u in e.terms)
     back = e * expand_poly_at_flag(f.den, fl, window, window - low_u)
     assert back.t_prec >= window and back.u_prec >= window, back
-    top = expand_poly_at_flag(f.num, fl, window).truncate(window, window)
+    top = expand_poly_at_flag(f.num, fl, window, window)
     assert back.truncate(window, window).terms == top.terms, (num, den)
 
 
-def test_flex_expansion_past_the_cap_names_the_inversion():
+def test_flex_expansion_past_the_cap():
     # Z meets the cubic to order 3 at the flex, so Z^30 has u-order 90
     # there, past the former u-widening cap of 80 at window 1: its columns
-    # are sized from (vt, w) up front and the quotient expands; the one
-    # inversion that still fails, a t-window that ends before the leading
-    # column, names the polynomial, the flag and the window
+    # are sized from (vt, w) up front and the quotient expands; its inverse
+    # on a box that ends before the leading column is 0 there
     S, fl = _flex_flag()
     _multiplies_back(S, fl, "X^30", "Z^30", 1)
     P = parse_poly(S, "Z^30")
     assert poly_valuation_at_flag(P, fl) == (0, 90)
-    with pytest.raises(PrecisionError) as err:
-        invert_poly_at_flag(P, fl, 1, t_window=0)
-    msg = str(err.value)
-    assert "Z^30" in msg and repr(fl) in msg and "window 1" in msg, msg
+    empty = invert_poly_at_flag(P, fl, 0, 1)
+    assert (empty.terms, empty.t_prec, empty.u_prec) == ({}, 0, 1), empty
 
 
 def test_a_hidden_leading_column_is_shown_by_one_box(monkeypatch):
-    # Z^3 has u-order 9 at the flex, past the u-window 4: its exact
+    # Z^3 has u-order 9 at the flex, past the box u < 4: its exact
     # valuation sizes the one box it is expanded on, and the inverse comes
-    # back on t < 4, u < 4 - 9
+    # back on the box asked for, t < 4, u < 4 - 9
     S, fl = _flex_flag()
     P = parse_poly(S, "Z^3")
     assert poly_valuation_at_flag(P, fl) == (0, 9)
     boxes = []
     expand = surface_mod.expand_poly_at_flag
 
-    def recorded(P, fl, window, u_window=None):
-        boxes.append((window, u_window))
-        return expand(P, fl, window, u_window)
+    def recorded(P, fl, t_to, u_to):
+        boxes.append((t_to, u_to))
+        return expand(P, fl, t_to, u_to)
 
     monkeypatch.setattr(surface_mod, "expand_poly_at_flag", recorded)
-    inv = invert_poly_at_flag(P, fl, 4)
+    inv = invert_poly_at_flag(P, fl, 4, 4 - 9)
     assert boxes == [(4, 4 + 4 * 9)], boxes
     assert (inv.t_prec, inv.u_prec) == (4, 4 - 9), inv
     monkeypatch.undo()
-    wide = invert_poly_at_flag(P, fl, 10)
+    wide = invert_poly_at_flag(P, fl, 10, 1)
     assert agree(inv, wide)
     low_u = min(u for _t, u in wide.terms)
     one = expand_poly_at_flag(P, fl, 10, 1 - low_u) * wide
@@ -1238,15 +1231,97 @@ def test_a_hidden_leading_column_is_shown_by_one_box(monkeypatch):
     _multiplies_back(S, fl, "Y^3", "Z^3", 4)
 
 
-def test_a_t_window_that_ends_before_the_leading_column_raises_at_once():
+def test_a_box_before_the_leading_column_is_zero_at_once(monkeypatch):
+    # 1/Y^2Z starts at t^-2 at the origin on Y, and 1/Z^3 at u^-9 at the
+    # flex: a box that ends at or before the leading column, in t or in u,
+    # holds only zeros, and nothing is expanded for it
     S = p2(3)
     fl = flag_make(point_from_coords(S, [S.base.from_int(i) for i in (0, 0, 1)]),
                    S.lines["Y"])
     P = parse_poly(S, "Y^2Z")
-    with pytest.raises(PrecisionError, match=r"t-window 2 before the leading "
-                                             r"column t\^2"):
-        invert_poly_at_flag(P, fl, 8, t_window=2)
-    assert ("polyinv", P, 8, 2) not in fl._cache
+    F, flex = _flex_flag()
+    Z3 = parse_poly(F, "Z^3")
+
+    def expanded(*args):
+        raise AssertionError(f"expanded {args!r}")
+
+    with monkeypatch.context() as m:
+        m.setattr(surface_mod, "expand_poly_at_flag", expanded)
+        for Q, at, box in ((P, fl, (-2, 8)), (P, fl, (-5, 1)),
+                           (Z3, flex, (1, -9)), (Z3, flex, (3, -40))):
+            got = invert_poly_at_flag(Q, at, *box)
+            assert (got.terms, got.t_prec, got.u_prec) == ({}, *box), got
+    lead = invert_poly_at_flag(P, fl, -1, 8)
+    assert lead.t_valuation() == -2 and (lead.t_prec, lead.u_prec) == (-1, 8)
+    assert list(lead.terms) == [(-2, 0)], lead
+    lead = invert_poly_at_flag(Z3, flex, 1, -8)
+    assert list(lead.terms) == [(0, -9)], lead
+
+
+# (model, q, curve, point, [(num, den, m)]): each quotient is
+# num / (den * curve^m) at the flag.  At the flex of the cubic X and Z have
+# u-orders 1 and 3; at the conic's flag X and Y have 1 and 2.
+BOX_CONTRACT_FLAGS = [
+    ("P2", 7, "X^3+XZ^2+6Y^2Z", (0, 1, 0),
+     [("Y", "Z", 0), ("Y", "X", 0), ("Y^4", "X", 1), ("Y^7", "Z", 2)]),
+    ("P2", 5, "YZ-X^2", (0, 0, 1),
+     [("Z", "X", 0), ("Z^2", "Y^2", 0), ("Z^3", "X", 1), ("Z^5", "Y", 2)]),
+    ("P1xP1", 3, "X0Y1-X1Y0", (0, 1, 0, 1),
+     [("X1", "X0", 0), ("X1Y1", "X0Y0", 0), ("X1^2Y1", "X0", 1),
+      ("X1^3Y1^2", "X0", 2)]),
+]
+
+
+def box_contract_cases():
+    """(flag, num, den) for every quotient of BOX_CONTRACT_FLAGS, on fresh
+    surfaces, so that no flag cache is shared with an earlier call."""
+    cases = []
+    for model, q, text, coords, quotients in BOX_CONTRACT_FLAGS:
+        S = surface_make(model, q)
+        D = curve_make(S, text)
+        fl = flag_make(point_from_coords(
+            S, [S.base.from_int(i) for i in coords]), D)
+        cases += [(fl, parse_poly(S, num), parse_poly(S, den) * D.poly ** m)
+                  for num, den, m in quotients]
+    return cases
+
+
+def _expansions(fl, num, den):
+    """Each routine that expands at a flag, as a function of the box."""
+    f = RationalFunction(fl.curve.surface, num, den)
+    return {
+        "flag_coordinate_series": lambda *box: flag_coordinate_series(
+            fl, *box),
+        "expand_poly_at_flag": lambda *box: expand_poly_at_flag(den, fl, *box),
+        "invert_poly_at_flag": lambda *box: invert_poly_at_flag(den, fl, *box),
+        "canonical_local_form": lambda *box: canonical_local_form(fl, *box),
+        "ratio_at_flag": lambda *box: ratio_at_flag(num, den, fl, *box),
+        "expand_at_flag": lambda *box: expand_at_flag(f, fl, *box),
+    }
+
+
+def test_every_expansion_at_a_flag_returns_exactly_its_box():
+    # asked for the box t < t_to, u < u_to, each routine returns a series
+    # on exactly that box, equal to the same call on a wider box at a fresh
+    # flag, truncated: also where the box ends at or before the leading
+    # column, and where the denominator has u-order w > 0 at the point
+    cases = box_contract_cases()
+    flex = cases[0][0]
+    assert [poly_valuation_at_flag(den, flex) for _fl, _num, den
+            in cases[:2]] == [(0, 3), (0, 1)]
+    nonzero = dict.fromkeys(_expansions(*cases[0]), 0)
+    for (fl, num, den), wide_case in zip(cases, box_contract_cases()):
+        wide = {name: run(12, 20)
+                for name, run in _expansions(*wide_case).items()}
+        for name, run in _expansions(fl, num, den).items():
+            for box in ((1, 1), (3, 1), (0, 1), (-2, 3), (1, 6), (5, 4),
+                        (2, 9)):
+                got = run(*box)
+                assert (got.t_prec, got.u_prec) == box, (name, fl, den, got)
+                assert got.terms == wide[name].truncate(*box).terms, (
+                    name, fl, den, box)
+                nonzero[name] += bool(got.terms)
+    assert all(n >= 12 for n in nonzero.values()), nonzero
 
 
 def _meeting_cases(model, q):
@@ -1302,7 +1377,7 @@ def test_column_inverse_matches_the_neumann_route(model):
         _S, cases = _meeting_cases(model, q)
         for (fl, P), window in itertools.product(cases, range(4, 17)):
             vt, w = poly_valuation_at_flag(P, fl)
-            got = invert_poly_at_flag(P, fl, window)
+            got = invert_poly_at_flag(P, fl, window - 2 * vt, window - w)
             assert (got.t_prec, got.u_prec) == (window - 2 * vt, window - w)
             want = widening_inverse(P, fl, window)
             t_to = min(got.t_prec, want.t_prec)
@@ -1405,15 +1480,15 @@ def test_coordinate_series_served_from_one_solve_equal_fresh_ones(
     asked, ways = [], set()
     solve = surface_mod.flag_coordinate_series
 
-    def recorded(fl, window, u_window=None):
+    def recorded(fl, t_to, u_to):
         held = fl._cache.get("coords")
-        box = (window, window if u_window is None else u_window)
+        box = (t_to, u_to)
         if held is None:
             ways.add("fresh")
         else:
             ways.add("truncate" if box[0] <= held.t_prec
                      and box[1] <= held.u_prec else "restart")
-        got = solve(fl, window, u_window)
+        got = solve(fl, t_to, u_to)
         asked.append((fl, box, got))
         return got
 

@@ -439,7 +439,8 @@ def power_product_symbol(f, g, fl, window=8):
     b = ord_on_curve(as_function(S, g), fl.curve)
     h = as_function(S, [(P, b * e) for P, e in f]
                     + [(P, -a * e) for P, e in g])
-    return min(u for t, u in expand_at_flag(h, fl, window).terms if t == 0)
+    return min(u for t, u in expand_at_flag(h, fl, window, window).terms
+               if t == 0)
 
 
 @pytest.mark.parametrize("model", ["P2", "P1xP1"])

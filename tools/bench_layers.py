@@ -50,8 +50,9 @@ FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
 TRACES = {"F7^6.F7": (7, 6, 1), "F81.F9": (3, 4, 2)}
 BATCH = 400
 FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
-# YZ meets the cubic to order 3 at the flex: its inverse on window 64
-FLEX64 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^2/YZ", 7, 64)
+# YZ meets the cubic to order 3 at the flex: its inverse on the box t < 64,
+# u < 61, which a checkout from before the box contract gave for window 64
+FLEX64 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^2/YZ", 7, (64, 61))
 CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
 # Z^20 meets the cubic to order 60 at the flex: `expand --function
 # X^20/Z^20 --precision 16` expands it on the box t < 16, u < 1036
@@ -119,6 +120,15 @@ def flag(m: dict, spec) -> tuple:
     return m["surface"].flag_make(pt, C), cli._parse_function(S, function)
 
 
+def expand_on_box(sf, f, fl, t_to: int, u_to: int):
+    """sf.expand_at_flag(f, fl, t_to, u_to); a checkout from before the box
+    contract (no `ratio_at_flag`) took the u-box as its window and the
+    t-box as t_window."""
+    if hasattr(sf, "ratio_at_flag"):
+        return sf.expand_at_flag(f, fl, t_to, u_to)
+    return sf.expand_at_flag(f, fl, u_to, t_window=t_to)
+
+
 def batch(op: Callable[[object, object], object], pairs) -> Callable:
     def run(_arg):
         for a, b in pairs:
@@ -182,8 +192,7 @@ def series_cases(m: dict) -> Dict[str, Case]:
     # sweep cell multiplies on, t < 4 and u < 14, four terms each
     fl, _f = flag(m, CONIC8)
     S, cli, sf = fl.curve.surface, m["cli"], m["surface"]
-    x, y = (sf.expand_at_flag(cli._parse_function(S, text), fl, 14,
-                              t_window=4)
+    x, y = (expand_on_box(sf, cli._parse_function(S, text), fl, 4, 14)
             for text in ("X^2+Y^2/Z^2", "Y^2+XZ/XZ"))
     out["series.LaurentSeries2.mul.sweep.conic.F5"] = (lambda: None, batch(
         lambda a, b: a * b, [(x, y)] * BATCH), BATCH)
@@ -269,12 +278,12 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
     for name, spec in (("flex4", FLEX4), ("conic8", CONIC8)):
         out[f"surface.expand_at_flag.{name}"] = (
             lambda spec=spec: flag(m, spec),
-            lambda fl_f, prec=spec[4]: sf.expand_at_flag(fl_f[1], fl_f[0], prec),
-            1)
+            lambda fl_f, prec=spec[4]: expand_on_box(sf, fl_f[1], fl_f[0],
+                                                     prec, prec), 1)
+    box = FLEX64[4] if hasattr(sf, "ratio_at_flag") else FLEX64[4][:1]
     out["surface.invert_poly_at_flag.flex64"] = (
         lambda: flag(m, FLEX64),
-        lambda fl_f: sf.invert_poly_at_flag(fl_f[1].den, fl_f[0], FLEX64[4]),
-        1)
+        lambda fl_f: sf.invert_poly_at_flag(fl_f[1].den, fl_f[0], *box), 1)
 
     def off_lines(q):
         """X on a fresh P2 over F_q with Z and every line Y + aZ over F_p,
