@@ -1,16 +1,12 @@
 """Whether a curve is irreducible, and which factor names it if not.
 
 A divisor is a sum of irreducible curves, so surface.curve_make proves
-each curve irreducible here.  A plane curve f of degree D > 1 is
-irreducible if some line of the first chart meets it in a single point of
-degree D (_line_certificate), at O(D^2) field operations for each of at
-most 8D lines tried.  Otherwise, on P1xP1 and when a coordinate line
-divides f, f is factored (_factor, multipoly.factor2), which is polynomial
-in D but for its recombination of at most 2^(D - 1) sets of lifted
-factors.  A reducible f is refused naming the factor that a search through
-the classes up to half the degree, then through the normalized polynomials
-of each class, would meet first (_first_factor); tests/reference_curves.py
-keeps that search.
+each curve irreducible here, on either surface, by factoring it (_factor,
+multipoly.factor2), which is polynomial in its degree D but for its
+recombination of at most 2^(D - 1) sets of lifted factors.  A reducible f
+is refused naming the factor that a search through the classes up to half
+the degree, then through the normalized polynomials of each class, would
+meet first (_first_factor); tests/reference_curves.py keeps that search.
 """
 
 from __future__ import annotations
@@ -18,11 +14,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import random
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .fields import (_FACTOR_SEED, Poly, _embed_code, _is_irreducible,
-                     field_make, padd, pdeg, pmul)
 from .multipoly import MPoly, factor2
 
 if TYPE_CHECKING:
@@ -37,44 +30,10 @@ def first_factor(S: Surface, f: MPoly) -> Optional[MPoly]:
     first = 0 if S.model == "P2" else 2
     if all(e[first] for e in f.terms):
         return S.var(first)
-    if S.model == "P2" and not any(
-            all(e[v] for e in f.terms) for v in range(S.nvars)) and \
-            _line_certificate(S, f):
-        return None
     factors = _factor(S, f)
     if len(factors) == 1 and factors[0][1] == 1:
         return None
     return _first_factor(S, f, factors)
-
-
-def _line_certificate(S: Surface, f: MPoly) -> bool:
-    """Whether the plane curve f of degree D restricts to an irreducible
-    polynomial of degree D on some line y = ax + b of the first chart.
-    Every factor of f restricts to one of positive degree, so f is then
-    irreducible.  4D distinct lines (or all) are drawn over F_q, then over
-    the least F_(q^j), j > 1, with more than 4D elements, since over a
-    small field every line may meet f at a rational point (no line over
-    F_2 or F_4 works for the cubic X^3 + Y^2Z + YZ^2, half of those over
-    F_16 do; Bernardin and Monagan, AAECC-12, 1997); an f that splits over
-    F_(q^j) has no certificate there.  The restriction is
-    sum_i c_i(x) (ax + b)^i, for c_i the chart columns of f in y, by
-    Horner's rule; Ben-Or's test decides its irreducibility."""
-    D = sum(S.poly_class(f))
-    cols = S.dehomogenize(f, S.charts[0]).columns(1)
-    rng = random.Random(_FACTOR_SEED)
-    q = S.base.q
-    for j in (1, next(j for j in itertools.count(2) if q ** j > 4 * D)):
-        k = field_make(S.base.p, S.base.d * j)
-        emb = [[_embed_code(S.base, c, k) for c in col] for col in cols]
-        # the lines as the codes b + a k.q, drawn distinct
-        for code in rng.sample(range(k.q ** 2), min(4 * D, k.q ** 2)):
-            a, b = divmod(code, k.q)
-            acc: Poly = []
-            for col in reversed(emb):
-                acc = padd(pmul(acc, [b, a], k), col, k)
-            if pdeg(acc) == D and _is_irreducible(acc, k):
-                return True
-    return False
 
 
 def _factor(S: Surface, f: MPoly) -> List[Tuple[MPoly, int]]:

@@ -5,10 +5,10 @@ to the first chart (dX^dY on the plane, d(X0/X1)^d(Y0/Y1) on the quadric).
 Its residue at a flag is the (t^-1, u^-1) coefficient of the local
 expression, an element of the point's residue field; summing over the
 curves through a point, or with trace weights over the points of a curve,
-must give zero exactly.  Each residue is read from one quotient on the box
-t < 0, u < 1, which holds the (t^-1, u^-1) slot by the box contract of the
-expansions at a flag (surface); a product whose box leaves the slot out
-raises PrecisionError naming the flag.
+must give zero exactly.  Each residue is read from one quotient
+(surface.ratio_at_flag) on the box t < 0, u < 1, which holds the (t^-1,
+u^-1) slot by the box contract of the expansions at a flag; a product whose
+box leaves the slot out raises PrecisionError naming the flag.
 """
 
 from __future__ import annotations

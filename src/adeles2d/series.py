@@ -12,15 +12,13 @@ nothing is claimed.  "Exact zero" (no columns, both precisions infinite)
 and "zero at this precision" are therefore different states, and only the
 former participates in equality assertions.
 
-Valuations are reported with respect to the tracked window: expansion and
-inversion routines arrange their output so that the leading tracked column is
-genuinely the leading column of the underlying series.
-
 Precision bookkeeping is deliberately conservative.  Multiplication uses the
 box rule new_prec = min(prec_a + val_b, prec_b + val_a) in each variable
 (valuations taken over tracked columns: the least t-exponent and the least
 u-order), and addition intersects boxes.  A product is a sum of column
-products, each on the one-variable kernel below (ps_mac).
+products, each on the one-variable kernel below (ps_mac).  There is no
+division here: a quotient is made at a flag, where the exact orders of its
+numerator and denominator fix its box (surface.ratio_at_flag).
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 from .fields import FieldDesc, FieldElem, power
 
 INF = math.inf
-DEFAULT_PREC = 16
 # the CLI's default --precision: the box t < 8, u < 8 that `expand` prints
 START_PREC = 8
 
@@ -204,61 +201,9 @@ class LaurentSeries2:
             return self
         return LaurentSeries2.from_columns(self.desc, self.cols, t_prec, u_prec)
 
-    def inverse(self, t_window: int = DEFAULT_PREC,
-                u_window: int = DEFAULT_PREC) -> "LaurentSeries2":
-        """Multiplicative inverse, one t-column at a time.
-
-        With self = t^vt sum_j t^j B_j(u), B_0 of u-order w and s >= 0 the
-        least slope with ord B_i >= w - i*s for i >= 1, the inverse is
-        t^-vt sum_j t^j d_j, d_0 = 1/B_0 and d_j = -d_0 sum_{i=1..j}
-        B_i d_(j-i), of u-order at least -w - j*s.  So e_j = u^(w + j*s) d_j
-        and A_i = u^(i*s - w) B_i are power series, e_j = -e_0 sum_i
-        A_i e_(j-i) takes one ps_mac per term, and n codes of each e_j need
-        B_0 below u^(w + n) and no more of the others.  The box holds `size`
-        columns (t_prec - vt of truncated input, `t_window` of exact input)
-        and ends below u_prec - 2w - (size - 1)*s in u (u_window - w on
-        exact input).  Exact input of one column keeps the exact t-box, and
-        a monomial has its exact inverse."""
-        if not self.cols:
-            if self.is_exact():
-                raise ZeroDivisionError("inverse of the exact zero series")
-            raise PrecisionError("cannot invert: series is indistinguishable from 0 in t")
-        k = self.desc
-        vt = self.t_valuation()
-        size = t_window if self.t_prec == INF else int(self.t_prec - vt)
-        if size <= 0:
-            raise PrecisionError("cannot invert: empty provable window in t")
-        w, lead = self.cols[vt]
-        later = [(t - vt, v, codes) for t, (v, codes) in self.cols.items()
-                 if 0 < t - vt < size]
-        one_column = len(self.cols) == 1 and self.t_prec == INF
-        size = 1 if one_column else size
-        s = max([0] + [-((v - w) // i) for i, v, _ in later])
-        if self.u_prec != INF:
-            n = int(self.u_prec) - w
-            u_prec = n - w - (size - 1) * s
-        elif one_column and len(lead) == 1:
-            n, u_prec = 1, INF
-        else:
-            n, u_prec = u_window + (size - 1) * s, u_window - w
-        if n <= 0:
-            raise PrecisionError("cannot invert: empty provable window in u")
-        e = [ps_inverse(lead, n, k)]
-        minus = [k.neg(c) for c in e[0]]
-        A = [(i, [0] * (v - w + i * s) + codes) for i, v, codes in later]
-        for j in range(1, size):
-            acc = [0] * n
-            for i, a in A:
-                if i <= j:
-                    ps_mac(acc, 0, a, e[j - i], k)
-            e.append(ps_mul(minus, acc, n, k) if any(acc) else acc)
-        return LaurentSeries2.from_columns(
-            k, {j - vt: (-w - j * s, ej) for j, ej in enumerate(e)},
-            INF if one_column else size - vt, u_prec)
-
     def __pow__(self, n: int) -> "LaurentSeries2":
-        if n < 0:
-            return self.inverse() ** (-n)
+        """self^n for n >= 0; ValueError for n < 0 (fields.power), as a
+        series is divided only at a flag (surface.ratio_at_flag)."""
         if n == 0:
             return LaurentSeries2.one(self.desc)
         return power(self, n, LaurentSeries2.__mul__)

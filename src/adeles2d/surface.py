@@ -370,8 +370,8 @@ def class_monomials(S: Surface, cls: ClassVector) -> List[tuple]:
 
 def curve_make(S: Surface, poly: Union[MPoly, str], name: Optional[str] = None) -> Curve:
     """Validated irreducible curve; raises naming a factor pair otherwise
-    (irreducible.first_factor: a certificate or a factorization, whose
-    worst case in the degree D is 2^(D - 1) sets of lifted factors)."""
+    (irreducible.first_factor: a factorization, whose worst case in the
+    degree D is 2^(D - 1) sets of lifted factors)."""
     if isinstance(poly, str):
         poly = parse_poly(S, poly)
     if poly.is_zero():
@@ -614,16 +614,17 @@ def _one_root(irr: Poly, k: FieldDesc) -> FieldElem:
 # flags and local expansion
 #
 # The box contract: every routine that expands at a flag
-# (flag_coordinate_series, expand_poly_at_flag, invert_poly_at_flag,
-# ratio_at_flag, expand_at_flag, canonical_local_form) takes the box
+# (flag_coordinate_series, expand_poly_at_flag, ratio_at_flag,
+# expand_at_flag, canonical_local_form) takes the box
 # t < t_to, u < u_to and returns a series whose (t_prec, u_prec) is exactly
-# (t_to, u_to), equal to the same call on any wider box, truncated.
+# (t_to, u_to), equal to the same call on any wider box, truncated.  Only
+# ratio_at_flag divides: the flag knows the exact orders that fix its boxes.
 
 class Flag:
     """A point on a curve with a deterministic local coordinate pair.  Its
     cache holds "coords", the solved coordinate (flag_coordinate_series),
-    "branch" (_branch), ("val", P), ("polyinv", P, t_to, u_to), "P"
-    (form_polynomial) and the ("germ", ...) valuations of symbols."""
+    "branch" (_branch), ("val", P), "P" (form_polynomial) and the
+    ("germ", ...) valuations of symbols."""
 
     __slots__ = ("point", "curve", "chart", "u_index", "u_value", "t_param",
                  "point_affine", "_cache")
@@ -752,8 +753,7 @@ def expand_poly_at_flag(P: MPoly, fl: Flag, t_to: int,
     one t-column at a time (ps_mac).  Each B^m with col_m nonzero is the
     last such power times B^(m - m') by square-and-multiply; B is a power
     series, so every product is cut to the box as it is made.  The
-    expansion is not kept: its callers keep what they make of it
-    (invert_poly_at_flag the inverse) and rarely ask for one box twice."""
+    expansion is not kept: its callers rarely ask for one box twice."""
     k, S = fl.point.residue_field, fl.curve.surface
     cols = _u_columns(_mp_embed(S.dehomogenize(P, fl.chart), k), fl)
     B = flag_coordinate_series(fl, t_to, u_to)
@@ -772,35 +772,6 @@ def expand_poly_at_flag(P: MPoly, fl: Flag, t_to: int,
                 ps_mac(out.setdefault(t, [0] * u_to), v, col, codes, k)
     return LaurentSeries2.from_columns(
         k, {t: (0, out[t]) for t in sorted(out)}, t_to, u_to)
-
-
-def invert_poly_at_flag(P: MPoly, fl: Flag, t_to: int,
-                        u_to: int) -> LaurentSeries2:
-    """1/P at the flag on the box t < t_to, u < u_to, cached per
-    (P, t_to, u_to).
-
-    The box P is expanded on is fixed before anything is expanded.  For
-    (vt, w) = poly_valuation_at_flag(P, fl), P's expansion has no negative
-    u-exponent and its t^vt column has u-order w, so 1/P starts at t^-vt
-    and the column recurrence of LaurentSeries2.inverse loses 2w codes on
-    its leading column and w more on each of the size - 1 later ones,
-    size = t_to + vt: P is expanded once, on the box t < t_to + 2vt,
-    u < u_to + (size + 1) * w.  No column of 1/P dips below u^(-size * w),
-    so a box that ends at or before the leading column in t, or at or
-    before u^(-size * w) in u, holds only zeros."""
-    key = ("polyinv", P, t_to, u_to)
-    got = fl._cache.get(key)
-    if got is not None:
-        return got
-    vt, w = poly_valuation_at_flag(P, fl)
-    size = t_to + vt
-    if size <= 0 or u_to + size * w <= 0:
-        got = LaurentSeries2.zero(fl.point.residue_field, t_to, u_to)
-    else:
-        e = expand_poly_at_flag(P, fl, t_to + 2 * vt, u_to + (size + 1) * w)
-        got = e.inverse().truncate(t_to, u_to)
-    fl._cache[key] = got
-    return got
 
 
 def poly_order_at_flag(P: MPoly, fl: Flag) -> int:
@@ -878,23 +849,50 @@ def _hasse(cols: List[List[int]], j: int, y: List[int], n: int,
 
 def ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, t_to: int,
                   u_to: int) -> LaurentSeries2:
-    """num/den at the flag on the box t < t_to, u < u_to, for u_to >= 1.
+    """num/den at the flag on the box t < t_to, u < u_to, by one column
+    recurrence (Brent and Kung, J. ACM 25(4), 1978).
+
     With vn the order of num along the flag's curve and (vd, wd) the
-    valuation of den, the quotient's columns below t^t_to need the
-    size = t_to - vn + vd columns of 1/den from t^-vd on, none of u-order
-    below -size * wd: so 1/den is taken on the box t < t_to - vn, u < u_to
-    (invert_poly_at_flag), and num, of u-order at least 0, on the box
-    t < t_to + vd, u < u_to + size * wd.  When size <= 0 the quotient is 0
-    on the box."""
+    valuation of den, num = t^vn sum_j t^j N_j and den = t^vd sum_i t^i D_i
+    with D_0 = u^wd A_0 for a unit A_0, so the quotient's t^(vn - vd + j)
+    column is Q_j = D_0^-1 (N_j - sum_{i=1..j} D_i Q_(j-i)), and the box
+    holds size = t_to - vn + vd of them.  For s >= 0 the least slope with
+    ord D_i >= wd - i*s, Q_j has u-order at least -wd - j*s, so E_j =
+    u^(wd + j*s) Q_j = (u^(j*s) N_j - sum_i u^(i*s - wd) D_i E_(j-i)) / A_0
+    is a power series, one ps_mac per term.  Its n = u_to + wd + (size -
+    1)*s codes (at least 1) read num below u^n and den below u^(n + wd);
+    s <= wd, so den is expanded, before s is known, on t < t_to - vn + 2vd,
+    u < u_to + (size + 1)*wd.  No column dips below u^(-size*wd): when
+    size <= 0 or u_to + size*wd <= 0 the quotient is 0 on the box, and
+    nothing is expanded."""
+    k = fl.point.residue_field
     vn = poly_order_at_flag(num, fl)
     vd, wd = poly_valuation_at_flag(den, fl)
     size = t_to - vn + vd
-    if size <= 0:
-        return LaurentSeries2.zero(fl.point.residue_field, t_to, u_to)
-    # the inverse first: its wider box lifts the solved coordinate once
-    inv = invert_poly_at_flag(den, fl, t_to - vn, u_to)
-    top = expand_poly_at_flag(num, fl, t_to + vd, u_to + size * wd)
-    return top.mul(inv, t_to, u_to)
+    if size <= 0 or u_to + size * wd <= 0:
+        return LaurentSeries2.zero(k, t_to, u_to)
+    D = expand_poly_at_flag(den, fl, vd + size, u_to + (size + 1) * wd).cols
+    # (i, ord D_i - wd, -D_i) for the later columns, in increasing i
+    later = [(t - vd, v - wd, [k.neg(c) for c in codes])
+             for t, (v, codes) in D.items() if t > vd]
+    s = max([0] + [-(dv // i) for i, dv, _ in later])
+    n = max(1, u_to + wd + (size - 1) * s)
+    N = expand_poly_at_flag(num, fl, vn + size, n).cols
+    inv = ps_inverse(D[vd][1], n, k)
+    E: List[List[int]] = []
+    for j in range(size):
+        acc = [0] * n
+        if vn + j in N:
+            v, codes = N[vn + j]
+            ps_mac(acc, v + j * s, codes, [1], k)
+        for i, dv, minus in later:
+            if i > j:
+                break
+            ps_mac(acc, dv + i * s, minus, E[j - i], k)
+        E.append(ps_mul(inv, acc, n, k) if any(acc) else acc)
+    return LaurentSeries2.from_columns(
+        k, {vn - vd + j: (-wd - j * s, e) for j, e in enumerate(E)},
+        t_to, u_to)
 
 
 def expand_at_flag(f: RationalFunction, fl: Flag, t_to: int,
@@ -1040,8 +1038,9 @@ def form_polynomial(fl: Flag) -> MPoly:
 
 def canonical_local_form(fl: Flag, t_to: int, u_to: int) -> LaurentSeries2:
     """J = 1 / form_polynomial(fl) on the box t < t_to, u < u_to: the fixed
-    form is J du^dt at the flag."""
-    return invert_poly_at_flag(form_polynomial(fl), fl, t_to, u_to)
+    form is J du^dt at the flag (ratio_at_flag, with P ** 0 = 1)."""
+    P = form_polynomial(fl)
+    return ratio_at_flag(P ** 0, P, fl, t_to, u_to)
 
 
 def smooth_flag(D: Curve, max_degree: int,

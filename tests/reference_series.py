@@ -1,12 +1,17 @@
 """Reference routes for the tests: the ones the package used before it
-inverted by t-columns and expanded polynomials from their columns, kept to
-check those routes against.
+inverted by t-columns, expanded polynomials from their columns and divided
+at a flag by one recurrence, kept to check those routes against.
 
+`column_inverse` inverts a two-variable series on its box by the column
+recurrence that `LaurentSeries2.inverse` ran, and `inverse_ratio` divides
+at a flag the way `surface.ratio_at_flag` did: expand den, invert it by
+columns on the box that `surface.invert_poly_at_flag` fixed from den's
+valuation, and multiply by num's expansion.
 `neumann_inverse` inverts a two-variable series by the geometric series
 1 / (y0 (1 + r)) = y0^-1 sum (-r)^i over the leading column's inverse y0,
 with every product a two-variable one.  `widening_inverse` inverts a
-polynomial at a flag the way `surface.invert_poly_at_flag` did: expand on
-the square box of the window, re-expand on a u-wider box when the leading
+polynomial at a flag the way the package did before the box was fixed
+from the valuation: expand on the square box of the window, re-expand on a u-wider box when the leading
 column is hidden, and again on a box sized from the dips of the later
 columns (the old route also gave up past a cap on the u-window, which no
 input of the tests reaches).  `mp_eval_series` evaluates a polynomial at
@@ -20,7 +25,8 @@ truncation of `LaurentSeries2` when it was a dict from (t, u) to a code:
 the product loops over pairs of terms, with the box rule read from the
 least t- and u-exponents of the terms."""
 
-from adeles2d.series import INF, LaurentSeries2, PrecisionError, ps_inverse
+from adeles2d.series import (INF, LaurentSeries2, PrecisionError,
+                             ps_inverse, ps_mac, ps_mul)
 from adeles2d.surface import (_mp_embed, expand_poly_at_flag,
                               flag_coordinate_series, poly_order_at_flag,
                               poly_valuation_at_flag)
@@ -146,6 +152,64 @@ def widening_inverse(P, fl, window):
         steps = 1 - (-(window - vt) // min_step)
         e = wider(window + 2 * lead_u + steps * max_dip)
     return neumann_inverse(e, u_window=window)
+
+
+def column_inverse(f):
+    """1/f for f truncated in t and in u, one t-column at a time.
+
+    With f = t^vt sum_j t^j B_j(u), B_0 of u-order w and s >= 0 the least
+    slope with ord B_i >= w - i*s for i >= 1, the inverse is t^-vt sum_j
+    t^j d_j, d_0 = 1/B_0 and d_j = -d_0 sum_{i=1..j} B_i d_(j-i), of
+    u-order at least -w - j*s.  So e_j = u^(w + j*s) d_j and A_i =
+    u^(i*s - w) B_i are power series, and e_j = -e_0 sum_i A_i e_(j-i).
+    The box holds size = t_prec - vt columns and ends below
+    u_prec - 2w - (size - 1)*s in u."""
+    if f.t_prec == INF or f.u_prec == INF:
+        raise ValueError("column_inverse takes a series truncated in t and u")
+    if not f.cols:
+        raise PrecisionError("cannot invert: series is indistinguishable from 0 in t")
+    k = f.desc
+    vt = f.t_valuation()
+    size = int(f.t_prec - vt)
+    w, lead = f.cols[vt]
+    later = [(t - vt, v, codes) for t, (v, codes) in f.cols.items()
+             if 0 < t - vt < size]
+    s = max([0] + [-((v - w) // i) for i, v, _ in later])
+    n = int(f.u_prec) - w
+    if n <= 0:
+        raise PrecisionError("cannot invert: empty provable window in u")
+    e = [ps_inverse(lead, n, k)]
+    minus = [k.neg(c) for c in e[0]]
+    A = [(i, [0] * (v - w + i * s) + codes) for i, v, codes in later]
+    for j in range(1, size):
+        acc = [0] * n
+        for i, a in A:
+            if i <= j:
+                ps_mac(acc, 0, a, e[j - i], k)
+        e.append(ps_mul(minus, acc, n, k) if any(acc) else acc)
+    return LaurentSeries2.from_columns(
+        k, {j - vt: (-w - j * s, ej) for j, ej in enumerate(e)},
+        size - vt, n - w - (size - 1) * s)
+
+
+def inverse_ratio(num, den, fl, t_to, u_to):
+    """num/den at the flag on the box t < t_to, u < u_to: 1/den on the box
+    t < t_to - vn, u < u_to by column_inverse of den's expansion on the box
+    t < t_to - vn + 2vd, u < u_to + (size + 1) * wd, times num's expansion
+    on the box t < t_to + vd, u < u_to + size * wd, for vn the order of num
+    and (vd, wd) the valuation of den at the flag and size = t_to - vn + vd;
+    0 on the box when size <= 0 or u_to + size * wd <= 0."""
+    k = fl.point.residue_field
+    vn = poly_order_at_flag(num, fl)
+    vd, wd = poly_valuation_at_flag(den, fl)
+    size = t_to - vn + vd
+    if size <= 0 or u_to + size * wd <= 0:
+        return LaurentSeries2.zero(k, t_to, u_to)
+    e = expand_poly_at_flag(den, fl, t_to - vn + 2 * vd,
+                            u_to + (size + 1) * wd)
+    inv = column_inverse(e).truncate(t_to - vn, u_to)
+    top = expand_poly_at_flag(num, fl, t_to + vd, u_to + size * wd)
+    return top.mul(inv, t_to, u_to)
 
 
 def _low(f):

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from adeles2d import cli, cohomology, measures, surface, symbols
-from adeles2d import series as series_mod
 from adeles2d.cli import main
 from adeles2d.series import LaurentSeries2
 
@@ -284,15 +283,15 @@ def test_expand_prints_the_local_series():
 
 
 def test_a_recurrence_mutant_fails_expand_by_verdict(monkeypatch):
-    # the column recurrence of LaurentSeries2.inverse without its i = j
+    # the column recurrence of surface.ratio_at_flag without its i = j
     # term: the series it prints, times the denominator, is no longer the
     # numerator on the printed box
-    source = textwrap.dedent(inspect.getsource(LaurentSeries2.inverse))
-    mutant = source.replace("if i <= j:", "if i < j:")
+    source = inspect.getsource(surface.ratio_at_flag)
+    mutant = source.replace("if i > j:", "if i >= j:")
     assert mutant != source
     scope = {}
-    exec(mutant, vars(series_mod).copy(), scope)
-    monkeypatch.setattr(LaurentSeries2, "inverse", scope["inverse"])
+    exec(mutant, vars(surface).copy(), scope)
+    monkeypatch.setattr(surface, "ratio_at_flag", scope["ratio_at_flag"])
     code, out, err = run(["expand", "--q", "7", "--curve", "X^3+XZ^2+6Y^2Z",
                           "--point", "0:1:0", "--function", "X^3/Z^3",
                           "--precision", "4"])

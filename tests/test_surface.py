@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from adeles2d.cohomology import class_range
-from adeles2d import irreducible
 from adeles2d import surface as surface_mod
 from adeles2d.fields import FieldElem, embed, field_make, poly_factor
 from adeles2d.multipoly import MPoly, resultant_elim
@@ -37,7 +36,6 @@ from adeles2d.surface import (
     form_order_on_curve,
     form_polynomial,
     intersection_support,
-    invert_poly_at_flag,
     ord_on_curve,
     parse_poly,
     point_from_coords,
@@ -48,10 +46,9 @@ from adeles2d.surface import (
     surface_make,
 )
 from adeles2d.symbols import intersection_oracle
-from adeles2d.cli import CUBIC_BY_P, CUBIC_DEFAULT, FIXTURES
 from reference_curves import class_halves, search_outcome
 from reference_points import scan_points
-from reference_series import (chart_series, mp_eval_series,
+from reference_series import (chart_series, inverse_ratio, mp_eval_series,
                               reference_expansion, widening_inverse)
 from test_series import derive
 
@@ -197,18 +194,6 @@ def test_curve_make_names_the_factors_over_a_prime_above_the_tables():
     assert search_outcome(S, parse_poly(S, "X^2-Y^2")) == str(err.value)
 
 
-def test_curve_make_certifies_plane_fixtures_without_the_factorization(
-        monkeypatch):
-    # every P2 bezout fixture, at every q of the sweep, is certified by a
-    # line: the factorization is never reached
-    monkeypatch.setattr(irreducible, "factor2", _never)
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        S = surface_make("P2", q)
-        cubic = CUBIC_BY_P.get(S.base.p, CUBIC_DEFAULT)
-        for text in FIXTURES["P2"].bezout:
-            curve_make(S, cubic if text == "cubic" else text)
-
-
 def test_a_degree_seven_pair_is_accepted():
     # the curves of the degree-7 intersect over F_7, where the search over
     # the polynomials of half the class never ended
@@ -216,10 +201,6 @@ def test_a_degree_seven_pair_is_accepted():
     got = [curve_make(S, t).degree() for t in (
         "X^7+Y^7+Z^7+3X^2Y^5+X^6Z", "X^6+2Y^5Z+Z^6+XY^4Z+5X^3Y^3")]
     assert got == [(7,), (6,)]
-
-
-def _never(*_args):
-    raise AssertionError("factored")
 
 
 def test_curve_equality_ignores_scaling():
@@ -1050,7 +1031,8 @@ def test_windows_below_one_are_rejected_or_bounded():
         else:
             raise AssertionError(f"u-box {u_to} accepted")
     # 1/Y starts at t^-1: a box that ends before it holds only zeros
-    empty = invert_poly_at_flag(parse_poly(S, "Y"), fl, -1, 4)
+    Y = parse_poly(S, "Y")
+    empty = ratio_at_flag(Y ** 0, Y, fl, -1, 4)
     assert (empty.terms, empty.t_prec, empty.u_prec) == ({}, -1, 4), empty
     # a function whose every column lies at or above the box is 0 there
     zero = expand_at_flag(ratfn(S, "Y^2", "Z^2"), fl, 2, 2)
@@ -1199,14 +1181,15 @@ def test_flex_expansion_past_the_cap():
     _multiplies_back(S, fl, "X^30", "Z^30", 1)
     P = parse_poly(S, "Z^30")
     assert poly_valuation_at_flag(P, fl) == (0, 90)
-    empty = invert_poly_at_flag(P, fl, 0, 1)
+    empty = ratio_at_flag(P ** 0, P, fl, 0, 1)
     assert (empty.terms, empty.t_prec, empty.u_prec) == ({}, 0, 1), empty
 
 
 def test_a_hidden_leading_column_is_shown_by_one_box(monkeypatch):
     # Z^3 has u-order 9 at the flex, past the box u < 4: its exact
     # valuation sizes the one box it is expanded on, and the inverse comes
-    # back on the box asked for, t < 4, u < 4 - 9
+    # back on the box asked for, t < 4, u < 4 - 9; the numerator 1 is
+    # expanded on u < 4 - 9 + 9 + 3s, for Z^3's slope s = 3 there
     S, fl = _flex_flag()
     P = parse_poly(S, "Z^3")
     assert poly_valuation_at_flag(P, fl) == (0, 9)
@@ -1218,11 +1201,11 @@ def test_a_hidden_leading_column_is_shown_by_one_box(monkeypatch):
         return expand(P, fl, t_to, u_to)
 
     monkeypatch.setattr(surface_mod, "expand_poly_at_flag", recorded)
-    inv = invert_poly_at_flag(P, fl, 4, 4 - 9)
-    assert boxes == [(4, 4 + 4 * 9)], boxes
+    inv = ratio_at_flag(P ** 0, P, fl, 4, 4 - 9)
+    assert boxes == [(4, 4 + 4 * 9), (4, 4 + 3 * 3)], boxes
     assert (inv.t_prec, inv.u_prec) == (4, 4 - 9), inv
     monkeypatch.undo()
-    wide = invert_poly_at_flag(P, fl, 10, 1)
+    wide = ratio_at_flag(P ** 0, P, fl, 10, 1)
     assert agree(inv, wide)
     low_u = min(u for _t, u in wide.terms)
     one = expand_poly_at_flag(P, fl, 10, 1 - low_u) * wide
@@ -1249,12 +1232,12 @@ def test_a_box_before_the_leading_column_is_zero_at_once(monkeypatch):
         m.setattr(surface_mod, "expand_poly_at_flag", expanded)
         for Q, at, box in ((P, fl, (-2, 8)), (P, fl, (-5, 1)),
                            (Z3, flex, (1, -9)), (Z3, flex, (3, -40))):
-            got = invert_poly_at_flag(Q, at, *box)
+            got = ratio_at_flag(Q ** 0, Q, at, *box)
             assert (got.terms, got.t_prec, got.u_prec) == ({}, *box), got
-    lead = invert_poly_at_flag(P, fl, -1, 8)
+    lead = ratio_at_flag(P ** 0, P, fl, -1, 8)
     assert lead.t_valuation() == -2 and (lead.t_prec, lead.u_prec) == (-1, 8)
     assert list(lead.terms) == [(-2, 0)], lead
-    lead = invert_poly_at_flag(Z3, flex, 1, -8)
+    lead = ratio_at_flag(Z3 ** 0, Z3, flex, 1, -8)
     assert list(lead.terms) == [(0, -9)], lead
 
 
@@ -1293,7 +1276,8 @@ def _expansions(fl, num, den):
         "flag_coordinate_series": lambda *box: flag_coordinate_series(
             fl, *box),
         "expand_poly_at_flag": lambda *box: expand_poly_at_flag(den, fl, *box),
-        "invert_poly_at_flag": lambda *box: invert_poly_at_flag(den, fl, *box),
+        "ratio_at_flag(1, den)": lambda *box: ratio_at_flag(den ** 0, den,
+                                                             fl, *box),
         "canonical_local_form": lambda *box: canonical_local_form(fl, *box),
         "ratio_at_flag": lambda *box: ratio_at_flag(num, den, fl, *box),
         "expand_at_flag": lambda *box: expand_at_flag(f, fl, *box),
@@ -1322,6 +1306,51 @@ def test_every_expansion_at_a_flag_returns_exactly_its_box():
                     name, fl, den, box)
                 nonzero[name] += bool(got.terms)
     assert all(n >= 12 for n in nonzero.values()), nonzero
+
+
+def _ratio_cases():
+    """(flag, num, den, box) for ratio_at_flag against the inverse route:
+    the box contract's quotients on its boxes, 1/den and X^2/den at the
+    flex for den Z, X and YZ on two deep boxes, boxes of size
+    t_to - vn + vd <= 0 and with u_to + size * wd <= 0 (and just inside
+    that), and every residue quotient num / (den * P) of the reciprocity
+    corpus at q = 2, 3, 4 on both surfaces on the box t < 0, u < 1."""
+    cases = []
+    for fl, num, den in box_contract_cases():
+        vn = surface_mod.poly_order_at_flag(num, fl)
+        vd, wd = poly_valuation_at_flag(den, fl)
+        lead = vn - vd  # the quotient's t-order
+        cases += [(fl, num, den, box) for box in (
+            (1, 1), (3, 1), (0, 1), (-2, 3), (1, 6), (5, 4), (2, 9), (12, 20),
+            (lead, 4), (lead - 2, 1), (lead + 2, -2 * wd),
+            (lead + 2, 1 - 2 * wd), (lead + 3, -3 * wd - 1))]
+    S, flex = _flex_flag()
+    for den in (parse_poly(S, d) for d in ("Z", "X", "YZ")):
+        cases += [(flex, num, den, box) for num in (den ** 0,
+                                                    parse_poly(S, "X^2"))
+                  for box in ((64, 61), (16, 1036))]
+    for model, q in itertools.product(("P2", "P1xP1"), (2, 3, 4)):
+        for w in reciprocity_corpus(surface_make(model, q), 9, 0):
+            check_reciprocity_around_points(w)
+            check_reciprocity_along_curves(w)
+            f = w.coefficient
+            cases += [(fl, f.num, f.den * form_polynomial(fl), (0, 1))
+                      for fl in w._residues]
+    return cases
+
+
+def test_ratio_at_flag_equals_the_inverse_route():
+    # the one column recurrence against the route it replaced
+    # (tests/reference_series.py): den expanded, inverted by columns and
+    # multiplied by num's expansion; the same terms on the same box
+    nonzero = 0
+    cases = _ratio_cases()
+    for fl, num, den, box in cases:
+        got = ratio_at_flag(num, den, fl, *box)
+        assert got == inverse_ratio(num, den, fl, *box), (fl, num, den, box)
+        assert (got.t_prec, got.u_prec) == box, got
+        nonzero += bool(got.cols)
+    assert len(cases) >= 350 and nonzero >= 250, (len(cases), nonzero)
 
 
 def _meeting_cases(model, q):
@@ -1377,7 +1406,7 @@ def test_column_inverse_matches_the_neumann_route(model):
         _S, cases = _meeting_cases(model, q)
         for (fl, P), window in itertools.product(cases, range(4, 17)):
             vt, w = poly_valuation_at_flag(P, fl)
-            got = invert_poly_at_flag(P, fl, window - 2 * vt, window - w)
+            got = ratio_at_flag(P ** 0, P, fl, window - 2 * vt, window - w)
             assert (got.t_prec, got.u_prec) == (window - 2 * vt, window - w)
             want = widening_inverse(P, fl, window)
             t_to = min(got.t_prec, want.t_prec)

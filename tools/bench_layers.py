@@ -7,7 +7,8 @@
 
 Every case builds its inputs through text parsing (`parse_poly`,
 `curve_make` and the cli parsers) and public calls, so one script times any
-checkout of the package, whatever its coefficients are made of.  A case's
+checkout of the package whose expansions at a flag take a box (t_to, u_to)
+and divide by `ratio_at_flag`, whatever its coefficients are made of.  A case's
 figure is the best of --repeat rounds (7 by default), each timing every
 case once, in seconds; the element, trace, 1 x 1, Riemann-Roch space and
 dimension, derive_eq1 and smooth_flag cases time a batch and report one
@@ -50,8 +51,8 @@ FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
 TRACES = {"F7^6.F7": (7, 6, 1), "F81.F9": (3, 4, 2)}
 BATCH = 400
 FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
-# YZ meets the cubic to order 3 at the flex: its inverse on the box t < 64,
-# u < 61, which a checkout from before the box contract gave for window 64
+# YZ meets the cubic to order 3 at the flex: 1/YZ by ratio_at_flag on the
+# box t < 64, u < 61
 FLEX64 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^2/YZ", 7, (64, 61))
 CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
 # Z^20 meets the cubic to order 60 at the flex: `expand --function
@@ -120,15 +121,6 @@ def flag(m: dict, spec) -> tuple:
     return m["surface"].flag_make(pt, C), cli._parse_function(S, function)
 
 
-def expand_on_box(sf, f, fl, t_to: int, u_to: int):
-    """sf.expand_at_flag(f, fl, t_to, u_to); a checkout from before the box
-    contract (no `ratio_at_flag`) took the u-box as its window and the
-    t-box as t_window."""
-    if hasattr(sf, "ratio_at_flag"):
-        return sf.expand_at_flag(f, fl, t_to, u_to)
-    return sf.expand_at_flag(f, fl, u_to, t_window=t_to)
-
-
 def batch(op: Callable[[object, object], object], pairs) -> Callable:
     def run(_arg):
         for a, b in pairs:
@@ -180,19 +172,16 @@ def series_cases(m: dict) -> Dict[str, Case]:
             terms = {(t, u): F.from_coeffs([rng.randrange(p)
                                             for _ in range(d)])
                      for t in range(12) for u in range(12)}
-            terms[(0, 0)] = F.one()  # a unit, so the box inverts
             return LS2(F, terms, 12, 12)
 
         x, y = box(), box()
         out[f"series.mul.12x12.{name}"] = (lambda: None,
                                            lambda _a, x=x, y=y: x * y, 1)
-        out[f"series.inverse.12x12.{name}"] = (lambda: None,
-                                               lambda _a, x=x: x.inverse(), 1)
     # two expansions at the conic's flag of CONIC8 on a box of the sizes a
     # sweep cell multiplies on, t < 4 and u < 14, four terms each
     fl, _f = flag(m, CONIC8)
     S, cli, sf = fl.curve.surface, m["cli"], m["surface"]
-    x, y = (expand_on_box(sf, cli._parse_function(S, text), fl, 4, 14)
+    x, y = (sf.expand_at_flag(cli._parse_function(S, text), fl, 4, 14)
             for text in ("X^2+Y^2/Z^2", "Y^2+XZ/XZ"))
     out["series.LaurentSeries2.mul.sweep.conic.F5"] = (lambda: None, batch(
         lambda a, b: a * b, [(x, y)] * BATCH), BATCH)
@@ -278,12 +267,12 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
     for name, spec in (("flex4", FLEX4), ("conic8", CONIC8)):
         out[f"surface.expand_at_flag.{name}"] = (
             lambda spec=spec: flag(m, spec),
-            lambda fl_f, prec=spec[4]: expand_on_box(sf, fl_f[1], fl_f[0],
-                                                     prec, prec), 1)
-    box = FLEX64[4] if hasattr(sf, "ratio_at_flag") else FLEX64[4][:1]
-    out["surface.invert_poly_at_flag.flex64"] = (
+            lambda fl_f, prec=spec[4]: sf.expand_at_flag(fl_f[1], fl_f[0],
+                                                         prec, prec), 1)
+    out["surface.canonical_local_form.flex64"] = (
         lambda: flag(m, FLEX64),
-        lambda fl_f: sf.invert_poly_at_flag(fl_f[1].den, fl_f[0], *box), 1)
+        lambda fl_f: sf.ratio_at_flag(fl_f[1].den ** 0, fl_f[1].den,
+                                      fl_f[0], *FLEX64[4]), 1)
 
     def off_lines(q):
         """X on a fresh P2 over F_q with Z and every line Y + aZ over F_p,
@@ -558,8 +547,7 @@ CASES = (field_cases, series_cases, poly_cases, rank_cases, geometry_cases,
 KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
              for op in ("mul", "add", "inverse")) + tuple(
     f"fields.rel_trace.{name}" for name in TRACES) + (
-    "series.mul.1x1", "series.mul.12x12.F5", "series.inverse.12x12.F5",
-    "series.mul.12x12.F729", "series.inverse.12x12.F729",
+    "series.mul.1x1", "series.mul.12x12.F5", "series.mul.12x12.F729",
     "series.LaurentSeries2.mul.sweep.conic.F5",
     "series.LaurentSeries2.mul.flex20.BB",
     "multipoly.mul.1x1", "multipoly.mul.sextics.F5",
@@ -568,7 +556,7 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "linalg.mat_rank.15x21.F5", "linalg.mat_rank.section_rows.P2.q13",
     "linalg.mat_rank.window_gram.P2.q13",
     "surface.expand_at_flag.flex4", "surface.expand_at_flag.conic8",
-    "surface.invert_poly_at_flag.flex64",
+    "surface.canonical_local_form.flex64",
     "surface.smooth_flag.deg2.P2.q3", "surface.smooth_flag.deg2.P2.q13",
     "surface.intersection_support.cubic.P2.F5",
     "surface.curve_make.cubic.P2.F9", "surface.curve_make.sextic.P2.F7",
