@@ -40,7 +40,8 @@ from .residues import (
     local_residue,
     reciprocity_corpus,
 )
-from .series import START_PREC, PrecisionError
+from .multipoly import MPoly
+from .series import PrecisionError
 from .surface import (
     SURFACES,
     Divisor,
@@ -66,6 +67,8 @@ from .symbols import (
 SUITES = ("reciprocity", "bezout", "serre", "chi", "commutator", "rr",
           "windows")
 SOFT_Q_LIMIT = 9
+# the default --precision: the box t < 8, u < 8 that `expand` prints
+START_PREC = 8
 
 # smooth plane cubic fixtures per characteristic
 CUBIC_BY_P = {2: "X^3+Y^2Z+YZ^2", 3: "Y^2Z-X^3+XZ^2"}
@@ -543,9 +546,9 @@ def _cmd_symbol(args) -> int:
                            [(g.num, 1), (g.den, -1)], fl)
     print(value)
     a, b = ord_on_curve(f, fl.curve), ord_on_curve(g, fl.curve)
-    num = den = S.var(0) ** 0
-    for P, e in ((f.num, b), (f.den, -b), (g.num, -a), (g.den, a)):
-        num, den = (num * P ** e, den) if e > 0 else (num, den * P ** -e)
+    powers = ((f.num, b), (f.den, -b), (g.num, -a), (g.den, a))
+    num = MPoly.product(S.base, S.nvars, [(P, e) for P, e in powers if e > 0])
+    den = MPoly.product(S.base, S.nvars, [(P, -e) for P, e in powers if e < 0])
     h = expand_at_flag(RationalFunction(S, num, den), fl, 1, max(1, value + 1))
     rhs = h.cols[0][0] if 0 in h.cols else None
     inputs = {"curve": args.curve, "point": args.point, "f": args.f,

@@ -14,17 +14,15 @@ them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from math import comb
-from operator import add as _add, mul as _mul
+from operator import add as _add
 from typing import List, Tuple
 
 from .linalg import Matrix, mat_rank, mat_rref
 from .multipoly import MPoly
 from .surface import (
     ClassVector,
-    Curve,
     Divisor,
     RationalFunction,
     Surface,
@@ -147,8 +145,9 @@ def _section_rows(D: Divisor) -> Tuple[Matrix, List[tuple]]:
     negative, cls = _section_key(D)
     P = S.memo.get(("section product", negative))
     if P is None:
-        P = S.memo["section product", negative] = _product(
-            S, sorted(negative, key=lambda Ck: Ck[0]._key))
+        P = S.memo["section product", negative] = MPoly.product(
+            S.base, S.nvars, [(C.poly, k) for C, k in
+                              sorted(negative, key=lambda Ck: Ck[0]._key)])
     positive = list(cls)
     for C, k in negative:
         for i, d in enumerate(C._cls):
@@ -172,7 +171,8 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
     if not rows:
         return []
     S = D.surface
-    Q = _product(S, [(C, m) for C, m in D.items() if m > 0])
+    Q = MPoly.product(S.base, S.nvars,
+                      [(C.poly, m) for C, m in D.items() if m > 0])
     # distinct shifts of P are independent, so the rref has no zero row; the
     # rref basis of a span is unique.  Reduced rows back to polynomials:
     return [RationalFunction(S, MPoly._make(S.base, S.nvars, {
@@ -190,13 +190,6 @@ def rr_dimension(D: Divisor) -> int:
     if got is None:
         got = S.memo[key] = mat_rank(_section_rows(D)[0], S.base)
     return got
-
-
-def _product(S: Surface, factors: List[Tuple[Curve, int]]) -> MPoly:
-    """The product of the C.poly ** m, from the first factor on."""
-    if not factors:
-        return MPoly.const(S.base, S.nvars, 1)
-    return functools.reduce(_mul, (C.poly ** m for C, m in factors))
 
 
 def class_range(S: Surface, lo: int, hi: int) -> List[ClassVector]:

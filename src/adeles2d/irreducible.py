@@ -11,7 +11,6 @@ meet first (_first_factor); tests/reference_curves.py keeps that search.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from typing import TYPE_CHECKING, List, Optional, Tuple
@@ -25,9 +24,10 @@ if TYPE_CHECKING:
 def first_factor(S: Surface, f: MPoly) -> Optional[MPoly]:
     """None if the normalized f, of degree above 1, is irreducible, else
     the normalized factor that names it.  The first coordinate line of the
-    least class, X on P2 and Y0 on P1xP1, comes first in _first_factor's
-    order, so where it divides f it names f with nothing factored."""
-    first = 0 if S.model == "P2" else 2
+    least class, the first of the last group (X on P2 and Y0 on P1xP1),
+    comes first in _first_factor's order, so where it divides f it names f
+    with nothing factored."""
+    first = S.groups[-1].start
     if all(e[first] for e in f.terms):
         return S.var(first)
     factors = _factor(S, f)
@@ -91,8 +91,8 @@ def _first_factor(S: Surface, f: MPoly,
                                                for _g, m in factors))
              if 0 < 2 * sum(c := class_of(p)) <= total}
     cls = min(picks.values())
-    found = [functools.reduce(operator.mul, (
-        h ** a for (h, _m), a in zip(factors, p) if a))
+    found = [MPoly.product(S.base, S.nvars, [
+        (h, a) for (h, _m), a in zip(factors, p)])
         for p, c in picks.items() if c == cls]
     # the monomials that some candidate uses, in descending lex order: one
     # that none uses does not tell two of them apart

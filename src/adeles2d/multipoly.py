@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from operator import add as _add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import (
     FieldDesc,
@@ -78,6 +78,17 @@ class MPoly:
     @staticmethod
     def const(desc: FieldDesc, nvars: int, a) -> "MPoly":
         return MPoly(desc, nvars, {(0,) * nvars: a})
+
+    @staticmethod
+    def product(desc: FieldDesc, nvars: int,
+                factors: Iterable[Tuple["MPoly", int]]) -> "MPoly":
+        """The product of the P ** e over the factors (P, e), each e >= 0,
+        from 1 times the first on; a factor with e = 0 is skipped."""
+        out = MPoly.const(desc, nvars, 1)
+        for P, e in factors:
+            if e:
+                out = out * P ** e
+        return out
 
     @staticmethod
     def var(desc: FieldDesc, nvars: int, i: int) -> "MPoly":

@@ -32,6 +32,7 @@ from .surface import (
     class_monomials,
     divisor_class,
     flag_make,
+    flags_through,
     form_order_on_curve,
     form_polynomial,
     meeting_points,
@@ -80,11 +81,9 @@ def form_make(S: Surface, num, den_curves: Sequence[Tuple[Curve, int]]) -> Globa
     """Build num / prod(C^m) * omega with the component list filled in."""
     if isinstance(num, str):
         num = parse_poly(S, num)
-    den = MPoly.const(S.base, S.nvars, 1)
-    for C, m in den_curves:
-        if m < 0:
-            raise ValueError("denominator multiplicities must be nonnegative")
-        den = den * C.poly ** m
+    if any(m < 0 for _C, m in den_curves):
+        raise ValueError("denominator multiplicities must be nonnegative")
+    den = MPoly.product(S.base, S.nvars, [(C.poly, m) for C, m in den_curves])
     coeff = RationalFunction(S, num, den)
     comps = ([C for C, m in den_curves if m > 0]
              + list(canonical_divisor(S).components))
@@ -243,10 +242,8 @@ def check_reciprocity_around_points(w: GlobalForm) -> List[Tuple[ClosedPoint, Fi
     for x in meeting_points(itertools.combinations(polar, 2)):
         if x.degree > AROUND_POINT_DEGREE:
             continue
-        coords = list(x.coords)
-        through = [C for C in polar if C.poly.evaluate(coords).is_zero()]
         try:
-            flags = [flag_make(x, C) for C in through]
+            flags = flags_through(x, polar)
         except ValueError:
             continue
         total = x.residue_field.zero()

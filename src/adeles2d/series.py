@@ -30,8 +30,6 @@ from typing import Dict, List, Optional, Tuple
 from .fields import FieldDesc, FieldElem, power
 
 INF = math.inf
-# the CLI's default --precision: the box t < 8, u < 8 that `expand` prints
-START_PREC = 8
 
 # the least length of two factors that ps_mac deflates or steps through the
 # sparser of (tools/bench_layers.py times 8 to 32 alike; 2 slows the small

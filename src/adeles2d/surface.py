@@ -623,8 +623,8 @@ def _one_root(irr: Poly, k: FieldDesc) -> FieldElem:
 class Flag:
     """A point on a curve with a deterministic local coordinate pair.  Its
     cache holds "coords", the solved coordinate (flag_coordinate_series),
-    "branch" (_branch), ("val", P), "P" (form_polynomial) and the
-    ("germ", ...) valuations of symbols."""
+    "branch" (_branch), ("val", P), the rank-2 valuation of a polynomial
+    (poly_valuation_at_flag), and "P" (form_polynomial)."""
 
     __slots__ = ("point", "curve", "chart", "u_index", "u_value", "t_param",
                  "point_affine", "_cache")
@@ -681,6 +681,14 @@ def flag_make(x: ClosedPoint, D: Curve) -> Flag:
     fl = Flag(x, D, chart, u_index, aff[u_index], t_param, aff)
     S.flags[(x, D)] = fl
     return fl
+
+
+def flags_through(x: ClosedPoint, curves: Iterable[Curve]) -> List[Flag]:
+    """The flags at x on those of the curves that pass through x, in order;
+    ValueError (flag_make) where one of them is singular at x."""
+    coords = list(x.coords)
+    return [flag_make(x, D) for D in curves
+            if D.poly.evaluate(coords).is_zero()]
 
 
 def _mp_embed(f: MPoly, ext: FieldDesc) -> MPoly:

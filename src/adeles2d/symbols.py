@@ -23,7 +23,7 @@ from .surface import (
     class_intersection,
     coordinate_lines,
     divisor_class,
-    flag_make,
+    flags_through,
     intersection_support,
     meeting_points,
     poly_order_at_flag,
@@ -43,8 +43,6 @@ FULTON_STEPS = 4
 
 # A function as factors (P, e), standing for the product of the P^e.
 Factors = List[Tuple[MPoly, int]]
-# A unit germ (D, x), standing for the factors _germ(D, x).
-Germ = Tuple[Curve, Optional[ClosedPoint]]
 
 
 def _germ(D: Curve, x: Optional[ClosedPoint]) -> Factors:
@@ -89,44 +87,41 @@ class IdeleRule:
         self.kind = kind
         self.divisor = divisor
 
-    def germs(self, fl: Flag) -> List[Tuple[Germ, int]]:
-        """The component at the flag, as unit germs with multiplicities."""
-        if self.kind == "along_curves":
-            m = self.divisor.components.get(fl.curve, 0)
-            return [((fl.curve, None), m)] if m else []
-        x = fl.point
-        return [((D, x), m) for D, m in self.divisor.components.items()
-                if _germ(D, x)]
-
     def local(self, fl: Flag) -> Factors:
-        """The component at the flag, as factors."""
-        return [(P, m * e) for germ, m in self.germs(fl)
-                for P, e in _germ(*germ)]
+        """The component at the flag, as factors: the germ (_germ) of each
+        curve D that the rule reads there (the flag's curve along curves,
+        every component at points) to the power m, D's multiplicity, so
+        each exponent e of the germ becomes m e."""
+        components = self.divisor.components
+        if self.kind == "along_curves":
+            m = components.get(fl.curve, 0)
+            return [(P, m * e) for P, e in _germ(fl.curve, None)] if m else []
+        return [(P, m * e) for D, m in components.items()
+                for P, e in _germ(D, fl.point)]
 
 
 # ---------------------------------------------------------------------------
 # commutator pairing and the symbol-route intersection number
 
 
-def _symbol(f, g, fl: Flag, valuation) -> int:
-    """The integer symbol at fl of f and g given as factors (h, e), standing
-    for the product of the h^e, where valuation(h, fl, 0) is v_t(h) and
-    valuation(h, fl, 1) is w(h).
+def symbol_at_flag(f: Factors, g: Factors, fl: Flag) -> int:
+    """The integer symbol at one flag of two functions given as factors.
 
     With a = v_t(f) and b = v_t(g), the symbol is the u-valuation of the t^0
     column of f^b g^-a.  The rank-2 valuation (v_t, w) at the flag, where w
     is the u-valuation of the leading t-column, is a homomorphism, so that
     valuation is the determinant b w(f) - a w(g), and both f and g
-    contribute the sum of e (v_t, w)(h) over their factors (h, e).  A w is
-    read only where its coefficient is nonzero."""
-    a, b = _sum(f, fl, 0, valuation), _sum(g, fl, 0, valuation)
-    return ((b and b * _sum(f, fl, 1, valuation))
-            - (a and a * _sum(g, fl, 1, valuation)))
+    contribute the sum of e (v_t, w)(P) over their factors (P, e).  A w is
+    read only where its coefficient is nonzero, so a factor whose
+    coefficient is 0 is never expanded; each w is read from one polynomial
+    on one box sized by a class pairing (surface.poly_valuation_at_flag)."""
+    a, b = _sum(f, fl, 0), _sum(g, fl, 0)
+    return (b and b * _sum(f, fl, 1)) - (a and a * _sum(g, fl, 1))
 
 
-def _sum(h, fl: Flag, part: int, valuation) -> int:
-    """v_t (part 0) or w (part 1) of the product of the factors (x, e)."""
-    return sum(e * valuation(x, fl, part) for x, e in h if e)
+def _sum(h: Factors, fl: Flag, part: int) -> int:
+    """v_t (part 0) or w (part 1) of the product of the factors (P, e)."""
+    return sum(e * _poly_valuation(P, fl, part) for P, e in h if e)
 
 
 def _poly_valuation(P: MPoly, fl: Flag, part: int) -> int:
@@ -136,44 +131,19 @@ def _poly_valuation(P: MPoly, fl: Flag, part: int) -> int:
     return poly_order_at_flag(P, fl)
 
 
-def _germ_valuation(germ: Germ, fl: Flag, part: int) -> int:
-    """v_t (part 0) or w (part 1) of a unit germ at the flag, the sum over
-    its factors; each computed once per flag and kept in fl._cache."""
-    key = ("germ", part) + germ
-    got = fl._cache.get(key)
-    if got is None:
-        got = fl._cache[key] = _sum(_germ(*germ), fl, part, _poly_valuation)
-    return got
-
-
-def symbol_at_flag(f: Factors, g: Factors, fl: Flag) -> int:
-    """The integer symbol at one flag of two functions given as factors
-    (_symbol).  Each w is read from one polynomial on one box sized by a
-    class pairing (surface.poly_valuation_at_flag); a factor whose
-    coefficient is 0 is never expanded."""
-    return _symbol(f, g, fl, _poly_valuation)
-
-
 def commutator_pairing(g1: IdeleRule, g2: IdeleRule,
                        flags: Sequence[Flag]) -> int:
     """The exponent of q in the product over flags of q^(-deg(x) * symbol),
-    the symbol of the two idele components at each flag.  The components
-    are read as unit germs with multiplicities, whose rank-2 valuations
-    each flag keeps, so the symbol at a flag is a sum of cached integers."""
-    return -sum(fl.point.degree * _symbol(
-        g1.germs(fl), g2.germs(fl), fl, _germ_valuation) for fl in flags)
+    the symbol (symbol_at_flag) of the two idele components at each flag
+    (IdeleRule.local)."""
+    return -sum(fl.point.degree * symbol_at_flag(g1.local(fl), g2.local(fl),
+                                                 fl) for fl in flags)
 
 
 def _meeting_points(C: Divisor, H: Divisor) -> List[ClosedPoint]:
     """The points where a component of C meets a component of H, sorted."""
     return meeting_points((E, D) for D, _m in H.items()
                           for E, _n in C.items() if E != D)
-
-
-def _flags_through(x: ClosedPoint, H: Divisor) -> List[Flag]:
-    """The flags at x on the components of H through x."""
-    return [flag_make(x, D) for D, _m in H.items()
-            if D.poly.evaluate(list(x.coords)).is_zero()]
 
 
 def intersection_flags(C: Divisor, H: Divisor) -> List[Flag]:
@@ -186,8 +156,9 @@ def intersection_flags(C: Divisor, H: Divisor) -> List[Flag]:
     memo = C.surface.memo
     got = memo.get(key)
     if got is None:
+        curves = [D for D, _m in H.items()]
         got = memo[key] = tuple(fl for x in _meeting_points(C, H)
-                                for fl in _flags_through(x, H))
+                                for fl in flags_through(x, curves))
     return list(got)
 
 
@@ -211,7 +182,7 @@ def intersection_number(C: Divisor, H: Divisor, _window=None) -> int:
     for x in _meeting_points(C, H):
         for A, B in ((C, H), (H, C)):
             try:
-                flags = _flags_through(x, B)
+                flags = flags_through(x, [D for D, _m in B.items()])
             except ValueError:
                 continue
             exponent += commutator_pairing(

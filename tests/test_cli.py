@@ -303,16 +303,38 @@ def test_a_recurrence_mutant_fails_expand_by_verdict(monkeypatch):
 def test_a_determinant_mutant_fails_symbol_by_verdict(monkeypatch):
     # the symbol's determinant with a w(g) added instead of subtracted: the
     # power product f^b g^-a, expanded at the flag, no longer agrees
-    source = textwrap.dedent(inspect.getsource(symbols._symbol))
+    source = textwrap.dedent(inspect.getsource(symbols.symbol_at_flag))
     mutant = source.replace("- (a and a *", "+ (a and a *")
     assert mutant != source
     scope = {}
     exec(mutant, vars(symbols).copy(), scope)
-    monkeypatch.setattr(symbols, "_symbol", scope["_symbol"])
+    monkeypatch.setattr(cli, "symbol_at_flag", scope["symbol_at_flag"])
     code, out, err = run(GOLDEN_REPORTS["symbol_p2"])
     assert code == 1, out
     assert err == "", err
     assert "FAIL symbol " in out, out
+
+
+@pytest.mark.parametrize("model", ["P2", "P1xP1"])
+def test_a_doubled_w_fails_the_symbol_suites_by_verdict(monkeypatch, model):
+    # every symbol reads its valuations through the one path
+    # symbols._poly_valuation; with w doubled there, each suite that reads
+    # symbols fails some check by its verdict, not by an exception
+    valuation = symbols._poly_valuation
+
+    def doubled(P, fl, part):
+        return (2 if part else 1) * valuation(P, fl, part)
+
+    monkeypatch.setattr(symbols, "_poly_valuation", doubled)
+    code, out, err = run(["verify", "--surface", model, "--q", "5",
+                          "--suites", "bezout,commutator,rr"])
+    assert code == 1, out
+    assert err == "", err
+    counts = dict(re.findall(r"suite (\w+): (\d+/\d+) checks passed", out))
+    assert set(counts) == {"bezout", "commutator", "rr"}, out
+    for suite, ratio in counts.items():
+        passed, total = map(int, ratio.split("/"))
+        assert passed < total, (suite, ratio)
 
 
 def test_symbol_command_reads_the_unit_restriction():

@@ -1,5 +1,6 @@
 """Geometry layer: curves, closed points, flags, local expansions."""
 
+import ast
 import importlib.util
 import itertools
 import random
@@ -201,6 +202,23 @@ def test_a_degree_seven_pair_is_accepted():
     got = [curve_make(S, t).degree() for t in (
         "X^7+Y^7+Z^7+3X^2Y^5+X^6Z", "X^6+2Y^5Z+Z^6+XY^4Z+5X^3Y^3")]
     assert got == [(7,), (6,)]
+
+
+def test_no_library_module_but_surface_compares_the_model():
+    # surface.SURFACES is the only per-model data of the library: the other
+    # modules read the groups and lines derived from it.  The command line
+    # keeps its verify fixtures per model (cli.FIXTURES), so it is left out
+    package = Path(surface_mod.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("surface.py", "cli.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and any(
+                      isinstance(side, ast.Attribute) and side.attr == "model"
+                      for side in [node.left, *node.comparators])]
+    assert found == [], found
 
 
 def test_curve_equality_ignores_scaling():

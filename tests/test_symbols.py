@@ -306,14 +306,14 @@ def reference_exponent(g1, g2, C, H):
     return -sum(x.degree * symbol_at_flag(reference_local(g1, fl),
                                           reference_local(g2, fl), fl)
                 for x in symbols._meeting_points(C, H)
-                for fl in symbols._flags_through(x, H))
+                for fl in surface.flags_through(x, [D for D, _m in H.items()]))
 
 
 @pytest.mark.parametrize("model", ["P2", "P1xP1"])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_the_kept_germs_and_flags_give_the_reference_pairing(model, q):
     # the reference runs on a surface of its own, so that it reads none of
-    # the germs, germ valuations and flag lists the pairing keeps.  The
+    # the germs, valuations and flag lists the pairing keeps.  The
     # class pairing is the truth of the commutator; the second pair of
     # rules shares H, so that the lines of H's germs along its curves
     # enter the symbol
@@ -406,6 +406,10 @@ def test_germs_and_intersection_flags_are_kept_per_surface(monkeypatch):
     C, H, g1, g2 = pairing_on(S)
     want = commutator_pairing(g1, g2, intersection_flags(C, H))
     assert want == -2
+    # the flags keep the polynomials' valuations, and no germ's
+    kinds = {key[0] if isinstance(key, tuple) else key
+             for fl in S.flags.values() for key in fl._cache}
+    assert "val" in kinds and "germ" not in kinds, kinds
     monkeypatch.setattr(symbols, "coordinate_lines", _recomputed)
     monkeypatch.setattr(symbols, "_meeting_points", _recomputed)
     # the surface keeps both; a new pairing there chooses no line again

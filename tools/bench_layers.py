@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import importlib
 import io
 import itertools
@@ -94,14 +93,6 @@ def load(src: Path, package: str = "adeles2d") -> dict:
 
 def surface(m: dict, model: str, q: int):
     return m["surface"].surface_make(model, q)
-
-
-def native(m: dict, S, k: int):
-    """What the package stores for the integer k in S's base field: read
-    off a parsed polynomial, or, for zero, off the base field's zero."""
-    if k % S.base.p == 0:
-        return S.base.from_int(k).n
-    return next(iter(m["surface"].parse_poly(S, f"{k}X").terms.values()))
 
 
 def dense_sextic(m: dict, S, rng: random.Random):
@@ -217,23 +208,16 @@ def poly_cases(m: dict) -> Dict[str, Case]:
     cg = S.dehomogenize(parse(S, "Y^3+4X^2Z+XYZ+2Z^3+X^3"), chart)
     out["multipoly.resultant_elim.F5"] = (lambda: None, lambda _a: m[
         "multipoly"].resultant_elim(cf, cg, elim=1, keep=0), 1)
+    # F_5's codes are the integers mod 5; a row maps each column to its
+    # nonzero code
     rng = random.Random(1521)
-    rows = row_form(m, [[native(m, S, rng.randrange(5)) for _ in range(21)]
-                        for _ in range(15)])
+    rows = [{j: c for j in range(21) if (c := rng.randrange(5))}
+            for _ in range(15)]
     out["linalg.mat_rref.15x21.F5"] = (lambda: None, lambda _a: m[
         "linalg"].mat_rref(rows, S.base), 1)
     out["linalg.mat_rank.15x21.F5"] = (lambda: None, lambda _a: m[
         "linalg"].mat_rank(rows, S.base), 1)
     return out
-
-
-def row_form(m: dict, rows):
-    """Dense rows of codes in the row form the checkout's linalg takes:
-    sparse, column -> nonzero code; a checkout from before sparse rows (no
-    `linalg.Row`) takes the dense lists themselves."""
-    if not hasattr(m["linalg"], "Row"):
-        return rows
-    return [{j: c for j, c in enumerate(row) if c} for row in rows]
 
 
 def rank_cases(m: dict) -> Dict[str, Case]:
@@ -367,10 +351,8 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
                            "--suites", "serre", "--json", path])
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    # the writer `_emit` uses; a checkout from before it used json.dumps
-    write = getattr(m["cli"], "_report_text", None)
-    if write is None:
-        write = functools.partial(json.dumps, indent=2)
+    # the writer `_emit` uses
+    write = m["cli"]._report_text
     out["cli.report_encoding.serre.P1xP1.q9"] = (
         lambda: None, lambda _a: write(doc), 1)
     return out
@@ -378,13 +360,8 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
 
 def record_cases(m: dict) -> Dict[str, Case]:
     """The check records of one verify cell written as report text: what
-    `_emit` writes under "checks".  A checkout from before the records
-    writer wrote the `as_dict` records with `_report_text` at that depth."""
+    `_emit` writes under "checks"."""
     cli = m["cli"]
-    write = getattr(cli, "_records_text", None)
-    if write is None:
-        def write(checks, _micros):
-            return cli._report_text([c.as_dict(0) for c in checks], "\n  ")
     out: Dict[str, Case] = {}
     for suite, model, q in (("serre", "P1xP1", 9), ("windows", "P2", 13)):
         args = cli._parser().parse_args(
@@ -395,7 +372,8 @@ def record_cases(m: dict) -> Dict[str, Case]:
         checks = list(cli._SUITE_FNS[suite](S, classes, args))
         out[f"cli.report_records.{suite}.{model}.q{q}"] = (
             lambda: None,
-            lambda _a, checks=checks: write(checks, [0] * len(checks)), 1)
+            lambda _a, checks=checks: cli._records_text(
+                checks, [0] * len(checks)), 1)
     return out
 
 
@@ -412,13 +390,6 @@ def cohomology_cases(m: dict) -> Dict[str, Case]:
         return [sf.Divisor(S, dict(zip(lines, rep)))
                 for rep in itertools.product(range(-2, 3), repeat=3)]
 
-    # the count the windows suite makes; a checkout from before
-    # rr_dimension counted the basis
-    dimension = getattr(co, "rr_dimension", None)
-    if dimension is None:
-        def dimension(D):
-            return len(co.rr_space(D))
-
     def run(fn):
         def timed(divisors):
             for D in divisors:
@@ -427,8 +398,8 @@ def cohomology_cases(m: dict) -> Dict[str, Case]:
 
     n = len(box())
     return {"cohomology.rr_space.windows.P2.q9": (box, run(co.rr_space), n),
-            "cohomology.rr_dimension.windows.P2.q9": (box, run(dimension),
-                                                      n)}
+            "cohomology.rr_dimension.windows.P2.q9": (
+                box, run(co.rr_dimension), n)}
 
 
 def measure_cases(m: dict) -> Dict[str, Case]:
