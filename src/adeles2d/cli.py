@@ -28,7 +28,6 @@ from .measures import (
     class_representative,
     derive_eq1,
     derive_eq2,
-    divisor_zero,
     rr_assemble,
     window_annihilator_check,
     window_build,
@@ -40,10 +39,10 @@ from .residues import (
     local_residue,
     reciprocity_corpus,
 )
-from .multipoly import MPoly
 from .series import PrecisionError
 from .surface import (
     SURFACES,
+    BudgetExceeded,
     Divisor,
     RationalFunction,
     class_intersection,
@@ -55,14 +54,10 @@ from .surface import (
     ord_on_curve,
     parse_poly,
     point_from_coords,
+    ratio_at_flag,
     surface_make,
 )
-from .symbols import (
-    BudgetExceeded,
-    intersection_number,
-    intersection_oracle,
-    symbol_at_flag,
-)
+from .symbols import intersection_number, intersection_oracle, symbol_at_flag
 
 SUITES = ("reciprocity", "bezout", "serre", "chi", "commutator", "rr",
           "windows")
@@ -78,20 +73,22 @@ CUBIC_DEFAULT = "Y^2Z-X^3-XZ^2"
 class Fixtures(NamedTuple):
     """The curves the verify suites use on one surface: the bezout suite's
     ("cubic" is the smooth cubic of the characteristic), the lines of the
-    windows suite's sections checks, and the multiplicities of its window
-    annihilator checks."""
+    windows suite's sections checks, its rank checks' windows ("LOW..HIGH",
+    u-size), each end 0, omega, L (the lines' sum), a line or minus one of
+    these, and its window annihilator checks' multiplicities on the last."""
 
     bezout: Tuple[str, ...]
     lines: Tuple[str, ...]
+    windows: Tuple[Tuple[str, int], ...]
     reps: Tuple[Tuple[int, ...], ...]
 
 
 FIXTURES = {
     "P2": Fixtures(("X", "Y", "X+Y+Z", "YZ-X^2", "XY-Z^2", "cubic"),
-                   ("X", "Y", "Z"),
+                   ("X", "Y", "Z"), (("0..X", 1), ("-L..L", 2)),
                    tuple(itertools.product((-1, 0, 1), repeat=3))),
     "P1xP1": Fixtures(("X1", "X0", "Y1", "X0Y1-X1Y0", "X0Y0-X1Y1"),
-                      ("X1", "Y1"),
+                      ("X1", "Y1"), (("omega..0", 1),),
                       tuple(itertools.product((-2, -1, 0), repeat=2))),
 }
 
@@ -252,13 +249,9 @@ def _parse_function(S, text: str) -> RationalFunction:
     try:
         num = parse_poly(S, num_s.strip())
         den = parse_poly(S, den_s.strip()) if den_s else parse_poly(S, "1")
-        f = RationalFunction(S, num, den)
-    except (ValueError, KeyError, ZeroDivisionError) as err:
+        return RationalFunction(S, [(num, 1), (den, -1)])
+    except (ValueError, KeyError) as err:
         raise ConfigError(f"bad function {text!r}: {err}") from err
-    if f.is_zero():
-        raise ConfigError(f"bad function {text!r}: the zero function has "
-                          "no expansion or symbol")
-    return f
 
 
 def _parse_point(S, text: str):
@@ -542,14 +535,12 @@ def _cmd_symbol(args) -> int:
     fl = _parse_flag(S, args)
     f = _parse_function(S, args.f)
     g = _parse_function(S, args.g)
-    value = symbol_at_flag([(f.num, 1), (f.den, -1)],
-                           [(g.num, 1), (g.den, -1)], fl)
+    value = symbol_at_flag(f.factors, g.factors, fl)
     print(value)
     a, b = ord_on_curve(f, fl.curve), ord_on_curve(g, fl.curve)
-    powers = ((f.num, b), (f.den, -b), (g.num, -a), (g.den, a))
-    num = MPoly.product(S.base, S.nvars, [(P, e) for P, e in powers if e > 0])
-    den = MPoly.product(S.base, S.nvars, [(P, -e) for P, e in powers if e < 0])
-    h = expand_at_flag(RationalFunction(S, num, den), fl, 1, max(1, value + 1))
+    h = ratio_at_flag([(P, b * e) for P, e in f.factors]
+                      + [(P, -a * e) for P, e in g.factors], fl, 1,
+                      max(1, value + 1))
     rhs = h.cols[0][0] if 0 in h.cols else None
     inputs = {"curve": args.curve, "point": args.point, "f": args.f,
               "g": args.g}
@@ -610,19 +601,15 @@ def _suite_reciprocity(S, classes, args) -> Iterator[Check]:
 def _suite_bezout(S, classes, args) -> Iterator[Check]:
     cubic = CUBIC_BY_P.get(S.base.p, CUBIC_DEFAULT)
     names = [cubic if n == "cubic" else n for n in FIXTURES[S.model].bezout]
-    curves = [curve_make(S, t) for t in names]
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            C = Divisor(S, {curves[i]: 1})
-            H = Divisor(S, {curves[j]: 1})
-            got = intersection_number(C, H)
-            want = intersection_oracle(C, H)
-            # the class form is a third witness: the two routes share the
-            # support, so a support that loses points fools both alike
-            third = class_intersection(S, divisor_class(C), divisor_class(H))
-            yield Check("bezout", {"C": names[i], "H": names[j]}, got,
-                        want, got == want == third,
-                        witness=f"class form {third}")
+    divisors = [Divisor(S, {curve_make(S, t): 1}) for t in names]
+    for (a, C), (b, H) in itertools.combinations(zip(names, divisors), 2):
+        got = intersection_number(C, H)
+        want = intersection_oracle(C, H)
+        # the class form is a third witness: the two routes share the
+        # support, so a support that loses points fools both alike
+        third = class_intersection(S, divisor_class(C), divisor_class(H))
+        yield Check("bezout", {"C": a, "H": b}, got, want,
+                    got == want == third, witness=f"class form {third}")
 
 
 def _suite_serre(S, classes, args) -> Iterator[Check]:
@@ -652,25 +639,24 @@ def _suite_rr(S, classes, args) -> Iterator[Check]:
     return (rr_assemble(class_representative(S, c), wdiv) for c in classes)
 
 
+def _window_end(S, text: str, lines) -> Divisor:
+    """The divisor that a window end of Fixtures names."""
+    if text.startswith("-"):
+        return -_window_end(S, text[1:], lines)
+    if text == "omega":
+        return canonical_divisor(S)
+    ends = {"0": {}, "L": dict.fromkeys(lines, 1)}
+    return Divisor(S, ends[text] if text in ends else {S.lines[text]: 1})
+
+
 def _suite_windows(S, classes, args) -> Iterator[Check]:
     fix = FIXTURES[S.model]
     lines = [S.lines[n] for n in fix.lines]
-
-    if S.model == "P2":
-        w1 = window_build(divisor_zero(S), Divisor(S, {lines[0]: 1}),
-                          u_size=1)
-        yield Check("window-rank", {"window": "0..X", "u": 1}, w1.rank,
-                    w1.dimension)
-        L = Divisor(S, {D: 1 for D in lines})
-        w = window_build(-L, L, u_size=2)
-        yield Check("window-rank", {"window": "-L..L", "u": 2}, w.rank,
+    for name, u in fix.windows:
+        w = window_build(*(_window_end(S, end, lines)
+                           for end in name.split("..")), u_size=u)
+        yield Check("window-rank", {"window": name, "u": u}, w.rank,
                     w.dimension)
-    else:
-        wdiv = canonical_divisor(S)
-        w = window_build(wdiv, divisor_zero(S), u_size=1)
-        yield Check("window-rank", {"window": "omega..0", "u": 1}, w.rank,
-                    w.dimension)
-
     wcurves = [fl.curve for fl in w.flags]
     for rep in fix.reps:
         C = Divisor(S, dict(zip(wcurves, rep)))

@@ -166,7 +166,7 @@ def _section_rows(D: Divisor) -> Tuple[Matrix, List[tuple]]:
 def rr_space(D: Divisor) -> List[RationalFunction]:
     """Basis of the space of rational functions f with div(f) + D >= 0: the
     rref of the rows of `_section_rows`, as numerators over the positive
-    part Q of D."""
+    part Q of D: the factors [(numerator, 1), (Q, -1)]."""
     rows, monos = _section_rows(D)
     if not rows:
         return []
@@ -175,8 +175,8 @@ def rr_space(D: Divisor) -> List[RationalFunction]:
                       [(C.poly, m) for C, m in D.items() if m > 0])
     # distinct shifts of P are independent, so the rref has no zero row; the
     # rref basis of a span is unique.  Reduced rows back to polynomials:
-    return [RationalFunction(S, MPoly._make(S.base, S.nvars, {
-        monos[j]: c for j, c in sorted(v.items())}), Q)
+    return [RationalFunction(S, [(MPoly._make(S.base, S.nvars, {
+        monos[j]: c for j, c in sorted(v.items())}), 1), (Q, -1)])
         for v in mat_rref(rows, S.base)[0]]
 
 

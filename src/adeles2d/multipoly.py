@@ -83,12 +83,13 @@ class MPoly:
     def product(desc: FieldDesc, nvars: int,
                 factors: Iterable[Tuple["MPoly", int]]) -> "MPoly":
         """The product of the P ** e over the factors (P, e), each e >= 0,
-        from 1 times the first on; a factor with e = 0 is skipped."""
-        out = MPoly.const(desc, nvars, 1)
+        from the first on, so that one factor (P, 1) gives P itself; a
+        factor with e = 0 is skipped, and no factor gives 1."""
+        out = None
         for P, e in factors:
             if e:
-                out = out * P ** e
-        return out
+                out = P ** e if out is None else out * P ** e
+        return MPoly.const(desc, nvars, 1) if out is None else out
 
     @staticmethod
     def var(desc: FieldDesc, nvars: int, i: int) -> "MPoly":

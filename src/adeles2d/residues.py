@@ -5,10 +5,11 @@ to the first chart (dX^dY on the plane, d(X0/X1)^d(Y0/Y1) on the quadric).
 Its residue at a flag is the (t^-1, u^-1) coefficient of the local
 expression, an element of the point's residue field; summing over the
 curves through a point, or with trace weights over the points of a curve,
-must give zero exactly.  Each residue is read from one quotient
-(surface.ratio_at_flag) on the box t < 0, u < 1, which holds the (t^-1,
-u^-1) slot by the box contract of the expansions at a flag; a product whose
-box leaves the slot out raises PrecisionError naming the flag.
+must give zero exactly.  Each residue is one quotient (surface.ratio_at_flag)
+of factors: the numerator, each pole curve's equation to minus its
+multiplicity, and the form polynomial to -1, on the box t < 0, u < 1,
+which holds the (t^-1, u^-1) slot by the box contract of the expansions at
+a flag; a box that leaves the slot out raises PrecisionError naming it.
 """
 
 from __future__ import annotations
@@ -59,14 +60,8 @@ class GlobalForm:
 
     def __init__(self, coefficient: RationalFunction,
                  components: Sequence[Curve]):
-        if coefficient.is_zero():
-            raise ValueError("the zero form has no residue theory")
         self.coefficient = coefficient
-        seen = []
-        for C in components:
-            if C not in seen:
-                seen.append(C)
-        self.components = tuple(seen)
+        self.components = tuple(dict.fromkeys(components))
         self._residues: Dict[Flag, FieldElem] = {}
 
     @property
@@ -78,13 +73,14 @@ class GlobalForm:
 
 
 def form_make(S: Surface, num, den_curves: Sequence[Tuple[Curve, int]]) -> GlobalForm:
-    """Build num / prod(C^m) * omega with the component list filled in."""
+    """Build num / prod(C^m) * omega with the component list filled in;
+    the coefficient's factors are num and each C^-m."""
     if isinstance(num, str):
         num = parse_poly(S, num)
     if any(m < 0 for _C, m in den_curves):
         raise ValueError("denominator multiplicities must be nonnegative")
-    den = MPoly.product(S.base, S.nvars, [(C.poly, m) for C, m in den_curves])
-    coeff = RationalFunction(S, num, den)
+    coeff = RationalFunction(S, [(num, 1)] + [(C.poly, -m)
+                                              for C, m in den_curves if m])
     comps = ([C for C, m in den_curves if m > 0]
              + list(canonical_divisor(S).components))
     return GlobalForm(coeff, comps)
@@ -110,15 +106,16 @@ def local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
 def _local_residue(w: GlobalForm, fl: Flag) -> FieldElem:
     """res at the flag: the (t^-1, u^-1) coefficient of coefficient * J,
     where J du^dt = du^dt / form_polynomial(fl) is the fixed form in flag
-    coordinates, read from the one quotient num / (den * P) on the box
-    t < 0, u < 1.  That quotient has t-order v + j, for the orders v of the
-    coefficient and j of the form along the curve, so when v + j >= 0 the
-    residue is 0 and nothing is expanded."""
-    f = w.coefficient
-    if ord_on_curve(f, fl.curve) + form_order_on_curve(fl.curve) >= 0:
+    coordinates, read from the one quotient of the coefficient's factors and
+    P^-1 on the box t < 0, u < 1.  That quotient has t-order v + j, for the
+    orders v of the coefficient and j of the form along the curve
+    (form_total_order), so when v + j >= 0 the residue is 0 and nothing is
+    expanded."""
+    if form_total_order(w, fl.curve) >= 0:
         return fl.point.residue_field.zero()
-    return _residue_of(ratio_at_flag(f.num, f.den * form_polynomial(fl), fl,
-                                     0, 1), "residue", fl)
+    return _residue_of(ratio_at_flag(
+        w.coefficient.factors + [(form_polynomial(fl), -1)], fl, 0, 1),
+        "residue", fl)
 
 
 def _residue_of(g: LaurentSeries2, what: str, fl: Flag) -> FieldElem:
@@ -140,10 +137,8 @@ def _meeting_flags(w: GlobalForm, D: Curve) -> List[Flag]:
 def _trace_sum(w: GlobalForm, flags: List[Flag]) -> FieldElem:
     """The sum of the traces to the base field of w's residues at flags."""
     base = w.surface.base
-    total = base.zero()
-    for fl in flags:
-        total = total + rel_trace(local_residue(w, fl), base)
-    return total
+    return sum((rel_trace(local_residue(w, fl), base) for fl in flags),
+               base.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +241,8 @@ def check_reciprocity_around_points(w: GlobalForm) -> List[Tuple[ClosedPoint, Fi
             flags = flags_through(x, polar)
         except ValueError:
             continue
-        total = x.residue_field.zero()
-        for fl in flags:
-            total = total + local_residue(w, fl)
-        results.append((x, total))
+        results.append((x, sum((local_residue(w, fl) for fl in flags),
+                               x.residue_field.zero())))
     return results
 
 

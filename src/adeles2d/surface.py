@@ -47,6 +47,11 @@ from .series import (LaurentSeries2, PrecisionError, ps_horner, ps_inverse,
 
 ClassVector = Tuple[int, ...]
 
+
+class BudgetExceeded(ArithmeticError):
+    """A bounded loop ran out of steps, or passed a bound its answer keeps."""
+
+
 # Per model: the groups of homogeneous variables, and the coordinate line of
 # each group that carries the standard representative of a class.
 SURFACES = {
@@ -280,26 +285,40 @@ def poly_text(S: Surface, f: MPoly) -> str:
 # rational functions
 
 
+# A function as factors (P, e), standing for the product of the P^e.
+Factors = List[Tuple[MPoly, int]]
+
+
 class RationalFunction:
-    """A ratio of two homogeneous polynomials of equal class."""
+    """A nonzero function as its factors (P, e): nonzero homogeneous
+    polynomials P to nonzero powers e, with sum e * class(P) = 0.  num and
+    den, the products of the P^e with e > 0 and of the P^-e with e < 0,
+    are formed on each read."""
 
-    __slots__ = ("surface", "num", "den")
+    __slots__ = ("surface", "factors")
 
-    def __init__(self, surface: Surface, num: MPoly, den: MPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        num_cls = {surface.exponent_class(e) for e in num.terms}
-        den_cls = {surface.exponent_class(e) for e in den.terms}
-        if len(num_cls) > 1 or len(den_cls) > 1:
-            raise ValueError("numerator and denominator must be homogeneous")
-        if num_cls - den_cls:
+    def __init__(self, surface: Surface, factors: Factors):
+        total = [0] * len(surface.groups)
+        for P, e in factors:
+            cls = {surface.exponent_class(x) for x in P.terms}
+            if len(cls) != 1 or not e:
+                raise ValueError("a factor must be a nonzero homogeneous "
+                                 "polynomial to a nonzero power")
+            total = [t + e * d for t, d in zip(total, *cls)]
+        if any(total):
             raise ValueError("numerator and denominator classes differ")
         self.surface = surface
-        self.num = num
-        self.den = den
+        self.factors = list(factors)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    @property
+    def num(self) -> MPoly:
+        S = self.surface
+        return MPoly.product(S.base, S.nvars, _parts(self.factors)[0])
+
+    @property
+    def den(self) -> MPoly:
+        S = self.surface
+        return MPoly.product(S.base, S.nvars, _parts(self.factors)[1])
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction) or self.surface != other.surface:
@@ -309,6 +328,11 @@ class RationalFunction:
     def __repr__(self):
         return (f"({poly_text(self.surface, self.num)})"
                 f"/({poly_text(self.surface, self.den)})")
+
+
+def _parts(f: Factors) -> Tuple[Factors, Factors]:
+    """The factors (P, e) of f with e > 0, and those with e < 0 as (P, -e)."""
+    return [(P, e) for P, e in f if e > 0], [(P, -e) for P, e in f if e < 0]
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +648,7 @@ class Flag:
     """A point on a curve with a deterministic local coordinate pair.  Its
     cache holds "coords", the solved coordinate (flag_coordinate_series),
     "branch" (_branch), ("val", P), the rank-2 valuation of a polynomial
-    (poly_valuation_at_flag), and "P" (form_polynomial)."""
+    factor (poly_valuation_at_flag), and "P" (form_polynomial)."""
 
     __slots__ = ("point", "curve", "chart", "u_index", "u_value", "t_param",
                  "point_affine", "_cache")
@@ -782,11 +806,6 @@ def expand_poly_at_flag(P: MPoly, fl: Flag, t_to: int,
         k, {t: (0, out[t]) for t in sorted(out)}, t_to, u_to)
 
 
-def poly_order_at_flag(P: MPoly, fl: Flag) -> int:
-    """Multiplicity of the flag's curve in P, by exact division (_order)."""
-    return _order(P, fl.curve)[0]
-
-
 def poly_valuation_at_flag(P: MPoly, fl: Flag) -> Tuple[int, int]:
     """The rank-2 valuation (vt, w) of P's expansion at the flag: vt is the
     multiplicity of the flag's curve D in P, and w the u-valuation of the
@@ -795,7 +814,7 @@ def poly_valuation_at_flag(P: MPoly, fl: Flag) -> Tuple[int, int]:
     (_branch): a local intersection number of Q with D, at most their class
     pairing B, so the codes below u^(B + 1) show it; where Q is a unit at
     the point, w is 0 from one evaluation.  No two-variable series is
-    expanded.  Cached per polynomial."""
+    expanded.  Cached per polynomial; valuation_at_flag sums these."""
     key = ("val", P)
     got = fl._cache.get(key)
     if got is not None:
@@ -855,13 +874,25 @@ def _hasse(cols: List[List[int]], j: int, y: List[int], n: int,
                       for m, col in enumerate(cols[j:], j)], y, n, k)
 
 
-def ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, t_to: int,
+def valuation_at_flag(f: Factors, fl: Flag, part: int) -> int:
+    """v_t (part 0) or w (part 1) at the flag of the product of the factors
+    (P, e): the rank-2 valuation is a homomorphism, so each factor adds e
+    times its own, v_t from _order and w from poly_valuation_at_flag, each
+    kept per polynomial.  No product is formed; only w expands."""
+    if part:
+        return sum(e * poly_valuation_at_flag(P, fl)[1] for P, e in f)
+    return sum(e * _order(P, fl.curve)[0] for P, e in f)
+
+
+def ratio_at_flag(f: Factors, fl: Flag, t_to: int,
                   u_to: int) -> LaurentSeries2:
-    """num/den at the flag on the box t < t_to, u < u_to, by one column
-    recurrence (Brent and Kung, J. ACM 25(4), 1978).
+    """num/den at the flag on the box t < t_to, u < u_to, for num and den
+    the products of f's factors with e > 0 and of the P^-e with e < 0, by
+    one column recurrence (Brent and Kung, J. ACM 25(4), 1978).
 
     With vn the order of num along the flag's curve and (vd, wd) the
-    valuation of den, num = t^vn sum_j t^j N_j and den = t^vd sum_i t^i D_i
+    valuation of den, both summed over the factors (valuation_at_flag),
+    num = t^vn sum_j t^j N_j and den = t^vd sum_i t^i D_i
     with D_0 = u^wd A_0 for a unit A_0, so the quotient's t^(vn - vd + j)
     column is Q_j = D_0^-1 (N_j - sum_{i=1..j} D_i Q_(j-i)), and the box
     holds size = t_to - vn + vd of them.  For s >= 0 the least slope with
@@ -872,20 +903,24 @@ def ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, t_to: int,
     s <= wd, so den is expanded, before s is known, on t < t_to - vn + 2vd,
     u < u_to + (size + 1)*wd.  No column dips below u^(-size*wd): when
     size <= 0 or u_to + size*wd <= 0 the quotient is 0 on the box, and
-    nothing is expanded."""
-    k = fl.point.residue_field
-    vn = poly_order_at_flag(num, fl)
-    vd, wd = poly_valuation_at_flag(den, fl)
+    nothing is expanded; else num and den are formed, on each call, and
+    expanded whole."""
+    k, S = fl.point.residue_field, fl.curve.surface
+    num, den = _parts(f)
+    vn = valuation_at_flag(num, fl, 0)
+    vd, wd = valuation_at_flag(den, fl, 0), valuation_at_flag(den, fl, 1)
     size = t_to - vn + vd
     if size <= 0 or u_to + size * wd <= 0:
         return LaurentSeries2.zero(k, t_to, u_to)
-    D = expand_poly_at_flag(den, fl, vd + size, u_to + (size + 1) * wd).cols
+    D = expand_poly_at_flag(MPoly.product(S.base, S.nvars, den), fl,
+                            vd + size, u_to + (size + 1) * wd).cols
     # (i, ord D_i - wd, -D_i) for the later columns, in increasing i
     later = [(t - vd, v - wd, [k.neg(c) for c in codes])
              for t, (v, codes) in D.items() if t > vd]
     s = max([0] + [-(dv // i) for i, dv, _ in later])
     n = max(1, u_to + wd + (size - 1) * s)
-    N = expand_poly_at_flag(num, fl, vn + size, n).cols
+    N = expand_poly_at_flag(MPoly.product(S.base, S.nvars, num), fl,
+                            vn + size, n).cols
     inv = ps_inverse(D[vd][1], n, k)
     E: List[List[int]] = []
     for j in range(size):
@@ -906,17 +941,16 @@ def ratio_at_flag(num: MPoly, den: MPoly, fl: Flag, t_to: int,
 def expand_at_flag(f: RationalFunction, fl: Flag, t_to: int,
                    u_to: int) -> LaurentSeries2:
     """The image of a rational function in the local field at the flag, on
-    the box t < t_to, u < u_to (ratio_at_flag)."""
-    if f.is_zero():
-        raise ValueError("cannot expand the zero function")
+    the box t < t_to, u < u_to (ratio_at_flag of its factors)."""
     if u_to < 1:
         raise ValueError(f"expansion box must hold u^0, got u < {u_to}")
-    return ratio_at_flag(f.num, f.den, fl, t_to, u_to)
+    return ratio_at_flag(f.factors, fl, t_to, u_to)
 
 
 def ord_on_curve(f: RationalFunction, D: Curve) -> int:
-    """Multiplicity of D in div(f), by exact polynomial division."""
-    return _order(f.num, D)[0] - _order(f.den, D)[0]
+    """Multiplicity of D in div(f): e times D's multiplicity in P, by exact
+    division (_order), summed over f's factors (P, e)."""
+    return sum(e * _order(P, D)[0] for P, e in f.factors)
 
 
 def _order(P: MPoly, D: Curve) -> Tuple[int, MPoly]:
@@ -932,16 +966,19 @@ def _order(P: MPoly, D: Curve) -> Tuple[int, MPoly]:
 
 
 def _poly_ord(P: MPoly, D: Curve) -> Tuple[int, MPoly]:
+    """D^v divides P only for v up to P's total degree (the sum of its
+    class, or of any one exponent) over D's, so a division fails within one
+    more; BudgetExceeded if none does."""
     if P.is_zero():
         raise ValueError("the zero polynomial has no order along a curve")
-    n = 0
     cur = P
-    while True:
+    for n in range(sum(next(iter(P.terms))) // sum(D._cls) + 1):
         nxt = cur.exact_div(D.poly)
         if nxt is None:
             return n, cur
         cur = nxt
-        n += 1
+    raise BudgetExceeded(f"{poly_text(D.surface, P)} kept dividing by "
+                         f"{D!r} past its degree")
 
 
 # ---------------------------------------------------------------------------
@@ -1046,9 +1083,8 @@ def form_polynomial(fl: Flag) -> MPoly:
 
 def canonical_local_form(fl: Flag, t_to: int, u_to: int) -> LaurentSeries2:
     """J = 1 / form_polynomial(fl) on the box t < t_to, u < u_to: the fixed
-    form is J du^dt at the flag (ratio_at_flag, with P ** 0 = 1)."""
-    P = form_polynomial(fl)
-    return ratio_at_flag(P ** 0, P, fl, t_to, u_to)
+    form is J du^dt at the flag (ratio_at_flag of the one factor P^-1)."""
+    return ratio_at_flag([(form_polynomial(fl), -1)], fl, t_to, u_to)
 
 
 def smooth_flag(D: Curve, max_degree: int,

@@ -15,9 +15,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .fields import pshift
 from .multipoly import MPoly
 from .surface import (
+    BudgetExceeded,
     ClosedPoint,
     Curve,
     Divisor,
+    Factors,
     Flag,
     _mp_embed,
     class_intersection,
@@ -26,8 +28,7 @@ from .surface import (
     flags_through,
     intersection_support,
     meeting_points,
-    poly_order_at_flag,
-    poly_valuation_at_flag,
+    valuation_at_flag,
 )
 
 # Fulton's loop at a point may take FULTON_STEPS * (m + 1) * (d + e + 1)
@@ -39,10 +40,6 @@ FULTON_STEPS = 4
 
 # ---------------------------------------------------------------------------
 # idele choosers
-
-
-# A function as factors (P, e), standing for the product of the P^e.
-Factors = List[Tuple[MPoly, int]]
 
 
 def _germ(D: Curve, x: Optional[ClosedPoint]) -> Factors:
@@ -113,22 +110,11 @@ def symbol_at_flag(f: Factors, g: Factors, fl: Flag) -> int:
     valuation is the determinant b w(f) - a w(g), and both f and g
     contribute the sum of e (v_t, w)(P) over their factors (P, e).  A w is
     read only where its coefficient is nonzero, so a factor whose
-    coefficient is 0 is never expanded; each w is read from one polynomial
-    on one box sized by a class pairing (surface.poly_valuation_at_flag)."""
-    a, b = _sum(f, fl, 0), _sum(g, fl, 0)
-    return (b and b * _sum(f, fl, 1)) - (a and a * _sum(g, fl, 1))
-
-
-def _sum(h: Factors, fl: Flag, part: int) -> int:
-    """v_t (part 0) or w (part 1) of the product of the factors (P, e)."""
-    return sum(e * _poly_valuation(P, fl, part) for P, e in h if e)
-
-
-def _poly_valuation(P: MPoly, fl: Flag, part: int) -> int:
-    """v_t (part 0) or w (part 1) of P at the flag; only w expands P."""
-    if part:
-        return poly_valuation_at_flag(P, fl)[1]
-    return poly_order_at_flag(P, fl)
+    coefficient is 0 is never expanded; both are read on the one valuation
+    path of the package (surface.valuation_at_flag)."""
+    a, b = valuation_at_flag(f, fl, 0), valuation_at_flag(g, fl, 0)
+    return ((b and b * valuation_at_flag(f, fl, 1))
+            - (a and a * valuation_at_flag(g, fl, 1)))
 
 
 def commutator_pairing(g1: IdeleRule, g2: IdeleRule,
@@ -197,10 +183,6 @@ def intersection_number(C: Divisor, H: Divisor, _window=None) -> int:
 
 # ---------------------------------------------------------------------------
 # classical oracle: Fulton's algorithm at each point, in its residue field
-
-
-class BudgetExceeded(ArithmeticError):
-    """A bounded loop ran out of steps, or passed a bound its answer keeps."""
 
 
 def intersection_oracle(C: Divisor, H: Divisor) -> int:

@@ -28,8 +28,7 @@ least t- and u-exponents of the terms."""
 from adeles2d.series import (INF, LaurentSeries2, PrecisionError,
                              ps_inverse, ps_mac, ps_mul)
 from adeles2d.surface import (_mp_embed, expand_poly_at_flag,
-                              flag_coordinate_series, poly_order_at_flag,
-                              poly_valuation_at_flag)
+                              flag_coordinate_series, poly_valuation_at_flag)
 
 
 def mp_eval_series(f, args, desc):
@@ -138,7 +137,7 @@ def widening_inverse(P, fl, window):
     def wider(u_window):
         return expand_poly_at_flag(P, fl, window, u_window).truncate(window)
 
-    vt = poly_order_at_flag(P, fl)
+    vt = poly_valuation_at_flag(P, fl)[0]
     if window <= vt:
         raise PrecisionError(f"window {window} ends before t^{vt}")
     e = wider(window)
@@ -200,7 +199,7 @@ def inverse_ratio(num, den, fl, t_to, u_to):
     and (vd, wd) the valuation of den at the flag and size = t_to - vn + vd;
     0 on the box when size <= 0 or u_to + size * wd <= 0."""
     k = fl.point.residue_field
-    vn = poly_order_at_flag(num, fl)
+    vn = poly_valuation_at_flag(num, fl)[0]
     vd, wd = poly_valuation_at_flag(den, fl)
     size = t_to - vn + vd
     if size <= 0 or u_to + size * wd <= 0:

@@ -318,14 +318,15 @@ def test_a_determinant_mutant_fails_symbol_by_verdict(monkeypatch):
 @pytest.mark.parametrize("model", ["P2", "P1xP1"])
 def test_a_doubled_w_fails_the_symbol_suites_by_verdict(monkeypatch, model):
     # every symbol reads its valuations through the one path
-    # symbols._poly_valuation; with w doubled there, each suite that reads
-    # symbols fails some check by its verdict, not by an exception
-    valuation = symbols._poly_valuation
+    # surface.valuation_at_flag; with w doubled where symbols reads it,
+    # each suite that reads symbols fails some check by its verdict, not by
+    # an exception
+    valuation = symbols.valuation_at_flag
 
-    def doubled(P, fl, part):
-        return (2 if part else 1) * valuation(P, fl, part)
+    def doubled(f, fl, part):
+        return (2 if part else 1) * valuation(f, fl, part)
 
-    monkeypatch.setattr(symbols, "_poly_valuation", doubled)
+    monkeypatch.setattr(symbols, "valuation_at_flag", doubled)
     code, out, err = run(["verify", "--surface", model, "--q", "5",
                           "--suites", "bezout,commutator,rr"])
     assert code == 1, out

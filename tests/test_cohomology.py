@@ -119,7 +119,7 @@ def test_rr_space_of_principal_class_zero_divisor():
     L = curve_make(S, "Y")
     basis = rr_space(Divisor(S, {C: 1, L: -2}))
     assert len(basis) == 1
-    expected = RationalFunction(S, L.poly * L.poly, C.poly)
+    expected = RationalFunction(S, [(L.poly, 2), (C.poly, -1)])
     assert basis[0] == expected
 
 

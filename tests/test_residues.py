@@ -32,6 +32,7 @@ from adeles2d.surface import (
     expand_at_flag,
     flag_make,
     form_order_on_curve,
+    form_polynomial,
     meeting_points,
     ord_on_curve,
     point_from_coords,
@@ -416,9 +417,8 @@ def test_local_residue_equals_the_two_factor_route():
         check_reciprocity_around_points(w)
         check_reciprocity_along_curves(w)
     pairs = [(w, fl) for w in forms for fl in w._residues]
-    pairs += [(GlobalForm(RationalFunction(fl.curve.surface, num, den),
-                          [fl.curve]), fl)
-              for fl, num, den in box_contract_cases()]
+    pairs += [(GlobalForm(RationalFunction(fl.curve.surface, f), [fl.curve]),
+               fl) for fl, f in box_contract_cases()]
     nonzero = 0
     for w, fl in pairs:
         got = _local_residue(w, fl)
@@ -455,6 +455,30 @@ def test_one_residue_per_form_and_flag_and_one_order_per_curve(monkeypatch):
     assert set(computed) == set(asked) and set(computed.values()) == {1}
     assert sum(asked.values()) > len(asked)
     assert divided and set(divided.values()) == {1}, divided
+
+
+def test_residues_value_only_factors(monkeypatch):
+    # a residue's orders are sums over the factors of its quotient: every
+    # polynomial divided by a curve while the residues of a corpus are
+    # computed is a numerator, a component's equation or a form
+    # polynomial, never a product of them
+    valued = []
+    divide = surface_mod._poly_ord
+
+    def recorded(P, D):
+        valued.append(P)
+        return divide(P, D)
+
+    monkeypatch.setattr(surface_mod, "_poly_ord", recorded)
+    factors = set()
+    for model, q in (("P2", 3), ("P1xP1", 4)):
+        for w in reciprocity_corpus(surface_make(model, q), 9, 0):
+            check_reciprocity_around_points(w)
+            check_reciprocity_along_curves(w)
+            factors |= {w.coefficient.num} | {C.poly for C in w.components}
+            factors |= {form_polynomial(fl) for fl in w._residues}
+    assert len(valued) >= 50, len(valued)
+    assert [P for P in valued if P not in factors] == []
 
 
 def test_local_residue_names_the_flag_when_the_resize_falls_short(

@@ -63,7 +63,8 @@ def quadric(q):
 
 
 def ratfn(S, num_text, den_text):
-    return RationalFunction(S, parse_poly(S, num_text), parse_poly(S, den_text))
+    return RationalFunction(S, [(parse_poly(S, num_text), 1),
+                                (parse_poly(S, den_text), -1)])
 
 
 def coeff(f, t, u):
@@ -206,12 +207,12 @@ def test_a_degree_seven_pair_is_accepted():
 
 def test_no_library_module_but_surface_compares_the_model():
     # surface.SURFACES is the only per-model data of the library: the other
-    # modules read the groups and lines derived from it.  The command line
-    # keeps its verify fixtures per model (cli.FIXTURES), so it is left out
+    # modules read the groups and lines derived from it, and the command
+    # line looks its verify fixtures up by model (cli.FIXTURES)
     package = Path(surface_mod.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
-        if path.name in ("surface.py", "cli.py"):
+        if path.name == "surface.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
@@ -810,6 +811,39 @@ def test_ord_on_curve_golden():
     assert ord_on_curve(ratfn(S, "Z", "Y"), LY) == -1
 
 
+@pytest.mark.parametrize("model, curve, rest, k", [
+    ("P2", "YZ-X^2", "X+2Y", 3),          # degree 7 over 2: at most 3
+    ("P2", "Y^2Z-X^3+XZ^2", "XY+Z^2", 2),  # degree 8 over 3: at most 2
+    ("P1xP1", "X0Y1-X1Y0", "X0", 2),       # degree 5 over 2: at most 2
+])
+def test_poly_ord_divides_at_most_to_the_degree_bound(model, curve, rest, k,
+                                                      monkeypatch):
+    # D^v divides P only for v up to deg P // deg D; P = D^k R with k at
+    # that bound takes k + 1 divisions, the last one failing, and a
+    # division that never fails ends at the bound with BudgetExceeded,
+    # naming P and D
+    S = surface_make(model, 5)
+    D = curve_make(S, curve)
+    R = parse_poly(S, rest)
+    P = D.poly ** k * R
+    assert sum(S.poly_class(P)) // sum(D.degree()) == k
+    divisions = []
+    divide = MPoly.exact_div
+
+    def counted(f, g):
+        divisions.append(f)
+        return divide(f, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(MPoly, "exact_div", counted)
+        assert surface_mod._poly_ord(P, D) == (k, R)
+    assert len(divisions) == k + 1
+    monkeypatch.setattr(MPoly, "exact_div", lambda f, g: f)
+    with pytest.raises(surface_mod.BudgetExceeded) as err:
+        surface_mod._poly_ord(P, D)
+    assert poly_text(S, P) in str(err.value) and repr(D) in str(err.value)
+
+
 def test_divisor_of_function():
     S = p2(5)
     LY = curve_make(S, "Y")
@@ -880,7 +914,8 @@ def _jacobian_of_first_chart(fl, window):
     """The fixed form's coefficient as the Jacobian d(x, y)/d(u, t) of the
     first chart's coordinates x, y, each expanded as a ratio at the flag."""
     S = fl.curve.surface
-    x, y = [ratio_at_flag(S.var(a), S.var(u), fl, window, window)
+    x, y = [ratio_at_flag([(S.var(a), 1), (S.var(u), -1)], fl, window,
+                          window)
             for a, u in zip(S.charts[0].affine_vars, S.charts[0].units)]
     return (derive(x, "u") * derive(y, "t")
             - derive(x, "t") * derive(y, "u"))
@@ -1050,7 +1085,7 @@ def test_windows_below_one_are_rejected_or_bounded():
             raise AssertionError(f"u-box {u_to} accepted")
     # 1/Y starts at t^-1: a box that ends before it holds only zeros
     Y = parse_poly(S, "Y")
-    empty = ratio_at_flag(Y ** 0, Y, fl, -1, 4)
+    empty = ratio_at_flag([(Y, -1)], fl, -1, 4)
     assert (empty.terms, empty.t_prec, empty.u_prec) == ({}, -1, 4), empty
     # a function whose every column lies at or above the box is 0 there
     zero = expand_at_flag(ratfn(S, "Y^2", "Z^2"), fl, 2, 2)
@@ -1199,7 +1234,7 @@ def test_flex_expansion_past_the_cap():
     _multiplies_back(S, fl, "X^30", "Z^30", 1)
     P = parse_poly(S, "Z^30")
     assert poly_valuation_at_flag(P, fl) == (0, 90)
-    empty = ratio_at_flag(P ** 0, P, fl, 0, 1)
+    empty = ratio_at_flag([(P, -1)], fl, 0, 1)
     assert (empty.terms, empty.t_prec, empty.u_prec) == ({}, 0, 1), empty
 
 
@@ -1219,11 +1254,11 @@ def test_a_hidden_leading_column_is_shown_by_one_box(monkeypatch):
         return expand(P, fl, t_to, u_to)
 
     monkeypatch.setattr(surface_mod, "expand_poly_at_flag", recorded)
-    inv = ratio_at_flag(P ** 0, P, fl, 4, 4 - 9)
+    inv = ratio_at_flag([(P, -1)], fl, 4, 4 - 9)
     assert boxes == [(4, 4 + 4 * 9), (4, 4 + 3 * 3)], boxes
     assert (inv.t_prec, inv.u_prec) == (4, 4 - 9), inv
     monkeypatch.undo()
-    wide = ratio_at_flag(P ** 0, P, fl, 10, 1)
+    wide = ratio_at_flag([(P, -1)], fl, 10, 1)
     assert agree(inv, wide)
     low_u = min(u for _t, u in wide.terms)
     one = expand_poly_at_flag(P, fl, 10, 1 - low_u) * wide
@@ -1250,17 +1285,17 @@ def test_a_box_before_the_leading_column_is_zero_at_once(monkeypatch):
         m.setattr(surface_mod, "expand_poly_at_flag", expanded)
         for Q, at, box in ((P, fl, (-2, 8)), (P, fl, (-5, 1)),
                            (Z3, flex, (1, -9)), (Z3, flex, (3, -40))):
-            got = ratio_at_flag(Q ** 0, Q, at, *box)
+            got = ratio_at_flag([(Q, -1)], at, *box)
             assert (got.terms, got.t_prec, got.u_prec) == ({}, *box), got
-    lead = ratio_at_flag(P ** 0, P, fl, -1, 8)
+    lead = ratio_at_flag([(P, -1)], fl, -1, 8)
     assert lead.t_valuation() == -2 and (lead.t_prec, lead.u_prec) == (-1, 8)
     assert list(lead.terms) == [(-2, 0)], lead
-    lead = ratio_at_flag(Z3 ** 0, Z3, flex, 1, -8)
+    lead = ratio_at_flag([(Z3, -1)], flex, 1, -8)
     assert list(lead.terms) == [(0, -9)], lead
 
 
 # (model, q, curve, point, [(num, den, m)]): each quotient is
-# num / (den * curve^m) at the flag.  At the flex of the cubic X and Z have
+# num / (den * curve^m) at the flag, as the factors num, den^-1, curve^-m.  At the flex of the cubic X and Z have
 # u-orders 1 and 3; at the conic's flag X and Y have 1 and 2.
 BOX_CONTRACT_FLAGS = [
     ("P2", 7, "X^3+XZ^2+6Y^2Z", (0, 1, 0),
@@ -1274,7 +1309,7 @@ BOX_CONTRACT_FLAGS = [
 
 
 def box_contract_cases():
-    """(flag, num, den) for every quotient of BOX_CONTRACT_FLAGS, on fresh
+    """(flag, factors) for every quotient of BOX_CONTRACT_FLAGS, on fresh
     surfaces, so that no flag cache is shared with an earlier call."""
     cases = []
     for model, q, text, coords, quotients in BOX_CONTRACT_FLAGS:
@@ -1282,23 +1317,32 @@ def box_contract_cases():
         D = curve_make(S, text)
         fl = flag_make(point_from_coords(
             S, [S.base.from_int(i) for i in coords]), D)
-        cases += [(fl, parse_poly(S, num), parse_poly(S, den) * D.poly ** m)
-                  for num, den, m in quotients]
+        cases += [(fl, [(parse_poly(S, num), 1), (parse_poly(S, den), -1)]
+                   + [(D.poly, -m)] * bool(m)) for num, den, m in quotients]
     return cases
 
 
-def _expansions(fl, num, den):
+def products(fl, f):
+    """num and den of the factors f at the flag: the products of the P^e
+    with e > 0 and of the P^-e with e < 0, as polynomials."""
+    S = fl.curve.surface
+    return [MPoly.product(S.base, S.nvars, [(P, s * e) for P, e in f
+                                            if s * e > 0]) for s in (1, -1)]
+
+
+def _expansions(fl, f):
     """Each routine that expands at a flag, as a function of the box."""
-    f = RationalFunction(fl.curve.surface, num, den)
+    den = products(fl, f)[1]
+    poles = [(P, e) for P, e in f if e < 0]
+    g = RationalFunction(fl.curve.surface, f)
     return {
         "flag_coordinate_series": lambda *box: flag_coordinate_series(
             fl, *box),
         "expand_poly_at_flag": lambda *box: expand_poly_at_flag(den, fl, *box),
-        "ratio_at_flag(1, den)": lambda *box: ratio_at_flag(den ** 0, den,
-                                                             fl, *box),
+        "ratio_at_flag(1, den)": lambda *box: ratio_at_flag(poles, fl, *box),
         "canonical_local_form": lambda *box: canonical_local_form(fl, *box),
-        "ratio_at_flag": lambda *box: ratio_at_flag(num, den, fl, *box),
-        "expand_at_flag": lambda *box: expand_at_flag(f, fl, *box),
+        "ratio_at_flag": lambda *box: ratio_at_flag(f, fl, *box),
+        "expand_at_flag": lambda *box: expand_at_flag(g, fl, *box),
     }
 
 
@@ -1309,63 +1353,65 @@ def test_every_expansion_at_a_flag_returns_exactly_its_box():
     # column, and where the denominator has u-order w > 0 at the point
     cases = box_contract_cases()
     flex = cases[0][0]
-    assert [poly_valuation_at_flag(den, flex) for _fl, _num, den
+    assert [poly_valuation_at_flag(products(flex, f)[1], flex) for _fl, f
             in cases[:2]] == [(0, 3), (0, 1)]
     nonzero = dict.fromkeys(_expansions(*cases[0]), 0)
-    for (fl, num, den), wide_case in zip(cases, box_contract_cases()):
+    for (fl, f), wide_case in zip(cases, box_contract_cases()):
         wide = {name: run(12, 20)
                 for name, run in _expansions(*wide_case).items()}
-        for name, run in _expansions(fl, num, den).items():
+        for name, run in _expansions(fl, f).items():
             for box in ((1, 1), (3, 1), (0, 1), (-2, 3), (1, 6), (5, 4),
                         (2, 9)):
                 got = run(*box)
-                assert (got.t_prec, got.u_prec) == box, (name, fl, den, got)
+                assert (got.t_prec, got.u_prec) == box, (name, fl, f, got)
                 assert got.terms == wide[name].truncate(*box).terms, (
-                    name, fl, den, box)
+                    name, fl, f, box)
                 nonzero[name] += bool(got.terms)
     assert all(n >= 12 for n in nonzero.values()), nonzero
 
 
 def _ratio_cases():
-    """(flag, num, den, box) for ratio_at_flag against the inverse route:
+    """(flag, factors, box) for ratio_at_flag against the inverse route:
     the box contract's quotients on its boxes, 1/den and X^2/den at the
     flex for den Z, X and YZ on two deep boxes, boxes of size
     t_to - vn + vd <= 0 and with u_to + size * wd <= 0 (and just inside
-    that), and every residue quotient num / (den * P) of the reciprocity
-    corpus at q = 2, 3, 4 on both surfaces on the box t < 0, u < 1."""
+    that), and every residue quotient of the reciprocity corpus at
+    q = 2, 3, 4 on both surfaces on the box t < 0, u < 1: the coefficient's
+    factors and the form polynomial P^-1, so den and P stay two factors."""
     cases = []
-    for fl, num, den in box_contract_cases():
-        vn = surface_mod.poly_order_at_flag(num, fl)
+    for fl, f in box_contract_cases():
+        num, den = products(fl, f)
+        vn = poly_valuation_at_flag(num, fl)[0]
         vd, wd = poly_valuation_at_flag(den, fl)
         lead = vn - vd  # the quotient's t-order
-        cases += [(fl, num, den, box) for box in (
+        cases += [(fl, f, box) for box in (
             (1, 1), (3, 1), (0, 1), (-2, 3), (1, 6), (5, 4), (2, 9), (12, 20),
             (lead, 4), (lead - 2, 1), (lead + 2, -2 * wd),
             (lead + 2, 1 - 2 * wd), (lead + 3, -3 * wd - 1))]
     S, flex = _flex_flag()
     for den in (parse_poly(S, d) for d in ("Z", "X", "YZ")):
-        cases += [(flex, num, den, box) for num in (den ** 0,
-                                                    parse_poly(S, "X^2"))
+        cases += [(flex, [(den, -1)] + top, box)
+                  for top in ([], [(parse_poly(S, "X^2"), 1)])
                   for box in ((64, 61), (16, 1036))]
     for model, q in itertools.product(("P2", "P1xP1"), (2, 3, 4)):
         for w in reciprocity_corpus(surface_make(model, q), 9, 0):
             check_reciprocity_around_points(w)
             check_reciprocity_along_curves(w)
-            f = w.coefficient
-            cases += [(fl, f.num, f.den * form_polynomial(fl), (0, 1))
-                      for fl in w._residues]
+            cases += [(fl, w.coefficient.factors + [(form_polynomial(fl), -1)],
+                       (0, 1)) for fl in w._residues]
     return cases
 
 
 def test_ratio_at_flag_equals_the_inverse_route():
-    # the one column recurrence against the route it replaced
-    # (tests/reference_series.py): den expanded, inverted by columns and
-    # multiplied by num's expansion; the same terms on the same box
+    # the one column recurrence on factor lists against the route it
+    # replaced (tests/reference_series.py) on the products: den expanded,
+    # inverted by columns and multiplied by num's expansion; the same terms
+    # on the same box
     nonzero = 0
     cases = _ratio_cases()
-    for fl, num, den, box in cases:
-        got = ratio_at_flag(num, den, fl, *box)
-        assert got == inverse_ratio(num, den, fl, *box), (fl, num, den, box)
+    for fl, f, box in cases:
+        got = ratio_at_flag(f, fl, *box)
+        assert got == inverse_ratio(*products(fl, f), fl, *box), (fl, f, box)
         assert (got.t_prec, got.u_prec) == box, got
         nonzero += bool(got.cols)
     assert len(cases) >= 350 and nonzero >= 250, (len(cases), nonzero)
@@ -1424,7 +1470,7 @@ def test_column_inverse_matches_the_neumann_route(model):
         _S, cases = _meeting_cases(model, q)
         for (fl, P), window in itertools.product(cases, range(4, 17)):
             vt, w = poly_valuation_at_flag(P, fl)
-            got = ratio_at_flag(P ** 0, P, fl, window - 2 * vt, window - w)
+            got = ratio_at_flag([(P, -1)], fl, window - 2 * vt, window - w)
             assert (got.t_prec, got.u_prec) == (window - 2 * vt, window - w)
             want = widening_inverse(P, fl, window)
             t_to = min(got.t_prec, want.t_prec)

@@ -6,9 +6,10 @@
     python3 tools/bench_layers.py --label records --against /parent/src
 
 Every case builds its inputs through text parsing (`parse_poly`,
-`curve_make` and the cli parsers) and public calls, so one script times any
-checkout of the package whose expansions at a flag take a box (t_to, u_to)
-and divide by `ratio_at_flag`, whatever its coefficients are made of.  A case's
+`curve_make` and the cli parsers) and public calls whose signatures do not
+depend on how a function is stored, so one script times any checkout of the
+package whose expansions at a flag take a box (t_to, u_to) and divide by
+`ratio_at_flag`, whatever its coefficients are made of.  A case's
 figure is the best of --repeat rounds (7 by default), each timing every
 case once, in seconds; the element, trace, 1 x 1, Riemann-Roch space and
 dimension, derive_eq1 and smooth_flag cases time a batch and report one
@@ -50,9 +51,9 @@ FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
 TRACES = {"F7^6.F7": (7, 6, 1), "F81.F9": (3, 4, 2)}
 BATCH = 400
 FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
-# YZ meets the cubic to order 3 at the flex: 1/YZ by ratio_at_flag on the
-# box t < 64, u < 61
-FLEX64 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^2/YZ", 7, (64, 61))
+# YZ meets the cubic to order 3 at the flex: Y^2/YZ, a unit over YZ, by
+# ratio_at_flag through expand_at_flag on the box t < 64, u < 61
+FLEX64 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "Y^2/YZ", 7, (64, 61))
 CONIC8 = ("YZ-X^2", "0:0:1", "X^2+Y^2/Z^2", 5, 8)
 # Z^20 meets the cubic to order 60 at the flex: `expand --function
 # X^20/Z^20 --precision 16` expands it on the box t < 16, u < 1036
@@ -255,8 +256,7 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
                                                          prec, prec), 1)
     out["surface.canonical_local_form.flex64"] = (
         lambda: flag(m, FLEX64),
-        lambda fl_f: sf.ratio_at_flag(fl_f[1].den ** 0, fl_f[1].den,
-                                      fl_f[0], *FLEX64[4]), 1)
+        lambda fl_f: sf.expand_at_flag(fl_f[1], fl_f[0], *FLEX64[4]), 1)
 
     def off_lines(q):
         """X on a fresh P2 over F_q with Z and every line Y + aZ over F_p,
@@ -307,9 +307,10 @@ def geometry_cases(m: dict) -> Dict[str, Case]:
         cubic_over_f9, lambda irr_k: sf._one_root(*irr_k), 1)
 
     def symbol_inputs():
-        fl, f = flag(m, ("YZ-X^2", "0:0:1", "X/Z", 5, 8))
-        g = m["cli"]._parse_function(fl.curve.surface, "Y/Z")
-        return [(f.num, 1), (f.den, -1)], [(g.num, 1), (g.den, -1)], fl
+        """X/Z and Y/Z as factors at the conic's flag."""
+        fl, _f = flag(m, ("YZ-X^2", "0:0:1", "X/Z", 5, 8))
+        X, Y, Z = (sf.parse_poly(fl.curve.surface, v) for v in "XYZ")
+        return [(X, 1), (Z, -1)], [(Y, 1), (Z, -1)], fl
 
     out["symbols.symbol_at_flag.conic"] = (
         symbol_inputs, lambda fgl: m["symbols"].symbol_at_flag(*fgl), 1)
