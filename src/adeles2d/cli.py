@@ -20,6 +20,7 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from .cohomology import cech_h_vector, class_range, h_vector, rr_dimension
+from .fields import BudgetExceeded
 from .measures import (
     Check,
     _cls_json,
@@ -42,7 +43,6 @@ from .residues import (
 from .series import PrecisionError
 from .surface import (
     SURFACES,
-    BudgetExceeded,
     Divisor,
     RationalFunction,
     class_intersection,

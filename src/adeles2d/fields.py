@@ -5,8 +5,9 @@ represented as F_p[x]/(m(x)) where m is the monic irreducible polynomial of
 degree d whose lower coefficients c_0, ..., c_(d-1) have the least code
 sum c_i p^i.  An element is coded as one int n = sum c_i p^i of its coefficient
 vector (c_0, ..., c_{d-1}); code 0 is zero and code 1 is one.  Polynomials,
-series and matrices hold codes, and the field descriptor computes on them;
-FieldElem wraps a code with its field where elements leave the package.
+series and matrices hold codes, and the field descriptor computes on them,
+on lists of codes by one multiply-accumulate, `FieldDesc.axpy`; FieldElem
+wraps a code with its field where elements leave the package.
 Relative data for a tower F_{q^a}/F_q is recovered on demand: embeddings
 are roots of the small modulus in the big field, chosen so that they
 compose, and relative traces are sums of q-power Frobenius iterates
@@ -22,6 +23,7 @@ from array import array
 from typing import Iterator, List, Sequence, Tuple
 
 _FACTOR_SEED = 0x1D5EED  # fixed seed for the equal-degree splitting stage
+_SPLIT_DRAWS = 128  # Cantor-Zassenhaus draws per split (_split)
 
 TABLE_MAX = 4096  # largest extension field given log/antilog tables
 
@@ -46,11 +48,15 @@ def _prime_factors(n: int) -> List[int]:
     return out
 
 
+class BudgetExceeded(ArithmeticError):
+    """A bounded loop ran out of steps, or passed a bound its answer keeps."""
+
+
 class FieldDesc:
     """Descriptor of F_{p^d}: characteristic, degree, canonical modulus, and
     `add`, `sub`, `neg`, `mul`, `inv`, `pow` on element codes and `axpy`
-    (y + f*x on lists of codes), all but `inv` and `pow` picked once per
-    kernel: mod p, tables (q <= TABLE_MAX) or packed.
+    (y + f*x on lists of codes, the one kernel over them), all but `inv` and
+    `pow` picked once per kind: mod p, tables (q <= TABLE_MAX) or packed.
 
     For an extension with q <= TABLE_MAX it holds, over a primitive element g:
     `_exp[i] = g^i` for i < 2(q-1), so a sum of two logs needs no reduction;
@@ -84,7 +90,7 @@ class FieldDesc:
     def _build_packing(self) -> None:
         """Kronecker packing: coefficient i of a vector goes to bits
         [i*slot, (i+1)*slot) of one int, so one int product convolves two
-        vectors.  A slot holds any sum the product and reduction make."""
+        vectors.  A slot holds any sum of folding a product plus a vector."""
         p, d = self.p, self.d
         slot = self._slot = (2 * d * p * p).bit_length()
         # blocks of h digits: halves, or less where a table of p^h entries
@@ -113,7 +119,9 @@ class FieldDesc:
     def _build_tables(self) -> None:
         q, p = self.q, self.p
         m = q - 1
-        g = next(n for n in range(p, q) if self._is_primitive(n, m))
+        # the least primitive g: no g^(m/r) is one, r a prime factor of m
+        g = next(n for n in range(p, q) if all(power(
+            n, m // r, self._vec_mul) != 1 for r in _prime_factors(m)))
         exp = array("i", [1]) * (2 * m)
         log = array("i", [0]) * q
         cur = 1
@@ -132,10 +140,6 @@ class FieldDesc:
                     zech[k] = zech[k + m] = log[n]
             self._zech = zech
 
-    def _is_primitive(self, g: int, m: int) -> bool:
-        return all(power(g, m // r, self._vec_mul) != 1
-                   for r in _prime_factors(m))
-
     def _bind_kernels(self) -> None:
         p, exp, log, zech, half = (self.p, self._exp, self._log, self._zech,
                                    self._half)
@@ -147,11 +151,19 @@ class FieldDesc:
             self.axpy = lambda f, x, y: [(b + f * a) % p for a, b in zip(x, y)]
             return
         if log is None:
-            vec_add = self._vec_add
-            self.add = lambda a, b: vec_add(a, b, 1)
-            self.sub = lambda a, b: vec_add(a, b, p - 1)
-            self.neg = lambda a: vec_add(0, a, p - 1)
+            pack, unpack, reduce = self._pack, self._unpack, self._reduce
+            self.add = lambda a, b: unpack(pack(a) + pack(b))
+            self.sub = lambda a, b: unpack(pack(a) + (p - 1) * pack(b))
+            self.neg = lambda a: unpack((p - 1) * pack(a))
             self.mul = self._vec_mul
+
+            def axpy(f: int, x: List[int], y: List[int]) -> List[int]:
+                # y + f*x packed, folded and unpacked once per code
+                pf = pack(f)
+                return [reduce(pf * pack(a) + pack(b)) if a else b
+                        for a, b in zip(x, y)]
+
+            self.axpy = axpy
         else:
             def add(a: int, b: int) -> int:
                 if not (a and b):
@@ -166,11 +178,12 @@ class FieldDesc:
             self.add, self.sub = add, sub
             self.neg = lambda a: exp[log[a] + half] if a else 0
             self.mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+            fadd = operator.xor if p == 2 else add
+            self.axpy = lambda f, x, y: [  # f*a read as g^(log f + log a)
+                fadd(b, exp[log[f] + log[a]]) if a and f else b
+                for a, b in zip(x, y)]
         if p == 2:
             self.add = self.sub = operator.xor
-        fadd, fmul = self.add, self.mul
-        self.axpy = lambda f, x, y: [fadd(b, fmul(f, a)) if a else b
-                                     for a, b in zip(x, y)]
 
     def inv(self, a: int) -> int:
         if not a:
@@ -224,7 +237,10 @@ class FieldDesc:
         return n
 
     def _vec_mul(self, a: int, b: int) -> int:
-        prod = self._pack(a) * self._pack(b)
+        return self._reduce(self._pack(a) * self._pack(b))
+
+    def _reduce(self, prod: int) -> int:
+        """Code of a packed product (plus a vector), slots past d - 1 folded."""
         p, slot = self.p, self._slot
         mask = (1 << slot) - 1
         low = slot * self.d
@@ -245,10 +261,6 @@ class FieldDesc:
                        field_make(self.p, 1))
         return sum(c * self.p ** i for i, c in enumerate(inv))
 
-    def _vec_add(self, a: int, b: int, scale: int) -> int:
-        """Code of a + scale*b; scale p-1 subtracts."""
-        return self._unpack(self._pack(a) + scale * self._pack(b))
-
     # -- elements ------------------------------------------------------------
 
     def zero(self) -> "FieldElem":
@@ -259,9 +271,7 @@ class FieldDesc:
 
     def gen(self) -> "FieldElem":
         """The class of x, a multiplicative generator of the extension basis."""
-        if self.d == 1:
-            return self._one
-        return FieldElem(self, self.p)
+        return FieldElem(self, self.p if self.d > 1 else 1)
 
     def from_int(self, n: int) -> "FieldElem":
         return FieldElem(self, n % self.p)
@@ -269,11 +279,8 @@ class FieldDesc:
     def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElem":
         if len(coeffs) > self.d:
             raise ValueError("coefficient vector longer than field degree")
-        p = self.p
-        n = 0
-        for c in reversed(coeffs):
-            n = n * p + c % p
-        return FieldElem(self, n)
+        return FieldElem(self, sum(c % self.p * self.p ** i
+                                   for i, c in enumerate(coeffs)))
 
     def elems(self) -> Iterator["FieldElem"]:
         """All q elements in order of code: the constant digit varies fastest."""
@@ -310,9 +317,7 @@ class FieldDesc:
         return hash((self.p, self.d, self.modulus))
 
     def __repr__(self):
-        if self.d == 1:
-            return f"GF({self.p})"
-        return f"GF({self.p}^{self.d})"
+        return f"GF({self.p})" if self.d == 1 else f"GF({self.p}^{self.d})"
 
 
 class FieldElem:
@@ -440,37 +445,29 @@ def pdeg(f: Poly) -> int:
 def padd(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
     if len(f) < len(g):
         f, g = g, f
-    add = desc.add
-    out = f[:]
-    for i, c in enumerate(g):
-        out[i] = add(out[i], c)
-    return ptrim(out)
+    return ptrim(desc.axpy(1, g, f) + f[len(g):])
 
 
 def psub(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
-    sub = desc.sub
-    out = f + [0] * (len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = sub(out[i], c)
-    return ptrim(out)
+    f = f + [0] * (len(g) - len(f))
+    return ptrim(desc.axpy(desc.neg(1), g, f) + f[len(g):])
 
 
 def pmul(f: Poly, g: Poly, desc: FieldDesc) -> Poly:
+    """f * g: one axpy of the longer factor per code of the shorter."""
     if not f or not g:
         return []
-    add, mul = desc.add, desc.mul
-    out = [0] * (len(f) + len(g) - 1)
+    if len(g) < len(f):
+        f, g = g, f
+    axpy, n = desc.axpy, len(g)
+    out = [0] * (len(f) + n - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g, i):
-                if b:
-                    out[j] = add(out[j], mul(a, b))
+            out[i:i + n] = axpy(a, g, out[i:i + n])
     return ptrim(out)
 
 
 def pscale(f: Poly, a: int, desc: FieldDesc) -> Poly:
-    if not a:
-        return []
     return ptrim([desc.mul(c, a) for c in f])
 
 
@@ -484,15 +481,14 @@ def peval(f: Sequence[int], x: int, desc: FieldDesc) -> int:
 
 
 def pshift(f: Poly, a: int, desc: FieldDesc) -> Poly:
-    """f(a + s), by repeated synthetic division by s - a in place: pass i
-    leaves the Taylor coefficient of s^i at i (von zur Gathen and Gerhard,
-    ISSAC 1997)."""
-    out = f[:]
-    if a:
-        add, mul = desc.add, desc.mul
-        for i in range(len(out) - 1):
-            for j in range(len(out) - 2, i - 1, -1):
-                out[j] = add(out[j], mul(a, out[j + 1]))
+    """f(a + s), by Horner's rule in s: out <- out * (s + a) + c for the
+    codes c of f from the top, each step one axpy of a * out into
+    s * out + c."""
+    if not (a and f):
+        return ptrim(f[:])
+    out = f[-1:]
+    for c in reversed(f[:-1]):
+        out = desc.axpy(a, out + [0], [c] + out)
     return ptrim(out)
 
 
@@ -520,19 +516,17 @@ def pmonic(f: Poly, desc: FieldDesc) -> Poly:
 
 
 def pdivmod(f: Poly, g: Poly, desc: FieldDesc) -> Tuple[Poly, Poly]:
+    """(q, r) with f = q*g + r, deg r < deg g: one axpy per quotient code."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    mul, sub = desc.mul, desc.sub
+    axpy, mul, neg = desc.axpy, desc.mul, desc.neg
     f = f[:]
     q = [0] * max(0, len(f) - len(g) + 1)
     inv_lead = desc.inv(g[-1])
     while len(f) >= len(g) and f:
-        c = mul(f[-1], inv_lead)
         k = len(f) - len(g)
-        q[k] = c
-        for i, b in enumerate(g, k):
-            if b:
-                f[i] = sub(f[i], mul(c, b))
+        q[k] = c = mul(f[-1], inv_lead)
+        f[k:] = axpy(neg(c), g, f[k:])  # clears f's leading code
         ptrim(f)
     return ptrim(q), f
 
@@ -652,11 +646,14 @@ def _split(f: Poly, deg: int, desc: FieldDesc,
     """A proper monic factor of f, a product of two or more monic
     irreducibles of degree deg, by Cantor-Zassenhaus draws.  rng holds the
     generator of the caller, seeded here on the first draw: most
-    factorizations never draw."""
+    factorizations never draw.  A draw fails only if all factors agree on
+    its quadratic character (trace for p = 2), with chance at most 5/9 (two
+    factors over F_3), so _SPLIT_DRAWS = 128 draws all fail on a valid f
+    with chance below (5/9)^128 < 1e-32; then BudgetExceeded."""
     if not rng:
         rng.append(random.Random(_FACTOR_SEED))
     n, q, p = pdeg(f), desc.q, desc.p
-    while True:
+    for _ in range(_SPLIT_DRAWS):
         # each code drawn digit by digit, constant digit first
         r = ptrim([sum(rng[0].randrange(p) * p ** i for i in range(desc.d))
                    for _ in range(n)])
@@ -675,6 +672,8 @@ def _split(f: Poly, deg: int, desc: FieldDesc,
             g = pgcd(psub(h, [1], desc), f, desc)
         if 0 < pdeg(g) < n:
             return g
+    raise BudgetExceeded(f"{_SPLIT_DRAWS} Cantor-Zassenhaus draws split no "
+                         f"factor of degree {deg} off {f} over {desc}")
 
 
 def _equal_degree_split(f: Poly, deg: int, desc: FieldDesc,

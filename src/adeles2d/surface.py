@@ -23,6 +23,7 @@ from math import comb
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .fields import (
+    BudgetExceeded,
     FieldDesc,
     FieldElem,
     Poly,
@@ -46,10 +47,6 @@ from .series import (LaurentSeries2, PrecisionError, ps_horner, ps_inverse,
                      ps_mac, ps_mul)
 
 ClassVector = Tuple[int, ...]
-
-
-class BudgetExceeded(ArithmeticError):
-    """A bounded loop ran out of steps, or passed a bound its answer keeps."""
 
 
 # Per model: the groups of homogeneous variables, and the coordinate line of
@@ -486,20 +483,21 @@ def _normalize_proj(surface: Surface, coords: List[FieldElem]) -> Tuple[FieldEle
     return tuple(out)
 
 
-def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...],
-                          q: int) -> Tuple[Tuple[FieldElem, ...], int]:
-    """(lex-least orbit member, exact degree) under x -> x^q."""
-    best = coords
-    cur = coords
-    size = 1
-    while True:
+def _orbit_representative(surface: Surface, coords: Tuple[FieldElem, ...]
+                          ) -> Tuple[Tuple[FieldElem, ...], int]:
+    """(lex-least orbit member, exact degree) under x -> x^q, q the base
+    field's size: the orbit has at most [k : F_q] members, k the field of
+    the coordinates, and BudgetExceeded if it does not close by then."""
+    q, bound = surface.base.q, coords[0].desc.d // surface.base.d
+    best = cur = coords
+    for size in range(1, bound + 1):
         cur = _normalize_proj(surface, [c ** q for c in cur])
         if cur == coords:
-            break
+            return best, size
         if tuple(c.sort_key() for c in cur) < tuple(c.sort_key() for c in best):
             best = cur
-        size += 1
-    return best, size
+    raise BudgetExceeded(f"the Frobenius orbit of {coords} did not close "
+                         f"within [k : F_q] = {bound} steps")
 
 
 def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
@@ -515,11 +513,11 @@ def point_from_coords(S: Surface, coords: Sequence[FieldElem]) -> ClosedPoint:
     norm = _normalize_proj(S, list(coords))
     if field == S.base:
         return ClosedPoint(S, field, norm, 1)
-    rep, size = _orbit_representative(S, norm, S.base.q)
+    rep, size = _orbit_representative(S, norm)
     exact = field_make(S.base.p, S.base.d * size)
     if exact != field:
         rep, _size = _orbit_representative(S, tuple(
-            coerce_down(c, exact) for c in rep), S.base.q)
+            coerce_down(c, exact) for c in rep))
     return ClosedPoint(S, exact, rep, size)
 
 

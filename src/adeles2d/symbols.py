@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import pshift
+from .fields import BudgetExceeded, pshift
 from .multipoly import MPoly
 from .surface import (
-    BudgetExceeded,
     ClosedPoint,
     Curve,
     Divisor,

@@ -1,23 +1,77 @@
 """Reference polynomial routines for the tests: the shifts, powers and
 degree-0 resultants the package computed before `fields.pshift` and
-`fields.power` did them all, kept to compare against.
+`fields.power` did them all, and schoolbook sums, products and long
+division on field elements, kept to compare against.
 
-`horner_shift` is f(a + s) by Horner's rule on whole polynomials,
-`binomial_u_columns` and `binomial_moved` shift by binomial expansion, term
-by term, `square_and_multiply` starts from one and squares past the top
-bit, and `degree0_resultant` is Res(a, g) = a^deg g by repeated products."""
+`binomial_shift` is f(a + s) by the binomial expansion of each term,
+`schoolbook_add`, `schoolbook_sub`, `schoolbook_mul` and `schoolbook_divmod`
+work coefficient by coefficient; these five compute on `FieldElem` alone,
+never on a kernel over code lists (`FieldDesc.axpy`) that the routines
+they check share.  `binomial_u_columns` and `binomial_moved` shift
+two-variable polynomials term by term, `square_and_multiply` starts from
+one and squares past the top bit, and `degree0_resultant` is
+Res(a, g) = a^deg g by repeated products."""
 
 from math import comb
 
-from adeles2d.fields import padd, pmul
+from adeles2d.fields import FieldElem, pmul
 
 
-def horner_shift(f, a, k):
-    """f(a + s), by Horner's rule on polynomials."""
-    out = []
-    for c in reversed(f):
-        out = padd(pmul(out, [a, 1], k), [c], k)
+def _elems(f, k, n=0):
+    """The elements of the codes f, padded with zeros to length n."""
+    return [FieldElem(k, c) for c in f] + [k.zero()] * (n - len(f))
+
+
+def _codes(f):
+    """The codes of the elements f, the zeros at the top trimmed."""
+    out = [a.n for a in f]
+    while out and not out[-1]:
+        out.pop()
     return out
+
+
+def binomial_shift(f, a, k):
+    """f(a + s): the coefficient of s^j is sum_i f_i C(i, j) a^(i - j)."""
+    x = FieldElem(k, a)
+    out = _elems([], k, len(f))
+    for i, c in enumerate(_elems(f, k)):
+        for j in range(i + 1):
+            out[j] = out[j] + c * k.from_int(comb(i, j)) * x ** (i - j)
+    return _codes(out)
+
+
+def schoolbook_add(f, g, k):
+    n = max(len(f), len(g))
+    return _codes([x + y for x, y in zip(_elems(f, k, n), _elems(g, k, n))])
+
+
+def schoolbook_sub(f, g, k):
+    n = max(len(f), len(g))
+    return _codes([x - y for x, y in zip(_elems(f, k, n), _elems(g, k, n))])
+
+
+def schoolbook_mul(f, g, k):
+    """f * g, each coefficient summed from its products."""
+    out = _elems([], k, len(f) + len(g) - 1)
+    for i, x in enumerate(_elems(f, k)):
+        for j, y in enumerate(_elems(g, k)):
+            out[i + j] = out[i + j] + x * y
+    return _codes(out)
+
+
+def schoolbook_divmod(f, g, k):
+    """(q, r) with f = q g + r and deg r < deg g, by long division from the
+    top: each step subtracts c s^m g, c the top of r over the top of g."""
+    r, b = _elems(_codes(_elems(f, k)), k), _elems(g, k)
+    lead = b[-1].inverse()
+    q = _elems([], k, len(r) - len(b) + 1)
+    while len(r) >= len(b):
+        c, m = r[-1] * lead, len(r) - len(b)
+        q[m] = c
+        for j, y in enumerate(b):
+            r[m + j] = r[m + j] - c * y
+        r = _elems(_codes(r), k)
+    return _codes(q), _codes(r)
 
 
 def binomial_u_columns(f, k, ui, a):

@@ -8,9 +8,13 @@ import pytest
 
 from reference_poly import (
     binomial_moved,
+    binomial_shift,
     binomial_u_columns,
     degree0_resultant,
-    horner_shift,
+    schoolbook_add,
+    schoolbook_divmod,
+    schoolbook_mul,
+    schoolbook_sub,
     square_and_multiply,
 )
 from reference_series import column_inverse
@@ -20,6 +24,7 @@ from adeles2d.fields import (
     FieldElem,
     field_make,
     padd,
+    pdivmod,
     pmod,
     pmul,
     power,
@@ -512,8 +517,8 @@ def test_kernels_build_no_field_elements(monkeypatch):
 
 
 def test_poly_kernel_matches_its_references():
-    """pshift, power and the degree-0 resultants against the routes they
-    replaced (tests/reference_poly.py) on seeded random input over F_2,
+    """pshift, power and the degree-0 resultants against the routes of
+    tests/reference_poly.py on seeded random input over F_2,
     F_3, F_4, F_9 and the packed F_(7^6): degrees 0 to 8, the empty
     polynomial and a zero shift, n = 1, and n = 0 where a caller defines
     it."""
@@ -531,7 +536,7 @@ def test_poly_kernel_matches_its_references():
         for deg in range(-1, 9):
             f = poly(deg)
             for a in shifts():
-                assert pshift(f, a, F) == horner_shift(f, a, F), (F, f, a)
+                assert pshift(f, a, F) == binomial_shift(f, a, F), (F, f, a)
         # powers of codes, of polynomials mod m, of MPolys and of series
         for n in list(range(1, 18)) + [F.q + 1, F.q ** 2, 1000]:
             for x in (0, 1, rng.randrange(1, F.q)):
@@ -580,3 +585,80 @@ def test_poly_kernel_matches_its_references():
                     assert resultant_elim(a, b, elim, keep) == \
                         degree0_resultant(a.columns(elim), b.columns(elim),
                                           F), (F, a, b, elim)
+
+
+# each kind of FieldDesc.axpy: F_2 and F_3 mod p, F_4 (sums by xor) and F_9
+# from tables, F_(7^6) and F_(2^13) packed
+KERNEL_FIELDS = ((2, 1), (3, 1), (2, 2), (3, 2), (7, 6), (2, 13))
+
+
+def test_poly_routines_match_element_schoolbook():
+    """padd, psub, pmul, pdivmod and pshift against schoolbook routines on
+    FieldElem alone (tests/reference_poly.py), on seeded random input:
+    empty operands, sums whose leading codes cancel, divisors of degree 0,
+    zero shifts, and f = q*g + r with deg r < deg g."""
+    rng = random.Random(48)
+    for F in [field_make(p, d) for p, d in KERNEL_FIELDS]:
+        def poly(deg):
+            """A random polynomial of degree deg, [] for deg -1."""
+            return [rng.randrange(F.q) for _ in range(deg)] + \
+                [rng.randrange(1, F.q)] * (deg >= 0)
+
+        for df, dg in itertools.product(range(-1, 7), repeat=2):
+            f, g = poly(df), poly(dg)
+            assert padd(f, g, F) == schoolbook_add(f, g, F), (F, f, g)
+            assert psub(f, g, F) == schoolbook_sub(f, g, F), (F, f, g)
+            assert pmul(f, g, F) == schoolbook_mul(f, g, F), (F, f, g)
+            if g:
+                q, r = pdivmod(f, g, F)
+                assert (q, r) == schoolbook_divmod(f, g, F), (F, f, g)
+                assert len(r) < len(g) and padd(pmul(q, g, F), r, F) == f
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    pdivmod(f, g, F)
+            for a in (0, rng.randrange(1, F.q)):
+                assert pshift(f, a, F) == binomial_shift(f, a, F), (F, f, a)
+        for deg in range(0, 7):
+            f = poly(deg)
+            # leading codes that cancel, in a sum and in a difference
+            top = [rng.randrange(F.q) for _ in range(deg)]
+            for g, op, ref in ((top + [F.neg(f[-1])], padd, schoolbook_add),
+                               (top + [f[-1]], psub, schoolbook_sub)):
+                assert len(op(f, g, F)) < len(f) or not f
+                assert op(f, g, F) == ref(f, g, F), (F, f, g)
+            assert psub(f, f, F) == [] == padd(f, [F.neg(c) for c in f], F)
+            # a divisor of degree 0 leaves no remainder
+            c = [rng.randrange(1, F.q)]
+            assert pdivmod(f, c, F) == schoolbook_divmod(f, c, F)
+            assert pdivmod(f, c, F)[1] == [] and pmul(
+                pdivmod(f, c, F)[0], c, F) == f
+            assert pshift(f, 0, F) == f
+
+
+def test_poly_routines_multiply_and_accumulate_by_axpy(monkeypatch):
+    """Each of padd, psub, pmul, pdivmod and pshift calls FieldDesc.axpy
+    and makes no per-code call of add, sub or mul: pdivmod makes one mul
+    per nonzero quotient code, the others none."""
+    rng = random.Random(7)
+    for F in [field_make(p, d) for p, d in KERNEL_FIELDS]:
+        f = [rng.randrange(F.q) for _ in range(8)] + [1]
+        g = [rng.randrange(F.q) for _ in range(3)] + [1]
+        a = rng.randrange(1, F.q)
+        steps = len(pdivmod(f, g, F)[0]) - pdivmod(f, g, F)[0].count(0)
+        # each field logs to its own list: pdivmod inverts over F_(2^13)
+        # by pinv_mod over F_2
+        calls = []
+        monkeypatch.setattr(F, "axpy", lambda c, x, y, axpy=F.axpy,
+                            calls=calls: calls.append("axpy") or axpy(c, x, y))
+        for name in ("add", "sub", "mul"):
+            monkeypatch.setattr(F, name, lambda a, b, op=getattr(F, name),
+                                name=name, calls=calls: (
+                                    calls.append(name) or op(a, b)))
+        for run, scalars in (
+                (lambda: padd(f, g, F), []), (lambda: psub(f, g, F), []),
+                (lambda: pmul(f, g, F), []), (lambda: pshift(f, a, F), []),
+                (lambda: pdivmod(f, g, F), ["mul"] * steps)):
+            calls.clear()
+            run()
+            assert "axpy" in calls, (F, run)
+            assert [c for c in calls if c != "axpy"] == scalars, (F, calls)

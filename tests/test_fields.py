@@ -278,6 +278,29 @@ def test_poly_factor_draws_only_to_split(q, monkeypatch):
         poly_factor(pmul(linear, [2, 1], desc), desc)
 
 
+def test_split_draws_are_bounded():
+    # a generator whose every draw is the zero polynomial splits nothing:
+    # _split stops after _SPLIT_DRAWS draws with BudgetExceeded, naming
+    # the polynomial, the degree of its factors and the field
+    desc = field_make(3, 2)
+    f = pmul([1, 1], [2, 1], desc)
+    draws = []
+
+    class Useless:
+        def randrange(self, n):
+            draws.append(n)
+            return 0
+
+    with pytest.raises(fields.BudgetExceeded) as err:
+        fields._split(f, 1, desc, [Useless()])
+    # one randrange per digit of each code of a draw
+    assert len(draws) == fields._SPLIT_DRAWS * pdeg(f) * desc.d
+    text = str(err.value)
+    for part in (f"{fields._SPLIT_DRAWS} Cantor-Zassenhaus draws",
+                 f"degree 1 off {f}", repr(desc)):
+        assert part in text, (part, text)
+
+
 def test_poly_factor_is_deterministic():
     f5 = field_make(5, 1)
     f = mkpoly(f5, 2, 0, 3, 0, 0, 1, 1)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from adeles2d.cohomology import class_range
+from adeles2d import fields as fields_mod
 from adeles2d import surface as surface_mod
 from adeles2d.fields import FieldElem, embed, field_make, poly_factor
 from adeles2d.multipoly import MPoly, resultant_elim
@@ -244,6 +245,31 @@ def test_point_from_coords_degree():
     rational = point_from_coords(S, (F4.one(), F4.one(), F4.zero()))
     assert rational.degree == 1
     assert rational.residue_field.q == 2
+
+
+def test_the_orbit_walk_ends_within_the_field_degree(monkeypatch):
+    # a point with coordinates in F_(2^4) over F_2 has an orbit of at most
+    # [F_16 : F_2] = 4 members; a normalizer that never returns to the
+    # start ends the walk after 4 steps with BudgetExceeded, naming the
+    # coordinates and the bound
+    S = p2(2)
+    F16 = field_make(2, 4)
+    coords = (F16.one(), F16.gen(), F16.zero())
+    assert surface_mod._orbit_representative(S, coords)[1] == 4
+    steps = []
+    away = (F16.one(), F16.one(), F16.zero())
+
+    def never_back(surface, cs):
+        steps.append(cs)
+        return away
+
+    monkeypatch.setattr(surface_mod, "_normalize_proj", never_back)
+    with pytest.raises(fields_mod.BudgetExceeded) as err:
+        surface_mod._orbit_representative(S, coords)
+    assert len(steps) == 4
+    text = str(err.value)
+    assert repr(coords) in text and "[k : F_q] = 4 steps" in text, text
+    assert surface_mod.BudgetExceeded is fields_mod.BudgetExceeded
 
 
 @pytest.mark.parametrize("q", [4, 5, 8, 9])

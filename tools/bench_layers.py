@@ -11,9 +11,10 @@ depend on how a function is stored, so one script times any checkout of the
 package whose expansions at a flag take a box (t_to, u_to) and divide by
 `ratio_at_flag`, whatever its coefficients are made of.  A case's
 figure is the best of --repeat rounds (7 by default), each timing every
-case once, in seconds; the element, trace, 1 x 1, Riemann-Roch space and
-dimension, derive_eq1 and smooth_flag cases time a batch and report one
-operation.  The file also records the line count of each source module.
+case once, in seconds; the element, trace, 1 x 1, product, Riemann-Roch
+space and dimension, derive_eq1 and smooth_flag cases time a batch and
+report one operation.  The file also records the line count of each source
+module.
 Standard library only; single-threaded.
 
 Two checkouts timed in separate processes differ by the drift of the host
@@ -49,6 +50,11 @@ MODULES = ("fields", "series", "multipoly", "linalg", "surface", "residues",
 FIELDS = {"F5": (5, 1), "F49": (7, 2), "F729": (3, 6), "F7^6": (7, 6)}
 # (p, d, e) of a trace from F_(p^d) down to F_(p^e)
 TRACES = {"F7^6.F7": (7, 6, 1), "F81.F9": (3, 4, 2)}
+# (p, d) of the product fields, one per kind of FieldDesc.axpy: mod p,
+# tables and packed; products of n codes, timed in batches of n -> count
+# so that one timing takes 1 ms or more on each side
+PRODUCT_FIELDS = {"F7": (7, 1), "F9": (3, 2), "F7^6": (7, 6)}
+PRODUCT_BATCH = {8: 200, 64: 10, 1024: 1}
 BATCH = 400
 FLEX4 = ("X^3+XZ^2+6Y^2Z", "0:1:0", "X^3/Z^3", 7, 4)  # tests/golden/flex4
 # YZ meets the cubic to order 3 at the flex: Y^2/YZ, a unit over YZ, by
@@ -145,6 +151,31 @@ def field_cases(m: dict) -> Dict[str, Case]:
                  for _ in range(BATCH // 4)]
         out[f"fields.rel_trace.{name}"] = (lambda: None, batch(
             m["fields"].rel_trace, [(a, sub) for a in elems]), len(elems))
+    return out
+
+
+def product_cases(m: dict) -> Dict[str, Case]:
+    """The products over code lists, on dense random codes: pmul of two
+    lists of n codes, pdivmod of 2n codes by n (n + 1 quotient codes, one
+    axpy of n codes each), and ps_mac of two lists of n codes truncated to
+    n codes."""
+    fl, ps_mac = m["fields"], m["series"].ps_mac
+    out: Dict[str, Case] = {}
+    for name, (p, d) in PRODUCT_FIELDS.items():
+        F = fl.field_make(p, d)
+        for n, count in PRODUCT_BATCH.items():
+            rng = random.Random(n + p * 10 + d)
+            f, g = ([rng.randrange(F.q) for _ in range(n - 1)]
+                    + [rng.randrange(1, F.q)] for _ in range(2))
+            h = [rng.randrange(F.q) for _ in range(2 * n)]
+            for op, call, x in (
+                    ("fields.pmul", lambda a, b, F=F: fl.pmul(a, b, F), f),
+                    ("fields.pdivmod", lambda a, b, F=F: fl.pdivmod(a, b, F),
+                     h),
+                    ("series.ps_mac", lambda a, b, F=F, n=n: ps_mac(
+                        [0] * n, 0, a, b, F), f)):
+                out[f"{op}.n{n}.{name}"] = (
+                    lambda: None, batch(call, [(x, g)] * count), count)
     return out
 
 
@@ -514,7 +545,8 @@ def flag_cases(m: dict) -> Dict[str, Case]:
 
 
 CASES = (field_cases, series_cases, poly_cases, rank_cases, geometry_cases,
-         record_cases, cohomology_cases, measure_cases, flag_cases)
+         record_cases, cohomology_cases, measure_cases, flag_cases,
+         product_cases)
 # every timing a run writes, one or more per layer
 KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
              for op in ("mul", "add", "inverse")) + tuple(
@@ -546,7 +578,9 @@ KEYS = tuple(f"fields.{op}.{name}" for name in FIELDS
     "measures.window_build.P2.q13", "surface.smooth_flag.lines.P2.q13",
     "surface.flag_coordinate_series.cubic.P2.F9",
     "surface.branch.cubic.P2.F9", "surface.expand_poly_at_flag.flex20",
-    "surface.expand_poly_at_flag.sextic.cubic.P2.F9")
+    "surface.expand_poly_at_flag.sextic.cubic.P2.F9") + tuple(
+    f"{op}.n{n}.{name}" for name in PRODUCT_FIELDS for n in PRODUCT_BATCH
+    for op in ("fields.pmul", "fields.pdivmod", "series.ps_mac"))
 
 
 def time_once(case) -> float:
