@@ -522,7 +522,7 @@ def pdivmod(f: Poly, g: Poly, desc: FieldDesc) -> Tuple[Poly, Poly]:
     axpy, mul, neg = desc.axpy, desc.mul, desc.neg
     f = f[:]
     q = [0] * max(0, len(f) - len(g) + 1)
-    inv_lead = desc.inv(g[-1])
+    inv_lead = 1 if g[-1] == 1 else desc.inv(g[-1])
     while len(f) >= len(g) and f:
         k = len(f) - len(g)
         q[k] = c = mul(f[-1], inv_lead)

@@ -11,7 +11,6 @@ meet first (_first_factor); tests/reference_curves.py keeps that search.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -78,29 +77,19 @@ def _first_factor(S: Surface, f: MPoly,
     polynomial of the earliest leading monomial in descending lex order,
     then the least by its other coefficients, read from the last monomial
     back (a search pinning the first coefficient to 1 and counting through
-    the others, the first fastest).  The factors of f are the products of
-    its irreducible factors, taken with multiplicity."""
+    the others, the first fastest).  A factor of that least class has no
+    proper factor, whose class would be less and still qualify, so it is
+    one of the irreducible factors of f."""
+    from .surface import class_monomials  # surface builds on this module
+
     total = sum(S.poly_class(f))
-    classes = [S.poly_class(g) for g, _m in factors]
-
-    def class_of(picks):
-        return tuple(sum(a * c[i] for a, c in zip(picks, classes))
-                     for i in range(len(S.groups)))
-
-    picks = {p: c for p in itertools.product(*(range(m + 1)
-                                               for _g, m in factors))
-             if 0 < 2 * sum(c := class_of(p)) <= total}
-    cls = min(picks.values())
-    found = [MPoly.product(S.base, S.nvars, [
-        (h, a) for (h, _m), a in zip(factors, p)])
-        for p, c in picks.items() if c == cls]
-    # the monomials that some candidate uses, in descending lex order: one
-    # that none uses does not tell two of them apart
-    monos = sorted(set().union(*(g.terms for g in found)), reverse=True)
 
     def key(g):
+        cls = S.poly_class(g)
+        monos = class_monomials(S, cls)
         lead = monos.index(max(g.terms))
-        return lead, [g.terms.get(monos[i], 0)
-                      for i in range(len(monos) - 1, lead, -1)]
+        return cls, lead, [g.terms.get(monos[i], 0)
+                           for i in range(len(monos) - 1, lead, -1)]
 
-    return min(found, key=key)
+    return min((g for g, _m in factors
+                if 0 < 2 * sum(S.poly_class(g)) <= total), key=key)

@@ -14,7 +14,7 @@ Riemann-Roch identity, each identity a `Check` of two routes.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .cohomology import h_vector
 from .fields import FieldDesc, FieldElem, rel_trace
@@ -79,8 +79,9 @@ def _cls_json(cls: ClassVector):
 
 class MeasureTag:
     """A measure on an ambient chain between two positions of its graded
-    lattice, each position a divisor; the chain's row of `_CHAINS` names
-    that lattice.
+    lattice (A1, A12 mod A1 or A12), each position a divisor.  It is also
+    the chain's characteristic distribution of the lattice where it ends,
+    charged from the lattice where it starts.
 
     The value is the exponent k of the measure's exact power q^k relative
     to the canonical normalization of the ambient chain; composition of
@@ -120,14 +121,11 @@ class MeasureTag:
 
 
 class _Chain(NamedTuple):
-    """One adelic chain: its graded lattice (taken modulo `graded_mod`), its
-    global lattice (modulo `lattice_mod`), the counting measure family, the
-    family adapted to the global lattice with the h-vector entry whose
-    increments are its values, and the chain the Fourier transform maps
-    it to."""
+    """One adelic chain: its global lattice (modulo `lattice_mod`), the
+    counting measure family, the family adapted to the global lattice with
+    the h-vector entry whose increments are its values, and the chain the
+    Fourier transform maps it to."""
 
-    graded: str
-    graded_mod: Optional[str]
     lattice: str
     lattice_mod: Optional[str]
     counting: str
@@ -139,11 +137,9 @@ class _Chain(NamedTuple):
 # the three ambient chains: the discrete chain, the compact quotient, and the
 # full group; the only statement of what each one holds
 _CHAINS = {
-    "A01": _Chain("A1", None, "A0", None, "delta", "A0-adapted", "h0",
-                  "A/A01"),
-    "A/A01": _Chain("A12", "A1", "A02", "A0", "one", "A02-adapted", "h2",
-                    "A01"),
-    "A": _Chain("A12", None, "A02", None, "nu", "mu", "chi", "A"),
+    "A01": _Chain("A0", None, "delta", "A0-adapted", "h0", "A/A01"),
+    "A/A01": _Chain("A02", "A0", "one", "A02-adapted", "h2", "A01"),
+    "A": _Chain("A02", None, "nu", "mu", "chi", "A"),
 }
 
 
@@ -186,49 +182,28 @@ def _adapted_value(chain: _Chain, i: Divisor, j: Divisor) -> int:
 
 
 class CharElem:
-    """A characteristic element in an ambient chain, at a reference position.
+    """A characteristic function: the indicator of an ambient chain's global
+    lattice at a reference position.  Its lattice and modulus are the
+    chain's row of `_CHAINS`.  A characteristic distribution is a
+    `MeasureTag` (char_distribution)."""
 
-    Without a measure it is function-like: the indicator of the chain's
-    global lattice.  With one it is distribution-like: the distribution of
-    the graded lattice where the measure ends, the measure running from the
-    reference.  The lattices and their moduli are the chain's row of
-    `_CHAINS`, so the element holds only what builds it, and its shape is
-    checked here.
-    """
+    __slots__ = ("ambient", "reference")
 
-    __slots__ = ("ambient", "reference", "measure")
-
-    def __init__(self, ambient: str, reference: Divisor,
-                 measure: Optional[MeasureTag] = None):
+    def __init__(self, ambient: str, reference: Divisor):
         _chain(ambient)  # rejects an unknown chain
-        if measure is not None:
-            if measure.ambient != ambient:
-                raise ValueError(f"measure of the {measure.ambient} chain "
-                                 f"for an element of the {ambient} chain")
-            if measure.frm != reference:
-                raise ValueError("measure must start at the element's "
-                                 "reference")
         self.ambient = ambient
         self.reference = reference
-        self.measure = measure
 
     def __eq__(self, other):
         return (isinstance(other, CharElem)
                 and self.ambient == other.ambient
-                and self.reference == other.reference
-                and self.measure == other.measure)
+                and self.reference == other.reference)
 
     def __repr__(self):
         chain = _CHAINS[self.ambient]
-        if self.measure is None:
-            lattice, mod, by = chain.lattice, chain.lattice_mod, ""
-        else:
-            lattice = f"{chain.graded}({self.measure.to!r})"
-            mod = chain.graded_mod
-            by = f", {self.measure.family} q^{self.measure.value}"
-        mod = f" mod {mod}" if mod else ""
-        return (f"CharElem({lattice}{mod} in {self.ambient} at "
-                f"{self.reference!r}{by})")
+        mod = f" mod {chain.lattice_mod}" if chain.lattice_mod else ""
+        return (f"CharElem({chain.lattice}{mod} in {self.ambient} at "
+                f"{self.reference!r})")
 
 
 def char_function(S: Surface, ambient: str, reference: Divisor) -> CharElem:
@@ -238,26 +213,25 @@ def char_function(S: Surface, ambient: str, reference: Divisor) -> CharElem:
     return CharElem(ambient, reference)
 
 
-def char_distribution(D: Divisor, measure: MeasureTag) -> CharElem:
+def char_distribution(D: Divisor, measure: MeasureTag) -> MeasureTag:
     """The distribution of the graded lattice at D, in the chain of the
-    measure, which must end there."""
+    measure: the measure itself, which must end there."""
     if measure.to != D:
         raise ValueError("measure must end at the element's lattice in the "
                          f"{measure.ambient} chain")
-    return CharElem(measure.ambient, measure.frm, measure)
+    return measure
 
 
-def char_pairing(dL: CharElem, dA: CharElem) -> int:
-    """Pairing of a function-like with a distribution-like element, as a
+def char_pairing(dL: CharElem, dA: MeasureTag) -> int:
+    """Pairing of a characteristic function with a distribution, as a
     q-exponent: the distribution's measure over the adapted measure between
     the common reference and the distribution's position."""
-    if dL.measure is not None or dA.measure is None:
-        raise ValueError("pairing takes a function-like and a "
-                         "distribution-like element, in that order")
-    if dL.ambient != dA.ambient or dL.reference != dA.reference:
+    if not (isinstance(dL, CharElem) and isinstance(dA, MeasureTag)):
+        raise ValueError("pairing takes a characteristic function and a "
+                         "distribution, in that order")
+    if dL.ambient != dA.ambient or dL.reference != dA.frm:
         raise ValueError("incompatible reference lattices")
-    m = dA.measure
-    return m.value - _adapted_value(_CHAINS[dA.ambient], dA.reference, m.to)
+    return dA.value - _adapted_value(_CHAINS[dA.ambient], dA.frm, dA.to)
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +248,24 @@ def _reflect(wdiv: Divisor, D: Divisor) -> Divisor:
     return got
 
 
-def fourier_char(e: CharElem, wdiv: Divisor) -> CharElem:
-    """The transform of a characteristic element.
+def fourier_char(e: Union[CharElem, MeasureTag],
+                 wdiv: Divisor) -> Union[CharElem, MeasureTag]:
+    """The transform of a characteristic function or distribution.
 
-    The element moves to the dual chain, where its lattice is replaced by
-    the residue-pairing annihilator; positions reflect through the form's
+    It moves to the dual chain, where the global lattice is replaced by the
+    residue-pairing annihilator; positions reflect through the form's
     divisor, and a counting measure keeps its value along the canonical
-    identification of the measure lines.  An involution on every element
-    whose measure, if any, is the chain's counting family.
+    identification of the measure lines.  An involution on every function
+    and on every distribution of the chain's counting family.
     """
     chain = _CHAINS[e.ambient]
-    m = e.measure
-    if m is None:
+    if isinstance(e, CharElem):
         return CharElem(chain.dual, _reflect(wdiv, e.reference))
-    if m.family != chain.counting:
+    if e.family != chain.counting:
         raise ValueError(f"unsupported characteristic shape: measure family "
-                         f"{m.family!r} has no transform")
-    frm = _reflect(wdiv, m.frm)
-    return CharElem(chain.dual, frm, MeasureTag(
-        chain.dual, _CHAINS[chain.dual].counting, frm, _reflect(wdiv, m.to),
-        m.value))
+                         f"{e.family!r} has no transform")
+    return MeasureTag(chain.dual, _CHAINS[chain.dual].counting,
+                      _reflect(wdiv, e.frm), _reflect(wdiv, e.to), e.value)
 
 
 def _pairing_and_transform(ambient: str, H: Divisor, C: Divisor,

@@ -210,14 +210,7 @@ def test_char_pairing_rejects_incompatible_elements():
 def test_char_elements_check_their_measure_where_built():
     S = plane()
     z = divisor_zero(S)
-    C = class_representative(S, (1,))
     cases = [
-        (lambda: CharElem("A01", z, counting_measure("A", z, C)),
-         "measure of the A chain for an element of the A01 chain"),
-        (lambda: CharElem("A01", C, counting_measure("A01", z, C)),
-         "measure must start at the element's reference"),
-        (lambda: CharElem("A01", z, counting_measure("A01", C, z)),
-         "measure must start at the element's reference"),
         (lambda: CharElem("A02", z), "unknown ambient chain 'A02'"),
         (lambda: char_function(S, "A01", None),
          "the reference must be a divisor on P2/GF(3)"),
@@ -231,6 +224,33 @@ def test_char_elements_check_their_measure_where_built():
             assert text in str(err), err
         else:
             raise AssertionError(f"built an element that should fail: {text}")
+
+
+def test_a_distribution_is_its_measure_tag():
+    S = plane()
+    z = divisor_zero(S)
+    C = class_representative(S, (1,))
+    w = canonical_divisor(S)
+    m = counting_measure("A01", z, C)
+    assert char_distribution(C, m) is m
+    # a counting tag goes to the dual chain's counting tag, reflected
+    assert fourier_char(m, w) == counting_measure("A/A01", w - z, w - C)
+    f = fourier_char(char_function(S, "A01", C), w)
+    assert isinstance(f, CharElem) and f == CharElem("A/A01", w - C)
+    dL = char_function(S, "A01", z)
+    for a, b in ((m, dL), (dL, dL), (m, m)):
+        try:
+            char_pairing(a, b)
+        except ValueError as err:
+            assert "in that order" in str(err), err
+        else:
+            raise AssertionError(f"paired {a!r} with {b!r}")
+    try:
+        char_pairing(char_function(S, "A01", C), m)
+    except ValueError as err:
+        assert "incompatible reference lattices" in str(err), err
+    else:
+        raise AssertionError("paired a tag that starts off the reference")
 
 
 def test_fourier_is_an_involution_on_every_supported_shape():

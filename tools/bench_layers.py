@@ -21,7 +21,9 @@ Two checkouts timed in separate processes differ by the drift of the host
 between the processes as well as by their code.  --against SRC imports
 SRC's package under another name into the same process, times each case
 on both sides in turn (the side that goes first alternates by round), and
-writes both figures and their ratio.
+writes both figures and their ratio.  It also keeps each round's paired
+ratio and writes, per case, `interval`: the 95 % order-statistic interval
+of the median paired ratio (median_interval).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import importlib
 import io
 import itertools
 import json
+import math
 import os
 import platform
 import random
@@ -591,6 +594,17 @@ def time_once(case) -> float:
     return (time.perf_counter() - t0) / per
 
 
+def median_interval(xs) -> list:
+    """[lo, hi], the j-th least and j-th greatest of xs, for the largest j
+    whose interval holds the median with chance 1 - 2 P(B < j) >= 0.95, B
+    binomial (len(xs), 1/2); [min, max] when not even j = 1 reaches it."""
+    xs, n, j = sorted(xs), len(xs), 1
+    while 2 * j < n and 1 - 2 * sum(
+            math.comb(n, i) for i in range(j + 1)) / 2 ** n >= 0.95:
+        j += 1
+    return [xs[j - 1], xs[n - j]]
+
+
 def line_counts(src: Path) -> Dict[str, int]:
     counts = {}
     for path in sorted((src / "adeles2d").glob("*.py")):
@@ -625,15 +639,22 @@ def main(argv=None) -> int:
     # host spoils one sample of each case, not every sample of a few; the
     # two sides of a case run back to back, the first side alternating
     timings = [{key: float("inf") for key in KEYS} for _ in sides]
+    paired: Dict[str, list] = {key: [] for key in KEYS}
     for r in range(args.repeat):
         order = range(len(sides)) if r % 2 == 0 else range(len(sides))[::-1]
         for key in KEYS:
+            once = [0.0] * len(sides)
             for i in order:
-                timings[i][key] = min(timings[i][key],
-                                      time_once(cases[i][key]))
+                once[i] = time_once(cases[i][key])
+                timings[i][key] = min(timings[i][key], once[i])
+            if args.against:
+                paired[key].append(once[0] / once[1])
+    interval = ({key: median_interval(paired[key]) for key in KEYS}
+                if args.against else {})
     for key in KEYS:
         best = "".join(f" {t[key] * 1e6:12.2f} us" for t in timings)
         ratio = (f" {timings[0][key] / timings[1][key]:7.3f}x"
+                 f" [{interval[key][0]:.3f}, {interval[key][1]:.3f}]"
                  if args.against else "")
         print(f"{key:50s}{best}{ratio}")
     doc = {"label": args.label, "unit": "s", "best_of": args.repeat,
@@ -645,6 +666,7 @@ def main(argv=None) -> int:
                           "lines": line_counts(args.against)}
         doc["ratio"] = {key: timings[0][key] / timings[1][key]
                         for key in KEYS}
+        doc["interval"] = interval
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
