@@ -730,7 +730,7 @@ def poly_factor(f: Poly, desc: FieldDesc) -> Tuple[int, List[Tuple[Poly, int]]]:
     work = pmonic(f, desc)
     rng: List[random.Random] = []
     factors: List[Tuple[Poly, int]] = []
-    # strip powers of x first so squarefree bookkeeping stays simple
+    # x^k costs only a shift here, and first-chart resultants often have it
     shift = 0
     while len(work) > 1 and not work[0]:
         work = work[1:]

@@ -47,6 +47,7 @@ def _echelon(rows: Matrix, desc: FieldDesc
     the input is unchanged (a row that needs no reduction is kept as it
     is, and one that does is copied before it changes)."""
     pivots: Dict[int, Row] = {}
+    # each pivot inverted once: over F_(7^6) an inverse is an extended Euclid
     inverse: Dict[int, int] = {}
     mul = desc.mul
     for row in rows:

@@ -572,35 +572,19 @@ def _pair_code(kx: FieldDesc, code: int, power: int, base: FieldDesc) -> int:
     return rel_trace(c, base).n
 
 
-def window_lattice_rows(w: Window, C: Divisor) -> List[int]:
-    """Indices of the primal basis monomials lying in the C-level lattice."""
+def window_annihilator_check(w: Window, C: Divisor) -> bool:
+    """Whether the gram-annihilator of the C-lattice image equals the image
+    of the reflected lattice: the primal monomials in the C-level lattice
+    must pair with no dual monomial in the lattice of the reflection of C,
+    and their rank must be that lattice's codimension."""
     if not (_divisor_le(w.R, C) and _divisor_le(C, w.S)):
         raise ValueError("divisor leaves the window bounds")
     curves = [fl.curve for fl in w.flags]
-    out = []
-    for idx, (fi, b, _a, _li) in enumerate(w.basis):
-        if b >= -C.components.get(curves[fi], 0):
-            out.append(idx)
-    return out
-
-
-def window_dual_columns(w: Window, C: Divisor) -> List[int]:
-    """Indices of dual monomials in the lattice of the reflection of C."""
-    curves = [fl.curve for fl in w.flags]
     refl = _reflect(w.omega, C)
-    out = []
-    for idx, (fi, b, _a, _li) in enumerate(w.dual_basis):
-        if b >= -refl.components.get(curves[fi], 0):
-            out.append(idx)
-    return out
-
-
-def window_annihilator_check(w: Window, C: Divisor) -> bool:
-    """Whether the gram-annihilator of the C-lattice image equals the image
-    of the reflected lattice: the lattice rows must hold no column of the
-    reflected lattice, and their rank must be its codimension."""
-    sub = [w.gram[i] for i in window_lattice_rows(w, C)]
-    cols = set(window_dual_columns(w, C))
+    sub = [w.gram[i] for i, (fi, b, _a, _li) in enumerate(w.basis)
+           if b >= -C.components.get(curves[fi], 0)]
+    cols = {j for j, (fi, b, _a, _li) in enumerate(w.dual_basis)
+            if b >= -refl.components.get(curves[fi], 0)}
     if any(not cols.isdisjoint(row) for row in sub):
         return False
     return mat_rank(sub, w.surface.base) == len(w.basis) - len(cols)

@@ -17,6 +17,7 @@ orders are deterministic so golden values are stable.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
 from math import comb
@@ -1017,6 +1018,7 @@ class Divisor:
     def __neg__(self) -> "Divisor":
         return Divisor(self.surface, {c: -m for c, m in self.components.items()})
 
+    # not self + -other, whose second Divisor costs central_commutator 4 %
     def __sub__(self, other: "Divisor") -> "Divisor":
         if other.surface != self.surface:
             raise ValueError("divisors live on different surfaces")
@@ -1088,45 +1090,28 @@ def canonical_local_form(fl: Flag, t_to: int, u_to: int) -> LaurentSeries2:
 def smooth_flag(D: Curve, max_degree: int,
                 avoid: Sequence[Curve] = ()) -> Flag:
     """The first flag on D at a point of degree at most max_degree that lies
-    on no curve of `avoid`; singular points of D are skipped.  Points are
-    tried one exact degree d at a time, lowest first, since the walk over
-    the surface's points with coordinates in F_(q^d) grows like q^(2d)
-    (_least_rational_point); D is not enumerated."""
-    base = D.surface.base
+    on no curve of `avoid`, least by ClosedPoint.sort_key within a degree;
+    flag_make alone judges that D is smooth there.  Points are tried one
+    exact degree d at a time, lowest first, since the walk over the
+    surface's points with coordinates in F_(q^d) (_points_over) grows like
+    q^(2d); D is not enumerated.  Whether a point qualifies does not change
+    under Galois conjugation or field extension, so the first one over
+    F_(q^d) is the least of its orbit, and its degree is d: every point over
+    a smaller field was rejected at its own degree."""
+    S = D.surface
     for degree in range(1, max_degree + 1):
-        got = _least_rational_point(D, avoid,
-                                    field_make(base.p, base.d * degree))
-        if got is not None:
-            return flag_make(got, D)
+        k = field_make(S.base.p, S.base.d * degree)
+        # the curves embedded into k directly, as flag_make embeds them
+        f = _mp_embed(D.poly, k)
+        others = [_mp_embed(E.poly, k) for E in avoid]
+        for coords in _points_over(S, k):
+            if f.evaluate(coords) or any(not E.evaluate(coords) for E in others):
+                continue
+            x = ClosedPoint(S, k, tuple(coords), degree)
+            with contextlib.suppress(ValueError):  # D is singular at x
+                return flag_make(x, D)
     raise ValueError(f"no admissible flag on {D!r} up to point degree "
                      f"{max_degree}")
-
-
-def _least_rational_point(D: Curve, avoid: Sequence[Curve],
-                          k: FieldDesc) -> Optional[ClosedPoint]:
-    """The least point of D with coordinates in k, by ClosedPoint.sort_key,
-    on no curve of `avoid` and smooth on D, or None: at most one evaluation
-    of D per point of the surface over k, with the curves embedded into k
-    directly, as flag_make embeds them.  A point of D is singular where
-    every partial derivative of D.poly vanishes, which (by Euler's relation
-    in each group) is where flag_make finds none in the chart.
-
-    Whether a point qualifies does not change under Galois conjugation, so
-    the first one found is the least member of its orbit.  Its degree is
-    taken to be [k : F_q]: the caller has rejected every point over a
-    smaller field."""
-    S = D.surface
-    f = _mp_embed(D.poly, k)
-    others = [_mp_embed(E.poly, k) for E in avoid]
-    partials = None
-    for coords in _points_over(S, k):
-        if f.evaluate(coords) or any(not E.evaluate(coords) for E in others):
-            continue
-        if partials is None:
-            partials = [f.derivative(v) for v in range(S.nvars)]
-        if any(d.evaluate(coords) for d in partials):
-            return ClosedPoint(S, k, tuple(coords), k.d // S.base.d)
-    return None
 
 
 def _points_over(S: Surface, k: FieldDesc) -> Iterable[List[FieldElem]]:

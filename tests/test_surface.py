@@ -717,6 +717,11 @@ def test_singular_flag_raises_on_every_call():
         with pytest.raises(ValueError, match="singular"):
             flag_make(origin, N)
     assert not S.flags
+    # the least point of P2 is the node: the walk calls flag_make there,
+    # moves on, and registers only the flag it returns
+    fl = smooth_flag(N, 1)
+    assert fl.point != origin and fl.curve is N
+    assert S.flags == {(fl.point, N): fl}
 
 
 def test_coordinate_series_solves_curve_equation():

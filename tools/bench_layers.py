@@ -19,11 +19,12 @@ Standard library only; single-threaded.
 
 Two checkouts timed in separate processes differ by the drift of the host
 between the processes as well as by their code.  --against SRC imports
-SRC's package under another name into the same process, times each case
-on both sides in turn (the side that goes first alternates by round), and
-writes both figures and their ratio.  It also keeps each round's paired
-ratio and writes, per case, `interval`: the 95 % order-statistic interval
-of the median paired ratio (median_interval).
+SRC's package into the same process, each side under a name of its own
+(load), times each case on both sides in turn (the side that goes first
+alternates by round), and writes both figures and their ratio.  It also
+keeps each round's paired ratio and writes, per case, `interval`: the
+95 % order-statistic interval of the median paired ratio
+(median_interval).
 """
 
 from __future__ import annotations
@@ -84,15 +85,13 @@ SEXTIC_F7 = ("X^6+X^4YZ+3X^4Z^2+X^3YZ^2+X^2Y^3Z+2X^2Z^4+XY^2Z^3+3XYZ^4"
 Case = Tuple[Callable[[], object], Callable[[object], object], int]
 
 
-def load(src: Path, package: str = "adeles2d") -> dict:
-    """The modules of the package under src, imported as `package`; the
-    modules import each other relatively, so any name will do."""
-    if package == "adeles2d":
-        sys.path.insert(0, str(src))
-    else:
-        copy = types.ModuleType(package)
-        copy.__path__ = [str(src / "adeles2d")]
-        sys.modules[package] = copy
+def load(src: Path, package: str) -> dict:
+    """The modules of the package under src, imported as `package`, a name
+    of their own: the modules import each other relatively, so any name
+    will do, and every side of a run is loaded the same way."""
+    copy = types.ModuleType(package)
+    copy.__path__ = [str(src / "adeles2d")]
+    sys.modules[package] = copy
     m = {name: importlib.import_module(f"{package}.{name}")
          for name in MODULES}
     for mod in m.values():
@@ -626,7 +625,7 @@ def main(argv=None) -> int:
                         help="the src directory of a second checkout, timed "
                              "case by case in this process")
     args = parser.parse_args(argv)
-    sides = [load(args.src)]
+    sides = [load(args.src, "adeles2d_src")]
     if args.against:
         sides.append(load(args.against, "adeles2d_against"))
     cases = [{key: case for make in CASES for key, case in make(m).items()}
